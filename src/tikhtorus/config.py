@@ -1,47 +1,9 @@
 """Experiment configuration: a flat INI file with typed sections.
 
-Schema (see also the shipped files under ``configs/``)::
-
-    [experiment]
-    name = deblur | rates | noise_probe | gamma
-
-    [operator]
-    kind = deblur_1d | power_law
-    exponent = -2.0          ; power_law only: the operator order -t
-
-    [truth]
-    kind = hat | coefficients
-    path = signal.csv        ; coefficients only
-
-    [schedule]
-    alpha0 = 1.0
-    kappa = 2.5
-    r = 1.0
-
-    [noise]
-    noise_regularity = -0.6  ; smoothness index s used for rate predictions
-    seeds = 0,1,2,...        ; explicit list; --seed-offset shifts all
-
-    [grids]
-    delta_grid = 1e-2,1e-3,...   ; positive, strictly decreasing
-    s1_list = -3.0,-1.5,1.0      ; error norms to report
-
-    [resolution]
-    bandlimit = 128
-    reference_bandlimit = 16384  ; >= 4 * bandlimit
-    plot_points = 1024           ; grid for signal plots (deblur)
-
-    [noise_probe]                ; noise_probe runs only
-    s_values = -2.0,-0.6,0.0
-    bandlimits = 1024,2048,4096
-    growth_threshold = 0.02
-
-    [gamma]                      ; gamma runs only
-    test_function_count = 5
-
-    [output]
-    dir = out
-
+Each :class:`ExperimentConfig` field declares its ``[section] key``, parser,
+default and range checks once, in its ``dataclasses.field`` metadata. That one
+declaration drives parsing, the rejection of unknown sections and keys, the
+metadata sidecar and the error messages; README.md tabulates it for users.
 Every value the runners consume, defaults included, lands in the metadata
 sidecar so runs are reproducible from the recorded parameters alone.
 """
@@ -50,6 +12,8 @@ from __future__ import annotations
 
 import configparser
 import dataclasses
+import math
+import os
 from pathlib import Path
 
 from .errors import ConfigError
@@ -58,116 +22,115 @@ __all__ = ["ExperimentConfig", "load_config"]
 
 EXPERIMENTS = ("deblur", "rates", "noise_probe", "gamma")
 
-_KNOWN_KEYS = {
-    "experiment": {"name"},
-    "operator": {"kind", "exponent"},
-    "truth": {"kind", "path"},
-    "schedule": {"alpha0", "kappa", "r"},
-    "noise": {"noise_regularity", "seeds"},
-    "grids": {"delta_grid", "s1_list"},
-    "resolution": {"bandlimit", "reference_bandlimit", "plot_points"},
-    "noise_probe": {"s_values", "bandlimits", "growth_threshold"},
-    "gamma": {"test_function_count"},
-    "output": {"dir"},
-}
+
+def _finite(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"not a finite number: {text.strip()!r}")
+    return value
 
 
-@dataclasses.dataclass(frozen=True)
+def _list_of(parse):
+    return lambda text: tuple(parse(part) for part in text.split(",") if part.strip())
+
+
+def _one_of(what: str, *options: str) -> tuple:
+    message = f"is an unknown {what}; expected one of {', '.join(options)}"
+    return (lambda value: value in options), message
+
+
+def _fits_in_memory(bandlimit: int) -> bool:
+    """Whether the int64 mode table of a 1-d lattice, (2M+1) * 8 bytes, fits in RAM."""
+    return (2 * bandlimit + 1) * 8 <= os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+
+
+def _at_least(bound: int) -> tuple:
+    return (lambda value: value >= bound), f"must be >= {bound}"
+
+
+def _each(check: tuple) -> tuple:
+    holds, message = check
+    return (lambda values: all(map(holds, values))), message
+
+
+_POSITIVE = (lambda value: value > 0, "must be positive")
+_NONEMPTY = (bool, "must be nonempty")
+_FITS = (_fits_in_memory, "needs a (2M+1) * 8-byte mode table larger than physical memory")
+
+
+def _key(section: str, key: str, parse, *checks: tuple, default=dataclasses.MISSING):
+    return dataclasses.field(
+        default=default, metadata={"ini": (section, key), "parse": parse, "checks": checks}
+    )
+
+
+@dataclasses.dataclass(frozen=True, kw_only=True)
 class ExperimentConfig:
-    experiment: str
-    operator_kind: str
-    operator_exponent: float  # the order -t; -2.0 for deblur_1d
-    truth_kind: str
-    truth_path: str | None
-    alpha0: float
-    kappa: float
-    r: float
-    noise_regularity: float
-    seeds: tuple
-    delta_grid: tuple
-    s1_list: tuple
-    bandlimit: int
-    reference_bandlimit: int
-    plot_points: int
-    probe_s_values: tuple
-    probe_bandlimits: tuple
-    probe_growth_threshold: float
-    gamma_test_function_count: int
-    output_dir: str
+    """One experiment run; each field is the value of one ``[section] key``."""
+
+    experiment: str = _key("experiment", "name", str, _one_of("experiment name", *EXPERIMENTS))
+    operator_kind: str = _key(
+        "operator", "kind", str, _one_of("operator kind", "deblur_1d", "power_law"),
+        default="deblur_1d",
+    )
+    operator_exponent: float = _key(  # the order -t; -2.0 for deblur_1d
+        "operator", "exponent", _finite,
+        (lambda value: value < 0, "must be negative (a smoothing order)"),
+        default=-2.0,
+    )
+    truth_kind: str = _key(
+        "truth", "kind", str, _one_of("truth kind", "hat", "coefficients"), default="hat"
+    )
+    truth_path: str | None = _key("truth", "path", str, default=None)  # coefficients only
+    alpha0: float = _key("schedule", "alpha0", _finite, _POSITIVE)
+    kappa: float = _key("schedule", "kappa", _finite, _POSITIVE)
+    r: float = _key("schedule", "r", _finite, _at_least(0))
+    noise_regularity: float = _key("noise", "noise_regularity", _finite, default=-0.6)
+    seeds: tuple = _key("noise", "seeds", _list_of(int), _NONEMPTY, _each(_at_least(0)))
+    delta_grid: tuple = _key(
+        "grids", "delta_grid", _list_of(_finite), _NONEMPTY, _each(_POSITIVE),
+        (lambda value: all(b < a for a, b in zip(value, value[1:])), "must be strictly decreasing"),
+    )
+    s1_list: tuple = _key("grids", "s1_list", _list_of(_finite), _NONEMPTY, default=(-1.5,))
+    bandlimit: int = _key("resolution", "bandlimit", int, _at_least(1))
+    reference_bandlimit: int = _key("resolution", "reference_bandlimit", int, _at_least(1), _FITS)
+    plot_points: int = _key("resolution", "plot_points", int, _at_least(8), default=1024)
+    probe_s_values: tuple = _key(
+        "noise_probe", "s_values", _list_of(_finite), default=(-2.0, -0.6, 0.0)
+    )
+    probe_bandlimits: tuple = _key(
+        "noise_probe", "bandlimits", _list_of(int), _each(_at_least(1)), _each(_FITS),
+        (lambda value: all(b > a for a, b in zip(value, value[1:])), "must be strictly increasing"),
+        default=(1024, 2048, 4096, 8192, 16384),
+    )
+    probe_growth_threshold: float = _key("noise_probe", "growth_threshold", _finite, default=0.02)
+    gamma_test_function_count: int = _key(
+        "gamma", "test_function_count", int, _at_least(1), default=5
+    )
+    output_dir: str = _key("output", "dir", str)
 
     def with_overrides(self, output_dir: str | None = None, seed_offset: int = 0) -> "ExperimentConfig":
+        seeds = tuple(seed + seed_offset for seed in self.seeds)
+        if any(seed < 0 for seed in seeds):
+            raise ConfigError(
+                f"--seed-offset {seed_offset} makes seed {min(seeds)} negative; "
+                "[noise] seeds must stay >= 0"
+            )
         return dataclasses.replace(
             self,
             output_dir=output_dir if output_dir is not None else self.output_dir,
-            seeds=tuple(seed + seed_offset for seed in self.seeds),
+            seeds=seeds,
         )
 
     def to_metadata(self) -> dict:
-        """Every consumed parameter, defaults included."""
-        return {
-            "experiment": self.experiment,
-            "operator": {"kind": self.operator_kind, "exponent": self.operator_exponent},
-            "truth": {"kind": self.truth_kind, "path": self.truth_path},
-            "schedule": {"alpha0": self.alpha0, "kappa": self.kappa, "r": self.r},
-            "noise": {
-                "noise_regularity": self.noise_regularity,
-                "seeds": list(self.seeds),
-            },
-            "grids": {"delta_grid": list(self.delta_grid), "s1_list": list(self.s1_list)},
-            "resolution": {
-                "bandlimit": self.bandlimit,
-                "reference_bandlimit": self.reference_bandlimit,
-                "plot_points": self.plot_points,
-            },
-            "noise_probe": {
-                "s_values": list(self.probe_s_values),
-                "bandlimits": list(self.probe_bandlimits),
-                "growth_threshold": self.probe_growth_threshold,
-            },
-            "gamma": {"test_function_count": self.gamma_test_function_count},
-            "output": {"dir": self.output_dir},
-        }
-
-
-def _float_list(text: str, where: str) -> tuple:
-    try:
-        return tuple(float(part) for part in text.split(",") if part.strip())
-    except ValueError as exc:
-        raise ConfigError(f"{where}: expected a comma-separated float list: {exc}") from exc
-
-
-def _int_list(text: str, where: str) -> tuple:
-    try:
-        return tuple(int(part) for part in text.split(",") if part.strip())
-    except ValueError as exc:
-        raise ConfigError(f"{where}: expected a comma-separated integer list: {exc}") from exc
-
-
-class _Reader:
-    def __init__(self, parser: configparser.ConfigParser, path: Path):
-        self.parser = parser
-        self.path = path
-
-    def get(self, section: str, key: str, default: str | None = None) -> str:
-        if not self.parser.has_option(section, key):
-            if default is not None:
-                return default
-            raise ConfigError(f"{self.path}: missing required key [{section}] {key}")
-        return self.parser.get(section, key)
-
-    def getfloat(self, section: str, key: str, default: str | None = None) -> float:
-        raw = self.get(section, key, default)
-        try:
-            return float(raw)
-        except ValueError as exc:
-            raise ConfigError(f"{self.path}: [{section}] {key} must be a number") from exc
-
-    def getint(self, section: str, key: str, default: str | None = None) -> int:
-        raw = self.get(section, key, default)
-        try:
-            return int(raw)
-        except ValueError as exc:
-            raise ConfigError(f"{self.path}: [{section}] {key} must be an integer") from exc
+        """Every consumed parameter, defaults included, keyed by INI section and key."""
+        meta: dict = {}
+        for field in dataclasses.fields(self):
+            section, key = field.metadata["ini"]
+            value = getattr(self, field.name)
+            meta.setdefault(section, {})[key] = list(value) if isinstance(value, tuple) else value
+        meta["experiment"] = self.experiment  # the sidecar records the name flat
+        return meta
 
 
 def load_config(path: str | Path) -> ExperimentConfig:
@@ -182,109 +145,54 @@ def load_config(path: str | Path) -> ExperimentConfig:
     except configparser.Error as exc:
         raise ConfigError(f"{path}: {exc}") from exc
 
+    fields = dataclasses.fields(ExperimentConfig)
+    known: dict = {}
+    for field in fields:
+        section, key = field.metadata["ini"]
+        known.setdefault(section, set()).add(key)
     for section in parser.sections():
-        if section not in _KNOWN_KEYS:
+        if section not in known:
             raise ConfigError(f"{path}: unknown section [{section}]")
-        unknown = set(parser.options(section)) - _KNOWN_KEYS[section]
+        unknown = set(parser.options(section)) - known[section]
         if unknown:
-            raise ConfigError(
-                f"{path}: unknown key(s) {sorted(unknown)} in section [{section}]"
-            )
+            raise ConfigError(f"{path}: unknown key(s) {sorted(unknown)} in section [{section}]")
 
-    reader = _Reader(parser, path)
-    experiment = reader.get("experiment", "name")
-    if experiment not in EXPERIMENTS:
-        raise ConfigError(f"{path}: experiment name must be one of {EXPERIMENTS}")
+    values = {}
+    for field in fields:
+        section, key = field.metadata["ini"]
+        if parser.has_option(section, key):
+            try:
+                raw = parser.get(section, key)
+                value = field.metadata["parse"](raw)
+            except (ValueError, configparser.Error) as exc:
+                raise ConfigError(f"{path}: [{section}] {key}: invalid value: {exc}") from exc
+        elif field.default is not dataclasses.MISSING:
+            value = field.default
+        else:
+            raise ConfigError(f"{path}: missing required key [{section}] {key}")
+        for holds, message in field.metadata["checks"]:
+            if not holds(value):
+                raise ConfigError(f"{path}: [{section}] {key} {message}, got {value!r}")
+        values[field.name] = value
 
-    operator_kind = reader.get("operator", "kind", default="deblur_1d")
-    if operator_kind == "deblur_1d":
-        exponent = reader.getfloat("operator", "exponent", default="-2.0")
-        if exponent != -2.0:
-            raise ConfigError(f"{path}: deblur_1d has fixed exponent -2.0")
-    elif operator_kind == "power_law":
-        exponent = reader.getfloat("operator", "exponent")
-        if exponent >= 0:
-            raise ConfigError(f"{path}: power_law exponent must be negative (a smoothing order)")
-    else:
-        raise ConfigError(f"{path}: operator kind must be deblur_1d or power_law")
-
-    truth_kind = reader.get("truth", "kind", default="hat")
-    truth_path: str | None = None
-    if truth_kind == "coefficients":
-        truth_path = reader.get("truth", "path")
-    elif truth_kind != "hat":
-        raise ConfigError(f"{path}: truth kind must be hat or coefficients")
-
-    alpha0 = reader.getfloat("schedule", "alpha0")
-    kappa = reader.getfloat("schedule", "kappa")
-    r = reader.getfloat("schedule", "r")
-    if alpha0 <= 0 or kappa <= 0 or r < 0:
-        raise ConfigError(f"{path}: schedule needs alpha0 > 0, kappa > 0, r >= 0")
-
-    noise_regularity = reader.getfloat("noise", "noise_regularity", default="-0.6")
-    seeds = _int_list(reader.get("noise", "seeds"), f"{path}: [noise] seeds")
-    if not seeds:
-        raise ConfigError(f"{path}: [noise] seeds must be nonempty")
-
-    delta_grid = _float_list(reader.get("grids", "delta_grid"), f"{path}: [grids] delta_grid")
-    if not delta_grid:
-        raise ConfigError(f"{path}: [grids] delta_grid must be nonempty")
-    if any(d <= 0 for d in delta_grid):
-        raise ConfigError(f"{path}: deltas must be positive")
-    if any(b >= a for a, b in zip(delta_grid, delta_grid[1:])):
-        raise ConfigError(f"{path}: delta_grid must be strictly decreasing")
-    s1_list = _float_list(reader.get("grids", "s1_list", default="-1.5"), f"{path}: [grids] s1_list")
-    if not s1_list:
-        raise ConfigError(f"{path}: [grids] s1_list must be nonempty")
-
-    bandlimit = reader.getint("resolution", "bandlimit")
-    reference = reader.getint("resolution", "reference_bandlimit")
-    plot_points = reader.getint("resolution", "plot_points", default="1024")
-    if bandlimit < 1 or reference < 1 or plot_points < 8:
-        raise ConfigError(f"{path}: resolution values out of range")
+    # rules that tie one key to another
+    if values["operator_kind"] == "deblur_1d" and values["operator_exponent"] != -2.0:
+        raise ConfigError(f"{path}: [operator] exponent: deblur_1d has fixed exponent -2.0")
+    if values["operator_kind"] == "power_law" and not parser.has_option("operator", "exponent"):
+        raise ConfigError(f"{path}: missing required key [operator] exponent")
+    if values["truth_kind"] != "coefficients":
+        values["truth_path"] = None
+    elif values["truth_path"] is None:
+        raise ConfigError(f"{path}: missing required key [truth] path")
+    bandlimit, reference = values["bandlimit"], values["reference_bandlimit"]
     if reference < 4 * bandlimit:
         raise ConfigError(
-            f"{path}: reference_bandlimit must be at least 4 * bandlimit "
+            f"{path}: [resolution] reference_bandlimit must be at least 4 * bandlimit "
             f"({4 * bandlimit}), got {reference}"
         )
-
-    probe_s_values = _float_list(
-        reader.get("noise_probe", "s_values", default="-2.0,-0.6,0.0"),
-        f"{path}: [noise_probe] s_values",
-    )
-    probe_bandlimits = _int_list(
-        reader.get("noise_probe", "bandlimits", default="1024,2048,4096,8192,16384"),
-        f"{path}: [noise_probe] bandlimits",
-    )
-    if any(b2 <= b1 for b1, b2 in zip(probe_bandlimits, probe_bandlimits[1:])):
-        raise ConfigError(f"{path}: [noise_probe] bandlimits must be strictly increasing")
-    probe_threshold = reader.getfloat("noise_probe", "growth_threshold", default="0.02")
-
-    test_function_count = reader.getint("gamma", "test_function_count", default="5")
-    if test_function_count < 1:
-        raise ConfigError(f"{path}: [gamma] test_function_count must be >= 1")
-
-    output_dir = reader.get("output", "dir")
-
-    return ExperimentConfig(
-        experiment=experiment,
-        operator_kind=operator_kind,
-        operator_exponent=exponent,
-        truth_kind=truth_kind,
-        truth_path=truth_path,
-        alpha0=alpha0,
-        kappa=kappa,
-        r=r,
-        noise_regularity=noise_regularity,
-        seeds=seeds,
-        delta_grid=delta_grid,
-        s1_list=s1_list,
-        bandlimit=bandlimit,
-        reference_bandlimit=reference,
-        plot_points=plot_points,
-        probe_s_values=probe_s_values,
-        probe_bandlimits=probe_bandlimits,
-        probe_growth_threshold=probe_threshold,
-        gamma_test_function_count=test_function_count,
-        output_dir=output_dir,
-    )
+    if values["gamma_test_function_count"] > 2 * reference + 1:
+        raise ConfigError(
+            f"{path}: [gamma] test_function_count must be at most 2 * reference_bandlimit + 1 "
+            f"({2 * reference + 1}), got {values['gamma_test_function_count']}"
+        )
+    return ExperimentConfig(**values)

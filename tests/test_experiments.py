@@ -1,15 +1,20 @@
 """Config parsing, experiment runners, CLI contract, output determinism."""
 
+import dataclasses
 import json
+import re
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tikhtorus import ConfigError, load_config
 from tikhtorus.cli import main
+from tikhtorus.config import EXPERIMENTS, ExperimentConfig
 from tikhtorus.experiments import run_experiment
 
-CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
+ROOT = Path(__file__).resolve().parent.parent
+CONFIG_DIR = ROOT / "configs"
 
 
 def small_config_text(experiment="deblur", out_dir="out", **overrides):
@@ -68,6 +73,60 @@ def write_config(tmp_path, text, name="exp.ini"):
     return path
 
 
+_finite_floats = st.floats(allow_nan=False, allow_infinity=False)
+_positive_floats = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+_paths = st.text("abcxyz0123456789_./-", min_size=1, max_size=20)
+
+
+@st.composite
+def valid_configs(draw):
+    """An ExperimentConfig that load_config must accept, built field by field."""
+    operator_kind = draw(st.sampled_from(["deblur_1d", "power_law"]))
+    truth_kind = draw(st.sampled_from(["hat", "coefficients"]))
+    bandlimit = draw(st.integers(1, 10**6))
+    reference = 4 * bandlimit + draw(st.integers(0, 10**6))
+    return ExperimentConfig(
+        experiment=draw(st.sampled_from(EXPERIMENTS)),
+        operator_kind=operator_kind,
+        operator_exponent=-2.0
+        if operator_kind == "deblur_1d"
+        else draw(st.floats(max_value=0.0, exclude_max=True, allow_infinity=False)),
+        truth_kind=truth_kind,
+        truth_path=draw(_paths) if truth_kind == "coefficients" else None,
+        alpha0=draw(_positive_floats),
+        kappa=draw(_positive_floats),
+        r=draw(st.floats(min_value=0.0, allow_infinity=False)),
+        noise_regularity=draw(_finite_floats),
+        seeds=tuple(draw(st.lists(st.integers(0, 2**64), min_size=1, max_size=5))),
+        delta_grid=tuple(
+            sorted(draw(st.sets(_positive_floats, min_size=1, max_size=5)), reverse=True)
+        ),
+        s1_list=tuple(draw(st.lists(_finite_floats, min_size=1, max_size=5))),
+        bandlimit=bandlimit,
+        reference_bandlimit=reference,
+        plot_points=draw(st.integers(8, 10**5)),
+        probe_s_values=tuple(draw(st.lists(_finite_floats, max_size=5))),
+        probe_bandlimits=tuple(sorted(draw(st.sets(st.integers(1, 10**7), max_size=5)))),
+        probe_growth_threshold=draw(_finite_floats),
+        gamma_test_function_count=draw(st.integers(1, 2 * reference + 1)),
+        output_dir=draw(_paths),
+    )
+
+
+def metadata_to_ini(meta):
+    """Render a metadata sidecar's parameters back to config-file text."""
+    sections = dict(meta, experiment={"name": meta["experiment"]})
+    lines = []
+    for section, keys in sections.items():
+        lines.append(f"[{section}]")
+        for key, value in keys.items():
+            if isinstance(value, list):
+                value = ",".join(repr(item) for item in value)
+            if value is not None:
+                lines.append(f"{key} = {value}")
+    return "\n".join(lines) + "\n"
+
+
 class TestConfig:
     def test_shipped_configs_parse(self):
         for name in ("deblur", "rates", "noise_probe", "gamma"):
@@ -101,6 +160,37 @@ class TestConfig:
             (("reference_bandlimit = 256", "reference_bandlimit = 64"), "4 * bandlimit"),
             (("alpha0 = 1.0", "alpha0 = -1.0"), "alpha0"),
             (("seeds = 0,1,2", "seeds = "), "seeds"),
+            (("alpha0 = 1.0", "alpha0 = nan"), r"\[schedule\] alpha0"),
+            (("kappa = 2.5", "kappa = inf"), r"\[schedule\] kappa"),
+            (("r = 1.0", "r = nan"), r"\[schedule\] r\b"),
+            (("noise_regularity = -0.6", "noise_regularity = nan"), r"\[noise\] noise_regularity"),
+            (("seeds = 0,1,2", "seeds = -1"), r"\[noise\] seeds"),
+            (
+                ("delta_grid = 1e-2,1e-3,1e-4", "delta_grid = 1e-2,nan,1e-4"),
+                r"\[grids\] delta_grid",
+            ),
+            (("s1_list = -1.5,1.0", "s1_list = -1.5,nan"), r"\[grids\] s1_list"),
+            (("s_values = -2.0,0.0", "s_values = -inf,0.0"), r"\[noise_probe\] s_values"),
+            (
+                ("bandlimits = 64,128,256", "bandlimits = 64,128,256\ngrowth_threshold = nan"),
+                r"\[noise_probe\] growth_threshold",
+            ),
+            (("kind = deblur_1d", "kind = power_law\nexponent = nan"), r"\[operator\] exponent"),
+            # infeasible sizes are rejected from the size arithmetic, before any allocation
+            (
+                ("reference_bandlimit = 256", "reference_bandlimit = 1000000000000"),
+                r"\[resolution\] reference_bandlimit [^,]+ physical memory",
+            ),
+            (
+                ("bandlimits = 64,128,256", "bandlimits = 64,128,1000000000000"),
+                r"\[noise_probe\] bandlimits [^,]+ physical memory",
+            ),
+            (("bandlimits = 64,128,256", "bandlimits = -5,128,256"), r"\[noise_probe\] bandlimits"),
+            (
+                ("test_function_count = 3", "test_function_count = 100000"),
+                r"\[gamma\] test_function_count",
+            ),
+            (("dir = out", "dir = 100%"), r"\[output\] dir"),
         ],
     )
     def test_named_field_errors(self, tmp_path, mutation, needle):
@@ -131,6 +221,20 @@ class TestConfig:
         path = write_config(tmp_path, text)
         with pytest.raises(ConfigError, match=r"\[output\] dir"):
             load_config(path)
+
+    @settings(max_examples=50, deadline=None)
+    @given(config=valid_configs())
+    def test_metadata_round_trips_through_ini(self, tmp_path_factory, config):
+        path = tmp_path_factory.mktemp("roundtrip") / "exp.ini"
+        path.write_text(metadata_to_ini(config.to_metadata()))
+        assert load_config(path) == config
+
+    def test_readme_table_lists_every_key(self):
+        readme = (ROOT / "README.md").read_text()
+        table = readme.split("## Config schema", 1)[1].split("\n## ", 1)[0]
+        rows = re.findall(r"^\| `\[(\w+)\]` +\| `(\w+)` ", table, flags=re.MULTILINE)
+        declared = [field.metadata["ini"] for field in dataclasses.fields(ExperimentConfig)]
+        assert sorted(rows) == sorted(declared)
 
 
 EXPECTED_FILES = {
@@ -281,6 +385,19 @@ class TestCli:
         code = main(["deblur", "--config", str(path)])
         assert code == 2
         assert "ConfigError" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "seeds,offset,needle",
+        [("-1", "0", "[noise] seeds"), ("0,1", "-1", "--seed-offset")],
+    )
+    def test_negative_seed_exit_code(self, tmp_path, capsys, seeds, offset, needle):
+        text = small_config_text(out_dir=str(tmp_path / "out"), seeds=seeds)
+        path = write_config(tmp_path, text)
+        code = main(["deblur", "--config", str(path), "--seed-offset", offset])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("ConfigError") and needle in err
+        assert not (tmp_path / "out").exists()
 
     def test_missing_config_file(self, tmp_path, capsys):
         code = main(["deblur", "--config", str(tmp_path / "absent.ini")])
