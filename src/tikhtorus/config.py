@@ -96,10 +96,10 @@ class ExperimentConfig:
     reference_bandlimit: int = _key("resolution", "reference_bandlimit", int, _at_least(1), _FITS)
     plot_points: int = _key("resolution", "plot_points", int, _at_least(8), default=1024)
     probe_s_values: tuple = _key(
-        "noise_probe", "s_values", _list_of(_finite), default=(-2.0, -0.6, 0.0)
+        "noise_probe", "s_values", _list_of(_finite), _NONEMPTY, default=(-2.0, -0.6, 0.0)
     )
     probe_bandlimits: tuple = _key(
-        "noise_probe", "bandlimits", _list_of(int), _each(_at_least(1)), _each(_FITS),
+        "noise_probe", "bandlimits", _list_of(int), _NONEMPTY, _each(_at_least(1)), _each(_FITS),
         (lambda value: all(b > a for a, b in zip(value, value[1:])), "must be strictly increasing"),
         default=(1024, 2048, 4096, 8192, 16384),
     )

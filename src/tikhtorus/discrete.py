@@ -37,6 +37,7 @@ from .spectral import (
     MultiplierOperator,
     SpectralField,
     sobolev_norm,
+    sobolev_weights,
     symbol_is_hermitian,
     truncate,
 )
@@ -47,7 +48,7 @@ from .tikhonov import (
     solve,
 )
 
-DENSE_SIZE_CAP = 4096  # beyond this only the diagonal per-mode route is allowed
+DENSE_SIZE_CAP = 4096  # gamma_sweep solves larger sizes with the closed form solve()
 
 IDENTITY = "identity"
 IDENTITY_PLUS_DIFFERENCE = "identity_plus_difference"
@@ -108,12 +109,6 @@ def spectral_penalty(r: float) -> PenaltyChoice:
     return PenaltyChoice(SOBOLEV_SPECTRAL, r=float(r))
 
 
-def _mode_axis(size: int) -> np.ndarray:
-    """Signed mode per coordinate: -M..M for size 2M+1."""
-    half = (size - 1) // 2
-    return np.arange(-half, half + 1, dtype=np.int64)
-
-
 def _penalty_matrix(penalty: PenaltyChoice, size: int) -> np.ndarray:
     if penalty.kind == IDENTITY:
         return np.eye(size)
@@ -122,8 +117,7 @@ def _penalty_matrix(penalty: PenaltyChoice, size: int) -> np.ndarray:
         diff += float(size) * np.eye(size, k=1)
         diff[-1, 0] += float(size)  # periodic wrap of the forward difference
         return np.eye(size) + diff
-    weights = (1.0 + _mode_axis(size).astype(np.float64) ** 2) ** (penalty.r / 2.0)
-    return np.diag(weights)
+    return np.diag(sobolev_weights(FrequencyLattice(1, (size - 1) // 2), penalty.r / 2.0))
 
 
 @dataclasses.dataclass(frozen=True, eq=False)
@@ -260,27 +254,13 @@ def low_frequency_test_functions(lattice: FrequencyLattice, count: int = 5) -> l
     if lattice.dimension != 1:
         raise DimensionError("test functions are implemented for d = 1")
     functions: list[tuple[str, SpectralField]] = []
-    coeffs = np.zeros(lattice.mode_count, dtype=np.complex128)
-    coeffs[lattice.zero_index] = 1.0
-    functions.append(("const", SpectralField(lattice, coeffs, hermitian=True)))
-    frequency = 1
-    while len(functions) < count:
-        for flavor in ("cos", "sin"):
-            if len(functions) >= count:
-                break
-            coeffs = np.zeros(lattice.mode_count, dtype=np.complex128)
-            plus = lattice.index_of([frequency])
-            minus = lattice.index_of([-frequency])
-            if flavor == "cos":
-                coeffs[plus] = 1.0 / np.sqrt(2.0)
-                coeffs[minus] = 1.0 / np.sqrt(2.0)
-            else:
-                coeffs[plus] = -1j / np.sqrt(2.0)
-                coeffs[minus] = 1j / np.sqrt(2.0)
-            functions.append(
-                (f"{flavor}{frequency}", SpectralField(lattice, coeffs, hermitian=True))
-            )
-        frequency += 1
+    for i in range(count):
+        # the probes are the coordinate basis vectors at modes 0, +1, -1, +2, ...
+        frequency = (i + 1) // 2
+        unit = np.zeros(lattice.mode_count)
+        unit[lattice.index_of([frequency if i % 2 else -frequency])] = 1.0
+        label = f"{'cos' if i % 2 else 'sin'}{frequency}" if i else "const"
+        functions.append((label, coords_to_field(lattice, unit)))
     return functions
 
 
@@ -296,11 +276,6 @@ def _embed(field: SpectralField, big: FrequencyLattice) -> SpectralField:
     keep = big.shells() <= field.lattice.bandlimit
     coeffs[keep] = field.coefficients
     return SpectralField(big, coeffs, hermitian=field.hermitian)
-
-
-def _coordinate_sobolev_norm(size: int, coords: np.ndarray, s: float) -> float:
-    weights = (1.0 + _mode_axis(size).astype(np.float64) ** 2) ** s
-    return float(np.sqrt(np.sum(weights * coords**2)))
 
 
 @dataclasses.dataclass(frozen=True)
@@ -350,9 +325,9 @@ def gamma_sweep(
     spectral penalty both gaps shrink to zero along nested sizes because the
     two solvers agree mode by mode on shared frequencies.
 
-    Sizes above the dense cap take the diagonal per-mode route instead of a
-    factorization; that route exists precisely because the spectral penalty
-    keeps the normal matrix diagonal.
+    Sizes above the dense cap are not assembled: the spectral penalty keeps
+    the normal matrix block-diagonal per mode, so their matrix minimizer is
+    solve() on the observed modes, zero-extended to n.
     """
     if schedule.r <= 0:
         raise ParameterError("gamma sweep needs a spectral penalty with r > 0")
@@ -378,7 +353,9 @@ def gamma_sweep(
             raise ParameterError(
                 f"size ({n}, {k}) exceeds the reference bandlimit {lattice.bandlimit}"
             )
+        small = FrequencyLattice(1, half_n)
         data = field_to_coords(truncate(m_field, half_k))
+        c_k = float(data @ data)
         if max(n, k) <= DENSE_SIZE_CAP:
             problem = assemble(A, n, k, penalty, alpha)
             coords = solve_discrete(problem, data)
@@ -386,44 +363,26 @@ def gamma_sweep(
             objective = float(misfit @ misfit) + alpha * float(
                 (problem.L_matrix @ coords) @ (problem.L_matrix @ coords)
             )
+            value = objective - c_k
+            minimizer = coords_to_field(small, coords)
             rhs = problem.A_matrix.T @ data
+            rhs_norm = float(np.sqrt(np.sum(sobolev_weights(small, -schedule.r) * rhs**2)))
         else:
-            # diagonal fast path: a real Hermitian symbol is even, so the
-            # real-basis matrix is diagonal and the solve is per coordinate
-            small = FrequencyLattice(1, half_n)
-            values = A.symbol_values(small)
-            if not symbol_is_hermitian(values) or np.any(values.imag != 0.0):
-                raise ParameterError("diagonal fast path needs a real Hermitian symbol")
-            axis = np.abs(_mode_axis(n))
-            observed = axis <= min(half_n, half_k)
-            diag_a = np.where(observed, values.real, 0.0)
-            weights_r = (1.0 + axis.astype(np.float64) ** 2) ** schedule.r
-            padded = np.zeros(n)
-            offset = (n - k) // 2
-            if offset >= 0:
-                padded[offset : offset + k] = data
-            else:
-                padded = data[-offset : -offset + n]
-            rhs = diag_a * padded
-            coords = rhs / (diag_a**2 + alpha * weights_r)
-            misfit_sq = float(np.sum((diag_a * coords - padded) ** 2))
-            if k > n:
-                outside = data.copy()
-                outside[(k - n) // 2 : (k - n) // 2 + n] = 0.0
-                misfit_sq += float(np.sum(outside**2))
-            objective = misfit_sq + alpha * float(np.sum(weights_r * coords**2))
-
-        c_k = float(data @ data)
-        minimizer = coords_to_field(FrequencyLattice(1, half_n), coords)
+            observed = truncate(m_field, min(half_n, half_k))
+            u_observed = solve(A, observed, alpha, schedule.r)
+            value = data_shifted_functional(A, observed, alpha, schedule.r, u_observed)
+            minimizer = _embed(u_observed, small)
+            rhs = A.symbol_values(observed.lattice).conj() * observed.coefficients
+            rhs_norm = sobolev_norm(SpectralField(observed.lattice, rhs), -schedule.r)
         embedded = _embed(minimizer, lattice)
-        gap_value = objective - c_k - continuum_objective
-        ball_radius = 2.0 / alpha * _coordinate_sobolev_norm(n, rhs, -schedule.r)
+        gap_value = value - continuum_objective
+        ball_radius = 2.0 / alpha * rhs_norm
         summaries.append(
             GammaSizeSummary(
                 n=n,
                 k=k,
                 c_k=c_k,
-                functional_value=objective - c_k,
+                functional_value=value,
                 functional_gap=gap_value,
                 ball_radius=ball_radius,
                 minimizer_hr_norm=sobolev_norm(minimizer, schedule.r),

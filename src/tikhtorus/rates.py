@@ -223,7 +223,10 @@ def error_sweep(
             split = solve_split(A, meas, schedule)
             deviation = split.reconstruction - truth
             for s1 in s1_list:
-                errors[float(s1)][i, j] = sobolev_norm(deviation, float(s1))
+                error = sobolev_norm(deviation, float(s1))
+                if not math.isfinite(error):
+                    raise ParameterError(f"error at s1 = {s1:g}, delta = {delta:g} is {error}, not finite")
+                errors[float(s1)][i, j] = error
 
     rows: list[SweepRow] = []
     median_errors: dict[float, list] = {}
@@ -233,6 +236,11 @@ def error_sweep(
         table = errors[s1]
         medians = [float(np.median(table[i])) for i in range(len(delta_grid))]
         median_errors[s1] = medians
+        if medians[0] == 0.0:
+            raise ParameterError(
+                f"median error at s1 = {s1:g}, delta = {delta_grid[0]:g} is 0, "
+                f"so the curve cannot be normalized (alpha = {schedule.alpha(delta_grid[0]):g})"
+            )
         scale = 1.0 / medians[0]
         normalizers[s1] = scale
         if len(delta_grid) >= 3:

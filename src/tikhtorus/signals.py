@@ -70,38 +70,45 @@ def load_coefficient_file(path: str | Path, lattice: FrequencyLattice) -> Spectr
     """Read a custom real signal from a CSV of rows ``ell,re,im``.
 
     Only modes ell >= 0 may appear; negative modes are filled by conjugation.
-    Unlisted modes are zero. The imaginary part at ell = 0 must be zero.
+    Unlisted modes are zero. The imaginary part at ell = 0 must be zero, and
+    every value must be finite. The file must be UTF-8 text.
     """
     if lattice.dimension != 1:
         raise DimensionError("coefficient files are one-dimensional")
     coeffs = np.zeros(lattice.mode_count, dtype=np.complex128)
     center = lattice.zero_index
     path = Path(path)
-    with path.open(newline="") as handle:
-        for line_number, row in enumerate(csv.reader(handle), start=1):
-            if not row or row[0].lstrip().startswith("#"):
-                continue
-            if len(row) != 3:
-                raise ConfigError(f"{path}:{line_number}: expected 'ell,re,im', got {row!r}")
-            try:
-                ell = int(row[0])
-                value = complex(float(row[1]), float(row[2]))
-            except ValueError as exc:
-                raise ConfigError(f"{path}:{line_number}: {exc}") from exc
-            if ell < 0:
-                raise ConfigError(
-                    f"{path}:{line_number}: list modes ell >= 0 only; "
-                    "negative modes are filled by conjugation"
-                )
-            if ell > lattice.bandlimit:
-                raise ConfigError(
-                    f"{path}:{line_number}: mode {ell} exceeds bandlimit {lattice.bandlimit}"
-                )
-            if ell == 0:
-                if value.imag != 0.0:
-                    raise ConfigError(f"{path}:{line_number}: mode 0 must be real")
-                coeffs[center] = value.real
-            else:
-                coeffs[center + ell] = value
-                coeffs[center - ell] = value.conjugate()
+    try:
+        with path.open(newline="", encoding="utf-8") as handle:
+            rows = list(csv.reader(handle))
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not a UTF-8 text file ({exc})") from exc
+    for line_number, row in enumerate(rows, start=1):
+        if not row or row[0].lstrip().startswith("#"):
+            continue
+        if len(row) != 3:
+            raise ConfigError(f"{path}:{line_number}: expected 'ell,re,im', got {row!r}")
+        try:
+            ell = int(row[0])
+            value = complex(float(row[1]), float(row[2]))
+        except ValueError as exc:
+            raise ConfigError(f"{path}:{line_number}: {exc}") from exc
+        if not np.isfinite(value):
+            raise ConfigError(f"{path}:{line_number}: re and im must be finite, got {row!r}")
+        if ell < 0:
+            raise ConfigError(
+                f"{path}:{line_number}: list modes ell >= 0 only; "
+                "negative modes are filled by conjugation"
+            )
+        if ell > lattice.bandlimit:
+            raise ConfigError(
+                f"{path}:{line_number}: mode {ell} exceeds bandlimit {lattice.bandlimit}"
+            )
+        if ell == 0:
+            if value.imag != 0.0:
+                raise ConfigError(f"{path}:{line_number}: mode 0 must be real")
+            coeffs[center] = value.real
+        else:
+            coeffs[center + ell] = value
+            coeffs[center - ell] = value.conjugate()
     return SpectralField(lattice, coeffs, hermitian=True)

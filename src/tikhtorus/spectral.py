@@ -137,6 +137,8 @@ class SpectralField:
             )
         if self.hermitian:
             if not np.array_equal(coeffs[::-1].conj(), coeffs):
+                if not np.all(np.isfinite(coeffs.view(np.float64))):
+                    raise InvalidFieldError("field has non-finite coefficients")
                 raise InvalidFieldError("hermitian flag set but c(-l) != conj(c(l))")
         coeffs = coeffs.copy()
         coeffs.setflags(write=False)

@@ -1,11 +1,14 @@
 """Matrix Tikhonov problems, penalty matrices, and the refinement sweep."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from tikhtorus import (
     DimensionError,
     FrequencyLattice,
+    MultiplierOperator,
     NumericalError,
     ParameterError,
     RegularizationSchedule,
@@ -28,6 +31,7 @@ from tikhtorus import (
     spectral_penalty,
     data_shifted_functional,
 )
+import tikhtorus.discrete
 from tikhtorus.discrete import DENSE_SIZE_CAP, _penalty_matrix
 
 from test_spectral import random_hermitian_field
@@ -205,6 +209,23 @@ class TestSolveDiscrete:
 SCHEDULE = RegularizationSchedule(alpha0=1.0, kappa=2.5, r=1.0)
 
 
+def twisted_deblur_operator():
+    """Deblurring symbol times the phase exp(0.3 i l): Hermitian but complex,
+    so its real-basis matrix has off-diagonal (cos, sin) rotation blocks."""
+
+    def symbol(modes):
+        l = modes[:, 0].astype(np.float64)
+        return np.exp(0.3j * l) / (1.0 + l**2)
+
+    return MultiplierOperator(
+        symbol=symbol,
+        order=-2.0,
+        ellipticity=deblur_operator().ellipticity,
+        dimension=1,
+        name="twisted_deblur",
+    )
+
+
 class TestGammaSweep:
     def build(self, reference_bandlimit=128, seed=3, delta=1e-3, count=5):
         lattice = FrequencyLattice(1, reference_bandlimit)
@@ -283,6 +304,27 @@ class TestGammaSweep:
         for row in result.rows:
             assert abs(row.pairing_gap) < 1e-10
         assert abs(result.summaries[0].functional_gap) < 1e-10
+
+    @pytest.mark.parametrize(
+        "operator", [deblur_operator(), twisted_deblur_operator()], ids=["real", "complex"]
+    )
+    def test_closed_form_route_matches_dense(self, monkeypatch, operator):
+        # a zero cap sends every size through the route taken above the cap
+        lattice, truth, noise, phis = self.build(reference_bandlimit=64)
+        sizes = [(17, 33), (33, 33), (33, 17), (65, 129), (129, 129), (129, 65)]
+        dense = gamma_sweep(operator, truth, noise, 1e-3, SCHEDULE, sizes, phis)
+        monkeypatch.setattr(tikhtorus.discrete, "DENSE_SIZE_CAP", 0)
+        closed = gamma_sweep(operator, truth, noise, 1e-3, SCHEDULE, sizes, phis)
+        for want, got in zip(dense.summaries, closed.summaries):
+            for field in dataclasses.fields(want):
+                floor = 1e-14 if field.name == "functional_gap" else 0.0
+                expected = pytest.approx(getattr(want, field.name), rel=1e-12, abs=floor)
+                assert getattr(got, field.name) == expected, field.name
+        assert len(closed.rows) == len(dense.rows)
+        for want, got in zip(dense.rows, closed.rows):
+            assert (got.n, got.k, got.test_function_id) == (want.n, want.k, want.test_function_id)
+            assert got.pairing_gap == pytest.approx(want.pairing_gap, rel=0, abs=1e-14)
+            assert got.functional_gap == pytest.approx(want.functional_gap, rel=0, abs=1e-14)
 
     def test_size_monotonicity_enforced(self):
         lattice, truth, noise, phis = self.build()

@@ -105,8 +105,10 @@ def valid_configs(draw):
         bandlimit=bandlimit,
         reference_bandlimit=reference,
         plot_points=draw(st.integers(8, 10**5)),
-        probe_s_values=tuple(draw(st.lists(_finite_floats, max_size=5))),
-        probe_bandlimits=tuple(sorted(draw(st.sets(st.integers(1, 10**7), max_size=5)))),
+        probe_s_values=tuple(draw(st.lists(_finite_floats, min_size=1, max_size=5))),
+        probe_bandlimits=tuple(
+            sorted(draw(st.sets(st.integers(1, 10**7), min_size=1, max_size=5)))
+        ),
         probe_growth_threshold=draw(_finite_floats),
         gamma_test_function_count=draw(st.integers(1, 2 * reference + 1)),
         output_dir=draw(_paths),
@@ -191,6 +193,8 @@ class TestConfig:
                 r"\[gamma\] test_function_count",
             ),
             (("dir = out", "dir = 100%"), r"\[output\] dir"),
+            (("s_values = -2.0,0.0", "s_values = "), r"\[noise_probe\] s_values must be nonempty"),
+            (("bandlimits = 64,128,256", "bandlimits = "), r"\[noise_probe\] bandlimits must be nonempty"),
         ],
     )
     def test_named_field_errors(self, tmp_path, mutation, needle):
@@ -398,6 +402,48 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("ConfigError") and needle in err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "content,needle",
+        [
+            (b"\x89PNG\r\n\x1a\n\x00\x00\x00\rIHDR", "signal.csv: not a UTF-8 text file"),
+            (b"0,0.3,0\n1,nan,0\n", "signal.csv:2: re and im must be finite"),
+            (b"0,0.3,0\n1,0,inf\n", "signal.csv:2: re and im must be finite"),
+        ],
+        ids=["binary", "nan", "inf"],
+    )
+    def test_bad_coefficient_file_exit_code(self, tmp_path, capsys, content, needle):
+        signal = tmp_path / "signal.csv"
+        signal.write_bytes(content)
+        text = small_config_text("rates", str(tmp_path / "out")).replace(
+            "kind = hat", f"kind = coefficients\npath = {signal}"
+        )
+        code = main(["rates", "--config", str(write_config(tmp_path, text))])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("ConfigError") and needle in err
+
+    @pytest.mark.parametrize(
+        "mutation,needle",
+        [
+            # alpha = alpha0 * delta^kappa underflows to 0: every noise-free error is 0
+            (("kappa = 2.5", "kappa = 1e6"), "s1 = -1.5, delta = 0.01 is 0"),
+            (("alpha0 = 1.0", "alpha0 = 1e-320"), "s1 = -1.5, delta = 0.01 is 0"),
+            # the weights (1+|l|^2)^400 overflow on purpose
+            pytest.param(
+                ("s1_list = -1.5,1.0", "s1_list = 400"),
+                "s1 = 400, delta = 0.01",
+                marks=pytest.mark.filterwarnings("ignore::RuntimeWarning"),
+            ),
+        ],
+        ids=["kappa", "alpha0", "s1"],
+    )
+    def test_degenerate_sweep_exit_code(self, tmp_path, capsys, mutation, needle):
+        text = small_config_text("rates", str(tmp_path / "out")).replace(*mutation)
+        code = main(["rates", "--config", str(write_config(tmp_path, text))])
+        assert code == 4
+        err = capsys.readouterr().err
+        assert err.startswith("ParameterError") and needle in err
 
     def test_missing_config_file(self, tmp_path, capsys):
         code = main(["deblur", "--config", str(tmp_path / "absent.ini")])

@@ -86,6 +86,8 @@ class TestCoefficientFile:
             "-1,1.0,0\n",       # negative mode listed
             "9,1.0,0\n",        # outside bandlimit
             "0,1.0,0.5\n",      # complex mean
+            "1,nan,0\n",        # non-finite real part
+            "1,0,inf\n",        # non-finite imaginary part
         ],
     )
     def test_rejects_malformed(self, tmp_path, content):

@@ -79,6 +79,13 @@ class TestField:
         with pytest.raises(InvalidFieldError):
             SpectralField(lat, bad, hermitian=True)
 
+    @pytest.mark.parametrize("bad", [np.nan, complex(0.0, np.nan)])
+    def test_hermitian_check_names_non_finite_coefficients(self, bad):
+        lat = FrequencyLattice(1, 2)
+        coeffs = np.array([0, 0, bad, 0, 0], dtype=complex)
+        with pytest.raises(InvalidFieldError, match="non-finite"):
+            SpectralField(lat, coeffs, hermitian=True)
+
     def test_arithmetic_preserves_flags(self):
         lat = FrequencyLattice(1, 4)
         f = random_hermitian_field(lat, 1)
