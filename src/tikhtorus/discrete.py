@@ -337,6 +337,12 @@ def gamma_sweep(
     lattice = truth.lattice
     if lattice.dimension != 1:
         raise DimensionError("gamma sweep is implemented for d = 1")
+    with np.errstate(over="ignore"):
+        if not np.all(np.isfinite(sobolev_weights(lattice, schedule.r))):
+            raise ParameterError(
+                f"penalty weights (1+|l|^2)^r overflow at r = {schedule.r:g} "
+                f"on the reference bandlimit {lattice.bandlimit}"
+            )
 
     measurement = forward(A, truth, delta, noise)
     m_field = measurement.data
@@ -374,7 +380,7 @@ def gamma_sweep(
             minimizer = _embed(u_observed, small)
             rhs = A.symbol_values(observed.lattice).conj() * observed.coefficients
             rhs_norm = sobolev_norm(SpectralField(observed.lattice, rhs), -schedule.r)
-        embedded = _embed(minimizer, lattice)
+        difference = _embed(minimizer, lattice) - u_cont
         gap_value = value - continuum_objective
         ball_radius = 2.0 / alpha * rhs_norm
         summaries.append(
@@ -395,7 +401,7 @@ def gamma_sweep(
                     k=k,
                     alpha=alpha,
                     test_function_id=label,
-                    pairing_gap=_l2_pairing(embedded - u_cont, phi),
+                    pairing_gap=_l2_pairing(difference, phi),
                     functional_gap=gap_value,
                     c_k=c_k,
                 )

@@ -21,7 +21,7 @@ import numpy as np
 from . import __version__
 from .config import ExperimentConfig
 from .discrete import gamma_sweep, low_frequency_test_functions
-from .errors import ConfigError
+from .errors import ConfigError, ParameterError
 from .noise import regularity_probe, sample_white_noise
 from .rates import error_sweep, h1_divergence, predicted_exponent
 from .signals import hat_coefficients, hat_values, load_coefficient_file
@@ -103,6 +103,17 @@ def _schedule(config: ExperimentConfig) -> RegularizationSchedule:
     return RegularizationSchedule(alpha0=config.alpha0, kappa=config.kappa, r=config.r)
 
 
+def _positive_alpha(schedule: RegularizationSchedule, delta: float) -> float:
+    """alpha(delta) for a closed-form solve; an underflow to 0 names its keys."""
+    alpha = schedule.alpha(delta)
+    if alpha == 0.0:
+        raise ParameterError(
+            f"alpha = alpha0 * delta^kappa underflows to 0 at delta = {delta:g} "
+            f"([schedule] alpha0 = {schedule.alpha0:g}, kappa = {schedule.kappa:g})"
+        )
+    return alpha
+
+
 def _s1_window(config: ExperimentConfig, t: float) -> dict:
     s = config.noise_regularity
     return {
@@ -124,6 +135,7 @@ def run_deblur(config: ExperimentConfig) -> dict:
     check_ellipticity(operator, lattice)
     truth = _build_truth(config, lattice)
     schedule = _schedule(config)
+    signal_alpha = _positive_alpha(schedule, SIGNAL_DELTA)
 
     sweep = error_sweep(
         operator, truth, schedule, config.s1_list, config.delta_grid, config.seeds
@@ -136,9 +148,7 @@ def run_deblur(config: ExperimentConfig) -> dict:
     # illustrative reconstruction at the fixed noise amplitude, first seed
     snapshot_noise = sample_white_noise(lattice, config.seeds[0])
     measurement = forward(operator, truth, SIGNAL_DELTA, snapshot_noise)
-    reconstruction = solve(
-        operator, measurement.data, schedule.alpha(SIGNAL_DELTA), schedule.r
-    )
+    reconstruction = solve(operator, measurement.data, signal_alpha, schedule.r)
     plot_band = min(config.bandlimit, (config.plot_points - 1) // 2)
     x_grid = np.arange(config.plot_points) / config.plot_points
     blurred_values = evaluate_on_grid(
@@ -380,6 +390,7 @@ def run_gamma(config: ExperimentConfig) -> dict:
 
     noise = sample_white_noise(lattice, config.seeds[0])
     delta = config.delta_grid[0]
+    alpha = _positive_alpha(schedule, delta)
     sizes = _gamma_sizes(config)
     test_functions = low_frequency_test_functions(lattice, config.gamma_test_function_count)
     result = gamma_sweep(operator, truth, noise, delta, schedule, sizes, test_functions)
@@ -419,7 +430,7 @@ def run_gamma(config: ExperimentConfig) -> dict:
 
     derived = {
         "delta": delta,
-        "alpha": schedule.alpha(delta),
+        "alpha": alpha,
         "noise_seed": config.seeds[0],
         "sizes": [list(pair) for pair in sizes],
         "continuum_objective": result.continuum_objective,

@@ -155,8 +155,6 @@ def _classify(energies: Sequence[float], threshold: float) -> tuple:
         ratios.append((current - previous) / previous)
     final = ratios[-1] if len(energies) > 1 else None
     label = "convergent" if (final is not None and final < threshold) else "divergent"
-    if final is None:
-        label = "divergent"
     return ratios, label
 
 

@@ -12,7 +12,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .errors import CalibrationError, DomainError, ParameterError
-from .noise import NoiseRealization, sample_white_noise, zero_noise
+from .noise import sample_white_noise
 from .spectral import (
     FrequencyLattice,
     MultiplierOperator,
@@ -20,7 +20,7 @@ from .spectral import (
     sobolev_norm,
     sobolev_weights,
 )
-from .tikhonov import RegularizationSchedule, forward, solve_split
+from .tikhonov import RegularizationSchedule
 
 __all__ = [
     "RateExponents",
@@ -195,8 +195,11 @@ def error_sweep(
 ) -> SweepResult:
     """Reconstruction error ||T(m_delta) - u||_{H^s1} over (s1, delta, seed).
 
-    A seed of ``None`` runs the noise-free pipeline (zero realization,
-    reported as seed -1). Errors are normalized per s1 curve so the
+    Per mode, T(m_delta) - u = (|a|^2 / z) u + (conj(a) / z) delta eps - u
+    with z = |a|^2 + alpha(delta) (1+|l|^2)^r: the arithmetic, in order, of
+    ``solve_split(...).reconstruction - truth``, so the errors match that
+    composition bit for bit. A seed of ``None`` runs the noise-free pipeline
+    (eps = 0, reported as seed -1). Errors are normalized per s1 curve so the
     seed-median starts at 1 at the largest delta; slopes are fitted on the
     seed-median raw errors, the robust choice under white-noise scatter.
     """
@@ -207,33 +210,36 @@ def error_sweep(
     if not math.isfinite(sobolev_norm(truth, schedule.r)):
         raise ParameterError("truth must have finite H^r norm")
 
-    realizations: list[tuple[int, NoiseRealization]] = []
-    for seed in seeds:
-        if seed is None:
-            realizations.append((-1, zero_noise(truth.lattice)))
-        else:
-            realizations.append((int(seed), sample_white_noise(truth.lattice, int(seed))))
+    lattice = truth.lattice
+    u = truth.coefficients
+    values = A.symbol_values(lattice)
+    symbol_sq = values.real**2 + values.imag**2
+    weights_r = sobolev_weights(lattice, schedule.r)
 
-    errors: dict[float, np.ndarray] = {
-        float(s1): np.empty((len(delta_grid), len(realizations))) for s1 in s1_list
-    }
-    for j, (label, realization) in enumerate(realizations):
+    labels = [-1 if seed is None else int(seed) for seed in seeds]
+    errors = np.empty((len(s1_list), len(delta_grid), len(seeds)))
+    for j, seed in enumerate(seeds):
+        if seed is None:
+            eps = np.zeros_like(u)
+        else:
+            eps = sample_white_noise(lattice, int(seed)).field.coefficients
         for i, delta in enumerate(delta_grid):
-            meas = forward(A, truth, float(delta), realization)
-            split = solve_split(A, meas, schedule)
-            deviation = split.reconstruction - truth
-            for s1 in s1_list:
+            delta = float(delta)
+            z = symbol_sq + schedule.alpha(delta) * weights_r
+            deviation = SpectralField(
+                lattice, (symbol_sq / z) * u + (values.conj() / z) * (delta * eps) - u
+            )
+            for k, s1 in enumerate(s1_list):
                 error = sobolev_norm(deviation, float(s1))
                 if not math.isfinite(error):
                     raise ParameterError(f"error at s1 = {s1:g}, delta = {delta:g} is {error}, not finite")
-                errors[float(s1)][i, j] = error
+                errors[k, i, j] = error
 
     rows: list[SweepRow] = []
     median_errors: dict[float, list] = {}
     slopes: dict[float, SlopeFit] = {}
     normalizers: dict[float, float] = {}
-    for s1 in (float(v) for v in s1_list):
-        table = errors[s1]
+    for s1, table in zip((float(v) for v in s1_list), errors):
         medians = [float(np.median(table[i])) for i in range(len(delta_grid))]
         median_errors[s1] = medians
         if medians[0] == 0.0:
@@ -246,17 +252,9 @@ def error_sweep(
         if len(delta_grid) >= 3:
             slopes[s1] = fit_loglog_slope(list(zip(delta_grid, medians)))
         for i, delta in enumerate(delta_grid):
-            for j, (label, _) in enumerate(realizations):
+            for j, label in enumerate(labels):
                 raw = float(table[i, j])
-                rows.append(
-                    SweepRow(
-                        s1=s1,
-                        delta=float(delta),
-                        seed=label,
-                        raw_error=raw,
-                        normalized_error=raw * scale,
-                    )
-                )
+                rows.append(SweepRow(s1, float(delta), label, raw, raw * scale))
     return SweepResult(rows=rows, median_errors=median_errors, slopes=slopes, normalizers=normalizers)
 
 
@@ -299,17 +297,11 @@ def calibrate_band(
     c0 = 0.5 * float(ratio[center])
     c1 = 2.0 * float(ratio[center])
     for _ in range(widening_limit):
-        if all(
-            _band_members(symbol_sq, weights1, float(d), c0, c1).size > 0 for d in delta_grid
-        ):
+        members = [_band_members(symbol_sq, weights1, float(d), c0, c1) for d in delta_grid]
+        if all(indices.size > 0 for indices in members):
             bands = [
-                ModeBand(
-                    c0=c0,
-                    c1=c1,
-                    delta=float(d),
-                    member_indices=_band_members(symbol_sq, weights1, float(d), c0, c1),
-                )
-                for d in delta_grid
+                ModeBand(c0=c0, c1=c1, delta=float(d), member_indices=indices)
+                for d, indices in zip(delta_grid, members)
             ]
             return c0, c1, bands
         c0 *= 0.5

@@ -445,6 +445,28 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("ParameterError") and needle in err
 
+    @pytest.mark.parametrize("experiment", ["deblur", "gamma"])
+    @pytest.mark.parametrize(
+        "mutation", [("kappa = 2.5", "kappa = 1e6"), ("alpha0 = 1.0", "alpha0 = 1e-320")],
+        ids=["kappa", "alpha0"],
+    )
+    def test_alpha_underflow_exit_code(self, tmp_path, capsys, experiment, mutation):
+        text = small_config_text(experiment, str(tmp_path / "out")).replace(*mutation)
+        code = main([experiment, "--config", str(write_config(tmp_path, text))])
+        assert code == 4
+        err = capsys.readouterr().err
+        assert err.startswith("ParameterError") and "underflows to 0" in err
+        assert "[schedule] alpha0" in err and "kappa" in err and "delta = " in err
+        assert not (tmp_path / "out").exists()
+
+    def test_penalty_overflow_exit_code(self, tmp_path, capsys):
+        # (1+|l|^2)^400 overflows on the reference lattice
+        text = small_config_text("gamma", str(tmp_path / "out")).replace("r = 1.0", "r = 400")
+        code = main(["gamma", "--config", str(write_config(tmp_path, text))])
+        assert code == 4
+        err = capsys.readouterr().err
+        assert err.startswith("ParameterError") and "r = 400" in err
+
     def test_missing_config_file(self, tmp_path, capsys):
         code = main(["deblur", "--config", str(tmp_path / "absent.ini")])
         assert code == 2

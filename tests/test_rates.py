@@ -9,17 +9,22 @@ from tikhtorus import (
     CalibrationError,
     DomainError,
     FrequencyLattice,
+    MultiplierOperator,
     ParameterError,
     RegularizationSchedule,
     deblur_operator,
     error_sweep,
     fit_loglog_slope,
+    forward,
     h1_divergence,
     hat_coefficients,
     quadratic_schedule_exponent,
     power_law_operator,
     predicted_exponent,
     sample_white_noise,
+    sobolev_norm,
+    solve_split,
+    zero_noise,
 )
 from tikhtorus.rates import calibrate_band
 
@@ -196,6 +201,30 @@ class TestErrorSweep:
         )
         labels = {row.seed for row in result.rows}
         assert labels == {-1, 4}
+
+    @pytest.mark.parametrize("kind", ["deblur", "twisted"])
+    def test_errors_equal_the_public_composition(self, kind):
+        # the per-mode sweep must reproduce forward -> solve_split -> subtract
+        # bit for bit, also for a complex Hermitian symbol
+        def twisted(modes):
+            l = modes[:, 0].astype(np.float64)
+            return np.exp(0.3j * l) / (1.0 + l**2)
+
+        A = deblur_operator()
+        if kind == "twisted":
+            A = MultiplierOperator(
+                symbol=twisted, order=-2.0, ellipticity=A.ellipticity, dimension=1
+            )
+        lattice = FrequencyLattice(1, 64)
+        truth = hat_coefficients(lattice)
+        seeds, s1_list, deltas = [None, 0, 5], [-1.5, 0.0, 1.0], [1e-2, 1e-3, 1e-4]
+        result = error_sweep(A, truth, SCHEDULE, s1_list, deltas, seeds)
+        assert len(result.rows) == len(seeds) * len(s1_list) * len(deltas)
+        for row in result.rows:
+            noise = zero_noise(lattice) if row.seed == -1 else sample_white_noise(lattice, row.seed)
+            split = solve_split(A, forward(A, truth, row.delta, noise), SCHEDULE)
+            expected = sobolev_norm(split.reconstruction - truth, row.s1)
+            assert row.raw_error == expected
 
     def test_grid_must_decrease(self):
         lattice = FrequencyLattice(1, 32)
