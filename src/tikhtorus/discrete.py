@@ -164,18 +164,14 @@ def assemble(
         )
 
     matrix = np.zeros((k, n))
-    shared = min(half_n, half_k)
-    center_n, center_k = half_n, half_k
-    matrix[center_k, center_n] = values[center_n].real
-    for l in range(1, shared + 1):
-        a = values[center_n + l]
-        p, q = a.real, a.imag
-        cos_n, sin_n = center_n + l, center_n - l
-        cos_k, sin_k = center_k + l, center_k - l
-        matrix[cos_k, cos_n] = p
-        matrix[cos_k, sin_n] = q
-        matrix[sin_k, cos_n] = -q
-        matrix[sin_k, sin_n] = p
+    matrix[half_k, half_n] = values[half_n].real
+    l = np.arange(1, min(half_n, half_k) + 1)
+    p, q = values[half_n + l].real, values[half_n + l].imag
+    cos_n, sin_n, cos_k, sin_k = half_n + l, half_n - l, half_k + l, half_k - l
+    matrix[cos_k, cos_n] = p
+    matrix[cos_k, sin_n] = q
+    matrix[sin_k, cos_n] = -q
+    matrix[sin_k, sin_n] = p
 
     return DiscreteProblem(
         n=n,

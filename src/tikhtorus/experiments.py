@@ -93,6 +93,20 @@ def _build_operator(config: ExperimentConfig) -> MultiplierOperator:
     return power_law_operator(-config.operator_exponent, name=config.operator_kind)
 
 
+def _operator_on_lattice(config: ExperimentConfig) -> tuple:
+    """The configured operator and the reference lattice it is checked on."""
+    operator = _build_operator(config)
+    lattice = FrequencyLattice(1, config.reference_bandlimit)
+    try:
+        check_ellipticity(operator, lattice)
+    except ParameterError as exc:
+        raise ParameterError(
+            f"{exc} ([operator] exponent = {config.operator_exponent:g}, "
+            f"[resolution] reference_bandlimit = {config.reference_bandlimit})"
+        ) from exc
+    return operator, lattice
+
+
 def _build_truth(config: ExperimentConfig, lattice: FrequencyLattice) -> SpectralField:
     if config.truth_kind == "hat":
         return hat_coefficients(lattice)
@@ -130,9 +144,7 @@ def _s1_window(config: ExperimentConfig, t: float) -> dict:
 def run_deblur(config: ExperimentConfig) -> dict:
     """Full noisy pipeline: reconstruction errors across (s1, delta, seed),
     a signal/reconstruction snapshot at a fixed small delta, and plots."""
-    operator = _build_operator(config)
-    lattice = FrequencyLattice(1, config.reference_bandlimit)
-    check_ellipticity(operator, lattice)
+    operator, lattice = _operator_on_lattice(config)
     truth = _build_truth(config, lattice)
     schedule = _schedule(config)
     signal_alpha = _positive_alpha(schedule, SIGNAL_DELTA)
@@ -249,12 +261,20 @@ def run_deblur(config: ExperimentConfig) -> dict:
 def run_rates(config: ExperimentConfig) -> dict:
     """Noise-free rate study: bias-term decay against the predicted
     exponents, one fitted slope per s1."""
-    operator = _build_operator(config)
-    lattice = FrequencyLattice(1, config.reference_bandlimit)
-    check_ellipticity(operator, lattice)
+    operator, lattice = _operator_on_lattice(config)
     truth = _build_truth(config, lattice)
     schedule = _schedule(config)
     t = operator.smoothing
+    try:
+        predicted = [
+            predicted_exponent(t, config.r, config.kappa, config.noise_regularity, float(s1))
+            for s1 in config.s1_list
+        ]
+    except ParameterError as exc:
+        raise ParameterError(
+            f"{exc} ([noise] noise_regularity = {config.noise_regularity:g}, "
+            f"[operator] exponent = {config.operator_exponent:g}, [schedule] r = {config.r:g})"
+        ) from exc
 
     sweep = error_sweep(
         operator, truth, schedule, config.s1_list, config.delta_grid, [None]
@@ -264,12 +284,11 @@ def run_rates(config: ExperimentConfig) -> dict:
         for row in sweep.rows
     ]
     slope_rows = []
-    for s1 in (float(v) for v in config.s1_list):
-        rates = predicted_exponent(t, config.r, config.kappa, config.noise_regularity, s1)
-        fit = sweep.slopes.get(s1)
+    for rates in predicted:
+        fit = sweep.slopes.get(rates.s1)
         slope_rows.append(
             (
-                s1,
+                rates.s1,
                 rates.regime,
                 rates.predicted_exponent,
                 fit.slope if fit else None,
@@ -380,9 +399,7 @@ def _gamma_sizes(config: ExperimentConfig) -> list:
 def run_gamma(config: ExperimentConfig) -> dict:
     """Discretization-refinement study: weak pairing gaps and objective gaps
     between matrix minimizers and the closed-form reference minimizer."""
-    operator = _build_operator(config)
-    lattice = FrequencyLattice(1, config.reference_bandlimit)
-    check_ellipticity(operator, lattice)
+    operator, lattice = _operator_on_lattice(config)
     truth = _build_truth(config, lattice)
     schedule = _schedule(config)
     if schedule.r <= 0:

@@ -38,7 +38,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, ParameterError
 from .spectral import FrequencyLattice, SpectralField, sobolev_weights, truncate
 
 __all__ = [
@@ -172,7 +172,8 @@ def regularity_probe(
     (relative increase over the last bandlimit step) falls below
     ``growth_threshold``; with doubling bandlimits the default 0.02 means
     "under 2% per doubling". The thresholded verdict is a finite-sample
-    proxy, so the rows keep the raw ratios for inspection.
+    proxy, so the rows keep the raw ratios for inspection. A partial energy
+    that overflows raises ParameterError naming s and the bandlimit.
     """
     if len(s_values) == 0 or len(bandlimits) == 0 or len(seeds) == 0:
         raise ConfigError("regularity_probe needs nonempty s_values, bandlimits, seeds")
@@ -180,34 +181,33 @@ def regularity_probe(
         raise ConfigError("bandlimits must be strictly increasing")
 
     top = FrequencyLattice(dimension, max(bandlimits))
-    weights_sq = 1.0 + top.squared_norms()
     shells = top.shells()
-    samples = {seed: sample_white_noise(top, seed).field.coefficients for seed in seeds}
+    inside = [shells <= m for m in bandlimits]
+    weights_sq = 1.0 + top.squared_norms()
+    # (s, trajectory, bandlimit); one noise realization is alive at a time
+    energies = np.empty((len(s_values), 1 + len(seeds), len(bandlimits)))
+    with np.errstate(over="ignore"):
+        weights = [weights_sq**s for s in s_values]
+        energies[:, 0] = [[np.sum(w[mask]) for mask in inside] for w in weights]
+        for j, seed in enumerate(seeds, start=1):
+            power = np.abs(sample_white_noise(top, seed).field.coefficients) ** 2
+            for i, w in enumerate(weights):
+                weighted = w * power
+                energies[i, j] = [np.sum(weighted[mask]) for mask in inside]
+            del power, weighted
+    if not np.isfinite(energies).all():
+        i, _, k = np.argwhere(~np.isfinite(energies))[0]
+        raise ParameterError(
+            f"partial H^s energy is not finite at s = {s_values[i]:g}, "
+            f"bandlimit = {bandlimits[k]} ([noise_probe] s_values)"
+        )
 
     rows: list[ProbeRow] = []
-    for s in s_values:
-        mode_weights = weights_sq**s
-        trajectories: list[tuple[str, list[float]]] = []
-        expected = [
-            float(np.sum(mode_weights[shells <= m])) for m in bandlimits
-        ]
-        trajectories.append(("expected", expected))
-        for seed in seeds:
-            power = mode_weights * np.abs(samples[seed]) ** 2
-            trajectories.append(
-                (str(seed), [float(np.sum(power[shells <= m])) for m in bandlimits])
+    for s, table in zip(s_values, energies.tolist()):
+        for label, trajectory in zip(["expected", *map(str, seeds)], table):
+            ratios, verdict = _classify(trajectory, growth_threshold)
+            rows.extend(
+                ProbeRow(float(s), int(bandlimit), label, energy, ratio, verdict)
+                for bandlimit, energy, ratio in zip(bandlimits, trajectory, ratios)
             )
-        for label, energies in trajectories:
-            ratios, verdict = _classify(energies, growth_threshold)
-            for bandlimit, energy, ratio in zip(bandlimits, energies, ratios):
-                rows.append(
-                    ProbeRow(
-                        s=float(s),
-                        bandlimit=int(bandlimit),
-                        trajectory=label,
-                        partial_energy=energy,
-                        growth_ratio=ratio,
-                        classification=verdict,
-                    )
-                )
     return rows

@@ -467,6 +467,45 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("ParameterError") and "r = 400" in err
 
+    def test_probe_energy_overflow_exit_code(self, tmp_path, capsys):
+        # (1+|l|^2)^400 overflows on the probe lattice
+        text = small_config_text("noise_probe", str(tmp_path / "out")).replace(
+            "s_values = -2.0,0.0", "s_values = -2.0,400"
+        )
+        code = main(["noise-probe", "--config", str(write_config(tmp_path, text))])
+        assert code == 4
+        err = capsys.readouterr().err
+        assert err.startswith("ParameterError") and "s = 400, bandlimit = 64" in err
+        assert not (tmp_path / "out").exists()
+
+    _VANISHING_SYMBOL = (
+        ("kind = deblur_1d", "kind = power_law\nexponent = -400"),
+        ("[operator] exponent = -400", "[resolution] reference_bandlimit = 256"),
+    )
+
+    @pytest.mark.parametrize(
+        "experiment,mutation,needles",
+        [
+            (
+                "rates",
+                ("noise_regularity = -0.6", "noise_regularity = -10"),
+                ("[noise] noise_regularity = -10", "[operator] exponent", "[schedule] r"),
+            ),
+            ("rates", *_VANISHING_SYMBOL),
+            ("deblur", *_VANISHING_SYMBOL),
+            ("gamma", *_VANISHING_SYMBOL),
+        ],
+        ids=["rates-smoothing", "rates-symbol", "deblur-symbol", "gamma-symbol"],
+    )
+    def test_runner_errors_name_their_keys(self, tmp_path, capsys, experiment, mutation, needles):
+        text = small_config_text(experiment, str(tmp_path / "out")).replace(*mutation)
+        code = main([experiment, "--config", str(write_config(tmp_path, text))])
+        assert code == 4
+        err = capsys.readouterr().err
+        assert err.startswith("ParameterError")
+        assert all(needle in err for needle in needles), err
+        assert not (tmp_path / "out").exists()
+
     def test_missing_config_file(self, tmp_path, capsys):
         code = main(["deblur", "--config", str(tmp_path / "absent.ini")])
         assert code == 2

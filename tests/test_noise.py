@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tikhtorus import (
     ConfigError,
@@ -168,6 +169,55 @@ class TestRegularityProbe:
         assert len(rows) == 6
         first = [row for row in rows if row.bandlimit == 8]
         assert all(row.growth_ratio is None for row in first)
+
+    @pytest.mark.parametrize("dimension", [1, 2])
+    def test_rows_equal_the_masked_sum_composition(self, dimension):
+        # oracle: every (s, trajectory) energy formed from scratch, in row order
+        s_values, bandlimits, seeds = [-2.0, -0.6, 0.3], [3, 6, 12, 20], [0, 7, 2]
+        top = FrequencyLattice(dimension, max(bandlimits))
+        sq, shells = top.squared_norms(), top.shells()
+        oracle = []
+        for s in s_values:
+            trajectories = [("expected", (1 + sq) ** s)]
+            for seed in seeds:
+                eps = sample_white_noise(top, seed).field.coefficients
+                trajectories.append((str(seed), (1 + sq) ** s * np.abs(eps) ** 2))
+            for label, power in trajectories:
+                energies = [float(np.sum(power[shells <= m])) for m in bandlimits]
+                ratios = [None] + [(b - a) / a for a, b in zip(energies, energies[1:])]
+                oracle += [
+                    (s, m, label, energy, ratio)
+                    for m, energy, ratio in zip(bandlimits, energies, ratios)
+                ]
+        rows = regularity_probe(s_values, bandlimits, seeds, dimension=dimension)
+        assert [
+            (row.s, row.bandlimit, row.trajectory, row.partial_energy, row.growth_ratio)
+            for row in rows
+        ] == oracle
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        dimension=st.sampled_from([1, 2]),
+        bandlimits=st.lists(st.integers(1, 10), min_size=1, max_size=4, unique=True).map(sorted),
+        extra=st.integers(1, 6),
+        s_values=st.lists(st.floats(-3, 1), min_size=1, max_size=3, unique=True),
+        seeds=st.lists(st.integers(0, 10_000), min_size=1, max_size=3, unique=True),
+    )
+    def test_rows_nest_under_a_larger_bandlimit(
+        self, dimension, bandlimits, extra, s_values, seeds
+    ):
+        # noise draws are nested, so adding a bandlimit leaves the earlier
+        # energies and growth ratios bit for bit (the verdicts may change)
+        def values(bandlimit_list):
+            rows = regularity_probe(s_values, bandlimit_list, seeds, dimension=dimension)
+            return {
+                (row.s, row.trajectory, row.bandlimit): (row.partial_energy, row.growth_ratio)
+                for row in rows
+            }
+
+        small = values(bandlimits)
+        large = values(bandlimits + [bandlimits[-1] + extra])
+        assert small == {key: large[key] for key in small}
 
     def test_validation(self):
         with pytest.raises(ConfigError):
