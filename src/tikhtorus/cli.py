@@ -1,8 +1,8 @@
 """Command-line front end: batch experiment runs from config files.
 
 Exit codes: 0 success, 2 configuration problems, 3 filesystem problems,
-4 numerical/library errors. Failures print the error class name so batch
-drivers can triage without parsing messages.
+4 numerical/library errors and running out of memory. Failures print the
+error class name so batch drivers can triage without parsing messages.
 """
 
 from __future__ import annotations
@@ -61,6 +61,10 @@ def main(argv=None) -> int:
         return 3
     except TikhtorusError as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
+        return 4
+    except MemoryError as exc:
+        key = "[noise_probe] bandlimits" if expected == "noise_probe" else "[resolution] reference_bandlimit"
+        print(f"MemoryError: {str(exc) or 'out of memory'}; lower {key}", file=sys.stderr)
         return 4
     for name in sorted(written):
         print(written[name])

@@ -1,6 +1,8 @@
-"""Finite-dimensional Tikhonov problems in the real trigonometric basis,
-solved through dense normal equations, plus the refinement sweep that
-compares their minimizers against the closed-form spectral solution.
+"""Finite-dimensional Tikhonov problems in the real trigonometric basis: a
+dense normal-equation solver (library API and reference oracle; the only
+user of scipy, imported on first call), plus the refinement sweep, which
+solves every (n, k) size in closed form because the spectral H^r penalty
+keeps the normal matrix block-diagonal per mode.
 
 Basis and projections (d = 1)
 -----------------------------
@@ -23,7 +25,6 @@ import dataclasses
 from typing import Sequence
 
 import numpy as np
-import scipy.linalg
 
 from .errors import (
     DimensionError,
@@ -48,7 +49,7 @@ from .tikhonov import (
     solve,
 )
 
-DENSE_SIZE_CAP = 4096  # gamma_sweep solves larger sizes with the closed form solve()
+DENSE_SIZE_CAP = 4096  # largest n or k that assemble() builds as a dense matrix
 
 IDENTITY = "identity"
 IDENTITY_PLUS_DIFFERENCE = "identity_plus_difference"
@@ -187,6 +188,8 @@ def solve_discrete(problem: DiscreteProblem, data: np.ndarray) -> np.ndarray:
     """Normal-equations solve (A^T A + alpha L^T L)^(-1) A^T m via a dense
     Cholesky factorization, with a residual check that guards the
     positive-definiteness invariant."""
+    import scipy.linalg  # deferred: the CLI never reaches the dense solver
+
     data = np.asarray(data, dtype=np.float64)
     if data.shape != (problem.k,):
         raise DimensionError(f"data must have length k = {problem.k}, got {data.shape}")
@@ -321,9 +324,9 @@ def gamma_sweep(
     spectral penalty both gaps shrink to zero along nested sizes because the
     two solvers agree mode by mode on shared frequencies.
 
-    Sizes above the dense cap are not assembled: the spectral penalty keeps
-    the normal matrix block-diagonal per mode, so their matrix minimizer is
-    solve() on the observed modes, zero-extended to n.
+    No size is assembled: the spectral penalty keeps the normal matrix
+    block-diagonal per mode, so the matrix minimizer is solve() on the
+    observed modes (bandlimit min(half_n, half_k)), zero-extended to n.
     """
     if schedule.r <= 0:
         raise ParameterError("gamma sweep needs a spectral penalty with r > 0")
@@ -345,7 +348,6 @@ def gamma_sweep(
     alpha = schedule.alpha(delta)
     u_cont = solve(A, m_field, alpha, schedule.r)
     continuum_objective = data_shifted_functional(A, m_field, alpha, schedule.r, u_cont)
-    penalty = spectral_penalty(schedule.r)
 
     rows: list[GammaRow] = []
     summaries: list[GammaSizeSummary] = []
@@ -355,28 +357,14 @@ def gamma_sweep(
             raise ParameterError(
                 f"size ({n}, {k}) exceeds the reference bandlimit {lattice.bandlimit}"
             )
-        small = FrequencyLattice(1, half_n)
         data = field_to_coords(truncate(m_field, half_k))
         c_k = float(data @ data)
-        if max(n, k) <= DENSE_SIZE_CAP:
-            problem = assemble(A, n, k, penalty, alpha)
-            coords = solve_discrete(problem, data)
-            misfit = problem.A_matrix @ coords - data
-            objective = float(misfit @ misfit) + alpha * float(
-                (problem.L_matrix @ coords) @ (problem.L_matrix @ coords)
-            )
-            value = objective - c_k
-            minimizer = coords_to_field(small, coords)
-            rhs = problem.A_matrix.T @ data
-            rhs_norm = float(np.sqrt(np.sum(sobolev_weights(small, -schedule.r) * rhs**2)))
-        else:
-            observed = truncate(m_field, min(half_n, half_k))
-            u_observed = solve(A, observed, alpha, schedule.r)
-            value = data_shifted_functional(A, observed, alpha, schedule.r, u_observed)
-            minimizer = _embed(u_observed, small)
-            rhs = A.symbol_values(observed.lattice).conj() * observed.coefficients
-            rhs_norm = sobolev_norm(SpectralField(observed.lattice, rhs), -schedule.r)
-        difference = _embed(minimizer, lattice) - u_cont
+        observed = truncate(m_field, min(half_n, half_k))
+        u_observed = solve(A, observed, alpha, schedule.r)
+        value = data_shifted_functional(A, observed, alpha, schedule.r, u_observed)
+        rhs = A.symbol_values(observed.lattice).conj() * observed.coefficients
+        rhs_norm = sobolev_norm(SpectralField(observed.lattice, rhs), -schedule.r)
+        difference = _embed(u_observed, lattice) - u_cont
         gap_value = value - continuum_objective
         ball_radius = 2.0 / alpha * rhs_norm
         summaries.append(
@@ -387,7 +375,7 @@ def gamma_sweep(
                 functional_value=value,
                 functional_gap=gap_value,
                 ball_radius=ball_radius,
-                minimizer_hr_norm=sobolev_norm(minimizer, schedule.r),
+                minimizer_hr_norm=sobolev_norm(u_observed, schedule.r),
             )
         )
         for label, phi in test_functions:

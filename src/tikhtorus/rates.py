@@ -293,7 +293,14 @@ def calibrate_band(
     weights1 = 1.0 + lattice.squared_norms()
     delta_max = max(delta_grid)
     ratio = symbol_sq / (delta_max**2 * weights1)
-    center = int(np.argmin(np.abs(np.log(ratio))))
+    positive = ratio > 0
+    if not positive.any():
+        raise ParameterError(
+            "|a(l)|^2 underflows to 0 at every mode; no band to calibrate ([operator] exponent)"
+        )
+    # a ratio that underflowed to 0 is never the mode closest to balance
+    log_ratio = np.log(ratio, out=np.full_like(ratio, np.inf), where=positive)
+    center = int(np.argmin(np.abs(log_ratio)))
     c0 = 0.5 * float(ratio[center])
     c1 = 2.0 * float(ratio[center])
     for _ in range(widening_limit):

@@ -1,6 +1,7 @@
 """Matrix Tikhonov problems, penalty matrices, and the refinement sweep."""
 
 import dataclasses
+import sys
 
 import numpy as np
 import pytest
@@ -28,11 +29,18 @@ from tikhtorus import (
     sobolev_norm,
     solve,
     solve_discrete,
+    sobolev_weights,
     spectral_penalty,
+    truncate,
     data_shifted_functional,
 )
-import tikhtorus.discrete
-from tikhtorus.discrete import DENSE_SIZE_CAP, _penalty_matrix
+from tikhtorus.discrete import (
+    DENSE_SIZE_CAP,
+    GammaResult,
+    GammaRow,
+    GammaSizeSummary,
+    _penalty_matrix,
+)
 
 from test_spectral import random_hermitian_field
 
@@ -134,6 +142,12 @@ class TestAssemble:
 
 
 class TestSolveDiscrete:
+    def test_solves_with_the_deferred_scipy_import(self):
+        problem = assemble(deblur_operator(), 9, 9, spectral_penalty(1.0), 1e-2)
+        solution = solve_discrete(problem, np.arange(9.0))
+        assert "scipy.linalg" in sys.modules
+        assert np.all(np.isfinite(solution))
+
     def test_zero_data(self):
         prob = assemble(deblur_operator(), 17, 17, spectral_penalty(1.0), 1e-3)
         x = solve_discrete(prob, np.zeros(17))
@@ -207,6 +221,49 @@ class TestSolveDiscrete:
 
 
 SCHEDULE = RegularizationSchedule(alpha0=1.0, kappa=2.5, r=1.0)
+
+
+def dense_gamma_oracle(operator, truth, noise, delta, sizes, phis):
+    """gamma_sweep's outputs computed from the dense matrix problem: the
+    coordinates from assemble + solve_discrete, the objective from the
+    misfit and L @ coords, the ball radius from A^T data."""
+    lattice = truth.lattice
+    m_field = forward(operator, truth, delta, noise).data
+    alpha, r = SCHEDULE.alpha(delta), SCHEDULE.r
+    u_cont = solve(operator, m_field, alpha, r)
+    continuum = data_shifted_functional(operator, m_field, alpha, r, u_cont)
+    rows, summaries = [], []
+    for n, k in sizes:
+        half_n, half_k = (n - 1) // 2, (k - 1) // 2
+        small = FrequencyLattice(1, half_n)
+        data = field_to_coords(truncate(m_field, half_k))
+        c_k = float(data @ data)
+        problem = assemble(operator, n, k, spectral_penalty(r), alpha)
+        coords = solve_discrete(problem, data)
+        misfit = problem.A_matrix @ coords - data
+        penalty = problem.L_matrix @ coords
+        value = float(misfit @ misfit) + alpha * float(penalty @ penalty) - c_k
+        rhs = problem.A_matrix.T @ data
+        rhs_norm = float(np.sqrt(np.sum(sobolev_weights(small, -r) * rhs**2)))
+        summaries.append(
+            GammaSizeSummary(
+                n=n,
+                k=k,
+                c_k=c_k,
+                functional_value=value,
+                functional_gap=value - continuum,
+                ball_radius=2.0 / alpha * rhs_norm,
+                minimizer_hr_norm=sobolev_norm(coords_to_field(small, coords), r),
+            )
+        )
+        # zero-extend in coordinates: the basis is ordered like the lattice
+        padded = np.zeros(lattice.mode_count)
+        padded[lattice.zero_index - half_n : lattice.zero_index + half_n + 1] = coords
+        difference = coords_to_field(lattice, padded) - u_cont
+        for label, phi in phis:
+            pairing = float(np.sum((difference.coefficients * phi.coefficients.conj()).real))
+            rows.append(GammaRow(n, k, alpha, label, pairing, value - continuum, c_k))
+    return GammaResult(rows, summaries, continuum, lattice.bandlimit)
 
 
 def twisted_deblur_operator():
@@ -308,12 +365,11 @@ class TestGammaSweep:
     @pytest.mark.parametrize(
         "operator", [deblur_operator(), twisted_deblur_operator()], ids=["real", "complex"]
     )
-    def test_closed_form_route_matches_dense(self, monkeypatch, operator):
-        # a zero cap sends every size through the route taken above the cap
+    def test_closed_form_route_matches_dense(self, operator):
+        # the oracle assembles and factors the dense normal equations per size
         lattice, truth, noise, phis = self.build(reference_bandlimit=64)
         sizes = [(17, 33), (33, 33), (33, 17), (65, 129), (129, 129), (129, 65)]
-        dense = gamma_sweep(operator, truth, noise, 1e-3, SCHEDULE, sizes, phis)
-        monkeypatch.setattr(tikhtorus.discrete, "DENSE_SIZE_CAP", 0)
+        dense = dense_gamma_oracle(operator, truth, noise, 1e-3, sizes, phis)
         closed = gamma_sweep(operator, truth, noise, 1e-3, SCHEDULE, sizes, phis)
         for want, got in zip(dense.summaries, closed.summaries):
             for field in dataclasses.fields(want):
@@ -346,7 +402,6 @@ class TestGammaSweep:
         value = summary.functional_value
         # reconstruct the minimizer through an independent spectral solve on
         # the truncated data and re-evaluate the shifted objective
-        from tikhtorus import truncate
         from tikhtorus.discrete import _embed
 
         small = truncate(meas.data, 16)

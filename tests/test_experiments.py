@@ -2,12 +2,17 @@
 
 import dataclasses
 import json
+import math
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import tikhtorus.cli
 from tikhtorus import ConfigError, load_config
 from tikhtorus.cli import main
 from tikhtorus.config import EXPERIMENTS, ExperimentConfig
@@ -505,6 +510,60 @@ class TestCli:
         assert err.startswith("ParameterError")
         assert all(needle in err for needle in needles), err
         assert not (tmp_path / "out").exists()
+
+    def test_underflowed_band_ratios_exit_cleanly(self, tmp_path):
+        # |a(l)|^2 = (1+l^2)^-80 underflows to 0 on the upper part of the
+        # reference lattice; the H^1 band calibration must not take log(0)
+        out = tmp_path / "out"
+        text = small_config_text("deblur", str(out)).replace(
+            "kind = deblur_1d", "kind = power_law\nexponent = -80"
+        )
+        code = main(["deblur", "--config", str(write_config(tmp_path, text))])
+        assert code in (0, 4)
+        if code == 0:
+            for table in out.glob("*.csv"):
+                for line in table.read_text().splitlines()[1:]:
+                    for cell in line.split(","):
+                        assert math.isfinite(float(cell)), (table.name, line)
+
+    @pytest.mark.parametrize(
+        "experiment,key",
+        [
+            ("noise_probe", "[noise_probe] bandlimits"),
+            ("rates", "[resolution] reference_bandlimit"),
+            ("gamma", "[resolution] reference_bandlimit"),
+        ],
+        ids=["noise_probe", "rates", "gamma"],
+    )
+    def test_memory_error_exit_code(self, tmp_path, capsys, monkeypatch, experiment, key):
+        def exhausted(config):
+            raise MemoryError()
+
+        monkeypatch.setattr(tikhtorus.cli, "run_experiment", exhausted)
+        text = small_config_text(experiment, str(tmp_path / "out"))
+        command = experiment.replace("_", "-")
+        code = main([command, "--config", str(write_config(tmp_path, text))])
+        assert code == 4
+        err = capsys.readouterr().err
+        assert err.startswith("MemoryError: out of memory") and key in err
+        assert "Traceback" not in err
+
+    def test_cli_run_does_not_load_scipy(self, tmp_path):
+        # scipy backs only the dense solver; a fresh CLI process never imports it
+        script = (
+            "import sys, tikhtorus, tikhtorus.cli; "
+            f"code = tikhtorus.cli.main(['gamma', '--config', {str(CONFIG_DIR / 'gamma.ini')!r}, "
+            f"'--out', {str(tmp_path / 'out')!r}]); "
+            "assert code == 0, code; "
+            "assert 'scipy' not in sys.modules, sorted(m for m in sys.modules if 'scipy' in m)"
+        )
+        path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+        env = dict(os.environ, PYTHONPATH=path)
+        done = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
+        )
+        assert done.returncode == 0, done.stderr
+        assert (tmp_path / "out" / "gamma.csv").exists()
 
     def test_missing_config_file(self, tmp_path, capsys):
         code = main(["deblur", "--config", str(tmp_path / "absent.ini")])

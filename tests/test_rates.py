@@ -261,6 +261,26 @@ class TestBandCalibration:
         with pytest.raises(CalibrationError):
             calibrate_band(deblur_operator(), lattice, [1e-2, 1e-12])
 
+    def test_underflowed_ratios_never_center_the_band(self):
+        # |a(l)|^2 = (1+l^2)^-80 underflows to 0 beyond l ~ 100; the
+        # calibration must ignore those modes instead of taking log(0)
+        lattice = FrequencyLattice(1, 256)
+        A = power_law_operator(80.0)
+        assert np.any(np.abs(A.symbol_values(lattice)) ** 2 == 0.0)
+        c0, c1, bands = calibrate_band(A, lattice, [1e-2, 1e-3])
+        assert 0.0 < c0 < c1 < np.inf
+        assert all(band.member_indices.size > 0 for band in bands)
+
+    def test_all_underflowed_ratios_rejected(self):
+        tiny = MultiplierOperator(
+            symbol=lambda modes: np.full(len(modes), 1e-170, dtype=np.complex128),
+            order=0.0,
+            ellipticity=deblur_operator().ellipticity,
+            dimension=1,
+        )
+        with pytest.raises(ParameterError, match=r"\[operator\] exponent"):
+            calibrate_band(tiny, FrequencyLattice(1, 8), [1e-2])
+
 
 class TestH1Divergence:
     def test_actual_dominates_lower_bound(self):
