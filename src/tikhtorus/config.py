@@ -39,9 +39,27 @@ def _one_of(what: str, *options: str) -> tuple:
     return (lambda value: value in options), message
 
 
-def _fits_in_memory(bandlimit: int) -> bool:
-    """Whether the int64 mode table of a 1-d lattice, (2M+1) * 8 bytes, fits in RAM."""
-    return (2 * bandlimit + 1) * 8 <= os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+# Peak bytes a 1-d run allocates per lattice mode: the tracemalloc peak of the
+# perfbench/configs/*.ini runs over their mode count, rounded up to a multiple
+# of 8. deblur_sweep: 97.3 MiB / 524,289 modes = 194.7 B; noise_probe:
+# 252.9 MiB / 2,097,153 modes (its top bandlimit) = 126.4 B; gamma_dense:
+# 2.2 MiB / 4,095 modes = 566.4 B, fixed costs included. rates runs the deblur
+# error sweep without noise draws, snapshot or certificate, so it takes the
+# deblur figure (a rates run at 524,289 modes peaks at 168.4 B per mode).
+_BYTES_PER_MODE = {"deblur": 200, "rates": 200, "noise_probe": 128, "gamma": 568}
+
+
+def _fits_in_memory(bandlimit: int, experiment: str) -> bool:
+    """Whether an ``experiment`` run on the (2M+1) modes of a 1-d lattice fits in RAM."""
+    needed = (2 * bandlimit + 1) * _BYTES_PER_MODE[experiment]
+    return needed <= os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+
+
+def _memory_message(experiment: str) -> str:
+    return (
+        f"needs (2M+1) * {_BYTES_PER_MODE[experiment]} bytes for a {experiment} run "
+        "and exceeds physical memory"
+    )
 
 
 def _at_least(bound: int) -> tuple:
@@ -55,7 +73,9 @@ def _each(check: tuple) -> tuple:
 
 _POSITIVE = (lambda value: value > 0, "must be positive")
 _NONEMPTY = (bool, "must be nonempty")
-_FITS = (_fits_in_memory, "needs a (2M+1) * 8-byte mode table larger than physical memory")
+_PROBE_FITS = (
+    lambda value: _fits_in_memory(value, "noise_probe"), _memory_message("noise_probe")
+)
 
 
 def _key(section: str, key: str, parse, *checks: tuple, default=dataclasses.MISSING):
@@ -93,13 +113,13 @@ class ExperimentConfig:
     )
     s1_list: tuple = _key("grids", "s1_list", _list_of(_finite), _NONEMPTY, default=(-1.5,))
     bandlimit: int = _key("resolution", "bandlimit", int, _at_least(1))
-    reference_bandlimit: int = _key("resolution", "reference_bandlimit", int, _at_least(1), _FITS)
+    reference_bandlimit: int = _key("resolution", "reference_bandlimit", int, _at_least(1))
     plot_points: int = _key("resolution", "plot_points", int, _at_least(8), default=1024)
     probe_s_values: tuple = _key(
         "noise_probe", "s_values", _list_of(_finite), _NONEMPTY, default=(-2.0, -0.6, 0.0)
     )
     probe_bandlimits: tuple = _key(
-        "noise_probe", "bandlimits", _list_of(int), _NONEMPTY, _each(_at_least(1)), _each(_FITS),
+        "noise_probe", "bandlimits", _list_of(int), _NONEMPTY, _each(_at_least(1)), _each(_PROBE_FITS),
         (lambda value: all(b > a for a, b in zip(value, value[1:])), "must be strictly increasing"),
         default=(1024, 2048, 4096, 8192, 16384),
     )
@@ -189,6 +209,11 @@ def load_config(path: str | Path) -> ExperimentConfig:
         raise ConfigError(
             f"{path}: [resolution] reference_bandlimit must be at least 4 * bandlimit "
             f"({4 * bandlimit}), got {reference}"
+        )
+    if not _fits_in_memory(reference, values["experiment"]):
+        raise ConfigError(
+            f"{path}: [resolution] reference_bandlimit {_memory_message(values['experiment'])}, "
+            f"got {reference}"
         )
     if values["gamma_test_function_count"] > 2 * reference + 1:
         raise ConfigError(

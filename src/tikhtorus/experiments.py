@@ -22,8 +22,8 @@ from . import __version__
 from .config import ExperimentConfig
 from .discrete import gamma_sweep, low_frequency_test_functions
 from .errors import ConfigError, ParameterError
-from .noise import regularity_probe, sample_white_noise
-from .rates import error_sweep, h1_divergence, predicted_exponent
+from .noise import NoiseRealization, regularity_probe, sample_white_noise
+from .rates import DivergenceTables, SweepTables, error_sweep, predicted_exponent
 from .signals import hat_coefficients, hat_values, load_coefficient_file
 from .spectral import (
     FrequencyLattice,
@@ -141,26 +141,19 @@ def _s1_window(config: ExperimentConfig, t: float) -> dict:
     }
 
 
-def run_deblur(config: ExperimentConfig) -> dict:
-    """Full noisy pipeline: reconstruction errors across (s1, delta, seed),
-    a signal/reconstruction snapshot at a fixed small delta, and plots."""
-    operator, lattice = _operator_on_lattice(config)
-    truth = _build_truth(config, lattice)
-    schedule = _schedule(config)
-    signal_alpha = _positive_alpha(schedule, SIGNAL_DELTA)
-
-    sweep = error_sweep(
-        operator, truth, schedule, config.s1_list, config.delta_grid, config.seeds
-    )
-    error_rows = [
-        (row.s1, row.delta, row.seed, row.raw_error, row.normalized_error)
-        for row in sweep.rows
-    ]
-
-    # illustrative reconstruction at the fixed noise amplitude, first seed
-    snapshot_noise = sample_white_noise(lattice, config.seeds[0])
-    measurement = forward(operator, truth, SIGNAL_DELTA, snapshot_noise)
-    reconstruction = solve(operator, measurement.data, signal_alpha, schedule.r)
+def _snapshot(
+    config: ExperimentConfig,
+    operator: MultiplierOperator,
+    truth: SpectralField,
+    noise: NoiseRealization,
+    alpha: float,
+    r: float,
+) -> tuple:
+    """Signal rows (x, truth, data, reconstruction) of the illustrative
+    reconstruction at SIGNAL_DELTA, their plot, and the bandlimit they are
+    plotted at. The measurement and reconstruction die with the call."""
+    measurement = forward(operator, truth, SIGNAL_DELTA, noise)
+    reconstruction = solve(operator, measurement.data, alpha, r)
     plot_band = min(config.bandlimit, (config.plot_points - 1) // 2)
     x_grid = np.arange(config.plot_points) / config.plot_points
     blurred_values = evaluate_on_grid(
@@ -182,22 +175,6 @@ def run_deblur(config: ExperimentConfig) -> dict:
             (float(v) for v in reconstruction_values),
         )
     )
-
-    error_plot = line_plot(
-        [
-            Series(
-                label=f"s1={s1:g}",
-                x=list(config.delta_grid),
-                y=[m * sweep.normalizers[s1] for m in sweep.median_errors[s1]],
-            )
-            for s1 in (float(v) for v in config.s1_list)
-        ],
-        title="normalized reconstruction error vs noise amplitude",
-        xlabel="delta",
-        ylabel="normalized error (seed median)",
-        logx=True,
-        logy=True,
-    )
     signal_plot = line_plot(
         [
             Series(label="truth", x=x_grid, y=truth_values),
@@ -208,15 +185,76 @@ def run_deblur(config: ExperimentConfig) -> dict:
         xlabel="x",
         ylabel="value",
     )
+    return signal_rows, signal_plot, plot_band
 
+
+def run_deblur(config: ExperimentConfig) -> dict:
+    """Full noisy pipeline: reconstruction errors across (s1, delta, seed),
+    a signal/reconstruction snapshot at a fixed small delta, the H^1
+    certificate, and plots.
+
+    One pass over the seeds: each seed is drawn once, and that draw feeds the
+    error sweep, the certificate and, for the first seed, the snapshot. Only
+    one draw is alive at a time.
+    """
+    operator, lattice = _operator_on_lattice(config)
+    truth = _build_truth(config, lattice)
+    schedule = _schedule(config)
+    signal_alpha = _positive_alpha(schedule, SIGNAL_DELTA)
+    sweep = SweepTables(
+        operator, truth, schedule, config.s1_list, config.delta_grid, config.seeds
+    )
     # H^1 certificate for the filtered noise part: the pinch-band lower bound
     # needs the quadratic schedule, so it runs with kappa = 2 at the
     # configured alpha0 (only meaningful for the first-derivative penalty)
+    certificate = None
+    if config.r == 1.0 and max(config.delta_grid) <= 1.0:
+        certificate = DivergenceTables(
+            operator,
+            RegularizationSchedule(alpha0=config.alpha0, kappa=2.0, r=1.0),
+            config.delta_grid,
+            config.seeds,
+            lattice,
+        )
+
+    errors = []
+    divergence = []
+    for j, seed in enumerate(config.seeds):
+        noise = sample_white_noise(lattice, seed)
+        if j == 0:  # illustrative reconstruction at the fixed noise amplitude
+            signal_rows, signal_plot, plot_band = _snapshot(
+                config, operator, truth, noise, signal_alpha, schedule.r
+            )
+        errors.append(sweep.errors(noise.field.coefficients))
+        if certificate is not None:
+            divergence.append(certificate.rows(seed, noise.field.coefficients))
+        del noise  # so the next draw never overlaps this one
+    result = sweep.result(errors)
+    error_rows = [
+        (row.s1, row.delta, row.seed, row.raw_error, row.normalized_error)
+        for row in result.rows
+    ]
+
+    error_plot = line_plot(
+        [
+            Series(
+                label=f"s1={s1:g}",
+                x=list(config.delta_grid),
+                y=[m * result.normalizers[s1] for m in result.median_errors[s1]],
+            )
+            for s1 in (float(v) for v in config.s1_list)
+        ],
+        title="normalized reconstruction error vs noise amplitude",
+        xlabel="delta",
+        ylabel="normalized error (seed median)",
+        logx=True,
+        logy=True,
+    )
+
     divergence_rows = []
     divergence_meta: dict = {"emitted": False}
-    if config.r == 1.0 and max(config.delta_grid) <= 1.0:
-        certificate = RegularizationSchedule(alpha0=config.alpha0, kappa=2.0, r=1.0)
-        report = h1_divergence(operator, certificate, config.delta_grid, config.seeds, lattice)
+    if certificate is not None:
+        report = certificate.report(divergence)
         divergence_rows = [
             (row.delta, row.seed, row.band_size, row.lower_bound, row.h1_norm_sq)
             for row in report.rows
@@ -231,10 +269,10 @@ def run_deblur(config: ExperimentConfig) -> dict:
 
     derived = {
         "alpha_by_delta": {repr(d): schedule.alpha(d) for d in config.delta_grid},
-        "normalizers": {repr(s1): c for s1, c in sweep.normalizers.items()},
+        "normalizers": {repr(s1): c for s1, c in result.normalizers.items()},
         "fitted_slopes": {
             repr(s1): {"slope": f.slope, "intercept": f.intercept, "residual": f.residual}
-            for s1, f in sweep.slopes.items()
+            for s1, f in result.slopes.items()
         },
         "signal_delta": SIGNAL_DELTA,
         "signal_seed": config.seeds[0],

@@ -120,7 +120,7 @@ def sample_white_noise(lattice: FrequencyLattice, seed: int) -> NoiseRealization
         values = (re + 1j * im) / np.sqrt(2.0)
         coeffs[canonical] = values
         coeffs[conjugate] = values.conj()
-    field = SpectralField(lattice, coeffs, hermitian=True)
+    field = SpectralField._owned(lattice, coeffs, hermitian=True)
     return NoiseRealization(seed=int(seed), field=field)
 
 

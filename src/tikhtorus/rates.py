@@ -1,6 +1,12 @@
 """Convergence-rate machinery: closed-form exponent predictions, log-log
 slope fitting for delta sweeps, reconstruction-error sweeps, and the H^1
 divergence certificate for the filtered noise part.
+
+The sweep and the certificate each split into seed-independent tables
+(:class:`SweepTables`, :class:`DivergenceTables`), a per-seed kernel that
+takes the noise coefficients, and a summary. :func:`error_sweep` and
+:func:`h1_divergence` loop draw -> kernel; a deblur run draws each seed once
+and feeds every stage (sweep, certificate, snapshot) from that draw.
 """
 
 from __future__ import annotations
@@ -185,6 +191,86 @@ class SweepResult:
     normalizers: dict    # s1 -> 1 / median error at the largest delta
 
 
+class SweepTables:
+    """The seed-independent half of :func:`error_sweep`.
+
+    The constructor validates the grids and builds the per-mode tables once
+    per sweep: |a|^2, conj(a), (1+|l|^2)^r and alpha(delta) per delta.
+    :meth:`errors` is the per-seed kernel and :meth:`result` the summary, so
+    a caller that already holds a noise draw (a deblur run) can feed it in
+    without drawing again.
+    """
+
+    def __init__(
+        self,
+        A: MultiplierOperator,
+        truth: SpectralField,
+        schedule: RegularizationSchedule,
+        s1_list: Sequence[float],
+        delta_grid: Sequence[float],
+        seeds: Sequence[int | None],
+    ) -> None:
+        if len(delta_grid) < 1 or len(s1_list) < 1 or len(seeds) < 1:
+            raise ParameterError("error_sweep needs nonempty s1_list, delta_grid, seeds")
+        if any(d2 >= d1 for d1, d2 in zip(delta_grid, delta_grid[1:])):
+            raise ParameterError("delta_grid must be strictly decreasing")
+        if not math.isfinite(sobolev_norm(truth, schedule.r)):
+            raise ParameterError("truth must have finite H^r norm")
+        self.truth = truth
+        self.s1_list = [float(s1) for s1 in s1_list]
+        self.delta_grid = [float(delta) for delta in delta_grid]
+        self.labels = [-1 if seed is None else int(seed) for seed in seeds]
+        values = A.symbol_values(truth.lattice)
+        self._symbol_sq = values.real**2 + values.imag**2
+        self._symbol_conj = values.conj()
+        self._weights_r = sobolev_weights(truth.lattice, schedule.r)
+        self._alphas = [schedule.alpha(delta) for delta in self.delta_grid]
+
+    def errors(self, eps: np.ndarray) -> np.ndarray:
+        """errors[k, i] = ||T(m_delta_i) - u||_{H^s1_k} for one noise draw
+        ``eps`` (its coefficients; zeros for the noise-free pipeline)."""
+        lattice, u = self.truth.lattice, self.truth.coefficients
+        out = np.empty((len(self.s1_list), len(self.delta_grid)))
+        for i, (delta, alpha) in enumerate(zip(self.delta_grid, self._alphas)):
+            z = self._symbol_sq + alpha * self._weights_r
+            deviation = SpectralField._owned(
+                lattice, (self._symbol_sq / z) * u + (self._symbol_conj / z) * (delta * eps) - u
+            )
+            for k, s1 in enumerate(self.s1_list):
+                error = sobolev_norm(deviation, s1)
+                if not math.isfinite(error):
+                    raise ParameterError(f"error at s1 = {s1:g}, delta = {delta:g} is {error}, not finite")
+                out[k, i] = error
+        return out
+
+    def result(self, per_seed: list) -> SweepResult:
+        """Rows, seed medians, normalizers and slopes from the outputs of
+        :meth:`errors`, one per seed in seed order."""
+        errors = np.stack(per_seed, axis=-1)  # (s1, delta, seed)
+        delta_grid = self.delta_grid
+        rows: list[SweepRow] = []
+        median_errors: dict[float, list] = {}
+        slopes: dict[float, SlopeFit] = {}
+        normalizers: dict[float, float] = {}
+        for s1, table in zip(self.s1_list, errors):
+            medians = [float(np.median(table[i])) for i in range(len(delta_grid))]
+            median_errors[s1] = medians
+            if medians[0] == 0.0:
+                raise ParameterError(
+                    f"median error at s1 = {s1:g}, delta = {delta_grid[0]:g} is 0, "
+                    f"so the curve cannot be normalized (alpha = {self._alphas[0]:g})"
+                )
+            scale = 1.0 / medians[0]
+            normalizers[s1] = scale
+            if len(delta_grid) >= 3:
+                slopes[s1] = fit_loglog_slope(list(zip(delta_grid, medians)))
+            for i, delta in enumerate(delta_grid):
+                for j, label in enumerate(self.labels):
+                    raw = float(table[i, j])
+                    rows.append(SweepRow(s1, delta, label, raw, raw * scale))
+        return SweepResult(rows=rows, median_errors=median_errors, slopes=slopes, normalizers=normalizers)
+
+
 def error_sweep(
     A: MultiplierOperator,
     truth: SpectralField,
@@ -202,60 +288,22 @@ def error_sweep(
     (eps = 0, reported as seed -1). Errors are normalized per s1 curve so the
     seed-median starts at 1 at the largest delta; slopes are fitted on the
     seed-median raw errors, the robust choice under white-noise scatter.
+
+    Each seed is drawn once and only one draw is alive at a time. A deblur
+    run feeds the same draw to this sweep's per-seed kernel
+    (:class:`SweepTables`), to the H^1 certificate and, for its first seed,
+    to the signal snapshot.
     """
-    if len(delta_grid) < 1 or len(s1_list) < 1 or len(seeds) < 1:
-        raise ParameterError("error_sweep needs nonempty s1_list, delta_grid, seeds")
-    if any(d2 >= d1 for d1, d2 in zip(delta_grid, delta_grid[1:])):
-        raise ParameterError("delta_grid must be strictly decreasing")
-    if not math.isfinite(sobolev_norm(truth, schedule.r)):
-        raise ParameterError("truth must have finite H^r norm")
-
-    lattice = truth.lattice
-    u = truth.coefficients
-    values = A.symbol_values(lattice)
-    symbol_sq = values.real**2 + values.imag**2
-    weights_r = sobolev_weights(lattice, schedule.r)
-
-    labels = [-1 if seed is None else int(seed) for seed in seeds]
-    errors = np.empty((len(s1_list), len(delta_grid), len(seeds)))
-    for j, seed in enumerate(seeds):
-        if seed is None:
-            eps = np.zeros_like(u)
-        else:
-            eps = sample_white_noise(lattice, int(seed)).field.coefficients
-        for i, delta in enumerate(delta_grid):
-            delta = float(delta)
-            z = symbol_sq + schedule.alpha(delta) * weights_r
-            deviation = SpectralField(
-                lattice, (symbol_sq / z) * u + (values.conj() / z) * (delta * eps) - u
-            )
-            for k, s1 in enumerate(s1_list):
-                error = sobolev_norm(deviation, float(s1))
-                if not math.isfinite(error):
-                    raise ParameterError(f"error at s1 = {s1:g}, delta = {delta:g} is {error}, not finite")
-                errors[k, i, j] = error
-
-    rows: list[SweepRow] = []
-    median_errors: dict[float, list] = {}
-    slopes: dict[float, SlopeFit] = {}
-    normalizers: dict[float, float] = {}
-    for s1, table in zip((float(v) for v in s1_list), errors):
-        medians = [float(np.median(table[i])) for i in range(len(delta_grid))]
-        median_errors[s1] = medians
-        if medians[0] == 0.0:
-            raise ParameterError(
-                f"median error at s1 = {s1:g}, delta = {delta_grid[0]:g} is 0, "
-                f"so the curve cannot be normalized (alpha = {schedule.alpha(delta_grid[0]):g})"
-            )
-        scale = 1.0 / medians[0]
-        normalizers[s1] = scale
-        if len(delta_grid) >= 3:
-            slopes[s1] = fit_loglog_slope(list(zip(delta_grid, medians)))
-        for i, delta in enumerate(delta_grid):
-            for j, label in enumerate(labels):
-                raw = float(table[i, j])
-                rows.append(SweepRow(s1, float(delta), label, raw, raw * scale))
-    return SweepResult(rows=rows, median_errors=median_errors, slopes=slopes, normalizers=normalizers)
+    tables = SweepTables(A, truth, schedule, s1_list, delta_grid, seeds)
+    errors = [
+        tables.errors(
+            np.zeros_like(truth.coefficients)
+            if seed is None
+            else sample_white_noise(truth.lattice, int(seed)).field.coefficients
+        )
+        for seed in seeds
+    ]
+    return tables.result(errors)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -290,7 +338,7 @@ def calibrate_band(
     """
     values = A.symbol_values(lattice)
     symbol_sq = values.real**2 + values.imag**2
-    weights1 = 1.0 + lattice.squared_norms()
+    weights1 = sobolev_weights(lattice, 1.0)
     delta_max = max(delta_grid)
     ratio = symbol_sq / (delta_max**2 * weights1)
     positive = ratio > 0
@@ -338,6 +386,74 @@ class DivergenceReport:
     median_ratio: float
 
 
+class DivergenceTables:
+    """The seed-independent half of :func:`h1_divergence`.
+
+    The constructor validates the schedule and grid, calibrates the pinch
+    band and keeps |a|^2 next to the shared (1+|l|^2) weights.
+    :meth:`rows` is the per-seed kernel and :meth:`report` the summary.
+    """
+
+    def __init__(
+        self,
+        A: MultiplierOperator,
+        schedule: RegularizationSchedule,
+        delta_grid: Sequence[float],
+        seeds: Sequence[int],
+        lattice: FrequencyLattice,
+    ) -> None:
+        if schedule.r != 1.0:
+            raise ParameterError(f"divergence certificate needs r = 1, got r = {schedule.r}")
+        if schedule.kappa < 2.0:
+            raise ParameterError(f"divergence certificate needs kappa >= 2, got {schedule.kappa}")
+        if len(delta_grid) == 0 or len(seeds) == 0:
+            raise ParameterError("h1_divergence needs nonempty delta_grid and seeds")
+        if max(delta_grid) > 1.0:
+            raise ParameterError("divergence certificate requires deltas <= 1")
+        self.c0, self.c1, self.bands = calibrate_band(A, lattice, delta_grid)
+        values = A.symbol_values(lattice)
+        self._symbol_sq = values.real**2 + values.imag**2
+        self._weights1 = sobolev_weights(lattice, 1.0)
+        self._alphas = [schedule.alpha(band.delta) for band in self.bands]
+        self._bound_factor = 1.0 / ((1.0 + schedule.alpha0 / self.c0) * (self.c1 + schedule.alpha0))
+
+    def rows(self, seed: int, eps: np.ndarray) -> list:
+        """One :class:`DivergenceRow` per delta for the noise draw ``eps``
+        (its coefficients) of ``seed``."""
+        eps_power = eps.real**2 + eps.imag**2
+        rows = []
+        for band, alpha in zip(self.bands, self._alphas):
+            delta = band.delta
+            z = self._symbol_sq + alpha * self._weights1
+            w_power = self._symbol_sq * (delta * delta) * eps_power / (z * z)
+            rows.append(
+                DivergenceRow(
+                    delta=delta,
+                    seed=int(seed),
+                    band_size=int(band.member_indices.size),
+                    lower_bound=self._bound_factor * float(np.sum(eps_power[band.member_indices])),
+                    h1_norm_sq=float(np.sum(self._weights1 * w_power)),
+                )
+            )
+        return rows
+
+    def report(self, per_seed: list) -> DivergenceReport:
+        """The report over the outputs of :meth:`rows`, one per seed in seed
+        order."""
+        ratio_by_seed: dict[int, float] = {}
+        for rows in per_seed:
+            h1_norms = [math.sqrt(row.h1_norm_sq) for row in rows]
+            ratio_by_seed[rows[0].seed] = min(h1_norms) / max(h1_norms)
+        median_ratio = float(np.median(list(ratio_by_seed.values())))
+        return DivergenceReport(
+            rows=[row for rows in per_seed for row in rows],
+            c0=self.c0,
+            c1=self.c1,
+            ratio_by_seed=ratio_by_seed,
+            median_ratio=median_ratio,
+        )
+
+
 def h1_divergence(
     A: MultiplierOperator,
     schedule: RegularizationSchedule,
@@ -356,47 +472,14 @@ def h1_divergence(
     where the kappa = 2 constants remain valid lower bounds. The summary
     statistic is the per-seed min/max ratio of ||w_delta||_{H^1} across the
     grid: bounded away from zero means no decay.
+
+    Each seed is drawn once and only one draw is alive at a time. A deblur
+    run feeds the per-seed kernel (:class:`DivergenceTables`) the same draw
+    its error sweep uses, so the certificate draws nothing of its own there.
     """
-    if schedule.r != 1.0:
-        raise ParameterError(f"divergence certificate needs r = 1, got r = {schedule.r}")
-    if schedule.kappa < 2.0:
-        raise ParameterError(f"divergence certificate needs kappa >= 2, got {schedule.kappa}")
-    if len(delta_grid) == 0 or len(seeds) == 0:
-        raise ParameterError("h1_divergence needs nonempty delta_grid and seeds")
-    if max(delta_grid) > 1.0:
-        raise ParameterError("divergence certificate requires deltas <= 1")
-
-    c0, c1, bands = calibrate_band(A, lattice, delta_grid)
-    values = A.symbol_values(lattice)
-    symbol_sq = values.real**2 + values.imag**2
-    weights1 = 1.0 + lattice.squared_norms()
-    bound_factor = 1.0 / ((1.0 + schedule.alpha0 / c0) * (c1 + schedule.alpha0))
-
-    rows: list[DivergenceRow] = []
-    ratio_by_seed: dict[int, float] = {}
-    for seed in seeds:
-        eps = sample_white_noise(lattice, int(seed)).field.coefficients
-        eps_power = eps.real**2 + eps.imag**2
-        h1_norms = []
-        for band in bands:
-            delta = band.delta
-            z = symbol_sq + schedule.alpha(delta) * weights1
-            w_power = symbol_sq * (delta * delta) * eps_power / (z * z)
-            h1_sq = float(np.sum(weights1 * w_power))
-            lower = bound_factor * float(np.sum(eps_power[band.member_indices]))
-            rows.append(
-                DivergenceRow(
-                    delta=delta,
-                    seed=int(seed),
-                    band_size=int(band.member_indices.size),
-                    lower_bound=lower,
-                    h1_norm_sq=h1_sq,
-                )
-            )
-            h1_norms.append(math.sqrt(h1_sq))
-        ratio_by_seed[int(seed)] = min(h1_norms) / max(h1_norms)
-
-    median_ratio = float(np.median(list(ratio_by_seed.values())))
-    return DivergenceReport(
-        rows=rows, c0=c0, c1=c1, ratio_by_seed=ratio_by_seed, median_ratio=median_ratio
-    )
+    tables = DivergenceTables(A, schedule, delta_grid, seeds, lattice)
+    rows = [
+        tables.rows(seed, sample_white_noise(lattice, int(seed)).field.coefficients)
+        for seed in seeds
+    ]
+    return tables.report(rows)

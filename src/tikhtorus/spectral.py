@@ -117,6 +117,15 @@ class FrequencyLattice:
         return index
 
 
+def _check_coefficients(lattice: FrequencyLattice, coeffs: np.ndarray, hermitian: bool) -> None:
+    if coeffs.shape != (lattice.mode_count,):
+        raise DimensionError(f"expected {lattice.mode_count} coefficients, got {coeffs.shape}")
+    if hermitian and not np.array_equal(coeffs[::-1].conj(), coeffs):
+        if not np.all(np.isfinite(coeffs.view(np.float64))):
+            raise InvalidFieldError("field has non-finite coefficients")
+        raise InvalidFieldError("hermitian flag set but c(-l) != conj(c(l))")
+
+
 @dataclasses.dataclass(frozen=True, eq=False)
 class SpectralField:
     """Complex Fourier coefficients of a function on the torus.
@@ -131,18 +140,28 @@ class SpectralField:
 
     def __post_init__(self) -> None:
         coeffs = np.asarray(self.coefficients, dtype=np.complex128)
-        if coeffs.shape != (self.lattice.mode_count,):
-            raise DimensionError(
-                f"expected {self.lattice.mode_count} coefficients, got {coeffs.shape}"
-            )
-        if self.hermitian:
-            if not np.array_equal(coeffs[::-1].conj(), coeffs):
-                if not np.all(np.isfinite(coeffs.view(np.float64))):
-                    raise InvalidFieldError("field has non-finite coefficients")
-                raise InvalidFieldError("hermitian flag set but c(-l) != conj(c(l))")
+        _check_coefficients(self.lattice, coeffs, self.hermitian)
         coeffs = coeffs.copy()
         coeffs.setflags(write=False)
         object.__setattr__(self, "coefficients", coeffs)
+
+    @classmethod
+    def _owned(
+        cls, lattice: FrequencyLattice, coefficients: np.ndarray, hermitian: bool = False
+    ) -> "SpectralField":
+        """Wrap a complex128 array the library has just built and holds no
+        other reference to, without the defensive copy; the array becomes
+        read-only. Shape, dtype and the Hermitian flag are checked as in the
+        public constructor."""
+        if coefficients.dtype != np.complex128:
+            raise TypeError(f"expected complex128 coefficients, got {coefficients.dtype}")
+        _check_coefficients(lattice, coefficients, hermitian)
+        coefficients.setflags(write=False)
+        field = object.__new__(cls)
+        object.__setattr__(field, "lattice", lattice)
+        object.__setattr__(field, "coefficients", coefficients)
+        object.__setattr__(field, "hermitian", hermitian)
+        return field
 
     def __add__(self, other: "SpectralField") -> "SpectralField":
         if not isinstance(other, SpectralField):
@@ -249,9 +268,17 @@ def check_ellipticity(op: MultiplierOperator, lattice: FrequencyLattice) -> None
         )
 
 
+@lru_cache(maxsize=16)
+def _sobolev_weights(dimension: int, bandlimit: int, s: float) -> np.ndarray:
+    weights = (1.0 + _squared_norms(dimension, bandlimit)) ** s
+    weights.setflags(write=False)
+    return weights
+
+
 def sobolev_weights(lattice: FrequencyLattice, s: float) -> np.ndarray:
-    """(1 + |l|^2)^s per mode."""
-    return (1.0 + lattice.squared_norms()) ** s
+    """(1 + |l|^2)^s per mode, as a read-only array shared by every caller
+    that asks for the same lattice and s (cached like the squared norms)."""
+    return _sobolev_weights(lattice.dimension, lattice.bandlimit, float(s))
 
 
 def sobolev_norm(field: SpectralField, s: float) -> float:

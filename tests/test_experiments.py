@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import tikhtorus.cli
+import tikhtorus.noise
 from tikhtorus import ConfigError, load_config
 from tikhtorus.cli import main
 from tikhtorus.config import EXPERIMENTS, ExperimentConfig
@@ -20,6 +21,8 @@ from tikhtorus.experiments import run_experiment
 
 ROOT = Path(__file__).resolve().parent.parent
 CONFIG_DIR = ROOT / "configs"
+# a bandlimit whose (2M+1) * 8-byte mode table takes about half of physical memory
+ROOMY_BANDLIMIT = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE") // 32
 
 
 def small_config_text(experiment="deblur", out_dir="out", **overrides):
@@ -88,8 +91,9 @@ def valid_configs(draw):
     """An ExperimentConfig that load_config must accept, built field by field."""
     operator_kind = draw(st.sampled_from(["deblur_1d", "power_law"]))
     truth_kind = draw(st.sampled_from(["hat", "coefficients"]))
-    bandlimit = draw(st.integers(1, 10**6))
-    reference = 4 * bandlimit + draw(st.integers(0, 10**6))
+    # sizes whose runs fit in 1 GiB, so the memory check accepts them on any test machine
+    bandlimit = draw(st.integers(1, 10**5))
+    reference = 4 * bandlimit + draw(st.integers(0, 5 * 10**5))
     return ExperimentConfig(
         experiment=draw(st.sampled_from(EXPERIMENTS)),
         operator_kind=operator_kind,
@@ -112,7 +116,7 @@ def valid_configs(draw):
         plot_points=draw(st.integers(8, 10**5)),
         probe_s_values=tuple(draw(st.lists(_finite_floats, min_size=1, max_size=5))),
         probe_bandlimits=tuple(
-            sorted(draw(st.sets(st.integers(1, 10**7), min_size=1, max_size=5)))
+            sorted(draw(st.sets(st.integers(1, 4 * 10**6), min_size=1, max_size=5)))
         ),
         probe_growth_threshold=draw(_finite_floats),
         gamma_test_function_count=draw(st.integers(1, 2 * reference + 1)),
@@ -200,6 +204,15 @@ class TestConfig:
             (("dir = out", "dir = 100%"), r"\[output\] dir"),
             (("s_values = -2.0,0.0", "s_values = "), r"\[noise_probe\] s_values must be nonempty"),
             (("bandlimits = 64,128,256", "bandlimits = "), r"\[noise_probe\] bandlimits must be nonempty"),
+            # a size whose 8-byte mode table fits but whose run's arrays do not
+            (
+                ("reference_bandlimit = 256", f"reference_bandlimit = {ROOMY_BANDLIMIT}"),
+                r"\[resolution\] reference_bandlimit [^,]+ deblur run [^,]+ physical memory",
+            ),
+            (
+                ("bandlimits = 64,128,256", f"bandlimits = 64,128,{ROOMY_BANDLIMIT}"),
+                r"\[noise_probe\] bandlimits [^,]+ noise_probe run [^,]+ physical memory",
+            ),
         ],
     )
     def test_named_field_errors(self, tmp_path, mutation, needle):
@@ -547,6 +560,28 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("MemoryError: out of memory") and key in err
         assert "Traceback" not in err
+
+    def test_deblur_draws_each_seed_once(self, tmp_path, monkeypatch):
+        # one draw per seed feeds the error sweep, the snapshot and the H^1
+        # certificate alike
+        original = tikhtorus.noise.sample_white_noise
+        drawn = []
+
+        def counted(lattice, seed):
+            drawn.append(seed)
+            return original(lattice, seed)
+
+        for name, module in list(sys.modules.items()):
+            if name.split(".")[0] == "tikhtorus":
+                for attribute, value in list(vars(module).items()):
+                    if value is original:
+                        monkeypatch.setattr(module, attribute, counted)
+        path = CONFIG_DIR / "deblur.ini"
+        code = main(["deblur", "--config", str(path), "--out", str(tmp_path / "out")])
+        assert code == 0
+        seeds = load_config(path).seeds
+        assert len(drawn) == len(seeds)
+        assert drawn == list(seeds)
 
     def test_cli_run_does_not_load_scipy(self, tmp_path):
         # scipy backs only the dense solver; a fresh CLI process never imports it

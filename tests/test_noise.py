@@ -38,6 +38,11 @@ class TestSampler:
             center = lat.zero_index
             assert w.field.coefficients[center].imag == 0.0
 
+    def test_field_is_read_only(self):
+        w = sample_white_noise(FrequencyLattice(1, 16), 3)
+        with pytest.raises(ValueError):
+            w.field.coefficients[0] = 1.0
+
     @pytest.mark.parametrize("dimension,big,small", [(1, 64, 17), (2, 12, 5)])
     def test_bandlimit_nesting(self, dimension, big, small):
         # refining the bandlimit must extend a realization, not resample it

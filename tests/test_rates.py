@@ -283,6 +283,42 @@ class TestBandCalibration:
 
 
 class TestH1Divergence:
+    @pytest.mark.parametrize("kind", ["deblur", "twisted"])
+    def test_rows_equal_the_per_mode_composition(self, kind):
+        # every row is the from-scratch per-mode sum, bit for bit:
+        # h1_norm_sq = sum w1 |a|^2 delta^2 |eps|^2 / z^2 and
+        # lower_bound = bound_factor * sum_band |eps|^2
+        def twisted(modes):
+            l = modes[:, 0].astype(np.float64)
+            return np.exp(0.3j * l) / (1.0 + l**2)
+
+        A = deblur_operator()
+        if kind == "twisted":
+            A = MultiplierOperator(
+                symbol=twisted, order=-2.0, ellipticity=A.ellipticity, dimension=1
+            )
+        lattice = FrequencyLattice(1, 64)
+        seeds, deltas = [0, 5], [1e-2, 1e-3, 1e-4]
+        report = h1_divergence(A, DIVERGENCE_SCHEDULE, deltas, seeds, lattice)
+        assert len(report.rows) == len(seeds) * len(deltas)
+        _, _, bands = calibrate_band(A, lattice, deltas)
+        values = A.symbol_values(lattice)
+        symbol_sq = values.real**2 + values.imag**2
+        w1 = 1.0 + lattice.squared_norms()
+        alpha0 = DIVERGENCE_SCHEDULE.alpha0
+        bound_factor = 1.0 / ((1.0 + alpha0 / report.c0) * (report.c1 + alpha0))
+        rows = iter(report.rows)
+        for seed in seeds:
+            eps = sample_white_noise(lattice, seed).field.coefficients
+            eps_sq = eps.real**2 + eps.imag**2
+            for band in bands:
+                row = next(rows)
+                delta = band.delta
+                z = symbol_sq + DIVERGENCE_SCHEDULE.alpha(delta) * w1
+                assert (row.seed, row.delta) == (seed, delta)
+                assert row.h1_norm_sq == np.sum(w1 * (symbol_sq * (delta * delta) * eps_sq / (z * z)))
+                assert row.lower_bound == bound_factor * np.sum(eps_sq[band.member_indices])
+
     def test_actual_dominates_lower_bound(self):
         lattice = FrequencyLattice(1, 2048)
         report = h1_divergence(

@@ -20,6 +20,7 @@ from tikhtorus import (
     power_law_operator,
     single_mode_field,
     sobolev_norm,
+    sobolev_weights,
     truncate,
     zero_field,
 )
@@ -99,6 +100,19 @@ class TestField:
         with pytest.raises(ValueError):
             f.coefficients[0] = 1.0
 
+    def test_owned_path_keeps_its_checks(self):
+        # library-built arrays skip the copy, not the validation
+        lat = FrequencyLattice(1, 2)
+        with pytest.raises(InvalidFieldError):
+            SpectralField._owned(lat, np.array([1j, 0, 0, 0, 0], dtype=complex), hermitian=True)
+        with pytest.raises(DimensionError):
+            SpectralField._owned(lat, np.zeros(4, dtype=complex))
+        coeffs = np.array([1j, 0, 2, 0, -1j], dtype=complex)
+        f = SpectralField._owned(lat, coeffs, hermitian=True)
+        assert f.coefficients is coeffs
+        with pytest.raises(ValueError):
+            coeffs[0] = 1.0
+
 
 class TestSobolevNorm:
     def test_zero_field(self):
@@ -152,6 +166,18 @@ class TestSobolevNorm:
             assert sobolev_norm(lifted, 0.0) == pytest.approx(
                 sobolev_norm(f, r), abs=1e-12 * max(1.0, sobolev_norm(f, r))
             )
+
+
+class TestSobolevWeights:
+    @pytest.mark.parametrize("dimension,bandlimit", [(1, 64), (2, 6)])
+    @pytest.mark.parametrize("s", [-3.0, -0.6, 0.0, 1.0, 2.5, np.float64(1.0)])
+    def test_shared_weights_are_exact_and_read_only(self, dimension, bandlimit, s):
+        lat = FrequencyLattice(dimension, bandlimit)
+        weights = sobolev_weights(lat, s)
+        assert np.array_equal(weights, (1 + lat.squared_norms()) ** s)
+        assert sobolev_weights(FrequencyLattice(dimension, bandlimit), float(s)) is weights
+        with pytest.raises(ValueError):
+            weights[0] = 0.0
 
 
 class TestMultiplier:
