@@ -61,16 +61,12 @@ from .tikhonov import (
 )
 from .discrete import (
     DiscreteProblem,
-    PenaltyChoice,
     assemble,
     coords_to_field,
-    difference_penalty,
     field_to_coords,
     gamma_sweep,
-    identity_penalty,
     low_frequency_test_functions,
     solve_discrete,
-    spectral_penalty,
 )
 from .rates import (
     DivergenceReport,

@@ -37,6 +37,7 @@ from .spectral import (
     FrequencyLattice,
     MultiplierOperator,
     SpectralField,
+    finite_sobolev_weights,
     sobolev_norm,
     sobolev_weights,
     symbol_is_hermitian,
@@ -51,15 +52,7 @@ from .tikhonov import (
 
 DENSE_SIZE_CAP = 4096  # largest n or k that assemble() builds as a dense matrix
 
-IDENTITY = "identity"
-IDENTITY_PLUS_DIFFERENCE = "identity_plus_difference"
-SOBOLEV_SPECTRAL = "sobolev_spectral"
-
 __all__ = [
-    "PenaltyChoice",
-    "identity_penalty",
-    "difference_penalty",
-    "spectral_penalty",
     "DiscreteProblem",
     "assemble",
     "solve_discrete",
@@ -74,53 +67,6 @@ __all__ = [
 ]
 
 
-@dataclasses.dataclass(frozen=True)
-class PenaltyChoice:
-    """Which penalty matrix L enters ||L u||_2^2.
-
-    identity:                  L = I
-    identity_plus_difference:  L = I + D, D the periodic forward-difference
-                               matrix scaled by the grid size 1/n
-    sobolev_spectral(r):       L diagonal with entries (1+l^2)^(r/2), so
-                               L^T L realizes the H^r weight exactly
-    """
-
-    kind: str
-    r: float | None = None
-
-    def __post_init__(self) -> None:
-        if self.kind not in (IDENTITY, IDENTITY_PLUS_DIFFERENCE, SOBOLEV_SPECTRAL):
-            raise ParameterError(f"unknown penalty kind {self.kind!r}")
-        if self.kind == SOBOLEV_SPECTRAL:
-            if self.r is None or self.r < 0:
-                raise ParameterError("sobolev_spectral penalty needs r >= 0")
-        elif self.r is not None:
-            raise ParameterError(f"penalty {self.kind!r} takes no r parameter")
-
-
-def identity_penalty() -> PenaltyChoice:
-    return PenaltyChoice(IDENTITY)
-
-
-def difference_penalty() -> PenaltyChoice:
-    return PenaltyChoice(IDENTITY_PLUS_DIFFERENCE)
-
-
-def spectral_penalty(r: float) -> PenaltyChoice:
-    return PenaltyChoice(SOBOLEV_SPECTRAL, r=float(r))
-
-
-def _penalty_matrix(penalty: PenaltyChoice, size: int) -> np.ndarray:
-    if penalty.kind == IDENTITY:
-        return np.eye(size)
-    if penalty.kind == IDENTITY_PLUS_DIFFERENCE:
-        diff = -float(size) * np.eye(size)
-        diff += float(size) * np.eye(size, k=1)
-        diff[-1, 0] += float(size)  # periodic wrap of the forward difference
-        return np.eye(size) + diff
-    return np.diag(sobolev_weights(FrequencyLattice(1, (size - 1) // 2), penalty.r / 2.0))
-
-
 @dataclasses.dataclass(frozen=True, eq=False)
 class DiscreteProblem:
     """Matrix Tikhonov problem min ||A u - m||_2^2 + alpha ||L u||_2^2 with
@@ -131,13 +77,12 @@ class DiscreteProblem:
     A_matrix: np.ndarray
     L_matrix: np.ndarray
     alpha: float
-    penalty: PenaltyChoice
 
 
-def assemble(
-    A: MultiplierOperator, n: int, k: int, penalty: PenaltyChoice, alpha: float
-) -> DiscreteProblem:
-    """Build the k x n matrix section of the multiplier plus the penalty.
+def assemble(A: MultiplierOperator, n: int, k: int, alpha: float, r: float) -> DiscreteProblem:
+    """Build the k x n matrix section of the multiplier plus the H^r penalty
+    L = diag((1+|l|^2)^(r/2)), so ||L u||_2 is the H^r norm of u; r = 0 is
+    standard Tikhonov (L = I).
 
     Requires odd n and k (full conjugate pairs). A Hermitian symbol
     a = p + i q contributes the rotation block [[p, q], [-q, p]] on each
@@ -145,6 +90,8 @@ def assemble(
     """
     if alpha <= 0:
         raise ParameterError(f"alpha must be positive, got {alpha}")
+    if not r >= 0:
+        raise ParameterError(f"penalty order r must be >= 0, got {r}")
     if n < 1 or k < 1:
         raise ParameterError(f"need n, k >= 1, got n={n}, k={k}")
     if n % 2 == 0 or k % 2 == 0:
@@ -157,6 +104,7 @@ def assemble(
     half_n = (n - 1) // 2
     half_k = (k - 1) // 2
     lattice_n = FrequencyLattice(1, half_n)
+    finite_sobolev_weights(lattice_n, r, f"the penalty at r = {r:g}")  # L^T L, not just L
     values = A.symbol_values(lattice_n)
     if not symbol_is_hermitian(values):
         raise ParameterError(
@@ -178,9 +126,8 @@ def assemble(
         n=n,
         k=k,
         A_matrix=matrix,
-        L_matrix=_penalty_matrix(penalty, n),
+        L_matrix=np.diag(sobolev_weights(lattice_n, r / 2.0)),
         alpha=float(alpha),
-        penalty=penalty,
     )
 
 
@@ -336,12 +283,7 @@ def gamma_sweep(
     lattice = truth.lattice
     if lattice.dimension != 1:
         raise DimensionError("gamma sweep is implemented for d = 1")
-    with np.errstate(over="ignore"):
-        if not np.all(np.isfinite(sobolev_weights(lattice, schedule.r))):
-            raise ParameterError(
-                f"penalty weights (1+|l|^2)^r overflow at r = {schedule.r:g} "
-                f"on the reference bandlimit {lattice.bandlimit}"
-            )
+    finite_sobolev_weights(lattice, schedule.r, f"the penalty at [schedule] r = {schedule.r:g}")
 
     measurement = forward(A, truth, delta, noise)
     m_field = measurement.data

@@ -329,12 +329,12 @@ def calibrate_band(
     A: MultiplierOperator,
     lattice: FrequencyLattice,
     delta_grid: Sequence[float],
-    widening_limit: int = 40,
 ) -> tuple:
     """Pick (c0, c1) so the pinch band is nonempty for every delta.
 
     Starts from (0.5, 2.0) times the symbol's squared-to-weight ratio at the
-    mode closest to balance at the largest delta, then widens geometrically.
+    mode closest to balance at the largest delta, then widens geometrically,
+    at most 40 times.
     """
     values = A.symbol_values(lattice)
     symbol_sq = values.real**2 + values.imag**2
@@ -351,7 +351,7 @@ def calibrate_band(
     center = int(np.argmin(np.abs(log_ratio)))
     c0 = 0.5 * float(ratio[center])
     c1 = 2.0 * float(ratio[center])
-    for _ in range(widening_limit):
+    for _ in range(40):
         members = [_band_members(symbol_sq, weights1, float(d), c0, c1) for d in delta_grid]
         if all(indices.size > 0 for indices in members):
             bands = [

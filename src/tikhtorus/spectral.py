@@ -39,6 +39,7 @@ __all__ = [
     "zero_field",
     "single_mode_field",
     "sobolev_weights",
+    "finite_sobolev_weights",
     "sobolev_norm",
     "apply_multiplier",
     "truncate",
@@ -281,6 +282,19 @@ def sobolev_weights(lattice: FrequencyLattice, s: float) -> np.ndarray:
     return _sobolev_weights(lattice.dimension, lattice.bandlimit, float(s))
 
 
+def finite_sobolev_weights(lattice: FrequencyLattice, s: float, what: str) -> np.ndarray:
+    """:func:`sobolev_weights`, or a ParameterError instead of weights that
+    overflow to inf (and of the RuntimeWarning). ``what`` names the quantity
+    the weights enter, as the error message's subject."""
+    with np.errstate(over="ignore"):
+        weights = sobolev_weights(lattice, s)
+    if not np.isfinite(weights).all():
+        raise ParameterError(
+            f"{what} is not finite: (1+|l|^2)^{s:g} overflows on bandlimit {lattice.bandlimit}"
+        )
+    return weights
+
+
 def sobolev_norm(field: SpectralField, s: float) -> float:
     """Truncated H^s norm ( sum_l (1+|l|^2)^s |c(l)|^2 )^(1/2).
 
@@ -345,9 +359,7 @@ def evaluate_on_grid(field: SpectralField, points_per_axis: int) -> np.ndarray:
     return np.ascontiguousarray(values.real)
 
 
-def field_from_grid(
-    lattice: FrequencyLattice, values: np.ndarray, hermitian: bool = True
-) -> SpectralField:
+def field_from_grid(lattice: FrequencyLattice, values: np.ndarray) -> SpectralField:
     """Analyze real grid samples into lattice coefficients (inverse of
     evaluate_on_grid for bandlimited data).
 
@@ -366,11 +378,10 @@ def field_from_grid(
         )
     spectrum = np.fft.fftn(values) / points**lattice.dimension
     coeffs = spectrum[_fft_bins(lattice, points)]
-    if hermitian:
-        coeffs = 0.5 * (coeffs + coeffs[::-1].conj())
-        zero = lattice.zero_index
-        coeffs[zero] = coeffs[zero].real
-    return SpectralField(lattice, coeffs, hermitian=hermitian)
+    coeffs = 0.5 * (coeffs + coeffs[::-1].conj())
+    zero = lattice.zero_index
+    coeffs[zero] = coeffs[zero].real
+    return SpectralField(lattice, coeffs, hermitian=True)
 
 
 def power_law_operator(

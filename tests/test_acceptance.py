@@ -45,7 +45,6 @@ from tikhtorus import (
     sobolev_norm,
     solve,
     solve_discrete,
-    spectral_penalty,
     stationarity_defect,
 )
 from tikhtorus.cli import main
@@ -79,7 +78,7 @@ def test_criterion_1_solver_oracle_equivalence():
     n = 2 * M + 1
     assert n == 257
     alpha = 1e-5
-    problem = assemble(deblur_operator(), n, n, spectral_penalty(1.0), alpha)
+    problem = assemble(deblur_operator(), n, n, alpha, 1.0)
     lattice = FrequencyLattice(1, M)
     rng = np.random.default_rng(2357)
     worst = 0.0

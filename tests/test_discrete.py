@@ -17,12 +17,10 @@ from tikhtorus import (
     assemble,
     coords_to_field,
     deblur_operator,
-    difference_penalty,
     field_to_coords,
     forward,
     gamma_sweep,
     hat_coefficients,
-    identity_penalty,
     low_frequency_test_functions,
     power_law_operator,
     sample_white_noise,
@@ -30,7 +28,6 @@ from tikhtorus import (
     solve,
     solve_discrete,
     sobolev_weights,
-    spectral_penalty,
     truncate,
     data_shifted_functional,
 )
@@ -39,7 +36,6 @@ from tikhtorus.discrete import (
     GammaResult,
     GammaRow,
     GammaSizeSummary,
-    _penalty_matrix,
 )
 
 from test_spectral import random_hermitian_field
@@ -76,41 +72,31 @@ class TestCoordinates:
 
 class TestPenalties:
     def test_identity(self):
-        assert np.array_equal(_penalty_matrix(identity_penalty(), 5), np.eye(5))
+        L = assemble(deblur_operator(), 5, 5, 1.0, 0.0).L_matrix
+        assert np.array_equal(L, np.eye(5))
 
     def test_spectral_weights(self):
-        L = _penalty_matrix(spectral_penalty(1.0), 5)
+        L = assemble(deblur_operator(), 5, 5, 1.0, 1.0).L_matrix
         modes = np.array([-2, -1, 0, 1, 2], dtype=float)
         np.testing.assert_allclose(np.diag(L) ** 2, (1 + modes**2), rtol=1e-15)
 
-    def test_difference_matrix_shape_and_spd(self):
-        n = 7
-        L = _penalty_matrix(difference_penalty(), n)
-        # L = I + D with D the periodic forward difference scaled by n
-        D = L - np.eye(n)
-        assert D[0, 0] == -n and D[0, 1] == n and D[n - 1, 0] == n
-        gram = L.T @ L
-        assert np.min(np.linalg.eigvalsh(gram)) > 0
-
     def test_penalty_validation(self):
-        with pytest.raises(ParameterError):
-            spectral_penalty(-1.0)
-        from tikhtorus import PenaltyChoice
-
-        with pytest.raises(ParameterError):
-            PenaltyChoice("identity", r=1.0)
-        with pytest.raises(ParameterError):
-            PenaltyChoice("unknown")
+        for r in (-1.0, float("nan")):
+            with pytest.raises(ParameterError, match="penalty order r"):
+                assemble(deblur_operator(), 5, 5, 1.0, r)
+        # (1+50^2)^400 overflows: an error, not an inf L and a RuntimeWarning
+        with pytest.raises(ParameterError, match="r = 400"):
+            assemble(deblur_operator(), 101, 101, 1e-3, 400.0)
 
 
 class TestAssemble:
     def test_identity_operator_square(self):
-        prob = assemble(power_law_operator(0.0), 9, 9, identity_penalty(), 0.5)
+        prob = assemble(power_law_operator(0.0), 9, 9, 0.5, 0.0)
         assert np.array_equal(prob.A_matrix, np.eye(9))
 
     def test_scalar_problem(self):
         # constant mode only: normal matrix is 1 + alpha, so data 2 gives 2/(1+alpha)
-        prob = assemble(power_law_operator(0.0), 1, 1, identity_penalty(), 1.0)
+        prob = assemble(power_law_operator(0.0), 1, 1, 1.0, 0.0)
         x = solve_discrete(prob, np.array([2.0]))
         assert x[0] == pytest.approx(1.0, rel=1e-14)
 
@@ -118,7 +104,7 @@ class TestAssemble:
         M = 8
         n = 2 * M + 1
         alpha = 1e-2
-        prob = assemble(deblur_operator(), n, n, spectral_penalty(1.0), alpha)
+        prob = assemble(deblur_operator(), n, n, alpha, 1.0)
         gram = prob.A_matrix.T @ prob.A_matrix + alpha * prob.L_matrix.T @ prob.L_matrix
         modes = np.arange(-M, M + 1, dtype=float)
         expected = (1 + modes**2) ** -2 + alpha * (1 + modes**2)
@@ -126,7 +112,7 @@ class TestAssemble:
         assert np.max(np.abs(gram - np.diag(np.diag(gram)))) == 0.0
 
     def test_rectangular_sections(self):
-        prob = assemble(deblur_operator(), 9, 5, spectral_penalty(1.0), 1e-3)
+        prob = assemble(deblur_operator(), 9, 5, 1e-3, 1.0)
         assert prob.A_matrix.shape == (5, 9)
         # unobserved columns (|l| > 2) are zero
         assert np.all(prob.A_matrix[:, :2] == 0)
@@ -134,22 +120,22 @@ class TestAssemble:
 
     def test_validation(self):
         with pytest.raises(ParameterError):
-            assemble(deblur_operator(), 8, 9, identity_penalty(), 1.0)  # even n
+            assemble(deblur_operator(), 8, 9, 1.0, 0.0)  # even n
         with pytest.raises(ParameterError):
-            assemble(deblur_operator(), 9, 9, identity_penalty(), 0.0)  # alpha
+            assemble(deblur_operator(), 9, 9, 0.0, 0.0)  # alpha
         with pytest.raises(ParameterError):
-            assemble(deblur_operator(), DENSE_SIZE_CAP + 3, 9, identity_penalty(), 1.0)
+            assemble(deblur_operator(), DENSE_SIZE_CAP + 3, 9, 1.0, 0.0)
 
 
 class TestSolveDiscrete:
     def test_solves_with_the_deferred_scipy_import(self):
-        problem = assemble(deblur_operator(), 9, 9, spectral_penalty(1.0), 1e-2)
+        problem = assemble(deblur_operator(), 9, 9, 1e-2, 1.0)
         solution = solve_discrete(problem, np.arange(9.0))
         assert "scipy.linalg" in sys.modules
         assert np.all(np.isfinite(solution))
 
     def test_zero_data(self):
-        prob = assemble(deblur_operator(), 17, 17, spectral_penalty(1.0), 1e-3)
+        prob = assemble(deblur_operator(), 17, 17, 1e-3, 1.0)
         x = solve_discrete(prob, np.zeros(17))
         assert np.all(x == 0)
 
@@ -157,7 +143,7 @@ class TestSolveDiscrete:
         M = 16
         n = 2 * M + 1
         alpha = 1e-4
-        prob = assemble(deblur_operator(), n, n, spectral_penalty(1.0), alpha)
+        prob = assemble(deblur_operator(), n, n, alpha, 1.0)
         rng = np.random.default_rng(3)
         data = rng.standard_normal(n)
         x = solve_discrete(prob, data)
@@ -166,7 +152,7 @@ class TestSolveDiscrete:
         assert np.max(np.abs(x - reference)) < 1e-10
 
     def test_normal_equation_residual(self):
-        prob = assemble(deblur_operator(), 33, 33, difference_penalty(), 1e-5)
+        prob = assemble(twisted_deblur_operator(), 33, 33, 1e-5, 1.0)
         rng = np.random.default_rng(8)
         data = rng.standard_normal(33)
         x = solve_discrete(prob, data)
@@ -175,7 +161,7 @@ class TestSolveDiscrete:
         assert np.linalg.norm(gram @ x - rhs) <= 1e-10 * np.linalg.norm(rhs)
 
     def test_minimizes_objective(self):
-        prob = assemble(deblur_operator(), 9, 9, spectral_penalty(1.0), 1e-2)
+        prob = assemble(deblur_operator(), 9, 9, 1e-2, 1.0)
         rng = np.random.default_rng(10)
         data = rng.standard_normal(9)
         x = solve_discrete(prob, data)
@@ -192,29 +178,28 @@ class TestSolveDiscrete:
     def test_spd_floor(self):
         # smallest eigenvalue of the normal matrix is at least alpha * lambda_min(L^T L)
         alpha = 1e-3
-        for penalty in (identity_penalty(), spectral_penalty(1.0), difference_penalty()):
-            prob = assemble(deblur_operator(), 17, 17, penalty, alpha)
+        for r in (0.0, 1.0):
+            prob = assemble(deblur_operator(), 17, 17, alpha, r)
             gram = prob.A_matrix.T @ prob.A_matrix + alpha * prob.L_matrix.T @ prob.L_matrix
             floor = alpha * np.min(np.linalg.eigvalsh(prob.L_matrix.T @ prob.L_matrix))
             assert floor > 0
             assert np.min(np.linalg.eigvalsh(gram)) >= floor * (1 - 1e-10)
 
     def test_wrong_data_length(self):
-        prob = assemble(deblur_operator(), 9, 9, identity_penalty(), 1.0)
+        prob = assemble(deblur_operator(), 9, 9, 1.0, 0.0)
         with pytest.raises(DimensionError):
             solve_discrete(prob, np.zeros(5))
 
     def test_non_spd_detected(self):
         # a zero operator with a zero penalty makes the normal matrix singular;
         # assemble() never produces this, so build the problem directly
-        prob = assemble(deblur_operator(), 5, 5, identity_penalty(), 1e-3)
+        prob = assemble(deblur_operator(), 5, 5, 1e-3, 0.0)
         degenerate = type(prob)(
             n=2,
             k=2,
             A_matrix=np.zeros((2, 2)),
             L_matrix=np.zeros((2, 2)),
             alpha=1.0,
-            penalty=prob.penalty,
         )
         with pytest.raises(NumericalError):
             solve_discrete(degenerate, np.ones(2))
@@ -238,7 +223,7 @@ def dense_gamma_oracle(operator, truth, noise, delta, sizes, phis):
         small = FrequencyLattice(1, half_n)
         data = field_to_coords(truncate(m_field, half_k))
         c_k = float(data @ data)
-        problem = assemble(operator, n, k, spectral_penalty(r), alpha)
+        problem = assemble(operator, n, k, alpha, r)
         coords = solve_discrete(problem, data)
         misfit = problem.A_matrix @ coords - data
         penalty = problem.L_matrix @ coords
