@@ -1,7 +1,8 @@
 """Finite-dimensional Tikhonov problems in the real trigonometric basis: a
 dense normal-equation solver (library API and reference oracle; the only
-user of scipy, imported on first call), plus the refinement sweep, which
-solves every (n, k) size in closed form because the spectral H^r penalty
+user of scipy, imported on first call) whose penalty is the H^r norm,
+L = diag((1+|l|^2)^(r/2)) with r = 0 the identity, plus the refinement
+sweep, which solves every (n, k) size in closed form because that penalty
 keeps the normal matrix block-diagonal per mode.
 
 Basis and projections (d = 1)

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import sys
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -23,6 +24,7 @@ from .spectral import (
     FrequencyLattice,
     MultiplierOperator,
     SpectralField,
+    finite_sobolev_weights,
     sobolev_norm,
     sobolev_weights,
 )
@@ -214,33 +216,49 @@ class SweepTables:
             raise ParameterError("error_sweep needs nonempty s1_list, delta_grid, seeds")
         if any(d2 >= d1 for d1, d2 in zip(delta_grid, delta_grid[1:])):
             raise ParameterError("delta_grid must be strictly decreasing")
-        if not math.isfinite(sobolev_norm(truth, schedule.r)):
-            raise ParameterError("truth must have finite H^r norm")
         self.truth = truth
         self.s1_list = [float(s1) for s1 in s1_list]
         self.delta_grid = [float(delta) for delta in delta_grid]
         self.labels = [-1 if seed is None else int(seed) for seed in seeds]
-        values = A.symbol_values(truth.lattice)
+        lattice = truth.lattice
+        self._weights_r = finite_sobolev_weights(
+            lattice, schedule.r, f"the penalty at [schedule] r = {schedule.r:g}"
+        )
+        if not math.isfinite(sobolev_norm(truth, schedule.r)):
+            raise ParameterError("truth must have finite H^r norm")
+        values = A.symbol_values(lattice)
         self._symbol_sq = values.real**2 + values.imag**2
         self._symbol_conj = values.conj()
-        self._weights_r = sobolev_weights(truth.lattice, schedule.r)
         self._alphas = [schedule.alpha(delta) for delta in self.delta_grid]
+        if 0.0 in self._alphas and not self._symbol_sq.all():
+            raise ParameterError(
+                f"alpha = alpha0 * delta^kappa underflows to 0 at delta = "
+                f"{self.delta_grid[self._alphas.index(0.0)]:g} and so does |a(l)|^2 at some "
+                f"mode, so the filter is 0/0 there ([schedule] alpha0 = {schedule.alpha0:g}, "
+                f"kappa = {schedule.kappa:g})"
+            )
 
     def errors(self, eps: np.ndarray) -> np.ndarray:
         """errors[k, i] = ||T(m_delta_i) - u||_{H^s1_k} for one noise draw
         ``eps`` (its coefficients; zeros for the noise-free pipeline)."""
         lattice, u = self.truth.lattice, self.truth.coefficients
         out = np.empty((len(self.s1_list), len(self.delta_grid)))
-        for i, (delta, alpha) in enumerate(zip(self.delta_grid, self._alphas)):
-            z = self._symbol_sq + alpha * self._weights_r
-            deviation = SpectralField._owned(
-                lattice, (self._symbol_sq / z) * u + (self._symbol_conj / z) * (delta * eps) - u
-            )
-            for k, s1 in enumerate(self.s1_list):
-                error = sobolev_norm(deviation, s1)
-                if not math.isfinite(error):
-                    raise ParameterError(f"error at s1 = {s1:g}, delta = {delta:g} is {error}, not finite")
-                out[k, i] = error
+        # an inf z (alpha (1+|l|^2)^r overflows) makes the filter factors 0,
+        # their value in double precision; an error that overflows is caught
+        with np.errstate(over="ignore", invalid="ignore"):
+            for i, (delta, alpha) in enumerate(zip(self.delta_grid, self._alphas)):
+                z = self._symbol_sq + alpha * self._weights_r
+                deviation = SpectralField._owned(
+                    lattice, (self._symbol_sq / z) * u + (self._symbol_conj / z) * (delta * eps) - u
+                )
+                for k, s1 in enumerate(self.s1_list):
+                    error = sobolev_norm(deviation, s1)
+                    if not math.isfinite(error):
+                        where = f"s1 = {s1:g}, delta = {delta:g}"
+                        finite_sobolev_weights(lattice, s1, f"the error at {where} ([grids] s1_list)")
+                        raise ParameterError(f"error at {where} is {error}, not finite")
+                    out[k, i] = error
+                del z, deviation  # so the next delta's arrays never overlap these
         return out
 
     def result(self, per_seed: list) -> SweepResult:
@@ -410,6 +428,11 @@ class DivergenceTables:
             raise ParameterError("h1_divergence needs nonempty delta_grid and seeds")
         if max(delta_grid) > 1.0:
             raise ParameterError("divergence certificate requires deltas <= 1")
+        if min(delta_grid) ** 2 < sys.float_info.min:
+            raise ParameterError(
+                f"divergence certificate needs delta^2 to be a normal double, got "
+                f"delta = {min(delta_grid):g} ([grids] delta_grid)"
+            )
         self.c0, self.c1, self.bands = calibrate_band(A, lattice, delta_grid)
         values = A.symbol_values(lattice)
         self._symbol_sq = values.real**2 + values.imag**2
@@ -422,19 +445,27 @@ class DivergenceTables:
         (its coefficients) of ``seed``."""
         eps_power = eps.real**2 + eps.imag**2
         rows = []
-        for band, alpha in zip(self.bands, self._alphas):
-            delta = band.delta
-            z = self._symbol_sq + alpha * self._weights1
-            w_power = self._symbol_sq * (delta * delta) * eps_power / (z * z)
-            rows.append(
-                DivergenceRow(
+        # z * z may leave the double range at some modes: their share of the
+        # norm is then 0 (benign) or inf/nan, which is caught below
+        with np.errstate(all="ignore"):
+            for band, alpha in zip(self.bands, self._alphas):
+                delta = band.delta
+                z = self._symbol_sq + alpha * self._weights1
+                w_power = self._symbol_sq * (delta * delta) * eps_power / (z * z)
+                row = DivergenceRow(
                     delta=delta,
                     seed=int(seed),
                     band_size=int(band.member_indices.size),
                     lower_bound=self._bound_factor * float(np.sum(eps_power[band.member_indices])),
                     h1_norm_sq=float(np.sum(self._weights1 * w_power)),
                 )
-            )
+                if not 0.0 < row.h1_norm_sq < math.inf:
+                    raise ParameterError(
+                        f"||w_delta||_H^1^2 is {row.h1_norm_sq} at delta = {delta:g}, seed = {seed}: "
+                        f"(|a|^2 + alpha (1+|l|^2))^2 leaves the double range at alpha = {alpha:g} "
+                        "([schedule] alpha0)"
+                    )
+                rows.append(row)
         return rows
 
     def report(self, per_seed: list) -> DivergenceReport:

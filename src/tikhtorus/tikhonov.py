@@ -15,6 +15,7 @@ Everything in this module is O(mode count); no matrix is ever formed.
 from __future__ import annotations
 
 import dataclasses
+import math
 from typing import NamedTuple
 
 import numpy as np
@@ -66,7 +67,16 @@ class RegularizationSchedule:
     def alpha(self, delta: float) -> float:
         if delta <= 0:
             raise ParameterError(f"delta must be positive, got {delta}")
-        return self.alpha0 * delta**self.kappa
+        try:
+            alpha = self.alpha0 * delta**self.kappa
+        except OverflowError:  # a delta above 1 to a huge kappa
+            alpha = math.inf
+        if alpha == math.inf:
+            raise ParameterError(
+                f"alpha = alpha0 * delta^kappa overflows at delta = {delta:g} "
+                f"([schedule] alpha0 = {self.alpha0:g}, kappa = {self.kappa:g})"
+            )
+        return alpha
 
 
 @dataclasses.dataclass(frozen=True, eq=False)
@@ -120,7 +130,10 @@ def _denominator(
     A: MultiplierOperator, lattice: FrequencyLattice, alpha: float, r: float
 ) -> tuple:
     values = A.symbol_values(lattice)
-    z = (values.real**2 + values.imag**2) + alpha * sobolev_weights(lattice, r)
+    # where alpha (1+|l|^2)^r overflows, z = inf makes the filter factors 0,
+    # which is their value in double precision
+    with np.errstate(over="ignore"):
+        z = (values.real**2 + values.imag**2) + alpha * sobolev_weights(lattice, r)
     return values, z
 
 

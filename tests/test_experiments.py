@@ -1,12 +1,15 @@
 """Config parsing, experiment runners, CLI contract, output determinism."""
 
+import contextlib
 import dataclasses
+import io
 import json
 import math
 import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -122,6 +125,60 @@ def valid_configs(draw):
         gamma_test_function_count=draw(st.integers(1, 2 * reference + 1)),
         output_dir=draw(_paths),
     )
+
+
+def _magnitudes(low, high):
+    """Floats from 10^low to 10^high, spread evenly on a log scale."""
+    return st.floats(low, high).map(lambda exponent: 10.0**exponent)
+
+
+@st.composite
+def extreme_small_configs(draw):
+    """An ExperimentConfig at small sizes with extreme schedule, operator and
+    grid values: alpha0 and kappa over 1e-300..1e300, r up to 500, deltas
+    down to 1e-300, Sobolev orders over +-400."""
+    operator_kind = draw(st.sampled_from(["deblur_1d", "power_law"]))
+    bandlimit = draw(st.integers(1, 8))
+    orders = st.lists(st.floats(-400.0, 400.0), min_size=1, max_size=3)
+    return ExperimentConfig(
+        experiment=draw(st.sampled_from(EXPERIMENTS)),
+        operator_kind=operator_kind,
+        operator_exponent=-2.0 if operator_kind == "deblur_1d" else -draw(_magnitudes(-3, 2.7)),
+        alpha0=draw(_magnitudes(-300, 300)),
+        kappa=draw(_magnitudes(-300, 300)),
+        r=draw(st.one_of(st.just(1.0), st.floats(0.0, 500.0))),  # the certificate needs r = 1
+        noise_regularity=draw(st.floats(-10.0, 10.0)),
+        seeds=tuple(draw(st.lists(st.integers(0, 2**32), min_size=1, max_size=2))),
+        delta_grid=tuple(
+            sorted(draw(st.sets(_magnitudes(-300, 1), min_size=1, max_size=4)), reverse=True)
+        ),
+        s1_list=tuple(draw(orders)),
+        bandlimit=bandlimit,
+        reference_bandlimit=draw(st.integers(4 * bandlimit, 64)),
+        plot_points=draw(st.integers(8, 64)),
+        probe_s_values=tuple(draw(orders)),
+        probe_bandlimits=tuple(sorted(draw(st.sets(st.integers(1, 64), min_size=1, max_size=3)))),
+        gamma_test_function_count=draw(st.integers(1, 5)),
+        output_dir="out",
+    )
+
+
+def assert_csv_numbers_finite(out_dir):
+    """Every number in the run's CSV tables is finite, except the documented
+    nan: no exponent is predicted for an out_of_range row of slopes.csv."""
+    for table in out_dir.glob("*.csv"):
+        header, *lines = table.read_text().splitlines()
+        for line in lines:
+            row = dict(zip(header.split(","), line.split(",")))
+            for column, cell in row.items():
+                try:
+                    value = float(cell)
+                except ValueError:  # labels and empty cells
+                    continue
+                documented = (table.name, column, row.get("regime")) == (
+                    "slopes.csv", "predicted_exponent", "out_of_range"
+                )
+                assert math.isfinite(value) or (documented and math.isnan(value)), (table.name, line)
 
 
 def metadata_to_ini(meta):
@@ -448,11 +505,7 @@ class TestCli:
             (("kappa = 2.5", "kappa = 1e6"), "s1 = -1.5, delta = 0.01 is 0"),
             (("alpha0 = 1.0", "alpha0 = 1e-320"), "s1 = -1.5, delta = 0.01 is 0"),
             # the weights (1+|l|^2)^400 overflow on purpose
-            pytest.param(
-                ("s1_list = -1.5,1.0", "s1_list = 400"),
-                "s1 = 400, delta = 0.01",
-                marks=pytest.mark.filterwarnings("ignore::RuntimeWarning"),
-            ),
+            (("s1_list = -1.5,1.0", "s1_list = 400"), "s1 = 400, delta = 0.01"),
         ],
         ids=["kappa", "alpha0", "s1"],
     )
@@ -477,13 +530,61 @@ class TestCli:
         assert "[schedule] alpha0" in err and "kappa" in err and "delta = " in err
         assert not (tmp_path / "out").exists()
 
-    def test_penalty_overflow_exit_code(self, tmp_path, capsys):
+    @pytest.mark.parametrize("experiment", ["deblur", "rates", "gamma"])
+    def test_penalty_overflow_exit_code(self, tmp_path, capsys, experiment):
         # (1+|l|^2)^400 overflows on the reference lattice
-        text = small_config_text("gamma", str(tmp_path / "out")).replace("r = 1.0", "r = 400")
-        code = main(["gamma", "--config", str(write_config(tmp_path, text))])
+        text = small_config_text(experiment, str(tmp_path / "out")).replace("r = 1.0", "r = 400")
+        code = main([experiment, "--config", str(write_config(tmp_path, text))])
         assert code == 4
         err = capsys.readouterr().err
         assert err.startswith("ParameterError") and "r = 400" in err
+
+    @pytest.mark.parametrize("experiment", ["deblur", "rates", "gamma"])
+    def test_penalty_product_overflow_is_benign(self, tmp_path, experiment):
+        # (1+|l|^2)^60 is finite on the reference lattice but alpha times it
+        # overflows: z = inf makes those filter factors 0, their double value
+        out = tmp_path / "out"
+        text = small_config_text(experiment, str(out))
+        text = text.replace("r = 1.0", "r = 60").replace("alpha0 = 1.0", "alpha0 = 1e30")
+        assert main([experiment, "--config", str(write_config(tmp_path, text))]) == 0
+        assert_csv_numbers_finite(out)
+
+    _ALPHA_OVERFLOW = (("kappa = 2.5", "kappa = 1e6"), ("delta_grid = 1e-2", "delta_grid = 2.0"))
+
+    @pytest.mark.parametrize(
+        "experiment,mutations,needle",
+        [
+            # z = |a|^2 + alpha (1+|l|^2) squares past the double range at every
+            # mode of the H^1 certificate, so every ||w_delta||_H^1 reads 0
+            ("deblur", [("alpha0 = 1.0", "alpha0 = 1e300")], "[schedule] alpha0"),
+            # alpha = alpha0 * delta^kappa overflows at delta = 2
+            ("rates", _ALPHA_OVERFLOW, "[schedule] alpha0"),
+            ("gamma", _ALPHA_OVERFLOW, "[schedule] alpha0"),
+            # alpha and |a(l)|^2 both underflow to 0, so the filter is 0/0
+            (
+                "rates",
+                [
+                    ("kind = deblur_1d", "kind = power_law\nexponent = -100"),
+                    ("alpha0 = 1.0", "alpha0 = 1e-320"),
+                ],
+                "[schedule] alpha0",
+            ),
+            # the H^1 certificate squares deltas to 0 or to a subnormal
+            ("deblur", [("1e-2,1e-3,1e-4", "1e-200,1e-250,1e-300")], "[grids] delta_grid"),
+            ("deblur", [("1e-2,1e-3,1e-4", "1e-2,1e-3,1.5e-158")], "[grids] delta_grid"),
+        ],
+        ids=["certificate", "rates-alpha", "gamma-alpha", "filter", "delta", "subnormal"],
+    )
+    def test_schedule_extremes_exit_code(self, tmp_path, capsys, experiment, mutations, needle):
+        out = tmp_path / "out"
+        text = small_config_text(experiment, str(out))
+        for mutation in mutations:
+            text = text.replace(*mutation)
+        code = main([experiment, "--config", str(write_config(tmp_path, text))])
+        assert code == 4
+        err = capsys.readouterr().err
+        assert err.startswith("ParameterError") and needle in err, err
+        assert not out.exists()
 
     def test_probe_energy_overflow_exit_code(self, tmp_path, capsys):
         # (1+|l|^2)^400 overflows on the probe lattice
@@ -582,6 +683,26 @@ class TestCli:
         seeds = load_config(path).seeds
         assert len(drawn) == len(seeds)
         assert drawn == list(seeds)
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(config=extreme_small_configs())
+    def test_extreme_values_keep_the_exit_code_contract(self, tmp_path_factory, config):
+        # every run exits 0, 2 or 4 with no exception or warning escaping, and a
+        # run that exits 0 writes only finite numbers
+        root = tmp_path_factory.mktemp("extreme")
+        path = root / "exp.ini"
+        path.write_text(metadata_to_ini(config.to_metadata()))
+        out = root / "out"
+        argv = [config.experiment.replace("_", "-"), "--config", str(path), "--out", str(out)]
+        with warnings.catch_warnings(), contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()) as err:
+            warnings.simplefilter("error")
+            code = main(argv)
+        assert code in (0, 2, 4), err.getvalue()
+        if code:
+            assert not out.exists(), err.getvalue()
+        else:
+            assert_csv_numbers_finite(out)
 
     def test_cli_run_does_not_load_scipy(self, tmp_path):
         # scipy backs only the dense solver; a fresh CLI process never imports it
