@@ -244,7 +244,8 @@ class SweepTables:
         lattice, u = self.truth.lattice, self.truth.coefficients
         out = np.empty((len(self.s1_list), len(self.delta_grid)))
         # an inf z (alpha (1+|l|^2)^r overflows) makes the filter factors 0,
-        # their value in double precision; an error that overflows is caught
+        # their value in double precision; an error that is not finite is
+        # caught below
         with np.errstate(over="ignore", invalid="ignore"):
             for i, (delta, alpha) in enumerate(zip(self.delta_grid, self._alphas)):
                 z = self._symbol_sq + alpha * self._weights_r
