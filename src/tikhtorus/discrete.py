@@ -38,6 +38,7 @@ from .spectral import (
     FrequencyLattice,
     MultiplierOperator,
     SpectralField,
+    ball,
     finite_sobolev_weights,
     sobolev_norm,
     sobolev_weights,
@@ -220,8 +221,8 @@ def _l2_pairing(f: SpectralField, g: SpectralField) -> float:
 def _embed(field: SpectralField, big: FrequencyLattice) -> SpectralField:
     """Zero-extend a field onto a larger lattice."""
     coeffs = np.zeros(big.mode_count, dtype=np.complex128)
-    keep = big.shells() <= field.lattice.bandlimit
-    coeffs[keep] = field.coefficients
+    window = ball(big, coeffs, field.lattice.bandlimit)
+    window[...] = field.coefficients.reshape(window.shape)
     return SpectralField(big, coeffs, hermitian=field.hermitian)
 
 

@@ -21,7 +21,7 @@ import numpy as np
 from . import __version__
 from .config import ExperimentConfig
 from .discrete import gamma_sweep, low_frequency_test_functions
-from .errors import ConfigError, ParameterError
+from .errors import CalibrationError, ConfigError, DomainError, ParameterError
 from .noise import NoiseRealization, regularity_probe, sample_white_noise
 from .rates import DivergenceTables, SweepTables, error_sweep, predicted_exponent
 from .signals import hat_coefficients, hat_values, load_coefficient_file
@@ -209,13 +209,18 @@ def run_deblur(config: ExperimentConfig) -> dict:
     # configured alpha0 (only meaningful for the first-derivative penalty)
     certificate = None
     if config.r == 1.0 and max(config.delta_grid) <= 1.0:
-        certificate = DivergenceTables(
-            operator,
-            RegularizationSchedule(alpha0=config.alpha0, kappa=2.0, r=1.0),
-            config.delta_grid,
-            config.seeds,
-            lattice,
-        )
+        try:
+            certificate = DivergenceTables(
+                operator,
+                RegularizationSchedule(alpha0=config.alpha0, kappa=2.0, r=1.0),
+                config.delta_grid,
+                config.seeds,
+                lattice,
+            )
+        except CalibrationError as exc:
+            raise CalibrationError(
+                f"{exc} ([grids] delta_grid, [operator] exponent = {config.operator_exponent:g})"
+            ) from exc
 
     errors = []
     divergence = []
@@ -314,9 +319,16 @@ def run_rates(config: ExperimentConfig) -> dict:
             f"[operator] exponent = {config.operator_exponent:g}, [schedule] r = {config.r:g})"
         ) from exc
 
-    sweep = error_sweep(
-        operator, truth, schedule, config.s1_list, config.delta_grid, [None]
-    )
+    try:
+        sweep = error_sweep(
+            operator, truth, schedule, config.s1_list, config.delta_grid, [None]
+        )
+    except DomainError as exc:
+        raise DomainError(
+            f"{exc}: a noise-free error is 0 where alpha = alpha0 * delta^kappa is too small "
+            f"to regularize ([grids] delta_grid, [schedule] alpha0 = {config.alpha0:g}, "
+            f"kappa = {config.kappa:g})"
+        ) from exc
     error_rows = [
         (row.s1, row.delta, row.seed, row.raw_error, row.normalized_error)
         for row in sweep.rows

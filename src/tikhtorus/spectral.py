@@ -42,6 +42,7 @@ __all__ = [
     "finite_sobolev_weights",
     "sobolev_norm",
     "apply_multiplier",
+    "ball",
     "truncate",
     "evaluate_on_grid",
     "field_from_grid",
@@ -317,19 +318,32 @@ def apply_multiplier(op: MultiplierOperator, field: SpectralField) -> SpectralFi
     return SpectralField(field.lattice, values * field.coefficients, hermitian=hermitian)
 
 
+def ball(lattice: FrequencyLattice, table: np.ndarray, m: int) -> np.ndarray:
+    """The entries of a lattice-ordered table at the modes with
+    max_i |l_i| <= m, as a view of shape (2m+1,)*d.
+
+    The modes of the ball form a sub-cube of the enumeration, so this is a
+    slice on each axis, not a mask. Its C-order ``ravel()`` is the lattice of
+    bandlimit m in its own enumeration order, the same array as
+    ``table[lattice.shells() <= m]``: a view in 1-d, a contiguous copy in
+    2-d. Writing through the view writes the table.
+    """
+    M = lattice.bandlimit
+    if not 0 <= m <= M:
+        raise TruncationRangeError(f"bandlimit {m} is outside 0..{M}, the lattice's range")
+    cube = table.reshape((2 * M + 1,) * lattice.dimension)
+    return cube[(slice(M - m, M + m + 1),) * lattice.dimension]
+
+
 def truncate(field: SpectralField, new_bandlimit: int) -> SpectralField:
     """Keep modes with max_i |l_i| <= new_bandlimit (spectral projection).
 
     Lexicographic order restricted to the smaller cube is the smaller
     lattice's own enumeration, so kept coefficients transfer verbatim.
     """
-    if new_bandlimit > field.lattice.bandlimit:
-        raise TruncationRangeError(
-            f"new bandlimit {new_bandlimit} exceeds field bandlimit {field.lattice.bandlimit}"
-        )
     small = FrequencyLattice(field.lattice.dimension, new_bandlimit)
-    keep = field.lattice.shells() <= new_bandlimit
-    return SpectralField(small, field.coefficients[keep], hermitian=field.hermitian)
+    kept = ball(field.lattice, field.coefficients, new_bandlimit).ravel()
+    return SpectralField(small, kept, hermitian=field.hermitian)
 
 
 def _fft_bins(lattice: FrequencyLattice, points_per_axis: int) -> tuple:

@@ -586,6 +586,34 @@ class TestCli:
         assert err.startswith("ParameterError") and needle in err, err
         assert not out.exists()
 
+    def test_band_calibration_failure_names_its_keys(self, tmp_path, capsys):
+        # |a(l)|^2 underflows to 0 above the lowest modes, so no pinch band
+        # reaches delta = 7e-18 however far it widens
+        out = tmp_path / "out"
+        text = small_config_text(
+            "deblur", str(out), bandlimit="4", reference="16", deltas="1.0,7e-18"
+        )
+        text = text.replace("kind = deblur_1d", "kind = power_law\nexponent = -184")
+        text = text.replace("kappa = 2.5", "kappa = 4e-145")
+        code = main(["deblur", "--config", str(write_config(tmp_path, text))])
+        assert code == 4
+        err = capsys.readouterr().err
+        assert err.startswith("CalibrationError"), err
+        assert "[grids] delta_grid" in err and "[operator] exponent = -184" in err
+        assert not out.exists()
+
+    def test_zero_rate_error_names_its_keys(self, tmp_path, capsys):
+        # alpha underflows to 0 at the two small deltas, where the noise-free
+        # error is then exactly 0 and has no logarithm
+        out = tmp_path / "out"
+        text = small_config_text("rates", str(out), deltas="1e-2,1e-200,1e-300")
+        code = main(["rates", "--config", str(write_config(tmp_path, text))])
+        assert code == 4
+        err = capsys.readouterr().err
+        assert err.startswith("DomainError"), err
+        assert "[grids] delta_grid" in err and "[schedule] alpha0 = 1, kappa = 2.5" in err
+        assert not out.exists()
+
     def test_probe_energy_overflow_exit_code(self, tmp_path, capsys):
         # (1+|l|^2)^400 overflows on the probe lattice
         text = small_config_text("noise_probe", str(tmp_path / "out")).replace(

@@ -1,5 +1,7 @@
 """White-noise sampler: reproducibility, moments, nesting, energy sums."""
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -51,6 +53,37 @@ class TestSampler:
         small_sample = sample_white_noise(FrequencyLattice(dimension, small), seed)
         restricted = truncate(big_sample.field, small)
         assert np.array_equal(restricted.coefficients, small_sample.field.coefficients)
+
+    @pytest.mark.parametrize(
+        "dimension,bandlimit", [(1, 0), (1, 1), (1, 17), (1, 500), (2, 0), (2, 1), (2, 5), (2, 12)]
+    )
+    def test_draw_follows_the_documented_contract(self, dimension, bandlimit):
+        # oracle built from the module docstring alone: PCG64 uniforms, the
+        # Box-Muller pairs, and canonical modes (first nonzero component
+        # positive) ordered by (shell, enumeration index) in plain Python
+        seed = 2024
+        modes = list(itertools.product(range(-bandlimit, bandlimit + 1), repeat=dimension))
+        position = {mode: i for i, mode in enumerate(modes)}
+        canonical = sorted(
+            (max(map(abs, mode)), i)
+            for i, mode in enumerate(modes)
+            if next((c for c in mode if c != 0), 0) > 0
+        )
+        pairs = len(canonical) + 1
+        u = np.random.Generator(np.random.PCG64(seed)).random(2 * pairs)
+        radius = np.sqrt(-2.0 * np.log1p(-u[0::2]))
+        angle = 2.0 * np.pi * u[1::2]
+        z = np.empty(2 * pairs)
+        z[0::2] = radius * np.cos(angle)
+        z[1::2] = radius * np.sin(angle)
+        values = (z[1:-1:2] + 1j * z[2::2]) / np.sqrt(2.0)
+        expected = np.zeros(len(modes), dtype=np.complex128)
+        expected[position[(0,) * dimension]] = z[0]
+        for (_, i), value in zip(canonical, values):
+            expected[i] = value
+            expected[position[tuple(-c for c in modes[i])]] = np.conj(value)
+        drawn = sample_white_noise(FrequencyLattice(dimension, bandlimit), seed)
+        assert np.array_equal(drawn.field.coefficients, expected)
 
     def test_mean_mode_energy(self):
         # E |<W, e_l>|^2 = 1 per mode, so the L^2 energy per mode averages to 1
