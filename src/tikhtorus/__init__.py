@@ -18,7 +18,6 @@ from .errors import (
     NotRealValuedError,
     NumericalError,
     ParameterError,
-    ProvenanceError,
     TikhtorusError,
     TruncationRangeError,
 )
@@ -39,13 +38,7 @@ from .spectral import (
     truncate,
     zero_field,
 )
-from .noise import (
-    NoiseRealization,
-    expected_sobolev_energy,
-    regularity_probe,
-    sample_white_noise,
-    zero_noise,
-)
+from .noise import expected_sobolev_energy, regularity_probe, sample_white_noise
 from .tikhonov import (
     BiasBound,
     Measurement,

@@ -33,7 +33,6 @@ from .errors import (
     NumericalError,
     ParameterError,
 )
-from .noise import NoiseRealization
 from .spectral import (
     FrequencyLattice,
     MultiplierOperator,
@@ -259,7 +258,7 @@ class GammaResult:
 def gamma_sweep(
     A: MultiplierOperator,
     truth: SpectralField,
-    noise: NoiseRealization,
+    noise: SpectralField,
     delta: float,
     schedule: RegularizationSchedule,
     sizes: Sequence[tuple],

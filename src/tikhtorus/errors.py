@@ -31,10 +31,6 @@ class TruncationRangeError(TikhtorusError):
     """Requested truncation bandlimit exceeds the field's bandlimit."""
 
 
-class ProvenanceError(TikhtorusError):
-    """A measurement lacks the recorded truth/noise needed for the request."""
-
-
 class ConfigError(TikhtorusError):
     """Experiment configuration is missing, malformed, or inconsistent."""
 

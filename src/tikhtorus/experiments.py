@@ -22,7 +22,7 @@ from . import __version__
 from .config import ExperimentConfig
 from .discrete import gamma_sweep, low_frequency_test_functions
 from .errors import CalibrationError, ConfigError, DomainError, ParameterError
-from .noise import NoiseRealization, regularity_probe, sample_white_noise
+from .noise import regularity_probe, sample_white_noise
 from .rates import DivergenceTables, SweepTables, error_sweep, predicted_exponent
 from .signals import hat_coefficients, hat_values, load_coefficient_file
 from .spectral import (
@@ -145,27 +145,29 @@ def _snapshot(
     config: ExperimentConfig,
     operator: MultiplierOperator,
     truth: SpectralField,
-    noise: NoiseRealization,
+    noise: SpectralField,
     alpha: float,
     r: float,
 ) -> tuple:
     """Signal rows (x, truth, data, reconstruction) of the illustrative
     reconstruction at SIGNAL_DELTA, their plot, and the bandlimit they are
-    plotted at. The measurement and reconstruction die with the call."""
-    measurement = forward(operator, truth, SIGNAL_DELTA, noise)
-    reconstruction = solve(operator, measurement.data, alpha, r)
+    plotted at.
+
+    The truth and the draw are truncated to that bandlimit first, and the
+    measurement and reconstruction are made on its small lattice: both are
+    per-mode operations, so they equal the truncations of the full-lattice
+    ones bit for bit."""
     plot_band = min(config.bandlimit, (config.plot_points - 1) // 2)
+    truth = truncate(truth, plot_band)
+    measurement = forward(operator, truth, SIGNAL_DELTA, truncate(noise, plot_band))
+    reconstruction = solve(operator, measurement.data, alpha, r)
     x_grid = np.arange(config.plot_points) / config.plot_points
-    blurred_values = evaluate_on_grid(
-        truncate(measurement.data, plot_band), config.plot_points
-    )
-    reconstruction_values = evaluate_on_grid(
-        truncate(reconstruction, plot_band), config.plot_points
-    )
+    blurred_values = evaluate_on_grid(measurement.data, config.plot_points)
+    reconstruction_values = evaluate_on_grid(reconstruction, config.plot_points)
     truth_values = (
         hat_values(x_grid)
         if config.truth_kind == "hat"
-        else evaluate_on_grid(truncate(truth, plot_band), config.plot_points)
+        else evaluate_on_grid(truth, config.plot_points)
     )
     signal_rows = list(
         zip(
@@ -230,9 +232,9 @@ def run_deblur(config: ExperimentConfig) -> dict:
             signal_rows, signal_plot, plot_band = _snapshot(
                 config, operator, truth, noise, signal_alpha, schedule.r
             )
-        errors.append(sweep.errors(noise.field.coefficients))
+        errors.append(sweep.errors(noise.coefficients))
         if certificate is not None:
-            divergence.append(certificate.rows(seed, noise.field.coefficients))
+            divergence.append(certificate.rows(seed, noise.coefficients))
         del noise  # so the next draw never overlaps this one
     result = sweep.result(errors)
     error_rows = [

@@ -1,6 +1,10 @@
 """Seeded frequency-space sampling of Gaussian white noise, plus the
 deterministic energy sums used to probe its Sobolev regularity.
 
+A draw is a plain read-only Hermitian :class:`~tikhtorus.spectral.SpectralField`
+of Fourier coefficients; it lies in H^s only for s < -d/2. Noise-free
+pipelines pass :func:`~tikhtorus.spectral.zero_field` instead.
+
 Reproducibility contract
 ------------------------
 Streams come from ``numpy.random.PCG64(seed)``; the only consumption is
@@ -47,29 +51,11 @@ from .errors import ConfigError, ParameterError
 from .spectral import FrequencyLattice, SpectralField, ball, sobolev_weights
 
 __all__ = [
-    "NoiseRealization",
     "sample_white_noise",
-    "zero_noise",
     "expected_sobolev_energy",
     "regularity_probe",
     "ProbeRow",
 ]
-
-
-@dataclasses.dataclass(frozen=True, eq=False)
-class NoiseRealization:
-    """A sampled white-noise field together with its provenance.
-
-    ``seed is None`` marks synthetic realizations (e.g. the zero field used
-    for noise-free pipelines) that did not come from the sampler.
-    """
-
-    seed: int | None
-    field: SpectralField
-
-    @property
-    def lattice(self) -> FrequencyLattice:
-        return self.field.lattice
 
 
 @lru_cache(maxsize=64)
@@ -118,8 +104,9 @@ def _canonical_draw(lattice: FrequencyLattice, seed: int) -> tuple:
     return cos_half[0], values, layout
 
 
-def sample_white_noise(lattice: FrequencyLattice, seed: int) -> NoiseRealization:
-    """Draw one realization of normalized white noise on the lattice.
+def sample_white_noise(lattice: FrequencyLattice, seed: int) -> SpectralField:
+    """Draw one realization of normalized white noise on the lattice, as a
+    read-only field.
 
     Every basis pairing <W, e_l> has mean 0 and E|<W, e_l>|^2 = 1; the field
     is real-valued (Hermitian flag set). Deterministic given (seed, lattice).
@@ -132,8 +119,7 @@ def sample_white_noise(lattice: FrequencyLattice, seed: int) -> NoiseRealization
     coeffs[lattice.zero_index] = z0
     coeffs[canonical] = values
     coeffs[conjugate] = values.conj()
-    field = SpectralField._owned(lattice, coeffs, hermitian=True)
-    return NoiseRealization(seed=int(seed), field=field)
+    return SpectralField._owned(lattice, coeffs, hermitian=True)
 
 
 def _draw_power(lattice: FrequencyLattice, seed: int) -> np.ndarray:
@@ -147,12 +133,6 @@ def _draw_power(lattice: FrequencyLattice, seed: int) -> np.ndarray:
     power[canonical] = pair_power
     power[conjugate] = pair_power
     return power
-
-
-def zero_noise(lattice: FrequencyLattice) -> NoiseRealization:
-    """The zero realization, for noise-free pipelines."""
-    coeffs = np.zeros(lattice.mode_count, dtype=np.complex128)
-    return NoiseRealization(seed=None, field=SpectralField(lattice, coeffs, hermitian=True))
 
 
 def expected_sobolev_energy(lattice: FrequencyLattice, s: float) -> float:

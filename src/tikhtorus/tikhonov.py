@@ -20,8 +20,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DimensionError, ParameterError, ProvenanceError
-from .noise import NoiseRealization
+from .errors import DimensionError, ParameterError
 from .spectral import (
     FrequencyLattice,
     MultiplierOperator,
@@ -81,24 +80,20 @@ class RegularizationSchedule:
 
 @dataclasses.dataclass(frozen=True, eq=False)
 class Measurement:
-    """Observed data m = A u + delta * noise with recorded provenance.
-
-    ``truth`` and ``noise`` are optional: real measurements do not have
-    them, synthetic experiments keep both so reconstructions can be split
-    into bias and noise parts.
-    """
+    """Synthetic data m = A u + delta * noise next to the truth u and the
+    noise draw it was made from, all three fields on one lattice, so that a
+    reconstruction can be split into bias and noise parts."""
 
     data: SpectralField
     delta: float
-    noise: NoiseRealization | None = None
-    truth: SpectralField | None = None
+    noise: SpectralField
+    truth: SpectralField
 
     def __post_init__(self) -> None:
         if self.delta <= 0:
             raise ParameterError(f"delta must be positive, got {self.delta}")
         for name, other in (("noise", self.noise), ("truth", self.truth)):
-            lattice = other.lattice if other is not None else None
-            if lattice is not None and lattice != self.data.lattice:
+            if other.lattice != self.data.lattice:
                 raise DimensionError(f"{name} lattice differs from data lattice")
 
 
@@ -115,14 +110,23 @@ def forward(
     A: MultiplierOperator,
     truth: SpectralField,
     delta: float,
-    noise: NoiseRealization,
+    noise: SpectralField,
 ) -> Measurement:
-    """Synthesize the measurement m = A u + delta * eps on the truth lattice."""
+    """Synthesize the measurement m = A u + delta * eps on the truth lattice.
+
+    The data is one array expression, ``a * u + eps * delta`` per mode: the
+    operations, in order, of ``apply_multiplier(A, truth) + delta * noise``,
+    so it equals that composition bit for bit. It is Hermitian when the
+    truth, the noise and the symbol are, and that flag is checked exactly.
+    """
     if truth.lattice != noise.lattice:
         raise DimensionError("truth and noise live on different lattices")
     if delta <= 0:
         raise ParameterError(f"delta must be positive, got {delta}")
-    data = apply_multiplier(A, truth) + delta * noise.field
+    values = A.symbol_values(truth.lattice)
+    hermitian = truth.hermitian and noise.hermitian and symbol_is_hermitian(values)
+    coeffs = values * truth.coefficients + noise.coefficients * delta
+    data = SpectralField._owned(truth.lattice, coeffs, hermitian=hermitian)
     return Measurement(data=data, delta=delta, noise=noise, truth=truth)
 
 
@@ -156,22 +160,21 @@ def solve_split(
     A: MultiplierOperator, meas: Measurement, schedule: RegularizationSchedule
 ) -> TikhonovSplit:
     """Reconstruction split into the deterministic bias part
-    |a|^2 u / z and the filtered-noise part conj(a) delta eps / z.
+    |a|^2 u / z and the filtered-noise part conj(a) delta eps / z, from the
+    truth and noise the measurement records.
 
-    Requires recorded truth and noise; the parts sum to the reconstruction
-    exactly because the sum is formed per mode.
+    The parts sum to the reconstruction exactly because the sum is formed
+    per mode.
     """
-    if meas.truth is None or meas.noise is None:
-        raise ProvenanceError("solve_split needs a measurement with recorded truth and noise")
     alpha = schedule.alpha(meas.delta)
     values, z = _denominator(A, meas.data.lattice, alpha, schedule.r)
     magnitude_sq = values.real**2 + values.imag**2
     bias_coeffs = (magnitude_sq / z) * meas.truth.coefficients
-    noise_coeffs = (values.conj() / z) * (meas.delta * meas.noise.field.coefficients)
+    noise_coeffs = (values.conj() / z) * (meas.delta * meas.noise.coefficients)
     sym = symbol_is_hermitian(values)
     bias = SpectralField(meas.data.lattice, bias_coeffs, hermitian=meas.truth.hermitian and sym)
     noise_part = SpectralField(
-        meas.data.lattice, noise_coeffs, hermitian=meas.noise.field.hermitian and sym
+        meas.data.lattice, noise_coeffs, hermitian=meas.noise.hermitian and sym
     )
     reconstruction = bias + noise_part
     return TikhonovSplit(reconstruction=reconstruction, bias_part=bias, noise_part=noise_part)

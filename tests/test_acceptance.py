@@ -109,7 +109,7 @@ def test_criterion_2_white_noise_paradox():
     mean_ratio = float(
         np.mean(
             [
-                sobolev_norm(sample_white_noise(lattice, seed).field, 0.0) ** 2 / (2 * M + 1)
+                sobolev_norm(sample_white_noise(lattice, seed), 0.0) ** 2 / (2 * M + 1)
                 for seed in range(200)
             ]
         )

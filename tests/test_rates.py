@@ -24,7 +24,7 @@ from tikhtorus import (
     sample_white_noise,
     sobolev_norm,
     solve_split,
-    zero_noise,
+    zero_field,
 )
 from tikhtorus.rates import calibrate_band
 
@@ -221,7 +221,7 @@ class TestErrorSweep:
         result = error_sweep(A, truth, SCHEDULE, s1_list, deltas, seeds)
         assert len(result.rows) == len(seeds) * len(s1_list) * len(deltas)
         for row in result.rows:
-            noise = zero_noise(lattice) if row.seed == -1 else sample_white_noise(lattice, row.seed)
+            noise = zero_field(lattice) if row.seed == -1 else sample_white_noise(lattice, row.seed)
             split = solve_split(A, forward(A, truth, row.delta, noise), SCHEDULE)
             expected = sobolev_norm(split.reconstruction - truth, row.s1)
             assert row.raw_error == expected
@@ -309,7 +309,7 @@ class TestH1Divergence:
         bound_factor = 1.0 / ((1.0 + alpha0 / report.c0) * (report.c1 + alpha0))
         rows = iter(report.rows)
         for seed in seeds:
-            eps = sample_white_noise(lattice, seed).field.coefficients
+            eps = sample_white_noise(lattice, seed).coefficients
             eps_sq = eps.real**2 + eps.imag**2
             for band in bands:
                 row = next(rows)
