@@ -49,10 +49,16 @@ def _one_of(what: str, *options: str) -> tuple:
 _BYTES_PER_MODE = {"deblur": 200, "rates": 200, "noise_probe": 128, "gamma": 568}
 
 
-def _fits_in_memory(bandlimit: int, experiment: str) -> bool:
-    """Whether an ``experiment`` run on the (2M+1) modes of a 1-d lattice fits in RAM."""
-    needed = (2 * bandlimit + 1) * _BYTES_PER_MODE[experiment]
-    return needed <= os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+# Peak bytes a deblur run allocates per plot point (grids, FFTs, signal rows as
+# Python floats, CSV and SVG text): the tracemalloc peak of configs/deblur.ini at
+# reference_bandlimit 1024 grows 23.0 -> 92.2 MiB from 32,768 to 131,072 plot
+# points, 737.9 B each with the hat or a coefficient-file truth, rounded up to 8.
+_BYTES_PER_PLOT_POINT = 744
+
+
+def _fits_in_memory(count: int, bytes_each: int) -> bool:
+    """Whether ``count`` items of ``bytes_each`` bytes fit in physical memory."""
+    return count * bytes_each <= os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
 
 
 def _memory_message(experiment: str) -> str:
@@ -74,7 +80,12 @@ def _each(check: tuple) -> tuple:
 _POSITIVE = (lambda value: value > 0, "must be positive")
 _NONEMPTY = (bool, "must be nonempty")
 _PROBE_FITS = (
-    lambda value: _fits_in_memory(value, "noise_probe"), _memory_message("noise_probe")
+    lambda value: _fits_in_memory(2 * value + 1, _BYTES_PER_MODE["noise_probe"]),
+    _memory_message("noise_probe"),
+)
+_PLOT_FITS = (
+    lambda value: _fits_in_memory(value, _BYTES_PER_PLOT_POINT),
+    f"needs {_BYTES_PER_PLOT_POINT} bytes per point for a deblur run and exceeds physical memory",
 )
 
 
@@ -114,7 +125,7 @@ class ExperimentConfig:
     s1_list: tuple = _key("grids", "s1_list", _list_of(_finite), _NONEMPTY, default=(-1.5,))
     bandlimit: int = _key("resolution", "bandlimit", int, _at_least(1))
     reference_bandlimit: int = _key("resolution", "reference_bandlimit", int, _at_least(1))
-    plot_points: int = _key("resolution", "plot_points", int, _at_least(8), default=1024)
+    plot_points: int = _key("resolution", "plot_points", int, _at_least(8), _PLOT_FITS, default=1024)
     probe_s_values: tuple = _key(
         "noise_probe", "s_values", _list_of(_finite), _NONEMPTY, default=(-2.0, -0.6, 0.0)
     )
@@ -210,7 +221,7 @@ def load_config(path: str | Path) -> ExperimentConfig:
             f"{path}: [resolution] reference_bandlimit must be at least 4 * bandlimit "
             f"({4 * bandlimit}), got {reference}"
         )
-    if not _fits_in_memory(reference, values["experiment"]):
+    if not _fits_in_memory(2 * reference + 1, _BYTES_PER_MODE[values["experiment"]]):
         raise ConfigError(
             f"{path}: [resolution] reference_bandlimit {_memory_message(values['experiment'])}, "
             f"got {reference}"

@@ -89,7 +89,7 @@ def assemble(A: MultiplierOperator, n: int, k: int, alpha: float, r: float) -> D
     a = p + i q contributes the rotation block [[p, q], [-q, p]] on each
     (cos, sin) pair; real even symbols make the matrix diagonal.
     """
-    if alpha <= 0:
+    if not alpha > 0:
         raise ParameterError(f"alpha must be positive, got {alpha}")
     if not r >= 0:
         raise ParameterError(f"penalty order r must be >= 0, got {r}")

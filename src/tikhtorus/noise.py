@@ -1,9 +1,8 @@
 """Seeded frequency-space sampling of Gaussian white noise, plus the
 deterministic energy sums used to probe its Sobolev regularity.
 
-A draw is a plain read-only Hermitian :class:`~tikhtorus.spectral.SpectralField`
-of Fourier coefficients; it lies in H^s only for s < -d/2. Noise-free
-pipelines pass :func:`~tikhtorus.spectral.zero_field` instead.
+A draw is a plain read-only Hermitian ``SpectralField`` of Fourier coefficients,
+in H^s only for s < -d/2; noise-free pipelines pass ``zero_field`` instead.
 
 Reproducibility contract
 ------------------------
@@ -42,6 +41,7 @@ truncation as a slice of the lattice (:func:`spectral.ball`), not a mask.
 from __future__ import annotations
 
 import dataclasses
+import operator
 from functools import lru_cache
 from typing import Sequence
 
@@ -94,11 +94,17 @@ def _canonical_draw(lattice: FrequencyLattice, seed: int) -> tuple:
     """The draw of one realization before it becomes a field: the zero-mode
     variate, the values at the canonical modes in draw order, and the layout
     ``(canonical, conjugate)`` of their lattice positions."""
+    try:
+        index = operator.index(seed)
+    except TypeError:  # a float, a string, None
+        index = -1
+    if index < 0:
+        raise ParameterError(f"seed must be a non-negative integer, got {seed!r}")
     layout = _draw_layout(lattice.dimension, lattice.bandlimit)
     n = layout[0].size
     # 1 + 2n variates in n + 1 Box-Muller pairs: z[0] is the zero mode, then
     # (z[2k+1], z[2k+2]) = (sin half k, cos half k+1) for canonical mode k
-    rng = np.random.Generator(np.random.PCG64(int(seed)))
+    rng = np.random.Generator(np.random.PCG64(index))
     cos_half, sin_half = _box_muller(rng.random(2 * (n + 1)))
     values = (sin_half[:n] + 1j * cos_half[1 : n + 1]) / np.sqrt(2.0)
     return cos_half[0], values, layout
@@ -109,7 +115,8 @@ def sample_white_noise(lattice: FrequencyLattice, seed: int) -> SpectralField:
     read-only field.
 
     Every basis pairing <W, e_l> has mean 0 and E|<W, e_l>|^2 = 1; the field
-    is real-valued (Hermitian flag set). Deterministic given (seed, lattice).
+    is real-valued (Hermitian flag set). Deterministic given (seed, lattice);
+    a seed that is not a non-negative integer raises ParameterError.
     """
     # allocated before the draw's temporaries: in the other order the glibc
     # heap layout gives a configs/deblur.ini run about three times the minor

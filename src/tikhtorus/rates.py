@@ -318,7 +318,7 @@ def error_sweep(
         tables.errors(
             np.zeros_like(truth.coefficients)
             if seed is None
-            else sample_white_noise(truth.lattice, int(seed)).coefficients
+            else sample_white_noise(truth.lattice, seed).coefficients
         )
         for seed in seeds
     ]
@@ -511,7 +511,7 @@ def h1_divergence(
     """
     tables = DivergenceTables(A, schedule, delta_grid, seeds, lattice)
     rows = [
-        tables.rows(seed, sample_white_noise(lattice, int(seed)).coefficients)
+        tables.rows(seed, sample_white_noise(lattice, seed).coefficients)
         for seed in seeds
     ]
     return tables.report(rows)

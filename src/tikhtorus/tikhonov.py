@@ -56,15 +56,15 @@ class RegularizationSchedule:
     r: float
 
     def __post_init__(self) -> None:
-        if self.alpha0 <= 0:
+        if not self.alpha0 > 0:
             raise ParameterError(f"alpha0 must be positive, got {self.alpha0}")
-        if self.kappa <= 0:
+        if not self.kappa > 0:
             raise ParameterError(f"kappa must be positive, got {self.kappa}")
-        if self.r < 0:
+        if not self.r >= 0:
             raise ParameterError(f"penalty order r must be >= 0, got {self.r}")
 
     def alpha(self, delta: float) -> float:
-        if delta <= 0:
+        if not delta > 0:
             raise ParameterError(f"delta must be positive, got {delta}")
         try:
             alpha = self.alpha0 * delta**self.kappa
@@ -90,7 +90,7 @@ class Measurement:
     truth: SpectralField
 
     def __post_init__(self) -> None:
-        if self.delta <= 0:
+        if not self.delta > 0:
             raise ParameterError(f"delta must be positive, got {self.delta}")
         for name, other in (("noise", self.noise), ("truth", self.truth)):
             if other.lattice != self.data.lattice:
@@ -112,16 +112,12 @@ def forward(
     delta: float,
     noise: SpectralField,
 ) -> Measurement:
-    """Synthesize the measurement m = A u + delta * eps on the truth lattice.
-
-    The data is one array expression, ``a * u + eps * delta`` per mode: the
-    operations, in order, of ``apply_multiplier(A, truth) + delta * noise``,
-    so it equals that composition bit for bit. It is Hermitian when the
-    truth, the noise and the symbol are, and that flag is checked exactly.
-    """
+    """Synthesize the measurement m = A u + delta * eps on the truth lattice,
+    as one array expression with the operations, in order, of
+    ``apply_multiplier(A, truth) + delta * noise``: bit for bit that sum."""
     if truth.lattice != noise.lattice:
         raise DimensionError("truth and noise live on different lattices")
-    if delta <= 0:
+    if not delta > 0:
         raise ParameterError(f"delta must be positive, got {delta}")
     values = A.symbol_values(truth.lattice)
     hermitian = truth.hermitian and noise.hermitian and symbol_is_hermitian(values)
@@ -148,8 +144,10 @@ def solve(A: MultiplierOperator, m: SpectralField, alpha: float, r: float) -> Sp
     strictly positive for alpha > 0, so the solve never degenerates even
     where the symbol is tiny.
     """
-    if alpha <= 0:
+    if not alpha > 0:
         raise ParameterError(f"alpha must be positive, got {alpha}")
+    if not r >= 0:
+        raise ParameterError(f"penalty order r must be >= 0, got {r}")
     values, z = _denominator(A, m.lattice, alpha, r)
     filter_values = values.conj() / z
     hermitian = m.hermitian and symbol_is_hermitian(filter_values)

@@ -123,6 +123,8 @@ class TestAssemble:
             assemble(deblur_operator(), 8, 9, 1.0, 0.0)  # even n
         with pytest.raises(ParameterError):
             assemble(deblur_operator(), 9, 9, 0.0, 0.0)  # alpha
+        with pytest.raises(ParameterError, match="alpha"):
+            assemble(deblur_operator(), 9, 9, float("nan"), 0.0)
         with pytest.raises(ParameterError):
             assemble(deblur_operator(), DENSE_SIZE_CAP + 3, 9, 1.0, 0.0)
 

@@ -2,6 +2,7 @@
 
 import contextlib
 import dataclasses
+import importlib.util
 import io
 import json
 import math
@@ -12,15 +13,26 @@ import sys
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import tikhtorus.cli
+import tikhtorus.experiments as experiments
 import tikhtorus.noise
-from tikhtorus import ConfigError, load_config
+from tikhtorus import (
+    ConfigError,
+    evaluate_on_grid,
+    forward,
+    hat_values,
+    load_config,
+    sample_white_noise,
+    solve,
+    truncate,
+)
 from tikhtorus.cli import main
 from tikhtorus.config import EXPERIMENTS, ExperimentConfig
-from tikhtorus.experiments import run_experiment
+from tikhtorus.experiments import SIGNAL_DELTA, run_experiment
 
 ROOT = Path(__file__).resolve().parent.parent
 CONFIG_DIR = ROOT / "configs"
@@ -270,6 +282,10 @@ class TestConfig:
                 ("bandlimits = 64,128,256", f"bandlimits = 64,128,{ROOMY_BANDLIMIT}"),
                 r"\[noise_probe\] bandlimits [^,]+ noise_probe run [^,]+ physical memory",
             ),
+            (
+                ("plot_points = 128", "plot_points = 10000000000000"),
+                r"\[resolution\] plot_points [^,]+ deblur run [^,]+ physical memory",
+            ),
         ],
     )
     def test_named_field_errors(self, tmp_path, mutation, needle):
@@ -424,6 +440,44 @@ class TestRunners:
             _, regime, predicted, fitted, _ = row.split(",")
             if regime in ("case_i", "case_ii"):
                 assert float(fitted) >= float(predicted) - 0.15
+
+    @pytest.mark.parametrize(
+        "operator_kind,truth_kind",
+        [("deblur_1d", "hat"), ("power_law\nexponent = -3.0", "coefficients")],
+        ids=["deblur_1d-hat", "power_law-coefficients"],
+    )
+    def test_snapshot_equals_the_full_lattice_composition(
+        self, tmp_path, operator_kind, truth_kind
+    ):
+        # the snapshot measures and solves on the plot band; its rows are bit
+        # for bit those of the full-lattice forward -> solve -> truncate ->
+        # evaluate_on_grid (t = 3 takes the generic pow path of the symbol)
+        signal = tmp_path / "signal.csv"
+        signal.write_text("0,0.5,0\n1,0.25,-0.25\n3,-0.125,0.0625\n40,1e-3,2e-3\n")
+        text = (
+            small_config_text()
+            .replace("kind = deblur_1d", f"kind = {operator_kind}")
+            .replace("kind = hat", f"kind = {truth_kind}\npath = {signal}")
+        )
+        config = load_config(write_config(tmp_path, text))
+        operator, lattice = experiments._operator_on_lattice(config)
+        truth = experiments._build_truth(config, lattice)
+        noise = sample_white_noise(lattice, config.seeds[0])
+        alpha = experiments._schedule(config).alpha(SIGNAL_DELTA)
+        rows, _, band = experiments._snapshot(config, operator, truth, noise, alpha, config.r)
+
+        data = forward(operator, truth, SIGNAL_DELTA, noise).data
+        reconstruction = solve(operator, data, alpha, config.r)
+        x_grid = np.arange(config.plot_points) / config.plot_points
+        truth_values, data_values, reconstruction_values = (
+            evaluate_on_grid(truncate(field, band), config.plot_points)
+            for field in (truth, data, reconstruction)
+        )
+        if truth_kind == "hat":
+            truth_values = hat_values(x_grid)
+        expected = np.column_stack([x_grid, truth_values, data_values, reconstruction_values])
+        assert band == 32
+        assert np.array_equal(np.array(rows).view(np.uint64), expected.view(np.uint64))
 
     def test_coefficient_truth_kind(self, tmp_path):
         signal = tmp_path / "signal.csv"
@@ -711,6 +765,35 @@ class TestCli:
         seeds = load_config(path).seeds
         assert len(drawn) == len(seeds)
         assert drawn == list(seeds)
+
+    def test_shipped_configs_run_under_the_benchmark_tracer(self, tmp_path, capsys):
+        # the benchmark's traced mode rebinds library names and reads argument
+        # names (truth, meas, lattice, seed, delta_grid, seeds): a rename in
+        # the library breaks it, so run the four configs with it installed
+        spec = importlib.util.spec_from_file_location(
+            "perfbench_tracer", ROOT / "perfbench" / "tracer.py"
+        )
+        tracer_module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(tracer_module)
+        tracer = tracer_module.Tracer()
+        tracer.install()
+        try:
+            codes = {
+                name: main(
+                    [
+                        name.replace("_", "-"),
+                        "--config", str(CONFIG_DIR / f"{name}.ini"),
+                        "--out", str(tmp_path / name),
+                    ]
+                )
+                for name in EXPERIMENTS
+            }
+        finally:
+            tracer.uninstall()
+        assert codes == dict.fromkeys(EXPERIMENTS, 0), capsys.readouterr().err
+        spans = tracer.report()["spans"]
+        assert spans["tikhonov.forward"]["calls"] > 0
+        assert spans["noise.sample_white_noise"]["calls"] > 0
 
     @settings(max_examples=150, deadline=None, derandomize=True)
     @given(config=extreme_small_configs())

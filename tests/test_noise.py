@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from tikhtorus import (
     ConfigError,
     FrequencyLattice,
+    ParameterError,
     expected_sobolev_energy,
     regularity_probe,
     sample_white_noise,
@@ -38,6 +39,13 @@ class TestSampler:
             assert w.hermitian
             center = lat.zero_index
             assert w.coefficients[center].imag == 0.0
+
+    @pytest.mark.parametrize("seed", [-1, 1.5])
+    def test_seed_must_be_a_non_negative_integer(self, seed):
+        with pytest.raises(ParameterError, match="seed"):
+            sample_white_noise(FrequencyLattice(1, 8), seed)
+        with pytest.raises(ParameterError, match="seed"):
+            regularity_probe([-1.0], [4, 8], [0, seed])
 
     def test_field_is_read_only(self):
         w = sample_white_noise(FrequencyLattice(1, 16), 3)

@@ -1,6 +1,7 @@
 """Measurement model, closed-form solver, bias/noise split, bias bound."""
 
 import cmath
+import math
 
 import numpy as np
 import pytest
@@ -68,14 +69,26 @@ class TestSchedule:
         schedule = RegularizationSchedule(2.0, 2.5, 1.0)
         assert schedule.alpha(0.1) == pytest.approx(2.0 * 0.1**2.5, rel=1e-15)
 
-    @pytest.mark.parametrize("alpha0,kappa,r", [(-1, 2, 1), (0, 2, 1), (1, 0, 1), (1, 2, -0.5)])
+    @pytest.mark.parametrize(
+        "alpha0,kappa,r",
+        [
+            (-1, 2, 1),
+            (0, 2, 1),
+            (1, 0, 1),
+            (1, 2, -0.5),
+            (math.nan, 2, 1),
+            (1, math.nan, 1),
+            (1, 2, math.nan),
+        ],
+    )
     def test_validation(self, alpha0, kappa, r):
         with pytest.raises(ParameterError):
             RegularizationSchedule(alpha0, kappa, r)
 
     def test_delta_must_be_positive(self):
-        with pytest.raises(ParameterError):
-            RegularizationSchedule(1, 2, 1).alpha(0.0)
+        for delta in (0.0, math.nan):
+            with pytest.raises(ParameterError, match="delta"):
+                RegularizationSchedule(1, 2, 1).alpha(delta)
 
 
 class TestForward:
@@ -100,8 +113,11 @@ class TestForward:
 
     def test_measurement_validation(self):
         zero = zero_field(FrequencyLattice(1, 4))
-        with pytest.raises(ParameterError):
-            Measurement(data=zero, delta=0.0, noise=zero, truth=zero)
+        for delta in (0.0, math.nan):
+            with pytest.raises(ParameterError, match="delta"):
+                Measurement(data=zero, delta=delta, noise=zero, truth=zero)
+            with pytest.raises(ParameterError, match="delta"):
+                forward(deblur_operator(), zero, delta, zero)
 
     def test_measurement_identity_is_bitwise(self):
         # data = a * truth + delta * eps holds exactly, per mode
@@ -162,8 +178,14 @@ class TestSolve:
 
     def test_alpha_validation(self):
         m = zero_field(FrequencyLattice(1, 4))
-        with pytest.raises(ParameterError):
-            solve(deblur_operator(), m, alpha=0.0, r=1.0)
+        for alpha, r, name in [
+            (0.0, 1.0, "alpha"),
+            (math.nan, 1.0, "alpha"),
+            (1e-2, -0.5, "penalty order r"),
+            (1e-2, math.nan, "penalty order r"),
+        ]:
+            with pytest.raises(ParameterError, match=name):
+                solve(deblur_operator(), m, alpha=alpha, r=r)
 
     def test_filter_factor_bounded_by_one(self):
         lat = FrequencyLattice(1, 256)
