@@ -23,7 +23,7 @@ x_sin = -sqrt(2) Im c(l).
 from __future__ import annotations
 
 import dataclasses
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -225,8 +225,7 @@ def _embed(field: SpectralField, big: FrequencyLattice) -> SpectralField:
     return SpectralField(big, coeffs, hermitian=field.hermitian)
 
 
-@dataclasses.dataclass(frozen=True)
-class GammaRow:
+class GammaRow(NamedTuple):
     n: int
     k: int
     alpha: float

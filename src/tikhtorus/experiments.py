@@ -20,10 +20,17 @@ import numpy as np
 
 from . import __version__
 from .config import ExperimentConfig
-from .discrete import gamma_sweep, low_frequency_test_functions
+from .discrete import GammaRow, gamma_sweep, low_frequency_test_functions
 from .errors import CalibrationError, ConfigError, DomainError, ParameterError
 from .noise import regularity_probe, sample_white_noise
-from .rates import DivergenceTables, SweepTables, error_sweep, predicted_exponent
+from .rates import (
+    DivergenceRow,
+    DivergenceTables,
+    SweepRow,
+    SweepTables,
+    error_sweep,
+    predicted_exponent,
+)
 from .signals import hat_coefficients, hat_values, load_coefficient_file
 from .spectral import (
     FrequencyLattice,
@@ -169,14 +176,8 @@ def _snapshot(
         if config.truth_kind == "hat"
         else evaluate_on_grid(truth, config.plot_points)
     )
-    signal_rows = list(
-        zip(
-            (float(x) for x in x_grid),
-            (float(v) for v in truth_values),
-            (float(v) for v in blurred_values),
-            (float(v) for v in reconstruction_values),
-        )
-    )
+    columns = (x_grid, truth_values, blurred_values, reconstruction_values)
+    signal_rows = list(zip(*(column.tolist() for column in columns)))
     signal_plot = line_plot(
         [
             Series(label="truth", x=x_grid, y=truth_values),
@@ -197,14 +198,16 @@ def run_deblur(config: ExperimentConfig) -> dict:
 
     One pass over the seeds: each seed is drawn once, and that draw feeds the
     error sweep, the certificate and, for the first seed, the snapshot. Only
-    one draw is alive at a time.
+    one draw is alive at a time. The sweep and the certificate share one
+    evaluation of the symbol on the reference lattice.
     """
     operator, lattice = _operator_on_lattice(config)
     truth = _build_truth(config, lattice)
     schedule = _schedule(config)
     signal_alpha = _positive_alpha(schedule, SIGNAL_DELTA)
+    symbol = operator.symbol_values(lattice)
     sweep = SweepTables(
-        operator, truth, schedule, config.s1_list, config.delta_grid, config.seeds
+        symbol, truth, schedule, config.s1_list, config.delta_grid, config.seeds
     )
     # H^1 certificate for the filtered noise part: the pinch-band lower bound
     # needs the quadratic schedule, so it runs with kappa = 2 at the
@@ -213,7 +216,7 @@ def run_deblur(config: ExperimentConfig) -> dict:
     if config.r == 1.0 and max(config.delta_grid) <= 1.0:
         try:
             certificate = DivergenceTables(
-                operator,
+                symbol,
                 RegularizationSchedule(alpha0=config.alpha0, kappa=2.0, r=1.0),
                 config.delta_grid,
                 config.seeds,
@@ -223,6 +226,7 @@ def run_deblur(config: ExperimentConfig) -> dict:
             raise CalibrationError(
                 f"{exc} ([grids] delta_grid, [operator] exponent = {config.operator_exponent:g})"
             ) from exc
+    del symbol  # the tables keep what they need of it
 
     errors = []
     divergence = []
@@ -237,10 +241,6 @@ def run_deblur(config: ExperimentConfig) -> dict:
             divergence.append(certificate.rows(seed, noise.coefficients))
         del noise  # so the next draw never overlaps this one
     result = sweep.result(errors)
-    error_rows = [
-        (row.s1, row.delta, row.seed, row.raw_error, row.normalized_error)
-        for row in result.rows
-    ]
 
     error_plot = line_plot(
         [
@@ -258,14 +258,9 @@ def run_deblur(config: ExperimentConfig) -> dict:
         logy=True,
     )
 
-    divergence_rows = []
     divergence_meta: dict = {"emitted": False}
     if certificate is not None:
         report = certificate.report(divergence)
-        divergence_rows = [
-            (row.delta, row.seed, row.band_size, row.lower_bound, row.h1_norm_sq)
-            for row in report.rows
-        ]
         divergence_meta = {
             "emitted": True,
             "certificate_kappa": 2.0,
@@ -288,18 +283,14 @@ def run_deblur(config: ExperimentConfig) -> dict:
         "divergence": divergence_meta,
     }
     outputs = {
-        "errors.csv": _csv_text(
-            ("s1", "delta", "seed", "raw_error", "normalized_error"), error_rows
-        ),
+        "errors.csv": _csv_text(SweepRow._fields, result.rows),
         "signal.csv": _csv_text(("x", "truth", "data", "reconstruction"), signal_rows),
         "errors.svg": error_plot,
         "signal.svg": signal_plot,
         "metadata.json": _metadata_text(config, derived),
     }
-    if divergence_rows:
-        outputs["divergence.csv"] = _csv_text(
-            ("delta", "seed", "band_size", "lower_bound", "h1_norm_sq"), divergence_rows
-        )
+    if certificate is not None:
+        outputs["divergence.csv"] = _csv_text(DivergenceRow._fields, report.rows)
     return _write_outputs(Path(config.output_dir), outputs)
 
 
@@ -331,10 +322,6 @@ def run_rates(config: ExperimentConfig) -> dict:
             f"to regularize ([grids] delta_grid, [schedule] alpha0 = {config.alpha0:g}, "
             f"kappa = {config.kappa:g})"
         ) from exc
-    error_rows = [
-        (row.s1, row.delta, row.seed, row.raw_error, row.normalized_error)
-        for row in sweep.rows
-    ]
     slope_rows = []
     for rates in predicted:
         fit = sweep.slopes.get(rates.s1)
@@ -372,9 +359,7 @@ def run_rates(config: ExperimentConfig) -> dict:
     return _write_outputs(
         Path(config.output_dir),
         {
-            "errors.csv": _csv_text(
-                ("s1", "delta", "seed", "raw_error", "normalized_error"), error_rows
-            ),
+            "errors.csv": _csv_text(SweepRow._fields, sweep.rows),
             "slopes.csv": _csv_text(
                 ("s1", "regime", "predicted_exponent", "fitted_slope", "residual"),
                 slope_rows,
@@ -395,10 +380,6 @@ def run_noise_probe(config: ExperimentConfig) -> dict:
         dimension=1,
         growth_threshold=config.probe_growth_threshold,
     )
-    table = [
-        (row.s, row.bandlimit, row.trajectory, row.partial_energy, row.growth_ratio, row.classification)
-        for row in rows
-    ]
     expected_series = [
         Series(
             label=f"s={s:g}",
@@ -428,7 +409,7 @@ def run_noise_probe(config: ExperimentConfig) -> dict:
         {
             "probe.csv": _csv_text(
                 ("s", "bandlimit", "seed_or_expected", "partial_energy", "growth_ratio", "classification"),
-                table,
+                rows,
             ),
             "probe.svg": plot,
             "metadata.json": _metadata_text(config, derived),
@@ -464,10 +445,6 @@ def run_gamma(config: ExperimentConfig) -> dict:
     test_functions = low_frequency_test_functions(lattice, config.gamma_test_function_count)
     result = gamma_sweep(operator, truth, noise, delta, schedule, sizes, test_functions)
 
-    table = [
-        (row.n, row.k, row.alpha, row.test_function_id, row.pairing_gap, row.functional_gap, row.c_k)
-        for row in result.rows
-    ]
     floor = 1e-18  # log-plot floor for gaps that are exactly zero
     gap_series = [
         Series(
@@ -510,10 +487,7 @@ def run_gamma(config: ExperimentConfig) -> dict:
     return _write_outputs(
         Path(config.output_dir),
         {
-            "gamma.csv": _csv_text(
-                ("n", "k", "alpha", "test_function_id", "pairing_gap", "functional_gap", "c_k"),
-                table,
-            ),
+            "gamma.csv": _csv_text(GammaRow._fields, result.rows),
             "gamma.svg": plot,
             "metadata.json": _metadata_text(config, derived),
         },

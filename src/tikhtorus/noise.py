@@ -40,10 +40,9 @@ truncation as a slice of the lattice (:func:`spectral.ball`), not a mask.
 
 from __future__ import annotations
 
-import dataclasses
 import operator
 from functools import lru_cache
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -151,8 +150,7 @@ def expected_sobolev_energy(lattice: FrequencyLattice, s: float) -> float:
     return float(np.sum(sobolev_weights(lattice, s)))
 
 
-@dataclasses.dataclass(frozen=True)
-class ProbeRow:
+class ProbeRow(NamedTuple):
     s: float
     bandlimit: int
     trajectory: str  # "expected" or the seed as text

@@ -176,8 +176,7 @@ def fit_loglog_slope(samples: Sequence[tuple]) -> SlopeFit:
     return SlopeFit(slope=float(slope), intercept=float(intercept), residual=residual)
 
 
-@dataclasses.dataclass(frozen=True)
-class SweepRow:
+class SweepRow(NamedTuple):
     s1: float
     delta: float
     seed: int  # -1 marks the noise-free trajectory
@@ -197,7 +196,8 @@ class SweepTables:
     """The seed-independent half of :func:`error_sweep`.
 
     The constructor validates the grids and builds the per-mode tables once
-    per sweep: |a|^2, conj(a), (1+|l|^2)^r and alpha(delta) per delta.
+    per sweep from ``symbol``, the operator's values on the truth's lattice:
+    |a|^2, conj(a), (1+|l|^2)^r and alpha(delta) per delta.
     :meth:`errors` is the per-seed kernel and :meth:`result` the summary, so
     a caller that already holds a noise draw (a deblur run) can feed it in
     without drawing again.
@@ -205,7 +205,7 @@ class SweepTables:
 
     def __init__(
         self,
-        A: MultiplierOperator,
+        symbol: np.ndarray,
         truth: SpectralField,
         schedule: RegularizationSchedule,
         s1_list: Sequence[float],
@@ -226,9 +226,8 @@ class SweepTables:
         )
         if not math.isfinite(sobolev_norm(truth, schedule.r)):
             raise ParameterError("truth must have finite H^r norm")
-        values = A.symbol_values(lattice)
-        self._symbol_sq = values.real**2 + values.imag**2
-        self._symbol_conj = values.conj()
+        self._symbol_sq = symbol.real**2 + symbol.imag**2
+        self._symbol_conj = symbol.conj()
         self._alphas = [schedule.alpha(delta) for delta in self.delta_grid]
         if 0.0 in self._alphas and not self._symbol_sq.all():
             raise ParameterError(
@@ -271,8 +270,8 @@ class SweepTables:
         median_errors: dict[float, list] = {}
         slopes: dict[float, SlopeFit] = {}
         normalizers: dict[float, float] = {}
-        for s1, table in zip(self.s1_list, errors):
-            medians = [float(np.median(table[i])) for i in range(len(delta_grid))]
+        medians_by_s1 = np.median(errors, axis=-1).tolist()
+        for s1, table, medians in zip(self.s1_list, errors.tolist(), medians_by_s1):
             median_errors[s1] = medians
             if medians[0] == 0.0:
                 raise ParameterError(
@@ -283,10 +282,11 @@ class SweepTables:
             normalizers[s1] = scale
             if len(delta_grid) >= 3:
                 slopes[s1] = fit_loglog_slope(list(zip(delta_grid, medians)))
-            for i, delta in enumerate(delta_grid):
-                for j, label in enumerate(self.labels):
-                    raw = float(table[i, j])
-                    rows.append(SweepRow(s1, delta, label, raw, raw * scale))
+            rows.extend(
+                SweepRow(s1, delta, label, raw, raw * scale)
+                for delta, raws in zip(delta_grid, table)
+                for label, raw in zip(self.labels, raws)
+            )
         return SweepResult(rows=rows, median_errors=median_errors, slopes=slopes, normalizers=normalizers)
 
 
@@ -313,7 +313,9 @@ def error_sweep(
     (:class:`SweepTables`), to the H^1 certificate and, for its first seed,
     to the signal snapshot.
     """
-    tables = SweepTables(A, truth, schedule, s1_list, delta_grid, seeds)
+    tables = SweepTables(
+        A.symbol_values(truth.lattice), truth, schedule, s1_list, delta_grid, seeds
+    )
     errors = [
         tables.errors(
             np.zeros_like(truth.coefficients)
@@ -331,8 +333,6 @@ class ModeBand:
     delta^2 (1+l^2): the frequencies the regularizer neither resolves nor
     fully suppresses at noise level delta."""
 
-    c0: float
-    c1: float
     delta: float
     member_indices: np.ndarray
 
@@ -349,14 +349,21 @@ def calibrate_band(
     lattice: FrequencyLattice,
     delta_grid: Sequence[float],
 ) -> tuple:
-    """Pick (c0, c1) so the pinch band is nonempty for every delta.
+    """Pick (c0, c1) so the pinch band is nonempty for every delta, and
+    return them with one :class:`ModeBand` per delta.
 
     Starts from (0.5, 2.0) times the symbol's squared-to-weight ratio at the
     mode closest to balance at the largest delta, then widens geometrically,
     at most 40 times.
     """
     values = A.symbol_values(lattice)
-    symbol_sq = values.real**2 + values.imag**2
+    return _calibrate(values.real**2 + values.imag**2, lattice, delta_grid)
+
+
+def _calibrate(
+    symbol_sq: np.ndarray, lattice: FrequencyLattice, delta_grid: Sequence[float]
+) -> tuple:
+    """:func:`calibrate_band` on the squared symbol |a|^2 of the lattice."""
     weights1 = sobolev_weights(lattice, 1.0)
     delta_max = max(delta_grid)
     ratio = symbol_sq / (delta_max**2 * weights1)
@@ -373,10 +380,7 @@ def calibrate_band(
     for _ in range(40):
         members = [_band_members(symbol_sq, weights1, float(d), c0, c1) for d in delta_grid]
         if all(indices.size > 0 for indices in members):
-            bands = [
-                ModeBand(c0=c0, c1=c1, delta=float(d), member_indices=indices)
-                for d, indices in zip(delta_grid, members)
-            ]
+            bands = [ModeBand(float(d), indices) for d, indices in zip(delta_grid, members)]
             return c0, c1, bands
         c0 *= 0.5
         c1 *= 2.0
@@ -387,8 +391,7 @@ def calibrate_band(
     )
 
 
-@dataclasses.dataclass(frozen=True)
-class DivergenceRow:
+class DivergenceRow(NamedTuple):
     delta: float
     seed: int
     band_size: int
@@ -408,14 +411,15 @@ class DivergenceReport:
 class DivergenceTables:
     """The seed-independent half of :func:`h1_divergence`.
 
-    The constructor validates the schedule and grid, calibrates the pinch
-    band and keeps |a|^2 next to the shared (1+|l|^2) weights.
+    The constructor validates the schedule and grid, forms |a|^2 from
+    ``symbol``, the operator's values on ``lattice``, calibrates the pinch
+    band on it and keeps it next to the shared (1+|l|^2) weights.
     :meth:`rows` is the per-seed kernel and :meth:`report` the summary.
     """
 
     def __init__(
         self,
-        A: MultiplierOperator,
+        symbol: np.ndarray,
         schedule: RegularizationSchedule,
         delta_grid: Sequence[float],
         seeds: Sequence[int],
@@ -434,9 +438,8 @@ class DivergenceTables:
                 f"divergence certificate needs delta^2 to be a normal double, got "
                 f"delta = {min(delta_grid):g} ([grids] delta_grid)"
             )
-        self.c0, self.c1, self.bands = calibrate_band(A, lattice, delta_grid)
-        values = A.symbol_values(lattice)
-        self._symbol_sq = values.real**2 + values.imag**2
+        self._symbol_sq = symbol.real**2 + symbol.imag**2
+        self.c0, self.c1, self.bands = _calibrate(self._symbol_sq, lattice, delta_grid)
         self._weights1 = sobolev_weights(lattice, 1.0)
         self._alphas = [schedule.alpha(band.delta) for band in self.bands]
         self._bound_factor = 1.0 / ((1.0 + schedule.alpha0 / self.c0) * (self.c1 + schedule.alpha0))
@@ -509,7 +512,7 @@ def h1_divergence(
     run feeds the per-seed kernel (:class:`DivergenceTables`) the same draw
     its error sweep uses, so the certificate draws nothing of its own there.
     """
-    tables = DivergenceTables(A, schedule, delta_grid, seeds, lattice)
+    tables = DivergenceTables(A.symbol_values(lattice), schedule, delta_grid, seeds, lattice)
     rows = [
         tables.rows(seed, sample_white_noise(lattice, seed).coefficients)
         for seed in seeds

@@ -12,6 +12,8 @@ import dataclasses
 import math
 from typing import Sequence
 
+import numpy as np
+
 __all__ = ["Series", "line_plot"]
 
 _COLORS = ["#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b", "#17becf"]
@@ -30,6 +32,12 @@ class Series:
 
 def _fmt(value: float) -> str:
     return format(value, ".2f")
+
+
+def _log10(values: np.ndarray, log: bool) -> np.ndarray:
+    # math.log10 rather than np.log10, whose last bit may differ and move a
+    # pixel; log axes carry few points
+    return np.array([math.log10(v) for v in values.tolist()]) if log else values
 
 
 def _tick_label(value: float, log: bool) -> str:
@@ -66,24 +74,28 @@ def line_plot(
     logx: bool = False,
     logy: bool = False,
 ) -> str:
-    """Render series as an SVG document string."""
+    """Render series as an SVG document string.
+
+    On a log axis the points at or below zero are dropped and the rest are
+    plotted at their ``math.log10``."""
     transformed = []
     for item in series:
-        xs, ys = [], []
-        for x, y in zip(item.x, item.y):
-            if (logx and x <= 0) or (logy and y <= 0):
-                continue
-            xs.append(math.log10(x) if logx else float(x))
-            ys.append(math.log10(y) if logy else float(y))
+        xs = np.asarray(item.x, dtype=np.float64)
+        ys = np.asarray(item.y, dtype=np.float64)
+        if xs.shape != ys.shape:
+            raise ValueError(f"series {item.label!r} has {xs.size} x and {ys.size} y values")
+        if logx or logy:
+            keep = ~((logx & (xs <= 0)) | (logy & (ys <= 0)))
+            xs, ys = _log10(xs[keep], logx), _log10(ys[keep], logy)
         transformed.append((item.label, xs, ys))
 
-    points = [(x, y) for _, xs, ys in transformed for x, y in zip(xs, ys)]
-    if not points:
+    plotted = [(xs, ys) for _, xs, ys in transformed if xs.size]
+    if not plotted:
         raise ValueError("nothing to plot")
-    x_low = min(p[0] for p in points)
-    x_high = max(p[0] for p in points)
-    y_low = min(p[1] for p in points)
-    y_high = max(p[1] for p in points)
+    x_low = min(float(xs.min()) for xs, _ in plotted)
+    x_high = max(float(xs.max()) for xs, _ in plotted)
+    y_low = min(float(ys.min()) for _, ys in plotted)
+    y_high = max(float(ys.max()) for _, ys in plotted)
     # 5% margins; degenerate ranges widen to a unit box
     if x_high == x_low:
         x_low, x_high = x_low - 0.5, x_high + 0.5
@@ -97,7 +109,7 @@ def line_plot(
     plot_w = _WIDTH - _MARGIN_LEFT - _MARGIN_RIGHT
     plot_h = _HEIGHT - _MARGIN_TOP - _MARGIN_BOTTOM
 
-    def to_px(x: float, y: float) -> tuple:
+    def to_px(x, y) -> tuple:  # floats or arrays
         px = _MARGIN_LEFT + (x - x_low) / (x_high - x_low) * plot_w
         py = _MARGIN_TOP + (y_high - y) / (y_high - y_low) * plot_h
         return px, py
@@ -150,10 +162,11 @@ def line_plot(
     )
 
     for index, (label, xs, ys) in enumerate(transformed):
-        if not xs:
+        if not xs.size:
             continue
         color = _COLORS[index % len(_COLORS)]
-        coords = " ".join(f"{_fmt(px)},{_fmt(py)}" for px, py in (to_px(x, y) for x, y in zip(xs, ys)))
+        pxs, pys = to_px(xs, ys)
+        coords = " ".join(f"{_fmt(px)},{_fmt(py)}" for px, py in zip(pxs.tolist(), pys.tolist()))
         parts.append(
             f'<polyline points="{coords}" fill="none" stroke="{color}" stroke-width="1.5"/>'
         )

@@ -22,6 +22,7 @@ import tikhtorus.experiments as experiments
 import tikhtorus.noise
 from tikhtorus import (
     ConfigError,
+    MultiplierOperator,
     evaluate_on_grid,
     forward,
     hat_values,
@@ -31,7 +32,7 @@ from tikhtorus import (
     truncate,
 )
 from tikhtorus.cli import main
-from tikhtorus.config import EXPERIMENTS, ExperimentConfig
+from tikhtorus.config import _BYTES_PER_MODE, _BYTES_PER_PLOT_POINT, EXPERIMENTS, ExperimentConfig
 from tikhtorus.experiments import SIGNAL_DELTA, run_experiment
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -330,6 +331,19 @@ class TestConfig:
         rows = re.findall(r"^\| `\[(\w+)\]` +\| `(\w+)` ", table, flags=re.MULTILINE)
         declared = [field.metadata["ini"] for field in dataclasses.fields(ExperimentConfig)]
         assert sorted(rows) == sorted(declared)
+
+    def test_readme_memory_figures_match_the_checks(self):
+        readme = (ROOT / "README.md").read_text()
+        table = readme.split("## Config schema", 1)[1].split("\n## ", 1)[0]
+        plot_figure = re.search(r"`plot_points \* (\d+)` bytes", table).group(1)
+        assert int(plot_figure) == _BYTES_PER_PLOT_POINT
+        per_mode = {}
+        for part in re.search(r"bytes per mode \(([^)]*)\)", table).group(1).split(", "):
+            *experiments_named, figure = part.replace(" and ", " ").split()
+            per_mode.update(dict.fromkeys(experiments_named, int(figure)))
+        assert per_mode == _BYTES_PER_MODE
+        probe_figure = re.search(r"`\(2M\+1\) \* (\d+)` bytes", table).group(1)
+        assert int(probe_figure) == _BYTES_PER_MODE["noise_probe"]
 
 
 EXPECTED_FILES = {
@@ -765,6 +779,25 @@ class TestCli:
         seeds = load_config(path).seeds
         assert len(drawn) == len(seeds)
         assert drawn == list(seeds)
+
+    def test_deblur_evaluates_the_reference_symbol_twice(self, tmp_path, monkeypatch):
+        # check_ellipticity evaluates the symbol on the reference lattice, and
+        # the error sweep, the band calibration and the certificate share one
+        # more evaluation
+        original = MultiplierOperator.symbol_values
+        mode_counts = []
+
+        def counted(self, lattice):
+            mode_counts.append(lattice.mode_count)
+            return original(self, lattice)
+
+        monkeypatch.setattr(MultiplierOperator, "symbol_values", counted)
+        path = CONFIG_DIR / "deblur.ini"
+        code = main(["deblur", "--config", str(path), "--out", str(tmp_path / "out")])
+        assert code == 0
+        reference_modes = 2 * load_config(path).reference_bandlimit + 1
+        assert mode_counts.count(reference_modes) <= 2
+        assert len(mode_counts) > 2  # the snapshot's plot-band solves still count
 
     def test_shipped_configs_run_under_the_benchmark_tracer(self, tmp_path, capsys):
         # the benchmark's traced mode rebinds library names and reads argument

@@ -79,3 +79,10 @@ def test_dropped_series_keeps_its_colour_slot():
 def test_nothing_left_to_plot_is_rejected():
     with pytest.raises(ValueError, match="nothing to plot"):
         line_plot([Series("gone", x=[0.0, 1.0], y=[-1.0, 0.0])], "t", "x", "y", logy=True)
+    with pytest.raises(ValueError, match="nothing to plot"):
+        line_plot([], "t", "x", "y")
+
+
+def test_series_lengths_must_match():
+    with pytest.raises(ValueError, match="'short'"):
+        line_plot([Series("short", x=[1.0, 2.0, 3.0], y=[1.0, 2.0])], "t", "x", "y")
