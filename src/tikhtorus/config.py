@@ -52,7 +52,7 @@ _BYTES_PER_MODE = {"deblur": 200, "rates": 200, "noise_probe": 128, "gamma": 568
 # Peak bytes a deblur run allocates per plot point (grids, FFTs, signal rows as
 # Python floats, CSV and SVG text): the tracemalloc peak of configs/deblur.ini at
 # reference_bandlimit 1024 grows 14.8 -> 51.2 MiB from 32,768 to 131,072 plot
-# points, 389.0 B each with the hat (380.6 B with a coefficient-file truth),
+# points, 389.1 B each with the hat (380.6 B with a coefficient-file truth),
 # rounded up to 8. The peak is the signal plot's polyline text.
 _BYTES_PER_PLOT_POINT = 392
 
