@@ -18,7 +18,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import CalibrationError, DomainError, ParameterError
+from .errors import CalibrationError, DomainError, InvalidFieldError, ParameterError
 from .noise import sample_white_noise
 from .spectral import (
     FrequencyLattice,
@@ -176,6 +176,14 @@ def fit_loglog_slope(samples: Sequence[tuple]) -> SlopeFit:
     return SlopeFit(slope=float(slope), intercept=float(intercept), residual=residual)
 
 
+def squared_modulus(symbol: np.ndarray) -> np.ndarray:
+    """|a|^2 = Re(a)^2 + Im(a)^2 of symbol values, read-only, so the sweep and
+    the certificate of one run can share it."""
+    symbol_sq = symbol.real**2 + symbol.imag**2
+    symbol_sq.setflags(write=False)
+    return symbol_sq
+
+
 class SweepRow(NamedTuple):
     s1: float
     delta: float
@@ -196,16 +204,24 @@ class SweepTables:
     """The seed-independent half of :func:`error_sweep`.
 
     The constructor validates the grids and builds the per-mode tables once
-    per sweep from ``symbol``, the operator's values on the truth's lattice:
-    |a|^2, conj(a), (1+|l|^2)^r and alpha(delta) per delta.
-    :meth:`errors` is the per-seed kernel and :meth:`result` the summary, so
-    a caller that already holds a noise draw (a deblur run) can feed it in
-    without drawing again.
+    per sweep from ``symbol``, the operator's values on the truth's lattice,
+    and ``symbol_sq``, their |a|^2 (:func:`squared_modulus`, shared with a
+    :class:`DivergenceTables` of the same run): conj(a), (1+|l|^2)^r and
+    alpha(delta) per delta. :meth:`errors` is the per-seed kernel and
+    :meth:`result` the summary, so a caller that already holds a noise draw
+    (a deblur run) can feed it in without drawing again.
+
+    The kernel builds each (seed, delta) deviation in buffers it reuses
+    across the deltas, squares it once into |T(m) - u|^2, and takes every
+    s1's norm as sqrt(sum((1+|l|^2)^s1 |T(m) - u|^2)): the arithmetic and
+    summation order of :func:`~tikhtorus.spectral.sobolev_norm`, so each
+    error equals that function's value on the deviation bit for bit.
     """
 
     def __init__(
         self,
         symbol: np.ndarray,
+        symbol_sq: np.ndarray,
         truth: SpectralField,
         schedule: RegularizationSchedule,
         s1_list: Sequence[float],
@@ -226,7 +242,7 @@ class SweepTables:
         )
         if not math.isfinite(sobolev_norm(truth, schedule.r)):
             raise ParameterError("truth must have finite H^r norm")
-        self._symbol_sq = symbol.real**2 + symbol.imag**2
+        self._symbol_sq = symbol_sq
         self._symbol_conj = symbol.conj()
         self._alphas = [schedule.alpha(delta) for delta in self.delta_grid]
         if 0.0 in self._alphas and not self._symbol_sq.all():
@@ -242,23 +258,40 @@ class SweepTables:
         ``eps`` (its coefficients; zeros for the noise-free pipeline)."""
         lattice, u = self.truth.lattice, self.truth.coefficients
         out = np.empty((len(self.s1_list), len(self.delta_grid)))
+        # each ufunc below is one operation of (|a|^2/z) u + (conj(a)/z)(delta
+        # eps) - u with the operands in the order of that expression: complex
+        # products may be fused multiply-adds, so swapping them changes bits
+        power = np.empty(u.shape)  # z, then |a|^2/z, then |T(m) - u|^2
+        gain = np.empty_like(u)  # conj(a)/z, then (conj(a)/z)(delta eps)
+        deviation = np.empty_like(u)  # delta eps, then T(m) - u
+        # real scratch in gain's memory, which is free once T(m) - u is formed
+        weighted = gain.view(np.float64)[: u.size]
         # an inf z (alpha (1+|l|^2)^r overflows) makes the filter factors 0,
         # their value in double precision; an error that is not finite is
         # caught below
         with np.errstate(over="ignore", invalid="ignore"):
             for i, (delta, alpha) in enumerate(zip(self.delta_grid, self._alphas)):
-                z = self._symbol_sq + alpha * self._weights_r
-                deviation = SpectralField._owned(
-                    lattice, (self._symbol_sq / z) * u + (self._symbol_conj / z) * (delta * eps) - u
-                )
+                z = np.multiply(alpha, self._weights_r, out=power)
+                np.add(self._symbol_sq, z, out=z)
+                np.divide(self._symbol_conj, z, out=gain)
+                np.divide(self._symbol_sq, z, out=power)
+                np.multiply(delta, eps, out=deviation)
+                np.multiply(gain, deviation, out=gain)
+                np.multiply(power, u, out=deviation)
+                np.add(deviation, gain, out=deviation)
+                np.subtract(deviation, u, out=deviation)
+                np.square(deviation.real, out=power)
+                np.add(power, np.square(deviation.imag, out=weighted), out=power)
                 for k, s1 in enumerate(self.s1_list):
-                    error = sobolev_norm(deviation, s1)
+                    np.multiply(sobolev_weights(lattice, s1), power, out=weighted)
+                    error = float(np.sqrt(np.sum(weighted)))
                     if not math.isfinite(error):
+                        if not np.isfinite(deviation.view(np.float64)).all():
+                            raise InvalidFieldError("field has non-finite coefficients")
                         where = f"s1 = {s1:g}, delta = {delta:g}"
                         finite_sobolev_weights(lattice, s1, f"the error at {where} ([grids] s1_list)")
                         raise ParameterError(f"error at {where} is {error}, not finite")
                     out[k, i] = error
-                del z, deviation  # so the next delta's arrays never overlap these
         return out
 
     def result(self, per_seed: list) -> SweepResult:
@@ -302,7 +335,9 @@ def error_sweep(
 
     Per mode, T(m_delta) - u = (|a|^2 / z) u + (conj(a) / z) delta eps - u
     with z = |a|^2 + alpha(delta) (1+|l|^2)^r: the arithmetic, in order, of
-    ``solve_split(...).reconstruction - truth``, so the errors match that
+    ``solve_split(...).reconstruction - truth``. Each deviation is squared
+    once, |T(m_delta) - u|^2, and weighted by (1+|l|^2)^s1 per s1 before the
+    sum, in ``sobolev_norm``'s summation order, so the errors match that
     composition bit for bit. A seed of ``None`` runs the noise-free pipeline
     (eps = 0, reported as seed -1). Errors are normalized per s1 curve so the
     seed-median starts at 1 at the largest delta; slopes are fitted on the
@@ -313,9 +348,11 @@ def error_sweep(
     (:class:`SweepTables`), to the H^1 certificate and, for its first seed,
     to the signal snapshot.
     """
+    symbol = A.symbol_values(truth.lattice)
     tables = SweepTables(
-        A.symbol_values(truth.lattice), truth, schedule, s1_list, delta_grid, seeds
+        symbol, squared_modulus(symbol), truth, schedule, s1_list, delta_grid, seeds
     )
+    del symbol  # the tables keep what they need of it
     errors = [
         tables.errors(
             np.zeros_like(truth.coefficients)
@@ -356,8 +393,7 @@ def calibrate_band(
     mode closest to balance at the largest delta, then widens geometrically,
     at most 40 times.
     """
-    values = A.symbol_values(lattice)
-    return _calibrate(values.real**2 + values.imag**2, lattice, delta_grid)
+    return _calibrate(squared_modulus(A.symbol_values(lattice)), lattice, delta_grid)
 
 
 def _calibrate(
@@ -411,15 +447,16 @@ class DivergenceReport:
 class DivergenceTables:
     """The seed-independent half of :func:`h1_divergence`.
 
-    The constructor validates the schedule and grid, forms |a|^2 from
-    ``symbol``, the operator's values on ``lattice``, calibrates the pinch
-    band on it and keeps it next to the shared (1+|l|^2) weights.
+    The constructor validates the schedule and grid, calibrates the pinch
+    band on ``symbol_sq``, the |a|^2 of the operator's values on ``lattice``
+    (:func:`squared_modulus`), and keeps it next to the shared (1+|l|^2)
+    weights.
     :meth:`rows` is the per-seed kernel and :meth:`report` the summary.
     """
 
     def __init__(
         self,
-        symbol: np.ndarray,
+        symbol_sq: np.ndarray,
         schedule: RegularizationSchedule,
         delta_grid: Sequence[float],
         seeds: Sequence[int],
@@ -438,8 +475,8 @@ class DivergenceTables:
                 f"divergence certificate needs delta^2 to be a normal double, got "
                 f"delta = {min(delta_grid):g} ([grids] delta_grid)"
             )
-        self._symbol_sq = symbol.real**2 + symbol.imag**2
-        self.c0, self.c1, self.bands = _calibrate(self._symbol_sq, lattice, delta_grid)
+        self._symbol_sq = symbol_sq
+        self.c0, self.c1, self.bands = _calibrate(symbol_sq, lattice, delta_grid)
         self._weights1 = sobolev_weights(lattice, 1.0)
         self._alphas = [schedule.alpha(band.delta) for band in self.bands]
         self._bound_factor = 1.0 / ((1.0 + schedule.alpha0 / self.c0) * (self.c1 + schedule.alpha0))
@@ -512,7 +549,9 @@ def h1_divergence(
     run feeds the per-seed kernel (:class:`DivergenceTables`) the same draw
     its error sweep uses, so the certificate draws nothing of its own there.
     """
-    tables = DivergenceTables(A.symbol_values(lattice), schedule, delta_grid, seeds, lattice)
+    tables = DivergenceTables(
+        squared_modulus(A.symbol_values(lattice)), schedule, delta_grid, seeds, lattice
+    )
     rows = [
         tables.rows(seed, sample_white_noise(lattice, seed).coefficients)
         for seed in seeds

@@ -9,6 +9,7 @@ from tikhtorus import (
     CalibrationError,
     DomainError,
     FrequencyLattice,
+    InvalidFieldError,
     MultiplierOperator,
     ParameterError,
     RegularizationSchedule,
@@ -26,7 +27,7 @@ from tikhtorus import (
     solve_split,
     zero_field,
 )
-from tikhtorus.rates import calibrate_band
+from tikhtorus.rates import SweepTables, calibrate_band, squared_modulus
 
 DEBLUR = dict(t=2.0, r=1.0, kappa=2.5, s=-0.6)
 
@@ -202,10 +203,15 @@ class TestErrorSweep:
         labels = {row.seed for row in result.rows}
         assert labels == {-1, 4}
 
-    @pytest.mark.parametrize("kind", ["deblur", "twisted"])
-    def test_errors_equal_the_public_composition(self, kind):
+    @pytest.mark.parametrize(
+        "kind, bandlimit",
+        [("deblur", 64), ("twisted", 64), ("deblur", 4096), ("twisted", 4096)],
+        ids=["deblur", "twisted", "deblur-4096", "twisted-4096"],
+    )
+    def test_errors_equal_the_public_composition(self, kind, bandlimit):
         # the per-mode sweep must reproduce forward -> solve_split -> subtract
-        # bit for bit, also for a complex Hermitian symbol
+        # -> sobolev_norm bit for bit, also for a complex Hermitian symbol; at
+        # 8193 modes np.sum recurses through many 128-element pairwise blocks
         def twisted(modes):
             l = modes[:, 0].astype(np.float64)
             return np.exp(0.3j * l) / (1.0 + l**2)
@@ -215,7 +221,7 @@ class TestErrorSweep:
             A = MultiplierOperator(
                 symbol=twisted, order=-2.0, ellipticity=A.ellipticity, dimension=1
             )
-        lattice = FrequencyLattice(1, 64)
+        lattice = FrequencyLattice(1, bandlimit)
         truth = hat_coefficients(lattice)
         seeds, s1_list, deltas = [None, 0, 5], [-1.5, 0.0, 1.0], [1e-2, 1e-3, 1e-4]
         result = error_sweep(A, truth, SCHEDULE, s1_list, deltas, seeds)
@@ -231,6 +237,23 @@ class TestErrorSweep:
         truth = hat_coefficients(lattice)
         with pytest.raises(ParameterError):
             error_sweep(deblur_operator(), truth, SCHEDULE, [-1.5], [1e-3, 1e-2], [0])
+
+    def test_kernel_error_precedence(self):
+        # a non-finite deviation is reported as such, ahead of weights
+        # (1+|l|^2)^400 that overflow; finite data then names the s1 key
+        lattice = FrequencyLattice(1, 64)
+        truth = hat_coefficients(lattice)
+        symbol = deblur_operator().symbol_values(lattice)
+        tables = SweepTables(
+            symbol, squared_modulus(symbol), truth, SCHEDULE, [400.0, -1.5], [1e-2, 1e-3], [0]
+        )
+        eps = sample_white_noise(lattice, 0).coefficients
+        broken = eps.copy()
+        broken[3] = np.inf
+        with pytest.raises(InvalidFieldError, match="non-finite"):
+            tables.errors(broken)
+        with pytest.raises(ParameterError, match=r"s1 = 400, delta = 0\.01 \(\[grids\] s1_list\)"):
+            tables.errors(eps)
 
 
 DIVERGENCE_SCHEDULE = RegularizationSchedule(alpha0=1.0, kappa=2.0, r=1.0)
