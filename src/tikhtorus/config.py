@@ -49,11 +49,14 @@ def _one_of(what: str, *options: str) -> tuple:
 _BYTES_PER_MODE = {"deblur": 200, "rates": 200, "noise_probe": 128, "gamma": 568}
 
 
-# Peak bytes a deblur run allocates per plot point (grids, FFTs, signal rows as
-# Python floats, CSV and SVG text): the tracemalloc peak of configs/deblur.ini at
-# reference_bandlimit 1024 grows 14.8 -> 51.2 MiB from 32,768 to 131,072 plot
+# Peak bytes a deblur run allocates per plot point (grids, FFTs, the float64
+# signal table, CSV and SVG text): the tracemalloc peak of configs/deblur.ini at
+# reference_bandlimit 1024 grew 14.8 -> 51.2 MiB from 32,768 to 131,072 plot
 # points, 389.1 B each with the hat (380.6 B with a coefficient-file truth),
-# rounded up to 8. The peak is the signal plot's polyline text.
+# rounded up to 8, while the signal rows were Python floats. The peak is the
+# signal plot's polyline text. Since the table stays float64 until signal.csv
+# is written, the same runs grow 13.2 -> 43.4 MiB (322.1 B each), so the
+# figure is an upper bound.
 _BYTES_PER_PLOT_POINT = 392
 
 

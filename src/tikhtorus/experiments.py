@@ -157,9 +157,9 @@ def _snapshot(
     alpha: float,
     r: float,
 ) -> tuple:
-    """Signal rows (x, truth, data, reconstruction) of the illustrative
-    reconstruction at SIGNAL_DELTA, their plot, and the bandlimit they are
-    plotted at.
+    """Signal table of the illustrative reconstruction at SIGNAL_DELTA, one
+    float64 row (x, truth, data, reconstruction) per plot point, its plot,
+    and the bandlimit it is plotted at.
 
     The truth and the draw are truncated to that bandlimit first, and the
     measurement and reconstruction are made on its small lattice: both are
@@ -177,8 +177,7 @@ def _snapshot(
         if config.truth_kind == "hat"
         else evaluate_on_grid(truth, config.plot_points)
     )
-    columns = (x_grid, truth_values, blurred_values, reconstruction_values)
-    signal_rows = list(zip(*(column.tolist() for column in columns)))
+    signal_table = np.column_stack((x_grid, truth_values, blurred_values, reconstruction_values))
     signal_plot = line_plot(
         [
             Series(label="truth", x=x_grid, y=truth_values),
@@ -189,7 +188,7 @@ def _snapshot(
         xlabel="x",
         ylabel="value",
     )
-    return signal_rows, signal_plot, plot_band
+    return signal_table, signal_plot, plot_band
 
 
 def run_deblur(config: ExperimentConfig) -> dict:
@@ -235,7 +234,7 @@ def run_deblur(config: ExperimentConfig) -> dict:
     for j, seed in enumerate(config.seeds):
         noise = sample_white_noise(lattice, seed)
         if j == 0:  # illustrative reconstruction at the fixed noise amplitude
-            signal_rows, signal_plot, plot_band = _snapshot(
+            signal_table, signal_plot, plot_band = _snapshot(
                 config, operator, truth, noise, signal_alpha, schedule.r
             )
         errors.append(sweep.errors(noise.coefficients))
@@ -286,7 +285,10 @@ def run_deblur(config: ExperimentConfig) -> dict:
     }
     outputs = {
         "errors.csv": _csv_text(SweepRow._fields, result.rows),
-        "signal.csv": _csv_text(("x", "truth", "data", "reconstruction"), signal_rows),
+        "signal.csv": _csv_text(
+            ("x", "truth", "data", "reconstruction"),
+            zip(*(column.tolist() for column in signal_table.T)),
+        ),
         "errors.svg": error_plot,
         "signal.svg": signal_plot,
         "metadata.json": _metadata_text(config, derived),

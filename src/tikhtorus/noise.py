@@ -19,6 +19,13 @@ evaluated as ``log1p(-u[2j])``).
 Bit-identical output for a given (seed, lattice) is part of the public
 contract and is pinned by tests.
 
+A draw is computed in chunks of canonical modes, spread over one thread per
+CPU of the process's affinity (``os.sched_getaffinity``). Each chunk builds
+its own ``PCG64(seed)`` and moves it to its first uniform with
+``PCG64.advance``; ``random()`` takes exactly one 64-bit output per double,
+so a chunk reads the same uniforms as one whole-stream call would, and the
+bytes depend neither on the CPU count nor on the chunk size.
+
 Draw order and nesting
 ----------------------
 Coefficients are assigned in shells of increasing max-norm; within a shell,
@@ -41,8 +48,10 @@ truncation as a slice of the lattice (:func:`spectral.ball`), not a mask.
 from __future__ import annotations
 
 import operator
+import os
+import threading
 from functools import lru_cache
-from typing import NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -89,24 +98,85 @@ def _box_muller(uniforms: np.ndarray) -> tuple:
     return radius * np.cos(angle), radius * np.sin(angle)
 
 
-def _canonical_draw(lattice: FrequencyLattice, seed: int) -> tuple:
-    """The draw of one realization before it becomes a field: the zero-mode
-    variate, the values at the canonical modes in draw order, and the layout
-    ``(canonical, conjugate)`` of their lattice positions."""
+# items per piece of a chunked kernel: a draw piece keeps under 2 MiB of
+# temporaries alive, which stays in a core's cache and leaves little in the
+# worker threads' malloc arenas; the shipped configs' draws and tables (up to
+# 32,769 modes) stay below two pieces and so on the calling thread
+_CHUNK = 32768
+
+
+def _cpu_count() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _map_chunks(kernel: Callable[[int, int], object], size: int) -> None:
+    """Call ``kernel(start, stop)`` on the consecutive pieces of [0, size),
+    ``_CHUNK`` items each (the last one shorter).
+
+    Below two chunks this is a plain loop on the calling thread. Otherwise
+    the pieces are split into one contiguous range per CPU of the process's
+    affinity; the calling thread walks the first range and one thread each
+    the others. Kernels write disjoint slices, so the result does not depend
+    on the split. Workers run under the caller's ``np.errstate`` (which numpy
+    keeps per thread), and the first exception raised in any range re-raises
+    here once every range has stopped.
+    """
+    chunks = -(-size // _CHUNK)
+    workers = min(chunks, _cpu_count()) if size >= 2 * _CHUNK else 1
+    errstate = np.geterr()
+    failures: list = [None] * workers
+
+    def run(task: int) -> None:
+        try:
+            with np.errstate(**errstate):
+                for piece in range(task * chunks // workers, (task + 1) * chunks // workers):
+                    kernel(piece * _CHUNK, min(size, (piece + 1) * _CHUNK))
+        except BaseException as exc:  # re-raised on the calling thread
+            failures[task] = exc
+
+    threads = [threading.Thread(target=run, args=(task,)) for task in range(1, workers)]
+    for thread in threads:
+        thread.start()
+    run(0)
+    for thread in threads:
+        thread.join()
+    for exc in failures:
+        if exc is not None:
+            raise exc
+
+
+def _draw_chunks(lattice: FrequencyLattice, seed: int, store: Callable) -> float:
+    """Draw one realization chunk by chunk: ``store(canonical, conjugate,
+    values)`` receives the values at a run of canonical modes in draw order
+    and their lattice positions; the zero-mode variate is returned.
+
+    1 + 2n variates in n + 1 Box-Muller pairs: z[0] is the zero mode, then
+    (z[2k+1], z[2k+2]) = (sin half k, cos half k+1) for canonical mode k. The
+    chunk of modes [a, b) reads pairs a..b, the uniforms [2a, 2b+2) of the
+    stream, which its own PCG64 reaches with ``advance(2a)``: ``random()``
+    takes one 64-bit output per double."""
     try:
         index = operator.index(seed)
     except TypeError:  # a float, a string, None
         index = -1
     if index < 0:
         raise ParameterError(f"seed must be a non-negative integer, got {seed!r}")
-    layout = _draw_layout(lattice.dimension, lattice.bandlimit)
-    n = layout[0].size
-    # 1 + 2n variates in n + 1 Box-Muller pairs: z[0] is the zero mode, then
-    # (z[2k+1], z[2k+2]) = (sin half k, cos half k+1) for canonical mode k
-    rng = np.random.Generator(np.random.PCG64(index))
-    cos_half, sin_half = _box_muller(rng.random(2 * (n + 1)))
-    values = (sin_half[:n] + 1j * cos_half[1 : n + 1]) / np.sqrt(2.0)
-    return cos_half[0], values, layout
+    canonical, conjugate = _draw_layout(lattice.dimension, lattice.bandlimit)
+
+    def uniforms(start: int, count: int) -> np.ndarray:
+        bit_generator = np.random.PCG64(index)
+        bit_generator.advance(2 * start)
+        return np.random.Generator(bit_generator).random(count)
+
+    def draw(start: int, stop: int) -> None:
+        cos_half, sin_half = _box_muller(uniforms(start, 2 * (stop - start + 1)))
+        values = (sin_half[:-1] + 1j * cos_half[1:]) / np.sqrt(2.0)
+        store(canonical[start:stop], conjugate[start:stop], values)
+
+    _map_chunks(draw, canonical.size)
+    return _box_muller(uniforms(0, 2))[0][0]
 
 
 def sample_white_noise(lattice: FrequencyLattice, seed: int) -> SpectralField:
@@ -117,27 +187,30 @@ def sample_white_noise(lattice: FrequencyLattice, seed: int) -> SpectralField:
     is real-valued (Hermitian flag set). Deterministic given (seed, lattice);
     a seed that is not a non-negative integer raises ParameterError.
     """
-    # allocated before the draw's temporaries: in the other order the glibc
-    # heap layout gives a configs/deblur.ini run about three times the minor
-    # page faults (26.5k against 8.3k), for 1 MiB less peak RSS
     coeffs = np.zeros(lattice.mode_count, dtype=np.complex128)
-    z0, values, (canonical, conjugate) = _canonical_draw(lattice, seed)
-    coeffs[lattice.zero_index] = z0
-    coeffs[canonical] = values
-    coeffs[conjugate] = values.conj()
+
+    def store(canonical: np.ndarray, conjugate: np.ndarray, values: np.ndarray) -> None:
+        coeffs[canonical] = values
+        coeffs[conjugate] = values.conj()
+
+    coeffs[lattice.zero_index] = _draw_chunks(lattice, seed, store)
     return SpectralField._owned(lattice, coeffs, hermitian=True)
 
 
-def _draw_power(lattice: FrequencyLattice, seed: int) -> np.ndarray:
+def _draw_power(lattice: FrequencyLattice, seed: int, out: np.ndarray | None = None) -> np.ndarray:
     """|c(l)|^2 of ``sample_white_noise(lattice, seed)`` per mode, without the
-    field: |c| is computed once per conjugate pair (hypot ignores the sign of
-    the imaginary part), and the zero mode's |z0|^2 is z0 * z0."""
-    z0, values, (canonical, conjugate) = _canonical_draw(lattice, seed)
-    power = np.empty(lattice.mode_count)
+    field, written to ``out`` when given: |c| is computed once per conjugate
+    pair (hypot ignores the sign of the imaginary part), and the zero mode's
+    |z0|^2 is z0 * z0."""
+    power = np.empty(lattice.mode_count) if out is None else out
+
+    def store(canonical: np.ndarray, conjugate: np.ndarray, values: np.ndarray) -> None:
+        pair_power = np.abs(values) ** 2
+        power[canonical] = pair_power
+        power[conjugate] = pair_power
+
+    z0 = _draw_chunks(lattice, seed, store)
     power[lattice.zero_index] = z0 * z0
-    pair_power = np.abs(values) ** 2
-    power[canonical] = pair_power
-    power[conjugate] = pair_power
     return power
 
 
@@ -188,6 +261,10 @@ def regularity_probe(
     Each seed's |c(l)|^2 comes from the canonical draw of the top lattice,
     with no field built; the energies equal those of
     ``sample_white_noise(top, seed)`` summed over ``shells <= m`` bit for bit.
+    The tables are filled chunk by chunk across the CPUs into buffers
+    allocated once: one ``(1 + |l|^2)^s`` table per s, one |c|^2 table
+    reused across the seeds, and one ``w * |c|^2`` product reused across the
+    seeds and s. The partial sums stay whole-array sums on the calling thread.
     """
     if len(s_values) == 0 or len(bandlimits) == 0 or len(seeds) == 0:
         raise ConfigError("regularity_probe needs nonempty s_values, bandlimits, seeds")
@@ -195,21 +272,41 @@ def regularity_probe(
         raise ConfigError("bandlimits must be strictly increasing")
 
     top = FrequencyLattice(dimension, max(bandlimits))
-    weights_sq = 1.0 + top.squared_norms()
+    # the layout's temporaries come and go before the tables exist
+    _draw_layout(dimension, top.bandlimit)
+    size = top.mode_count
 
     def partial_sums(table: np.ndarray) -> list:
         return [np.sum(ball(top, table, m).ravel()) for m in bandlimits]
 
-    # (s, trajectory, bandlimit); one draw's power table is alive at a time
+    def weight_table(weights_sq: np.ndarray, s: float) -> np.ndarray:
+        table = np.empty(size)
+
+        def kernel(start: int, stop: int) -> None:
+            table[start:stop] = weights_sq[start:stop] ** s  # ** keeps numpy's fast paths
+
+        _map_chunks(kernel, size)
+        return table
+
+    def multiply(w: np.ndarray, power: np.ndarray, out: np.ndarray) -> np.ndarray:
+        def kernel(start: int, stop: int) -> None:
+            np.multiply(w[start:stop], power[start:stop], out=out[start:stop])
+
+        _map_chunks(kernel, size)
+        return out
+
+    # (s, trajectory, bandlimit)
     energies = np.empty((len(s_values), 1 + len(seeds), len(bandlimits)))
     with np.errstate(over="ignore"):
-        weights = [weights_sq**s for s in s_values]
+        weights_sq = 1.0 + top.squared_norms()
+        weights = [weight_table(weights_sq, s) for s in s_values]
+        del weights_sq  # freed before the draw's tables exist
         energies[:, 0] = [partial_sums(w) for w in weights]
+        power, product = np.empty(size), np.empty(size)
         for j, seed in enumerate(seeds, start=1):
-            power = _draw_power(top, seed)
+            _draw_power(top, seed, out=power)
             for i, w in enumerate(weights):
-                energies[i, j] = partial_sums(w * power)
-            del power
+                energies[i, j] = partial_sums(multiply(w, power, product))
     if not np.isfinite(energies).all():
         i, _, k = np.argwhere(~np.isfinite(energies))[0]
         raise ParameterError(

@@ -10,6 +10,7 @@ import os
 import re
 import subprocess
 import sys
+import threading
 import warnings
 from pathlib import Path
 
@@ -758,6 +759,28 @@ class TestCli:
         assert err.startswith("MemoryError: out of memory") and key in err
         assert "Traceback" not in err
 
+    def test_memory_error_in_a_draw_worker_exit_code(self, tmp_path, capsys, monkeypatch):
+        # the probe's 100,000-pair draw runs on worker threads; a MemoryError
+        # raised in one reaches the CLI on the calling thread
+        original = tikhtorus.noise._box_muller
+        raised = []
+
+        def exhausted(uniforms):
+            if threading.current_thread() is not threading.main_thread():
+                raised.append(uniforms.size)
+                raise MemoryError()
+            return original(uniforms)
+
+        monkeypatch.setattr(tikhtorus.noise, "_cpu_count", lambda: 2)
+        monkeypatch.setattr(tikhtorus.noise, "_box_muller", exhausted)
+        text = small_config_text("noise_probe", str(tmp_path / "out"), probe_bandlimits="50000,100000")
+        code = main(["noise-probe", "--config", str(write_config(tmp_path, text))])
+        assert code == 4 and raised
+        err = capsys.readouterr().err
+        assert err.startswith("MemoryError: out of memory") and "[noise_probe] bandlimits" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
     def test_deblur_draws_each_seed_once(self, tmp_path, monkeypatch):
         # one draw per seed feeds the error sweep, the snapshot and the H^1
         # certificate alike
@@ -864,6 +887,21 @@ class TestCli:
         )
         assert done.returncode == 0, done.stderr
         assert (tmp_path / "out" / "gamma.csv").exists()
+
+    def test_cli_import_does_not_load_concurrent_futures_or_logging(self):
+        # the draw's workers are plain threads: the CLI's import stays as light
+        # as before they existed
+        script = (
+            "import sys, tikhtorus.cli; "
+            "loaded = [m for m in ('concurrent.futures', 'logging') if m in sys.modules]; "
+            "assert not loaded, loaded"
+        )
+        path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+        env = dict(os.environ, PYTHONPATH=path)
+        done = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
+        )
+        assert done.returncode == 0, done.stderr
 
     def test_missing_config_file(self, tmp_path, capsys):
         code = main(["deblur", "--config", str(tmp_path / "absent.ini")])

@@ -1,6 +1,8 @@
 """White-noise sampler: reproducibility, moments, nesting, energy sums."""
 
 import itertools
+import threading
+import warnings
 
 import numpy as np
 import pytest
@@ -16,6 +18,7 @@ from tikhtorus import (
     sobolev_norm,
     truncate,
 )
+from tikhtorus import noise
 
 
 def direct_energy_sum(M, s):
@@ -130,6 +133,125 @@ class TestSampler:
             assert abs(np.mean(power) - 1.0) < 4 * power_se
 
 
+def single_shot_draw(lattice, seed):
+    """The coefficients and |c|^2 of one draw from one whole-stream call:
+    ``random(2 * (n + 1))``, the Box-Muller pairs, and the documented scatter."""
+    canonical, conjugate = noise._draw_layout(lattice.dimension, lattice.bandlimit)
+    n = canonical.size
+    uniforms = np.random.Generator(np.random.PCG64(seed)).random(2 * (n + 1))
+    cos_half, sin_half = noise._box_muller(uniforms)
+    values = (sin_half[:n] + 1j * cos_half[1 : n + 1]) / np.sqrt(2.0)
+    coeffs = np.zeros(lattice.mode_count, dtype=np.complex128)
+    coeffs[lattice.zero_index] = cos_half[0]
+    coeffs[canonical] = values
+    coeffs[conjugate] = values.conj()
+    power = np.empty(lattice.mode_count)
+    power[lattice.zero_index] = cos_half[0] * cos_half[0]
+    power[canonical] = power[conjugate] = np.abs(values) ** 2
+    return coeffs, power
+
+
+def assert_draws_match_single_shot(lattice, seed):
+    coeffs, power = single_shot_draw(lattice, seed)
+    assert np.array_equal(sample_white_noise(lattice, seed).coefficients, coeffs)
+    assert np.array_equal(noise._draw_power(lattice, seed), power)
+
+
+@pytest.fixture
+def many_cpus(monkeypatch):
+    # more workers than this machine may have, so every range split is taken
+    monkeypatch.setattr(noise, "_cpu_count", lambda: 3)
+
+
+class TestChunkedDraw:
+    # a draw is made in chunks of canonical pairs across worker threads; its
+    # bytes equal those of one whole-stream call at every split
+
+    @pytest.mark.parametrize(
+        "dimension,bandlimit",
+        [
+            (1, 2**20),
+            (1, noise._CHUNK - 1),
+            (1, noise._CHUNK),
+            (1, noise._CHUNK + 1),
+            (1, 3 * noise._CHUNK + 5),
+            (2, 300),
+        ],
+    )
+    def test_equals_the_single_shot_draw(self, dimension, bandlimit):
+        assert_draws_match_single_shot(FrequencyLattice(dimension, bandlimit), 2024)
+
+    @pytest.mark.parametrize("chunk", [1, 3, 7])
+    @pytest.mark.parametrize(
+        "dimension,bandlimit", [(1, 0), (1, 1), (1, 2), (1, 6), (1, 50), (2, 1), (2, 4), (2, 9)]
+    )
+    def test_equals_the_single_shot_draw_across_small_chunks(
+        self, monkeypatch, many_cpus, chunk, dimension, bandlimit
+    ):
+        monkeypatch.setattr(noise, "_CHUNK", chunk)
+        assert_draws_match_single_shot(FrequencyLattice(dimension, bandlimit), 99)
+
+    def test_concurrent_callers_get_the_single_thread_bytes(self, many_cpus):
+        lattice = FrequencyLattice(1, 3 * noise._CHUNK + 5)
+        seeds = [3, 4]
+        expected = [single_shot_draw(lattice, seed)[0] for seed in seeds]
+        start = threading.Barrier(len(seeds))
+        drawn = [None] * len(seeds)
+
+        def call(i):
+            start.wait()
+            drawn[i] = sample_white_noise(lattice, seeds[i]).coefficients
+
+        callers = [threading.Thread(target=call, args=(i,)) for i in range(len(seeds))]
+        for caller in callers:
+            caller.start()
+        for caller in callers:
+            caller.join(timeout=120)
+        assert all(np.array_equal(a, b) for a, b in zip(drawn, expected))
+
+    def test_a_draw_inside_a_worker_keeps_its_bytes(self, monkeypatch, many_cpus):
+        # each piece of an outer map draws a lattice of several chunks, which
+        # starts workers of its own from inside a worker
+        monkeypatch.setattr(noise, "_CHUNK", 1000)
+        lattice = FrequencyLattice(1, 4500)
+        expected = single_shot_draw(lattice, 11)[0]
+        drawn = {}
+
+        def kernel(start, stop):
+            drawn[start] = (threading.current_thread(), sample_white_noise(lattice, 11))
+
+        outer = threading.Thread(target=noise._map_chunks, args=(kernel, 3000))
+        outer.start()
+        outer.join(timeout=120)
+        assert not outer.is_alive()
+        assert sorted(drawn) == [0, 1000, 2000]
+        assert len({thread for thread, _ in drawn.values()}) == 3
+        assert all(np.array_equal(field.coefficients, expected) for _, field in drawn.values())
+
+    def test_worker_errstate_and_exceptions_reach_the_caller(self, many_cpus):
+        # (1+|l|^2)^400 overflows inside the workers' weight tables: the
+        # probe's over="ignore" holds there too, and the overflow surfaces as
+        # the caller's ParameterError
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(ParameterError, match="s = 400, bandlimit = 20000"):
+                regularity_probe([-2.0, 400.0], [20000, 40000], [0])
+        assert caught == []
+
+    def test_the_first_worker_exception_reraises_after_every_range(self, many_cpus):
+        finished = []
+
+        def kernel(start, stop):
+            if start == noise._CHUNK * 2:
+                raise MemoryError("piece 2")
+            finished.append(start)
+
+        with pytest.raises(MemoryError, match="piece 2"):
+            noise._map_chunks(kernel, 9 * noise._CHUNK)
+        # the three ranges hold pieces 0-2, 3-5 and 6-8; only piece 2 failed
+        assert sorted(finished) == [i * noise._CHUNK for i in (0, 1, 3, 4, 5, 6, 7, 8)]
+
+
 class TestExpectedEnergy:
     def test_s_zero_counts_modes(self):
         for M in (0, 10, 100):
@@ -209,10 +331,20 @@ class TestRegularityProbe:
         first = [row for row in rows if row.bandlimit == 8]
         assert all(row.growth_ratio is None for row in first)
 
-    @pytest.mark.parametrize("dimension", [1, 2])
-    def test_rows_equal_the_masked_sum_composition(self, dimension):
+    @pytest.mark.parametrize(
+        "dimension,s_values,bandlimits",
+        [
+            pytest.param(1, [-2.0, -0.6, 0.3], [3, 6, 12, 20], id="1"),
+            pytest.param(2, [-2.0, -0.6, 0.3], [3, 6, 12, 20], id="2"),
+            # numpy's ** fast paths (reciprocal, ones, sqrt, square) on tables
+            # and draws that span several chunks
+            pytest.param(1, [-1.0, 0.0, 0.5, 1.0, 2.0], [9000, 50000, 100000], id="1-chunks"),
+            pytest.param(2, [-1.0, 0.0, 0.5, 1.0, 2.0], [40, 150, 300], id="2-chunks"),
+        ],
+    )
+    def test_rows_equal_the_masked_sum_composition(self, dimension, s_values, bandlimits):
         # oracle: every (s, trajectory) energy formed from scratch, in row order
-        s_values, bandlimits, seeds = [-2.0, -0.6, 0.3], [3, 6, 12, 20], [0, 7, 2]
+        seeds = [0, 7, 2]
         top = FrequencyLattice(dimension, max(bandlimits))
         sq, shells = top.squared_norms(), top.shells()
         oracle = []
