@@ -120,8 +120,8 @@ def _map_chunks(kernel: Callable[[int, int], object], size: int) -> None:
     affinity; the calling thread walks the first range and one thread each
     the others. Kernels write disjoint slices, so the result does not depend
     on the split. Workers run under the caller's ``np.errstate`` (which numpy
-    keeps per thread), and the first exception raised in any range re-raises
-    here once every range has stopped.
+    keeps per thread). A range stops at its first exception, which re-raises
+    here once every range has stopped (the earliest range's, if several fail).
     """
     chunks = -(-size // _CHUNK)
     workers = min(chunks, _cpu_count()) if size >= 2 * _CHUNK else 1

@@ -1,6 +1,7 @@
 """White-noise sampler: reproducibility, moments, nesting, energy sums."""
 
 import itertools
+import sys
 import threading
 import warnings
 
@@ -159,8 +160,8 @@ def assert_draws_match_single_shot(lattice, seed):
 
 @pytest.fixture
 def many_cpus(monkeypatch):
-    # more workers than this machine may have, so every range split is taken
-    monkeypatch.setattr(noise, "_cpu_count", lambda: 3)
+    # more workers than cores, so the range splits run under preemption
+    monkeypatch.setattr(noise, "_cpu_count", lambda: 8)
 
 
 class TestChunkedDraw:
@@ -189,7 +190,12 @@ class TestChunkedDraw:
         self, monkeypatch, many_cpus, chunk, dimension, bandlimit
     ):
         monkeypatch.setattr(noise, "_CHUNK", chunk)
-        assert_draws_match_single_shot(FrequencyLattice(dimension, bandlimit), 99)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # workers interleave between every few bytecodes
+        try:
+            assert_draws_match_single_shot(FrequencyLattice(dimension, bandlimit), 99)
+        finally:
+            sys.setswitchinterval(interval)
 
     def test_concurrent_callers_get_the_single_thread_bytes(self, many_cpus):
         lattice = FrequencyLattice(1, 3 * noise._CHUNK + 5)
@@ -207,6 +213,7 @@ class TestChunkedDraw:
             caller.start()
         for caller in callers:
             caller.join(timeout=120)
+        assert not any(caller.is_alive() for caller in callers)
         assert all(np.array_equal(a, b) for a, b in zip(drawn, expected))
 
     def test_a_draw_inside_a_worker_keeps_its_bytes(self, monkeypatch, many_cpus):
@@ -238,18 +245,22 @@ class TestChunkedDraw:
                 regularity_probe([-2.0, 400.0], [20000, 40000], [0])
         assert caught == []
 
-    def test_the_first_worker_exception_reraises_after_every_range(self, many_cpus):
+    def test_a_worker_exception_reraises_after_every_range(self, monkeypatch):
+        # three ranges of pieces 0-2, 3-5 and 6-8: a range stops at its first
+        # exception, the others run to their end, and the earliest range's
+        # exception reaches the caller
+        monkeypatch.setattr(noise, "_cpu_count", lambda: 3)
         finished = []
 
         def kernel(start, stop):
-            if start == noise._CHUNK * 2:
-                raise MemoryError("piece 2")
-            finished.append(start)
+            piece = start // noise._CHUNK
+            if piece in (1, 4):
+                raise MemoryError(f"piece {piece}")
+            finished.append(piece)
 
-        with pytest.raises(MemoryError, match="piece 2"):
+        with pytest.raises(MemoryError, match="piece 1"):
             noise._map_chunks(kernel, 9 * noise._CHUNK)
-        # the three ranges hold pieces 0-2, 3-5 and 6-8; only piece 2 failed
-        assert sorted(finished) == [i * noise._CHUNK for i in (0, 1, 3, 4, 5, 6, 7, 8)]
+        assert sorted(finished) == [0, 3, 6, 7, 8]
 
 
 class TestExpectedEnergy:
