@@ -39,14 +39,17 @@ def _one_of(what: str, *options: str) -> tuple:
     return (lambda value: value in options), message
 
 
-# Peak bytes a 1-d run allocates per lattice mode: the tracemalloc peak of the
-# perfbench/configs/*.ini runs over their mode count, rounded up to a multiple
-# of 8. deblur_sweep: 97.3 MiB / 524,289 modes = 194.7 B; noise_probe:
-# 252.9 MiB / 2,097,153 modes (its top bandlimit) = 126.4 B; gamma_dense:
-# 2.2 MiB / 4,095 modes = 566.4 B, fixed costs included. rates runs the deblur
-# error sweep without noise draws, snapshot or certificate, so it takes the
-# deblur figure (a rates run at 524,289 modes peaks at 168.4 B per mode).
-_BYTES_PER_MODE = {"deblur": 200, "rates": 200, "noise_probe": 128, "gamma": 568}
+# Peak bytes a 1-d run allocates per lattice mode: an upper bound on the
+# tracemalloc peak of the perfbench/configs/*.ini runs over their mode count.
+# deblur 200 and noise_probe 128 were set from peaks of 194.7 B and 126.4 B,
+# rounded up to a multiple of 8; the same runs now peak at 81.1 MiB / 524,289
+# modes = 162.2 B (deblur_sweep) and 147.9 MiB / 2,097,153 modes (its top
+# bandlimit) = 74.0 B (noise_probe). gamma_dense: 2.4 MiB / 4,095 modes =
+# 608.5 B rounded up, fixed costs and the operator's cached symbol tables on
+# its five lattices included. rates runs the deblur error sweep without noise
+# draws, snapshot or certificate, so it takes the deblur figure (a rates run
+# at 524,289 modes peaks at 144.4 B per mode).
+_BYTES_PER_MODE = {"deblur": 200, "rates": 200, "noise_probe": 128, "gamma": 616}
 
 
 # Peak bytes a deblur run allocates per plot point (grids, FFTs, the float64

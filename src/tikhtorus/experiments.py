@@ -30,7 +30,6 @@ from .rates import (
     SweepTables,
     error_sweep,
     predicted_exponent,
-    squared_modulus,
 )
 from .signals import hat_coefficients, hat_values, load_coefficient_file
 from .spectral import (
@@ -198,18 +197,15 @@ def run_deblur(config: ExperimentConfig) -> dict:
 
     One pass over the seeds: each seed is drawn once, and that draw feeds the
     error sweep, the certificate and, for the first seed, the snapshot. Only
-    one draw is alive at a time. The sweep and the certificate share one
-    evaluation of the symbol on the reference lattice and one |a|^2 of it.
+    one draw is alive at a time. The sweep and the certificate share the
+    operator's cached symbol tables on the reference lattice, evaluated once
+    by the ellipticity check.
     """
     operator, lattice = _operator_on_lattice(config)
     truth = _build_truth(config, lattice)
     schedule = _schedule(config)
     signal_alpha = _positive_alpha(schedule, SIGNAL_DELTA)
-    symbol = operator.symbol_values(lattice)
-    symbol_sq = squared_modulus(symbol)
-    sweep = SweepTables(
-        symbol, symbol_sq, truth, schedule, config.s1_list, config.delta_grid, config.seeds
-    )
+    sweep = SweepTables(operator, truth, schedule, config.s1_list, config.delta_grid, config.seeds)
     # H^1 certificate for the filtered noise part: the pinch-band lower bound
     # needs the quadratic schedule, so it runs with kappa = 2 at the
     # configured alpha0 (only meaningful for the first-derivative penalty)
@@ -217,7 +213,7 @@ def run_deblur(config: ExperimentConfig) -> dict:
     if config.r == 1.0 and max(config.delta_grid) <= 1.0:
         try:
             certificate = DivergenceTables(
-                symbol_sq,
+                operator,
                 RegularizationSchedule(alpha0=config.alpha0, kappa=2.0, r=1.0),
                 config.delta_grid,
                 config.seeds,
@@ -227,7 +223,6 @@ def run_deblur(config: ExperimentConfig) -> dict:
             raise CalibrationError(
                 f"{exc} ([grids] delta_grid, [operator] exponent = {config.operator_exponent:g})"
             ) from exc
-    del symbol, symbol_sq  # the tables keep what they need of them
 
     errors = []
     divergence = []

@@ -31,7 +31,9 @@ Draw order and nesting
 Coefficients are assigned in shells of increasing max-norm; within a shell,
 lattice enumeration order. The zero mode consumes one variate (real,
 variance 1); every other conjugate pair is represented by its canonical
-member (first nonzero component positive) and consumes two variates::
+member (first nonzero component positive) and consumes two variates. In the
+lexicographic enumeration the canonical modes are exactly the positions after
+the zero mode's, and their conjugates the positions before it, mirrored::
 
     c(l) = (z_a + i z_b) / sqrt(2),     c(-l) = conj(c(l))
 
@@ -71,18 +73,8 @@ def _draw_layout(dimension: int, bandlimit: int) -> tuple:
     """Canonical-mode positions sorted by (shell, enumeration index), plus
     their conjugate positions. Cached per lattice signature."""
     lattice = FrequencyLattice(dimension, bandlimit)
-    modes = lattice.modes()
-    shells = lattice.shells()
-    first_nonzero = np.zeros(lattice.mode_count, dtype=np.int64)
-    seen = np.zeros(lattice.mode_count, dtype=bool)
-    for axis in range(dimension):
-        component = modes[:, axis]
-        fresh = (~seen) & (component != 0)
-        first_nonzero[fresh] = component[fresh]
-        seen |= fresh
-    canonical = first_nonzero > 0
-    order = np.argsort(shells, kind="stable")
-    canonical_sorted = order[canonical[order]]
+    first = lattice.zero_index + 1  # canonical modes sit after the zero mode
+    canonical_sorted = first + np.argsort(lattice.shells()[first:], kind="stable")
     conjugate_sorted = lattice.mode_count - 1 - canonical_sorted
     canonical_sorted.setflags(write=False)
     conjugate_sorted.setflags(write=False)

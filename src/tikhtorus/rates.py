@@ -176,14 +176,6 @@ def fit_loglog_slope(samples: Sequence[tuple]) -> SlopeFit:
     return SlopeFit(slope=float(slope), intercept=float(intercept), residual=residual)
 
 
-def squared_modulus(symbol: np.ndarray) -> np.ndarray:
-    """|a|^2 = Re(a)^2 + Im(a)^2 of symbol values, read-only, so the sweep and
-    the certificate of one run can share it."""
-    symbol_sq = symbol.real**2 + symbol.imag**2
-    symbol_sq.setflags(write=False)
-    return symbol_sq
-
-
 class SweepRow(NamedTuple):
     s1: float
     delta: float
@@ -203,13 +195,12 @@ class SweepResult:
 class SweepTables:
     """The seed-independent half of :func:`error_sweep`.
 
-    The constructor validates the grids and builds the per-mode tables once
-    per sweep from ``symbol``, the operator's values on the truth's lattice,
-    and ``symbol_sq``, their |a|^2 (:func:`squared_modulus`, shared with a
-    :class:`DivergenceTables` of the same run): conj(a), (1+|l|^2)^r and
-    alpha(delta) per delta. :meth:`errors` is the per-seed kernel and
-    :meth:`result` the summary, so a caller that already holds a noise draw
-    (a deblur run) can feed it in without drawing again.
+    The constructor validates the grids and takes the per-mode tables once
+    per sweep: a and |a|^2 on the truth's lattice (the operator's cached
+    tables, shared with a :class:`DivergenceTables` of the same run),
+    (1+|l|^2)^r and alpha(delta) per delta. :meth:`errors` is the per-seed
+    kernel and :meth:`result` the summary, so a caller that already holds a
+    noise draw (a deblur run) can feed it in without drawing again.
 
     The kernel builds each (seed, delta) deviation in buffers it reuses
     across the deltas, squares it once into |T(m) - u|^2, and takes every
@@ -220,14 +211,16 @@ class SweepTables:
 
     def __init__(
         self,
-        symbol: np.ndarray,
-        symbol_sq: np.ndarray,
+        A: MultiplierOperator,
         truth: SpectralField,
         schedule: RegularizationSchedule,
         s1_list: Sequence[float],
         delta_grid: Sequence[float],
         seeds: Sequence[int | None],
     ) -> None:
+        lattice = truth.lattice
+        self._symbol = A.symbol_values(lattice)
+        self._symbol_sq = A.squared_modulus(lattice)
         if len(delta_grid) < 1 or len(s1_list) < 1 or len(seeds) < 1:
             raise ParameterError("error_sweep needs nonempty s1_list, delta_grid, seeds")
         if any(d2 >= d1 for d1, d2 in zip(delta_grid, delta_grid[1:])):
@@ -236,14 +229,11 @@ class SweepTables:
         self.s1_list = [float(s1) for s1 in s1_list]
         self.delta_grid = [float(delta) for delta in delta_grid]
         self.labels = [-1 if seed is None else int(seed) for seed in seeds]
-        lattice = truth.lattice
         self._weights_r = finite_sobolev_weights(
             lattice, schedule.r, f"the penalty at [schedule] r = {schedule.r:g}"
         )
         if not math.isfinite(sobolev_norm(truth, schedule.r)):
             raise ParameterError("truth must have finite H^r norm")
-        self._symbol_sq = symbol_sq
-        self._symbol_conj = symbol.conj()
         self._alphas = [schedule.alpha(delta) for delta in self.delta_grid]
         if 0.0 in self._alphas and not self._symbol_sq.all():
             raise ParameterError(
@@ -262,7 +252,7 @@ class SweepTables:
         # eps) - u with the operands in the order of that expression: complex
         # products may be fused multiply-adds, so swapping them changes bits
         power = np.empty(u.shape)  # z, then |a|^2/z, then |T(m) - u|^2
-        gain = np.empty_like(u)  # conj(a)/z, then (conj(a)/z)(delta eps)
+        gain = np.empty_like(u)  # conj(a), conj(a)/z, then (conj(a)/z)(delta eps)
         deviation = np.empty_like(u)  # delta eps, then T(m) - u
         # real scratch in gain's memory, which is free once T(m) - u is formed
         weighted = gain.view(np.float64)[: u.size]
@@ -273,7 +263,8 @@ class SweepTables:
             for i, (delta, alpha) in enumerate(zip(self.delta_grid, self._alphas)):
                 z = np.multiply(alpha, self._weights_r, out=power)
                 np.add(self._symbol_sq, z, out=z)
-                np.divide(self._symbol_conj, z, out=gain)
+                np.conjugate(self._symbol, out=gain)
+                np.divide(gain, z, out=gain)
                 np.divide(self._symbol_sq, z, out=power)
                 np.multiply(delta, eps, out=deviation)
                 np.multiply(gain, deviation, out=gain)
@@ -348,11 +339,7 @@ def error_sweep(
     (:class:`SweepTables`), to the H^1 certificate and, for its first seed,
     to the signal snapshot.
     """
-    symbol = A.symbol_values(truth.lattice)
-    tables = SweepTables(
-        symbol, squared_modulus(symbol), truth, schedule, s1_list, delta_grid, seeds
-    )
-    del symbol  # the tables keep what they need of it
+    tables = SweepTables(A, truth, schedule, s1_list, delta_grid, seeds)
     errors = [
         tables.errors(
             np.zeros_like(truth.coefficients)
@@ -393,13 +380,7 @@ def calibrate_band(
     mode closest to balance at the largest delta, then widens geometrically,
     at most 40 times.
     """
-    return _calibrate(squared_modulus(A.symbol_values(lattice)), lattice, delta_grid)
-
-
-def _calibrate(
-    symbol_sq: np.ndarray, lattice: FrequencyLattice, delta_grid: Sequence[float]
-) -> tuple:
-    """:func:`calibrate_band` on the squared symbol |a|^2 of the lattice."""
+    symbol_sq = A.squared_modulus(lattice)
     weights1 = sobolev_weights(lattice, 1.0)
     delta_max = max(delta_grid)
     ratio = symbol_sq / (delta_max**2 * weights1)
@@ -448,20 +429,20 @@ class DivergenceTables:
     """The seed-independent half of :func:`h1_divergence`.
 
     The constructor validates the schedule and grid, calibrates the pinch
-    band on ``symbol_sq``, the |a|^2 of the operator's values on ``lattice``
-    (:func:`squared_modulus`), and keeps it next to the shared (1+|l|^2)
-    weights.
+    band (:func:`calibrate_band`), and keeps the operator's cached |a|^2 on
+    ``lattice`` next to the shared (1+|l|^2) weights.
     :meth:`rows` is the per-seed kernel and :meth:`report` the summary.
     """
 
     def __init__(
         self,
-        symbol_sq: np.ndarray,
+        A: MultiplierOperator,
         schedule: RegularizationSchedule,
         delta_grid: Sequence[float],
         seeds: Sequence[int],
         lattice: FrequencyLattice,
     ) -> None:
+        self._symbol_sq = A.squared_modulus(lattice)
         if schedule.r != 1.0:
             raise ParameterError(f"divergence certificate needs r = 1, got r = {schedule.r}")
         if schedule.kappa < 2.0:
@@ -475,8 +456,7 @@ class DivergenceTables:
                 f"divergence certificate needs delta^2 to be a normal double, got "
                 f"delta = {min(delta_grid):g} ([grids] delta_grid)"
             )
-        self._symbol_sq = symbol_sq
-        self.c0, self.c1, self.bands = _calibrate(symbol_sq, lattice, delta_grid)
+        self.c0, self.c1, self.bands = calibrate_band(A, lattice, delta_grid)
         self._weights1 = sobolev_weights(lattice, 1.0)
         self._alphas = [schedule.alpha(band.delta) for band in self.bands]
         self._bound_factor = 1.0 / ((1.0 + schedule.alpha0 / self.c0) * (self.c1 + schedule.alpha0))
@@ -549,9 +529,7 @@ def h1_divergence(
     run feeds the per-seed kernel (:class:`DivergenceTables`) the same draw
     its error sweep uses, so the certificate draws nothing of its own there.
     """
-    tables = DivergenceTables(
-        squared_modulus(A.symbol_values(lattice)), schedule, delta_grid, seeds, lattice
-    )
+    tables = DivergenceTables(A, schedule, delta_grid, seeds, lattice)
     rows = [
         tables.rows(seed, sample_white_noise(lattice, seed).coefficients)
         for seed in seeds

@@ -235,17 +235,41 @@ class MultiplierOperator:
         return -self.order
 
     def symbol_values(self, lattice: FrequencyLattice) -> np.ndarray:
-        if self.dimension is not None and lattice.dimension != self.dimension:
-            raise DimensionError(
-                f"operator {self.name!r} is fixed to dimension {self.dimension}, "
-                f"lattice has dimension {lattice.dimension}"
-            )
-        values = np.asarray(self.symbol(lattice.modes()), dtype=np.complex128)
-        if values.shape != (lattice.mode_count,):
-            raise DimensionError("symbol must return one value per lattice mode")
-        if np.any(values == 0):
-            raise ParameterError(f"symbol of {self.name!r} vanishes on the lattice")
-        return values
+        """a(l) per mode, as a read-only array shared by every caller that asks
+        for the same operator and lattice. The symbol callable runs once per
+        lattice while its table is among the 8 most recently used; the cache
+        keeps those operators alive."""
+        return _symbol_table(self, lattice)
+
+    def squared_modulus(self, lattice: FrequencyLattice) -> np.ndarray:
+        """|a(l)|^2 = Re(a)^2 + Im(a)^2 per mode, read-only and cached like
+        :meth:`symbol_values`."""
+        return _squared_modulus(self, lattice)
+
+
+@lru_cache(maxsize=8)
+def _symbol_table(op: MultiplierOperator, lattice: FrequencyLattice) -> np.ndarray:
+    if op.dimension is not None and lattice.dimension != op.dimension:
+        raise DimensionError(
+            f"operator {op.name!r} is fixed to dimension {op.dimension}, "
+            f"lattice has dimension {lattice.dimension}"
+        )
+    # a copy, so that freezing it never freezes an array the callable keeps
+    values = np.array(op.symbol(lattice.modes()), dtype=np.complex128)
+    if values.shape != (lattice.mode_count,):
+        raise DimensionError("symbol must return one value per lattice mode")
+    if np.any(values == 0):
+        raise ParameterError(f"symbol of {op.name!r} vanishes on the lattice")
+    values.setflags(write=False)
+    return values
+
+
+@lru_cache(maxsize=8)
+def _squared_modulus(op: MultiplierOperator, lattice: FrequencyLattice) -> np.ndarray:
+    values = _symbol_table(op, lattice)
+    squared = values.real**2 + values.imag**2
+    squared.setflags(write=False)
+    return squared
 
 
 def symbol_is_hermitian(values: np.ndarray) -> bool:

@@ -128,13 +128,11 @@ def forward(
 
 def _denominator(
     A: MultiplierOperator, lattice: FrequencyLattice, alpha: float, r: float
-) -> tuple:
-    values = A.symbol_values(lattice)
+) -> np.ndarray:
     # where alpha (1+|l|^2)^r overflows, z = inf makes the filter factors 0,
     # which is their value in double precision
     with np.errstate(over="ignore"):
-        z = (values.real**2 + values.imag**2) + alpha * sobolev_weights(lattice, r)
-    return values, z
+        return A.squared_modulus(lattice) + alpha * sobolev_weights(lattice, r)
 
 
 def solve(A: MultiplierOperator, m: SpectralField, alpha: float, r: float) -> SpectralField:
@@ -148,8 +146,7 @@ def solve(A: MultiplierOperator, m: SpectralField, alpha: float, r: float) -> Sp
         raise ParameterError(f"alpha must be positive, got {alpha}")
     if not r >= 0:
         raise ParameterError(f"penalty order r must be >= 0, got {r}")
-    values, z = _denominator(A, m.lattice, alpha, r)
-    filter_values = values.conj() / z
+    filter_values = A.symbol_values(m.lattice).conj() / _denominator(A, m.lattice, alpha, r)
     hermitian = m.hermitian and symbol_is_hermitian(filter_values)
     return SpectralField(m.lattice, filter_values * m.coefficients, hermitian=hermitian)
 
@@ -165,15 +162,14 @@ def solve_split(
     per mode.
     """
     alpha = schedule.alpha(meas.delta)
-    values, z = _denominator(A, meas.data.lattice, alpha, schedule.r)
-    magnitude_sq = values.real**2 + values.imag**2
-    bias_coeffs = (magnitude_sq / z) * meas.truth.coefficients
+    lattice = meas.data.lattice
+    values = A.symbol_values(lattice)
+    z = _denominator(A, lattice, alpha, schedule.r)
+    bias_coeffs = (A.squared_modulus(lattice) / z) * meas.truth.coefficients
     noise_coeffs = (values.conj() / z) * (meas.delta * meas.noise.coefficients)
     sym = symbol_is_hermitian(values)
-    bias = SpectralField(meas.data.lattice, bias_coeffs, hermitian=meas.truth.hermitian and sym)
-    noise_part = SpectralField(
-        meas.data.lattice, noise_coeffs, hermitian=meas.noise.hermitian and sym
-    )
+    bias = SpectralField(lattice, bias_coeffs, hermitian=meas.truth.hermitian and sym)
+    noise_part = SpectralField(lattice, noise_coeffs, hermitian=meas.noise.hermitian and sym)
     reconstruction = bias + noise_part
     return TikhonovSplit(reconstruction=reconstruction, bias_part=bias, noise_part=noise_part)
 
@@ -211,7 +207,7 @@ def bias_bound_check(
     if zeta < -r - 2 * t or zeta > r:
         raise ParameterError(f"zeta must lie in [-r-2t, r] = [{-r - 2 * t}, {r}]")
     alpha = schedule.alpha(delta)
-    values, z = _denominator(A, truth.lattice, alpha, r)
+    z = _denominator(A, truth.lattice, alpha, r)
     weights_r = sobolev_weights(truth.lattice, r)
     deviation = (alpha * weights_r / z) * truth.coefficients
     observed = float(
@@ -224,7 +220,7 @@ def bias_bound_check(
     gamma = (2 * r + theta) / (2 * (t + r))
     eta = (2 * t - theta) / (2 * (t + r))
     c_op = float(
-        np.min((values.real**2 + values.imag**2) * (1.0 + truth.lattice.squared_norms()) ** t)
+        np.min(A.squared_modulus(truth.lattice) * (1.0 + truth.lattice.squared_norms()) ** t)
     )
     exponent = schedule.kappa * (r - zeta) / (2 * (t + r))
     bound = (

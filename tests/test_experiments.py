@@ -23,7 +23,6 @@ import tikhtorus.experiments as experiments
 import tikhtorus.noise
 from tikhtorus import (
     ConfigError,
-    MultiplierOperator,
     evaluate_on_grid,
     forward,
     hat_values,
@@ -345,6 +344,20 @@ class TestConfig:
         assert per_mode == _BYTES_PER_MODE
         probe_figure = re.search(r"`\(2M\+1\) \* (\d+)` bytes", table).group(1)
         assert int(probe_figure) == _BYTES_PER_MODE["noise_probe"]
+
+    def test_readme_quickstart_runs(self):
+        # the block runs as printed and prints what its comment says
+        readme = (ROOT / "README.md").read_text()
+        section = readme.split("## Library quickstart", 1)[1]
+        code = section.split("```python\n", 1)[1].split("```", 1)[0]
+        namespace: dict = {}
+        printed = io.StringIO()
+        with contextlib.redirect_stdout(printed):
+            exec(compile(code, "README.md", "exec"), namespace)
+        comment = re.search(r"^print\(.*\) +# (.+)$", code, flags=re.MULTILINE).group(1)
+        regime, exponent = printed.getvalue().split()
+        assert f"{regime} {float(exponent):.4f}" == comment == "case_ii 0.5417"
+        assert math.isfinite(namespace["err"]) and namespace["split"].reconstruction.hermitian
 
 
 EXPECTED_FILES = {
@@ -803,24 +816,29 @@ class TestCli:
         assert len(drawn) == len(seeds)
         assert drawn == list(seeds)
 
-    def test_deblur_evaluates_the_reference_symbol_twice(self, tmp_path, monkeypatch):
+    def test_deblur_evaluates_the_reference_symbol_once(self, tmp_path, monkeypatch):
         # check_ellipticity evaluates the symbol on the reference lattice, and
-        # the error sweep, the band calibration and the certificate share one
-        # more evaluation
-        original = MultiplierOperator.symbol_values
+        # the error sweep, the band calibration and the certificate read the
+        # operator's cached tables
+        build = experiments._build_operator
         mode_counts = []
 
-        def counted(self, lattice):
-            mode_counts.append(lattice.mode_count)
-            return original(self, lattice)
+        def counted_operator(config):
+            operator = build(config)
 
-        monkeypatch.setattr(MultiplierOperator, "symbol_values", counted)
+            def symbol(modes):
+                mode_counts.append(len(modes))
+                return operator.symbol(modes)
+
+            return dataclasses.replace(operator, symbol=symbol)
+
+        monkeypatch.setattr(experiments, "_build_operator", counted_operator)
         path = CONFIG_DIR / "deblur.ini"
         code = main(["deblur", "--config", str(path), "--out", str(tmp_path / "out")])
         assert code == 0
         reference_modes = 2 * load_config(path).reference_bandlimit + 1
-        assert mode_counts.count(reference_modes) <= 2
-        assert len(mode_counts) > 2  # the snapshot's plot-band solves still count
+        assert mode_counts.count(reference_modes) == 1
+        assert len(mode_counts) == 2  # and once on the snapshot's plot band
 
     def test_shipped_configs_run_under_the_benchmark_tracer(self, tmp_path, capsys):
         # the benchmark's traced mode rebinds library names and reads argument

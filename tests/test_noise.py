@@ -66,7 +66,8 @@ class TestSampler:
         assert np.array_equal(restricted.coefficients, small_sample.coefficients)
 
     @pytest.mark.parametrize(
-        "dimension,bandlimit", [(1, 0), (1, 1), (1, 17), (1, 500), (2, 0), (2, 1), (2, 5), (2, 12)]
+        "dimension,bandlimit",
+        [(1, 0), (1, 1), (1, 17), (1, 500), (2, 0), (2, 1), (2, 5), (2, 12), (2, 40)],
     )
     def test_draw_follows_the_documented_contract(self, dimension, bandlimit):
         # oracle built from the module docstring alone: PCG64 uniforms, the

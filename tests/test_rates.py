@@ -7,6 +7,7 @@ import pytest
 
 from tikhtorus import (
     CalibrationError,
+    DimensionError,
     DomainError,
     FrequencyLattice,
     InvalidFieldError,
@@ -27,7 +28,7 @@ from tikhtorus import (
     solve_split,
     zero_field,
 )
-from tikhtorus.rates import SweepTables, calibrate_band, squared_modulus
+from tikhtorus.rates import DivergenceTables, SweepTables, calibrate_band
 
 DEBLUR = dict(t=2.0, r=1.0, kappa=2.5, s=-0.6)
 
@@ -243,10 +244,7 @@ class TestErrorSweep:
         # (1+|l|^2)^400 that overflow; finite data then names the s1 key
         lattice = FrequencyLattice(1, 64)
         truth = hat_coefficients(lattice)
-        symbol = deblur_operator().symbol_values(lattice)
-        tables = SweepTables(
-            symbol, squared_modulus(symbol), truth, SCHEDULE, [400.0, -1.5], [1e-2, 1e-3], [0]
-        )
+        tables = SweepTables(deblur_operator(), truth, SCHEDULE, [400.0, -1.5], [1e-2, 1e-3], [0])
         eps = sample_white_noise(lattice, 0).coefficients
         broken = eps.copy()
         broken[3] = np.inf
@@ -254,6 +252,11 @@ class TestErrorSweep:
             tables.errors(broken)
         with pytest.raises(ParameterError, match=r"s1 = 400, delta = 0\.01 \(\[grids\] s1_list\)"):
             tables.errors(eps)
+
+    def test_tables_check_the_operator_dimension(self):
+        truth = zero_field(FrequencyLattice(2, 4))
+        with pytest.raises(DimensionError, match="fixed to dimension 1"):
+            SweepTables(deblur_operator(), truth, SCHEDULE, [-1.5], [1e-2, 1e-3], [0])
 
 
 DIVERGENCE_SCHEDULE = RegularizationSchedule(alpha0=1.0, kappa=2.0, r=1.0)
@@ -341,6 +344,11 @@ class TestH1Divergence:
                 assert (row.seed, row.delta) == (seed, delta)
                 assert row.h1_norm_sq == np.sum(w1 * (symbol_sq * (delta * delta) * eps_sq / (z * z)))
                 assert row.lower_bound == bound_factor * np.sum(eps_sq[band.member_indices])
+
+    def test_tables_check_the_operator_dimension(self):
+        lattice = FrequencyLattice(2, 4)
+        with pytest.raises(DimensionError, match="fixed to dimension 1"):
+            DivergenceTables(deblur_operator(), DIVERGENCE_SCHEDULE, [1e-2, 1e-3], [0], lattice)
 
     def test_actual_dominates_lower_bound(self):
         lattice = FrequencyLattice(1, 2048)

@@ -248,6 +248,58 @@ class TestMultiplier:
             check_ellipticity(bad, FrequencyLattice(1, 64))
 
 
+class TestSymbolTables:
+    def test_tables_are_shared_and_read_only(self):
+        op = deblur_operator()
+        values = op.symbol_values(FrequencyLattice(1, 16))
+        squared = op.squared_modulus(FrequencyLattice(1, 16))
+        # an equal lattice gets the same arrays back
+        assert op.symbol_values(FrequencyLattice(1, 16)) is values
+        assert op.squared_modulus(FrequencyLattice(1, 16)) is squared
+        assert np.array_equal(values, op.symbol(FrequencyLattice(1, 16).modes()))
+        assert np.array_equal(squared, values.real**2 + values.imag**2)
+        for table in (values, squared):
+            with pytest.raises(ValueError):
+                table[0] = 0.0
+
+    def test_symbol_runs_once_per_lattice(self):
+        lattices = []
+
+        def symbol(modes):
+            lattices.append(len(modes))
+            return np.ones(len(modes), dtype=np.complex128)
+
+        op = MultiplierOperator(symbol, order=0.0, ellipticity=Ellipticity(1, 1))
+        for lat in (FrequencyLattice(1, 3), FrequencyLattice(2, 3)) * 2:
+            op.symbol_values(lat)
+            op.squared_modulus(lat)
+        assert lattices == [7, 49]
+
+    def test_callable_keeps_its_array_writable(self):
+        kept = np.ones(5, dtype=np.complex128)
+        op = MultiplierOperator(lambda modes: kept, order=0.0, ellipticity=Ellipticity(1, 1))
+        values = op.symbol_values(FrequencyLattice(1, 2))
+        assert kept.flags.writeable
+        kept[0] = 2.0
+        assert values[0] == 1.0  # the table is a copy
+
+    def test_errors_are_not_cached(self):
+        calls = []
+
+        def symbol(modes):
+            calls.append(len(modes))
+            return modes[:, 0].astype(complex)  # zero at l = 0
+
+        op = MultiplierOperator(symbol, order=1.0, ellipticity=Ellipticity(1, 1))
+        lat = FrequencyLattice(1, 2)
+        for _ in range(2):
+            with pytest.raises(ParameterError, match="vanishes"):
+                op.symbol_values(lat)
+            with pytest.raises(ParameterError, match="vanishes"):
+                op.squared_modulus(lat)
+        assert calls == [5] * 4
+
+
 class TestTruncate:
     def test_identity_at_same_bandlimit(self):
         f = random_hermitian_field(FrequencyLattice(1, 7), 6)
