@@ -90,10 +90,11 @@ def _box_muller(uniforms: np.ndarray) -> tuple:
     return radius * np.cos(angle), radius * np.sin(angle)
 
 
-# items per piece of a chunked kernel: a draw piece keeps under 2 MiB of
-# temporaries alive, which stays in a core's cache and leaves little in the
-# worker threads' malloc arenas; the shipped configs' draws and tables (up to
-# 32,769 modes) stay below two pieces and so on the calling thread
+# items per piece of a chunked kernel (a draw here, the error sweep and the
+# H^1 certificate in rates): a piece keeps under 2 MiB of temporaries alive,
+# which stays in a core's cache and leaves little in the worker threads'
+# malloc arenas; the shipped configs' lattices (up to 32,769 modes) stay
+# below two pieces and so on the calling thread
 _CHUNK = 32768
 
 
@@ -110,10 +111,11 @@ def _map_chunks(kernel: Callable[[int, int], object], size: int) -> None:
     Below two chunks this is a plain loop on the calling thread. Otherwise
     the pieces are split into one contiguous range per CPU of the process's
     affinity; the calling thread walks the first range and one thread each
-    the others. Kernels write disjoint slices, so the result does not depend
-    on the split. Workers run under the caller's ``np.errstate`` (which numpy
-    keeps per thread). A range stops at its first exception, which re-raises
-    here once every range has stopped (the earliest range's, if several fail).
+    the others. Kernels write disjoint slices and leave every sum to the
+    caller, so the result depends neither on the split nor on ``_CHUNK``.
+    Workers run under the caller's ``np.errstate`` (which numpy keeps per
+    thread). A range stops at its first exception, which re-raises here once
+    every range has stopped (the earliest range's, if several fail).
     """
     chunks = -(-size // _CHUNK)
     workers = min(chunks, _cpu_count()) if size >= 2 * _CHUNK else 1

@@ -7,6 +7,13 @@ The sweep and the certificate each split into seed-independent tables
 takes the noise coefficients, and a summary. :func:`error_sweep` and
 :func:`h1_divergence` loop draw -> kernel; a deblur run draws each seed once
 and feeds every stage (sweep, certificate, snapshot) from that draw.
+
+The kernels do their elementwise work in pieces of ``noise._CHUNK`` modes,
+each with its own small scratch, spread over the CPUs of the process's
+affinity (``noise._map_chunks``). Only the per-mode tables that a sum reads
+are lattice-sized, and every sum is one whole-array ``np.sum`` on the
+calling thread: numpy's pairwise summation order depends on the array
+length, so the bytes depend neither on the CPU count nor on the chunk size.
 """
 
 from __future__ import annotations
@@ -19,7 +26,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .errors import CalibrationError, DomainError, InvalidFieldError, ParameterError
-from .noise import sample_white_noise
+from .noise import _map_chunks, sample_white_noise
 from .spectral import (
     FrequencyLattice,
     MultiplierOperator,
@@ -202,11 +209,15 @@ class SweepTables:
     kernel and :meth:`result` the summary, so a caller that already holds a
     noise draw (a deblur run) can feed it in without drawing again.
 
-    The kernel builds each (seed, delta) deviation in buffers it reuses
-    across the deltas, squares it once into |T(m) - u|^2, and takes every
-    s1's norm as sqrt(sum((1+|l|^2)^s1 |T(m) - u|^2)): the arithmetic and
-    summation order of :func:`~tikhtorus.spectral.sobolev_norm`, so each
-    error equals that function's value on the deviation bit for bit.
+    The kernel builds each (seed, delta) deviation piece by piece across
+    the CPUs, in piece-sized scratch, and squares it once into a
+    lattice-sized |T(m) - u|^2; every s1's weighted copy goes into one more
+    lattice-sized buffer, and the norm is sqrt(sum((1+|l|^2)^s1
+    |T(m) - u|^2)) as one whole-array sum on the calling thread: the
+    arithmetic and summation order of
+    :func:`~tikhtorus.spectral.sobolev_norm`, so each error equals that
+    function's value on the deviation bit for bit, at any CPU count and
+    chunk size.
     """
 
     def __init__(
@@ -246,39 +257,56 @@ class SweepTables:
     def errors(self, eps: np.ndarray) -> np.ndarray:
         """errors[k, i] = ||T(m_delta_i) - u||_{H^s1_k} for one noise draw
         ``eps`` (its coefficients; zeros for the noise-free pipeline)."""
-        lattice, u = self.truth.lattice, self.truth.coefficients
+        lattice, size = self.truth.lattice, self.truth.coefficients.size
         out = np.empty((len(self.s1_list), len(self.delta_grid)))
-        # each ufunc below is one operation of (|a|^2/z) u + (conj(a)/z)(delta
-        # eps) - u with the operands in the order of that expression: complex
-        # products may be fused multiply-adds, so swapping them changes bits
-        power = np.empty(u.shape)  # z, then |a|^2/z, then |T(m) - u|^2
-        gain = np.empty_like(u)  # conj(a), conj(a)/z, then (conj(a)/z)(delta eps)
-        deviation = np.empty_like(u)  # delta eps, then T(m) - u
-        # real scratch in gain's memory, which is free once T(m) - u is formed
-        weighted = gain.view(np.float64)[: u.size]
+        power = np.empty(size)  # |T(m) - u|^2
+        weighted = np.empty(size)  # (1+|l|^2)^s1 |T(m) - u|^2
+
+        def deviation(start: int, stop: int) -> np.ndarray:
+            """T(m) - u on the modes [start, stop), in piece-sized buffers."""
+            symbol_sq, u = self._symbol_sq[start:stop], self.truth.coefficients[start:stop]
+            # each ufunc below is one operation of (|a|^2/z) u + (conj(a)/z)
+            # (delta eps) - u with the operands in the order of that
+            # expression: complex products may be fused multiply-adds, so
+            # swapping them changes bits
+            z = np.multiply(alpha, self._weights_r[start:stop])
+            np.add(symbol_sq, z, out=z)
+            gain = np.conjugate(self._symbol[start:stop])
+            np.divide(gain, z, out=gain)
+            ratio = np.divide(symbol_sq, z, out=z)
+            # not in place: numpy multiplies a one-element complex array in
+            # place in a loop of its own, which rounds differently (2M+1 modes
+            # leave a one-mode last piece whenever _CHUNK divides 2M)
+            noisy = np.multiply(gain, np.multiply(delta, eps[start:stop]))
+            result = np.multiply(ratio, u, out=gain)
+            np.add(result, noisy, out=result)
+            return np.subtract(result, u, out=result)
+
+        def square(start: int, stop: int) -> None:
+            piece = deviation(start, stop)
+            np.square(piece.real, out=power[start:stop])
+            np.add(power[start:stop], np.square(piece.imag), out=power[start:stop])
+
+        def weigh(start: int, stop: int) -> None:
+            np.multiply(weights[start:stop], power[start:stop], out=weighted[start:stop])
+
+        def check_finite(start: int, stop: int) -> None:
+            if not np.isfinite(deviation(start, stop).view(np.float64)).all():
+                raise InvalidFieldError("field has non-finite coefficients")
+
         # an inf z (alpha (1+|l|^2)^r overflows) makes the filter factors 0,
         # their value in double precision; an error that is not finite is
         # caught below
         with np.errstate(over="ignore", invalid="ignore"):
             for i, (delta, alpha) in enumerate(zip(self.delta_grid, self._alphas)):
-                z = np.multiply(alpha, self._weights_r, out=power)
-                np.add(self._symbol_sq, z, out=z)
-                np.conjugate(self._symbol, out=gain)
-                np.divide(gain, z, out=gain)
-                np.divide(self._symbol_sq, z, out=power)
-                np.multiply(delta, eps, out=deviation)
-                np.multiply(gain, deviation, out=gain)
-                np.multiply(power, u, out=deviation)
-                np.add(deviation, gain, out=deviation)
-                np.subtract(deviation, u, out=deviation)
-                np.square(deviation.real, out=power)
-                np.add(power, np.square(deviation.imag, out=weighted), out=power)
+                _map_chunks(square, size)
                 for k, s1 in enumerate(self.s1_list):
-                    np.multiply(sobolev_weights(lattice, s1), power, out=weighted)
+                    weights = sobolev_weights(lattice, s1)
+                    _map_chunks(weigh, size)
+                    # whole-array: numpy's pairwise order depends on the length
                     error = float(np.sqrt(np.sum(weighted)))
                     if not math.isfinite(error):
-                        if not np.isfinite(deviation.view(np.float64)).all():
-                            raise InvalidFieldError("field has non-finite coefficients")
+                        _map_chunks(check_finite, size)  # reruns this delta's chain
                         where = f"s1 = {s1:g}, delta = {delta:g}"
                         finite_sobolev_weights(lattice, s1, f"the error at {where} ([grids] s1_list)")
                         raise ParameterError(f"error at {where} is {error}, not finite")
@@ -333,6 +361,8 @@ def error_sweep(
     (eps = 0, reported as seed -1). Errors are normalized per s1 curve so the
     seed-median starts at 1 at the largest delta; slopes are fitted on the
     seed-median raw errors, the robust choice under white-noise scatter.
+    The per-mode work runs in mode chunks across the CPUs and each sum on
+    the calling thread, so the errors do not depend on the CPU count.
 
     Each seed is drawn once and only one draw is alive at a time. A deblur
     run feeds the same draw to this sweep's per-seed kernel
@@ -432,6 +462,12 @@ class DivergenceTables:
     band (:func:`calibrate_band`), and keeps the operator's cached |a|^2 on
     ``lattice`` next to the shared (1+|l|^2) weights.
     :meth:`rows` is the per-seed kernel and :meth:`report` the summary.
+
+    The kernel writes (1+|l|^2) |w_delta|^2 piece by piece across the CPUs
+    into one lattice-sized buffer, with piece-sized temporaries, and sums it
+    whole on the calling thread; the lower bound squares the band's noise
+    coefficients after gathering them. Every row is the same at any CPU
+    count and chunk size.
     """
 
     def __init__(
@@ -464,21 +500,29 @@ class DivergenceTables:
     def rows(self, seed: int, eps: np.ndarray) -> list:
         """One :class:`DivergenceRow` per delta for the noise draw ``eps``
         (its coefficients) of ``seed``."""
-        eps_power = eps.real**2 + eps.imag**2
+        product = np.empty(eps.size)  # (1+|l|^2) |w_delta|^2
+
+        def weigh(start: int, stop: int) -> None:
+            piece = eps[start:stop]
+            symbol_sq, weights1 = self._symbol_sq[start:stop], self._weights1[start:stop]
+            z = symbol_sq + alpha * weights1
+            w_power = symbol_sq * (delta * delta) * (piece.real**2 + piece.imag**2) / (z * z)
+            np.multiply(weights1, w_power, out=product[start:stop])
+
         rows = []
         # z * z may leave the double range at some modes: their share of the
         # norm is then 0 (benign) or inf/nan, which is caught below
         with np.errstate(all="ignore"):
             for band, alpha in zip(self.bands, self._alphas):
                 delta = band.delta
-                z = self._symbol_sq + alpha * self._weights1
-                w_power = self._symbol_sq * (delta * delta) * eps_power / (z * z)
+                _map_chunks(weigh, eps.size)
+                members = eps[band.member_indices]
                 row = DivergenceRow(
                     delta=delta,
                     seed=int(seed),
                     band_size=int(band.member_indices.size),
-                    lower_bound=self._bound_factor * float(np.sum(eps_power[band.member_indices])),
-                    h1_norm_sq=float(np.sum(self._weights1 * w_power)),
+                    lower_bound=self._bound_factor * float(np.sum(members.real**2 + members.imag**2)),
+                    h1_norm_sq=float(np.sum(product)),
                 )
                 if not 0.0 < row.h1_norm_sq < math.inf:
                     raise ParameterError(
@@ -528,6 +572,8 @@ def h1_divergence(
     Each seed is drawn once and only one draw is alive at a time. A deblur
     run feeds the per-seed kernel (:class:`DivergenceTables`) the same draw
     its error sweep uses, so the certificate draws nothing of its own there.
+    The per-mode work runs in mode chunks across the CPUs and each sum on
+    the calling thread, so the rows do not depend on the CPU count.
     """
     tables = DivergenceTables(A, schedule, delta_grid, seeds, lattice)
     rows = [

@@ -1,5 +1,6 @@
-"""Golden outputs: the four shipped configs, run through the CLI, against the
-reference outputs stored in perfbench/reference/shipped_configs."""
+"""Golden outputs: the four shipped configs, and the deblur benchmark config,
+run through the CLI against the reference outputs stored in
+perfbench/reference."""
 
 import csv
 import json
@@ -11,6 +12,7 @@ from tikhtorus.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
 REFERENCE = ROOT / "perfbench" / "reference" / "shipped_configs"
+SWEEP_REFERENCE = ROOT / "perfbench" / "reference" / "deblur_sweep" / "deblur"
 REL_TOL = 1e-12
 # gaps that are differences of nearly equal objective values and pairings,
 # so their reference values sit at round-off level
@@ -75,3 +77,13 @@ def test_shipped_config_matches_reference(tmp_path, name):
 
     metadata = json.loads((out / "metadata.json").read_text())
     assert_json_close(metadata, json.loads((reference / "metadata.json").read_text()))
+
+
+def test_deblur_sweep_tables_equal_the_reference_bytes(tmp_path):
+    # 524,289 modes: the sweep and certificate kernels run in many pieces
+    # (the last one a single mode) across the CPUs, and the tables keep the
+    # reference bytes
+    config = ROOT / "perfbench" / "configs" / "deblur_sweep.ini"
+    assert main(["deblur", "--config", str(config), "--out", str(tmp_path)]) == 0
+    for name in ("errors.csv", "divergence.csv", "signal.csv"):
+        assert (tmp_path / name).read_bytes() == (SWEEP_REFERENCE / name).read_bytes(), name

@@ -1,6 +1,7 @@
 """Exponent calculators, slope fitting, error sweeps, H^1 divergence."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -28,9 +29,23 @@ from tikhtorus import (
     solve_split,
     zero_field,
 )
+from tikhtorus import noise
 from tikhtorus.rates import DivergenceTables, SweepTables, calibrate_band
 
 DEBLUR = dict(t=2.0, r=1.0, kappa=2.5, s=-0.6)
+
+
+def operator_of(kind):
+    """The deblur operator, or a twisted one with the complex Hermitian
+    symbol exp(0.3 i l) / (1 + l^2)."""
+    def twisted(modes):
+        l = modes[:, 0].astype(np.float64)
+        return np.exp(0.3j * l) / (1.0 + l**2)
+
+    A = deblur_operator()
+    if kind == "twisted":
+        A = MultiplierOperator(symbol=twisted, order=-2.0, ellipticity=A.ellipticity, dimension=1)
+    return A
 
 
 class TestPredictedExponent:
@@ -206,30 +221,30 @@ class TestErrorSweep:
 
     @pytest.mark.parametrize(
         "kind, bandlimit",
-        [("deblur", 64), ("twisted", 64), ("deblur", 4096), ("twisted", 4096)],
-        ids=["deblur", "twisted", "deblur-4096", "twisted-4096"],
+        [
+            ("deblur", 64),
+            ("twisted", 64),
+            ("deblur", 4096),
+            ("twisted", 4096),
+            ("deblur", 40000),
+            ("twisted", 40000),
+        ],
+        ids=["deblur", "twisted", "deblur-4096", "twisted-4096", "deblur-chunks", "twisted-chunks"],
     )
     def test_errors_equal_the_public_composition(self, kind, bandlimit):
         # the per-mode sweep must reproduce forward -> solve_split -> subtract
         # -> sobolev_norm bit for bit, also for a complex Hermitian symbol; at
-        # 8193 modes np.sum recurses through many 128-element pairwise blocks
-        def twisted(modes):
-            l = modes[:, 0].astype(np.float64)
-            return np.exp(0.3j * l) / (1.0 + l**2)
-
-        A = deblur_operator()
-        if kind == "twisted":
-            A = MultiplierOperator(
-                symbol=twisted, order=-2.0, ellipticity=A.ellipticity, dimension=1
-            )
+        # 8193 modes np.sum recurses through many 128-element pairwise blocks,
+        # and 80,001 modes are three pieces of the chunked kernel
+        A = operator_of(kind)
         lattice = FrequencyLattice(1, bandlimit)
         truth = hat_coefficients(lattice)
         seeds, s1_list, deltas = [None, 0, 5], [-1.5, 0.0, 1.0], [1e-2, 1e-3, 1e-4]
         result = error_sweep(A, truth, SCHEDULE, s1_list, deltas, seeds)
         assert len(result.rows) == len(seeds) * len(s1_list) * len(deltas)
         for row in result.rows:
-            noise = zero_field(lattice) if row.seed == -1 else sample_white_noise(lattice, row.seed)
-            split = solve_split(A, forward(A, truth, row.delta, noise), SCHEDULE)
+            draw = zero_field(lattice) if row.seed == -1 else sample_white_noise(lattice, row.seed)
+            split = solve_split(A, forward(A, truth, row.delta, draw), SCHEDULE)
             expected = sobolev_norm(split.reconstruction - truth, row.s1)
             assert row.raw_error == expected
 
@@ -252,6 +267,26 @@ class TestErrorSweep:
             tables.errors(broken)
         with pytest.raises(ParameterError, match=r"s1 = 400, delta = 0\.01 \(\[grids\] s1_list\)"):
             tables.errors(eps)
+
+    def test_kernel_error_precedence_across_pieces(self, monkeypatch):
+        # 129 modes in 26 pieces over 8 ranges: the inf sits in a piece a
+        # worker thread walks, and the overflowing weights of s1 = 400 warn
+        # in no worker
+        monkeypatch.setattr(noise, "_CHUNK", 5)
+        monkeypatch.setattr(noise, "_cpu_count", lambda: 8)
+        lattice = FrequencyLattice(1, 64)
+        truth = hat_coefficients(lattice)
+        tables = SweepTables(deblur_operator(), truth, SCHEDULE, [400.0, -1.5], [1e-2, 1e-3], [0])
+        eps = sample_white_noise(lattice, 0).coefficients
+        broken = eps.copy()
+        broken[100] = np.inf
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(InvalidFieldError, match="non-finite"):
+                tables.errors(broken)
+            with pytest.raises(ParameterError, match=r"s1 = 400, delta = 0\.01 \(\[grids\] s1_list\)"):
+                tables.errors(eps)
+        assert caught == []
 
     def test_tables_check_the_operator_dimension(self):
         truth = zero_field(FrequencyLattice(2, 4))
@@ -309,21 +344,18 @@ class TestBandCalibration:
 
 
 class TestH1Divergence:
-    @pytest.mark.parametrize("kind", ["deblur", "twisted"])
-    def test_rows_equal_the_per_mode_composition(self, kind):
+    @pytest.mark.parametrize(
+        "kind, bandlimit",
+        [("deblur", 64), ("twisted", 64), ("deblur", 40000), ("twisted", 40000)],
+        ids=["deblur", "twisted", "deblur-chunks", "twisted-chunks"],
+    )
+    def test_rows_equal_the_per_mode_composition(self, kind, bandlimit):
         # every row is the from-scratch per-mode sum, bit for bit:
         # h1_norm_sq = sum w1 |a|^2 delta^2 |eps|^2 / z^2 and
-        # lower_bound = bound_factor * sum_band |eps|^2
-        def twisted(modes):
-            l = modes[:, 0].astype(np.float64)
-            return np.exp(0.3j * l) / (1.0 + l**2)
-
-        A = deblur_operator()
-        if kind == "twisted":
-            A = MultiplierOperator(
-                symbol=twisted, order=-2.0, ellipticity=A.ellipticity, dimension=1
-            )
-        lattice = FrequencyLattice(1, 64)
+        # lower_bound = bound_factor * sum_band |eps|^2; 80,001 modes are
+        # three pieces of the chunked kernel
+        A = operator_of(kind)
+        lattice = FrequencyLattice(1, bandlimit)
         seeds, deltas = [0, 5], [1e-2, 1e-3, 1e-4]
         report = h1_divergence(A, DIVERGENCE_SCHEDULE, deltas, seeds, lattice)
         assert len(report.rows) == len(seeds) * len(deltas)
@@ -388,3 +420,28 @@ class TestH1Divergence:
             )
         with pytest.raises(ParameterError):
             h1_divergence(deblur_operator(), DIVERGENCE_SCHEDULE, [2.0, 1e-2], [0], lattice)
+
+
+class TestChunkedKernels:
+    # the sweep and certificate kernels run in pieces of noise._CHUNK modes
+    # across worker threads; their values equal those of one whole-lattice
+    # piece at every split
+
+    @pytest.mark.parametrize("cpus", [1, 8])
+    @pytest.mark.parametrize("chunk", [1, 3, 7])
+    @pytest.mark.parametrize("kind", ["deblur", "twisted"])
+    def test_small_chunks_keep_the_values(self, monkeypatch, kind, chunk, cpus):
+        # pieces of one mode take numpy's one-element loops, which round an
+        # in-place complex product differently
+        A = operator_of(kind)
+        lattice = FrequencyLattice(1, 50)
+        deltas = [1e-2, 1e-3, 1e-4]
+        sweep = SweepTables(A, hat_coefficients(lattice), SCHEDULE, [-1.5, 0.0, 1.0], deltas, [7])
+        certificate = DivergenceTables(A, DIVERGENCE_SCHEDULE, deltas, [7], lattice)
+        eps = sample_white_noise(lattice, 7).coefficients
+        monkeypatch.setattr(noise, "_CHUNK", 10**9)
+        errors, rows = sweep.errors(eps), certificate.rows(7, eps)
+        monkeypatch.setattr(noise, "_CHUNK", chunk)
+        monkeypatch.setattr(noise, "_cpu_count", lambda: cpus)
+        assert np.array_equal(sweep.errors(eps), errors)
+        assert certificate.rows(7, eps) == rows
