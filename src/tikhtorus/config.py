@@ -40,16 +40,16 @@ def _one_of(what: str, *options: str) -> tuple:
 
 
 # Peak bytes a 1-d run allocates per lattice mode: an upper bound on the
-# tracemalloc peak of the perfbench/configs/*.ini runs over their mode count.
-# deblur 200 and noise_probe 128 were set from peaks of 194.7 B and 126.4 B,
-# rounded up to a multiple of 8; the same runs now peak at 69.1 MiB / 524,289
-# modes = 138.2 B (deblur_sweep) and 147.9 MiB / 2,097,153 modes (its top
-# bandlimit) = 74.0 B (noise_probe). gamma_dense: 2.4 MiB / 4,095 modes =
-# 608.5 B rounded up, fixed costs and the operator's cached symbol tables on
-# its five lattices included. rates runs the deblur error sweep without noise
-# draws, snapshot or certificate, so it takes the deblur figure (a rates run
-# at 524,289 modes peaks at 120.4 B per mode). The bounds stay as set: they
-# are upper bounds, and lowering one would move the exit-2 boundary.
+# tracemalloc peak of the perfbench/configs/*.ini runs over their mode count
+# (the top bandlimit's for noise_probe). Those runs peak at 58.6 MiB / 524,289
+# modes = 117.2 B (deblur_sweep), 107.9 MiB / 2,097,153 modes = 54.0 B
+# (noise_probe) and 2.2 MiB / 4,095 modes = 575.7 B (gamma_dense, fixed costs
+# and the operator's cached symbol tables on its five lattices included). rates
+# runs the deblur error sweep without noise draws, snapshot or certificate, so
+# it takes the deblur figure (a rates run on deblur_sweep's lattice peaks at
+# 110.6 B). A test runs a deblur and a noise probe against these bounds. The
+# bounds stay as set: they are upper bounds, and lowering one would move the
+# exit-2 boundary.
 _BYTES_PER_MODE = {"deblur": 200, "rates": 200, "noise_probe": 128, "gamma": 616}
 
 

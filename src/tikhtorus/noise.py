@@ -20,7 +20,7 @@ Bit-identical output for a given (seed, lattice) is part of the public
 contract and is pinned by tests.
 
 A draw is computed in chunks of canonical modes, spread over one thread per
-CPU of the process's affinity (``os.sched_getaffinity``). Each chunk builds
+CPU of the process's affinity by ``spectral._map_chunks``. Each chunk builds
 its own ``PCG64(seed)`` and moves it to its first uniform with
 ``PCG64.advance``; ``random()`` takes exactly one 64-bit output per double,
 so a chunk reads the same uniforms as one whole-stream call would, and the
@@ -33,7 +33,8 @@ lattice enumeration order. The zero mode consumes one variate (real,
 variance 1); every other conjugate pair is represented by its canonical
 member (first nonzero component positive) and consumes two variates. In the
 lexicographic enumeration the canonical modes are exactly the positions after
-the zero mode's, and their conjugates the positions before it, mirrored::
+the zero mode's, and their conjugates the positions before it, mirrored (the
+conjugate of position p is ``mode_count - 1 - p``)::
 
     c(l) = (z_a + i z_b) / sqrt(2),     c(-l) = conj(c(l))
 
@@ -44,21 +45,20 @@ one, refining the bandlimit extends a realization instead of resampling it:
 
 The regularity probe reads the same draw without building a field: it only
 needs |c(l)|^2, which is one value per conjugate pair, and it sums each
-truncation as a slice of the lattice (:func:`spectral.ball`), not a mask.
+truncation as a slice of the lattice (:func:`spectral.ball`), not a mask. Its
+weights are the shared :func:`spectral.sobolev_weights` tables.
 """
 
 from __future__ import annotations
 
 import operator
-import os
-import threading
 from functools import lru_cache
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
 from .errors import ConfigError, ParameterError
-from .spectral import FrequencyLattice, SpectralField, ball, sobolev_weights
+from .spectral import FrequencyLattice, SpectralField, _map_chunks, ball, sobolev_weights
 
 __all__ = [
     "sample_white_noise",
@@ -69,16 +69,14 @@ __all__ = [
 
 
 @lru_cache(maxsize=64)
-def _draw_layout(dimension: int, bandlimit: int) -> tuple:
-    """Canonical-mode positions sorted by (shell, enumeration index), plus
-    their conjugate positions. Cached per lattice signature."""
+def _draw_layout(dimension: int, bandlimit: int) -> np.ndarray:
+    """Canonical-mode positions sorted by (shell, enumeration index), cached
+    per lattice signature. The conjugate of position p is mode_count - 1 - p."""
     lattice = FrequencyLattice(dimension, bandlimit)
     first = lattice.zero_index + 1  # canonical modes sit after the zero mode
     canonical_sorted = first + np.argsort(lattice.shells()[first:], kind="stable")
-    conjugate_sorted = lattice.mode_count - 1 - canonical_sorted
     canonical_sorted.setflags(write=False)
-    conjugate_sorted.setflags(write=False)
-    return canonical_sorted, conjugate_sorted
+    return canonical_sorted
 
 
 def _box_muller(uniforms: np.ndarray) -> tuple:
@@ -88,57 +86,6 @@ def _box_muller(uniforms: np.ndarray) -> tuple:
     radius = np.sqrt(-2.0 * np.log1p(-u1))
     angle = 2.0 * np.pi * u2
     return radius * np.cos(angle), radius * np.sin(angle)
-
-
-# items per piece of a chunked kernel (a draw here, the error sweep and the
-# H^1 certificate in rates): a piece keeps under 2 MiB of temporaries alive,
-# which stays in a core's cache and leaves little in the worker threads'
-# malloc arenas; the shipped configs' lattices (up to 32,769 modes) stay
-# below two pieces and so on the calling thread
-_CHUNK = 32768
-
-
-def _cpu_count() -> int:
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-def _map_chunks(kernel: Callable[[int, int], object], size: int) -> None:
-    """Call ``kernel(start, stop)`` on the consecutive pieces of [0, size),
-    ``_CHUNK`` items each (the last one shorter).
-
-    Below two chunks this is a plain loop on the calling thread. Otherwise
-    the pieces are split into one contiguous range per CPU of the process's
-    affinity; the calling thread walks the first range and one thread each
-    the others. Kernels write disjoint slices and leave every sum to the
-    caller, so the result depends neither on the split nor on ``_CHUNK``.
-    Workers run under the caller's ``np.errstate`` (which numpy keeps per
-    thread). A range stops at its first exception, which re-raises here once
-    every range has stopped (the earliest range's, if several fail).
-    """
-    chunks = -(-size // _CHUNK)
-    workers = min(chunks, _cpu_count()) if size >= 2 * _CHUNK else 1
-    errstate = np.geterr()
-    failures: list = [None] * workers
-
-    def run(task: int) -> None:
-        try:
-            with np.errstate(**errstate):
-                for piece in range(task * chunks // workers, (task + 1) * chunks // workers):
-                    kernel(piece * _CHUNK, min(size, (piece + 1) * _CHUNK))
-        except BaseException as exc:  # re-raised on the calling thread
-            failures[task] = exc
-
-    threads = [threading.Thread(target=run, args=(task,)) for task in range(1, workers)]
-    for thread in threads:
-        thread.start()
-    run(0)
-    for thread in threads:
-        thread.join()
-    for exc in failures:
-        if exc is not None:
-            raise exc
 
 
 def _draw_chunks(lattice: FrequencyLattice, seed: int, store: Callable) -> float:
@@ -157,7 +104,8 @@ def _draw_chunks(lattice: FrequencyLattice, seed: int, store: Callable) -> float
         index = -1
     if index < 0:
         raise ParameterError(f"seed must be a non-negative integer, got {seed!r}")
-    canonical, conjugate = _draw_layout(lattice.dimension, lattice.bandlimit)
+    canonical = _draw_layout(lattice.dimension, lattice.bandlimit)
+    last = lattice.mode_count - 1
 
     def uniforms(start: int, count: int) -> np.ndarray:
         bit_generator = np.random.PCG64(index)
@@ -167,7 +115,8 @@ def _draw_chunks(lattice: FrequencyLattice, seed: int, store: Callable) -> float
     def draw(start: int, stop: int) -> None:
         cos_half, sin_half = _box_muller(uniforms(start, 2 * (stop - start + 1)))
         values = (sin_half[:-1] + 1j * cos_half[1:]) / np.sqrt(2.0)
-        store(canonical[start:stop], conjugate[start:stop], values)
+        positions = canonical[start:stop]
+        store(positions, last - positions, values)
 
     _map_chunks(draw, canonical.size)
     return _box_muller(uniforms(0, 2))[0][0]
@@ -255,10 +204,11 @@ def regularity_probe(
     Each seed's |c(l)|^2 comes from the canonical draw of the top lattice,
     with no field built; the energies equal those of
     ``sample_white_noise(top, seed)`` summed over ``shells <= m`` bit for bit.
-    The tables are filled chunk by chunk across the CPUs into buffers
-    allocated once: one ``(1 + |l|^2)^s`` table per s, one |c|^2 table
-    reused across the seeds, and one ``w * |c|^2`` product reused across the
-    seeds and s. The partial sums stay whole-array sums on the calling thread.
+    The weights are the shared ``sobolev_weights(top, s)`` tables. The |c|^2
+    table, reused across the seeds, and the ``w * |c|^2`` product, reused
+    across the seeds and s, are allocated once and filled chunk by chunk
+    across the CPUs. The partial sums stay whole-array sums on the calling
+    thread.
     """
     if len(s_values) == 0 or len(bandlimits) == 0 or len(seeds) == 0:
         raise ConfigError("regularity_probe needs nonempty s_values, bandlimits, seeds")
@@ -273,15 +223,6 @@ def regularity_probe(
     def partial_sums(table: np.ndarray) -> list:
         return [np.sum(ball(top, table, m).ravel()) for m in bandlimits]
 
-    def weight_table(weights_sq: np.ndarray, s: float) -> np.ndarray:
-        table = np.empty(size)
-
-        def kernel(start: int, stop: int) -> None:
-            table[start:stop] = weights_sq[start:stop] ** s  # ** keeps numpy's fast paths
-
-        _map_chunks(kernel, size)
-        return table
-
     def multiply(w: np.ndarray, power: np.ndarray, out: np.ndarray) -> np.ndarray:
         def kernel(start: int, stop: int) -> None:
             np.multiply(w[start:stop], power[start:stop], out=out[start:stop])
@@ -292,9 +233,7 @@ def regularity_probe(
     # (s, trajectory, bandlimit)
     energies = np.empty((len(s_values), 1 + len(seeds), len(bandlimits)))
     with np.errstate(over="ignore"):
-        weights_sq = 1.0 + top.squared_norms()
-        weights = [weight_table(weights_sq, s) for s in s_values]
-        del weights_sq  # freed before the draw's tables exist
+        weights = [sobolev_weights(top, s) for s in s_values]
         energies[:, 0] = [partial_sums(w) for w in weights]
         power, product = np.empty(size), np.empty(size)
         for j, seed in enumerate(seeds, start=1):

@@ -8,9 +8,9 @@ takes the noise coefficients, and a summary. :func:`error_sweep` and
 :func:`h1_divergence` loop draw -> kernel; a deblur run draws each seed once
 and feeds every stage (sweep, certificate, snapshot) from that draw.
 
-The kernels do their elementwise work in pieces of ``noise._CHUNK`` modes,
+The kernels do their elementwise work in pieces of ``spectral._CHUNK`` modes,
 each with its own small scratch, spread over the CPUs of the process's
-affinity (``noise._map_chunks``). Only the per-mode tables that a sum reads
+affinity (``spectral._map_chunks``). Only the per-mode tables that a sum reads
 are lattice-sized, and every sum is one whole-array ``np.sum`` on the
 calling thread: numpy's pairwise summation order depends on the array
 length, so the bytes depend neither on the CPU count nor on the chunk size.
@@ -26,11 +26,12 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .errors import CalibrationError, DomainError, InvalidFieldError, ParameterError
-from .noise import _map_chunks, sample_white_noise
+from .noise import sample_white_noise
 from .spectral import (
     FrequencyLattice,
     MultiplierOperator,
     SpectralField,
+    _map_chunks,
     finite_sobolev_weights,
     sobolev_norm,
     sobolev_weights,

@@ -18,6 +18,8 @@ reversal.
 from __future__ import annotations
 
 import dataclasses
+import os
+import threading
 from functools import lru_cache
 from typing import Callable
 
@@ -52,26 +54,6 @@ __all__ = [
 ]
 
 
-@lru_cache(maxsize=64)
-def _mode_table(dimension: int, bandlimit: int) -> np.ndarray:
-    axis = np.arange(-bandlimit, bandlimit + 1, dtype=np.int64)
-    if dimension == 1:
-        modes = axis.reshape(-1, 1)
-    else:
-        grids = np.meshgrid(*([axis] * dimension), indexing="ij")
-        modes = np.stack(grids, axis=-1).reshape(-1, dimension)
-    modes.setflags(write=False)
-    return modes
-
-
-@lru_cache(maxsize=64)
-def _squared_norms(dimension: int, bandlimit: int) -> np.ndarray:
-    modes = _mode_table(dimension, bandlimit)
-    sq = np.sum(modes.astype(np.float64) ** 2, axis=1)
-    sq.setflags(write=False)
-    return sq
-
-
 @dataclasses.dataclass(frozen=True)
 class FrequencyLattice:
     """Truncated frequency lattice on T^d, d in {1, 2}."""
@@ -95,12 +77,17 @@ class FrequencyLattice:
         return (self.mode_count - 1) // 2
 
     def modes(self) -> np.ndarray:
-        """All lattice modes, shape (mode_count, dimension), enumeration order."""
-        return _mode_table(self.dimension, self.bandlimit)
+        """All lattice modes, shape (mode_count, dimension), enumeration
+        order, as a fresh int64 array."""
+        axis = np.arange(-self.bandlimit, self.bandlimit + 1, dtype=np.int64)
+        grids = np.meshgrid(*([axis] * self.dimension), indexing="ij")
+        return np.stack(grids, axis=-1).reshape(-1, self.dimension)
 
     def squared_norms(self) -> np.ndarray:
-        """|l|^2 per mode, enumeration order."""
-        return _squared_norms(self.dimension, self.bandlimit)
+        """|l|^2 per mode, enumeration order, as a fresh float64 array. Every
+        value is an integer below 2^53, so it is exact in any summation order."""
+        squares = np.arange(-self.bandlimit, self.bandlimit + 1, dtype=np.float64) ** 2
+        return squares if self.dimension == 1 else np.add.outer(squares, squares).ravel()
 
     def shells(self) -> np.ndarray:
         """max_i |l_i| per mode, enumeration order."""
@@ -294,16 +281,78 @@ def check_ellipticity(op: MultiplierOperator, lattice: FrequencyLattice) -> None
         )
 
 
+# items per piece of a chunked kernel (the Sobolev weight tables here, the
+# noise draws and the probe's products in noise, the error sweep and the H^1
+# certificate in rates): a piece keeps under 2 MiB of temporaries alive,
+# which stays in a core's cache and leaves little in the worker threads'
+# malloc arenas; the shipped configs' lattices (up to 32,769 modes) stay
+# below two pieces and so on the calling thread
+_CHUNK = 32768
+
+
+def _cpu_count() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _map_chunks(kernel: Callable[[int, int], object], size: int) -> None:
+    """Call ``kernel(start, stop)`` on the consecutive pieces of [0, size),
+    ``_CHUNK`` items each (the last one shorter). This is the package's one
+    chunk dispatcher; ``noise`` and ``rates`` import it from here, so
+    ``_CHUNK`` and ``_cpu_count`` are read from this module.
+
+    Below two chunks this is a plain loop on the calling thread. Otherwise
+    the pieces are split into one contiguous range per CPU of the process's
+    affinity; the calling thread walks the first range and one thread each
+    the others. Kernels write disjoint slices and leave every sum to the
+    caller, so the result depends neither on the split nor on ``_CHUNK``.
+    Workers run under the caller's ``np.errstate`` (which numpy keeps per
+    thread). A range stops at its first exception, which re-raises here once
+    every range has stopped (the earliest range's, if several fail).
+    """
+    chunks = -(-size // _CHUNK)
+    workers = min(chunks, _cpu_count()) if size >= 2 * _CHUNK else 1
+    errstate = np.geterr()
+    failures: list = [None] * workers
+
+    def run(task: int) -> None:
+        try:
+            with np.errstate(**errstate):
+                for piece in range(task * chunks // workers, (task + 1) * chunks // workers):
+                    kernel(piece * _CHUNK, min(size, (piece + 1) * _CHUNK))
+        except BaseException as exc:  # re-raised on the calling thread
+            failures[task] = exc
+
+    threads = [threading.Thread(target=run, args=(task,)) for task in range(1, workers)]
+    for thread in threads:
+        thread.start()
+    run(0)
+    for thread in threads:
+        thread.join()
+    for exc in failures:
+        if exc is not None:
+            raise exc
+
+
 @lru_cache(maxsize=16)
 def _sobolev_weights(dimension: int, bandlimit: int, s: float) -> np.ndarray:
-    weights = (1.0 + _squared_norms(dimension, bandlimit)) ** s
+    weights = FrequencyLattice(dimension, bandlimit).squared_norms()
+
+    def kernel(start: int, stop: int) -> None:
+        weights[start:stop] = (1.0 + weights[start:stop]) ** s  # ** keeps numpy's fast paths
+
+    _map_chunks(kernel, weights.size)
     weights.setflags(write=False)
     return weights
 
 
 def sobolev_weights(lattice: FrequencyLattice, s: float) -> np.ndarray:
     """(1 + |l|^2)^s per mode, as a read-only array shared by every caller
-    that asks for the same lattice and s (cached like the squared norms)."""
+    that asks for the same lattice and s while its table is among the 16 most
+    recently used. The table is filled in mode chunks across the CPUs
+    (:func:`_map_chunks`); each entry is computed on its own, so the bytes do
+    not depend on the split. This is the one place a weight table is built."""
     return _sobolev_weights(lattice.dimension, lattice.bandlimit, float(s))
 
 

@@ -219,9 +219,7 @@ def bias_bound_check(
     theta = -(r + zeta)
     gamma = (2 * r + theta) / (2 * (t + r))
     eta = (2 * t - theta) / (2 * (t + r))
-    c_op = float(
-        np.min(A.squared_modulus(truth.lattice) * (1.0 + truth.lattice.squared_norms()) ** t)
-    )
+    c_op = float(np.min(A.squared_modulus(truth.lattice) * sobolev_weights(truth.lattice, t)))
     exponent = schedule.kappa * (r - zeta) / (2 * (t + r))
     bound = (
         c_op ** (-gamma)

@@ -97,6 +97,16 @@ def write_config(tmp_path, text, name="exp.ini"):
     return path
 
 
+def run_fresh_process(script):
+    """Run ``script`` with ``python -c`` in a new interpreter that imports
+    the package from this checkout; the finished process."""
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    return subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
+    )
+
+
 _finite_floats = st.floats(allow_nan=False, allow_infinity=False)
 _positive_floats = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
 _paths = st.text("abcxyz0123456789_./-", min_size=1, max_size=20)
@@ -784,7 +794,7 @@ class TestCli:
                 raise MemoryError()
             return original(uniforms)
 
-        monkeypatch.setattr(tikhtorus.noise, "_cpu_count", lambda: 2)
+        monkeypatch.setattr(tikhtorus.spectral, "_cpu_count", lambda: 2)
         monkeypatch.setattr(tikhtorus.noise, "_box_muller", exhausted)
         text = small_config_text("noise_probe", str(tmp_path / "out"), probe_bandlimits="50000,100000")
         code = main(["noise-probe", "--config", str(write_config(tmp_path, text))])
@@ -898,11 +908,7 @@ class TestCli:
             "assert code == 0, code; "
             "assert 'scipy' not in sys.modules, sorted(m for m in sys.modules if 'scipy' in m)"
         )
-        path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
-        env = dict(os.environ, PYTHONPATH=path)
-        done = subprocess.run(
-            [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
-        )
+        done = run_fresh_process(script)
         assert done.returncode == 0, done.stderr
         assert (tmp_path / "out" / "gamma.csv").exists()
 
@@ -914,12 +920,34 @@ class TestCli:
             "loaded = [m for m in ('concurrent.futures', 'logging') if m in sys.modules]; "
             "assert not loaded, loaded"
         )
-        path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
-        env = dict(os.environ, PYTHONPATH=path)
-        done = subprocess.run(
-            [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
-        )
+        done = run_fresh_process(script)
         assert done.returncode == 0, done.stderr
+
+    @pytest.mark.parametrize(
+        "experiment,overrides,top_bandlimit",
+        [
+            ("deblur", {"reference": "131072"}, 131072),
+            ("noise_probe", {"probe_bandlimits": "65536,131072,262144"}, 262144),
+        ],
+    )
+    def test_peak_bytes_per_mode_stay_within_the_memory_check(
+        self, tmp_path, experiment, overrides, top_bandlimit
+    ):
+        # config._BYTES_PER_MODE decides the exit-2 memory check: a run's
+        # tracemalloc peak over its top lattice's mode count stays below it
+        config = write_config(tmp_path, small_config_text(experiment, str(tmp_path / "out"), **overrides))
+        argv = [experiment.replace("_", "-"), "--config", str(config)]
+        script = (
+            "import tracemalloc, tikhtorus.cli; "
+            "tracemalloc.start(); "
+            f"code = tikhtorus.cli.main({argv!r}); "
+            "assert code == 0, code; "
+            "print(tracemalloc.get_traced_memory()[1])"
+        )
+        done = run_fresh_process(script)
+        assert done.returncode == 0, done.stderr
+        peak = int(done.stdout.split()[-1])  # after the written paths
+        assert peak / (2 * top_bandlimit + 1) <= _BYTES_PER_MODE[experiment]
 
     def test_missing_config_file(self, tmp_path, capsys):
         code = main(["deblur", "--config", str(tmp_path / "absent.ini")])

@@ -19,7 +19,7 @@ from tikhtorus import (
     sobolev_norm,
     truncate,
 )
-from tikhtorus import noise
+from tikhtorus import noise, spectral
 
 
 def direct_energy_sum(M, s):
@@ -138,7 +138,8 @@ class TestSampler:
 def single_shot_draw(lattice, seed):
     """The coefficients and |c|^2 of one draw from one whole-stream call:
     ``random(2 * (n + 1))``, the Box-Muller pairs, and the documented scatter."""
-    canonical, conjugate = noise._draw_layout(lattice.dimension, lattice.bandlimit)
+    canonical = noise._draw_layout(lattice.dimension, lattice.bandlimit)
+    conjugate = lattice.mode_count - 1 - canonical
     n = canonical.size
     uniforms = np.random.Generator(np.random.PCG64(seed)).random(2 * (n + 1))
     cos_half, sin_half = noise._box_muller(uniforms)
@@ -162,7 +163,7 @@ def assert_draws_match_single_shot(lattice, seed):
 @pytest.fixture
 def many_cpus(monkeypatch):
     # more workers than cores, so the range splits run under preemption
-    monkeypatch.setattr(noise, "_cpu_count", lambda: 8)
+    monkeypatch.setattr(spectral, "_cpu_count", lambda: 8)
 
 
 class TestChunkedDraw:
@@ -173,10 +174,10 @@ class TestChunkedDraw:
         "dimension,bandlimit",
         [
             (1, 2**20),
-            (1, noise._CHUNK - 1),
-            (1, noise._CHUNK),
-            (1, noise._CHUNK + 1),
-            (1, 3 * noise._CHUNK + 5),
+            (1, spectral._CHUNK - 1),
+            (1, spectral._CHUNK),
+            (1, spectral._CHUNK + 1),
+            (1, 3 * spectral._CHUNK + 5),
             (2, 300),
         ],
     )
@@ -190,7 +191,7 @@ class TestChunkedDraw:
     def test_equals_the_single_shot_draw_across_small_chunks(
         self, monkeypatch, many_cpus, chunk, dimension, bandlimit
     ):
-        monkeypatch.setattr(noise, "_CHUNK", chunk)
+        monkeypatch.setattr(spectral, "_CHUNK", chunk)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)  # workers interleave between every few bytecodes
         try:
@@ -199,7 +200,7 @@ class TestChunkedDraw:
             sys.setswitchinterval(interval)
 
     def test_concurrent_callers_get_the_single_thread_bytes(self, many_cpus):
-        lattice = FrequencyLattice(1, 3 * noise._CHUNK + 5)
+        lattice = FrequencyLattice(1, 3 * spectral._CHUNK + 5)
         seeds = [3, 4]
         expected = [single_shot_draw(lattice, seed)[0] for seed in seeds]
         start = threading.Barrier(len(seeds))
@@ -220,7 +221,7 @@ class TestChunkedDraw:
     def test_a_draw_inside_a_worker_keeps_its_bytes(self, monkeypatch, many_cpus):
         # each piece of an outer map draws a lattice of several chunks, which
         # starts workers of its own from inside a worker
-        monkeypatch.setattr(noise, "_CHUNK", 1000)
+        monkeypatch.setattr(spectral, "_CHUNK", 1000)
         lattice = FrequencyLattice(1, 4500)
         expected = single_shot_draw(lattice, 11)[0]
         drawn = {}
@@ -228,7 +229,7 @@ class TestChunkedDraw:
         def kernel(start, stop):
             drawn[start] = (threading.current_thread(), sample_white_noise(lattice, 11))
 
-        outer = threading.Thread(target=noise._map_chunks, args=(kernel, 3000))
+        outer = threading.Thread(target=spectral._map_chunks, args=(kernel, 3000))
         outer.start()
         outer.join(timeout=120)
         assert not outer.is_alive()
@@ -250,17 +251,17 @@ class TestChunkedDraw:
         # three ranges of pieces 0-2, 3-5 and 6-8: a range stops at its first
         # exception, the others run to their end, and the earliest range's
         # exception reaches the caller
-        monkeypatch.setattr(noise, "_cpu_count", lambda: 3)
+        monkeypatch.setattr(spectral, "_cpu_count", lambda: 3)
         finished = []
 
         def kernel(start, stop):
-            piece = start // noise._CHUNK
+            piece = start // spectral._CHUNK
             if piece in (1, 4):
                 raise MemoryError(f"piece {piece}")
             finished.append(piece)
 
         with pytest.raises(MemoryError, match="piece 1"):
-            noise._map_chunks(kernel, 9 * noise._CHUNK)
+            spectral._map_chunks(kernel, 9 * spectral._CHUNK)
         assert sorted(finished) == [0, 3, 6, 7, 8]
 
 

@@ -29,7 +29,7 @@ from tikhtorus import (
     solve_split,
     zero_field,
 )
-from tikhtorus import noise
+from tikhtorus import spectral
 from tikhtorus.rates import DivergenceTables, SweepTables, calibrate_band
 
 DEBLUR = dict(t=2.0, r=1.0, kappa=2.5, s=-0.6)
@@ -272,8 +272,8 @@ class TestErrorSweep:
         # 129 modes in 26 pieces over 8 ranges: the inf sits in a piece a
         # worker thread walks, and the overflowing weights of s1 = 400 warn
         # in no worker
-        monkeypatch.setattr(noise, "_CHUNK", 5)
-        monkeypatch.setattr(noise, "_cpu_count", lambda: 8)
+        monkeypatch.setattr(spectral, "_CHUNK", 5)
+        monkeypatch.setattr(spectral, "_cpu_count", lambda: 8)
         lattice = FrequencyLattice(1, 64)
         truth = hat_coefficients(lattice)
         tables = SweepTables(deblur_operator(), truth, SCHEDULE, [400.0, -1.5], [1e-2, 1e-3], [0])
@@ -423,7 +423,7 @@ class TestH1Divergence:
 
 
 class TestChunkedKernels:
-    # the sweep and certificate kernels run in pieces of noise._CHUNK modes
+    # the sweep and certificate kernels run in pieces of spectral._CHUNK modes
     # across worker threads; their values equal those of one whole-lattice
     # piece at every split
 
@@ -439,9 +439,9 @@ class TestChunkedKernels:
         sweep = SweepTables(A, hat_coefficients(lattice), SCHEDULE, [-1.5, 0.0, 1.0], deltas, [7])
         certificate = DivergenceTables(A, DIVERGENCE_SCHEDULE, deltas, [7], lattice)
         eps = sample_white_noise(lattice, 7).coefficients
-        monkeypatch.setattr(noise, "_CHUNK", 10**9)
+        monkeypatch.setattr(spectral, "_CHUNK", 10**9)
         errors, rows = sweep.errors(eps), certificate.rows(7, eps)
-        monkeypatch.setattr(noise, "_CHUNK", chunk)
-        monkeypatch.setattr(noise, "_cpu_count", lambda: cpus)
+        monkeypatch.setattr(spectral, "_CHUNK", chunk)
+        monkeypatch.setattr(spectral, "_cpu_count", lambda: cpus)
         assert np.array_equal(sweep.errors(eps), errors)
         assert certificate.rows(7, eps) == rows

@@ -1,5 +1,7 @@
 """Lattices, fields, Sobolev norms, multipliers, grid synthesis."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -24,7 +26,8 @@ from tikhtorus import (
     truncate,
     zero_field,
 )
-from tikhtorus.spectral import Ellipticity, MultiplierOperator
+from tikhtorus import spectral
+from tikhtorus.spectral import Ellipticity, MultiplierOperator, finite_sobolev_weights
 
 
 def random_hermitian_field(lattice, seed):
@@ -168,9 +171,18 @@ class TestSobolevNorm:
             )
 
 
+@pytest.fixture
+def fresh_weight_tables():
+    # the cache would hand back a table built before a patch
+    spectral._sobolev_weights.cache_clear()
+    yield
+    spectral._sobolev_weights.cache_clear()
+
+
 class TestSobolevWeights:
-    @pytest.mark.parametrize("dimension,bandlimit", [(1, 64), (2, 6)])
-    @pytest.mark.parametrize("s", [-3.0, -0.6, 0.0, 1.0, 2.5, np.float64(1.0)])
+    # the last lattice takes more than two chunks, so worker threads fill it
+    @pytest.mark.parametrize("dimension,bandlimit", [(1, 64), (2, 6), (1, spectral._CHUNK + 1)])
+    @pytest.mark.parametrize("s", [-3.0, -2.0, -0.6, 0.0, 0.5, 1.0, 2.0, 2.5, np.float64(1.0)])
     def test_shared_weights_are_exact_and_read_only(self, dimension, bandlimit, s):
         lat = FrequencyLattice(dimension, bandlimit)
         weights = sobolev_weights(lat, s)
@@ -178,6 +190,38 @@ class TestSobolevWeights:
         assert sobolev_weights(FrequencyLattice(dimension, bandlimit), float(s)) is weights
         with pytest.raises(ValueError):
             weights[0] = 0.0
+
+    # the shared table is filled in _CHUNK pieces across worker threads; its
+    # bytes equal those of one whole-array power at every split
+    @pytest.mark.parametrize("cpus", [1, 8])
+    @pytest.mark.parametrize("chunk", [1, 3, 7])
+    @pytest.mark.parametrize("dimension,bandlimit", [(1, 50), (2, 6)])
+    def test_small_chunks_equal_the_whole_array_power(
+        self, monkeypatch, fresh_weight_tables, dimension, bandlimit, chunk, cpus
+    ):
+        monkeypatch.setattr(spectral, "_CHUNK", chunk)
+        monkeypatch.setattr(spectral, "_cpu_count", lambda: cpus)
+        lat = FrequencyLattice(dimension, bandlimit)
+        for s in [-2.0, -0.6, 0.0, 0.5, 1.0, 2.0]:
+            assert np.array_equal(sobolev_weights(lat, s), (1 + lat.squared_norms()) ** s)
+
+    @pytest.mark.parametrize("chunk", [None, 7])
+    def test_overflow_warns_on_the_caller_and_not_when_checked(
+        self, monkeypatch, fresh_weight_tables, chunk
+    ):
+        # filterwarnings = error turns the overflow into an exception, also
+        # when a worker thread raises it
+        if chunk is not None:
+            monkeypatch.setattr(spectral, "_CHUNK", chunk)
+            monkeypatch.setattr(spectral, "_cpu_count", lambda: 8)
+        lat = FrequencyLattice(1, 64)
+        with pytest.raises(RuntimeWarning, match="overflow"):
+            sobolev_weights(lat, 400)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(ParameterError, match=r"\(1\+\|l\|\^2\)\^400 overflows on bandlimit 64"):
+                finite_sobolev_weights(lat, 400, "the test weight")
+        assert caught == []
 
 
 class TestMultiplier:
