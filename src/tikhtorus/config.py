@@ -125,7 +125,10 @@ class ExperimentConfig:
     kappa: float = _key("schedule", "kappa", _finite, _POSITIVE)
     r: float = _key("schedule", "r", _finite, _at_least(0))
     noise_regularity: float = _key("noise", "noise_regularity", _finite, default=-0.6)
-    seeds: tuple = _key("noise", "seeds", _list_of(int), _NONEMPTY, _each(_at_least(0)))
+    seeds: tuple = _key(
+        "noise", "seeds", _list_of(int), _NONEMPTY, _each(_at_least(0)),
+        (lambda value: len(set(value)) == len(value), "must not repeat a seed"),
+    )
     delta_grid: tuple = _key(
         "grids", "delta_grid", _list_of(_finite), _NONEMPTY, _each(_POSITIVE),
         (lambda value: all(b < a for a, b in zip(value, value[1:])), "must be strictly decreasing"),

@@ -100,8 +100,9 @@ def _build_operator(config: ExperimentConfig) -> MultiplierOperator:
     return power_law_operator(-config.operator_exponent, name=config.operator_kind)
 
 
-def _operator_on_lattice(config: ExperimentConfig) -> tuple:
-    """The configured operator and the reference lattice it is checked on."""
+def _problem(config: ExperimentConfig) -> tuple:
+    """The configured operator, the reference lattice it is checked on, the
+    truth on that lattice and the regularization schedule."""
     operator = _build_operator(config)
     lattice = FrequencyLattice(1, config.reference_bandlimit)
     try:
@@ -111,17 +112,13 @@ def _operator_on_lattice(config: ExperimentConfig) -> tuple:
             f"{exc} ([operator] exponent = {config.operator_exponent:g}, "
             f"[resolution] reference_bandlimit = {config.reference_bandlimit})"
         ) from exc
-    return operator, lattice
-
-
-def _build_truth(config: ExperimentConfig, lattice: FrequencyLattice) -> SpectralField:
-    if config.truth_kind == "hat":
-        return hat_coefficients(lattice)
-    return load_coefficient_file(config.truth_path, lattice)
-
-
-def _schedule(config: ExperimentConfig) -> RegularizationSchedule:
-    return RegularizationSchedule(alpha0=config.alpha0, kappa=config.kappa, r=config.r)
+    truth = (
+        hat_coefficients(lattice)
+        if config.truth_kind == "hat"
+        else load_coefficient_file(config.truth_path, lattice)
+    )
+    schedule = RegularizationSchedule(alpha0=config.alpha0, kappa=config.kappa, r=config.r)
+    return operator, lattice, truth, schedule
 
 
 def _positive_alpha(schedule: RegularizationSchedule, delta: float) -> float:
@@ -146,6 +143,22 @@ def _s1_window(config: ExperimentConfig, t: float) -> dict:
             "conventions can be compared against the fitted slopes"
         ),
     }
+
+
+def _error_plot(config: ExperimentConfig, curves: dict, title: str, ylabel: str) -> str:
+    """Log-log plot of one error curve per s1 (``curves[s1]``, along the
+    delta grid)."""
+    return line_plot(
+        [
+            Series(label=f"s1={s1:g}", x=list(config.delta_grid), y=curves[s1])
+            for s1 in (float(v) for v in config.s1_list)
+        ],
+        title=title,
+        xlabel="delta",
+        ylabel=ylabel,
+        logx=True,
+        logy=True,
+    )
 
 
 def _snapshot(
@@ -201,9 +214,7 @@ def run_deblur(config: ExperimentConfig) -> dict:
     operator's cached symbol tables on the reference lattice, evaluated once
     by the ellipticity check.
     """
-    operator, lattice = _operator_on_lattice(config)
-    truth = _build_truth(config, lattice)
-    schedule = _schedule(config)
+    operator, lattice, truth, schedule = _problem(config)
     signal_alpha = _positive_alpha(schedule, SIGNAL_DELTA)
     sweep = SweepTables(operator, truth, schedule, config.s1_list, config.delta_grid, config.seeds)
     # H^1 certificate for the filtered noise part: the pinch-band lower bound
@@ -238,22 +249,6 @@ def run_deblur(config: ExperimentConfig) -> dict:
         del noise  # so the next draw never overlaps this one
     result = sweep.result(errors)
 
-    error_plot = line_plot(
-        [
-            Series(
-                label=f"s1={s1:g}",
-                x=list(config.delta_grid),
-                y=[m * result.normalizers[s1] for m in result.median_errors[s1]],
-            )
-            for s1 in (float(v) for v in config.s1_list)
-        ],
-        title="normalized reconstruction error vs noise amplitude",
-        xlabel="delta",
-        ylabel="normalized error (seed median)",
-        logx=True,
-        logy=True,
-    )
-
     divergence_meta: dict = {"emitted": False}
     if certificate is not None:
         report = certificate.report(divergence)
@@ -284,7 +279,15 @@ def run_deblur(config: ExperimentConfig) -> dict:
             ("x", "truth", "data", "reconstruction"),
             zip(*(column.tolist() for column in signal_table.T)),
         ),
-        "errors.svg": error_plot,
+        "errors.svg": _error_plot(
+            config,
+            {
+                s1: [m * scale for m in result.median_errors[s1]]
+                for s1, scale in result.normalizers.items()
+            },
+            "normalized reconstruction error vs noise amplitude",
+            "normalized error (seed median)",
+        ),
         "signal.svg": signal_plot,
         "metadata.json": _metadata_text(config, derived),
     }
@@ -296,9 +299,7 @@ def run_deblur(config: ExperimentConfig) -> dict:
 def run_rates(config: ExperimentConfig) -> dict:
     """Noise-free rate study: bias-term decay against the predicted
     exponents, one fitted slope per s1."""
-    operator, lattice = _operator_on_lattice(config)
-    truth = _build_truth(config, lattice)
-    schedule = _schedule(config)
+    operator, lattice, truth, schedule = _problem(config)
     t = operator.smoothing
     try:
         predicted = [
@@ -334,22 +335,6 @@ def run_rates(config: ExperimentConfig) -> dict:
             )
         )
 
-    error_plot = line_plot(
-        [
-            Series(
-                label=f"s1={s1:g}",
-                x=list(config.delta_grid),
-                y=sweep.median_errors[s1],
-            )
-            for s1 in (float(v) for v in config.s1_list)
-        ],
-        title="noise-free reconstruction error vs noise amplitude",
-        xlabel="delta",
-        ylabel="H^s1 error",
-        logx=True,
-        logy=True,
-    )
-
     derived = {
         "alpha_by_delta": {repr(d): schedule.alpha(d) for d in config.delta_grid},
         "smoothing_order": t,
@@ -363,7 +348,12 @@ def run_rates(config: ExperimentConfig) -> dict:
                 ("s1", "regime", "predicted_exponent", "fitted_slope", "residual"),
                 slope_rows,
             ),
-            "errors.svg": error_plot,
+            "errors.svg": _error_plot(
+                config,
+                sweep.median_errors,
+                "noise-free reconstruction error vs noise amplitude",
+                "H^s1 error",
+            ),
             "metadata.json": _metadata_text(config, derived),
         },
     )
@@ -431,9 +421,7 @@ def _gamma_sizes(config: ExperimentConfig) -> list:
 def run_gamma(config: ExperimentConfig) -> dict:
     """Discretization-refinement study: weak pairing gaps and objective gaps
     between matrix minimizers and the closed-form reference minimizer."""
-    operator, lattice = _operator_on_lattice(config)
-    truth = _build_truth(config, lattice)
-    schedule = _schedule(config)
+    operator, lattice, truth, schedule = _problem(config)
     if schedule.r <= 0:
         raise ConfigError("gamma experiment needs a spectral penalty r > 0")
 

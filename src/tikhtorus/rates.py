@@ -14,6 +14,8 @@ affinity (``spectral._map_chunks``). Only the per-mode tables that a sum reads
 are lattice-sized, and every sum is one whole-array ``np.sum`` on the
 calling thread: numpy's pairwise summation order depends on the array
 length, so the bytes depend neither on the CPU count nor on the chunk size.
+The sweep's kernel checks its noise coefficients once, at entry, so the
+error that a non-finite draw raises does not depend on the pieces either.
 """
 
 from __future__ import annotations
@@ -219,6 +221,11 @@ class SweepTables:
     :func:`~tikhtorus.spectral.sobolev_norm`, so each error equals that
     function's value on the deviation bit for bit, at any CPU count and
     chunk size.
+
+    :meth:`errors` rejects a draw with a non-finite coefficient at entry
+    (InvalidFieldError). An error that is still not finite raises a
+    ParameterError that names ``[grids] s1_list`` when that s1's weights
+    overflow, and otherwise the s1 and delta it occurred at.
     """
 
     def __init__(
@@ -258,13 +265,15 @@ class SweepTables:
     def errors(self, eps: np.ndarray) -> np.ndarray:
         """errors[k, i] = ||T(m_delta_i) - u||_{H^s1_k} for one noise draw
         ``eps`` (its coefficients; zeros for the noise-free pipeline)."""
+        if not np.isfinite(eps).all():
+            raise InvalidFieldError("field has non-finite coefficients")
         lattice, size = self.truth.lattice, self.truth.coefficients.size
         out = np.empty((len(self.s1_list), len(self.delta_grid)))
         power = np.empty(size)  # |T(m) - u|^2
         weighted = np.empty(size)  # (1+|l|^2)^s1 |T(m) - u|^2
 
-        def deviation(start: int, stop: int) -> np.ndarray:
-            """T(m) - u on the modes [start, stop), in piece-sized buffers."""
+        def square(start: int, stop: int) -> None:
+            """|T(m) - u|^2 on the modes [start, stop), in piece-sized buffers."""
             symbol_sq, u = self._symbol_sq[start:stop], self.truth.coefficients[start:stop]
             # each ufunc below is one operation of (|a|^2/z) u + (conj(a)/z)
             # (delta eps) - u with the operands in the order of that
@@ -281,19 +290,12 @@ class SweepTables:
             noisy = np.multiply(gain, np.multiply(delta, eps[start:stop]))
             result = np.multiply(ratio, u, out=gain)
             np.add(result, noisy, out=result)
-            return np.subtract(result, u, out=result)
-
-        def square(start: int, stop: int) -> None:
-            piece = deviation(start, stop)
-            np.square(piece.real, out=power[start:stop])
-            np.add(power[start:stop], np.square(piece.imag), out=power[start:stop])
+            deviation = np.subtract(result, u, out=result)
+            np.square(deviation.real, out=power[start:stop])
+            np.add(power[start:stop], np.square(deviation.imag), out=power[start:stop])
 
         def weigh(start: int, stop: int) -> None:
             np.multiply(weights[start:stop], power[start:stop], out=weighted[start:stop])
-
-        def check_finite(start: int, stop: int) -> None:
-            if not np.isfinite(deviation(start, stop).view(np.float64)).all():
-                raise InvalidFieldError("field has non-finite coefficients")
 
         # an inf z (alpha (1+|l|^2)^r overflows) makes the filter factors 0,
         # their value in double precision; an error that is not finite is
@@ -307,7 +309,6 @@ class SweepTables:
                     # whole-array: numpy's pairwise order depends on the length
                     error = float(np.sqrt(np.sum(weighted)))
                     if not math.isfinite(error):
-                        _map_chunks(check_finite, size)  # reruns this delta's chain
                         where = f"s1 = {s1:g}, delta = {delta:g}"
                         finite_sobolev_weights(lattice, s1, f"the error at {where} ([grids] s1_list)")
                         raise ParameterError(f"error at {where} is {error}, not finite")

@@ -207,7 +207,8 @@ class MultiplierOperator:
 
     ``order`` is the pseudodifferential order: an operator that smooths by t
     derivatives has order -t. The symbol callable receives the lattice mode
-    table (count, d) and must return one complex value per mode.
+    table (count, d) and must return one value per mode, complex or real (a
+    real table is read as complex).
     """
 
     symbol: Callable[[np.ndarray], np.ndarray]
@@ -241,10 +242,14 @@ def _symbol_table(op: MultiplierOperator, lattice: FrequencyLattice) -> np.ndarr
             f"operator {op.name!r} is fixed to dimension {op.dimension}, "
             f"lattice has dimension {lattice.dimension}"
         )
-    # a copy, so that freezing it never freezes an array the callable keeps
-    values = np.array(op.symbol(lattice.modes()), dtype=np.complex128)
+    # a copy, so that freezing it never freezes an array the callable keeps;
+    # an overflow or a nan is reported below, not warned about
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = np.array(op.symbol(lattice.modes()), dtype=np.complex128)
     if values.shape != (lattice.mode_count,):
         raise DimensionError("symbol must return one value per lattice mode")
+    if not np.isfinite(values).all():
+        raise ParameterError(f"symbol of {op.name!r} is not finite on the lattice")
     if np.any(values == 0):
         raise ParameterError(f"symbol of {op.name!r} vanishes on the lattice")
     values.setflags(write=False)
@@ -482,7 +487,7 @@ def power_law_operator(
 
     def symbol(modes: np.ndarray) -> np.ndarray:
         sq = np.sum(modes.astype(np.float64) ** 2, axis=1)
-        return ((1.0 + sq) ** (-t / 2.0)).astype(np.complex128)
+        return (1.0 + sq) ** (-t / 2.0)
 
     # for |l| >= 1:  |l|^(-t) and (2|l|^2)^(-t/2) bracket the symbol
     bounds = sorted((1.0, 2.0 ** (-t / 2.0)))

@@ -166,6 +166,11 @@ def solve_split(
     values = A.symbol_values(lattice)
     z = _denominator(A, lattice, alpha, schedule.r)
     bias_coeffs = (A.squared_modulus(lattice) / z) * meas.truth.coefficients
+    # complex a * b and b * a round differently, and numpy computes
+    # a * (temporary) of 256 KiB or more in place as (temporary) * a; this
+    # product keeps the sweep kernel's operand order only because its left
+    # operand is a temporary too, which numpy reuses first: naming the left
+    # operand would change bits
     noise_coeffs = (values.conj() / z) * (meas.delta * meas.noise.coefficients)
     sym = symbol_is_hermitian(values)
     bias = SpectralField(lattice, bias_coeffs, hermitian=meas.truth.hermitian and sym)

@@ -132,7 +132,7 @@ def valid_configs(draw):
         kappa=draw(_positive_floats),
         r=draw(st.floats(min_value=0.0, allow_infinity=False)),
         noise_regularity=draw(_finite_floats),
-        seeds=tuple(draw(st.lists(st.integers(0, 2**64), min_size=1, max_size=5))),
+        seeds=tuple(draw(st.lists(st.integers(0, 2**64), min_size=1, max_size=5, unique=True))),
         delta_grid=tuple(
             sorted(draw(st.sets(_positive_floats, min_size=1, max_size=5)), reverse=True)
         ),
@@ -498,10 +498,9 @@ class TestRunners:
             .replace("kind = hat", f"kind = {truth_kind}\npath = {signal}")
         )
         config = load_config(write_config(tmp_path, text))
-        operator, lattice = experiments._operator_on_lattice(config)
-        truth = experiments._build_truth(config, lattice)
+        operator, lattice, truth, schedule = experiments._problem(config)
         noise = sample_white_noise(lattice, config.seeds[0])
-        alpha = experiments._schedule(config).alpha(SIGNAL_DELTA)
+        alpha = schedule.alpha(SIGNAL_DELTA)
         rows, _, band = experiments._snapshot(config, operator, truth, noise, alpha, config.r)
 
         data = forward(operator, truth, SIGNAL_DELTA, noise).data
@@ -568,6 +567,16 @@ class TestCli:
         assert code == 2
         err = capsys.readouterr().err
         assert err.startswith("ConfigError") and needle in err
+        assert not (tmp_path / "out").exists()
+
+    def test_repeated_seed_exit_code(self, tmp_path, capsys):
+        # a repeated seed would count its draw twice in the sweep medians but
+        # once in the certificate's per-seed ratios
+        text = small_config_text(out_dir=str(tmp_path / "out"), seeds="0,0,1")
+        code = main(["deblur", "--config", str(write_config(tmp_path, text))])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("ConfigError") and "[noise] seeds must not repeat a seed" in err
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize(

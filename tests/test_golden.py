@@ -1,6 +1,6 @@
-"""Golden outputs: the four shipped configs, and the deblur benchmark config,
-run through the CLI against the reference outputs stored in
-perfbench/reference."""
+"""Golden outputs: the four shipped configs, and the deblur and noise-probe
+benchmark configs, run through the CLI against the reference outputs stored
+in perfbench/reference."""
 
 import csv
 import json
@@ -12,7 +12,6 @@ from tikhtorus.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
 REFERENCE = ROOT / "perfbench" / "reference" / "shipped_configs"
-SWEEP_REFERENCE = ROOT / "perfbench" / "reference" / "deblur_sweep" / "deblur"
 REL_TOL = 1e-12
 # gaps that are differences of nearly equal objective values and pairings,
 # so their reference values sit at round-off level
@@ -79,11 +78,20 @@ def test_shipped_config_matches_reference(tmp_path, name):
     assert_json_close(metadata, json.loads((reference / "metadata.json").read_text()))
 
 
-def test_deblur_sweep_tables_equal_the_reference_bytes(tmp_path):
-    # 524,289 modes: the sweep and certificate kernels run in many pieces
-    # (the last one a single mode) across the CPUs, and the tables keep the
-    # reference bytes
-    config = ROOT / "perfbench" / "configs" / "deblur_sweep.ini"
-    assert main(["deblur", "--config", str(config), "--out", str(tmp_path)]) == 0
-    for name in ("errors.csv", "divergence.csv", "signal.csv"):
-        assert (tmp_path / name).read_bytes() == (SWEEP_REFERENCE / name).read_bytes(), name
+@pytest.mark.parametrize(
+    "workload, experiment, tables",
+    [
+        ("deblur_sweep", "deblur", ("errors.csv", "divergence.csv", "signal.csv")),
+        ("noise_probe", "noise_probe", ("probe.csv",)),
+    ],
+    ids=["deblur_sweep", "noise_probe"],
+)
+def test_deblur_sweep_tables_equal_the_reference_bytes(tmp_path, workload, experiment, tables):
+    # 524,289 modes (2,097,153 for the probe): the chunked kernels and draws
+    # run in many pieces (the sweep's last one a single mode) across the
+    # CPUs, and the tables keep the reference bytes
+    config = ROOT / "perfbench" / "configs" / f"{workload}.ini"
+    reference = ROOT / "perfbench" / "reference" / workload / experiment
+    assert main([experiment.replace("_", "-"), "--config", str(config), "--out", str(tmp_path)]) == 0
+    for name in tables:
+        assert (tmp_path / name).read_bytes() == (reference / name).read_bytes(), name

@@ -343,6 +343,40 @@ class TestSymbolTables:
                 op.squared_modulus(lat)
         assert calls == [5] * 4
 
+    @pytest.mark.parametrize(
+        "values",
+        [lambda modes: np.full(len(modes), np.nan), power_law_operator(-400.0).symbol],
+        ids=["nan", "overflow"],
+    )
+    @pytest.mark.parametrize("over", ["warn", "ignore"])
+    def test_non_finite_symbols_are_rejected(self, values, over):
+        # (1+|l|^2)^200 overflows on bandlimit 10; under a caller's
+        # errstate(over="ignore") the inf table must not be served either
+        calls = []
+
+        def symbol(modes):
+            calls.append(len(modes))
+            return values(modes)
+
+        op = MultiplierOperator(symbol, order=0.0, ellipticity=Ellipticity(1, 1))
+        lat = FrequencyLattice(1, 10)
+        with warnings.catch_warnings(record=True) as caught, np.errstate(over=over):
+            warnings.simplefilter("always")
+            for call in (check_ellipticity, MultiplierOperator.symbol_values):
+                with pytest.raises(ParameterError, match="'multiplier' is not finite on the lattice"):
+                    call(op, lat)
+        assert caught == []
+        assert calls == [21, 21]
+
+    @pytest.mark.parametrize("lat", [FrequencyLattice(1, 40000), FrequencyLattice(2, 150)], ids=str)
+    @pytest.mark.parametrize("t", [0.5, 1.0, 2.0, 3.0])
+    def test_power_law_symbol_is_the_weight_table(self, lat, t):
+        # the solvers' bytes rest on a(l) = (1+|l|^2)^(-t/2) exactly, read as
+        # complex with a zero imaginary part
+        values = power_law_operator(t).symbol_values(lat)
+        assert np.array_equal(values.imag, np.zeros(lat.mode_count))
+        assert np.array_equal(values.real, sobolev_weights(lat, -t / 2))
+
 
 class TestTruncate:
     def test_identity_at_same_bandlimit(self):
