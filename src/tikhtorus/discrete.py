@@ -39,9 +39,9 @@ from .spectral import (
     SpectralField,
     ball,
     finite_sobolev_weights,
+    is_hermitian,
     sobolev_norm,
     sobolev_weights,
-    symbol_is_hermitian,
     truncate,
 )
 from .tikhonov import (
@@ -107,7 +107,7 @@ def assemble(A: MultiplierOperator, n: int, k: int, alpha: float, r: float) -> D
     lattice_n = FrequencyLattice(1, half_n)
     finite_sobolev_weights(lattice_n, r, f"the penalty at r = {r:g}")  # L^T L, not just L
     values = A.symbol_values(lattice_n)
-    if not symbol_is_hermitian(values):
+    if not is_hermitian(values):
         raise ParameterError(
             "real-basis assembly needs a Hermitian-symmetric symbol "
             "(the operator must map real functions to real functions)"
@@ -222,7 +222,7 @@ def _embed(field: SpectralField, big: FrequencyLattice) -> SpectralField:
     coeffs = np.zeros(big.mode_count, dtype=np.complex128)
     window = ball(big, coeffs, field.lattice.bandlimit)
     window[...] = field.coefficients.reshape(window.shape)
-    return SpectralField(big, coeffs, hermitian=field.hermitian)
+    return SpectralField(big, coeffs)
 
 
 class GammaRow(NamedTuple):

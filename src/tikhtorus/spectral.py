@@ -106,21 +106,32 @@ class FrequencyLattice:
         return index
 
 
-def _check_coefficients(lattice: FrequencyLattice, coeffs: np.ndarray, hermitian: bool) -> None:
+def is_hermitian(values: np.ndarray) -> bool:
+    """True when v(-l) == conj(v(l)) exactly for a lattice-ordered table (a
+    NaN entry makes it False): a field with such coefficients is real-valued,
+    and a symbol with such values maps real fields to real fields."""
+    return bool(np.array_equal(values[::-1].conj(), values))
+
+
+def _hermitian(lattice: FrequencyLattice, coeffs: np.ndarray, asserted: bool) -> bool:
     if coeffs.shape != (lattice.mode_count,):
         raise DimensionError(f"expected {lattice.mode_count} coefficients, got {coeffs.shape}")
-    if hermitian and not np.array_equal(coeffs[::-1].conj(), coeffs):
+    hermitian = is_hermitian(coeffs)
+    if asserted and not hermitian:
         if not np.all(np.isfinite(coeffs.view(np.float64))):
             raise InvalidFieldError("field has non-finite coefficients")
         raise InvalidFieldError("hermitian flag set but c(-l) != conj(c(l))")
+    return hermitian
 
 
 @dataclasses.dataclass(frozen=True, eq=False)
 class SpectralField:
     """Complex Fourier coefficients of a function on the torus.
 
-    ``hermitian=True`` asserts c(-l) == conj(c(l)) for every mode (checked
-    exactly at construction), i.e. the represented function is real-valued.
+    ``hermitian`` is computed once, at construction: it is True exactly when
+    c(-l) == conj(c(l)) for every mode, i.e. the represented function is
+    real-valued. Passing ``hermitian=True`` only asserts it, and raises
+    InvalidFieldError when the coefficients are not symmetric (or not finite).
     """
 
     lattice: FrequencyLattice
@@ -129,10 +140,11 @@ class SpectralField:
 
     def __post_init__(self) -> None:
         coeffs = np.asarray(self.coefficients, dtype=np.complex128)
-        _check_coefficients(self.lattice, coeffs, self.hermitian)
+        hermitian = _hermitian(self.lattice, coeffs, self.hermitian)
         coeffs = coeffs.copy()
         coeffs.setflags(write=False)
         object.__setattr__(self, "coefficients", coeffs)
+        object.__setattr__(self, "hermitian", hermitian)
 
     @classmethod
     def _owned(
@@ -140,11 +152,11 @@ class SpectralField:
     ) -> "SpectralField":
         """Wrap a complex128 array the library has just built and holds no
         other reference to, without the defensive copy; the array becomes
-        read-only. Shape, dtype and the Hermitian flag are checked as in the
-        public constructor."""
+        read-only. Shape and dtype are checked, and the Hermitian flag
+        computed and asserted, as in the public constructor."""
         if coefficients.dtype != np.complex128:
             raise TypeError(f"expected complex128 coefficients, got {coefficients.dtype}")
-        _check_coefficients(lattice, coefficients, hermitian)
+        hermitian = _hermitian(lattice, coefficients, hermitian)
         coefficients.setflags(write=False)
         field = object.__new__(cls)
         object.__setattr__(field, "lattice", lattice)
@@ -157,11 +169,7 @@ class SpectralField:
             return NotImplemented
         if self.lattice != other.lattice:
             raise DimensionError("cannot add fields on different lattices")
-        return SpectralField(
-            self.lattice,
-            self.coefficients + other.coefficients,
-            hermitian=self.hermitian and other.hermitian,
-        )
+        return SpectralField(self.lattice, self.coefficients + other.coefficients)
 
     def __sub__(self, other: "SpectralField") -> "SpectralField":
         if not isinstance(other, SpectralField):
@@ -171,8 +179,7 @@ class SpectralField:
     def __mul__(self, scalar) -> "SpectralField":
         if not np.isscalar(scalar):
             return NotImplemented
-        keeps_symmetry = self.hermitian and np.isrealobj(np.asarray(scalar))
-        return SpectralField(self.lattice, self.coefficients * scalar, hermitian=keeps_symmetry)
+        return SpectralField(self.lattice, self.coefficients * scalar)
 
     __rmul__ = __mul__
 
@@ -182,13 +189,11 @@ def zero_field(lattice: FrequencyLattice) -> SpectralField:
 
 
 def single_mode_field(lattice: FrequencyLattice, mode, value: complex) -> SpectralField:
-    """Field with one nonzero coefficient. Not Hermitian unless the mode is 0
-    with a real value."""
+    """Field with one nonzero coefficient. Its computed Hermitian flag is
+    True only when the mode is 0 with a real value (or the value is 0)."""
     coeffs = np.zeros(lattice.mode_count, dtype=np.complex128)
-    index = lattice.index_of(mode)
-    coeffs[index] = value
-    hermitian = index == lattice.zero_index and float(np.imag(value)) == 0.0
-    return SpectralField(lattice, coeffs, hermitian=hermitian)
+    coeffs[lattice.index_of(mode)] = value
+    return SpectralField(lattice, coeffs)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -264,11 +269,6 @@ def _squared_modulus(op: MultiplierOperator, lattice: FrequencyLattice) -> np.nd
     return squared
 
 
-def symbol_is_hermitian(values: np.ndarray) -> bool:
-    """True when a(-l) == conj(a(l)) exactly, so real fields map to real fields."""
-    return bool(np.array_equal(values[::-1].conj(), values))
-
-
 def check_ellipticity(op: MultiplierOperator, lattice: FrequencyLattice) -> None:
     """Verify the stored ellipticity constants against a direct lattice scan."""
     values = op.symbol_values(lattice)
@@ -340,6 +340,11 @@ def _map_chunks(kernel: Callable[[int, int], object], size: int) -> None:
             raise exc
 
 
+class _Uncached(Exception):
+    """Carries a table out of an ``lru_cache``d builder, which keeps no result
+    of a call that raises."""
+
+
 @lru_cache(maxsize=16)
 def _sobolev_weights(dimension: int, bandlimit: int, s: float) -> np.ndarray:
     weights = FrequencyLattice(dimension, bandlimit).squared_norms()
@@ -349,6 +354,8 @@ def _sobolev_weights(dimension: int, bandlimit: int, s: float) -> np.ndarray:
 
     _map_chunks(kernel, weights.size)
     weights.setflags(write=False)
+    if not np.isfinite(weights).all():
+        raise _Uncached(weights)
     return weights
 
 
@@ -357,8 +364,15 @@ def sobolev_weights(lattice: FrequencyLattice, s: float) -> np.ndarray:
     that asks for the same lattice and s while its table is among the 16 most
     recently used. The table is filled in mode chunks across the CPUs
     (:func:`_map_chunks`); each entry is computed on its own, so the bytes do
-    not depend on the split. This is the one place a weight table is built."""
-    return _sobolev_weights(lattice.dimension, lattice.bandlimit, float(s))
+    not depend on the split. This is the one place a weight table is built.
+
+    A table that overflows is never cached: each call rebuilds it under the
+    caller's ``np.errstate``, so it warns, raises or returns inf as a first
+    call would."""
+    try:
+        return _sobolev_weights(lattice.dimension, lattice.bandlimit, float(s))
+    except _Uncached as uncached:
+        return uncached.args[0]
 
 
 def finite_sobolev_weights(lattice: FrequencyLattice, s: float, what: str) -> np.ndarray:
@@ -389,11 +403,11 @@ def sobolev_norm(field: SpectralField, s: float) -> float:
 
 
 def apply_multiplier(op: MultiplierOperator, field: SpectralField) -> SpectralField:
-    """Per-mode product a(l) * c(l). Hermitian symmetry survives whenever the
-    symbol itself is Hermitian-symmetric on the lattice."""
+    """Per-mode product a(l) * c(l). The product's Hermitian flag is computed
+    from its coefficients, like every field's; it holds whenever the field and
+    the symbol are both Hermitian-symmetric on the lattice."""
     values = op.symbol_values(field.lattice)
-    hermitian = field.hermitian and symbol_is_hermitian(values)
-    return SpectralField(field.lattice, values * field.coefficients, hermitian=hermitian)
+    return SpectralField(field.lattice, values * field.coefficients)
 
 
 def ball(lattice: FrequencyLattice, table: np.ndarray, m: int) -> np.ndarray:
@@ -421,7 +435,7 @@ def truncate(field: SpectralField, new_bandlimit: int) -> SpectralField:
     """
     small = FrequencyLattice(field.lattice.dimension, new_bandlimit)
     kept = ball(field.lattice, field.coefficients, new_bandlimit).ravel()
-    return SpectralField(small, kept, hermitian=field.hermitian)
+    return SpectralField(small, kept)
 
 
 def _fft_bins(lattice: FrequencyLattice, points_per_axis: int) -> tuple:

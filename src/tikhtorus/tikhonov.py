@@ -28,7 +28,6 @@ from .spectral import (
     apply_multiplier,
     sobolev_norm,
     sobolev_weights,
-    symbol_is_hermitian,
 )
 
 __all__ = [
@@ -120,9 +119,8 @@ def forward(
     if not delta > 0:
         raise ParameterError(f"delta must be positive, got {delta}")
     values = A.symbol_values(truth.lattice)
-    hermitian = truth.hermitian and noise.hermitian and symbol_is_hermitian(values)
     coeffs = values * truth.coefficients + noise.coefficients * delta
-    data = SpectralField._owned(truth.lattice, coeffs, hermitian=hermitian)
+    data = SpectralField._owned(truth.lattice, coeffs)
     return Measurement(data=data, delta=delta, noise=noise, truth=truth)
 
 
@@ -147,8 +145,7 @@ def solve(A: MultiplierOperator, m: SpectralField, alpha: float, r: float) -> Sp
     if not r >= 0:
         raise ParameterError(f"penalty order r must be >= 0, got {r}")
     filter_values = A.symbol_values(m.lattice).conj() / _denominator(A, m.lattice, alpha, r)
-    hermitian = m.hermitian and symbol_is_hermitian(filter_values)
-    return SpectralField(m.lattice, filter_values * m.coefficients, hermitian=hermitian)
+    return SpectralField(m.lattice, filter_values * m.coefficients)
 
 
 def solve_split(
@@ -172,9 +169,8 @@ def solve_split(
     # operand is a temporary too, which numpy reuses first: naming the left
     # operand would change bits
     noise_coeffs = (values.conj() / z) * (meas.delta * meas.noise.coefficients)
-    sym = symbol_is_hermitian(values)
-    bias = SpectralField(lattice, bias_coeffs, hermitian=meas.truth.hermitian and sym)
-    noise_part = SpectralField(lattice, noise_coeffs, hermitian=meas.noise.hermitian and sym)
+    bias = SpectralField(lattice, bias_coeffs)
+    noise_part = SpectralField(lattice, noise_coeffs)
     reconstruction = bias + noise_part
     return TikhonovSplit(reconstruction=reconstruction, bias_part=bias, noise_part=noise_part)
 

@@ -12,17 +12,24 @@ from tikhtorus import (
     InvalidFieldError,
     NotRealValuedError,
     ParameterError,
+    RegularizationSchedule,
     SpectralField,
     TruncationRangeError,
     apply_multiplier,
     check_ellipticity,
+    coords_to_field,
     deblur_operator,
     evaluate_on_grid,
     field_from_grid,
+    field_to_coords,
+    forward,
     power_law_operator,
+    sample_white_noise,
     single_mode_field,
     sobolev_norm,
     sobolev_weights,
+    solve,
+    solve_split,
     truncate,
     zero_field,
 )
@@ -179,6 +186,89 @@ def fresh_weight_tables():
     spectral._sobolev_weights.cache_clear()
 
 
+def assert_flag_is_the_symmetry(field):
+    c = field.coefficients
+    assert field.hermitian == np.array_equal(c[::-1].conj(), c)
+    return field.hermitian
+
+
+def twisted_operator():
+    # (2 + i) (1+|l|^2)^-1: a(-l) != conj(a(l)), so real fields map to complex ones
+    return MultiplierOperator(
+        lambda modes: (2.0 + 1j) / (1.0 + modes[:, 0].astype(float) ** 2),
+        order=-2.0,
+        ellipticity=Ellipticity(1.0, 5.0),
+    )
+
+
+class TestComputedHermitianFlag:
+    """``hermitian`` is the exact symmetry of the coefficients, whatever
+    built the field; no caller passes it along."""
+
+    def test_constructor_without_an_assertion(self):
+        lat = FrequencyLattice(1, 4)
+        symmetric = random_hermitian_field(lat, 1).coefficients
+        assert assert_flag_is_the_symmetry(SpectralField(lat, symmetric))
+        assert not assert_flag_is_the_symmetry(SpectralField(lat, symmetric + 1j))
+        assert not assert_flag_is_the_symmetry(SpectralField(lat, np.full(lat.mode_count, np.nan)))
+
+    def test_arithmetic(self):
+        lat = FrequencyLattice(2, 3)
+        f, g = random_hermitian_field(lat, 2), random_hermitian_field(lat, 3)
+        assert assert_flag_is_the_symmetry(f + g)
+        assert assert_flag_is_the_symmetry(f - g)
+        assert assert_flag_is_the_symmetry(2.5 * f)
+        assert assert_flag_is_the_symmetry((2 + 0j) * f)
+        assert not assert_flag_is_the_symmetry(1j * f)
+        assert not assert_flag_is_the_symmetry((1j * f) + f)
+
+    def test_truncate(self):
+        lat = FrequencyLattice(1, 6)
+        assert assert_flag_is_the_symmetry(truncate(random_hermitian_field(lat, 4), 3))
+        odd = SpectralField(lat, lat.modes()[:, 0].astype(complex))  # c(l) = l
+        assert not assert_flag_is_the_symmetry(truncate(odd, 3))
+        assert assert_flag_is_the_symmetry(truncate(odd, 0))  # only c(0) = 0 is kept
+
+    @pytest.mark.parametrize(
+        "operator, symmetric", [(deblur_operator(), True), (twisted_operator(), False)]
+    )
+    def test_operators_and_solves(self, operator, symmetric):
+        lat = FrequencyLattice(1, 8)
+        truth, noise = random_hermitian_field(lat, 5), sample_white_noise(lat, 6)
+        meas = forward(operator, truth, 0.1, noise)
+        split = solve_split(operator, meas, RegularizationSchedule(1.0, 1.0, 1.0))
+        for field in (
+            apply_multiplier(operator, truth),
+            meas.data,
+            solve(operator, meas.data, 0.1, 1.0),
+            split.reconstruction,
+            split.noise_part,
+        ):
+            assert assert_flag_is_the_symmetry(field) == symmetric
+        assert assert_flag_is_the_symmetry(split.bias_part)  # |a|^2 u / z, symmetric either way
+
+    @pytest.mark.parametrize("dimension", [1, 2])
+    def test_single_mode_field(self, dimension):
+        lat = FrequencyLattice(dimension, 2)
+        zero, other = [0] * dimension, [1] * dimension
+        assert assert_flag_is_the_symmetry(single_mode_field(lat, zero, 1.5))
+        assert not assert_flag_is_the_symmetry(single_mode_field(lat, zero, 1.5j))
+        assert not assert_flag_is_the_symmetry(single_mode_field(lat, other, 1.5))
+        assert assert_flag_is_the_symmetry(single_mode_field(lat, other, 0.0))
+
+    def test_asserted_constructions(self):
+        lat = FrequencyLattice(1, 5)
+        assert assert_flag_is_the_symmetry(coords_to_field(lat, np.arange(11.0)))
+        assert assert_flag_is_the_symmetry(sample_white_noise(lat, 7))
+
+    def test_real_valued_consumers_accept_an_unasserted_symmetric_field(self):
+        lat = FrequencyLattice(1, 5)
+        asserted = random_hermitian_field(lat, 8)
+        plain = SpectralField(lat, asserted.coefficients)
+        assert np.array_equal(evaluate_on_grid(plain, 16), evaluate_on_grid(asserted, 16))
+        assert np.array_equal(field_to_coords(plain), field_to_coords(asserted))
+
+
 class TestSobolevWeights:
     # the last lattice takes more than two chunks, so worker threads fill it
     @pytest.mark.parametrize("dimension,bandlimit", [(1, 64), (2, 6), (1, spectral._CHUNK + 1)])
@@ -222,6 +312,29 @@ class TestSobolevWeights:
             with pytest.raises(ParameterError, match=r"\(1\+\|l\|\^2\)\^400 overflows on bandlimit 64"):
                 finite_sobolev_weights(lat, 400, "the test weight")
         assert caught == []
+
+    @pytest.mark.parametrize("chunk", [None, 7])
+    def test_overflowed_table_is_never_cached(self, monkeypatch, fresh_weight_tables, chunk):
+        # a checked call first: every unchecked call after it rebuilds the
+        # table under its own errstate, as a first call would
+        if chunk is not None:
+            monkeypatch.setattr(spectral, "_CHUNK", chunk)
+            monkeypatch.setattr(spectral, "_cpu_count", lambda: 8)
+        lat = FrequencyLattice(1, 64)
+        with pytest.raises(ParameterError, match="overflows"):
+            finite_sobolev_weights(lat, 400, "the test weight")
+        for _ in range(2):
+            with pytest.raises(RuntimeWarning, match="overflow"):
+                sobolev_weights(lat, 400)
+            with pytest.raises(RuntimeWarning, match="overflow"):
+                sobolev_norm(zero_field(lat), 400)
+            with np.errstate(over="ignore"):
+                weights = sobolev_weights(lat, 400)
+                assert np.array_equal(weights, (1 + lat.squared_norms()) ** 400)
+            assert np.isinf(weights).sum() == 124
+        assert spectral._sobolev_weights.cache_info().currsize == 0
+        assert sobolev_weights(lat, 2.0) is sobolev_weights(lat, 2.0)  # finite tables are kept
+        assert spectral._sobolev_weights.cache_info().currsize == 1
 
 
 class TestMultiplier:
