@@ -75,7 +75,13 @@ def _csv_text(header, rows) -> str:
     return buffer.getvalue()
 
 
-def _write_outputs(out_dir: Path, files: dict) -> dict:
+def _write_outputs(config: ExperimentConfig, files: dict, derived: dict) -> dict:
+    """Write ``files`` (name -> text) and the ``metadata.json`` sidecar,
+    which records the package version, the config and ``derived``, into the
+    config's output directory; return the written paths by name."""
+    metadata = {"package_version": __version__, "parameters": config.to_metadata(), "derived": derived}
+    files = {**files, "metadata.json": json.dumps(metadata, indent=2, sort_keys=True) + "\n"}
+    out_dir = Path(config.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     written = {}
     for name, text in files.items():
@@ -83,15 +89,6 @@ def _write_outputs(out_dir: Path, files: dict) -> dict:
         _atomic_write(path, text)
         written[name] = path
     return written
-
-
-def _metadata_text(config: ExperimentConfig, derived: dict) -> str:
-    payload = {
-        "package_version": __version__,
-        "parameters": config.to_metadata(),
-        "derived": derived,
-    }
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
 def _build_operator(config: ExperimentConfig) -> MultiplierOperator:
@@ -289,11 +286,10 @@ def run_deblur(config: ExperimentConfig) -> dict:
             "normalized error (seed median)",
         ),
         "signal.svg": signal_plot,
-        "metadata.json": _metadata_text(config, derived),
     }
     if certificate is not None:
         outputs["divergence.csv"] = _csv_text(DivergenceRow._fields, report.rows)
-    return _write_outputs(Path(config.output_dir), outputs)
+    return _write_outputs(config, outputs, derived)
 
 
 def run_rates(config: ExperimentConfig) -> dict:
@@ -341,7 +337,7 @@ def run_rates(config: ExperimentConfig) -> dict:
         "s1_window": _s1_window(config, t),
     }
     return _write_outputs(
-        Path(config.output_dir),
+        config,
         {
             "errors.csv": _csv_text(SweepRow._fields, sweep.rows),
             "slopes.csv": _csv_text(
@@ -354,8 +350,8 @@ def run_rates(config: ExperimentConfig) -> dict:
                 "noise-free reconstruction error vs noise amplitude",
                 "H^s1 error",
             ),
-            "metadata.json": _metadata_text(config, derived),
         },
+        derived,
     )
 
 
@@ -394,15 +390,15 @@ def run_noise_probe(config: ExperimentConfig) -> dict:
         "classification_rule": "convergent iff final growth ratio < threshold",
     }
     return _write_outputs(
-        Path(config.output_dir),
+        config,
         {
             "probe.csv": _csv_text(
                 ("s", "bandlimit", "seed_or_expected", "partial_energy", "growth_ratio", "classification"),
                 rows,
             ),
             "probe.svg": plot,
-            "metadata.json": _metadata_text(config, derived),
         },
+        derived,
     )
 
 
@@ -472,12 +468,12 @@ def run_gamma(config: ExperimentConfig) -> dict:
         "plot_floor": floor,
     }
     return _write_outputs(
-        Path(config.output_dir),
+        config,
         {
             "gamma.csv": _csv_text(GammaRow._fields, result.rows),
             "gamma.svg": plot,
-            "metadata.json": _metadata_text(config, derived),
         },
+        derived,
     )
 
 

@@ -1,8 +1,11 @@
 """Seeded frequency-space sampling of Gaussian white noise, plus the
 deterministic energy sums used to probe its Sobolev regularity.
 
-A draw is a plain read-only Hermitian ``SpectralField`` of Fourier coefficients,
-in H^s only for s < -d/2; noise-free pipelines pass ``zero_field`` instead.
+A draw is a read-only Hermitian ``SpectralField`` of Fourier coefficients, in
+H^s only for s < -d/2; noise-free pipelines pass ``zero_field`` instead. The
+draw is filled in a scratch array and built by the field constructor like
+any other field: the symmetry is checked on the scratch array, which is then
+copied and frozen.
 
 Reproducibility contract
 ------------------------
@@ -51,14 +54,13 @@ weights are the shared :func:`spectral.sobolev_weights` tables.
 
 from __future__ import annotations
 
-import operator
 from functools import lru_cache
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
 from .errors import ConfigError, ParameterError
-from .spectral import FrequencyLattice, SpectralField, _map_chunks, ball, sobolev_weights
+from .spectral import FrequencyLattice, SpectralField, _as_index, _map_chunks, ball, sobolev_weights
 
 __all__ = [
     "sample_white_noise",
@@ -98,11 +100,8 @@ def _draw_chunks(lattice: FrequencyLattice, seed: int, store: Callable) -> float
     chunk of modes [a, b) reads pairs a..b, the uniforms [2a, 2b+2) of the
     stream, which its own PCG64 reaches with ``advance(2a)``: ``random()``
     takes one 64-bit output per double."""
-    try:
-        index = operator.index(seed)
-    except TypeError:  # a float, a string, None
-        index = -1
-    if index < 0:
+    index = _as_index(seed)
+    if index is None or index < 0:
         raise ParameterError(f"seed must be a non-negative integer, got {seed!r}")
     canonical = _draw_layout(lattice.dimension, lattice.bandlimit)
     last = lattice.mode_count - 1
@@ -137,7 +136,7 @@ def sample_white_noise(lattice: FrequencyLattice, seed: int) -> SpectralField:
         coeffs[conjugate] = values.conj()
 
     coeffs[lattice.zero_index] = _draw_chunks(lattice, seed, store)
-    return SpectralField._owned(lattice, coeffs, hermitian=True)
+    return SpectralField(lattice, coeffs, hermitian=True)
 
 
 def _draw_power(lattice: FrequencyLattice, seed: int, out: np.ndarray | None = None) -> np.ndarray:

@@ -8,6 +8,10 @@ takes the noise coefficients, and a summary. :func:`error_sweep` and
 :func:`h1_divergence` loop draw -> kernel; a deblur run draws each seed once
 and feeds every stage (sweep, certificate, snapshot) from that draw.
 
+The sweep's kernel takes each piece's bias and filtered-noise parts from
+``tikhonov._split``, the routine that :func:`~tikhtorus.tikhonov.solve_split`
+runs on the whole lattice, so the two share one spelling of the split.
+
 The kernels do their elementwise work in pieces of ``spectral._CHUNK`` modes,
 each with its own small scratch, spread over the CPUs of the process's
 affinity (``spectral._map_chunks``). Only the per-mode tables that a sum reads
@@ -38,7 +42,7 @@ from .spectral import (
     sobolev_norm,
     sobolev_weights,
 )
-from .tikhonov import RegularizationSchedule
+from .tikhonov import RegularizationSchedule, _split
 
 __all__ = [
     "RateExponents",
@@ -213,7 +217,8 @@ class SweepTables:
     noise draw (a deblur run) can feed it in without drawing again.
 
     The kernel builds each (seed, delta) deviation piece by piece across
-    the CPUs, in piece-sized scratch, and squares it once into a
+    the CPUs, in piece-sized scratch, from the bias and noise parts of
+    ``tikhonov._split``, and squares it once into a
     lattice-sized |T(m) - u|^2; every s1's weighted copy goes into one more
     lattice-sized buffer, and the norm is sqrt(sum((1+|l|^2)^s1
     |T(m) - u|^2)) as one whole-array sum on the calling thread: the
@@ -274,22 +279,10 @@ class SweepTables:
 
         def square(start: int, stop: int) -> None:
             """|T(m) - u|^2 on the modes [start, stop), in piece-sized buffers."""
-            symbol_sq, u = self._symbol_sq[start:stop], self.truth.coefficients[start:stop]
-            # each ufunc below is one operation of (|a|^2/z) u + (conj(a)/z)
-            # (delta eps) - u with the operands in the order of that
-            # expression: complex products may be fused multiply-adds, so
-            # swapping them changes bits
-            z = np.multiply(alpha, self._weights_r[start:stop])
-            np.add(symbol_sq, z, out=z)
-            gain = np.conjugate(self._symbol[start:stop])
-            np.divide(gain, z, out=gain)
-            ratio = np.divide(symbol_sq, z, out=z)
-            # not in place: numpy multiplies a one-element complex array in
-            # place in a loop of its own, which rounds differently (2M+1 modes
-            # leave a one-mode last piece whenever _CHUNK divides 2M)
-            noisy = np.multiply(gain, np.multiply(delta, eps[start:stop]))
-            result = np.multiply(ratio, u, out=gain)
-            np.add(result, noisy, out=result)
+            u = self.truth.coefficients[start:stop]
+            tables = (self._symbol[start:stop], self._symbol_sq[start:stop], self._weights_r[start:stop])
+            bias, noisy = _split(*tables, alpha, u, np.multiply(delta, eps[start:stop]))
+            result = np.add(bias, noisy, out=bias)
             deviation = np.subtract(result, u, out=result)
             np.square(deviation.real, out=power[start:stop])
             np.add(power[start:stop], np.square(deviation.imag), out=power[start:stop])

@@ -18,6 +18,7 @@ reversal.
 from __future__ import annotations
 
 import dataclasses
+import operator
 import os
 import threading
 from functools import lru_cache
@@ -54,6 +55,15 @@ __all__ = [
 ]
 
 
+def _as_index(value) -> int | None:
+    """``value`` as an int when it is an integer (a numpy integer included),
+    else None: the one test for a size, a mode bound or a seed."""
+    try:
+        return operator.index(value)
+    except TypeError:  # a float, a string, None
+        return None
+
+
 @dataclasses.dataclass(frozen=True)
 class FrequencyLattice:
     """Truncated frequency lattice on T^d, d in {1, 2}."""
@@ -62,10 +72,11 @@ class FrequencyLattice:
     bandlimit: int
 
     def __post_init__(self) -> None:
-        if self.dimension not in (1, 2):
-            raise DimensionError(f"dimension must be 1 or 2, got {self.dimension}")
-        if self.bandlimit < 0:
-            raise ParameterError(f"bandlimit must be >= 0, got {self.bandlimit}")
+        if _as_index(self.dimension) not in (1, 2):
+            raise DimensionError(f"dimension must be 1 or 2, got {self.dimension!r}")
+        bandlimit = _as_index(self.bandlimit)
+        if bandlimit is None or bandlimit < 0:
+            raise ParameterError(f"bandlimit must be a non-negative integer, got {self.bandlimit!r}")
 
     @property
     def mode_count(self) -> int:
@@ -94,9 +105,11 @@ class FrequencyLattice:
         return np.max(np.abs(self.modes()), axis=1)
 
     def index_of(self, mode) -> int:
-        mode = np.atleast_1d(np.asarray(mode, dtype=np.int64))
+        mode = np.atleast_1d(np.asarray(mode))
         if mode.shape != (self.dimension,):
             raise DimensionError(f"mode must have {self.dimension} components")
+        if mode.dtype.kind not in "iu":
+            raise ParameterError(f"mode must have integer components, got {mode.tolist()}")
         if np.any(np.abs(mode) > self.bandlimit):
             raise ParameterError(f"mode {tuple(mode)} outside bandlimit {self.bandlimit}")
         width = 2 * self.bandlimit + 1
@@ -113,20 +126,14 @@ def is_hermitian(values: np.ndarray) -> bool:
     return bool(np.array_equal(values[::-1].conj(), values))
 
 
-def _hermitian(lattice: FrequencyLattice, coeffs: np.ndarray, asserted: bool) -> bool:
-    if coeffs.shape != (lattice.mode_count,):
-        raise DimensionError(f"expected {lattice.mode_count} coefficients, got {coeffs.shape}")
-    hermitian = is_hermitian(coeffs)
-    if asserted and not hermitian:
-        if not np.all(np.isfinite(coeffs.view(np.float64))):
-            raise InvalidFieldError("field has non-finite coefficients")
-        raise InvalidFieldError("hermitian flag set but c(-l) != conj(c(l))")
-    return hermitian
-
-
 @dataclasses.dataclass(frozen=True, eq=False)
 class SpectralField:
     """Complex Fourier coefficients of a function on the torus.
+
+    Every field, the noise draw and a measurement's data included, is built
+    by this constructor. It checks the caller's array first (one coefficient
+    per lattice mode, and the asserted symmetry), then copies it and freezes
+    the copy, so a field never aliases the caller's array.
 
     ``hermitian`` is computed once, at construction: it is True exactly when
     c(-l) == conj(c(l)) for every mode, i.e. the represented function is
@@ -140,29 +147,17 @@ class SpectralField:
 
     def __post_init__(self) -> None:
         coeffs = np.asarray(self.coefficients, dtype=np.complex128)
-        hermitian = _hermitian(self.lattice, coeffs, self.hermitian)
+        if coeffs.shape != (self.lattice.mode_count,):
+            raise DimensionError(f"expected {self.lattice.mode_count} coefficients, got {coeffs.shape}")
+        hermitian = is_hermitian(coeffs)
+        if self.hermitian and not hermitian:
+            if not np.all(np.isfinite(coeffs.view(np.float64))):
+                raise InvalidFieldError("field has non-finite coefficients")
+            raise InvalidFieldError("hermitian flag set but c(-l) != conj(c(l))")
         coeffs = coeffs.copy()
         coeffs.setflags(write=False)
         object.__setattr__(self, "coefficients", coeffs)
         object.__setattr__(self, "hermitian", hermitian)
-
-    @classmethod
-    def _owned(
-        cls, lattice: FrequencyLattice, coefficients: np.ndarray, hermitian: bool = False
-    ) -> "SpectralField":
-        """Wrap a complex128 array the library has just built and holds no
-        other reference to, without the defensive copy; the array becomes
-        read-only. Shape and dtype are checked, and the Hermitian flag
-        computed and asserted, as in the public constructor."""
-        if coefficients.dtype != np.complex128:
-            raise TypeError(f"expected complex128 coefficients, got {coefficients.dtype}")
-        hermitian = _hermitian(lattice, coefficients, hermitian)
-        coefficients.setflags(write=False)
-        field = object.__new__(cls)
-        object.__setattr__(field, "lattice", lattice)
-        object.__setattr__(field, "coefficients", coefficients)
-        object.__setattr__(field, "hermitian", hermitian)
-        return field
 
     def __add__(self, other: "SpectralField") -> "SpectralField":
         if not isinstance(other, SpectralField):
@@ -421,6 +416,8 @@ def ball(lattice: FrequencyLattice, table: np.ndarray, m: int) -> np.ndarray:
     2-d. Writing through the view writes the table.
     """
     M = lattice.bandlimit
+    if _as_index(m) is None:
+        raise ParameterError(f"bandlimit must be an integer, got {m!r}")
     if not 0 <= m <= M:
         raise TruncationRangeError(f"bandlimit {m} is outside 0..{M}, the lattice's range")
     cube = table.reshape((2 * M + 1,) * lattice.dimension)

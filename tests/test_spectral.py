@@ -24,6 +24,7 @@ from tikhtorus import (
     field_to_coords,
     forward,
     power_law_operator,
+    regularity_probe,
     sample_white_noise,
     single_mode_field,
     sobolev_norm,
@@ -76,6 +77,29 @@ class TestLattice:
         with pytest.raises(ParameterError):
             lat.index_of([4, 0])
 
+    def test_index_of_rejects_fractional_modes(self):
+        # a fractional mode is refused, not truncated toward zero
+        lat = FrequencyLattice(2, 3)
+        with pytest.raises(ParameterError, match="integer"):
+            lat.index_of([0.5, -0.5])
+        with pytest.raises(ParameterError, match="integer"):
+            single_mode_field(FrequencyLattice(1, 3), 1.5, 1.0)
+        assert lat.index_of(np.array([1, -2], dtype=np.int32)) == lat.index_of([1, -2])
+
+    def test_sizes_must_be_integers(self):
+        # a float size is refused with a library error, not a numpy TypeError
+        # later on; numpy integers are accepted
+        with pytest.raises(DimensionError):
+            FrequencyLattice(1.0, 2)
+        with pytest.raises(ParameterError):
+            zero_field(FrequencyLattice(1, 2.0))
+        with pytest.raises(ParameterError):
+            truncate(zero_field(FrequencyLattice(1, 4)), 2.0)
+        for bandlimits in ([2.0, 4.0], [2.0, 4]):
+            with pytest.raises(ParameterError):
+                regularity_probe([-2.0], bandlimits, [0])
+        assert FrequencyLattice(np.int64(1), np.int64(2)).mode_count == 5
+
     def test_invalid_dimension(self):
         with pytest.raises(DimensionError):
             FrequencyLattice(3, 4)
@@ -110,18 +134,24 @@ class TestField:
         with pytest.raises(ValueError):
             f.coefficients[0] = 1.0
 
-    def test_owned_path_keeps_its_checks(self):
-        # library-built arrays skip the copy, not the validation
+    def test_constructor_checks_then_copies(self):
+        # every field, the noise draw and forward's data included, is built by
+        # the constructor: a checked, frozen copy of the caller's array
         lat = FrequencyLattice(1, 2)
-        with pytest.raises(InvalidFieldError):
-            SpectralField._owned(lat, np.array([1j, 0, 0, 0, 0], dtype=complex), hermitian=True)
         with pytest.raises(DimensionError):
-            SpectralField._owned(lat, np.zeros(4, dtype=complex))
+            SpectralField(lat, np.zeros(4, dtype=complex))
+        with pytest.raises(InvalidFieldError):
+            SpectralField(lat, np.array([1j, 0, 0, 0, 0], dtype=complex), hermitian=True)
         coeffs = np.array([1j, 0, 2, 0, -1j], dtype=complex)
-        f = SpectralField._owned(lat, coeffs, hermitian=True)
-        assert f.coefficients is coeffs
-        with pytest.raises(ValueError):
-            coeffs[0] = 1.0
+        f = SpectralField(lat, coeffs, hermitian=True)
+        assert not np.shares_memory(f.coefficients, coeffs)
+        coeffs[0] = 1.0  # the caller's array stays writeable
+        assert f.coefficients[0] == 1j
+        draw = sample_white_noise(lat, 0)
+        data = forward(deblur_operator(), zero_field(lat), 1e-2, draw).data
+        for field in (draw, data):
+            with pytest.raises(ValueError):
+                field.coefficients[0] = 0.0
 
 
 class TestSobolevNorm:

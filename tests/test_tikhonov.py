@@ -23,6 +23,7 @@ from tikhtorus import (
     sample_white_noise,
     single_mode_field,
     sobolev_norm,
+    sobolev_weights,
     solve,
     solve_split,
     stationarity_defect,
@@ -30,6 +31,7 @@ from tikhtorus import (
 )
 from tikhtorus.spectral import Ellipticity, MultiplierOperator
 
+from test_rates import operator_of
 from test_spectral import random_hermitian_field
 
 DEBLUR_SCHEDULE = RegularizationSchedule(alpha0=1.0, kappa=2.5, r=1.0)
@@ -269,6 +271,27 @@ class TestSplit:
         recombined = split.bias_part.coefficients + split.noise_part.coefficients
         assert np.max(np.abs(recombined - direct.coefficients)) < 1e-12
         assert np.array_equal(recombined, split.reconstruction.coefficients)
+
+    @pytest.mark.parametrize("bandlimit", [64, 40000])
+    @pytest.mark.parametrize("kind", ["deblur", "twisted"])
+    def test_parts_equal_an_independent_spelling(self, kind, bandlimit):
+        # solve_split and the sweep kernel share one routine, so the parts are
+        # spelled again here, one explicit ufunc per operation in the order of
+        # (|a|^2/z) u and (conj(a)/z)(delta eps); 80,001 modes put every
+        # temporary above numpy's 256 KiB elision threshold
+        A = operator_of(kind)
+        lat = FrequencyLattice(1, bandlimit)
+        truth, noise, delta = hat_coefficients(lat), sample_white_noise(lat, 7), 1e-3
+        split = solve_split(A, forward(A, truth, delta, noise), DEBLUR_SCHEDULE)
+        a, a_sq = A.symbol_values(lat), A.squared_modulus(lat)
+        weights = sobolev_weights(lat, DEBLUR_SCHEDULE.r)
+        z = np.add(a_sq, np.multiply(DEBLUR_SCHEDULE.alpha(delta), weights))
+        bias = np.multiply(np.divide(a_sq, z), truth.coefficients)
+        filtered = np.multiply(
+            np.divide(np.conjugate(a), z), np.multiply(delta, noise.coefficients)
+        )
+        assert np.array_equal(split.bias_part.coefficients, bias)
+        assert np.array_equal(split.noise_part.coefficients, filtered)
 
 
 class TestTwoDimensions:
