@@ -43,14 +43,20 @@ def _one_of(what: str, *options: str) -> tuple:
 # tracemalloc peak of the perfbench/configs/*.ini runs over their mode count
 # (the top bandlimit's for noise_probe). Those runs peak at 58.6 MiB / 524,289
 # modes = 117.2 B (deblur_sweep), 107.9 MiB / 2,097,153 modes = 54.0 B
-# (noise_probe) and 2.2 MiB / 4,095 modes = 575.7 B (gamma_dense, fixed costs
-# and the operator's cached symbol tables on its five lattices included). rates
-# runs the deblur error sweep without noise draws, snapshot or certificate, so
-# it takes the deblur figure (a rates run on deblur_sweep's lattice peaks at
-# 110.6 B). A test runs a deblur and a noise probe against these bounds. The
-# bounds stay as set: they are upper bounds, and lowering one would move the
-# exit-2 boundary.
+# (noise_probe) and 1.8 MiB / 4,095 modes = 461.9 B (gamma_dense: fixed costs,
+# its five test functions, and the operator's cached tables and the sweep's
+# per-mode tables, all on the reference lattice only; at 262,145 modes a gamma
+# run peaks at 191.7 B). rates runs the deblur error sweep without noise draws,
+# snapshot or certificate, so it takes the deblur figure (a rates run on
+# deblur_sweep's lattice peaks at 110.6 B). A test runs each experiment against
+# these bounds. The bounds stay as set: they are upper bounds, and lowering one
+# would move the exit-2 boundary.
 _BYTES_PER_MODE = {"deblur": 200, "rates": 200, "noise_probe": 128, "gamma": 616}
+
+# Bytes per mode of one gamma test function, a complex128 field on the
+# reference lattice: the gamma memory check adds them for every configured test
+# function, on top of the run's figure above.
+_BYTES_PER_TEST_FUNCTION_MODE = 16
 
 
 # Peak bytes a deblur run allocates per plot point (grids, FFTs, the float64
@@ -83,6 +89,12 @@ def _at_least(bound: int) -> tuple:
 def _each(check: tuple) -> tuple:
     holds, message = check
     return (lambda values: all(map(holds, values))), message
+
+
+def _distinct(item: str) -> tuple:
+    # a repeated seed would weigh its draw twice; a repeated order would repeat
+    # its rows in the tables and its points in the plots
+    return (lambda values: len(set(values)) == len(values)), f"must not repeat {item}"
 
 
 _POSITIVE = (lambda value: value > 0, "must be positive")
@@ -126,19 +138,21 @@ class ExperimentConfig:
     r: float = _key("schedule", "r", _finite, _at_least(0))
     noise_regularity: float = _key("noise", "noise_regularity", _finite, default=-0.6)
     seeds: tuple = _key(
-        "noise", "seeds", _list_of(int), _NONEMPTY, _each(_at_least(0)),
-        (lambda value: len(set(value)) == len(value), "must not repeat a seed"),
+        "noise", "seeds", _list_of(int), _NONEMPTY, _each(_at_least(0)), _distinct("a seed")
     )
     delta_grid: tuple = _key(
         "grids", "delta_grid", _list_of(_finite), _NONEMPTY, _each(_POSITIVE),
         (lambda value: all(b < a for a, b in zip(value, value[1:])), "must be strictly decreasing"),
     )
-    s1_list: tuple = _key("grids", "s1_list", _list_of(_finite), _NONEMPTY, default=(-1.5,))
+    s1_list: tuple = _key(
+        "grids", "s1_list", _list_of(_finite), _NONEMPTY, _distinct("an order"), default=(-1.5,)
+    )
     bandlimit: int = _key("resolution", "bandlimit", int, _at_least(1))
     reference_bandlimit: int = _key("resolution", "reference_bandlimit", int, _at_least(1))
     plot_points: int = _key("resolution", "plot_points", int, _at_least(8), _PLOT_FITS, default=1024)
     probe_s_values: tuple = _key(
-        "noise_probe", "s_values", _list_of(_finite), _NONEMPTY, default=(-2.0, -0.6, 0.0)
+        "noise_probe", "s_values", _list_of(_finite), _NONEMPTY, _distinct("an order"),
+        default=(-2.0, -0.6, 0.0),
     )
     probe_bandlimits: tuple = _key(
         "noise_probe", "bandlimits", _list_of(int), _NONEMPTY, _each(_at_least(1)), _each(_PROBE_FITS),
@@ -226,6 +240,11 @@ def load_config(path: str | Path) -> ExperimentConfig:
         values["truth_path"] = None
     elif values["truth_path"] is None:
         raise ConfigError(f"{path}: missing required key [truth] path")
+    if values["experiment"] == "gamma" and values["r"] <= 0:
+        raise ConfigError(
+            f"{path}: [schedule] r must be positive for a gamma run, whose sweep needs "
+            f"a spectral penalty, got {values['r']!r}"
+        )
     bandlimit, reference = values["bandlimit"], values["reference_bandlimit"]
     if reference < 4 * bandlimit:
         raise ConfigError(
@@ -237,9 +256,18 @@ def load_config(path: str | Path) -> ExperimentConfig:
             f"{path}: [resolution] reference_bandlimit {_memory_message(values['experiment'])}, "
             f"got {reference}"
         )
-    if values["gamma_test_function_count"] > 2 * reference + 1:
+    count = values["gamma_test_function_count"]
+    if count > 2 * reference + 1:
         raise ConfigError(
             f"{path}: [gamma] test_function_count must be at most 2 * reference_bandlimit + 1 "
-            f"({2 * reference + 1}), got {values['gamma_test_function_count']}"
+            f"({2 * reference + 1}), got {count}"
+        )
+    if values["experiment"] == "gamma" and not _fits_in_memory(
+        2 * reference + 1, _BYTES_PER_MODE["gamma"] + _BYTES_PER_TEST_FUNCTION_MODE * count
+    ):
+        raise ConfigError(
+            f"{path}: [gamma] test_function_count needs (2M+1) * {_BYTES_PER_TEST_FUNCTION_MODE} "
+            "bytes per test function on top of a gamma run and exceeds physical memory, "
+            f"got {count}"
         )
     return ExperimentConfig(**values)

@@ -2,8 +2,9 @@
 dense normal-equation solver (library API and reference oracle; the only
 user of scipy, imported on first call) whose penalty is the H^r norm,
 L = diag((1+|l|^2)^(r/2)) with r = 0 the identity, plus the refinement
-sweep, which solves every (n, k) size in closed form because that penalty
-keeps the normal matrix block-diagonal per mode.
+sweep. That penalty keeps the normal matrix block-diagonal per mode, so the
+sweep solves once on the reference lattice and reads every (n, k) size as
+sums of per-mode tables over the size's observed ball.
 
 Basis and projections (d = 1)
 -----------------------------
@@ -23,12 +24,14 @@ x_sin = -sqrt(2) Im c(l).
 from __future__ import annotations
 
 import dataclasses
+import math
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from .errors import (
     DimensionError,
+    InvalidFieldError,
     NotRealValuedError,
     NumericalError,
     ParameterError,
@@ -37,19 +40,13 @@ from .spectral import (
     FrequencyLattice,
     MultiplierOperator,
     SpectralField,
+    _ball_sums,
     ball,
     finite_sobolev_weights,
     is_hermitian,
-    sobolev_norm,
     sobolev_weights,
-    truncate,
 )
-from .tikhonov import (
-    RegularizationSchedule,
-    data_shifted_functional,
-    forward,
-    solve,
-)
+from .tikhonov import RegularizationSchedule, forward, solve
 
 DENSE_SIZE_CAP = 4096  # largest n or k that assemble() builds as a dense matrix
 
@@ -211,20 +208,6 @@ def low_frequency_test_functions(lattice: FrequencyLattice, count: int = 5) -> l
     return functions
 
 
-def _l2_pairing(f: SpectralField, g: SpectralField) -> float:
-    if f.lattice != g.lattice:
-        raise DimensionError("pairing needs a shared lattice")
-    return float(np.sum((f.coefficients * g.coefficients.conj()).real))
-
-
-def _embed(field: SpectralField, big: FrequencyLattice) -> SpectralField:
-    """Zero-extend a field onto a larger lattice."""
-    coeffs = np.zeros(big.mode_count, dtype=np.complex128)
-    window = ball(big, coeffs, field.lattice.bandlimit)
-    window[...] = field.coefficients.reshape(window.shape)
-    return SpectralField(big, coeffs)
-
-
 class GammaRow(NamedTuple):
     n: int
     k: int
@@ -271,9 +254,15 @@ def gamma_sweep(
     spectral penalty both gaps shrink to zero along nested sizes because the
     two solvers agree mode by mode on shared frequencies.
 
-    No size is assembled: the spectral penalty keeps the normal matrix
-    block-diagonal per mode, so the matrix minimizer is solve() on the
-    observed modes (bandlimit min(half_n, half_k)), zero-extended to n.
+    No size is assembled or solved: the spectral penalty keeps the normal
+    matrix block-diagonal per mode, so the matrix minimizer of size (n, k) is
+    the reference minimizer on its observed ball |l| <= min(half_n, half_k)
+    (half_n = (n - 1) // 2) and zero elsewhere. Every size is checked before
+    any table is built. The reference problem is solved once; each per-mode
+    table (the objective's three terms, the ball radius's and the H^r norm's
+    weighted squares, one pairing per test function) is formed once on the
+    reference lattice and summed over every size's ball, then dropped. The
+    continuum objective is the same expression summed over the whole lattice.
     """
     if schedule.r <= 0:
         raise ParameterError("gamma sweep needs a spectral penalty with r > 0")
@@ -284,54 +273,70 @@ def gamma_sweep(
     if lattice.dimension != 1:
         raise DimensionError("gamma sweep is implemented for d = 1")
     finite_sobolev_weights(lattice, schedule.r, f"the penalty at [schedule] r = {schedule.r:g}")
-
-    measurement = forward(A, truth, delta, noise)
-    m_field = measurement.data
-    alpha = schedule.alpha(delta)
-    u_cont = solve(A, m_field, alpha, schedule.r)
-    continuum_objective = data_shifted_functional(A, m_field, alpha, schedule.r, u_cont)
-
-    rows: list[GammaRow] = []
-    summaries: list[GammaSizeSummary] = []
     for n, k in pairs:
-        half_n, half_k = (n - 1) // 2, (k - 1) // 2
-        if max(half_n, half_k) > lattice.bandlimit:
+        if min(n, k) < 1:
+            raise ParameterError(f"sizes must be positive, got ({n}, {k})")
+        if max(n - 1, k - 1) // 2 > lattice.bandlimit:
             raise ParameterError(
                 f"size ({n}, {k}) exceeds the reference bandlimit {lattice.bandlimit}"
             )
-        data = field_to_coords(truncate(m_field, half_k))
-        c_k = float(data @ data)
-        observed = truncate(m_field, min(half_n, half_k))
-        u_observed = solve(A, observed, alpha, schedule.r)
-        value = data_shifted_functional(A, observed, alpha, schedule.r, u_observed)
-        rhs = A.symbol_values(observed.lattice).conj() * observed.coefficients
-        rhs_norm = sobolev_norm(SpectralField(observed.lattice, rhs), -schedule.r)
-        difference = _embed(u_observed, lattice) - u_cont
-        gap_value = value - continuum_objective
-        ball_radius = 2.0 / alpha * rhs_norm
-        summaries.append(
-            GammaSizeSummary(
-                n=n,
-                k=k,
-                c_k=c_k,
-                functional_value=value,
-                functional_gap=gap_value,
-                ball_radius=ball_radius,
-                minimizer_hr_norm=sobolev_norm(u_observed, schedule.r),
-            )
+    if any(phi.lattice != lattice for _, phi in test_functions):
+        raise DimensionError("pairing needs a shared lattice")
+
+    m_field = forward(A, truth, delta, noise).data
+    alpha = schedule.alpha(delta)
+    u = solve(A, m_field, alpha, schedule.r).coefficients
+    if not np.isfinite(u.view(np.float64)).all():
+        raise InvalidFieldError("field has non-finite coefficients")
+    m, symbol = m_field.coefficients, A.symbol_values(lattice)
+    # the observed ball of each size, then the whole lattice (the continuum)
+    radii = [min(n - 1, k - 1) // 2 for n, k in pairs] + [lattice.bandlimit]
+
+    def sums(table: np.ndarray) -> list:
+        return [float(total) for total in _ball_sums(lattice, table, radii)]
+
+    def sobolev_norms(s: float, values: np.ndarray) -> list:
+        squares = sobolev_weights(lattice, s) * (values.real**2 + values.imag**2)
+        return [math.sqrt(total) for total in sums(squares)]
+
+    coords = field_to_coords(m_field)
+    c_ks = [float(v @ v) for v in (ball(lattice, coords, (k - 1) // 2) for _, k in pairs)]
+    del coords
+    image = np.multiply(symbol, u)
+    energies = sums(image.real**2 + image.imag**2)
+    # conjugates the image in place, once its squares are summed
+    pairings = sums(np.multiply(m, np.conjugate(image, out=image)).real)
+    del image
+    hr_norms = sobolev_norms(schedule.r, u)
+    rhs_norms = sobolev_norms(-schedule.r, np.multiply(np.conjugate(symbol), m))  # of A* m
+    values = [
+        energy - 2.0 * pairing + alpha * norm**2
+        for energy, pairing, norm in zip(energies, pairings, hr_norms)
+    ]
+    continuum_objective = values[-1]
+    summaries = [
+        GammaSizeSummary(
+            n=n,
+            k=k,
+            c_k=c_k,
+            functional_value=value,
+            functional_gap=value - continuum_objective,
+            ball_radius=2.0 / alpha * rhs_norm,
+            minimizer_hr_norm=hr_norm,
         )
-        for label, phi in test_functions:
-            rows.append(
-                GammaRow(
-                    n=n,
-                    k=k,
-                    alpha=alpha,
-                    test_function_id=label,
-                    pairing_gap=_l2_pairing(difference, phi),
-                    functional_gap=gap_value,
-                    c_k=c_k,
-                )
-            )
+        for (n, k), c_k, value, rhs_norm, hr_norm in zip(pairs, c_ks, values, rhs_norms, hr_norms)
+    ]
+    # each pairing gap <P u - u, phi> is the ball sum of Re(u conj(phi)) minus
+    # its whole-lattice sum; one test function's table is alive at a time
+    columns = []
+    for label, phi in test_functions:
+        *balls, whole = sums(np.multiply(u, np.conjugate(phi.coefficients)).real)
+        columns.append((label, [total - whole for total in balls]))
+    rows = [
+        GammaRow(size.n, size.k, alpha, label, gaps[i], size.functional_gap, size.c_k)
+        for i, size in enumerate(summaries)
+        for label, gaps in columns
+    ]
     return GammaResult(
         rows=rows,
         summaries=summaries,

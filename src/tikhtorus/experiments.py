@@ -21,7 +21,7 @@ import numpy as np
 from . import __version__
 from .config import ExperimentConfig
 from .discrete import GammaRow, gamma_sweep, low_frequency_test_functions
-from .errors import CalibrationError, ConfigError, DomainError, ParameterError
+from .errors import CalibrationError, DomainError, ParameterError
 from .noise import regularity_probe, sample_white_noise
 from .rates import (
     DivergenceRow,
@@ -418,8 +418,6 @@ def run_gamma(config: ExperimentConfig) -> dict:
     """Discretization-refinement study: weak pairing gaps and objective gaps
     between matrix minimizers and the closed-form reference minimizer."""
     operator, lattice, truth, schedule = _problem(config)
-    if schedule.r <= 0:
-        raise ConfigError("gamma experiment needs a spectral penalty r > 0")
 
     noise = sample_white_noise(lattice, config.seeds[0])
     delta = config.delta_grid[0]

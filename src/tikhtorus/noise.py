@@ -48,8 +48,9 @@ one, refining the bandlimit extends a realization instead of resampling it:
 
 The regularity probe reads the same draw without building a field: it only
 needs |c(l)|^2, which is one value per conjugate pair, and it sums each
-truncation as a slice of the lattice (:func:`spectral.ball`), not a mask. Its
-weights are the shared :func:`spectral.sobolev_weights` tables.
+truncation as a slice of the lattice (``spectral._ball_sums``, which the gamma
+sweep uses too), not a mask. Its weights are the shared
+:func:`spectral.sobolev_weights` tables.
 """
 
 from __future__ import annotations
@@ -60,7 +61,7 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 
 from .errors import ConfigError, ParameterError
-from .spectral import FrequencyLattice, SpectralField, _as_index, _map_chunks, ball, sobolev_weights
+from .spectral import FrequencyLattice, SpectralField, _as_index, _ball_sums, _map_chunks, sobolev_weights
 
 __all__ = [
     "sample_white_noise",
@@ -219,9 +220,6 @@ def regularity_probe(
     _draw_layout(dimension, top.bandlimit)
     size = top.mode_count
 
-    def partial_sums(table: np.ndarray) -> list:
-        return [np.sum(ball(top, table, m).ravel()) for m in bandlimits]
-
     def multiply(w: np.ndarray, power: np.ndarray, out: np.ndarray) -> np.ndarray:
         def kernel(start: int, stop: int) -> None:
             np.multiply(w[start:stop], power[start:stop], out=out[start:stop])
@@ -233,12 +231,12 @@ def regularity_probe(
     energies = np.empty((len(s_values), 1 + len(seeds), len(bandlimits)))
     with np.errstate(over="ignore"):
         weights = [sobolev_weights(top, s) for s in s_values]
-        energies[:, 0] = [partial_sums(w) for w in weights]
+        energies[:, 0] = [_ball_sums(top, w, bandlimits) for w in weights]
         power, product = np.empty(size), np.empty(size)
         for j, seed in enumerate(seeds, start=1):
             _draw_power(top, seed, out=power)
             for i, w in enumerate(weights):
-                energies[i, j] = partial_sums(multiply(w, power, product))
+                energies[i, j] = _ball_sums(top, multiply(w, power, product), bandlimits)
     if not np.isfinite(energies).all():
         i, _, k = np.argwhere(~np.isfinite(energies))[0]
         raise ParameterError(

@@ -424,6 +424,16 @@ def ball(lattice: FrequencyLattice, table: np.ndarray, m: int) -> np.ndarray:
     return cube[(slice(M - m, M + m + 1),) * lattice.dimension]
 
 
+def _ball_sums(lattice: FrequencyLattice, table: np.ndarray, bandlimits) -> list:
+    """``np.sum`` of a lattice-ordered table over the ball of each bandlimit,
+    in order: the package's one way to sum a per-mode quantity over
+    truncations. Each sum runs over the ball in the smaller lattice's own
+    enumeration order (:func:`ball`), so it equals the sum of the truncated
+    field's table bit for bit."""
+    # reshape(-1), not ravel(): a 1-d ball of a strided table stays a view
+    return [np.sum(ball(lattice, table, m).reshape(-1)) for m in bandlimits]
+
+
 def truncate(field: SpectralField, new_bandlimit: int) -> SpectralField:
     """Keep modes with max_i |l_i| <= new_bandlimit (spectral projection).
 

@@ -389,10 +389,10 @@ class TestGammaSweep:
         value = summary.functional_value
         # reconstruct the minimizer through an independent spectral solve on
         # the truncated data and re-evaluate the shifted objective
-        from tikhtorus.discrete import _embed
-
         small = truncate(meas.data, 16)
         u_small = solve(deblur_operator(), small, alpha, SCHEDULE.r)
-        embedded = _embed(u_small, lattice)
+        padded = np.zeros(lattice.mode_count, dtype=np.complex128)  # zero-extend
+        padded[lattice.zero_index - 16 : lattice.zero_index + 17] = u_small.coefficients
+        embedded = SpectralField(lattice, padded)
         oracle = data_shifted_functional(deblur_operator(), meas.data, alpha, SCHEDULE.r, embedded)
         assert value == pytest.approx(oracle, rel=1e-10, abs=1e-12)

@@ -120,8 +120,11 @@ def valid_configs(draw):
     # sizes whose runs fit in 1 GiB, so the memory check accepts them on any test machine
     bandlimit = draw(st.integers(1, 10**5))
     reference = 4 * bandlimit + draw(st.integers(0, 5 * 10**5))
+    # gamma's test functions take 16 bytes per reference mode each; keep them under 1 GiB too
+    test_functions = max(1, min(2 * reference + 1, 2**30 // (16 * (2 * reference + 1))))
+    experiment = draw(st.sampled_from(EXPERIMENTS))
     return ExperimentConfig(
-        experiment=draw(st.sampled_from(EXPERIMENTS)),
+        experiment=experiment,
         operator_kind=operator_kind,
         operator_exponent=-2.0
         if operator_kind == "deblur_1d"
@@ -130,22 +133,23 @@ def valid_configs(draw):
         truth_path=draw(_paths) if truth_kind == "coefficients" else None,
         alpha0=draw(_positive_floats),
         kappa=draw(_positive_floats),
-        r=draw(st.floats(min_value=0.0, allow_infinity=False)),
+        # gamma needs a spectral penalty
+        r=draw(st.floats(min_value=0.0, exclude_min=experiment == "gamma", allow_infinity=False)),
         noise_regularity=draw(_finite_floats),
         seeds=tuple(draw(st.lists(st.integers(0, 2**64), min_size=1, max_size=5, unique=True))),
         delta_grid=tuple(
             sorted(draw(st.sets(_positive_floats, min_size=1, max_size=5)), reverse=True)
         ),
-        s1_list=tuple(draw(st.lists(_finite_floats, min_size=1, max_size=5))),
+        s1_list=tuple(draw(st.lists(_finite_floats, min_size=1, max_size=5, unique=True))),
         bandlimit=bandlimit,
         reference_bandlimit=reference,
         plot_points=draw(st.integers(8, 10**5)),
-        probe_s_values=tuple(draw(st.lists(_finite_floats, min_size=1, max_size=5))),
+        probe_s_values=tuple(draw(st.lists(_finite_floats, min_size=1, max_size=5, unique=True))),
         probe_bandlimits=tuple(
             sorted(draw(st.sets(st.integers(1, 4 * 10**6), min_size=1, max_size=5)))
         ),
         probe_growth_threshold=draw(_finite_floats),
-        gamma_test_function_count=draw(st.integers(1, 2 * reference + 1)),
+        gamma_test_function_count=draw(st.integers(1, test_functions)),
         output_dir=draw(_paths),
     )
 
@@ -296,6 +300,11 @@ class TestConfig:
             (
                 ("plot_points = 128", "plot_points = 10000000000000"),
                 r"\[resolution\] plot_points [^,]+ deblur run [^,]+ physical memory",
+            ),
+            (("s1_list = -1.5,1.0", "s1_list = -1.5,-1.5"), r"\[grids\] s1_list must not repeat"),
+            (
+                ("s_values = -2.0,0.0", "s_values = -2.0,-2.0"),
+                r"\[noise_probe\] s_values must not repeat",
             ),
         ],
     )
@@ -577,6 +586,37 @@ class TestCli:
         assert code == 2
         err = capsys.readouterr().err
         assert err.startswith("ConfigError") and "[noise] seeds must not repeat a seed" in err
+        assert not (tmp_path / "out").exists()
+
+    def test_gamma_without_a_spectral_penalty_exit_code(self, tmp_path, capsys):
+        # the gamma sweep reads each size off the reference minimizer, which
+        # needs the H^r penalty with r > 0; the config check names file and key
+        text = small_config_text("gamma", str(tmp_path / "out")).replace("r = 1.0", "r = 0")
+        path = write_config(tmp_path, text)
+        code = main(["gamma", "--config", str(path)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"ConfigError: {path}: [schedule] r must be positive")
+        assert not (tmp_path / "out").exists()
+
+    def test_gamma_test_functions_count_toward_the_memory_check(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # (2M+1) * 616 bytes fit, but 2M+1 test functions of 16 bytes per mode
+        # take about 64 times physical memory; the run must never start
+        def allocating(config):
+            raise AssertionError("the run started")
+
+        monkeypatch.setattr(tikhtorus.cli, "run_experiment", allocating)
+        side = math.isqrt(os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE"))
+        text = small_config_text("gamma", str(tmp_path / "out"), reference=str(side)).replace(
+            "test_function_count = 3", f"test_function_count = {2 * side + 1}"
+        )
+        code = main(["gamma", "--config", str(write_config(tmp_path, text))])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("ConfigError") and "[gamma] test_function_count needs" in err
+        assert "physical memory" in err
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize(
@@ -937,6 +977,8 @@ class TestCli:
         [
             ("deblur", {"reference": "131072"}, 131072),
             ("noise_probe", {"probe_bandlimits": "65536,131072,262144"}, 262144),
+            ("gamma", {"reference": "131072"}, 131072),
+            ("rates", {"reference": "131072"}, 131072),
         ],
     )
     def test_peak_bytes_per_mode_stay_within_the_memory_check(
