@@ -40,7 +40,8 @@ from .spectral import (
     FrequencyLattice,
     MultiplierOperator,
     SpectralField,
-    _ball_sums,
+    _kernel_sums,
+    _sobolev_sums,
     ball,
     finite_sobolev_weights,
     is_hermitian,
@@ -292,23 +293,22 @@ def gamma_sweep(
     # the observed ball of each size, then the whole lattice (the continuum)
     radii = [min(n - 1, k - 1) // 2 for n, k in pairs] + [lattice.bandlimit]
 
-    def sums(table: np.ndarray) -> list:
-        return [float(total) for total in _ball_sums(lattice, table, radii)]
+    def image(start: int, stop: int) -> np.ndarray:  # a u
+        return np.multiply(symbol[start:stop], u[start:stop])
 
-    def sobolev_norms(s: float, values: np.ndarray) -> list:
-        squares = sobolev_weights(lattice, s) * (values.real**2 + values.imag**2)
-        return [math.sqrt(total) for total in sums(squares)]
+    def pairing(start: int, stop: int, out: np.ndarray) -> None:  # Re(m conj(a u))
+        out[:] = np.multiply(m[start:stop], np.conjugate(image(start, stop))).real
+
+    def adjoint_data(start: int, stop: int) -> np.ndarray:  # conj(a) m, of A* m
+        return np.multiply(np.conjugate(symbol[start:stop]), m[start:stop])
 
     coords = field_to_coords(m_field)
     c_ks = [float(v @ v) for v in (ball(lattice, coords, (k - 1) // 2) for _, k in pairs)]
     del coords
-    image = np.multiply(symbol, u)
-    energies = sums(image.real**2 + image.imag**2)
-    # conjugates the image in place, once its squares are summed
-    pairings = sums(np.multiply(m, np.conjugate(image, out=image)).real)
-    del image
-    hr_norms = sobolev_norms(schedule.r, u)
-    rhs_norms = sobolev_norms(-schedule.r, np.multiply(np.conjugate(symbol), m))  # of A* m
+    energies = _sobolev_sums(lattice, 0.0, image, radii)  # ||a u||^2: the H^0 weights are 1
+    pairings = _kernel_sums(lattice, pairing, radii)
+    hr_norms = [math.sqrt(total) for total in _sobolev_sums(lattice, schedule.r, u, radii)]
+    rhs_norms = [math.sqrt(total) for total in _sobolev_sums(lattice, -schedule.r, adjoint_data, radii)]
     values = [
         energy - 2.0 * pairing + alpha * norm**2
         for energy, pairing, norm in zip(energies, pairings, hr_norms)
@@ -330,7 +330,11 @@ def gamma_sweep(
     # its whole-lattice sum; one test function's table is alive at a time
     columns = []
     for label, phi in test_functions:
-        *balls, whole = sums(np.multiply(u, np.conjugate(phi.coefficients)).real)
+
+        def kernel(start: int, stop: int, out: np.ndarray, phi: np.ndarray = phi.coefficients) -> None:
+            out[:] = np.multiply(u[start:stop], np.conjugate(phi[start:stop])).real
+
+        *balls, whole = _kernel_sums(lattice, kernel, radii)
         columns.append((label, [total - whole for total in balls]))
     rows = [
         GammaRow(size.n, size.k, alpha, label, gaps[i], size.functional_gap, size.c_k)

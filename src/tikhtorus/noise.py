@@ -48,8 +48,8 @@ one, refining the bandlimit extends a realization instead of resampling it:
 
 The regularity probe reads the same draw without building a field: it only
 needs |c(l)|^2, which is one value per conjugate pair, and it sums each
-truncation as a slice of the lattice (``spectral._ball_sums``, which the gamma
-sweep uses too), not a mask. Its weights are the shared
+truncation as a slice of the lattice (``spectral._kernel_sums``, which the
+gamma sweep uses too), not a mask. Its weights are the shared
 :func:`spectral.sobolev_weights` tables.
 """
 
@@ -61,7 +61,9 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 
 from .errors import ConfigError, ParameterError
-from .spectral import FrequencyLattice, SpectralField, _as_index, _ball_sums, _map_chunks, sobolev_weights
+from .spectral import (
+    FrequencyLattice, SpectralField, _as_index, _ball_sums, _kernel_sums, _map_chunks, sobolev_weights,
+)
 
 __all__ = [
     "sample_white_noise",
@@ -205,10 +207,9 @@ def regularity_probe(
     with no field built; the energies equal those of
     ``sample_white_noise(top, seed)`` summed over ``shells <= m`` bit for bit.
     The weights are the shared ``sobolev_weights(top, s)`` tables. The |c|^2
-    table, reused across the seeds, and the ``w * |c|^2`` product, reused
-    across the seeds and s, are allocated once and filled chunk by chunk
-    across the CPUs. The partial sums stay whole-array sums on the calling
-    thread.
+    table, reused across the seeds, is allocated once and filled chunk by
+    chunk across the CPUs; each ``w * |c|^2`` is summed over the truncations
+    by ``spectral._kernel_sums``.
     """
     if len(s_values) == 0 or len(bandlimits) == 0 or len(seeds) == 0:
         raise ConfigError("regularity_probe needs nonempty s_values, bandlimits, seeds")
@@ -218,25 +219,21 @@ def regularity_probe(
     top = FrequencyLattice(dimension, max(bandlimits))
     # the layout's temporaries come and go before the tables exist
     _draw_layout(dimension, top.bandlimit)
-    size = top.mode_count
-
-    def multiply(w: np.ndarray, power: np.ndarray, out: np.ndarray) -> np.ndarray:
-        def kernel(start: int, stop: int) -> None:
-            np.multiply(w[start:stop], power[start:stop], out=out[start:stop])
-
-        _map_chunks(kernel, size)
-        return out
 
     # (s, trajectory, bandlimit)
     energies = np.empty((len(s_values), 1 + len(seeds), len(bandlimits)))
     with np.errstate(over="ignore"):
         weights = [sobolev_weights(top, s) for s in s_values]
         energies[:, 0] = [_ball_sums(top, w, bandlimits) for w in weights]
-        power, product = np.empty(size), np.empty(size)
+        power = np.empty(top.mode_count)
+
+        def weigh(start: int, stop: int, out: np.ndarray) -> None:  # (1+|l|^2)^s |c(l)|^2
+            np.multiply(w[start:stop], power[start:stop], out=out)
+
         for j, seed in enumerate(seeds, start=1):
             _draw_power(top, seed, out=power)
             for i, w in enumerate(weights):
-                energies[i, j] = _ball_sums(top, multiply(w, power, product), bandlimits)
+                energies[i, j] = _kernel_sums(top, weigh, bandlimits)
     if not np.isfinite(energies).all():
         i, _, k = np.argwhere(~np.isfinite(energies))[0]
         raise ParameterError(

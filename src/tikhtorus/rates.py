@@ -14,12 +14,11 @@ runs on the whole lattice, so the two share one spelling of the split.
 
 The kernels do their elementwise work in pieces of ``spectral._CHUNK`` modes,
 each with its own small scratch, spread over the CPUs of the process's
-affinity (``spectral._map_chunks``). Only the per-mode tables that a sum reads
-are lattice-sized, and every sum is one whole-array ``np.sum`` on the
-calling thread: numpy's pairwise summation order depends on the array
-length, so the bytes depend neither on the CPU count nor on the chunk size.
-The sweep's kernel checks its noise coefficients once, at entry, so the
-error that a non-finite draw raises does not depend on the pieces either.
+affinity, and take every sum through ``spectral._kernel_sums`` (whose
+docstring states the summation rule), so the bytes depend neither on the
+CPU count nor on the chunk size. The sweep's kernel checks its noise
+coefficients once, at entry, so the error that a non-finite draw raises does
+not depend on the pieces either.
 """
 
 from __future__ import annotations
@@ -37,6 +36,7 @@ from .spectral import (
     FrequencyLattice,
     MultiplierOperator,
     SpectralField,
+    _kernel_sums,
     _map_chunks,
     finite_sobolev_weights,
     sobolev_norm,
@@ -219,18 +219,17 @@ class SweepTables:
     The kernel builds each (seed, delta) deviation piece by piece across
     the CPUs, in piece-sized scratch, from the bias and noise parts of
     ``tikhonov._split``, and squares it once into a
-    lattice-sized |T(m) - u|^2; every s1's weighted copy goes into one more
-    lattice-sized buffer, and the norm is sqrt(sum((1+|l|^2)^s1
-    |T(m) - u|^2)) as one whole-array sum on the calling thread: the
-    arithmetic and summation order of
+    lattice-sized |T(m) - u|^2, reused across the s1 values; each norm is
+    sqrt(sum((1+|l|^2)^s1 |T(m) - u|^2)), summed by
+    ``spectral._kernel_sums``: the arithmetic and summation order of
     :func:`~tikhtorus.spectral.sobolev_norm`, so each error equals that
-    function's value on the deviation bit for bit, at any CPU count and
-    chunk size.
+    function's value on the deviation bit for bit.
 
     :meth:`errors` rejects a draw with a non-finite coefficient at entry
     (InvalidFieldError). An error that is still not finite raises a
     ParameterError that names ``[grids] s1_list`` when that s1's weights
-    overflow, and otherwise the s1 and delta it occurred at.
+    overflow, and otherwise the s1 and delta it occurred at and
+    ``[grids] delta_grid``.
     """
 
     def __init__(
@@ -273,9 +272,8 @@ class SweepTables:
         if not np.isfinite(eps).all():
             raise InvalidFieldError("field has non-finite coefficients")
         lattice, size = self.truth.lattice, self.truth.coefficients.size
-        out = np.empty((len(self.s1_list), len(self.delta_grid)))
+        errors = np.empty((len(self.s1_list), len(self.delta_grid)))
         power = np.empty(size)  # |T(m) - u|^2
-        weighted = np.empty(size)  # (1+|l|^2)^s1 |T(m) - u|^2
 
         def square(start: int, stop: int) -> None:
             """|T(m) - u|^2 on the modes [start, stop), in piece-sized buffers."""
@@ -287,8 +285,8 @@ class SweepTables:
             np.square(deviation.real, out=power[start:stop])
             np.add(power[start:stop], np.square(deviation.imag), out=power[start:stop])
 
-        def weigh(start: int, stop: int) -> None:
-            np.multiply(weights[start:stop], power[start:stop], out=weighted[start:stop])
+        def weigh(start: int, stop: int, out: np.ndarray) -> None:  # (1+|l|^2)^s1 |T(m) - u|^2
+            np.multiply(weights[start:stop], power[start:stop], out=out)
 
         # an inf z (alpha (1+|l|^2)^r overflows) makes the filter factors 0,
         # their value in double precision; an error that is not finite is
@@ -298,15 +296,13 @@ class SweepTables:
                 _map_chunks(square, size)
                 for k, s1 in enumerate(self.s1_list):
                     weights = sobolev_weights(lattice, s1)
-                    _map_chunks(weigh, size)
-                    # whole-array: numpy's pairwise order depends on the length
-                    error = float(np.sqrt(np.sum(weighted)))
+                    error = float(np.sqrt(_kernel_sums(lattice, weigh)))
                     if not math.isfinite(error):
                         where = f"s1 = {s1:g}, delta = {delta:g}"
                         finite_sobolev_weights(lattice, s1, f"the error at {where} ([grids] s1_list)")
                         raise ParameterError(f"error at {where} is {error}, not finite")
-                    out[k, i] = error
-        return out
+                    errors[k, i] = error
+        return errors
 
     def result(self, per_seed: list) -> SweepResult:
         """Rows, seed medians, normalizers and slopes from the outputs of
@@ -356,8 +352,9 @@ def error_sweep(
     (eps = 0, reported as seed -1). Errors are normalized per s1 curve so the
     seed-median starts at 1 at the largest delta; slopes are fitted on the
     seed-median raw errors, the robust choice under white-noise scatter.
-    The per-mode work runs in mode chunks across the CPUs and each sum on
-    the calling thread, so the errors do not depend on the CPU count.
+    The per-mode work runs in mode chunks across the CPUs, and the sums go
+    through ``spectral._kernel_sums``, so the errors do not depend on the
+    CPU count.
 
     Each seed is drawn once and only one draw is alive at a time. A deblur
     run feeds the same draw to this sweep's per-seed kernel
@@ -458,11 +455,10 @@ class DivergenceTables:
     ``lattice`` next to the shared (1+|l|^2) weights.
     :meth:`rows` is the per-seed kernel and :meth:`report` the summary.
 
-    The kernel writes (1+|l|^2) |w_delta|^2 piece by piece across the CPUs
-    into one lattice-sized buffer, with piece-sized temporaries, and sums it
-    whole on the calling thread; the lower bound squares the band's noise
-    coefficients after gathering them. Every row is the same at any CPU
-    count and chunk size.
+    The kernel forms (1+|l|^2) |w_delta|^2 piece by piece across the CPUs,
+    with piece-sized temporaries, and sums it through
+    ``spectral._kernel_sums``; the lower bound squares the band's noise
+    coefficients after gathering them.
     """
 
     def __init__(
@@ -473,6 +469,7 @@ class DivergenceTables:
         seeds: Sequence[int],
         lattice: FrequencyLattice,
     ) -> None:
+        self._lattice = lattice
         self._symbol_sq = A.squared_modulus(lattice)
         if schedule.r != 1.0:
             raise ParameterError(f"divergence certificate needs r = 1, got r = {schedule.r}")
@@ -495,14 +492,14 @@ class DivergenceTables:
     def rows(self, seed: int, eps: np.ndarray) -> list:
         """One :class:`DivergenceRow` per delta for the noise draw ``eps``
         (its coefficients) of ``seed``."""
-        product = np.empty(eps.size)  # (1+|l|^2) |w_delta|^2
 
-        def weigh(start: int, stop: int) -> None:
+        def weigh(start: int, stop: int, out: np.ndarray) -> None:
+            """(1+|l|^2) |w_delta|^2 on the modes [start, stop)."""
             piece = eps[start:stop]
             symbol_sq, weights1 = self._symbol_sq[start:stop], self._weights1[start:stop]
             z = symbol_sq + alpha * weights1
             w_power = symbol_sq * (delta * delta) * (piece.real**2 + piece.imag**2) / (z * z)
-            np.multiply(weights1, w_power, out=product[start:stop])
+            np.multiply(weights1, w_power, out=out)
 
         rows = []
         # z * z may leave the double range at some modes: their share of the
@@ -510,14 +507,13 @@ class DivergenceTables:
         with np.errstate(all="ignore"):
             for band, alpha in zip(self.bands, self._alphas):
                 delta = band.delta
-                _map_chunks(weigh, eps.size)
                 members = eps[band.member_indices]
                 row = DivergenceRow(
                     delta=delta,
                     seed=int(seed),
                     band_size=int(band.member_indices.size),
                     lower_bound=self._bound_factor * float(np.sum(members.real**2 + members.imag**2)),
-                    h1_norm_sq=float(np.sum(product)),
+                    h1_norm_sq=float(_kernel_sums(self._lattice, weigh)),
                 )
                 if not 0.0 < row.h1_norm_sq < math.inf:
                     raise ParameterError(
@@ -567,8 +563,9 @@ def h1_divergence(
     Each seed is drawn once and only one draw is alive at a time. A deblur
     run feeds the per-seed kernel (:class:`DivergenceTables`) the same draw
     its error sweep uses, so the certificate draws nothing of its own there.
-    The per-mode work runs in mode chunks across the CPUs and each sum on
-    the calling thread, so the rows do not depend on the CPU count.
+    The per-mode work runs in mode chunks across the CPUs, and the sums go
+    through ``spectral._kernel_sums``, so the rows do not depend on the CPU
+    count.
     """
     tables = DivergenceTables(A, schedule, delta_grid, seeds, lattice)
     rows = [

@@ -305,8 +305,9 @@ def _map_chunks(kernel: Callable[[int, int], object], size: int) -> None:
     Below two chunks this is a plain loop on the calling thread. Otherwise
     the pieces are split into one contiguous range per CPU of the process's
     affinity; the calling thread walks the first range and one thread each
-    the others. Kernels write disjoint slices and leave every sum to the
-    caller, so the result depends neither on the split nor on ``_CHUNK``.
+    the others. Kernels write disjoint slices and sum nothing (a sum goes
+    through :func:`_kernel_sums`), so the result depends neither on the
+    split nor on ``_CHUNK``.
     Workers run under the caller's ``np.errstate`` (which numpy keeps per
     thread). A range stops at its first exception, which re-raises here once
     every range has stopped (the earliest range's, if several fail).
@@ -390,11 +391,9 @@ def sobolev_norm(field: SpectralField, s: float) -> float:
     coefficients. The summation order is the lattice enumeration, so the
     result is reproducible bit-for-bit.
     """
-    coeffs = field.coefficients
-    if not np.all(np.isfinite(coeffs.view(np.float64))):
+    if not np.all(np.isfinite(field.coefficients.view(np.float64))):
         raise InvalidFieldError("field has non-finite coefficients")
-    weights = sobolev_weights(field.lattice, s)
-    return float(np.sqrt(np.sum(weights * (coeffs.real**2 + coeffs.imag**2))))
+    return float(np.sqrt(_sobolev_sums(field.lattice, s, field.coefficients)))
 
 
 def apply_multiplier(op: MultiplierOperator, field: SpectralField) -> SpectralField:
@@ -426,12 +425,48 @@ def ball(lattice: FrequencyLattice, table: np.ndarray, m: int) -> np.ndarray:
 
 def _ball_sums(lattice: FrequencyLattice, table: np.ndarray, bandlimits) -> list:
     """``np.sum`` of a lattice-ordered table over the ball of each bandlimit,
-    in order: the package's one way to sum a per-mode quantity over
-    truncations. Each sum runs over the ball in the smaller lattice's own
+    in order, as floats. Each sum runs over the ball in the smaller lattice's own
     enumeration order (:func:`ball`), so it equals the sum of the truncated
     field's table bit for bit."""
     # reshape(-1), not ravel(): a 1-d ball of a strided table stays a view
-    return [np.sum(ball(lattice, table, m).reshape(-1)) for m in bandlimits]
+    return [float(np.sum(ball(lattice, table, m).reshape(-1))) for m in bandlimits]
+
+
+def _kernel_sums(lattice: FrequencyLattice, kernel: Callable, bandlimits=None):
+    """Sums of the per-mode table that ``kernel`` fills: the package's one way
+    to sum a per-mode quantity that is not already a table.
+
+    ``kernel(start, stop, out)`` writes the entries of the modes
+    [start, stop) to ``out``, that piece's slice of a lattice-sized float64
+    table, and reads only the [start, stop) slices of its inputs. It runs on
+    the pieces of :func:`_map_chunks`, across the CPUs, under the caller's
+    ``np.errstate``. The result is :func:`_ball_sums` over ``bandlimits``, a
+    list of floats, or the whole-lattice sum, a float, when ``bandlimits`` is
+    None.
+
+    Summation rule: every sum is one whole-array ``np.sum`` of the finished
+    table on the calling thread, never a sum of per-piece sums. numpy's
+    pairwise summation order depends on the array's length, so only the
+    whole array gives sums that depend neither on the CPU count nor on
+    ``_CHUNK``, and that equal those of the table formed in one piece.
+    """
+    table = np.empty(lattice.mode_count)
+    _map_chunks(lambda start, stop: kernel(start, stop, table[start:stop]), table.size)
+    return float(np.sum(table)) if bandlimits is None else _ball_sums(lattice, table, bandlimits)
+
+
+def _sobolev_sums(lattice: FrequencyLattice, s: float, coeffs, bandlimits=None):
+    """:func:`_kernel_sums` of (1+|l|^2)^s |c(l)|^2, the squared truncated H^s
+    norms. ``coeffs`` is a lattice-ordered table, or a function
+    ``(start, stop)`` giving its entries on those modes, for coefficients
+    that are never formed whole."""
+    weights = sobolev_weights(lattice, s)
+
+    def kernel(start: int, stop: int, out: np.ndarray) -> None:
+        piece = coeffs(start, stop) if callable(coeffs) else coeffs[start:stop]
+        np.multiply(weights[start:stop], piece.real**2 + piece.imag**2, out=out)
+
+    return _kernel_sums(lattice, kernel, bandlimits)
 
 
 def truncate(field: SpectralField, new_bandlimit: int) -> SpectralField:

@@ -367,6 +367,42 @@ class TestSobolevWeights:
         assert spectral._sobolev_weights.cache_info().currsize == 1
 
 
+class TestKernelSums:
+    # the table a kernel fills in _CHUNK pieces across worker threads is
+    # summed whole: its ball sums equal those of the table formed in one piece
+    @pytest.mark.parametrize("cpus", [1, 8])
+    @pytest.mark.parametrize("chunk", [1, 3, 7])
+    @pytest.mark.parametrize("dimension,bandlimit,balls", [(1, 300, [0, 7, 150, 300]), (2, 12, [0, 3, 12])])
+    def test_pieces_sum_like_the_whole_table(self, monkeypatch, dimension, bandlimit, balls, chunk, cpus):
+        monkeypatch.setattr(spectral, "_CHUNK", chunk)
+        monkeypatch.setattr(spectral, "_cpu_count", lambda: cpus)
+        lat = FrequencyLattice(dimension, bandlimit)
+        table = np.random.default_rng(5).standard_normal(lat.mode_count) * 1e3
+        pieces = []
+
+        def kernel(start, stop, out):
+            assert out.shape == (stop - start,)
+            pieces.append((start, stop))
+            out[:] = table[start:stop]
+
+        sums = spectral._kernel_sums(lat, kernel, balls)
+        assert np.array_equal(sums, spectral._ball_sums(lat, table, balls))
+        assert all(type(total) is float for total in sums)
+        assert sorted(pieces) == [(a, min(a + chunk, lat.mode_count)) for a in range(0, lat.mode_count, chunk)]
+        whole = spectral._kernel_sums(lat, kernel)
+        assert type(whole) is float and whole == np.sum(table)
+
+    @pytest.mark.parametrize("dimension,bandlimit", [(1, 40), (2, 5)])
+    def test_sobolev_sums_take_a_table_or_its_pieces(self, dimension, bandlimit):
+        lat = FrequencyLattice(dimension, bandlimit)
+        coeffs = random_hermitian_field(lat, 2).coefficients
+        balls = list(range(bandlimit + 1))
+        expected = spectral._ball_sums(lat, sobolev_weights(lat, -1.5) * (coeffs.real**2 + coeffs.imag**2), balls)
+        assert spectral._sobolev_sums(lat, -1.5, coeffs, balls) == expected
+        assert spectral._sobolev_sums(lat, -1.5, lambda start, stop: coeffs[start:stop], balls) == expected
+        assert spectral._sobolev_sums(lat, -1.5, coeffs) == expected[-1]
+
+
 class TestMultiplier:
     def test_identity_symbol(self):
         lat = FrequencyLattice(1, 8)
