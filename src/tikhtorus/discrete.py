@@ -31,7 +31,6 @@ import numpy as np
 
 from .errors import (
     DimensionError,
-    InvalidFieldError,
     NotRealValuedError,
     NumericalError,
     ParameterError,
@@ -262,8 +261,11 @@ def gamma_sweep(
     any table is built. The reference problem is solved once; each per-mode
     table (the objective's three terms, the ball radius's and the H^r norm's
     weighted squares, one pairing per test function) is formed once on the
-    reference lattice and summed over every size's ball, then dropped. The
-    continuum objective is the same expression summed over the whole lattice.
+    reference lattice, in pieces, and summed over every size's ball by
+    ``spectral._kernel_sums``, then dropped. The continuum objective is the
+    same expression summed over the whole lattice. Data so large that a sum,
+    a c_k or a gap is not finite raise ParameterError naming
+    ``[grids] delta_grid``.
     """
     if schedule.r <= 0:
         raise ParameterError("gamma sweep needs a spectral penalty with r > 0")
@@ -286,9 +288,6 @@ def gamma_sweep(
 
     m_field = forward(A, truth, delta, noise).data
     alpha = schedule.alpha(delta)
-    u = solve(A, m_field, alpha, schedule.r).coefficients
-    if not np.isfinite(u.view(np.float64)).all():
-        raise InvalidFieldError("field has non-finite coefficients")
     m, symbol = m_field.coefficients, A.symbol_values(lattice)
     # the observed ball of each size, then the whole lattice (the continuum)
     radii = [min(n - 1, k - 1) // 2 for n, k in pairs] + [lattice.bandlimit]
@@ -302,13 +301,29 @@ def gamma_sweep(
     def adjoint_data(start: int, stop: int) -> np.ndarray:  # conj(a) m, of A* m
         return np.multiply(np.conjugate(symbol[start:stop]), m[start:stop])
 
-    coords = field_to_coords(m_field)
-    c_ks = [float(v @ v) for v in (ball(lattice, coords, (k - 1) // 2) for _, k in pairs)]
-    del coords
-    energies = _sobolev_sums(lattice, 0.0, image, radii)  # ||a u||^2: the H^0 weights are 1
-    pairings = _kernel_sums(lattice, pairing, radii)
-    hr_norms = [math.sqrt(total) for total in _sobolev_sums(lattice, schedule.r, u, radii)]
-    rhs_norms = [math.sqrt(total) for total in _sobolev_sums(lattice, -schedule.r, adjoint_data, radii)]
+    def gaps(phi: np.ndarray) -> list:
+        """<P u - u, phi> per size: the ball sum of Re(u conj(phi)) minus its
+        whole-lattice sum, from one table at a time."""
+
+        def kernel(start: int, stop: int, out: np.ndarray) -> None:
+            out[:] = np.multiply(u[start:stop], np.conjugate(phi[start:stop])).real
+
+        *balls, whole = _kernel_sums(lattice, kernel, radii)
+        return [total - whole for total in balls]
+
+    # data near the top of the double range overflow the sums (or, through
+    # the solve, the minimizer): what comes out inf or nan is refused below,
+    # naming the key that sets the data's size
+    with np.errstate(over="ignore", invalid="ignore"):
+        u = solve(A, m_field, alpha, schedule.r).coefficients
+        coords = field_to_coords(m_field)
+        c_ks = [float(v @ v) for v in (ball(lattice, coords, (k - 1) // 2) for _, k in pairs)]
+        del coords
+        energies = _sobolev_sums(lattice, 0.0, image, radii)  # ||a u||^2: the H^0 weights are 1
+        pairings = _kernel_sums(lattice, pairing, radii)
+        hr_norms = [math.sqrt(total) for total in _sobolev_sums(lattice, schedule.r, u, radii)]
+        rhs_norms = [math.sqrt(total) for total in _sobolev_sums(lattice, -schedule.r, adjoint_data, radii)]
+        columns = [(label, gaps(phi.coefficients)) for label, phi in test_functions]
     values = [
         energy - 2.0 * pairing + alpha * norm**2
         for energy, pairing, norm in zip(energies, pairings, hr_norms)
@@ -326,16 +341,12 @@ def gamma_sweep(
         )
         for (n, k), c_k, value, rhs_norm, hr_norm in zip(pairs, c_ks, values, rhs_norms, hr_norms)
     ]
-    # each pairing gap <P u - u, phi> is the ball sum of Re(u conj(phi)) minus
-    # its whole-lattice sum; one test function's table is alive at a time
-    columns = []
-    for label, phi in test_functions:
-
-        def kernel(start: int, stop: int, out: np.ndarray, phi: np.ndarray = phi.coefficients) -> None:
-            out[:] = np.multiply(u[start:stop], np.conjugate(phi[start:stop])).real
-
-        *balls, whole = _kernel_sums(lattice, kernel, radii)
-        columns.append((label, [total - whole for total in balls]))
+    numbers = [continuum_objective, *(x for size in summaries for x in dataclasses.astuple(size))]
+    if not all(map(math.isfinite, numbers + [gap for _, column in columns for gap in column])):
+        raise ParameterError(
+            f"the gamma sweep overflows at delta = {delta:g} (alpha = {alpha:g}): a sum, c_k or "
+            "gap is not finite ([grids] delta_grid)"
+        )
     rows = [
         GammaRow(size.n, size.k, alpha, label, gaps[i], size.functional_gap, size.c_k)
         for i, size in enumerate(summaries)

@@ -257,6 +257,7 @@ class SweepTables:
         )
         if not math.isfinite(sobolev_norm(truth, schedule.r)):
             raise ParameterError("truth must have finite H^r norm")
+        self._schedule = schedule
         self._alphas = [schedule.alpha(delta) for delta in self.delta_grid]
         if 0.0 in self._alphas and not self._symbol_sq.all():
             raise ParameterError(
@@ -300,7 +301,9 @@ class SweepTables:
                     if not math.isfinite(error):
                         where = f"s1 = {s1:g}, delta = {delta:g}"
                         finite_sobolev_weights(lattice, s1, f"the error at {where} ([grids] s1_list)")
-                        raise ParameterError(f"error at {where} is {error}, not finite")
+                        raise ParameterError(
+                            f"error at {where} is {error}, not finite ([grids] delta_grid)"
+                        )
                     errors[k, i] = error
         return errors
 
@@ -318,8 +321,10 @@ class SweepTables:
             median_errors[s1] = medians
             if medians[0] == 0.0:
                 raise ParameterError(
-                    f"median error at s1 = {s1:g}, delta = {delta_grid[0]:g} is 0, "
-                    f"so the curve cannot be normalized (alpha = {self._alphas[0]:g})"
+                    f"median error at s1 = {s1:g}, delta = {delta_grid[0]:g} is 0, so the curve "
+                    f"cannot be normalized: alpha = {self._alphas[0]:g} leaves the data unregularized "
+                    f"([grids] delta_grid, [schedule] alpha0 = {self._schedule.alpha0:g}, "
+                    f"kappa = {self._schedule.kappa:g})"
                 )
             scale = 1.0 / medians[0]
             normalizers[s1] = scale

@@ -281,12 +281,12 @@ def check_ellipticity(op: MultiplierOperator, lattice: FrequencyLattice) -> None
         )
 
 
-# items per piece of a chunked kernel (the Sobolev weight tables here, the
-# noise draws and the probe's products in noise, the error sweep and the H^1
-# certificate in rates): a piece keeps under 2 MiB of temporaries alive,
-# which stays in a core's cache and leaves little in the worker threads'
-# malloc arenas; the shipped configs' lattices (up to 32,769 modes) stay
-# below two pieces and so on the calling thread
+# items per piece of a chunked kernel (the Sobolev weight tables and every
+# table _kernel_sums fills, the noise draws, the error sweep's deviations): a
+# piece keeps under 2 MiB of temporaries alive, which stays in a core's cache
+# and leaves little in the worker threads' malloc arenas; the shipped
+# configs' lattices (up to 32,769 modes) stay below two pieces and so on the
+# calling thread
 _CHUNK = 32768
 
 

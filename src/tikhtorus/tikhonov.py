@@ -113,13 +113,19 @@ def forward(
 ) -> Measurement:
     """Synthesize the measurement m = A u + delta * eps on the truth lattice,
     as one array expression with the operations, in order, of
-    ``apply_multiplier(A, truth) + delta * noise``: bit for bit that sum."""
+    ``apply_multiplier(A, truth) + delta * noise``: bit for bit that sum.
+    Data that leave the double range (a huge delta) raise ParameterError."""
     if truth.lattice != noise.lattice:
         raise DimensionError("truth and noise live on different lattices")
     if not delta > 0:
         raise ParameterError(f"delta must be positive, got {delta}")
     values = A.symbol_values(truth.lattice)
-    coeffs = values * truth.coefficients + noise.coefficients * delta
+    with np.errstate(over="ignore", invalid="ignore"):
+        coeffs = values * truth.coefficients + noise.coefficients * delta
+    if not np.isfinite(coeffs.view(np.float64)).all():
+        raise ParameterError(
+            f"the data a u + delta eps are not finite at delta = {delta:g} ([grids] delta_grid)"
+        )
     data = SpectralField(truth.lattice, coeffs)
     return Measurement(data=data, delta=delta, noise=noise, truth=truth)
 
