@@ -301,7 +301,7 @@ def gamma_sweep(
     def adjoint_data(start: int, stop: int) -> np.ndarray:  # conj(a) m, of A* m
         return np.multiply(np.conjugate(symbol[start:stop]), m[start:stop])
 
-    def gaps(phi: np.ndarray) -> list:
+    def pairing_gaps(phi: np.ndarray) -> list:
         """<P u - u, phi> per size: the ball sum of Re(u conj(phi)) minus its
         whole-lattice sum, from one table at a time."""
 
@@ -323,7 +323,7 @@ def gamma_sweep(
         pairings = _kernel_sums(lattice, pairing, radii)
         hr_norms = [math.sqrt(total) for total in _sobolev_sums(lattice, schedule.r, u, radii)]
         rhs_norms = [math.sqrt(total) for total in _sobolev_sums(lattice, -schedule.r, adjoint_data, radii)]
-        columns = [(label, gaps(phi.coefficients)) for label, phi in test_functions]
+        columns = [(label, pairing_gaps(phi.coefficients)) for label, phi in test_functions]
     values = [
         energy - 2.0 * pairing + alpha * norm**2
         for energy, pairing, norm in zip(energies, pairings, hr_norms)

@@ -21,7 +21,7 @@ import numpy as np
 from . import __version__
 from .config import ExperimentConfig
 from .discrete import GammaRow, gamma_sweep, low_frequency_test_functions
-from .errors import CalibrationError, DomainError, ParameterError
+from .errors import CalibrationError, ParameterError
 from .noise import regularity_probe, sample_white_noise
 from .rates import (
     DivergenceRow,
@@ -308,16 +308,7 @@ def run_rates(config: ExperimentConfig) -> dict:
             f"[operator] exponent = {config.operator_exponent:g}, [schedule] r = {config.r:g})"
         ) from exc
 
-    try:
-        sweep = error_sweep(
-            operator, truth, schedule, config.s1_list, config.delta_grid, [None]
-        )
-    except DomainError as exc:
-        raise DomainError(
-            f"{exc}: a noise-free error is 0 where alpha = alpha0 * delta^kappa is too small "
-            f"to regularize ([grids] delta_grid, [schedule] alpha0 = {config.alpha0:g}, "
-            f"kappa = {config.kappa:g})"
-        ) from exc
+    sweep = error_sweep(operator, truth, schedule, config.s1_list, config.delta_grid, [None])
     slope_rows = []
     for rates in predicted:
         fit = sweep.slopes.get(rates.s1)

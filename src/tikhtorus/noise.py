@@ -227,7 +227,8 @@ def regularity_probe(
         energies[:, 0] = [_ball_sums(top, w, bandlimits) for w in weights]
         power = np.empty(top.mode_count)
 
-        def weigh(start: int, stop: int, out: np.ndarray) -> None:  # (1+|l|^2)^s |c(l)|^2
+        def weigh(start: int, stop: int, out: np.ndarray) -> None:
+            """(1+|l|^2)^s |c(l)|^2 for the w and power the loop below sets."""
             np.multiply(w[start:stop], power[start:stop], out=out)
 
         for j, seed in enumerate(seeds, start=1):

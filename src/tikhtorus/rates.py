@@ -229,7 +229,10 @@ class SweepTables:
     (InvalidFieldError). An error that is still not finite raises a
     ParameterError that names ``[grids] s1_list`` when that s1's weights
     overflow, and otherwise the s1 and delta it occurred at and
-    ``[grids] delta_grid``.
+    ``[grids] delta_grid``. :meth:`result` refuses a seed median of 0, which
+    has no logarithm, naming ``[grids] delta_grid`` and the schedule keys: a
+    ParameterError at the largest delta, which normalizes the curve, and a
+    DomainError at the others, which the slope fit reads.
     """
 
     def __init__(
@@ -286,7 +289,8 @@ class SweepTables:
             np.square(deviation.real, out=power[start:stop])
             np.add(power[start:stop], np.square(deviation.imag), out=power[start:stop])
 
-        def weigh(start: int, stop: int, out: np.ndarray) -> None:  # (1+|l|^2)^s1 |T(m) - u|^2
+        def weigh(start: int, stop: int, out: np.ndarray) -> None:
+            """(1+|l|^2)^s1 |T(m) - u|^2, with the weights the loop below sets."""
             np.multiply(weights[start:stop], power[start:stop], out=out)
 
         # an inf z (alpha (1+|l|^2)^r overflows) makes the filter factors 0,
@@ -317,18 +321,25 @@ class SweepTables:
         slopes: dict[float, SlopeFit] = {}
         normalizers: dict[float, float] = {}
         medians_by_s1 = np.median(errors, axis=-1).tolist()
+        keys = (
+            f"[grids] delta_grid, [schedule] alpha0 = {self._schedule.alpha0:g}, "
+            f"kappa = {self._schedule.kappa:g}"
+        )
         for s1, table, medians in zip(self.s1_list, errors.tolist(), medians_by_s1):
             median_errors[s1] = medians
             if medians[0] == 0.0:
                 raise ParameterError(
                     f"median error at s1 = {s1:g}, delta = {delta_grid[0]:g} is 0, so the curve "
-                    f"cannot be normalized: alpha = {self._alphas[0]:g} leaves the data unregularized "
-                    f"([grids] delta_grid, [schedule] alpha0 = {self._schedule.alpha0:g}, "
-                    f"kappa = {self._schedule.kappa:g})"
+                    f"cannot be normalized: alpha = {self._alphas[0]:g} is too small to regularize ({keys})"
                 )
             scale = 1.0 / medians[0]
             normalizers[s1] = scale
             if len(delta_grid) >= 3:
+                if 0.0 in medians:  # alpha too small to regularize, or the squares underflow
+                    raise DomainError(
+                        f"median error at s1 = {s1:g}, delta = {delta_grid[medians.index(0.0)]:g} "
+                        f"is 0 and has no logarithm for the slope fit ({keys})"
+                    )
                 slopes[s1] = fit_loglog_slope(list(zip(delta_grid, medians)))
             rows.extend(
                 SweepRow(s1, delta, label, raw, raw * scale)

@@ -388,8 +388,8 @@ def sobolev_norm(field: SpectralField, s: float) -> float:
     """Truncated H^s norm ( sum_l (1+|l|^2)^s |c(l)|^2 )^(1/2).
 
     Equals the L^2 norm at s = 0. Raises InvalidFieldError on non-finite
-    coefficients. The summation order is the lattice enumeration, so the
-    result is reproducible bit-for-bit.
+    coefficients. The sum is taken by :func:`_kernel_sums`, in the lattice
+    enumeration order, so the result is reproducible bit for bit.
     """
     if not np.all(np.isfinite(field.coefficients.view(np.float64))):
         raise InvalidFieldError("field has non-finite coefficients")
@@ -425,9 +425,9 @@ def ball(lattice: FrequencyLattice, table: np.ndarray, m: int) -> np.ndarray:
 
 def _ball_sums(lattice: FrequencyLattice, table: np.ndarray, bandlimits) -> list:
     """``np.sum`` of a lattice-ordered table over the ball of each bandlimit,
-    in order, as floats. Each sum runs over the ball in the smaller lattice's own
-    enumeration order (:func:`ball`), so it equals the sum of the truncated
-    field's table bit for bit."""
+    in order, as floats. Each sum runs over the ball in the smaller lattice's
+    own enumeration order (:func:`ball`), so it equals the sum of the
+    truncated field's table bit for bit."""
     # reshape(-1), not ravel(): a 1-d ball of a strided table stays a view
     return [float(np.sum(ball(lattice, table, m).reshape(-1))) for m in bandlimits]
 

@@ -727,29 +727,42 @@ class TestCli:
         assert err.startswith("ParameterError") and needle in err, err
         assert not out.exists()
 
+    _SCHEDULE_KEYS = ["[grids] delta_grid", "[schedule] alpha0 = ", ", kappa = "]
+
     @pytest.mark.parametrize(
-        "experiment,values,needles",
+        "experiment,values,error,needles",
         [
             # m = a u + delta eps overflows while it is formed
-            ("gamma", {"delta_grid": "1e308", "kappa": "1e-3"}, ["[grids] delta_grid"]),
+            ("gamma", {"delta_grid": "1e308", "kappa": "1e-3"}, "ParameterError", ["[grids] delta_grid"]),
             # the data are finite but c_k and the squared sums overflow
-            ("gamma", {"delta_grid": "3.95e184", "kappa": "1.99e-33"}, ["[grids] delta_grid"]),
-            # the minimizer conj(a) m / z overflows at the top modes
-            ("gamma", {"delta_grid": "1e305", "kappa": "0.5", "alpha0": "1e-300"}, ["[grids] delta_grid"]),
-            # the sweep error overflows at the largest delta
-            ("deblur", {"delta_grid": "1e200,1e199,1e198", "kappa": "1e-3"}, ["[grids] delta_grid"]),
-            # alpha is too small to move the noise-free reconstruction off the truth
             (
-                "rates",
-                {"alpha0": "1e-300", "delta_grid": "1e2,1e1,1e0"},
-                ["[grids] delta_grid", "[schedule] alpha0 = 1e-300", "kappa = 2.5"],
+                "gamma", {"delta_grid": "3.95e184", "kappa": "1.99e-33"},
+                "ParameterError", ["[grids] delta_grid"],
             ),
+            # the minimizer conj(a) m / z overflows at the top modes
+            (
+                "gamma", {"delta_grid": "1e305", "kappa": "0.5", "alpha0": "1e-300"},
+                "ParameterError", ["[grids] delta_grid"],
+            ),
+            # the sweep error overflows at the largest delta
+            (
+                "deblur", {"delta_grid": "1e200,1e199,1e198", "kappa": "1e-3"},
+                "ParameterError", ["[grids] delta_grid"],
+            ),
+            # alpha is too small to move the noise-free reconstruction off the
+            # truth, so the curve has nothing to be normalized by
+            ("rates", {"alpha0": "1e-300", "delta_grid": "1e2,1e1,1e0"}, "ParameterError", _SCHEDULE_KEYS),
+            # the squared errors underflow at the smallest delta, whose median
+            # then has no logarithm for the slope fit
+            ("deblur", {"delta_grid": "1e2,1e1,1e-160", "s1_list": "-250"}, "DomainError", _SCHEDULE_KEYS),
         ],
-        ids=["gamma-data", "gamma-sums", "gamma-minimizer", "deblur-error", "rates-median"],
+        ids=["gamma-data", "gamma-sums", "gamma-minimizer", "deblur-error", "rates-median", "deblur-fit"],
     )
-    def test_overflowing_shipped_configs_name_their_keys(self, tmp_path, capsys, experiment, values, needles):
+    def test_extreme_shipped_configs_name_their_keys(
+        self, tmp_path, capsys, experiment, values, error, needles
+    ):
         # the shipped config with a few values changed: no warning, no
-        # output, and a message naming the key
+        # output, and a message naming the keys
         text = (CONFIG_DIR / f"{experiment}.ini").read_text()
         for key, value in values.items():
             text = re.sub(rf"(?m)^{key} = .*$", f"{key} = {value}", text)
@@ -759,7 +772,7 @@ class TestCli:
             code = main([experiment, "--config", str(write_config(tmp_path, text)), "--out", str(out)])
         assert code == 4 and caught == []
         err = capsys.readouterr().err
-        assert err.startswith("ParameterError") and all(needle in err for needle in needles), err
+        assert err.startswith(f"{error}: ") and all(needle in err for needle in needles), err
         assert not out.exists()
 
     def test_band_calibration_failure_names_its_keys(self, tmp_path, capsys):

@@ -372,8 +372,12 @@ class TestKernelSums:
     # summed whole: its ball sums equal those of the table formed in one piece
     @pytest.mark.parametrize("cpus", [1, 8])
     @pytest.mark.parametrize("chunk", [1, 3, 7])
-    @pytest.mark.parametrize("dimension,bandlimit,balls", [(1, 300, [0, 7, 150, 300]), (2, 12, [0, 3, 12])])
-    def test_pieces_sum_like_the_whole_table(self, monkeypatch, dimension, bandlimit, balls, chunk, cpus):
+    @pytest.mark.parametrize(
+        "dimension,bandlimit,balls", [(1, 300, [0, 7, 150, 300]), (2, 12, [0, 3, 12])]
+    )
+    def test_pieces_sum_like_the_whole_table(
+        self, monkeypatch, dimension, bandlimit, balls, chunk, cpus
+    ):
         monkeypatch.setattr(spectral, "_CHUNK", chunk)
         monkeypatch.setattr(spectral, "_cpu_count", lambda: cpus)
         lat = FrequencyLattice(dimension, bandlimit)
@@ -388,7 +392,8 @@ class TestKernelSums:
         sums = spectral._kernel_sums(lat, kernel, balls)
         assert np.array_equal(sums, spectral._ball_sums(lat, table, balls))
         assert all(type(total) is float for total in sums)
-        assert sorted(pieces) == [(a, min(a + chunk, lat.mode_count)) for a in range(0, lat.mode_count, chunk)]
+        starts = range(0, lat.mode_count, chunk)
+        assert sorted(pieces) == [(a, min(a + chunk, lat.mode_count)) for a in starts]
         whole = spectral._kernel_sums(lat, kernel)
         assert type(whole) is float and whole == np.sum(table)
 
@@ -397,7 +402,8 @@ class TestKernelSums:
         lat = FrequencyLattice(dimension, bandlimit)
         coeffs = random_hermitian_field(lat, 2).coefficients
         balls = list(range(bandlimit + 1))
-        expected = spectral._ball_sums(lat, sobolev_weights(lat, -1.5) * (coeffs.real**2 + coeffs.imag**2), balls)
+        squares = sobolev_weights(lat, -1.5) * (coeffs.real**2 + coeffs.imag**2)
+        expected = spectral._ball_sums(lat, squares, balls)
         assert spectral._sobolev_sums(lat, -1.5, coeffs, balls) == expected
         assert spectral._sobolev_sums(lat, -1.5, lambda start, stop: coeffs[start:stop], balls) == expected
         assert spectral._sobolev_sums(lat, -1.5, coeffs) == expected[-1]
