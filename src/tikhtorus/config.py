@@ -42,11 +42,11 @@ def _one_of(what: str, *options: str) -> tuple:
 # Peak bytes a 1-d run allocates per lattice mode: an upper bound on the
 # tracemalloc peak of the perfbench/configs/*.ini runs over their mode count
 # (the top bandlimit's for noise_probe). Those runs peak at 55.6 MiB / 524,289
-# modes = 111.2 B (deblur_sweep), 104.9 MiB / 2,097,153 modes = 52.5 B
-# (noise_probe) and 1.9 MiB / 4,095 modes = 478.0 B (gamma_dense: fixed costs,
+# modes = 111.2 B (deblur_sweep), 104.9 MiB / 2,097,153 modes = 52.4 B
+# (noise_probe) and 1.8 MiB / 4,095 modes = 473.3 B (gamma_dense: fixed costs,
 # its five test functions, and the operator's cached tables and the sweep's
 # per-mode tables, all on the reference lattice only; configs/gamma.ini at
-# reference_bandlimit 131,072, 262,145 modes, peaks at 216.7 B). rates runs the
+# reference_bandlimit 131,072, 262,145 modes, peaks at 216.6 B). rates runs the
 # deblur error sweep without noise draws, snapshot or certificate, so it takes
 # the deblur figure (a rates run on deblur_sweep's lattice peaks at 104.4 B).
 # A test runs each experiment against these bounds. The bounds stay as set:
