@@ -451,27 +451,21 @@ class TestChunkedKernels:
     @pytest.mark.parametrize("cpus", [1, 8])
     @pytest.mark.parametrize("chunk", [1, 3, 7])
     @pytest.mark.parametrize("kind", ["deblur", "twisted"])
-    def test_small_chunks_keep_the_gamma_sweep(self, monkeypatch, kind, chunk, cpus):
-        # every gamma sum, the pairing gaps' included, is a table filled in pieces
+    def test_small_chunks_keep_the_gamma_sweep_and_sobolev_norms(self, monkeypatch, kind, chunk, cpus):
+        # every gamma sum, the pairing gaps' included, and every H^s norm is
+        # taken over a table filled in pieces
         A = operator_of(kind)
         lattice = FrequencyLattice(1, 50)
         truth, noise = hat_coefficients(lattice), sample_white_noise(lattice, 3)
         sizes, phis = [(5, 5), (21, 41), (101, 101)], low_frequency_test_functions(lattice, 5)
-        monkeypatch.setattr(spectral, "_CHUNK", 10**9)
-        whole = gamma_sweep(A, truth, noise, 1e-3, SCHEDULE, sizes, phis)
-        monkeypatch.setattr(spectral, "_CHUNK", chunk)
-        monkeypatch.setattr(spectral, "_cpu_count", lambda: cpus)
-        pieces = gamma_sweep(A, truth, noise, 1e-3, SCHEDULE, sizes, phis)
-        assert pieces.rows == whole.rows and pieces.summaries == whole.summaries
-        assert pieces.continuum_objective == whole.continuum_objective
 
-    @pytest.mark.parametrize("cpus", [1, 8])
-    @pytest.mark.parametrize("chunk", [1, 3, 7])
-    def test_small_chunks_keep_the_sobolev_norm(self, monkeypatch, chunk, cpus):
-        lattice = FrequencyLattice(1, 50)
-        noise = sample_white_noise(lattice, 7)
+        def values():
+            result = gamma_sweep(A, truth, noise, 1e-3, SCHEDULE, sizes, phis)
+            norms = [sobolev_norm(noise, s) for s in (-1.5, 0.0, 1.0)]
+            return result.rows, result.summaries, result.continuum_objective, norms
+
         monkeypatch.setattr(spectral, "_CHUNK", 10**9)
-        norms = [sobolev_norm(noise, s) for s in (-1.5, 0.0, 1.0)]
+        whole = values()
         monkeypatch.setattr(spectral, "_CHUNK", chunk)
         monkeypatch.setattr(spectral, "_cpu_count", lambda: cpus)
-        assert [sobolev_norm(noise, s) for s in (-1.5, 0.0, 1.0)] == norms
+        assert values() == whole
