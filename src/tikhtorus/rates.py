@@ -529,7 +529,7 @@ class DivergenceTables:
                     seed=int(seed),
                     band_size=int(band.member_indices.size),
                     lower_bound=self._bound_factor * float(np.sum(members.real**2 + members.imag**2)),
-                    h1_norm_sq=float(_kernel_sums(self._lattice, weigh)),
+                    h1_norm_sq=_kernel_sums(self._lattice, weigh),
                 )
                 if not 0.0 < row.h1_norm_sq < math.inf:
                     raise ParameterError(
