@@ -259,10 +259,10 @@ def gamma_sweep(
     the reference minimizer on its observed ball |l| <= min(half_n, half_k)
     (half_n = (n - 1) // 2) and zero elsewhere. Every size is checked before
     any table is built. The reference problem is solved once; each per-mode
-    table (the objective's three terms, the ball radius's and the H^r norm's
-    weighted squares, one pairing per test function) is formed once on the
-    reference lattice, in pieces, and summed over every size's ball by
-    ``spectral._kernel_sums``, then dropped. The continuum objective is the
+    quantity (the objective's three terms, the ball radius's and the H^r
+    norm's weighted squares, one pairing per test function) is formed piece
+    by piece and summed over every size's ball by ``spectral._kernel_sums``,
+    whose docstring states the summation rule. The continuum objective is the
     same expression summed over the whole lattice. Data so large that a sum,
     a c_k or a gap is not finite raise ParameterError naming
     ``[grids] delta_grid``.
@@ -292,21 +292,21 @@ def gamma_sweep(
     # the observed ball of each size, then the whole lattice (the continuum)
     radii = [min(n - 1, k - 1) // 2 for n, k in pairs] + [lattice.bandlimit]
 
-    def image(start: int, stop: int) -> np.ndarray:  # a u
-        return np.multiply(symbol[start:stop], u[start:stop])
+    def image(piece) -> np.ndarray:  # a u
+        return np.multiply(symbol[piece], u[piece])
 
-    def pairing(start: int, stop: int, out: np.ndarray) -> None:  # Re(m conj(a u))
-        out[:] = np.multiply(m[start:stop], np.conjugate(image(start, stop))).real
+    def pairing(piece) -> float:  # Re(m conj(a u))
+        return np.sum(np.multiply(m[piece], np.conjugate(image(piece))).real)
 
-    def adjoint_data(start: int, stop: int) -> np.ndarray:  # conj(a) m, of A* m
-        return np.multiply(np.conjugate(symbol[start:stop]), m[start:stop])
+    def adjoint_data(piece) -> np.ndarray:  # conj(a) m, of A* m
+        return np.multiply(np.conjugate(symbol[piece]), m[piece])
 
     def pairing_gaps(phi: np.ndarray) -> list:
         """<P u - u, phi> per size: the ball sum of Re(u conj(phi)) minus its
-        whole-lattice sum, from one table at a time."""
+        whole-lattice sum."""
 
-        def kernel(start: int, stop: int, out: np.ndarray) -> None:
-            out[:] = np.multiply(u[start:stop], np.conjugate(phi[start:stop])).real
+        def kernel(piece) -> float:
+            return np.sum(np.multiply(u[piece], np.conjugate(phi[piece])).real)
 
         *balls, whole = _kernel_sums(lattice, kernel, radii)
         return [total - whole for total in balls]

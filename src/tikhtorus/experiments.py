@@ -28,6 +28,7 @@ from .rates import (
     DivergenceTables,
     SweepRow,
     SweepTables,
+    _deblur_pass,
     error_sweep,
     predicted_exponent,
 )
@@ -158,6 +159,11 @@ def _error_plot(config: ExperimentConfig, curves: dict, title: str, ylabel: str)
     )
 
 
+def _plot_band(config: ExperimentConfig) -> int:
+    """The bandlimit the signal snapshot is plotted at."""
+    return min(config.bandlimit, (config.plot_points - 1) // 2)
+
+
 def _snapshot(
     config: ExperimentConfig,
     operator: MultiplierOperator,
@@ -168,13 +174,14 @@ def _snapshot(
 ) -> tuple:
     """Signal table of the illustrative reconstruction at SIGNAL_DELTA, one
     float64 row (x, truth, data, reconstruction) per plot point, its plot,
-    and the bandlimit it is plotted at.
+    and the bandlimit it is plotted at (:func:`_plot_band`).
 
-    The truth and the draw are truncated to that bandlimit first, and the
-    measurement and reconstruction are made on its small lattice: both are
-    per-mode operations, so they equal the truncations of the full-lattice
-    ones bit for bit."""
-    plot_band = min(config.bandlimit, (config.plot_points - 1) // 2)
+    The truth and the draw (on any lattice that holds that band) are
+    truncated to that bandlimit first, and the measurement and
+    reconstruction are made on its small lattice: both are per-mode
+    operations, so they equal the truncations of the full-lattice ones bit
+    for bit."""
+    plot_band = _plot_band(config)
     truth = truncate(truth, plot_band)
     measurement = forward(operator, truth, SIGNAL_DELTA, truncate(noise, plot_band))
     reconstruction = solve(operator, measurement.data, alpha, r)
@@ -205,11 +212,15 @@ def run_deblur(config: ExperimentConfig) -> dict:
     a signal/reconstruction snapshot at a fixed small delta, the H^1
     certificate, and plots.
 
-    One pass over the seeds: each seed is drawn once, and that draw feeds the
-    error sweep, the certificate and, for the first seed, the snapshot. Only
-    one draw is alive at a time. The sweep and the certificate share the
-    operator's cached symbol tables on the reference lattice, evaluated once
-    by the ellipticity check.
+    The snapshot draws the first seed on its plot band only; nesting makes
+    that draw the truncation of the reference one. The error sweep and the
+    certificate then take every seed in one streamed pass of their shared
+    leaf kernel (``rates._deblur_pass``): each seed's span of each piece of
+    the reference lattice is drawn once, and no draw exists lattice-wide.
+    Its sums follow ``spectral._kernel_sums``' summation rule, and its checks
+    run in seed order after the snapshot's. The sweep and the certificate
+    share the operator's cached symbol tables on the reference lattice,
+    evaluated once by the ellipticity check.
     """
     operator, lattice, truth, schedule = _problem(config)
     signal_alpha = _positive_alpha(schedule, SIGNAL_DELTA)
@@ -232,18 +243,10 @@ def run_deblur(config: ExperimentConfig) -> dict:
                 f"{exc} ([grids] delta_grid, [operator] exponent = {config.operator_exponent:g})"
             ) from exc
 
-    errors = []
-    divergence = []
-    for j, seed in enumerate(config.seeds):
-        noise = sample_white_noise(lattice, seed)
-        if j == 0:  # illustrative reconstruction at the fixed noise amplitude
-            signal_table, signal_plot, plot_band = _snapshot(
-                config, operator, truth, noise, signal_alpha, schedule.r
-            )
-        errors.append(sweep.errors(noise.coefficients))
-        if certificate is not None:
-            divergence.append(certificate.rows(seed, noise.coefficients))
-        del noise  # so the next draw never overlaps this one
+    # illustrative reconstruction at the fixed noise amplitude
+    noise = sample_white_noise(FrequencyLattice(1, _plot_band(config)), config.seeds[0])
+    signal_table, signal_plot, plot_band = _snapshot(config, operator, truth, noise, signal_alpha, schedule.r)
+    errors, divergence = _deblur_pass(sweep, certificate, config.seeds)
     result = sweep.result(errors)
 
     divergence_meta: dict = {"emitted": False}

@@ -27,7 +27,9 @@ CPU of the process's affinity by ``spectral._map_chunks``. Each chunk builds
 its own ``PCG64(seed)`` and moves it to its first uniform with
 ``PCG64.advance``; ``random()`` takes exactly one 64-bit output per double,
 so a chunk reads the same uniforms as one whole-stream call would, and the
-bytes depend neither on the CPU count nor on the chunk size.
+bytes depend neither on the CPU count nor on the chunk size. In d = 1 any
+span of lattice positions can be drawn the same way, on its own, with the
+bytes of the whole draw (``_draw_span``); a deblur run streams its draws so.
 
 Draw order and nesting
 ----------------------
@@ -93,35 +95,72 @@ def _box_muller(uniforms: np.ndarray) -> tuple:
     return radius * np.cos(angle), radius * np.sin(angle)
 
 
-def _draw_chunks(lattice: FrequencyLattice, seed: int, store: Callable) -> float:
-    """Draw one realization chunk by chunk: ``store(canonical, conjugate,
-    values)`` receives the values at a run of canonical modes in draw order
-    and their lattice positions; the zero-mode variate is returned.
-
-    1 + 2n variates in n + 1 Box-Muller pairs: z[0] is the zero mode, then
-    (z[2k+1], z[2k+2]) = (sin half k, cos half k+1) for canonical mode k. The
-    chunk of modes [a, b) reads pairs a..b, the uniforms [2a, 2b+2) of the
-    stream, which its own PCG64 reaches with ``advance(2a)``: ``random()``
-    takes one 64-bit output per double."""
+def _seed_index(seed) -> int:
+    """``seed`` as an int, or a ParameterError unless it is a non-negative
+    integer."""
     index = _as_index(seed)
     if index is None or index < 0:
         raise ParameterError(f"seed must be a non-negative integer, got {seed!r}")
+    return index
+
+
+def _pair_values(index: int, start: int, stop: int) -> tuple:
+    """The values of the canonical modes [start, stop) in draw order, and
+    z[2 start]: 1 + 2n variates in n + 1 Box-Muller pairs, z[0] the zero mode,
+    then (z[2k+1], z[2k+2]) = (sin half k, cos half k+1) for canonical mode
+    k. The modes [start, stop) read pairs start..stop, the uniforms
+    [2 start, 2 stop + 2) of the stream, which their own PCG64 reaches with
+    ``advance(2 start)``: ``random()`` takes one 64-bit output per double."""
+    bit_generator = np.random.PCG64(index)
+    bit_generator.advance(2 * start)
+    uniforms = np.random.Generator(bit_generator).random(2 * (stop - start + 1))
+    cos_half, sin_half = _box_muller(uniforms)
+    return (sin_half[:-1] + 1j * cos_half[1:]) / np.sqrt(2.0), cos_half[0]
+
+
+def _draw_chunks(lattice: FrequencyLattice, seed: int, store: Callable) -> float:
+    """Draw one realization chunk by chunk: ``store(canonical, conjugate,
+    values)`` receives the values at a run of canonical modes in draw order
+    (:func:`_pair_values`) and their lattice positions; the zero-mode
+    variate is returned."""
+    index = _seed_index(seed)
     canonical = _draw_layout(lattice.dimension, lattice.bandlimit)
     last = lattice.mode_count - 1
 
-    def uniforms(start: int, count: int) -> np.ndarray:
-        bit_generator = np.random.PCG64(index)
-        bit_generator.advance(2 * start)
-        return np.random.Generator(bit_generator).random(count)
-
     def draw(start: int, stop: int) -> None:
-        cos_half, sin_half = _box_muller(uniforms(start, 2 * (stop - start + 1)))
-        values = (sin_half[:-1] + 1j * cos_half[1:]) / np.sqrt(2.0)
+        values = _pair_values(index, start, stop)[0]
         positions = canonical[start:stop]
         store(positions, last - positions, values)
 
     _map_chunks(draw, canonical.size)
-    return _box_muller(uniforms(0, 2))[0][0]
+    return _pair_values(index, 0, 0)[1]
+
+
+def _draw_span(lattice: FrequencyLattice, seed: int, start: int, stop: int) -> np.ndarray:
+    """``sample_white_noise(lattice, seed).coefficients[start:stop]`` of a
+    d = 1 lattice, drawn directly, with no layout and no field: above the
+    zero mode, position p holds canonical mode p - zero - 1; below it, the
+    canonical modes are mirrored and conjugated. One run of canonical modes
+    covers both sides."""
+    index = _seed_index(seed)
+    zero = lattice.zero_index
+    if stop <= zero:  # the canonical modes the span reads
+        first, end = zero - stop, zero - start
+    elif start > zero:
+        first, end = start - zero - 1, stop - zero - 1
+    else:
+        first, end = 0, max(zero - start, stop - zero - 1)
+    values, z0 = _pair_values(index, first, end)
+    span = np.empty(stop - start, dtype=np.complex128)
+    below = max(0, min(stop, zero) - start)  # positions start .. start + below - 1
+    if below:
+        span[:below] = values[zero - start - below - first : zero - start - first][::-1].conj()
+    above = max(0, stop - max(start, zero + 1))  # positions stop - above .. stop - 1
+    if above:
+        span[stop - start - above :] = values[stop - zero - 1 - above - first : stop - zero - 1 - first]
+    if start <= zero < stop:
+        span[zero - start] = z0
+    return span
 
 
 def sample_white_noise(lattice: FrequencyLattice, seed: int) -> SpectralField:
@@ -208,8 +247,9 @@ def regularity_probe(
     ``sample_white_noise(top, seed)`` summed over ``shells <= m`` bit for bit.
     The weights are the shared ``sobolev_weights(top, s)`` tables. The |c|^2
     table, reused across the seeds, is allocated once and filled chunk by
-    chunk across the CPUs; each ``w * |c|^2`` is summed over the truncations
-    by ``spectral._kernel_sums``.
+    chunk across the CPUs; every ``w * |c|^2`` of a seed is summed over the
+    truncations in one ``spectral._kernel_sums`` call, whose docstring
+    states the summation rule.
     """
     if len(s_values) == 0 or len(bandlimits) == 0 or len(seeds) == 0:
         raise ConfigError("regularity_probe needs nonempty s_values, bandlimits, seeds")
@@ -227,14 +267,14 @@ def regularity_probe(
         energies[:, 0] = [_ball_sums(top, w, bandlimits) for w in weights]
         power = np.empty(top.mode_count)
 
-        def weigh(start: int, stop: int, out: np.ndarray) -> None:
-            """(1+|l|^2)^s |c(l)|^2 for the w and power the loop below sets."""
-            np.multiply(w[start:stop], power[start:stop], out=out)
+        def kernel(piece) -> np.ndarray:
+            """The sums of (1+|l|^2)^s |c(l)|^2 on ``piece``, one per s, for
+            the power the loop below draws."""
+            return np.array([np.sum(np.multiply(w[piece], power[piece])) for w in weights])
 
         for j, seed in enumerate(seeds, start=1):
             _draw_power(top, seed, out=power)
-            for i, w in enumerate(weights):
-                energies[i, j] = _kernel_sums(top, weigh, bandlimits)
+            energies[:, j] = np.transpose(_kernel_sums(top, kernel, bandlimits))
     if not np.isfinite(energies).all():
         i, _, k = np.argwhere(~np.isfinite(energies))[0]
         raise ParameterError(

@@ -3,22 +3,24 @@ slope fitting for delta sweeps, reconstruction-error sweeps, and the H^1
 divergence certificate for the filtered noise part.
 
 The sweep and the certificate each split into seed-independent tables
-(:class:`SweepTables`, :class:`DivergenceTables`), a per-seed kernel that
-takes the noise coefficients, and a summary. :func:`error_sweep` and
-:func:`h1_divergence` loop draw -> kernel; a deblur run draws each seed once
-and feeds every stage (sweep, certificate, snapshot) from that draw.
+(:class:`SweepTables`, :class:`DivergenceTables`), per-seed sums and a
+summary. Both tables are stages of one leaf kernel (``_pass_sums``): per
+piece of the lattice it forms each delta's factors once for a block of
+seeds, then each seed's sums in piece-sized buffers, and
+``spectral._kernel_sums`` adds the pieces' sums up (its docstring states the
+summation rule, so the bytes depend neither on the CPU count nor on the
+piece size). :func:`error_sweep`, :func:`h1_divergence` and the tables'
+per-seed methods run that kernel one seed at a time over a draw they are
+given. A d = 1 deblur run (``_deblur_pass``) runs it once for every seed,
+drawing each seed's span of each piece directly (``noise._draw_span``), so
+no draw exists lattice-wide.
 
-The sweep's kernel takes each piece's bias and filtered-noise parts from
-``tikhonov._split``, the routine that :func:`~tikhtorus.tikhonov.solve_split`
-runs on the whole lattice, so the two share one spelling of the split.
-
-The kernels do their elementwise work in pieces of ``spectral._CHUNK`` modes,
-each with its own small scratch, spread over the CPUs of the process's
-affinity, and take every sum through ``spectral._kernel_sums`` (whose
-docstring states the summation rule), so the bytes depend neither on the
-CPU count nor on the chunk size. The sweep's kernel checks its noise
-coefficients once, at entry, so the error that a non-finite draw raises does
-not depend on the pieces either.
+The sweep's kernel takes the bias and filtered-noise parts from
+``tikhonov._delta_parts`` and ``tikhonov._noise_part``, the routines that
+:func:`~tikhtorus.tikhonov.solve_split` runs on the whole lattice, so the two
+share one spelling of the split. Every check runs on the finished sums, in
+seed order, so the error that a bad input raises does not depend on the
+pieces either.
 """
 
 from __future__ import annotations
@@ -26,23 +28,22 @@ from __future__ import annotations
 import dataclasses
 import math
 import sys
-from typing import NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
 from .errors import CalibrationError, DomainError, InvalidFieldError, ParameterError
-from .noise import sample_white_noise
+from .noise import _draw_span, _seed_index, sample_white_noise
 from .spectral import (
     FrequencyLattice,
     MultiplierOperator,
     SpectralField,
     _kernel_sums,
-    _map_chunks,
     finite_sobolev_weights,
     sobolev_norm,
     sobolev_weights,
 )
-from .tikhonov import RegularizationSchedule, _split
+from .tikhonov import RegularizationSchedule, _delta_parts, _noise_part
 
 __all__ = [
     "RateExponents",
@@ -212,18 +213,18 @@ class SweepTables:
     The constructor validates the grids and takes the per-mode tables once
     per sweep: a and |a|^2 on the truth's lattice (the operator's cached
     tables, shared with a :class:`DivergenceTables` of the same run),
-    (1+|l|^2)^r and alpha(delta) per delta. :meth:`errors` is the per-seed
-    kernel and :meth:`result` the summary, so a caller that already holds a
-    noise draw (a deblur run) can feed it in without drawing again.
+    (1+|l|^2)^r, (1+|l|^2)^s1 per s1 and alpha(delta) per delta.
+    :meth:`errors` is the per-seed kernel and :meth:`result` the summary, so
+    a caller that already holds a noise draw can feed it in without drawing
+    again.
 
-    The kernel builds each (seed, delta) deviation piece by piece across
-    the CPUs, in piece-sized scratch, from the bias and noise parts of
-    ``tikhonov._split``, and squares it once into a
-    lattice-sized |T(m) - u|^2, reused across the s1 values; each norm is
-    sqrt(sum((1+|l|^2)^s1 |T(m) - u|^2)), summed by
-    ``spectral._kernel_sums``: the arithmetic and summation order of
-    :func:`~tikhtorus.spectral.sobolev_norm`, so each error equals that
-    function's value on the deviation bit for bit.
+    Per piece and delta, the kernel forms the gain conj(a)/z and the bias
+    part once (``tikhonov._delta_parts``); per seed, the filtered noise part,
+    the deviation T(m) - u and |T(m) - u|^2 in piece-sized buffers, and one
+    sum of (1+|l|^2)^s1 |T(m) - u|^2 per s1. Each error is the square root
+    of a sum taken by ``spectral._kernel_sums``: the arithmetic and
+    summation order of :func:`~tikhtorus.spectral.sobolev_norm`, so each
+    error equals that function's value on the deviation bit for bit.
 
     :meth:`errors` rejects a draw with a non-finite coefficient at entry
     (InvalidFieldError). An error that is still not finite raises a
@@ -269,46 +270,55 @@ class SweepTables:
                 f"mode, so the filter is 0/0 there ([schedule] alpha0 = {schedule.alpha0:g}, "
                 f"kappa = {schedule.kappa:g})"
             )
+        with np.errstate(over="ignore"):  # an s1 whose weights overflow is named by _errors
+            self._s1_weights = [sobolev_weights(lattice, s1) for s1 in self.s1_list]
 
     def errors(self, eps: np.ndarray) -> np.ndarray:
         """errors[k, i] = ||T(m_delta_i) - u||_{H^s1_k} for one noise draw
         ``eps`` (its coefficients; zeros for the noise-free pipeline)."""
         if not np.isfinite(eps).all():
             raise InvalidFieldError("field has non-finite coefficients")
-        lattice, size = self.truth.lattice, self.truth.coefficients.size
-        errors = np.empty((len(self.s1_list), len(self.delta_grid)))
-        power = np.empty(size)  # |T(m) - u|^2
+        sums = _pass_sums(self.truth.lattice, lambda j, start, stop: eps[start:stop], 1, [self])
+        return self._errors(sums[0])
 
-        def square(start: int, stop: int) -> None:
-            """|T(m) - u|^2 on the modes [start, stop), in piece-sized buffers."""
-            u = self.truth.coefficients[start:stop]
-            tables = (self._symbol[start:stop], self._symbol_sq[start:stop], self._weights_r[start:stop])
-            bias, noisy = _split(*tables, alpha, u, np.multiply(delta, eps[start:stop]))
-            result = np.add(bias, noisy, out=bias)
-            deviation = np.subtract(result, u, out=result)
-            np.square(deviation.real, out=power[start:stop])
-            np.add(power[start:stop], np.square(deviation.imag), out=power[start:stop])
-
-        def weigh(start: int, stop: int, out: np.ndarray) -> None:
-            """(1+|l|^2)^s1 |T(m) - u|^2, with the weights the loop below sets."""
-            np.multiply(weights[start:stop], power[start:stop], out=out)
-
+    def _block_sums(self, i: int, piece: slice, block: list) -> np.ndarray:
+        """sums[j, k]: the sum of (1+|l|^2)^s1_k |T(m) - u|^2 on ``piece`` at
+        delta i for the noise coefficients block[j] on that piece."""
+        u = self.truth.coefficients[piece]
+        delta = self.delta_grid[i]
+        sums = np.empty((len(block), len(self.s1_list)))
+        power = np.empty(u.size)  # |T(m) - u|^2
+        weighted = np.empty(u.size)
         # an inf z (alpha (1+|l|^2)^r overflows) makes the filter factors 0,
         # their value in double precision; an error that is not finite is
-        # caught below
+        # caught by _errors
         with np.errstate(over="ignore", invalid="ignore"):
-            for i, (delta, alpha) in enumerate(zip(self.delta_grid, self._alphas)):
-                _map_chunks(square, size)
-                for k, s1 in enumerate(self.s1_list):
-                    weights = sobolev_weights(lattice, s1)
-                    error = float(np.sqrt(_kernel_sums(lattice, weigh)))
-                    if not math.isfinite(error):
-                        where = f"s1 = {s1:g}, delta = {delta:g}"
-                        finite_sobolev_weights(lattice, s1, f"the error at {where} ([grids] s1_list)")
-                        raise ParameterError(
-                            f"error at {where} is {error}, not finite ([grids] delta_grid)"
-                        )
-                    errors[k, i] = error
+            tables = self._symbol[piece], self._symbol_sq[piece], self._weights_r[piece]
+            gain, bias = _delta_parts(*tables, self._alphas[i], u)
+            for row, eps in zip(sums, block):
+                noisy = _noise_part(gain, np.multiply(delta, eps))
+                deviation = np.subtract(np.add(bias, noisy, out=noisy), u, out=noisy)
+                np.square(deviation.real, out=power)
+                np.add(power, np.square(deviation.imag, out=weighted), out=power)
+                row[:] = [np.sum(np.multiply(w[piece], power, out=weighted)) for w in self._s1_weights]
+        return sums
+
+    def _errors(self, sums: np.ndarray) -> np.ndarray:
+        """The errors of one seed from its sums[i, k] (delta i, s1 k), checked
+        in (delta, s1) order."""
+        errors = np.empty((len(self.s1_list), len(self.delta_grid)))
+        for i, delta in enumerate(self.delta_grid):
+            for k, s1 in enumerate(self.s1_list):
+                error = float(np.sqrt(sums[i, k]))
+                if not math.isfinite(error):
+                    where = f"s1 = {s1:g}, delta = {delta:g}"
+                    finite_sobolev_weights(
+                        self.truth.lattice, s1, f"the error at {where} ([grids] s1_list)"
+                    )
+                    raise ParameterError(
+                        f"error at {where} is {error}, not finite ([grids] delta_grid)"
+                    )
+                errors[k, i] = error
         return errors
 
     def result(self, per_seed: list) -> SweepResult:
@@ -368,14 +378,15 @@ def error_sweep(
     (eps = 0, reported as seed -1). Errors are normalized per s1 curve so the
     seed-median starts at 1 at the largest delta; slopes are fitted on the
     seed-median raw errors, the robust choice under white-noise scatter.
-    The per-mode work runs in mode chunks across the CPUs, and the sums go
-    through ``spectral._kernel_sums``, so the errors do not depend on the
-    CPU count.
+    The per-mode work runs in pieces across the CPUs, and the sums follow the
+    summation rule of ``spectral._kernel_sums``, so the errors do not depend
+    on the CPU count.
 
-    Each seed is drawn once and only one draw is alive at a time. A deblur
-    run feeds the same draw to this sweep's per-seed kernel
-    (:class:`SweepTables`), to the H^1 certificate and, for its first seed,
-    to the signal snapshot.
+    Each seed is drawn once, as a whole field, and fed to the per-seed
+    kernel (:class:`SweepTables`); this route serves every dimension and the
+    noise-free pipeline. A d = 1 deblur run builds no draw: it streams every
+    seed through the same kernel piece by piece, together with its H^1
+    certificate.
     """
     tables = SweepTables(A, truth, schedule, s1_list, delta_grid, seeds)
     errors = [
@@ -471,10 +482,10 @@ class DivergenceTables:
     ``lattice`` next to the shared (1+|l|^2) weights.
     :meth:`rows` is the per-seed kernel and :meth:`report` the summary.
 
-    The kernel forms (1+|l|^2) |w_delta|^2 piece by piece across the CPUs,
-    with piece-sized temporaries, and sums it through
-    ``spectral._kernel_sums``; the lower bound squares the band's noise
-    coefficients after gathering them.
+    Per piece and delta, the kernel forms |a|^2 delta^2 and z^2 once; per
+    seed, (1+|l|^2) |w_delta|^2 in piece-sized buffers and its sum, taken by
+    ``spectral._kernel_sums``. The lower bound squares the band's noise
+    coefficients after reading them.
     """
 
     def __init__(
@@ -508,32 +519,45 @@ class DivergenceTables:
     def rows(self, seed: int, eps: np.ndarray) -> list:
         """One :class:`DivergenceRow` per delta for the noise draw ``eps``
         (its coefficients) of ``seed``."""
+        sums = _pass_sums(self._lattice, lambda j, start, stop: eps[start:stop], 1, [self])
+        return self._rows(seed, sums[0, :, 0], lambda start, stop: eps[start:stop])
 
-        def weigh(start: int, stop: int, out: np.ndarray) -> None:
-            """(1+|l|^2) |w_delta|^2 on the modes [start, stop)."""
-            piece = eps[start:stop]
-            symbol_sq, weights1 = self._symbol_sq[start:stop], self._weights1[start:stop]
-            z = symbol_sq + alpha * weights1
-            w_power = symbol_sq * (delta * delta) * (piece.real**2 + piece.imag**2) / (z * z)
-            np.multiply(weights1, w_power, out=out)
-
-        rows = []
+    def _block_sums(self, i: int, piece: slice, block: list) -> np.ndarray:
+        """sums[j, 0]: the sum of (1+|l|^2) |w_delta|^2 on ``piece`` at delta
+        i for the noise coefficients block[j] on that piece."""
+        symbol_sq, weights1 = self._symbol_sq[piece], self._weights1[piece]
+        alpha, delta = self._alphas[i], self.bands[i].delta
+        sums = np.empty((len(block), 1))
         # z * z may leave the double range at some modes: their share of the
-        # norm is then 0 (benign) or inf/nan, which is caught below
+        # norm is then 0 (benign) or inf/nan, which _rows catches
         with np.errstate(all="ignore"):
-            for band, alpha in zip(self.bands, self._alphas):
-                delta = band.delta
-                members = eps[band.member_indices]
+            z = symbol_sq + alpha * weights1
+            scaled_sq, z_sq = symbol_sq * (delta * delta), z * z
+            for row, eps in zip(sums, block):
+                w_power = scaled_sq * (eps.real**2 + eps.imag**2) / z_sq
+                row[0] = np.sum(np.multiply(weights1, w_power, out=w_power))
+        return sums
+
+    def _rows(self, seed: int, h1_sums: np.ndarray, noise: Callable) -> list:
+        """The rows of one seed from its sums per delta and ``noise(start,
+        stop)``, its coefficients on the modes [start, stop), checked in
+        delta order."""
+        rows = []
+        with np.errstate(all="ignore"):
+            for band, alpha, h1_norm_sq in zip(self.bands, self._alphas, h1_sums.tolist()):
+                indices = band.member_indices  # sorted; read run by run
+                runs = np.split(indices, np.flatnonzero(np.diff(indices) != 1) + 1)
+                members = np.concatenate([noise(int(run[0]), int(run[-1]) + 1) for run in runs])
                 row = DivergenceRow(
-                    delta=delta,
+                    delta=band.delta,
                     seed=int(seed),
-                    band_size=int(band.member_indices.size),
+                    band_size=int(indices.size),
                     lower_bound=self._bound_factor * float(np.sum(members.real**2 + members.imag**2)),
-                    h1_norm_sq=_kernel_sums(self._lattice, weigh),
+                    h1_norm_sq=h1_norm_sq,
                 )
                 if not 0.0 < row.h1_norm_sq < math.inf:
                     raise ParameterError(
-                        f"||w_delta||_H^1^2 is {row.h1_norm_sq} at delta = {delta:g}, seed = {seed}: "
+                        f"||w_delta||_H^1^2 is {row.h1_norm_sq} at delta = {band.delta:g}, seed = {seed}: "
                         f"(|a|^2 + alpha (1+|l|^2))^2 leaves the double range at alpha = {alpha:g} "
                         "([schedule] alpha0)"
                     )
@@ -576,12 +600,12 @@ def h1_divergence(
     statistic is the per-seed min/max ratio of ||w_delta||_{H^1} across the
     grid: bounded away from zero means no decay.
 
-    Each seed is drawn once and only one draw is alive at a time. A deblur
-    run feeds the per-seed kernel (:class:`DivergenceTables`) the same draw
-    its error sweep uses, so the certificate draws nothing of its own there.
-    The per-mode work runs in mode chunks across the CPUs, and the sums go
-    through ``spectral._kernel_sums``, so the rows do not depend on the CPU
-    count.
+    Each seed is drawn once, as a whole field, and fed to the per-seed
+    kernel (:class:`DivergenceTables`). A d = 1 deblur run builds no draw:
+    its error sweep's pass streams every seed through the certificate too.
+    The per-mode work runs in pieces across the CPUs, and the sums follow the
+    summation rule of ``spectral._kernel_sums``, so the rows do not depend
+    on the CPU count.
     """
     tables = DivergenceTables(A, schedule, delta_grid, seeds, lattice)
     rows = [
@@ -589,3 +613,62 @@ def h1_divergence(
         for seed in seeds
     ]
     return tables.report(rows)
+
+
+# seeds whose draws a piece of the pass holds at once, so a worker's scratch
+# grows with neither the seed count nor the delta grid. Each delta's factors
+# are formed once per block. A block of 2 is 1 MiB of draws per worker on a
+# 32,768-mode piece and keeps the scratch below the setup's transient peak at
+# 262,145 modes; 8 (4 MiB) ran 0.03-0.05 s faster on 524,289 modes and
+# 5 seeds, but made a 40-seed run peak 40 % above a 2-seed one
+_SEED_BLOCK = 2
+
+
+def _pass_sums(lattice: FrequencyLattice, noise: Callable, count: int, stages: list) -> np.ndarray:
+    """sums[j, i, :] of seed j = 0..count-1 at delta i: the sums of each of
+    ``stages`` (a :class:`SweepTables` and/or a :class:`DivergenceTables` on
+    ``lattice`` with the same delta grid), side by side, from the one leaf
+    kernel. ``noise(j, start, stop)`` gives seed j's coefficients on the
+    modes [start, stop); the kernel asks once for each seed and piece, a
+    block of seeds at a time, and forms each delta's factors once per
+    block."""
+    deltas = len(stages[0]._alphas)
+
+    def kernel(piece: slice) -> np.ndarray:
+        blocks = []
+        for first in range(0, count, _SEED_BLOCK):
+            block = [noise(j, piece.start, piece.stop) for j in range(first, min(count, first + _SEED_BLOCK))]
+            sums = [np.hstack([stage._block_sums(i, piece, block) for stage in stages]) for i in range(deltas)]
+            blocks.append(np.stack(sums, axis=1))  # (seed, delta, sum)
+        return np.concatenate(blocks).reshape(-1)
+
+    return _kernel_sums(lattice, kernel).reshape(count, deltas, -1)
+
+
+def _deblur_pass(sweep: SweepTables, certificate: DivergenceTables | None, seeds: Sequence[int]) -> tuple:
+    """The outputs of ``sweep.errors`` and ``certificate.rows`` (an empty
+    list without a certificate) for the draws of ``seeds`` on the sweep's
+    d = 1 lattice, one per seed, from one pass of the leaf kernel: each
+    seed's span of each piece is drawn once, straight from its stream
+    (``noise._draw_span``), so no draw exists lattice-wide, and the
+    certificate's lower bound reads its band members the same way. The
+    checks run on the finished sums, per seed the sweep's and then the
+    certificate's, as the per-seed methods would raise them."""
+    lattice = sweep.truth.lattice
+    for seed in seeds:
+        _seed_index(seed)
+    stages = [sweep] if certificate is None else [sweep, certificate]
+    sums = _pass_sums(
+        lattice, lambda j, start, stop: _draw_span(lattice, seeds[j], start, stop), len(seeds), stages
+    )
+    width = len(sweep.s1_list)
+    errors, rows = [], []
+    for seed, seed_sums in zip(seeds, sums):
+        errors.append(sweep._errors(seed_sums[:, :width]))
+        if certificate is not None:
+            rows.append(
+                certificate._rows(
+                    seed, seed_sums[:, width], lambda start, stop: _draw_span(lattice, seed, start, stop)
+                )
+            )
+    return errors, rows

@@ -22,7 +22,7 @@ import operator
 import os
 import threading
 from functools import lru_cache
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -281,12 +281,12 @@ def check_ellipticity(op: MultiplierOperator, lattice: FrequencyLattice) -> None
         )
 
 
-# items per piece of a chunked kernel (the Sobolev weight tables and every
-# table _kernel_sums fills, the noise draws, the error sweep's deviations): a
-# piece keeps under 2 MiB of temporaries alive, which stays in a core's cache
-# and leaves little in the worker threads' malloc arenas; the shipped
-# configs' lattices (up to 32,769 modes) stay below two pieces and so on the
-# calling thread
+# items per piece of a chunked kernel (the Sobolev weight tables, the noise
+# draws) and at most per leaf of a tree sum (every sum :func:`_kernel_sums`
+# takes): a piece keeps under 2 MiB of temporaries alive, which stays in a
+# core's cache and leaves little in the worker threads' malloc arenas; the
+# shipped configs' lattices (up to 32,769 modes) stay below two pieces and so
+# on the calling thread
 _CHUNK = 32768
 
 
@@ -296,36 +296,29 @@ def _cpu_count() -> int:
     return os.cpu_count() or 1
 
 
-def _map_chunks(kernel: Callable[[int, int], object], size: int) -> None:
-    """Call ``kernel(start, stop)`` on the consecutive pieces of [0, size),
-    ``_CHUNK`` items each (the last one shorter). This is the package's one
-    chunk dispatcher; ``noise`` and ``rates`` import it from here, so
-    ``_CHUNK`` and ``_cpu_count`` are read from this module.
-
-    Below two chunks this is a plain loop on the calling thread. Otherwise
+def _dispatch(task: Callable[[int], object], count: int, size: int) -> None:
+    """Call ``task(i)`` for i in range(count), the pieces of a job over
+    ``size`` items. This is the package's one dispatcher: below two
+    ``_CHUNK``s of items it is a plain loop on the calling thread; otherwise
     the pieces are split into one contiguous range per CPU of the process's
-    affinity; the calling thread walks the first range and one thread each
-    the others. Kernels write disjoint slices and sum nothing (a sum goes
-    through :func:`_kernel_sums`), so the result depends neither on the
-    split nor on ``_CHUNK``.
-    Workers run under the caller's ``np.errstate`` (which numpy keeps per
-    thread). A range stops at its first exception, which re-raises here once
-    every range has stopped (the earliest range's, if several fail).
-    """
-    chunks = -(-size // _CHUNK)
-    workers = min(chunks, _cpu_count()) if size >= 2 * _CHUNK else 1
+    affinity, the calling thread walks the first range and one thread each
+    the others. Workers run under the caller's ``np.errstate`` (which numpy
+    keeps per thread). A range stops at its first exception, which re-raises
+    here once every range has stopped (the earliest range's, if several
+    fail)."""
+    workers = min(count, _cpu_count()) if size >= 2 * _CHUNK else 1
     errstate = np.geterr()
     failures: list = [None] * workers
 
-    def run(task: int) -> None:
+    def run(worker: int) -> None:
         try:
             with np.errstate(**errstate):
-                for piece in range(task * chunks // workers, (task + 1) * chunks // workers):
-                    kernel(piece * _CHUNK, min(size, (piece + 1) * _CHUNK))
+                for i in range(worker * count // workers, (worker + 1) * count // workers):
+                    task(i)
         except BaseException as exc:  # re-raised on the calling thread
-            failures[task] = exc
+            failures[worker] = exc
 
-    threads = [threading.Thread(target=run, args=(task,)) for task in range(1, workers)]
+    threads = [threading.Thread(target=run, args=(worker,)) for worker in range(1, workers)]
     for thread in threads:
         thread.start()
     run(0)
@@ -334,6 +327,17 @@ def _map_chunks(kernel: Callable[[int, int], object], size: int) -> None:
     for exc in failures:
         if exc is not None:
             raise exc
+
+
+def _map_chunks(kernel: Callable[[int, int], object], size: int) -> None:
+    """Call ``kernel(start, stop)`` on the consecutive pieces of [0, size),
+    ``_CHUNK`` items each (the last one shorter), through :func:`_dispatch`.
+    ``noise`` imports it from here, so ``_CHUNK`` and ``_cpu_count`` are read
+    from this module. Kernels write disjoint slices and sum nothing (a sum
+    goes through :func:`_kernel_sums`), so the result depends neither on the
+    split nor on ``_CHUNK``."""
+    chunks = -(-size // _CHUNK)
+    _dispatch(lambda piece: kernel(piece * _CHUNK, min(size, (piece + 1) * _CHUNK)), chunks, size)
 
 
 class _Uncached(Exception):
@@ -404,6 +408,15 @@ def apply_multiplier(op: MultiplierOperator, field: SpectralField) -> SpectralFi
     return SpectralField(field.lattice, values * field.coefficients)
 
 
+def _ball_bandlimit(lattice: FrequencyLattice, m) -> int:
+    """``m``, or an error unless it is the bandlimit of a ball of the lattice."""
+    if _as_index(m) is None:
+        raise ParameterError(f"bandlimit must be an integer, got {m!r}")
+    if not 0 <= m <= lattice.bandlimit:
+        raise TruncationRangeError(f"bandlimit {m} is outside 0..{lattice.bandlimit}, the lattice's range")
+    return m
+
+
 def ball(lattice: FrequencyLattice, table: np.ndarray, m: int) -> np.ndarray:
     """The entries of a lattice-ordered table at the modes with
     max_i |l_i| <= m, as a view of shape (2m+1,)*d.
@@ -415,10 +428,7 @@ def ball(lattice: FrequencyLattice, table: np.ndarray, m: int) -> np.ndarray:
     2-d. Writing through the view writes the table.
     """
     M = lattice.bandlimit
-    if _as_index(m) is None:
-        raise ParameterError(f"bandlimit must be an integer, got {m!r}")
-    if not 0 <= m <= M:
-        raise TruncationRangeError(f"bandlimit {m} is outside 0..{M}, the lattice's range")
+    _ball_bandlimit(lattice, m)
     cube = table.reshape((2 * M + 1,) * lattice.dimension)
     return cube[(slice(M - m, M + m + 1),) * lattice.dimension]
 
@@ -432,39 +442,100 @@ def _ball_sums(lattice: FrequencyLattice, table: np.ndarray, bandlimits) -> list
     return [float(np.sum(ball(lattice, table, m).reshape(-1))) for m in bandlimits]
 
 
+def _pairwise_tree(start: int, size: int, leaves: list):
+    """numpy's float64 pairwise-summation tree over the items
+    [start, start + size): appends its leaves to ``leaves`` as (start, stop)
+    and returns the root, a leaf's index in ``leaves`` or a pair of nodes."""
+    if size <= max(_CHUNK, 128):
+        leaves.append((start, start + size))
+        return len(leaves) - 1
+    half = size // 2 - (size // 2) % 8
+    return (_pairwise_tree(start, half, leaves), _pairwise_tree(start + half, size - half, leaves))
+
+
+def _add_up(node, sums: list):
+    """The sum of a tree's leaf sums, added in the tree's order."""
+    if isinstance(node, int):
+        return sums[node]
+    return _add_up(node[0], sums) + _add_up(node[1], sums)
+
+
+def _pairwise_sums(sizes: Sequence[int], leaf_sums: Callable) -> list:
+    """One sum per item count in ``sizes``, from ``leaf_sums(j, start, stop)``,
+    the sums of the items [start, stop) of the j-th array (a float64 scalar
+    or vector): the leaves of every array run in one :func:`_dispatch`, and
+    each array's leaf sums are added up its :func:`_pairwise_tree`."""
+    leaves: list = []
+    owners: list = []
+    roots = []
+    for j, size in enumerate(sizes):
+        roots.append(_pairwise_tree(0, size, leaves))
+        owners += [j] * (len(leaves) - len(owners))
+    sums: list = [None] * len(leaves)
+
+    def task(i: int) -> None:
+        sums[i] = leaf_sums(owners[i], *leaves[i])
+
+    _dispatch(task, len(leaves), sum(sizes))
+    return [_add_up(root, sums) for root in roots]
+
+
+def _ball_piece(lattice: FrequencyLattice, m: int, start: int, stop: int):
+    """The lattice positions of the items [start, stop) of the ball of
+    bandlimit m in its own enumeration order (:func:`ball`): a slice when
+    the ball is one slice of the lattice (d = 1, or the whole lattice), else
+    an index array."""
+    M = lattice.bandlimit
+    if m == M:
+        return slice(start, stop)
+    if lattice.dimension == 1:
+        return slice(M - m + start, M - m + stop)
+    width = 2 * m + 1
+    index = np.arange(start, stop)
+    return (M - m + index // width) * (2 * M + 1) + (M - m + index % width)
+
+
 def _kernel_sums(lattice: FrequencyLattice, kernel: Callable, bandlimits=None):
-    """Sums of the per-mode table that ``kernel`` fills: the package's one way
-    to sum a per-mode quantity that is not already a table.
+    """Sums of per-mode quantities that ``kernel`` gives piece by piece: the
+    package's one way to sum a per-mode quantity. No lattice-sized table is
+    formed.
 
-    ``kernel(start, stop, out)`` writes the entries of the modes
-    [start, stop) to ``out``, that piece's slice of a lattice-sized float64
-    table, and reads only the [start, stop) slices of its inputs. It runs on
-    the pieces of :func:`_map_chunks`, across the CPUs, under the caller's
-    ``np.errstate``. The result is :func:`_ball_sums` over ``bandlimits``, a
-    list of floats, or the whole-lattice sum, a float, when ``bandlimits`` is
-    None.
+    ``kernel(piece)`` returns the sums over the modes ``piece`` indexes in
+    lattice-ordered tables (a slice, or for a ball of a 2-d lattice an index
+    array): a float64 scalar, or a vector in which each entry is one
+    ``np.sum`` of an array the kernel formed for that piece. It runs on the
+    pieces across the CPUs (:func:`_dispatch`), under the caller's
+    ``np.errstate``. The result is one sum per ball of ``bandlimits``, in
+    order, or the whole-lattice sum when ``bandlimits`` is None; a sum is a
+    float when the kernel returns scalars.
 
-    Summation rule: every sum is one whole-array ``np.sum`` of the finished
-    table on the calling thread, never a sum of per-piece sums. numpy's
-    pairwise summation order depends on the array's length, so only the
-    whole array gives sums that depend neither on the CPU count nor on
-    ``_CHUNK``, and that equal those of the table formed in one piece.
+    Summation rule: every sum equals ``np.sum`` of the whole table over its
+    ball (:func:`_ball_sums`) bit for bit, on any CPU count and ``_CHUNK``.
+    numpy sums a float64 array pairwise: a node of n > 128 items splits at
+    n//2 - (n//2) % 8, so an ``np.sum`` over a node's items gives that
+    node's exact value. The pieces are the nodes of each ball's own tree
+    with at most max(``_CHUNK``, 128) items (:func:`_pairwise_tree`), and
+    their sums are added up that tree.
     """
-    table = np.empty(lattice.mode_count)
-    _map_chunks(lambda start, stop: kernel(start, stop, table[start:stop]), table.size)
-    return float(np.sum(table)) if bandlimits is None else _ball_sums(lattice, table, bandlimits)
+    balls = [lattice.bandlimit] if bandlimits is None else [_ball_bandlimit(lattice, m) for m in bandlimits]
+    totals = _pairwise_sums(
+        [(2 * m + 1) ** lattice.dimension for m in balls],
+        lambda j, start, stop: kernel(_ball_piece(lattice, balls[j], start, stop)),
+    )
+    totals = [total if np.ndim(total) else float(total) for total in totals]
+    return totals[0] if bandlimits is None else totals
 
 
 def _sobolev_sums(lattice: FrequencyLattice, s: float, coeffs, bandlimits=None):
     """:func:`_kernel_sums` of (1+|l|^2)^s |c(l)|^2, the squared truncated H^s
-    norms. ``coeffs`` is a lattice-ordered table, or a function
-    ``(start, stop)`` giving its entries on those modes, for coefficients
-    that are never formed whole."""
+    norms. ``coeffs`` is a lattice-ordered table, or a function ``(piece)``
+    giving its entries on those modes, for coefficients that are never
+    formed whole."""
     weights = sobolev_weights(lattice, s)
 
-    def kernel(start: int, stop: int, out: np.ndarray) -> None:
-        piece = coeffs(start, stop) if callable(coeffs) else coeffs[start:stop]
-        np.multiply(weights[start:stop], piece.real**2 + piece.imag**2, out=out)
+    def kernel(piece) -> float:
+        values = coeffs(piece) if callable(coeffs) else coeffs[piece]
+        return np.sum(np.multiply(weights[piece], values.real**2 + values.imag**2))
 
     return _kernel_sums(lattice, kernel, bandlimits)
 

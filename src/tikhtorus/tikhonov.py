@@ -154,35 +154,38 @@ def solve(A: MultiplierOperator, m: SpectralField, alpha: float, r: float) -> Sp
     return SpectralField(m.lattice, filter_values * m.coefficients)
 
 
-def _split(
-    symbol: np.ndarray, symbol_sq: np.ndarray, weights_r: np.ndarray, alpha: float,
-    u: np.ndarray, scaled_noise: np.ndarray,
+def _delta_parts(
+    symbol: np.ndarray, symbol_sq: np.ndarray, weights_r: np.ndarray, alpha: float, u: np.ndarray
 ) -> tuple:
-    """The bias part (|a|^2/z) u and the filtered-noise part
-    (conj(a)/z) (delta eps), z = |a|^2 + alpha (1+|l|^2)^r, from matching
-    slices of the per-mode tables a, |a|^2 and (1+|l|^2)^r, of the truth
-    coefficients u and of ``scaled_noise`` = ``np.multiply(delta, eps)``.
-    :func:`solve_split` passes whole lattices, the sweep kernel
-    (``rates.SweepTables.errors``) one piece at a time; this is the one
+    """The per-delta half of the split: the filter gain conj(a)/z and the
+    bias part (|a|^2/z) u, z = |a|^2 + alpha (1+|l|^2)^r, from matching
+    slices of the per-mode tables a, |a|^2 and (1+|l|^2)^r and of the truth
+    coefficients u. :func:`_noise_part` is the per-seed half. :func:`solve_split`
+    passes whole lattices, the sweep kernel (``rates.SweepTables``) one piece
+    at a time, forming these once per delta for many seeds; this is the one
     spelling of the split, so both get the same bits.
 
     Operand order: complex a * b and b * a round differently, and numpy
     computes a * (temporary) of 256 KiB or more in place as (temporary) * a.
     So every product here is an explicit ufunc call with its operands in
-    the order of the formula, and the noise product is out of place: an
-    in-place complex product over a one-element array rounds differently
-    from the vector loop, and a piece can hold one mode. The caller sets
-    ``np.errstate``; where alpha (1+|l|^2)^r overflows, z = inf makes both
-    filter factors 0, their value in double precision.
+    the order of the formula. The caller sets ``np.errstate``; where
+    alpha (1+|l|^2)^r overflows, z = inf makes both filter factors 0, their
+    value in double precision.
     """
     z = np.multiply(alpha, weights_r)
     np.add(symbol_sq, z, out=z)
     gain = np.conjugate(symbol)
     np.divide(gain, z, out=gain)
-    noise_part = np.multiply(gain, scaled_noise)
     ratio = np.divide(symbol_sq, z, out=z)
-    bias_part = np.multiply(ratio, u, out=gain)
-    return bias_part, noise_part
+    return gain, np.multiply(ratio, u)
+
+
+def _noise_part(gain: np.ndarray, scaled_noise: np.ndarray) -> np.ndarray:
+    """The filtered-noise part (conj(a)/z) (delta eps) from the gain of
+    :func:`_delta_parts` and ``scaled_noise`` = ``np.multiply(delta, eps)``.
+    Out of place: an in-place complex product over a one-element array
+    rounds differently from the vector loop, and a piece can hold one mode."""
+    return np.multiply(gain, scaled_noise)
 
 
 def solve_split(
@@ -200,7 +203,8 @@ def solve_split(
     scaled_noise = np.multiply(meas.delta, meas.noise.coefficients)
     with np.errstate(over="ignore"):
         tables = A.symbol_values(lattice), A.squared_modulus(lattice), sobolev_weights(lattice, schedule.r)
-        parts = _split(*tables, alpha, meas.truth.coefficients, scaled_noise)
+        gain, bias_part = _delta_parts(*tables, alpha, meas.truth.coefficients)
+        parts = bias_part, _noise_part(gain, scaled_noise)
     bias, noise_part = (SpectralField(lattice, coeffs) for coeffs in parts)
     reconstruction = bias + noise_part
     return TikhonovSplit(reconstruction=reconstruction, bias_part=bias, noise_part=noise_part)

@@ -23,6 +23,7 @@ import tikhtorus.experiments as experiments
 import tikhtorus.noise
 from tikhtorus import (
     ConfigError,
+    FrequencyLattice,
     evaluate_on_grid,
     forward,
     hat_values,
@@ -902,26 +903,40 @@ class TestCli:
         assert not (tmp_path / "out").exists()
 
     def test_deblur_draws_each_seed_once(self, tmp_path, monkeypatch):
-        # one draw per seed feeds the error sweep, the snapshot and the H^1
-        # certificate alike
-        original = tikhtorus.noise.sample_white_noise
-        drawn = []
+        # the snapshot draws the first seed on its plot band; the error sweep
+        # and the H^1 certificate share one streamed pass that draws each
+        # seed's span of each leaf once
+        originals = {"field": tikhtorus.noise.sample_white_noise, "span": tikhtorus.noise._draw_span}
+        drawn = {"field": [], "span": []}
 
-        def counted(lattice, seed):
-            drawn.append(seed)
-            return original(lattice, seed)
+        def counting(kind):
+            def counted(lattice, seed, *span):
+                drawn[kind].append((lattice, seed, *span))
+                return originals[kind](lattice, seed, *span)
+
+            return counted
 
         for name, module in list(sys.modules.items()):
             if name.split(".")[0] == "tikhtorus":
                 for attribute, value in list(vars(module).items()):
-                    if value is original:
-                        monkeypatch.setattr(module, attribute, counted)
+                    for kind, original in originals.items():
+                        if value is original:
+                            monkeypatch.setattr(module, attribute, counting(kind))
         path = CONFIG_DIR / "deblur.ini"
         code = main(["deblur", "--config", str(path), "--out", str(tmp_path / "out")])
         assert code == 0
-        seeds = load_config(path).seeds
-        assert len(drawn) == len(seeds)
-        assert drawn == list(seeds)
+        config = load_config(path)
+        plot_lattice = FrequencyLattice(1, experiments._plot_band(config))
+        assert drawn["field"] == [(plot_lattice, config.seeds[0])]
+
+        reference = FrequencyLattice(1, config.reference_bandlimit)
+        leaves = []
+        tikhtorus.spectral._pairwise_tree(0, reference.mode_count, leaves)
+        assert len(leaves) > 1
+        spans = [(seed, start, stop) for lattice, seed, start, stop in drawn["span"]]
+        assert all(lattice == reference for lattice, *_ in drawn["span"])
+        for seed in config.seeds:
+            assert all(spans.count((seed, start, stop)) == 1 for start, stop in leaves)
 
     def test_deblur_evaluates_the_reference_symbol_once(self, tmp_path, monkeypatch):
         # check_ellipticity evaluates the symbol on the reference lattice, and
@@ -995,6 +1010,57 @@ class TestCli:
             assert not out.exists(), err.getvalue()
         else:
             assert_csv_numbers_finite(out)
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(
+        config=extreme_small_configs(),
+        deltas=st.sets(_magnitudes(-300, 308), min_size=1, max_size=4),
+    )
+    def test_extreme_deltas_keep_the_exit_code_contract(self, tmp_path_factory, config, deltas):
+        # deltas up to 1e308 make data, sums and medians leave the double
+        # range: every run still exits 0, 2 or 4 with no warning, an exit 0
+        # writes only finite numbers, and an exit 4 names the key to change;
+        # which message a deblur run gives rests on its check order (snapshot,
+        # then per seed the sweep's errors in (delta, s1) order, then its
+        # certificate rows)
+        config = dataclasses.replace(config, delta_grid=tuple(sorted(deltas, reverse=True)))
+        root = tmp_path_factory.mktemp("extreme-deltas")
+        path = root / "exp.ini"
+        path.write_text(metadata_to_ini(config.to_metadata()))
+        out = root / "out"
+        argv = [config.experiment.replace("_", "-"), "--config", str(path), "--out", str(out)]
+        with warnings.catch_warnings(), contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()) as err:
+            warnings.simplefilter("error")
+            code = main(argv)
+        assert code in (0, 2, 4), err.getvalue()
+        if code == 0:
+            assert_csv_numbers_finite(out)
+        if code == 4:
+            assert re.search(r"\[[a-z_]+\] [a-z_0-9]+", err.getvalue()), err.getvalue()
+
+    def test_deblur_peak_does_not_grow_with_the_grids(self, tmp_path):
+        # the streamed pass holds a fixed block of seeds' draws per piece, so
+        # 40 seeds and 12 deltas peak within 5 % of 2 seeds and 4 deltas
+        peaks = []
+        for seeds, deltas in [(2, 4), (40, 12)]:
+            overrides = {
+                "reference": "131072",
+                "seeds": ",".join(map(str, range(seeds))),
+                "deltas": ",".join(f"{10.0 ** (-2 - 3 * k / (deltas - 1)):.6g}" for k in range(deltas)),
+            }
+            config = write_config(tmp_path, small_config_text("deblur", str(tmp_path / "out"), **overrides))
+            script = (
+                "import tracemalloc, tikhtorus.cli; "
+                "tracemalloc.start(); "
+                f"code = tikhtorus.cli.main(['deblur', '--config', {str(config)!r}]); "
+                "assert code == 0, code; "
+                "print(tracemalloc.get_traced_memory()[1])"
+            )
+            done = run_fresh_process(script)
+            assert done.returncode == 0, done.stderr
+            peaks.append(int(done.stdout.split()[-1]))
+        assert peaks[1] <= 1.05 * peaks[0], peaks
 
     def test_cli_run_does_not_load_scipy(self, tmp_path):
         # scipy backs only the dense solver; a fresh CLI process never imports it

@@ -265,6 +265,41 @@ class TestChunkedDraw:
         assert sorted(finished) == [0, 3, 6, 7, 8]
 
 
+class TestSpanDraw:
+    # in d = 1 a span of lattice positions is drawn straight from the stream,
+    # with the bytes of the field draw on that span
+
+    @pytest.mark.parametrize("seed", [0, 2**32])
+    @pytest.mark.parametrize(
+        "bandlimit,spans",
+        [
+            (0, [(0, 1)]),
+            (1, [(0, 1), (1, 2), (2, 3), (0, 2), (1, 3), (0, 3)]),
+            # below, across and above the zero mode (50), and one-mode spans
+            (50, [(0, 50), (7, 31), (49, 50), (0, 1), (3, 51), (50, 51), (49, 52),
+                  (10, 90), (0, 101), (51, 101), (60, 83), (100, 101), (51, 52)]),
+            (3 * spectral._CHUNK + 5, [(0, 32768), (40000, 98304), (98299, 98320), (98309, 196619)]),
+        ],
+    )
+    def test_span_equals_the_field_draw(self, bandlimit, spans, seed):
+        lattice = FrequencyLattice(1, bandlimit)
+        coefficients = sample_white_noise(lattice, seed).coefficients
+        for start, stop in spans:
+            span = noise._draw_span(lattice, seed, start, stop)
+            assert span.dtype == np.complex128 and span.tobytes() == coefficients[start:stop].tobytes()
+
+    @pytest.mark.parametrize("seed", [-1, 1.5, "3", None])
+    def test_a_bad_seed_raises_before_any_draw(self, monkeypatch, seed):
+        def forbidden(*args):
+            raise AssertionError("drawn")
+
+        monkeypatch.setattr(noise, "_pair_values", forbidden)
+        with pytest.raises(ParameterError, match="seed must be a non-negative integer"):
+            noise._draw_span(FrequencyLattice(1, 4), seed, 0, 9)
+        with pytest.raises(ParameterError, match="seed must be a non-negative integer"):
+            sample_white_noise(FrequencyLattice(1, 4), seed)
+
+
 class TestExpectedEnergy:
     def test_s_zero_counts_modes(self):
         for M in (0, 10, 100):

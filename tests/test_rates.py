@@ -31,7 +31,7 @@ from tikhtorus import (
     solve_split,
     zero_field,
 )
-from tikhtorus import spectral
+from tikhtorus import rates, spectral
 from tikhtorus.rates import DivergenceTables, SweepTables, calibrate_band
 
 DEBLUR = dict(t=2.0, r=1.0, kappa=2.5, s=-0.6)
@@ -431,12 +431,18 @@ class TestChunkedKernels:
 
     @pytest.mark.parametrize("cpus", [1, 8])
     @pytest.mark.parametrize("chunk", [1, 3, 7])
-    @pytest.mark.parametrize("kind", ["deblur", "twisted"])
-    def test_small_chunks_keep_the_values(self, monkeypatch, kind, chunk, cpus):
+    @pytest.mark.parametrize(
+        "kind,bandlimit",
+        [("deblur", 50), ("twisted", 50), ("deblur", 300), ("twisted", 300)],
+        ids=["deblur", "twisted", "deblur-300", "twisted-300"],
+    )
+    def test_small_chunks_keep_the_values(self, monkeypatch, kind, bandlimit, chunk, cpus):
         # pieces of one mode take numpy's one-element loops, which round an
-        # in-place complex product differently
+        # in-place complex product differently; a sum's tree never splits 128
+        # modes or fewer, so 101 modes are one leaf and 601 modes are the case
+        # that runs several leaves
         A = operator_of(kind)
-        lattice = FrequencyLattice(1, 50)
+        lattice = FrequencyLattice(1, bandlimit)
         deltas = [1e-2, 1e-3, 1e-4]
         sweep = SweepTables(A, hat_coefficients(lattice), SCHEDULE, [-1.5, 0.0, 1.0], deltas, [7])
         certificate = DivergenceTables(A, DIVERGENCE_SCHEDULE, deltas, [7], lattice)
@@ -447,6 +453,41 @@ class TestChunkedKernels:
         monkeypatch.setattr(spectral, "_cpu_count", lambda: cpus)
         assert np.array_equal(sweep.errors(eps), errors)
         assert certificate.rows(7, eps) == rows
+
+    @pytest.mark.parametrize("cpus", [1, 8])
+    @pytest.mark.parametrize("chunk", [None, 7])
+    @pytest.mark.parametrize("kind", ["deblur", "twisted"])
+    def test_streamed_pass_equals_the_per_seed_kernels(self, monkeypatch, kind, chunk, cpus):
+        # the deblur pass draws each seed's span of each leaf itself, a block
+        # of seeds at a time (5 seeds leave a short last block); its errors
+        # and rows equal those of the per-seed methods on whole draws
+        A = operator_of(kind)
+        lattice = FrequencyLattice(1, 300)
+        deltas, seeds = [1e-2, 1e-3, 1e-4], [7, 0, 3, 2**32, 5]
+        sweep = SweepTables(A, hat_coefficients(lattice), SCHEDULE, [-1.5, 0.0, 1.0], deltas, seeds)
+        certificate = DivergenceTables(A, DIVERGENCE_SCHEDULE, deltas, seeds, lattice)
+        draws = [sample_white_noise(lattice, seed).coefficients for seed in seeds]
+        errors = [sweep.errors(eps) for eps in draws]
+        rows = [certificate.rows(seed, eps) for seed, eps in zip(seeds, draws)]
+        if chunk is not None:
+            monkeypatch.setattr(spectral, "_CHUNK", chunk)
+        monkeypatch.setattr(spectral, "_cpu_count", lambda: cpus)
+        streamed_errors, streamed_rows = rates._deblur_pass(sweep, certificate, seeds)
+        assert all(np.array_equal(a, b) for a, b in zip(streamed_errors, errors, strict=True))
+        assert streamed_rows == rows
+        alone = rates._deblur_pass(sweep, None, seeds)
+        assert all(np.array_equal(a, b) for a, b in zip(alone[0], errors, strict=True))
+        assert alone[1] == []
+
+    def test_streamed_pass_checks_every_seed_before_any_draw(self, monkeypatch):
+        def forbidden(*args):
+            raise AssertionError("drawn")
+
+        lattice = FrequencyLattice(1, 20)
+        sweep = SweepTables(deblur_operator(), hat_coefficients(lattice), SCHEDULE, [0.0], [1e-2], [0])
+        monkeypatch.setattr(rates, "_draw_span", forbidden)
+        with pytest.raises(ParameterError, match="seed must be a non-negative integer"):
+            rates._deblur_pass(sweep, None, [0, -1])
 
     @pytest.mark.parametrize("cpus", [1, 8])
     @pytest.mark.parametrize("chunk", [1, 3, 7])

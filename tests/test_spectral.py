@@ -367,9 +367,42 @@ class TestSobolevWeights:
         assert spectral._sobolev_weights.cache_info().currsize == 1
 
 
+def spread_values(count, seed):
+    """Normal values scaled over +-20 decades, so that any summation order
+    other than numpy's own shows in the sum's bits."""
+    rng = np.random.default_rng(seed)
+    return rng.standard_normal(count) * 10.0 ** rng.uniform(-20.0, 20.0, count)
+
+
+class TestPairwiseTree:
+    # np.sum of each leaf of numpy's pairwise tree, added up that tree, is
+    # np.sum of the whole array bit for bit; the sums of _kernel_sums rest on it
+
+    def test_leaf_sums_added_up_the_tree_equal_np_sum(self):
+        values = spread_values(3_000_000, 22)
+        boundaries = [1, 7, 8, 127, 128, 129, 2 * spectral._CHUNK - 1, 2 * spectral._CHUNK + 1]
+        boundaries += [8 * 2**k + d for k in range(19) for d in (-1, 1)]
+        drawn = np.random.default_rng(23).integers(1, values.size + 1, 40).tolist()
+        for count in boundaries + drawn:
+            (total,) = spectral._pairwise_sums(
+                [count], lambda j, start, stop: np.sum(values[start:stop])
+            )
+            assert np.array_equal(total, np.sum(values[:count])), count
+
+    @pytest.mark.parametrize(
+        "dimension,bandlimit,balls",
+        [(1, 100_000, [0, 1, 4096, 16384, 50_000, 100_000]), (2, 300, [0, 5, 64, 128, 200, 300])],
+    )
+    def test_ball_sums_equal_np_sum_over_each_ball(self, dimension, bandlimit, balls):
+        lat = FrequencyLattice(dimension, bandlimit)
+        table = spread_values(lat.mode_count, 24)
+        sums = spectral._kernel_sums(lat, lambda piece: np.sum(table[piece]), balls)
+        assert np.array_equal(sums, spectral._ball_sums(lat, table, balls))
+
+
 class TestKernelSums:
-    # the table a kernel fills in _CHUNK pieces across worker threads is
-    # summed whole: its ball sums equal those of the table formed in one piece
+    # a kernel runs on the leaves of each ball's pairwise-summation tree
+    # across worker threads: its ball sums equal those of the whole table
     @pytest.mark.parametrize("cpus", [1, 8])
     @pytest.mark.parametrize("chunk", [1, 3, 7])
     @pytest.mark.parametrize(
@@ -382,20 +415,39 @@ class TestKernelSums:
         monkeypatch.setattr(spectral, "_cpu_count", lambda: cpus)
         lat = FrequencyLattice(dimension, bandlimit)
         table = np.random.default_rng(5).standard_normal(lat.mode_count) * 1e3
+        positions = np.arange(lat.mode_count)
         pieces = []
 
-        def kernel(start, stop, out):
-            assert out.shape == (stop - start,)
-            pieces.append((start, stop))
-            out[:] = table[start:stop]
+        def kernel(piece):
+            pieces.append(tuple(positions[piece]))
+            return np.sum(table[piece])
 
         sums = spectral._kernel_sums(lat, kernel, balls)
         assert np.array_equal(sums, spectral._ball_sums(lat, table, balls))
         assert all(type(total) is float for total in sums)
-        starts = range(0, lat.mode_count, chunk)
-        assert sorted(pieces) == [(a, min(a + chunk, lat.mode_count)) for a in starts]
+        # the pieces are the tree's leaves and cover each ball once
+        expected = []
+        for m in balls:
+            members = spectral.ball(lat, positions, m).reshape(-1)
+            leaves = []
+            spectral._pairwise_tree(0, members.size, leaves)
+            assert [a for a, _ in leaves] == [0] + [b for _, b in leaves[:-1]]
+            assert leaves[-1][1] == members.size
+            assert all(b - a <= 128 for a, b in leaves)
+            expected += [tuple(members[a:b]) for a, b in leaves]
+        assert sorted(pieces) == sorted(expected)
         whole = spectral._kernel_sums(lat, kernel)
         assert type(whole) is float and whole == np.sum(table)
+
+    @pytest.mark.parametrize(
+        "m,error", [(-1, TruncationRangeError), (41, TruncationRangeError), (1.5, ParameterError)]
+    )
+    def test_a_ball_outside_the_lattice_is_refused(self, m, error):
+        def kernel(piece):
+            raise AssertionError("summed")
+
+        with pytest.raises(error):
+            spectral._kernel_sums(FrequencyLattice(1, 40), kernel, [3, m])
 
     @pytest.mark.parametrize("dimension,bandlimit", [(1, 40), (2, 5)])
     def test_sobolev_sums_take_a_table_or_its_pieces(self, dimension, bandlimit):
@@ -405,7 +457,7 @@ class TestKernelSums:
         squares = sobolev_weights(lat, -1.5) * (coeffs.real**2 + coeffs.imag**2)
         expected = spectral._ball_sums(lat, squares, balls)
         assert spectral._sobolev_sums(lat, -1.5, coeffs, balls) == expected
-        assert spectral._sobolev_sums(lat, -1.5, lambda start, stop: coeffs[start:stop], balls) == expected
+        assert spectral._sobolev_sums(lat, -1.5, lambda piece: coeffs[piece], balls) == expected
         assert spectral._sobolev_sums(lat, -1.5, coeffs) == expected[-1]
 
 
