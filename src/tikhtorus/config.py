@@ -43,13 +43,14 @@ def _one_of(what: str, *options: str) -> tuple:
 # tracemalloc peak of the perfbench/configs/*.ini runs over their mode count
 # (the top bandlimit's for noise_probe). Those runs peak at 53.7 MiB / 524,289
 # modes = 107.4 B (deblur_sweep, whose streamed pass holds no lattice-wide
-# draw or sum table), 92.2 MiB / 2,097,153 modes = 46.1 B (noise_probe) and
-# 1.8 MiB / 4,095 modes = 466.2 B (gamma_dense: fixed costs, its five test
-# functions, and the operator's cached tables and the sweep's per-mode tables,
-# all on the reference lattice only; configs/gamma.ini at reference_bandlimit
-# 131,072, 262,145 modes, peaks at 216.6 B). rates runs the deblur error sweep
-# without noise draws, snapshot or certificate, so it takes the deblur figure
-# (a rates run on deblur_sweep's lattice peaks at 98.5 B).
+# draw or sum table), 44.2 MiB / 2,097,153 modes = 22.1 B (noise_probe, whose
+# even tables hold half the lattice) and 1.8 MiB / 4,095 modes = 461.0 B
+# (gamma_dense: fixed costs, its five test functions, and the operator's
+# cached tables and the sweep's per-mode tables, all on the reference lattice
+# only; configs/gamma.ini at reference_bandlimit 131,072, 262,145 modes, peaks
+# at 212.6 B). rates runs the deblur error sweep without noise draws, snapshot
+# or certificate, so it takes the deblur figure (a rates run on deblur_sweep's
+# lattice peaks at 98.4 B).
 # A test runs each experiment against these bounds. The bounds stay as set:
 # they are upper bounds, and lowering one would move the exit-2 boundary.
 _BYTES_PER_MODE = {"deblur": 200, "rates": 200, "noise_probe": 128, "gamma": 616}
@@ -64,10 +65,11 @@ _BYTES_PER_TEST_FUNCTION_MODE = 16
 # signal table, CSV and SVG text): the tracemalloc peak of configs/deblur.ini at
 # reference_bandlimit 1024 grew 14.8 -> 51.2 MiB from 32,768 to 131,072 plot
 # points, 389.1 B each with the hat (380.6 B with a coefficient-file truth),
-# rounded up to 8, while the signal rows were Python floats. The peak is the
-# signal plot's polyline text. Since the table stays float64 until signal.csv
-# is written, the same runs grow 13.2 -> 43.4 MiB (322.1 B each), so the
-# figure is an upper bound.
+# rounded up to 8, while the signal rows were Python floats. Since the table
+# stays float64, the polylines are formatted a chunk of points at a time and
+# signal.csv takes one row of floats at a time, the same runs grow
+# 10.4 -> 29.5 MiB (204.0 B each; 13.4 -> 45.5 MiB, 342.7 B, before), and the
+# peak is the signal.csv text, so the figure is an upper bound.
 _BYTES_PER_PLOT_POINT = 392
 
 

@@ -277,7 +277,7 @@ def run_deblur(config: ExperimentConfig) -> dict:
         "errors.csv": _csv_text(SweepRow._fields, result.rows),
         "signal.csv": _csv_text(
             ("x", "truth", "data", "reconstruction"),
-            zip(*(column.tolist() for column in signal_table.T)),
+            (row.tolist() for row in signal_table),  # one row of Python floats at a time
         ),
         "errors.svg": _error_plot(
             config,

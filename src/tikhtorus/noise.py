@@ -49,10 +49,14 @@ one, refining the bandlimit extends a realization instead of resampling it:
 ``truncate(sample(M_big), M_small)`` equals ``sample(M_small)`` bit for bit.
 
 The regularity probe reads the same draw without building a field: it only
-needs |c(l)|^2, which is one value per conjugate pair, and it sums each
-truncation as a slice of the lattice (``spectral._kernel_sums``, which the
-gamma sweep uses too), not a mask. Its weights are the shared
-:func:`spectral.sobolev_weights` tables.
+needs |c(l)|^2, which is even in l, as are its weights (1+|l|^2)^s. So it
+keeps each table on half the lattice, at the offsets k = p - zero from the
+zero mode up; a draw writes |c|^2 once per conjugate pair, at offset k + 1
+for canonical mode k in d = 1 and through the layout in d = 2. Each
+truncation is summed as a slice of the lattice (``spectral._kernel_sums``,
+which the gamma sweep uses too), not a mask, and every leaf of a sum reads
+the half tables at its own positions, in its own order
+(``spectral._mirrored``), so the sums are those of the whole tables.
 """
 
 from __future__ import annotations
@@ -64,7 +68,8 @@ import numpy as np
 
 from .errors import ConfigError, ParameterError
 from .spectral import (
-    FrequencyLattice, SpectralField, _as_index, _ball_sums, _kernel_sums, _map_chunks, sobolev_weights,
+    FrequencyLattice, SpectralField, _as_index, _half_sobolev_weights, _kernel_sums, _map_chunks, _mirrored,
+    sobolev_weights,
 )
 
 __all__ = [
@@ -76,14 +81,15 @@ __all__ = [
 
 
 @lru_cache(maxsize=64)
-def _draw_layout(dimension: int, bandlimit: int) -> np.ndarray:
-    """Canonical-mode positions sorted by (shell, enumeration index), cached
-    per lattice signature. The conjugate of position p is mode_count - 1 - p."""
-    lattice = FrequencyLattice(dimension, bandlimit)
+def _draw_layout(bandlimit: int) -> np.ndarray:
+    """The offsets p - zero_index of the canonical positions p of a 2-d
+    lattice in draw order, (shell, enumeration index), cached per bandlimit.
+    In d = 1 canonical mode k sits at offset k + 1, and no layout is built."""
+    lattice = FrequencyLattice(2, bandlimit)
     first = lattice.zero_index + 1  # canonical modes sit after the zero mode
-    canonical_sorted = first + np.argsort(lattice.shells()[first:], kind="stable")
-    canonical_sorted.setflags(write=False)
-    return canonical_sorted
+    offsets = 1 + np.argsort(lattice.shells()[first:], kind="stable")
+    offsets.setflags(write=False)
+    return offsets
 
 
 def _box_muller(uniforms: np.ndarray) -> tuple:
@@ -112,27 +118,27 @@ def _pair_values(index: int, start: int, stop: int) -> tuple:
     [2 start, 2 stop + 2) of the stream, which their own PCG64 reaches with
     ``advance(2 start)``: ``random()`` takes one 64-bit output per double."""
     bit_generator = np.random.PCG64(index)
-    bit_generator.advance(2 * start)
+    bit_generator.advance(2 * int(start))  # PCG64.advance refuses numpy integers
     uniforms = np.random.Generator(bit_generator).random(2 * (stop - start + 1))
     cos_half, sin_half = _box_muller(uniforms)
     return (sin_half[:-1] + 1j * cos_half[1:]) / np.sqrt(2.0), cos_half[0]
 
 
 def _draw_chunks(lattice: FrequencyLattice, seed: int, store: Callable) -> float:
-    """Draw one realization chunk by chunk: ``store(canonical, conjugate,
-    values)`` receives the values at a run of canonical modes in draw order
-    (:func:`_pair_values`) and their lattice positions; the zero-mode
-    variate is returned."""
+    """Draw one realization chunk by chunk: ``store(offsets, values)``
+    receives the values at a run of canonical modes in draw order
+    (:func:`_pair_values`) and their offsets p - zero_index from the zero
+    mode, a slice in d = 1 and a slice of :func:`_draw_layout` in d = 2; the
+    zero-mode variate is returned. The conjugate of the mode at offset k
+    sits at offset -k."""
     index = _seed_index(seed)
-    canonical = _draw_layout(lattice.dimension, lattice.bandlimit)
-    last = lattice.mode_count - 1
+    layout = _draw_layout(lattice.bandlimit) if lattice.dimension == 2 else None
 
     def draw(start: int, stop: int) -> None:
-        values = _pair_values(index, start, stop)[0]
-        positions = canonical[start:stop]
-        store(positions, last - positions, values)
+        offsets = slice(start + 1, stop + 1) if layout is None else layout[start:stop]
+        store(offsets, _pair_values(index, start, stop)[0])
 
-    _map_chunks(draw, canonical.size)
+    _map_chunks(draw, lattice.zero_index)  # one canonical mode per conjugate pair
     return _pair_values(index, 0, 0)[1]
 
 
@@ -172,29 +178,30 @@ def sample_white_noise(lattice: FrequencyLattice, seed: int) -> SpectralField:
     a seed that is not a non-negative integer raises ParameterError.
     """
     coeffs = np.zeros(lattice.mode_count, dtype=np.complex128)
+    zero = lattice.zero_index
+    canonical, conjugate = coeffs[zero:], coeffs[zero::-1]  # offset k at zero + k and zero - k
 
-    def store(canonical: np.ndarray, conjugate: np.ndarray, values: np.ndarray) -> None:
-        coeffs[canonical] = values
-        coeffs[conjugate] = values.conj()
+    def store(offsets, values: np.ndarray) -> None:
+        canonical[offsets] = values
+        conjugate[offsets] = values.conj()
 
-    coeffs[lattice.zero_index] = _draw_chunks(lattice, seed, store)
+    coeffs[zero] = _draw_chunks(lattice, seed, store)
     return SpectralField(lattice, coeffs, hermitian=True)
 
 
-def _draw_power(lattice: FrequencyLattice, seed: int, out: np.ndarray | None = None) -> np.ndarray:
-    """|c(l)|^2 of ``sample_white_noise(lattice, seed)`` per mode, without the
-    field, written to ``out`` when given: |c| is computed once per conjugate
-    pair (hypot ignores the sign of the imaginary part), and the zero mode's
-    |z0|^2 is z0 * z0."""
-    power = np.empty(lattice.mode_count) if out is None else out
+def _half_power(lattice: FrequencyLattice, seed: int, out: np.ndarray | None = None) -> np.ndarray:
+    """|c(l)|^2 of ``sample_white_noise(lattice, seed)`` at the positions
+    zero_index, zero_index + 1, ... (offset k at index k), the half table of
+    an even quantity that ``spectral._mirrored`` reads, without the field and
+    written to ``out`` when given: |c| once per conjugate pair, and the zero
+    mode's |z0|^2 as z0 * z0."""
+    power = np.empty(lattice.zero_index + 1) if out is None else out
 
-    def store(canonical: np.ndarray, conjugate: np.ndarray, values: np.ndarray) -> None:
-        pair_power = np.abs(values) ** 2
-        power[canonical] = pair_power
-        power[conjugate] = pair_power
+    def store(offsets, values: np.ndarray) -> None:
+        power[offsets] = np.abs(values) ** 2
 
     z0 = _draw_chunks(lattice, seed, store)
-    power[lattice.zero_index] = z0 * z0
+    power[0] = z0 * z0
     return power
 
 
@@ -242,14 +249,18 @@ def regularity_probe(
     proxy, so the rows keep the raw ratios for inspection. A partial energy
     that overflows raises ParameterError naming s and the bandlimit.
 
-    Each seed's |c(l)|^2 comes from the canonical draw of the top lattice,
-    with no field built; the energies equal those of
-    ``sample_white_noise(top, seed)`` summed over ``shells <= m`` bit for bit.
-    The weights are the shared ``sobolev_weights(top, s)`` tables. The |c|^2
-    table, reused across the seeds, is allocated once and filled chunk by
-    chunk across the CPUs; every ``w * |c|^2`` of a seed is summed over the
-    truncations in one ``spectral._kernel_sums`` call, whose docstring
-    states the summation rule.
+    Every table the probe sums is even in l, so it keeps each one on half
+    the lattice, at the positions from the zero mode up: the
+    ``(1+|l|^2)^s`` weights (``spectral._half_sobolev_weights``, filled like
+    the shared ``sobolev_weights`` tables) and one |c|^2 table reused across
+    the seeds, which each seed's canonical draw of the top lattice fills
+    once per conjugate pair, chunk by chunk across the CPUs, with no field
+    built. Each truncation is summed by ``spectral._kernel_sums``, whose
+    docstring states the summation rule, with every leaf read from the half
+    tables through ``spectral._mirrored`` in the ball's own order, so the
+    energies equal those of ``sample_white_noise(top, seed)`` summed over
+    ``shells <= m`` bit for bit, and the "expected" row that of the whole
+    weight table.
     """
     if len(s_values) == 0 or len(bandlimits) == 0 or len(seeds) == 0:
         raise ConfigError("regularity_probe needs nonempty s_values, bandlimits, seeds")
@@ -257,24 +268,29 @@ def regularity_probe(
         raise ConfigError("bandlimits must be strictly increasing")
 
     top = FrequencyLattice(dimension, max(bandlimits))
-    # the layout's temporaries come and go before the tables exist
-    _draw_layout(dimension, top.bandlimit)
+    zero = top.zero_index
+    if dimension == 2:  # the layout's temporaries come and go before the tables exist
+        _draw_layout(top.bandlimit)
 
     # (s, trajectory, bandlimit)
     energies = np.empty((len(s_values), 1 + len(seeds), len(bandlimits)))
     with np.errstate(over="ignore"):
-        weights = [sobolev_weights(top, s) for s in s_values]
-        energies[:, 0] = [_ball_sums(top, w, bandlimits) for w in weights]
-        power = np.empty(top.mode_count)
+        weights = [_half_sobolev_weights(top, s) for s in s_values]
 
-        def kernel(piece) -> np.ndarray:
-            """The sums of (1+|l|^2)^s |c(l)|^2 on ``piece``, one per s, for
-            the power the loop below draws."""
-            return np.array([np.sum(np.multiply(w[piece], power[piece])) for w in weights])
+        def energy_sums(power: np.ndarray | None) -> np.ndarray:
+            """The (s, bandlimit) sums of (1+|l|^2)^s times |c(l)|^2 from a
+            half ``power`` table, or times 1 (an exact copy) for None."""
 
+            def kernel(piece) -> np.ndarray:
+                factor = 1.0 if power is None else _mirrored(power, piece, zero)
+                return np.array([np.sum(np.multiply(_mirrored(w, piece, zero), factor)) for w in weights])
+
+            return np.transpose(_kernel_sums(top, kernel, bandlimits))
+
+        energies[:, 0] = energy_sums(None)
+        power = np.empty(zero + 1)
         for j, seed in enumerate(seeds, start=1):
-            _draw_power(top, seed, out=power)
-            energies[:, j] = np.transpose(_kernel_sums(top, kernel, bandlimits))
+            energies[:, j] = energy_sums(_half_power(top, seed, out=power))
     if not np.isfinite(energies).all():
         i, _, k = np.argwhere(~np.isfinite(energies))[0]
         raise ParameterError(

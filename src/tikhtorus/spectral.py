@@ -345,14 +345,22 @@ class _Uncached(Exception):
     of a call that raises."""
 
 
-@lru_cache(maxsize=16)
-def _sobolev_weights(dimension: int, bandlimit: int, s: float) -> np.ndarray:
-    weights = FrequencyLattice(dimension, bandlimit).squared_norms()
+def _weigh(squares: np.ndarray, s: float) -> np.ndarray:
+    """Overwrite a table of |l|^2 with (1+|l|^2)^s, in mode chunks across the
+    CPUs (:func:`_map_chunks`), and return it: the one spelling of a weight
+    table. Each entry is computed on its own, so the bytes depend neither on
+    the split nor on which part of the lattice the table holds."""
 
     def kernel(start: int, stop: int) -> None:
-        weights[start:stop] = (1.0 + weights[start:stop]) ** s  # ** keeps numpy's fast paths
+        squares[start:stop] = (1.0 + squares[start:stop]) ** s  # ** keeps numpy's fast paths
 
-    _map_chunks(kernel, weights.size)
+    _map_chunks(kernel, squares.size)
+    return squares
+
+
+@lru_cache(maxsize=16)
+def _sobolev_weights(dimension: int, bandlimit: int, s: float) -> np.ndarray:
+    weights = _weigh(FrequencyLattice(dimension, bandlimit).squared_norms(), s)
     weights.setflags(write=False)
     if not np.isfinite(weights).all():
         raise _Uncached(weights)
@@ -362,9 +370,8 @@ def _sobolev_weights(dimension: int, bandlimit: int, s: float) -> np.ndarray:
 def sobolev_weights(lattice: FrequencyLattice, s: float) -> np.ndarray:
     """(1 + |l|^2)^s per mode, as a read-only array shared by every caller
     that asks for the same lattice and s while its table is among the 16 most
-    recently used. The table is filled in mode chunks across the CPUs
-    (:func:`_map_chunks`); each entry is computed on its own, so the bytes do
-    not depend on the split. This is the one place a weight table is built.
+    recently used. The table is filled by :func:`_weigh`, as is the half
+    table of :func:`_half_sobolev_weights`.
 
     A table that overflows is never cached: each call rebuilds it under the
     caller's ``np.errstate``, so it warns, raises or returns inf as a first
@@ -373,6 +380,18 @@ def sobolev_weights(lattice: FrequencyLattice, s: float) -> np.ndarray:
         return _sobolev_weights(lattice.dimension, lattice.bandlimit, float(s))
     except _Uncached as uncached:
         return uncached.args[0]
+
+
+def _half_sobolev_weights(lattice: FrequencyLattice, s: float) -> np.ndarray:
+    """(1+|l|^2)^s at the lattice positions zero_index, zero_index + 1, ...,
+    the half table of an even quantity that :func:`_mirrored` reads, as a
+    fresh array that is not cached: equal bit for bit to the same positions
+    of ``sobolev_weights(lattice, s)``."""
+    M = lattice.bandlimit
+    squares = np.arange(M + 1, dtype=np.float64) ** 2
+    if lattice.dimension == 2:  # rows l_1 = 0..M of l_2 = -M..M, from the zero mode (0, 0) on
+        squares = np.add.outer(squares, np.arange(-M, M + 1, dtype=np.float64) ** 2).ravel()[M:]
+    return _weigh(squares, float(s))
 
 
 def finite_sobolev_weights(lattice: FrequencyLattice, s: float, what: str) -> np.ndarray:
@@ -433,15 +452,6 @@ def ball(lattice: FrequencyLattice, table: np.ndarray, m: int) -> np.ndarray:
     return cube[(slice(M - m, M + m + 1),) * lattice.dimension]
 
 
-def _ball_sums(lattice: FrequencyLattice, table: np.ndarray, bandlimits) -> list:
-    """``np.sum`` of a lattice-ordered table over the ball of each bandlimit,
-    in order, as floats. Each sum runs over the ball in the smaller lattice's
-    own enumeration order (:func:`ball`), so it equals the sum of the
-    truncated field's table bit for bit."""
-    # reshape(-1), not ravel(): a 1-d ball of a strided table stays a view
-    return [float(np.sum(ball(lattice, table, m).reshape(-1))) for m in bandlimits]
-
-
 def _pairwise_tree(start: int, size: int, leaves: list):
     """numpy's float64 pairwise-summation tree over the items
     [start, start + size): appends its leaves to ``leaves`` as (start, stop)
@@ -495,6 +505,24 @@ def _ball_piece(lattice: FrequencyLattice, m: int, start: int, stop: int):
     return (M - m + index // width) * (2 * M + 1) + (M - m + index % width)
 
 
+def _mirrored(half: np.ndarray, piece, zero: int) -> np.ndarray:
+    """The entries of an even per-mode table, ``half`` its entries at the
+    positions zero, zero + 1, ..., at the lattice positions ``piece`` indexes
+    (a slice or an index array, as :func:`_kernel_sums` hands them), in piece
+    order. The conjugate of position p is 2 zero - p, so p reads
+    half[|p - zero|]: a slice above the zero mode is a view, one below it a
+    reversed view, the one slice that holds the zero mode a concatenation,
+    and an index array a gather."""
+    if not isinstance(piece, slice):
+        return half[np.abs(piece - zero)]
+    start, stop = piece.start - zero, piece.stop - zero
+    if start >= 0:
+        return half[start:stop]
+    if stop <= 1:
+        return half[1 - stop : 1 - start][::-1]
+    return np.concatenate((half[1 : 1 - start][::-1], half[:stop]))
+
+
 def _kernel_sums(lattice: FrequencyLattice, kernel: Callable, bandlimits=None):
     """Sums of per-mode quantities that ``kernel`` gives piece by piece: the
     package's one way to sum a per-mode quantity. No lattice-sized table is
@@ -510,7 +538,8 @@ def _kernel_sums(lattice: FrequencyLattice, kernel: Callable, bandlimits=None):
     float when the kernel returns scalars.
 
     Summation rule: every sum equals ``np.sum`` of the whole table over its
-    ball (:func:`_ball_sums`) bit for bit, on any CPU count and ``_CHUNK``.
+    ball (``np.sum(ball(lattice, table, m).reshape(-1))``) bit for bit, on
+    any CPU count and ``_CHUNK``.
     numpy sums a float64 array pairwise: a node of n > 128 items splits at
     n//2 - (n//2) % 8, so an ``np.sum`` over a node's items gives that
     node's exact value. The pieces are the nodes of each ball's own tree

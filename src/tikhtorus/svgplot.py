@@ -30,8 +30,25 @@ class Series:
     y: Sequence[float]
 
 
+# points a polyline formats at a time: its per-point Python floats and strings
+# stay bounded by the chunk, not by the series
+_POINTS_CHUNK = 4096
+
+
 def _fmt(value: float) -> str:
     return format(value, ".2f")
+
+
+def _points(pxs: np.ndarray, pys: np.ndarray) -> str:
+    """A polyline's ``points`` text, "x,y" pairs joined by spaces, formatted
+    :data:`_POINTS_CHUNK` points at a time."""
+    return " ".join(
+        " ".join(
+            f"{_fmt(px)},{_fmt(py)}"
+            for px, py in zip(pxs[i : i + _POINTS_CHUNK].tolist(), pys[i : i + _POINTS_CHUNK].tolist())
+        )
+        for i in range(0, pxs.size, _POINTS_CHUNK)
+    )
 
 
 def _log10(values: np.ndarray, log: bool) -> np.ndarray:
@@ -165,10 +182,8 @@ def line_plot(
         if not xs.size:
             continue
         color = _COLORS[index % len(_COLORS)]
-        pxs, pys = to_px(xs, ys)
-        coords = " ".join(f"{_fmt(px)},{_fmt(py)}" for px, py in zip(pxs.tolist(), pys.tolist()))
         parts.append(
-            f'<polyline points="{coords}" fill="none" stroke="{color}" stroke-width="1.5"/>'
+            f'<polyline points="{_points(*to_px(xs, ys))}" fill="none" stroke="{color}" stroke-width="1.5"/>'
         )
         ly = _MARGIN_TOP + 16 + 16 * index
         lx = _WIDTH - _MARGIN_RIGHT - 150
@@ -180,5 +195,5 @@ def line_plot(
             f'<text x="{lx + 28}" y="{ly}" font-family="monospace" font-size="12">{label}</text>'
         )
 
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
+    parts.append("</svg>\n")  # the document's last line ends it: no copy to append it
+    return "\n".join(parts)

@@ -50,6 +50,7 @@ def small_config_text(experiment="deblur", out_dir="out", **overrides):
         "bandlimit": "32",
         "reference": "256",
         "probe_bandlimits": "64,128,256",
+        "s_values": "-2.0,0.0",
     }
     values.update(overrides)
     return f"""
@@ -81,7 +82,7 @@ reference_bandlimit = {values["reference"]}
 plot_points = 128
 
 [noise_probe]
-s_values = -2.0,0.0
+s_values = {values["s_values"]}
 bandlimits = {values["probe_bandlimits"]}
 
 [gamma]
@@ -106,6 +107,21 @@ def run_fresh_process(script):
     return subprocess.run(
         [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
     )
+
+
+def traced_cli_peak(argv):
+    """The tracemalloc peak, in bytes, of ``tikhtorus.cli.main(argv)`` run in a
+    fresh process; the run must exit 0."""
+    script = (
+        "import tracemalloc, tikhtorus.cli; "
+        "tracemalloc.start(); "
+        f"code = tikhtorus.cli.main({argv!r}); "
+        "assert code == 0, code; "
+        "print(tracemalloc.get_traced_memory()[1])"
+    )
+    done = run_fresh_process(script)
+    assert done.returncode == 0, done.stderr
+    return int(done.stdout.split()[-1])  # after the written paths
 
 
 _finite_floats = st.floats(allow_nan=False, allow_infinity=False)
@@ -1102,17 +1118,24 @@ class TestCli:
         # tracemalloc peak over its top lattice's mode count stays below it
         config = write_config(tmp_path, small_config_text(experiment, str(tmp_path / "out"), **overrides))
         argv = [experiment.replace("_", "-"), "--config", str(config)]
-        script = (
-            "import tracemalloc, tikhtorus.cli; "
-            "tracemalloc.start(); "
-            f"code = tikhtorus.cli.main({argv!r}); "
-            "assert code == 0, code; "
-            "print(tracemalloc.get_traced_memory()[1])"
-        )
-        done = run_fresh_process(script)
-        assert done.returncode == 0, done.stderr
-        peak = int(done.stdout.split()[-1])  # after the written paths
+        peak = traced_cli_peak(argv)
         assert peak / (2 * top_bandlimit + 1) <= _BYTES_PER_MODE[experiment]
+
+    def test_probe_keeps_its_even_tables_on_half_the_lattice(self, tmp_path):
+        # the 4 weight tables and the |c|^2 table sit on the 131,073
+        # positions from the zero mode up, 20 B per top-lattice mode: this
+        # run's traced peak measured 36.6 B per mode, and 60.6 B while the
+        # tables held the whole lattice
+        text = small_config_text(
+            "noise_probe",
+            str(tmp_path / "out"),
+            probe_bandlimits="32768,65536,131072",
+            s_values="-2.0,-0.6,-0.4,0.0",
+            seeds="0,1,2,3,4,5",
+        )
+        argv = ["noise-probe", "--config", str(write_config(tmp_path, text))]
+        peak = traced_cli_peak(argv)
+        assert peak / (2 * 131072 + 1) <= 48
 
     def test_missing_config_file(self, tmp_path, capsys):
         code = main(["deblur", "--config", str(tmp_path / "absent.ini")])

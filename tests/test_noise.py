@@ -138,7 +138,8 @@ class TestSampler:
 def single_shot_draw(lattice, seed):
     """The coefficients and |c|^2 of one draw from one whole-stream call:
     ``random(2 * (n + 1))``, the Box-Muller pairs, and the documented scatter."""
-    canonical = noise._draw_layout(lattice.dimension, lattice.bandlimit)
+    first = lattice.zero_index + 1
+    canonical = first + np.argsort(lattice.shells()[first:], kind="stable")
     conjugate = lattice.mode_count - 1 - canonical
     n = canonical.size
     uniforms = np.random.Generator(np.random.PCG64(seed)).random(2 * (n + 1))
@@ -157,7 +158,12 @@ def single_shot_draw(lattice, seed):
 def assert_draws_match_single_shot(lattice, seed):
     coeffs, power = single_shot_draw(lattice, seed)
     assert np.array_equal(sample_white_noise(lattice, seed).coefficients, coeffs)
-    assert np.array_equal(noise._draw_power(lattice, seed), power)
+    # the half |c|^2 table, read through the mirror at every canonical and
+    # every conjugate position, as a slice and as an index array
+    half = noise._half_power(lattice, seed)
+    assert half.shape == (lattice.zero_index + 1,)
+    for every in (slice(0, lattice.mode_count), np.arange(lattice.mode_count)):
+        assert np.array_equal(spectral._mirrored(half, every, lattice.zero_index), power)
 
 
 @pytest.fixture
@@ -288,6 +294,14 @@ class TestSpanDraw:
             span = noise._draw_span(lattice, seed, start, stop)
             assert span.dtype == np.complex128 and span.tobytes() == coefficients[start:stop].tobytes()
 
+    def test_numpy_integer_bounds_draw_the_same_bytes(self):
+        # PCG64.advance refuses numpy integers, which bounds drawn with a
+        # numpy Generator are
+        lattice = FrequencyLattice(1, 50)
+        for start, stop in [(0, 50), (3, 51), (49, 52), (60, 83), (0, 101)]:
+            drawn = noise._draw_span(lattice, 5, np.int64(start), np.int64(stop))
+            assert drawn.tobytes() == noise._draw_span(lattice, 5, start, stop).tobytes()
+
     @pytest.mark.parametrize("seed", [-1, 1.5, "3", None])
     def test_a_bad_seed_raises_before_any_draw(self, monkeypatch, seed):
         def forbidden(*args):
@@ -413,6 +427,30 @@ class TestRegularityProbe:
             (row.s, row.bandlimit, row.trajectory, row.partial_energy, row.growth_ratio)
             for row in rows
         ] == oracle
+
+    # leaves of 128 items: the 1-d balls of 141 and 601 modes and the 2-d
+    # lattice of 841 have leaves wholly below the zero mode, one that holds
+    # it and leaves above it; a 2-d ball smaller than the lattice is read
+    # through index arrays; ball 0 is the zero mode alone
+    @pytest.mark.parametrize("chunk", [1, 3, 7])
+    @pytest.mark.parametrize("dimension,bandlimits", [(1, [0, 1, 70, 300]), (2, [0, 1, 6, 14])])
+    def test_mirrored_leaves_sum_like_the_masked_oracle(
+        self, monkeypatch, many_cpus, dimension, bandlimits, chunk
+    ):
+        monkeypatch.setattr(spectral, "_CHUNK", chunk)
+        kinds = set()
+        mirrored = spectral._mirrored
+
+        def recording(half, piece, zero):
+            if not isinstance(piece, slice):
+                kinds.add("index array")
+            else:
+                kinds.add("above" if piece.start >= zero else "below" if piece.stop <= zero + 1 else "holds zero")
+            return mirrored(half, piece, zero)
+
+        monkeypatch.setattr(noise, "_mirrored", recording)
+        self.test_rows_equal_the_masked_sum_composition(dimension, [-2.0, -0.6, 0.3], bandlimits)
+        assert kinds == {"above", "below", "holds zero"} | ({"index array"} if dimension == 2 else set())
 
     @settings(max_examples=25, deadline=None)
     @given(

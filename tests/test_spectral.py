@@ -325,6 +325,24 @@ class TestSobolevWeights:
         for s in [-2.0, -0.6, 0.0, 0.5, 1.0, 2.0]:
             assert np.array_equal(sobolev_weights(lat, s), (1 + lat.squared_norms()) ** s)
 
+    # the probe's half tables: the shared table from the zero mode on, bit
+    # for bit, through the same chunked fill
+    @pytest.mark.parametrize("chunk", [None, 3])
+    @pytest.mark.parametrize(
+        "dimension,bandlimit", [(1, 0), (1, 50), (2, 0), (2, 6), (1, 2 * spectral._CHUNK + 5)]
+    )
+    def test_half_tables_equal_the_shared_table_from_the_zero_mode(
+        self, monkeypatch, dimension, bandlimit, chunk
+    ):
+        monkeypatch.setattr(spectral, "_cpu_count", lambda: 8)
+        if chunk is not None:
+            monkeypatch.setattr(spectral, "_CHUNK", chunk)
+        lat = FrequencyLattice(dimension, bandlimit)
+        for s in [-2.0, -0.6, 0.0, 0.5, 1.0, 2.0]:
+            half = spectral._half_sobolev_weights(lat, s)
+            assert np.array_equal(half, (1 + lat.squared_norms()[lat.zero_index :]) ** s)
+            assert half.flags.writeable  # a fresh table, not the cached one
+
     @pytest.mark.parametrize("chunk", [None, 7])
     def test_overflow_warns_on_the_caller_and_not_when_checked(
         self, monkeypatch, fresh_weight_tables, chunk
@@ -374,6 +392,14 @@ def spread_values(count, seed):
     return rng.standard_normal(count) * 10.0 ** rng.uniform(-20.0, 20.0, count)
 
 
+def ball_sums(lat, table, balls):
+    """``np.sum`` of a lattice-ordered table over the ball of each bandlimit,
+    in the ball's own enumeration order, as floats: the oracle of every sum
+    ``_kernel_sums`` takes."""
+    # reshape(-1), not ravel(): a 1-d ball of a strided table stays a view
+    return [float(np.sum(spectral.ball(lat, table, m).reshape(-1))) for m in balls]
+
+
 class TestPairwiseTree:
     # np.sum of each leaf of numpy's pairwise tree, added up that tree, is
     # np.sum of the whole array bit for bit; the sums of _kernel_sums rest on it
@@ -397,7 +423,7 @@ class TestPairwiseTree:
         lat = FrequencyLattice(dimension, bandlimit)
         table = spread_values(lat.mode_count, 24)
         sums = spectral._kernel_sums(lat, lambda piece: np.sum(table[piece]), balls)
-        assert np.array_equal(sums, spectral._ball_sums(lat, table, balls))
+        assert np.array_equal(sums, ball_sums(lat, table, balls))
 
 
 class TestKernelSums:
@@ -423,7 +449,7 @@ class TestKernelSums:
             return np.sum(table[piece])
 
         sums = spectral._kernel_sums(lat, kernel, balls)
-        assert np.array_equal(sums, spectral._ball_sums(lat, table, balls))
+        assert np.array_equal(sums, ball_sums(lat, table, balls))
         assert all(type(total) is float for total in sums)
         # the pieces are the tree's leaves and cover each ball once
         expected = []
@@ -455,7 +481,7 @@ class TestKernelSums:
         coeffs = random_hermitian_field(lat, 2).coefficients
         balls = list(range(bandlimit + 1))
         squares = sobolev_weights(lat, -1.5) * (coeffs.real**2 + coeffs.imag**2)
-        expected = spectral._ball_sums(lat, squares, balls)
+        expected = ball_sums(lat, squares, balls)
         assert spectral._sobolev_sums(lat, -1.5, coeffs, balls) == expected
         assert spectral._sobolev_sums(lat, -1.5, lambda piece: coeffs[piece], balls) == expected
         assert spectral._sobolev_sums(lat, -1.5, coeffs) == expected[-1]
