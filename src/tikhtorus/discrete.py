@@ -39,6 +39,7 @@ from .spectral import (
     FrequencyLattice,
     MultiplierOperator,
     SpectralField,
+    _as_index,
     _kernel_sums,
     _sobolev_sums,
     ball,
@@ -258,7 +259,8 @@ def gamma_sweep(
     matrix block-diagonal per mode, so the matrix minimizer of size (n, k) is
     the reference minimizer on its observed ball |l| <= min(half_n, half_k)
     (half_n = (n - 1) // 2) and zero elsewhere. Every size is checked before
-    any table is built. The reference problem is solved once; each per-mode
+    any table is built; n and k must be odd integers, as :func:`assemble`
+    requires. The reference problem is solved once; each per-mode
     quantity (the objective's three terms, the ball radius's and the H^r
     norm's weighted squares, one pairing per test function) is formed piece
     by piece and summed over every size's ball by ``spectral._kernel_sums``,
@@ -269,7 +271,10 @@ def gamma_sweep(
     """
     if schedule.r <= 0:
         raise ParameterError("gamma sweep needs a spectral penalty with r > 0")
-    pairs = [(int(n), int(k)) for n, k in sizes]
+    pairs = [(_as_index(n), _as_index(k)) for n, k in sizes]
+    for (n, k), size in zip(pairs, sizes):
+        if None in (n, k) or n % 2 == 0 or k % 2 == 0:
+            raise ParameterError(f"sizes must be odd integers (2M+1 basis sizes), got {size!r}")
     if any(b < a for (a, _), (b, _) in zip(pairs, pairs[1:])):
         raise ParameterError("sizes must be nondecreasing in n")
     lattice = truth.lattice

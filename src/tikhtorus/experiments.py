@@ -28,7 +28,7 @@ from .rates import (
     DivergenceTables,
     SweepRow,
     SweepTables,
-    _deblur_pass,
+    _sweep_pass,
     error_sweep,
     predicted_exponent,
 )
@@ -214,11 +214,12 @@ def run_deblur(config: ExperimentConfig) -> dict:
 
     The snapshot draws the first seed on its plot band only; nesting makes
     that draw the truncation of the reference one. The error sweep and the
-    certificate then take every seed in one streamed pass of their shared
-    leaf kernel (``rates._deblur_pass``): each seed's span of each piece of
-    the reference lattice is drawn once, and no draw exists lattice-wide.
-    Its sums follow ``spectral._kernel_sums``' summation rule, and its checks
-    run in seed order after the snapshot's. The sweep and the certificate
+    certificate then take every seed in one pass of their shared leaf
+    kernel (``rates._sweep_pass``, the pass of ``error_sweep`` and
+    ``h1_divergence`` too): each seed's span of each piece of the reference
+    lattice is drawn once, and no draw exists lattice-wide. Its sums follow
+    ``spectral._kernel_sums``' summation rule, and its checks run in seed
+    order after the snapshot's. The sweep and the certificate
     share the operator's cached symbol tables on the reference lattice,
     evaluated once by the ellipticity check.
     """
@@ -246,7 +247,7 @@ def run_deblur(config: ExperimentConfig) -> dict:
     # illustrative reconstruction at the fixed noise amplitude
     noise = sample_white_noise(FrequencyLattice(1, _plot_band(config)), config.seeds[0])
     signal_table, signal_plot, plot_band = _snapshot(config, operator, truth, noise, signal_alpha, schedule.r)
-    errors, divergence = _deblur_pass(sweep, certificate, config.seeds)
+    errors, divergence = _sweep_pass(sweep, certificate, config.seeds)
     result = sweep.result(errors)
 
     divergence_meta: dict = {"emitted": False}

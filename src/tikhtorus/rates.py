@@ -9,11 +9,10 @@ piece of the lattice it forms each delta's factors once for a block of
 seeds, then each seed's sums in piece-sized buffers, and
 ``spectral._kernel_sums`` adds the pieces' sums up (its docstring states the
 summation rule, so the bytes depend neither on the CPU count nor on the
-piece size). :func:`error_sweep`, :func:`h1_divergence` and the tables'
-per-seed methods run that kernel one seed at a time over a draw they are
-given. A d = 1 deblur run (``_deblur_pass``) runs it once for every seed,
-drawing each seed's span of each piece directly (``noise._draw_span``), so
-no draw exists lattice-wide.
+piece size). :func:`error_sweep`, :func:`h1_divergence` and a deblur run all
+run it through one pass, ``_sweep_pass``: in d = 1 it draws each seed's span
+of each piece directly (``noise._draw_span``), every seed at once, so no
+draw exists lattice-wide.
 
 The sweep's kernel takes the bias and filtered-noise parts from
 ``tikhonov._delta_parts`` and ``tikhonov._noise_part``, the routines that
@@ -26,13 +25,14 @@ pieces either.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 import sys
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import CalibrationError, DomainError, InvalidFieldError, ParameterError
+from .errors import CalibrationError, DomainError, ParameterError
 from .noise import _draw_span, _seed_index, sample_white_noise
 from .spectral import (
     FrequencyLattice,
@@ -101,8 +101,11 @@ def predicted_exponent(t: float, r: float, kappa: float, s: float, s1: float) ->
     the window cap s - t + 2(t+r)/kappa <= s + r < r enforces that on its
     own. For kappa < 2 the window can reach beyond r, where the bias
     exponent turns nonpositive and the bound, while still valid, certifies
-    no convergence.
+    no convergence. An argument that is not finite raises ParameterError.
     """
+    for name, value in (("t", t), ("r", r), ("kappa", kappa), ("s", s), ("s1", s1)):
+        if not math.isfinite(value):
+            raise ParameterError(f"{name} must be finite, got {value}")
     if r < 0:
         raise ParameterError(f"penalty order r must be >= 0, got {r}")
     if kappa <= 0:
@@ -175,7 +178,8 @@ def fit_loglog_slope(samples: Sequence[tuple]) -> SlopeFit:
     """Ordinary least squares on (log delta, log error).
 
     ``residual`` is the root-mean-square misfit in log space, a quick trust
-    indicator: near zero means a clean power law.
+    indicator: near zero means a clean power law. A delta or error that is
+    not positive and finite raises DomainError.
     """
     if len(samples) < 3:
         raise ParameterError(f"need at least 3 samples, got {len(samples)}")
@@ -183,6 +187,8 @@ def fit_loglog_slope(samples: Sequence[tuple]) -> SlopeFit:
     errors = np.array([e for _, e in samples], dtype=np.float64)
     if np.any(deltas <= 0) or np.any(errors <= 0):
         raise DomainError("log-log fit needs strictly positive deltas and errors")
+    if not (np.isfinite(deltas).all() and np.isfinite(errors).all()):
+        raise DomainError("log-log fit needs finite deltas and errors")
     x = np.log(deltas)
     y = np.log(errors)
     slope, intercept = np.polyfit(x, y, 1)
@@ -214,9 +220,7 @@ class SweepTables:
     per sweep: a and |a|^2 on the truth's lattice (the operator's cached
     tables, shared with a :class:`DivergenceTables` of the same run),
     (1+|l|^2)^r, (1+|l|^2)^s1 per s1 and alpha(delta) per delta.
-    :meth:`errors` is the per-seed kernel and :meth:`result` the summary, so
-    a caller that already holds a noise draw can feed it in without drawing
-    again.
+    :meth:`result` is the summary of the errors that ``_sweep_pass`` gives.
 
     Per piece and delta, the kernel forms the gain conj(a)/z and the bias
     part once (``tikhonov._delta_parts``); per seed, the filtered noise part,
@@ -226,11 +230,9 @@ class SweepTables:
     summation order of :func:`~tikhtorus.spectral.sobolev_norm`, so each
     error equals that function's value on the deviation bit for bit.
 
-    :meth:`errors` rejects a draw with a non-finite coefficient at entry
-    (InvalidFieldError). An error that is still not finite raises a
-    ParameterError that names ``[grids] s1_list`` when that s1's weights
-    overflow, and otherwise the s1 and delta it occurred at and
-    ``[grids] delta_grid``. :meth:`result` refuses a seed median of 0, which
+    An error that is not finite raises a ParameterError that names
+    ``[grids] s1_list`` when that s1's weights overflow, and otherwise the s1
+    and delta it occurred at and ``[grids] delta_grid``. :meth:`result` refuses a seed median of 0, which
     has no logarithm, naming ``[grids] delta_grid`` and the schedule keys: a
     ParameterError at the largest delta, which normalizes the curve, and a
     DomainError at the others, which the slope fit reads.
@@ -273,14 +275,6 @@ class SweepTables:
         with np.errstate(over="ignore"):  # an s1 whose weights overflow is named by _errors
             self._s1_weights = [sobolev_weights(lattice, s1) for s1 in self.s1_list]
 
-    def errors(self, eps: np.ndarray) -> np.ndarray:
-        """errors[k, i] = ||T(m_delta_i) - u||_{H^s1_k} for one noise draw
-        ``eps`` (its coefficients; zeros for the noise-free pipeline)."""
-        if not np.isfinite(eps).all():
-            raise InvalidFieldError("field has non-finite coefficients")
-        sums = _pass_sums(self.truth.lattice, lambda j, start, stop: eps[start:stop], 1, [self])
-        return self._errors(sums[0])
-
     def _block_sums(self, i: int, piece: slice, block: list) -> np.ndarray:
         """sums[j, k]: the sum of (1+|l|^2)^s1_k |T(m) - u|^2 on ``piece`` at
         delta i for the noise coefficients block[j] on that piece."""
@@ -304,8 +298,8 @@ class SweepTables:
         return sums
 
     def _errors(self, sums: np.ndarray) -> np.ndarray:
-        """The errors of one seed from its sums[i, k] (delta i, s1 k), checked
-        in (delta, s1) order."""
+        """errors[k, i] = ||T(m_delta_i) - u||_{H^s1_k} of one seed from its
+        sums[i, k] (delta i, s1 k), checked in (delta, s1) order."""
         errors = np.empty((len(self.s1_list), len(self.delta_grid)))
         for i, delta in enumerate(self.delta_grid):
             for k, s1 in enumerate(self.s1_list):
@@ -322,8 +316,8 @@ class SweepTables:
         return errors
 
     def result(self, per_seed: list) -> SweepResult:
-        """Rows, seed medians, normalizers and slopes from the outputs of
-        :meth:`errors`, one per seed in seed order."""
+        """Rows, seed medians, normalizers and slopes from the errors of
+        ``_sweep_pass``, one per seed in seed order."""
         errors = np.stack(per_seed, axis=-1)  # (s1, delta, seed)
         delta_grid = self.delta_grid
         rows: list[SweepRow] = []
@@ -380,24 +374,10 @@ def error_sweep(
     seed-median raw errors, the robust choice under white-noise scatter.
     The per-mode work runs in pieces across the CPUs, and the sums follow the
     summation rule of ``spectral._kernel_sums``, so the errors do not depend
-    on the CPU count.
-
-    Each seed is drawn once, as a whole field, and fed to the per-seed
-    kernel (:class:`SweepTables`); this route serves every dimension and the
-    noise-free pipeline. A d = 1 deblur run builds no draw: it streams every
-    seed through the same kernel piece by piece, together with its H^1
-    certificate.
+    on the CPU count. Every seed is checked before any is drawn.
     """
     tables = SweepTables(A, truth, schedule, s1_list, delta_grid, seeds)
-    errors = [
-        tables.errors(
-            np.zeros_like(truth.coefficients)
-            if seed is None
-            else sample_white_noise(truth.lattice, seed).coefficients
-        )
-        for seed in seeds
-    ]
-    return tables.result(errors)
+    return tables.result(_sweep_pass(tables, None, seeds)[0])
 
 
 @dataclasses.dataclass(frozen=True)
@@ -479,8 +459,8 @@ class DivergenceTables:
 
     The constructor validates the schedule and grid, calibrates the pinch
     band (:func:`calibrate_band`), and keeps the operator's cached |a|^2 on
-    ``lattice`` next to the shared (1+|l|^2) weights.
-    :meth:`rows` is the per-seed kernel and :meth:`report` the summary.
+    ``lattice`` next to the shared (1+|l|^2) weights. :meth:`report` is the
+    summary of the rows that ``_sweep_pass`` gives.
 
     Per piece and delta, the kernel forms |a|^2 delta^2 and z^2 once; per
     seed, (1+|l|^2) |w_delta|^2 in piece-sized buffers and its sum, taken by
@@ -516,12 +496,6 @@ class DivergenceTables:
         self._alphas = [schedule.alpha(band.delta) for band in self.bands]
         self._bound_factor = 1.0 / ((1.0 + schedule.alpha0 / self.c0) * (self.c1 + schedule.alpha0))
 
-    def rows(self, seed: int, eps: np.ndarray) -> list:
-        """One :class:`DivergenceRow` per delta for the noise draw ``eps``
-        (its coefficients) of ``seed``."""
-        sums = _pass_sums(self._lattice, lambda j, start, stop: eps[start:stop], 1, [self])
-        return self._rows(seed, sums[0, :, 0], lambda start, stop: eps[start:stop])
-
     def _block_sums(self, i: int, piece: slice, block: list) -> np.ndarray:
         """sums[j, 0]: the sum of (1+|l|^2) |w_delta|^2 on ``piece`` at delta
         i for the noise coefficients block[j] on that piece."""
@@ -539,9 +513,9 @@ class DivergenceTables:
         return sums
 
     def _rows(self, seed: int, h1_sums: np.ndarray, noise: Callable) -> list:
-        """The rows of one seed from its sums per delta and ``noise(start,
-        stop)``, its coefficients on the modes [start, stop), checked in
-        delta order."""
+        """One :class:`DivergenceRow` per delta of one seed from its sums per
+        delta and ``noise(start, stop)``, its coefficients on the modes
+        [start, stop), checked in delta order."""
         rows = []
         with np.errstate(all="ignore"):
             for band, alpha, h1_norm_sq in zip(self.bands, self._alphas, h1_sums.tolist()):
@@ -565,8 +539,8 @@ class DivergenceTables:
         return rows
 
     def report(self, per_seed: list) -> DivergenceReport:
-        """The report over the outputs of :meth:`rows`, one per seed in seed
-        order."""
+        """The report over the rows of ``_sweep_pass``, one list per seed in
+        seed order."""
         ratio_by_seed: dict[int, float] = {}
         for rows in per_seed:
             h1_norms = [math.sqrt(row.h1_norm_sq) for row in rows]
@@ -600,19 +574,12 @@ def h1_divergence(
     statistic is the per-seed min/max ratio of ||w_delta||_{H^1} across the
     grid: bounded away from zero means no decay.
 
-    Each seed is drawn once, as a whole field, and fed to the per-seed
-    kernel (:class:`DivergenceTables`). A d = 1 deblur run builds no draw:
-    its error sweep's pass streams every seed through the certificate too.
     The per-mode work runs in pieces across the CPUs, and the sums follow the
     summation rule of ``spectral._kernel_sums``, so the rows do not depend
-    on the CPU count.
+    on the CPU count. Every seed is checked before any is drawn.
     """
     tables = DivergenceTables(A, schedule, delta_grid, seeds, lattice)
-    rows = [
-        tables.rows(seed, sample_white_noise(lattice, seed).coefficients)
-        for seed in seeds
-    ]
-    return tables.report(rows)
+    return tables.report(_sweep_pass(None, tables, seeds)[1])
 
 
 # seeds whose draws a piece of the pass holds at once, so a worker's scratch
@@ -624,51 +591,59 @@ def h1_divergence(
 _SEED_BLOCK = 2
 
 
-def _pass_sums(lattice: FrequencyLattice, noise: Callable, count: int, stages: list) -> np.ndarray:
-    """sums[j, i, :] of seed j = 0..count-1 at delta i: the sums of each of
-    ``stages`` (a :class:`SweepTables` and/or a :class:`DivergenceTables` on
+def _pass_sums(lattice: FrequencyLattice, noise: Callable, seeds: Sequence, stages: list) -> np.ndarray:
+    """sums[j, i, :] of seeds[j] at delta i: the sums of each of ``stages``
+    (a :class:`SweepTables` and/or a :class:`DivergenceTables` on
     ``lattice`` with the same delta grid), side by side, from the one leaf
-    kernel. ``noise(j, start, stop)`` gives seed j's coefficients on the
-    modes [start, stop); the kernel asks once for each seed and piece, a
+    kernel. ``noise(seed, start, stop)`` gives the seed's coefficients on
+    the modes [start, stop); the kernel asks once for each seed and piece, a
     block of seeds at a time, and forms each delta's factors once per
     block."""
     deltas = len(stages[0]._alphas)
 
     def kernel(piece: slice) -> np.ndarray:
         blocks = []
-        for first in range(0, count, _SEED_BLOCK):
-            block = [noise(j, piece.start, piece.stop) for j in range(first, min(count, first + _SEED_BLOCK))]
+        for first in range(0, len(seeds), _SEED_BLOCK):
+            block = [noise(seed, piece.start, piece.stop) for seed in seeds[first : first + _SEED_BLOCK]]
             sums = [np.hstack([stage._block_sums(i, piece, block) for stage in stages]) for i in range(deltas)]
             blocks.append(np.stack(sums, axis=1))  # (seed, delta, sum)
         return np.concatenate(blocks).reshape(-1)
 
-    return _kernel_sums(lattice, kernel).reshape(count, deltas, -1)
+    return _kernel_sums(lattice, kernel).reshape(len(seeds), deltas, -1)
 
 
-def _deblur_pass(sweep: SweepTables, certificate: DivergenceTables | None, seeds: Sequence[int]) -> tuple:
-    """The outputs of ``sweep.errors`` and ``certificate.rows`` (an empty
-    list without a certificate) for the draws of ``seeds`` on the sweep's
-    d = 1 lattice, one per seed, from one pass of the leaf kernel: each
-    seed's span of each piece is drawn once, straight from its stream
-    (``noise._draw_span``), so no draw exists lattice-wide, and the
-    certificate's lower bound reads its band members the same way. The
-    checks run on the finished sums, per seed the sweep's and then the
-    certificate's, as the per-seed methods would raise them."""
-    lattice = sweep.truth.lattice
+def _sweep_pass(sweep: SweepTables | None, certificate: DivergenceTables | None, seeds: Sequence) -> tuple:
+    """The errors of ``sweep`` and the rows of ``certificate``, one per seed
+    (an empty list for a stage that is None), from the one leaf kernel.
+    Every seed is checked before any draw; a None seed, the noise-free
+    pipeline, has zero noise and no certificate.
+
+    In d = 1 every seed runs in one pass: each seed's span of each piece is
+    drawn once, straight from its stream (``noise._draw_span``), so no draw
+    exists lattice-wide, and the certificate's lower bound reads its band
+    members the same way. In d >= 2 a span cannot be drawn on its own, so
+    each seed is drawn whole and runs in a pass of its own, and one draw is
+    alive at a time. The checks run on the finished sums, per seed the
+    sweep's and then the certificate's, in seed order."""
+    lattice = certificate._lattice if sweep is None else sweep.truth.lattice
     for seed in seeds:
-        _seed_index(seed)
-    stages = [sweep] if certificate is None else [sweep, certificate]
-    sums = _pass_sums(
-        lattice, lambda j, start, stop: _draw_span(lattice, seeds[j], start, stop), len(seeds), stages
-    )
-    width = len(sweep.s1_list)
+        if seed is not None or certificate is not None:
+            _seed_index(seed)
+    stages = [stage for stage in (sweep, certificate) if stage is not None]
     errors, rows = [], []
-    for seed, seed_sums in zip(seeds, sums):
-        errors.append(sweep._errors(seed_sums[:, :width]))
-        if certificate is not None:
-            rows.append(
-                certificate._rows(
-                    seed, seed_sums[:, width], lambda start, stop: _draw_span(lattice, seed, start, stop)
-                )
-            )
+    for group in [seeds] if lattice.dimension == 1 else [[seed] for seed in seeds]:
+        draw = None  # frees the last seed's draw before the next is made
+        if lattice.dimension > 1 and group[0] is not None:
+            draw = sample_white_noise(lattice, group[0]).coefficients
+
+        def noise(seed, start: int, stop: int) -> np.ndarray:
+            if seed is None:
+                return np.zeros(stop - start, dtype=np.complex128)
+            return _draw_span(lattice, seed, start, stop) if draw is None else draw[start:stop]
+
+        for seed, sums in zip(group, _pass_sums(lattice, noise, group, stages)):
+            if sweep is not None:
+                errors.append(sweep._errors(sums[:, : len(sweep.s1_list)]))
+            if certificate is not None:
+                rows.append(certificate._rows(seed, sums[:, -1], functools.partial(noise, seed)))
     return errors, rows

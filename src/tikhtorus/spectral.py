@@ -589,11 +589,13 @@ def _fft_bins(lattice: FrequencyLattice, points_per_axis: int) -> tuple:
 def evaluate_on_grid(field: SpectralField, points_per_axis: int) -> np.ndarray:
     """Synthesize the real field on the uniform grid x_j = j / n per axis.
 
-    Requires the Hermitian flag (the output is real) and
+    Requires the Hermitian flag (the output is real) and an integer
     points_per_axis >= 2*bandlimit + 1 so that no two lattice modes alias.
     """
     if not field.hermitian:
         raise NotRealValuedError("evaluate_on_grid requires a Hermitian field")
+    if _as_index(points_per_axis) is None:
+        raise ParameterError(f"points per axis must be an integer, got {points_per_axis!r}")
     lattice = field.lattice
     if points_per_axis < 2 * lattice.bandlimit + 1:
         raise ParameterError(

@@ -288,6 +288,14 @@ class TestGammaSweep:
             assert abs(row.pairing_gap) < 1e-10
         assert abs(result.summaries[0].functional_gap) < 1e-10
 
+    @pytest.mark.parametrize("size", [(5.9, 5.9), ("5", "5"), (4, 4), (5, 4), (17.0, 17)])
+    def test_sizes_must_be_odd_integers(self, size):
+        # a fractional size is not truncated, and an even one has no dense
+        # counterpart: assemble refuses it too
+        lattice, truth, noise, phis = self.build()
+        with pytest.raises(ParameterError, match="sizes must be odd integers"):
+            gamma_sweep(deblur_operator(), truth, noise, 1e-3, SCHEDULE, [(3, 3), size], phis)
+
     def test_functional_descent_monotone(self):
         lattice, truth, noise, phis = self.build()
         sizes = [(17, 17), (33, 33), (65, 65), (129, 129)]

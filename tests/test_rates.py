@@ -11,10 +11,10 @@ from tikhtorus import (
     DimensionError,
     DomainError,
     FrequencyLattice,
-    InvalidFieldError,
     MultiplierOperator,
     ParameterError,
     RegularizationSchedule,
+    apply_multiplier,
     deblur_operator,
     error_sweep,
     fit_loglog_slope,
@@ -32,7 +32,7 @@ from tikhtorus import (
     zero_field,
 )
 from tikhtorus import rates, spectral
-from tikhtorus.rates import DivergenceTables, SweepTables, calibrate_band
+from tikhtorus.rates import DivergenceRow, DivergenceTables, SweepTables, calibrate_band
 
 DEBLUR = dict(t=2.0, r=1.0, kappa=2.5, s=-0.6)
 
@@ -110,6 +110,13 @@ class TestPredictedExponent:
         assert result.regime == "out_of_range"
         assert math.isnan(result.predicted_exponent)
 
+    @pytest.mark.parametrize("name", ["t", "r", "kappa", "s", "s1"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_arguments_are_named(self, name, value):
+        arguments = {**DEBLUR, "s1": -1.5, name: value}
+        with pytest.raises(ParameterError, match=f"^{name} must be finite"):
+            predicted_exponent(**arguments)
+
     def test_preconditions(self):
         with pytest.raises(ParameterError):
             predicted_exponent(t=0.3, r=0.0, kappa=1.0, s=-1.0, s1=-2.0)  # t <= -s-r
@@ -168,6 +175,20 @@ class TestSlopeFit:
             fit_loglog_slope([(1.0, 1.0), (0.1, -0.1), (0.01, 0.01)])
         with pytest.raises(DomainError):
             fit_loglog_slope([(1.0, 1.0), (0.0, 0.1), (0.01, 0.01)])
+
+    @pytest.mark.parametrize(
+        "samples",
+        [
+            [(1.0, 1.0), (0.1, math.nan), (0.01, 0.01)],
+            [(1.0, 1.0), (0.1, math.inf), (0.01, 0.01)],
+            [(math.inf, 1.0), (0.1, 0.1), (0.01, 0.01)],
+            [(1.0, 1.0), (math.nan, 0.1), (0.01, 0.01)],
+        ],
+        ids=["nan-error", "inf-error", "inf-delta", "nan-delta"],
+    )
+    def test_non_finite_samples_are_refused(self, samples):
+        with pytest.raises(DomainError, match="finite"):
+            fit_loglog_slope(samples)
 
 
 SCHEDULE = RegularizationSchedule(alpha0=1.0, kappa=2.5, r=1.0)
@@ -257,37 +278,23 @@ class TestErrorSweep:
             error_sweep(deblur_operator(), truth, SCHEDULE, [-1.5], [1e-3, 1e-2], [0])
 
     def test_kernel_error_precedence(self):
-        # a non-finite deviation is reported as such, ahead of weights
-        # (1+|l|^2)^400 that overflow; finite data then names the s1 key
+        # weights (1+|l|^2)^400 that overflow on finite data name the s1 key
         lattice = FrequencyLattice(1, 64)
         truth = hat_coefficients(lattice)
-        tables = SweepTables(deblur_operator(), truth, SCHEDULE, [400.0, -1.5], [1e-2, 1e-3], [0])
-        eps = sample_white_noise(lattice, 0).coefficients
-        broken = eps.copy()
-        broken[3] = np.inf
-        with pytest.raises(InvalidFieldError, match="non-finite"):
-            tables.errors(broken)
         with pytest.raises(ParameterError, match=r"s1 = 400, delta = 0\.01 \(\[grids\] s1_list\)"):
-            tables.errors(eps)
+            error_sweep(deblur_operator(), truth, SCHEDULE, [400.0, -1.5], [1e-2, 1e-3], [0])
 
     def test_kernel_error_precedence_across_pieces(self, monkeypatch):
-        # 129 modes in 26 pieces over 8 ranges: the inf sits in a piece a
-        # worker thread walks, and the overflowing weights of s1 = 400 warn
-        # in no worker
+        # 129 modes in 26 pieces over 8 ranges: the overflowing weights of
+        # s1 = 400 warn in no worker
         monkeypatch.setattr(spectral, "_CHUNK", 5)
         monkeypatch.setattr(spectral, "_cpu_count", lambda: 8)
         lattice = FrequencyLattice(1, 64)
         truth = hat_coefficients(lattice)
-        tables = SweepTables(deblur_operator(), truth, SCHEDULE, [400.0, -1.5], [1e-2, 1e-3], [0])
-        eps = sample_white_noise(lattice, 0).coefficients
-        broken = eps.copy()
-        broken[100] = np.inf
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            with pytest.raises(InvalidFieldError, match="non-finite"):
-                tables.errors(broken)
             with pytest.raises(ParameterError, match=r"s1 = 400, delta = 0\.01 \(\[grids\] s1_list\)"):
-                tables.errors(eps)
+                error_sweep(deblur_operator(), truth, SCHEDULE, [400.0, -1.5], [1e-2, 1e-3], [0])
         assert caught == []
 
     def test_tables_check_the_operator_dimension(self):
@@ -297,6 +304,40 @@ class TestErrorSweep:
 
 
 DIVERGENCE_SCHEDULE = RegularizationSchedule(alpha0=1.0, kappa=2.0, r=1.0)
+
+
+def composed_errors(A, truth, seed, s1_list, deltas):
+    """errors[k, i] = ||T(m_delta_i) - u||_{H^s1_k} of ``seed`` (None for no
+    noise) by forward -> solve_split -> subtract -> sobolev_norm."""
+    lattice = truth.lattice
+    draw = zero_field(lattice) if seed is None else sample_white_noise(lattice, seed)
+    errors = np.empty((len(s1_list), len(deltas)))
+    for i, delta in enumerate(deltas):
+        deviation = solve_split(A, forward(A, truth, delta, draw), SCHEDULE).reconstruction - truth
+        errors[:, i] = [sobolev_norm(deviation, s1) for s1 in s1_list]
+    return errors
+
+
+def composed_rows(A, lattice, seed, deltas):
+    """The certificate's rows of ``seed`` from the per-mode formulas:
+    h1_norm_sq = sum w1 |a|^2 delta^2 |eps|^2 / z^2 and lower_bound =
+    bound_factor * sum_band |eps|^2."""
+    c0, c1, bands = calibrate_band(A, lattice, deltas)
+    values = A.symbol_values(lattice)
+    symbol_sq = values.real**2 + values.imag**2
+    w1 = 1.0 + lattice.squared_norms()
+    eps = sample_white_noise(lattice, seed).coefficients
+    eps_sq = eps.real**2 + eps.imag**2
+    alpha0 = DIVERGENCE_SCHEDULE.alpha0
+    bound_factor = 1.0 / ((1.0 + alpha0 / c0) * (c1 + alpha0))
+    rows = []
+    for band in bands:
+        delta = band.delta
+        z = symbol_sq + DIVERGENCE_SCHEDULE.alpha(delta) * w1
+        h1_norm_sq = np.sum(w1 * (symbol_sq * (delta * delta) * eps_sq / (z * z)))
+        lower_bound = bound_factor * np.sum(eps_sq[band.member_indices])
+        rows.append(DivergenceRow(delta, seed, band.member_indices.size, lower_bound, h1_norm_sq))
+    return rows
 
 
 class TestBandCalibration:
@@ -446,38 +487,58 @@ class TestChunkedKernels:
         deltas = [1e-2, 1e-3, 1e-4]
         sweep = SweepTables(A, hat_coefficients(lattice), SCHEDULE, [-1.5, 0.0, 1.0], deltas, [7])
         certificate = DivergenceTables(A, DIVERGENCE_SCHEDULE, deltas, [7], lattice)
-        eps = sample_white_noise(lattice, 7).coefficients
         monkeypatch.setattr(spectral, "_CHUNK", 10**9)
-        errors, rows = sweep.errors(eps), certificate.rows(7, eps)
+        (errors,), rows = rates._sweep_pass(sweep, certificate, [7])
         monkeypatch.setattr(spectral, "_CHUNK", chunk)
         monkeypatch.setattr(spectral, "_cpu_count", lambda: cpus)
-        assert np.array_equal(sweep.errors(eps), errors)
-        assert certificate.rows(7, eps) == rows
+        (chunked_errors,), chunked_rows = rates._sweep_pass(sweep, certificate, [7])
+        assert np.array_equal(chunked_errors, errors)
+        assert chunked_rows == rows
 
     @pytest.mark.parametrize("cpus", [1, 8])
     @pytest.mark.parametrize("chunk", [None, 7])
     @pytest.mark.parametrize("kind", ["deblur", "twisted"])
-    def test_streamed_pass_equals_the_per_seed_kernels(self, monkeypatch, kind, chunk, cpus):
-        # the deblur pass draws each seed's span of each leaf itself, a block
-        # of seeds at a time (5 seeds leave a short last block); its errors
-        # and rows equal those of the per-seed methods on whole draws
+    def test_streamed_pass_equals_the_per_mode_compositions(self, monkeypatch, kind, chunk, cpus):
+        # the pass draws each seed's span of each leaf itself, a block of
+        # seeds at a time (5 seeds leave a short last block); its errors and
+        # rows equal the public composition and the per-mode certificate
         A = operator_of(kind)
         lattice = FrequencyLattice(1, 300)
-        deltas, seeds = [1e-2, 1e-3, 1e-4], [7, 0, 3, 2**32, 5]
-        sweep = SweepTables(A, hat_coefficients(lattice), SCHEDULE, [-1.5, 0.0, 1.0], deltas, seeds)
+        truth = hat_coefficients(lattice)
+        s1_list, deltas, seeds = [-1.5, 0.0, 1.0], [1e-2, 1e-3, 1e-4], [7, 0, 3, 2**32, 5]
+        sweep = SweepTables(A, truth, SCHEDULE, s1_list, deltas, seeds)
         certificate = DivergenceTables(A, DIVERGENCE_SCHEDULE, deltas, seeds, lattice)
-        draws = [sample_white_noise(lattice, seed).coefficients for seed in seeds]
-        errors = [sweep.errors(eps) for eps in draws]
-        rows = [certificate.rows(seed, eps) for seed, eps in zip(seeds, draws)]
+        errors = [composed_errors(A, truth, seed, s1_list, deltas) for seed in seeds]
+        rows = [composed_rows(A, lattice, seed, deltas) for seed in seeds]
         if chunk is not None:
             monkeypatch.setattr(spectral, "_CHUNK", chunk)
         monkeypatch.setattr(spectral, "_cpu_count", lambda: cpus)
-        streamed_errors, streamed_rows = rates._deblur_pass(sweep, certificate, seeds)
+        streamed_errors, streamed_rows = rates._sweep_pass(sweep, certificate, seeds)
         assert all(np.array_equal(a, b) for a, b in zip(streamed_errors, errors, strict=True))
         assert streamed_rows == rows
-        alone = rates._deblur_pass(sweep, None, seeds)
+        alone = rates._sweep_pass(sweep, None, seeds)
         assert all(np.array_equal(a, b) for a, b in zip(alone[0], errors, strict=True))
         assert alone[1] == []
+
+    @pytest.mark.parametrize("chunk, cpus", [(None, None), (7, 8)])
+    def test_two_dimensional_sweep_and_certificate_equal_the_compositions(self, monkeypatch, chunk, cpus):
+        # in d = 2 no span is drawn on its own: each seed is drawn whole and
+        # runs in a pass of its own; the noise-free seed has zero noise
+        A = power_law_operator(2.0)
+        lattice = FrequencyLattice(2, 20)
+        truth = apply_multiplier(A, sample_white_noise(lattice, 99))
+        s1_list, deltas = [-1.5, 0.0, 1.0], [1e-2, 1e-3, 1e-4]
+        if chunk is not None:
+            monkeypatch.setattr(spectral, "_CHUNK", chunk)
+            monkeypatch.setattr(spectral, "_cpu_count", lambda: cpus)
+        seeds = [None, 0, 5]
+        result = error_sweep(A, truth, SCHEDULE, s1_list, deltas, seeds)
+        # rows run over (s1, delta, seed)
+        expected = np.stack([composed_errors(A, truth, seed, s1_list, deltas) for seed in seeds], axis=-1)
+        assert [row.seed for row in result.rows] == [-1, 0, 5] * (len(s1_list) * len(deltas))
+        assert [row.raw_error for row in result.rows] == expected.ravel().tolist()
+        report = h1_divergence(A, DIVERGENCE_SCHEDULE, deltas, [0, 5], lattice)
+        assert report.rows == composed_rows(A, lattice, 0, deltas) + composed_rows(A, lattice, 5, deltas)
 
     def test_streamed_pass_checks_every_seed_before_any_draw(self, monkeypatch):
         def forbidden(*args):
@@ -487,7 +548,12 @@ class TestChunkedKernels:
         sweep = SweepTables(deblur_operator(), hat_coefficients(lattice), SCHEDULE, [0.0], [1e-2], [0])
         monkeypatch.setattr(rates, "_draw_span", forbidden)
         with pytest.raises(ParameterError, match="seed must be a non-negative integer"):
-            rates._deblur_pass(sweep, None, [0, -1])
+            rates._sweep_pass(sweep, None, [0, -1])
+
+    def test_certificate_refuses_the_noise_free_seed(self):
+        lattice = FrequencyLattice(1, 20)
+        with pytest.raises(ParameterError, match="seed must be a non-negative integer, got None"):
+            h1_divergence(deblur_operator(), DIVERGENCE_SCHEDULE, [1e-2], [None], lattice)
 
     @pytest.mark.parametrize("cpus", [1, 8])
     @pytest.mark.parametrize("chunk", [1, 3, 7])

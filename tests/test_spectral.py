@@ -718,3 +718,9 @@ class TestGridSynthesis:
         f = zero_field(FrequencyLattice(1, 8))
         with pytest.raises(ParameterError):
             evaluate_on_grid(f, 16)
+
+    @pytest.mark.parametrize("points", [40.0, "40", None])
+    def test_points_must_be_an_integer(self, points):
+        f = zero_field(FrequencyLattice(1, 8))
+        with pytest.raises(ParameterError, match="points per axis must be an integer"):
+            evaluate_on_grid(f, points)
