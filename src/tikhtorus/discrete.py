@@ -41,7 +41,6 @@ from .spectral import (
     SpectralField,
     _as_index,
     _kernel_sums,
-    _sobolev_sums,
     ball,
     finite_sobolev_weights,
     is_hermitian,
@@ -195,9 +194,12 @@ def coords_to_field(lattice: FrequencyLattice, coords: np.ndarray) -> SpectralFi
 def low_frequency_test_functions(lattice: FrequencyLattice, count: int = 5) -> list:
     """Unit-norm probes for weak-topology gaps: the constant, then
     sqrt(2) cos / sqrt(2) sin at frequencies 1, 2, ... Labeled fields in the
-    order const, cos1, sin1, cos2, sin2, ..."""
+    order const, cos1, sin1, cos2, sin2, ...; ``count`` is an integer from 0
+    to the lattice's mode count, else ParameterError."""
     if lattice.dimension != 1:
         raise DimensionError("test functions are implemented for d = 1")
+    if _as_index(count) is None or not 0 <= count <= lattice.mode_count:
+        raise ParameterError(f"count must be an integer in 0..{lattice.mode_count}, got {count!r}")
     functions: list[tuple[str, SpectralField]] = []
     for i in range(count):
         # the probes are the coordinate basis vectors at modes 0, +1, -1, +2, ...
@@ -260,13 +262,15 @@ def gamma_sweep(
     the reference minimizer on its observed ball |l| <= min(half_n, half_k)
     (half_n = (n - 1) // 2) and zero elsewhere. Every size is checked before
     any table is built; n and k must be odd integers, as :func:`assemble`
-    requires. The reference problem is solved once; each per-mode
-    quantity (the objective's three terms, the ball radius's and the H^r
-    norm's weighted squares, one pairing per test function) is formed piece
-    by piece and summed over every size's ball by ``spectral._kernel_sums``,
-    whose docstring states the summation rule. The continuum objective is the
-    same expression summed over the whole lattice. Data so large that a sum,
-    a c_k or a gap is not finite raise ParameterError naming
+    requires. The reference problem is solved once, and one call of
+    ``spectral._kernel_sums`` (whose docstring states the summation rule)
+    takes every sum in one pass over the lattice: its kernel forms, per
+    piece, the objective's terms |a u|^2 and Re(m conj(a u)), the H^r norm's
+    and the ball radius's weighted squares and one pairing Re(u conj(phi))
+    per test function, and returns their sums as one vector, which the pass
+    adds up over every size's ball and the whole lattice. The continuum
+    objective is the same expression over the whole lattice. Data so large
+    that a sum, a c_k or a gap is not finite raise ParameterError naming
     ``[grids] delta_grid``.
     """
     if schedule.r <= 0:
@@ -280,7 +284,6 @@ def gamma_sweep(
     lattice = truth.lattice
     if lattice.dimension != 1:
         raise DimensionError("gamma sweep is implemented for d = 1")
-    finite_sobolev_weights(lattice, schedule.r, f"the penalty at [schedule] r = {schedule.r:g}")
     for n, k in pairs:
         if min(n, k) < 1:
             raise ParameterError(f"sizes must be positive, got ({n}, {k})")
@@ -288,6 +291,7 @@ def gamma_sweep(
             raise ParameterError(
                 f"size ({n}, {k}) exceeds the reference bandlimit {lattice.bandlimit}"
             )
+    finite_sobolev_weights(lattice, schedule.r, f"the penalty at [schedule] r = {schedule.r:g}")
     if any(phi.lattice != lattice for _, phi in test_functions):
         raise DimensionError("pairing needs a shared lattice")
 
@@ -297,25 +301,6 @@ def gamma_sweep(
     # the observed ball of each size, then the whole lattice (the continuum)
     radii = [min(n - 1, k - 1) // 2 for n, k in pairs] + [lattice.bandlimit]
 
-    def image(piece) -> np.ndarray:  # a u
-        return np.multiply(symbol[piece], u[piece])
-
-    def pairing(piece) -> float:  # Re(m conj(a u))
-        return np.sum(np.multiply(m[piece], np.conjugate(image(piece))).real)
-
-    def adjoint_data(piece) -> np.ndarray:  # conj(a) m, of A* m
-        return np.multiply(np.conjugate(symbol[piece]), m[piece])
-
-    def pairing_gaps(phi: np.ndarray) -> list:
-        """<P u - u, phi> per size: the ball sum of Re(u conj(phi)) minus its
-        whole-lattice sum."""
-
-        def kernel(piece) -> float:
-            return np.sum(np.multiply(u[piece], np.conjugate(phi[piece])).real)
-
-        *balls, whole = _kernel_sums(lattice, kernel, radii)
-        return [total - whole for total in balls]
-
     # data near the top of the double range overflow the sums (or, through
     # the solve, the minimizer): what comes out inf or nan is refused below,
     # naming the key that sets the data's size
@@ -324,15 +309,24 @@ def gamma_sweep(
         coords = field_to_coords(m_field)
         c_ks = [float(v @ v) for v in (ball(lattice, coords, (k - 1) // 2) for _, k in pairs)]
         del coords
-        energies = _sobolev_sums(lattice, 0.0, image, radii)  # ||a u||^2: the H^0 weights are 1
-        pairings = _kernel_sums(lattice, pairing, radii)
-        hr_norms = [math.sqrt(total) for total in _sobolev_sums(lattice, schedule.r, u, radii)]
-        rhs_norms = [math.sqrt(total) for total in _sobolev_sums(lattice, -schedule.r, adjoint_data, radii)]
-        columns = [(label, pairing_gaps(phi.coefficients)) for label, phi in test_functions]
-    values = [
-        energy - 2.0 * pairing + alpha * norm**2
-        for energy, pairing, norm in zip(energies, pairings, hr_norms)
-    ]
+        weights, dual_weights = sobolev_weights(lattice, schedule.r), sobolev_weights(lattice, -schedule.r)
+        phis = [phi.coefficients for _, phi in test_functions]
+
+        def kernel(piece) -> np.ndarray:
+            image = np.multiply(symbol[piece], u[piece])  # a u
+            adjoint_data = np.multiply(np.conjugate(symbol[piece]), m[piece])  # conj(a) m, of A* m
+            return np.array([
+                np.sum(image.real**2 + image.imag**2),  # the H^0 weights are 1
+                np.sum(np.multiply(m[piece], np.conjugate(image)).real),
+                np.sum(np.multiply(weights[piece], u[piece].real**2 + u[piece].imag**2)),
+                np.sum(np.multiply(dual_weights[piece], adjoint_data.real**2 + adjoint_data.imag**2)),
+                *(np.sum(np.multiply(u[piece], np.conjugate(phi[piece])).real) for phi in phis),
+            ])
+
+        # per ball, then the whole lattice: ||a u||^2, <m, a u>, ||u||_{H^r}^2,
+        # ||A* m||_{H^-r}^2 and <u, phi> per test function
+        sums = [total.tolist() for total in _kernel_sums(lattice, kernel, radii)]
+    values = [energy - 2.0 * pairing + alpha * math.sqrt(hr) ** 2 for energy, pairing, hr, *_ in sums]
     continuum_objective = values[-1]
     summaries = [
         GammaSizeSummary(
@@ -341,21 +335,23 @@ def gamma_sweep(
             c_k=c_k,
             functional_value=value,
             functional_gap=value - continuum_objective,
-            ball_radius=2.0 / alpha * rhs_norm,
-            minimizer_hr_norm=hr_norm,
+            ball_radius=2.0 / alpha * math.sqrt(total[3]),
+            minimizer_hr_norm=math.sqrt(total[2]),
         )
-        for (n, k), c_k, value, rhs_norm, hr_norm in zip(pairs, c_ks, values, rhs_norms, hr_norms)
+        for (n, k), c_k, value, total in zip(pairs, c_ks, values, sums)
     ]
+    # <P u - u, phi>: the ball's pairing minus the whole lattice's
+    gaps = [[part - whole for part, whole in zip(total[4:], sums[-1][4:])] for total in sums[:-1]]
     numbers = [continuum_objective, *(x for size in summaries for x in dataclasses.astuple(size))]
-    if not all(map(math.isfinite, numbers + [gap for _, column in columns for gap in column])):
+    if not all(map(math.isfinite, numbers + [gap for row in gaps for gap in row])):
         raise ParameterError(
             f"the gamma sweep overflows at delta = {delta:g} (alpha = {alpha:g}): a sum, c_k or "
             "gap is not finite ([grids] delta_grid)"
         )
     rows = [
-        GammaRow(size.n, size.k, alpha, label, gaps[i], size.functional_gap, size.c_k)
-        for i, size in enumerate(summaries)
-        for label, gaps in columns
+        GammaRow(size.n, size.k, alpha, label, gap, size.functional_gap, size.c_k)
+        for size, row in zip(summaries, gaps)
+        for (label, _), gap in zip(test_functions, row)
     ]
     return GammaResult(
         rows=rows,

@@ -414,9 +414,15 @@ def sobolev_norm(field: SpectralField, s: float) -> float:
     coefficients. The sum is taken by :func:`_kernel_sums`, in the lattice
     enumeration order, so the result is reproducible bit for bit.
     """
-    if not np.all(np.isfinite(field.coefficients.view(np.float64))):
+    coeffs = field.coefficients
+    if not np.all(np.isfinite(coeffs.view(np.float64))):
         raise InvalidFieldError("field has non-finite coefficients")
-    return float(np.sqrt(_sobolev_sums(field.lattice, s, field.coefficients)))
+    weights = sobolev_weights(field.lattice, s)
+
+    def kernel(piece) -> float:
+        return np.sum(np.multiply(weights[piece], coeffs[piece].real**2 + coeffs[piece].imag**2))
+
+    return float(np.sqrt(_kernel_sums(field.lattice, kernel)))
 
 
 def apply_multiplier(op: MultiplierOperator, field: SpectralField) -> SpectralField:
@@ -553,20 +559,6 @@ def _kernel_sums(lattice: FrequencyLattice, kernel: Callable, bandlimits=None):
     )
     totals = [total if np.ndim(total) else float(total) for total in totals]
     return totals[0] if bandlimits is None else totals
-
-
-def _sobolev_sums(lattice: FrequencyLattice, s: float, coeffs, bandlimits=None):
-    """:func:`_kernel_sums` of (1+|l|^2)^s |c(l)|^2, the squared truncated H^s
-    norms. ``coeffs`` is a lattice-ordered table, or a function ``(piece)``
-    giving its entries on those modes, for coefficients that are never
-    formed whole."""
-    weights = sobolev_weights(lattice, s)
-
-    def kernel(piece) -> float:
-        values = coeffs(piece) if callable(coeffs) else coeffs[piece]
-        return np.sum(np.multiply(weights[piece], values.real**2 + values.imag**2))
-
-    return _kernel_sums(lattice, kernel, bandlimits)
 
 
 def truncate(field: SpectralField, new_bandlimit: int) -> SpectralField:

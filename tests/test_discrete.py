@@ -1,6 +1,7 @@
 """Matrix Tikhonov problems, penalty matrices, and the refinement sweep."""
 
 import dataclasses
+import math
 import sys
 
 import numpy as np
@@ -31,6 +32,7 @@ from tikhtorus import (
     truncate,
     data_shifted_functional,
 )
+from tikhtorus import spectral
 from tikhtorus.discrete import (
     DENSE_SIZE_CAP,
     GammaResult,
@@ -68,6 +70,20 @@ class TestCoordinates:
 
         with pytest.raises(NotRealValuedError):
             field_to_coords(single_mode_field(FrequencyLattice(1, 2), [1], 1.0))
+
+
+class TestLowFrequencyTestFunctions:
+    def test_count_runs_from_zero_to_the_mode_count(self):
+        lattice = FrequencyLattice(1, 8)
+        assert low_frequency_test_functions(lattice, 0) == []
+        labels = [label for label, _ in low_frequency_test_functions(lattice, 17)]
+        assert labels[:3] == ["const", "cos1", "sin1"] and labels[-2:] == ["cos8", "sin8"]
+
+    @pytest.mark.parametrize("count", [2.5, "3", None, -1, 18])
+    def test_count_is_an_integer_in_range(self, count):
+        # 18 needs frequency 9 on a bandlimit-8 lattice of 17 modes
+        with pytest.raises(ParameterError, match=r"count must be an integer in 0\.\.17"):
+            low_frequency_test_functions(FrequencyLattice(1, 8), count)
 
 
 class TestPenalties:
@@ -295,6 +311,60 @@ class TestGammaSweep:
         lattice, truth, noise, phis = self.build()
         with pytest.raises(ParameterError, match="sizes must be odd integers"):
             gamma_sweep(deblur_operator(), truth, noise, 1e-3, SCHEDULE, [(3, 3), size], phis)
+
+    @pytest.mark.parametrize("size", [(999, 999), (-1, -1)])
+    def test_sizes_are_checked_before_the_penalty(self, size):
+        # r = 400 overflows the penalty's weights on this lattice, but a bad
+        # size is reported first
+        lattice, truth, noise, phis = self.build(reference_bandlimit=64)
+        schedule = RegularizationSchedule(alpha0=1.0, kappa=2.5, r=400.0)
+        with pytest.raises(ParameterError, match="exceeds the reference bandlimit|must be positive"):
+            gamma_sweep(deblur_operator(), truth, noise, 1e-3, schedule, [size], phis)
+        with pytest.raises(ParameterError, match="penalty at .schedule. r = 400 is not finite"):
+            gamma_sweep(deblur_operator(), truth, noise, 1e-3, schedule, [(5, 5)], phis)
+
+    @pytest.mark.parametrize("chunk", [10**9, 7])
+    @pytest.mark.parametrize(
+        "operator", [deblur_operator(), twisted_deblur_operator()], ids=["real", "complex"]
+    )
+    def test_one_pass_equals_the_whole_tables_ball_sums(self, monkeypatch, operator, chunk):
+        # every sum is np.sum of its whole per-mode table over the size's
+        # ball, and every gap that pairing minus its whole-lattice np.sum
+        lattice, truth, noise, phis = self.build(reference_bandlimit=300)
+        phis = phis + [("smooth", smooth_full_spectrum_field(lattice))]
+        sizes = [(5, 5), (17, 33), (33, 17), (65, 65), (601, 601)]
+        monkeypatch.setattr(spectral, "_CHUNK", chunk)
+        result = gamma_sweep(operator, truth, noise, 1e-3, SCHEDULE, sizes, phis)
+
+        m_field = forward(operator, truth, 1e-3, noise).data
+        alpha, r = SCHEDULE.alpha(1e-3), SCHEDULE.r
+        m, symbol = m_field.coefficients, operator.symbol_values(lattice)
+        u = solve(operator, m_field, alpha, r).coefficients
+        image, adjoint_data = np.multiply(symbol, u), np.multiply(np.conjugate(symbol), m)
+        energy = image.real**2 + image.imag**2
+        pairing = np.multiply(m, np.conjugate(image)).real
+        hr_squares = np.multiply(sobolev_weights(lattice, r), u.real**2 + u.imag**2)
+        rhs_squares = np.multiply(
+            sobolev_weights(lattice, -r), adjoint_data.real**2 + adjoint_data.imag**2
+        )
+        probes = [np.multiply(u, np.conjugate(phi.coefficients)).real for _, phi in phis]
+
+        def total(table, radius):
+            return float(np.sum(spectral.ball(lattice, table, radius)))
+
+        def value(radius):
+            hr = total(hr_squares, radius)
+            return total(energy, radius) - 2.0 * total(pairing, radius) + alpha * math.sqrt(hr) ** 2
+
+        assert result.continuum_objective == value(lattice.bandlimit)
+        for i, ((n, k), summary) in enumerate(zip(sizes, result.summaries)):
+            radius = min(n - 1, k - 1) // 2
+            assert summary.functional_value == value(radius)
+            assert summary.minimizer_hr_norm == math.sqrt(total(hr_squares, radius))
+            assert summary.ball_radius == 2.0 / alpha * math.sqrt(total(rhs_squares, radius))
+            gaps = [row.pairing_gap for row in result.rows[i * len(phis) : (i + 1) * len(phis)]]
+            assert gaps == [total(probe, radius) - float(np.sum(probe)) for probe in probes]
+        assert any(row.pairing_gap != 0.0 for row in result.rows if row.test_function_id == "smooth")
 
     def test_functional_descent_monotone(self):
         lattice, truth, noise, phis = self.build()

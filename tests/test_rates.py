@@ -34,6 +34,8 @@ from tikhtorus import (
 from tikhtorus import rates, spectral
 from tikhtorus.rates import DivergenceRow, DivergenceTables, SweepTables, calibrate_band
 
+from test_discrete import smooth_full_spectrum_field
+
 DEBLUR = dict(t=2.0, r=1.0, kappa=2.5, s=-0.6)
 
 
@@ -565,6 +567,7 @@ class TestChunkedKernels:
         lattice = FrequencyLattice(1, 50)
         truth, noise = hat_coefficients(lattice), sample_white_noise(lattice, 3)
         sizes, phis = [(5, 5), (21, 41), (101, 101)], low_frequency_test_functions(lattice, 5)
+        phis.append(("smooth", smooth_full_spectrum_field(lattice)))  # nonzero on every piece
 
         def values():
             result = gamma_sweep(A, truth, noise, 1e-3, SCHEDULE, sizes, phis)

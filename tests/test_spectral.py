@@ -1,5 +1,6 @@
 """Lattices, fields, Sobolev norms, multipliers, grid synthesis."""
 
+import math
 import warnings
 
 import numpy as np
@@ -476,15 +477,14 @@ class TestKernelSums:
             spectral._kernel_sums(FrequencyLattice(1, 40), kernel, [3, m])
 
     @pytest.mark.parametrize("dimension,bandlimit", [(1, 40), (2, 5)])
-    def test_sobolev_sums_take_a_table_or_its_pieces(self, dimension, bandlimit):
-        lat = FrequencyLattice(dimension, bandlimit)
-        coeffs = random_hermitian_field(lat, 2).coefficients
+    def test_sobolev_norm_of_a_truncation_sums_its_ball(self, dimension, bandlimit):
+        field = random_hermitian_field(FrequencyLattice(dimension, bandlimit), 2)
+        coeffs = field.coefficients
         balls = list(range(bandlimit + 1))
-        squares = sobolev_weights(lat, -1.5) * (coeffs.real**2 + coeffs.imag**2)
-        expected = ball_sums(lat, squares, balls)
-        assert spectral._sobolev_sums(lat, -1.5, coeffs, balls) == expected
-        assert spectral._sobolev_sums(lat, -1.5, lambda piece: coeffs[piece], balls) == expected
-        assert spectral._sobolev_sums(lat, -1.5, coeffs) == expected[-1]
+        squares = sobolev_weights(field.lattice, -1.5) * (coeffs.real**2 + coeffs.imag**2)
+        expected = ball_sums(field.lattice, squares, balls)
+        for m in balls:
+            assert sobolev_norm(truncate(field, m), -1.5) == math.sqrt(expected[m])
 
 
 class TestMultiplier:
