@@ -219,9 +219,11 @@ def run_deblur(config: ExperimentConfig) -> dict:
     ``h1_divergence`` too): each seed's span of each piece of the reference
     lattice is drawn once, and no draw exists lattice-wide. Its sums follow
     ``spectral._kernel_sums``' summation rule, and its checks run in seed
-    order after the snapshot's. The sweep and the certificate
-    share the operator's cached symbol tables on the reference lattice,
-    evaluated once by the ellipticity check.
+    order after the snapshot's. The pass builds a, |a|^2 and the weights
+    once per piece, shared by the sweep and the certificate; the checks
+    ahead of it (ellipticity, the penalty, the truth's H^r norm, the band
+    calibration) read whole tables that are freed when each returns, so the
+    truth is the one lattice-sized table that lives through the pass.
     """
     operator, lattice, truth, schedule = _problem(config)
     signal_alpha = _positive_alpha(schedule, SIGNAL_DELTA)

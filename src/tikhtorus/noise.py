@@ -252,7 +252,7 @@ def regularity_probe(
     Every table the probe sums is even in l, so it keeps each one on half
     the lattice, at the positions from the zero mode up: the
     ``(1+|l|^2)^s`` weights (``spectral._half_sobolev_weights``, filled like
-    the shared ``sobolev_weights`` tables) and one |c|^2 table reused across
+    the ``sobolev_weights`` tables) and one |c|^2 table reused across
     the seeds, which each seed's canonical draw of the top lattice fills
     once per conjugate pair, chunk by chunk across the CPUs, with no field
     built. Each truncation is summed by ``spectral._kernel_sums``, whose

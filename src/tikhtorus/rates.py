@@ -5,11 +5,12 @@ divergence certificate for the filtered noise part.
 The sweep and the certificate each split into seed-independent tables
 (:class:`SweepTables`, :class:`DivergenceTables`), per-seed sums and a
 summary. Both tables are stages of one leaf kernel (``_pass_sums``): per
-piece of the lattice it forms each delta's factors once for a block of
-seeds, then each seed's sums in piece-sized buffers, and
-``spectral._kernel_sums`` adds the pieces' sums up (its docstring states the
-summation rule, so the bytes depend neither on the CPU count nor on the
-piece size). :func:`error_sweep`, :func:`h1_divergence` and a deblur run all
+piece of the lattice it builds the piece's a, |a|^2 and weight tables once,
+forms each delta's factors once for a block of seeds, then each seed's sums
+in piece-sized buffers, and ``spectral._kernel_sums`` adds the pieces' sums
+up (its docstring states the summation rule, so the bytes depend neither on
+the CPU count nor on the piece size). No lattice-sized table outlives a
+call. :func:`error_sweep`, :func:`h1_divergence` and a deblur run all
 run it through one pass, ``_sweep_pass``: in d = 1 it draws each seed's span
 of each piece directly (``noise._draw_span``), every seed at once, so no
 draw exists lattice-wide.
@@ -39,6 +40,8 @@ from .spectral import (
     MultiplierOperator,
     SpectralField,
     _kernel_sums,
+    _piece_modes,
+    _symbol_at,
     finite_sobolev_weights,
     sobolev_norm,
     sobolev_weights,
@@ -216,14 +219,16 @@ class SweepResult:
 class SweepTables:
     """The seed-independent half of :func:`error_sweep`.
 
-    The constructor validates the grids and takes the per-mode tables once
-    per sweep: a and |a|^2 on the truth's lattice (the operator's cached
-    tables, shared with a :class:`DivergenceTables` of the same run),
-    (1+|l|^2)^r, (1+|l|^2)^s1 per s1 and alpha(delta) per delta.
+    The constructor checks the symbol, the grids, the penalty, the truth's
+    H^r norm and alpha(delta), in that order, on whole tables that it frees
+    on return, and keeps alpha(delta) per delta and the exponents r and s1
+    of the pass's weight tables; it holds no lattice-sized table.
     :meth:`result` is the summary of the errors that ``_sweep_pass`` gives.
 
-    Per piece and delta, the kernel forms the gain conj(a)/z and the bias
-    part once (``tikhonov._delta_parts``); per seed, the filtered noise part,
+    Per piece, the pass builds a, |a|^2, (1+|l|^2)^r and (1+|l|^2)^s1 per s1
+    once, shared with a :class:`DivergenceTables` of the same run. Per piece
+    and delta, the kernel forms the gain conj(a)/z and the bias part once
+    (``tikhonov._delta_parts``); per seed, the filtered noise part,
     the deviation T(m) - u and |T(m) - u|^2 in piece-sized buffers, and one
     sum of (1+|l|^2)^s1 |T(m) - u|^2 per s1. Each error is the square root
     of a sum taken by ``spectral._kernel_sums``: the arithmetic and
@@ -248,36 +253,33 @@ class SweepTables:
         seeds: Sequence[int | None],
     ) -> None:
         lattice = truth.lattice
-        self._symbol = A.symbol_values(lattice)
-        self._symbol_sq = A.squared_modulus(lattice)
+        symbol_sq = A.squared_modulus(lattice)
         if len(delta_grid) < 1 or len(s1_list) < 1 or len(seeds) < 1:
             raise ParameterError("error_sweep needs nonempty s1_list, delta_grid, seeds")
         if any(d2 >= d1 for d1, d2 in zip(delta_grid, delta_grid[1:])):
             raise ParameterError("delta_grid must be strictly decreasing")
-        self.truth = truth
+        self.truth, self._operator, self._lattice = truth, A, lattice
         self.s1_list = [float(s1) for s1 in s1_list]
         self.delta_grid = [float(delta) for delta in delta_grid]
         self.labels = [-1 if seed is None else int(seed) for seed in seeds]
-        self._weights_r = finite_sobolev_weights(
-            lattice, schedule.r, f"the penalty at [schedule] r = {schedule.r:g}"
-        )
+        finite_sobolev_weights(lattice, schedule.r, f"the penalty at [schedule] r = {schedule.r:g}")
         if not math.isfinite(sobolev_norm(truth, schedule.r)):
             raise ParameterError("truth must have finite H^r norm")
         self._schedule = schedule
         self._alphas = [schedule.alpha(delta) for delta in self.delta_grid]
-        if 0.0 in self._alphas and not self._symbol_sq.all():
+        if 0.0 in self._alphas and not symbol_sq.all():
             raise ParameterError(
                 f"alpha = alpha0 * delta^kappa underflows to 0 at delta = "
                 f"{self.delta_grid[self._alphas.index(0.0)]:g} and so does |a(l)|^2 at some "
                 f"mode, so the filter is 0/0 there ([schedule] alpha0 = {schedule.alpha0:g}, "
                 f"kappa = {schedule.kappa:g})"
             )
-        with np.errstate(over="ignore"):  # an s1 whose weights overflow is named by _errors
-            self._s1_weights = [sobolev_weights(lattice, s1) for s1 in self.s1_list]
+        self._exponents = [float(schedule.r), *self.s1_list]  # r first
 
-    def _block_sums(self, i: int, piece: slice, block: list) -> np.ndarray:
+    def _block_sums(self, i: int, piece: slice, block: list, leaf: tuple) -> np.ndarray:
         """sums[j, k]: the sum of (1+|l|^2)^s1_k |T(m) - u|^2 on ``piece`` at
-        delta i for the noise coefficients block[j] on that piece."""
+        delta i for the noise coefficients block[j] on that piece, from the
+        piece's ``_leaf_tables``."""
         u = self.truth.coefficients[piece]
         delta = self.delta_grid[i]
         sums = np.empty((len(block), len(self.s1_list)))
@@ -286,15 +288,15 @@ class SweepTables:
         # an inf z (alpha (1+|l|^2)^r overflows) makes the filter factors 0,
         # their value in double precision; an error that is not finite is
         # caught by _errors
+        symbol, symbol_sq, weights = leaf
         with np.errstate(over="ignore", invalid="ignore"):
-            tables = self._symbol[piece], self._symbol_sq[piece], self._weights_r[piece]
-            gain, bias = _delta_parts(*tables, self._alphas[i], u)
+            gain, bias = _delta_parts(symbol, symbol_sq, weights[self._exponents[0]], self._alphas[i], u)
             for row, eps in zip(sums, block):
                 noisy = _noise_part(gain, np.multiply(delta, eps))
                 deviation = np.subtract(np.add(bias, noisy, out=noisy), u, out=noisy)
                 np.square(deviation.real, out=power)
                 np.add(power, np.square(deviation.imag, out=weighted), out=power)
-                row[:] = [np.sum(np.multiply(w[piece], power, out=weighted)) for w in self._s1_weights]
+                row[:] = [np.sum(np.multiply(weights[s1], power, out=weighted)) for s1 in self.s1_list]
         return sums
 
     def _errors(self, sums: np.ndarray) -> np.ndarray:
@@ -457,12 +459,14 @@ class DivergenceReport:
 class DivergenceTables:
     """The seed-independent half of :func:`h1_divergence`.
 
-    The constructor validates the schedule and grid, calibrates the pinch
-    band (:func:`calibrate_band`), and keeps the operator's cached |a|^2 on
-    ``lattice`` next to the shared (1+|l|^2) weights. :meth:`report` is the
-    summary of the rows that ``_sweep_pass`` gives.
+    The constructor checks the symbol, the schedule and the grid, and
+    calibrates the pinch band (:func:`calibrate_band`), on whole tables that
+    are freed on return; it holds no lattice-sized table. :meth:`report` is
+    the summary of the rows that ``_sweep_pass`` gives.
 
-    Per piece and delta, the kernel forms |a|^2 delta^2 and z^2 once; per
+    Per piece, the pass builds |a|^2 and the (1+|l|^2) weights once, shared
+    with a :class:`SweepTables` of the same run. Per piece and delta, the
+    kernel forms |a|^2 delta^2 and z^2 once; per
     seed, (1+|l|^2) |w_delta|^2 in piece-sized buffers and its sum, taken by
     ``spectral._kernel_sums``. The lower bound squares the band's noise
     coefficients after reading them.
@@ -476,8 +480,7 @@ class DivergenceTables:
         seeds: Sequence[int],
         lattice: FrequencyLattice,
     ) -> None:
-        self._lattice = lattice
-        self._symbol_sq = A.squared_modulus(lattice)
+        A.symbol_values(lattice)  # the symbol's checks come first
         if schedule.r != 1.0:
             raise ParameterError(f"divergence certificate needs r = 1, got r = {schedule.r}")
         if schedule.kappa < 2.0:
@@ -486,20 +489,23 @@ class DivergenceTables:
             raise ParameterError("h1_divergence needs nonempty delta_grid and seeds")
         if max(delta_grid) > 1.0:
             raise ParameterError("divergence certificate requires deltas <= 1")
+        if min(delta_grid) < 0:  # before it is squared, which may overflow
+            raise ParameterError(f"delta must be positive, got {min(delta_grid)}")
         if min(delta_grid) ** 2 < sys.float_info.min:
             raise ParameterError(
                 f"divergence certificate needs delta^2 to be a normal double, got "
                 f"delta = {min(delta_grid):g} ([grids] delta_grid)"
             )
         self.c0, self.c1, self.bands = calibrate_band(A, lattice, delta_grid)
-        self._weights1 = sobolev_weights(lattice, 1.0)
+        self._operator, self._lattice, self._exponents = A, lattice, [1.0]
         self._alphas = [schedule.alpha(band.delta) for band in self.bands]
         self._bound_factor = 1.0 / ((1.0 + schedule.alpha0 / self.c0) * (self.c1 + schedule.alpha0))
 
-    def _block_sums(self, i: int, piece: slice, block: list) -> np.ndarray:
+    def _block_sums(self, i: int, piece: slice, block: list, leaf: tuple) -> np.ndarray:
         """sums[j, 0]: the sum of (1+|l|^2) |w_delta|^2 on ``piece`` at delta
-        i for the noise coefficients block[j] on that piece."""
-        symbol_sq, weights1 = self._symbol_sq[piece], self._weights1[piece]
+        i for the noise coefficients block[j] on that piece, from the piece's
+        ``_leaf_tables``."""
+        symbol_sq, weights1 = leaf[1], leaf[2][1.0]
         alpha, delta = self._alphas[i], self.bands[i].delta
         sums = np.empty((len(block), 1))
         # z * z may leave the double range at some modes: their share of the
@@ -591,21 +597,38 @@ def h1_divergence(
 _SEED_BLOCK = 2
 
 
+def _leaf_tables(A: MultiplierOperator, lattice: FrequencyLattice, piece: slice, exponents) -> tuple:
+    """a, |a|^2 and {s: (1+|l|^2)^s for s in exponents} on the lattice
+    positions ``piece``: per mode, the arithmetic of ``A.symbol_values``,
+    ``A.squared_modulus`` and ``sobolev_weights``, so each table equals the
+    matching slice of the whole one bit for bit. A weight that overflows is
+    inf, without a warning (``SweepTables._errors`` names its s1)."""
+    modes = _piece_modes(lattice, piece)
+    symbol = _symbol_at(A, lattice, modes)
+    squares = np.sum(np.square(modes, dtype=np.float64), axis=1)
+    with np.errstate(over="ignore"):
+        weights = {s: (1.0 + squares) ** s for s in exponents}
+    return symbol, symbol.real**2 + symbol.imag**2, weights
+
+
 def _pass_sums(lattice: FrequencyLattice, noise: Callable, seeds: Sequence, stages: list) -> np.ndarray:
     """sums[j, i, :] of seeds[j] at delta i: the sums of each of ``stages``
-    (a :class:`SweepTables` and/or a :class:`DivergenceTables` on
-    ``lattice`` with the same delta grid), side by side, from the one leaf
-    kernel. ``noise(seed, start, stop)`` gives the seed's coefficients on
-    the modes [start, stop); the kernel asks once for each seed and piece, a
-    block of seeds at a time, and forms each delta's factors once per
-    block."""
+    (a :class:`SweepTables` and/or a :class:`DivergenceTables` of one
+    operator on ``lattice`` with the same delta grid), side by side, from
+    the one leaf kernel. Per piece, the kernel builds the ``_leaf_tables``
+    of every stage's exponents once. ``noise(seed, start, stop)`` gives the
+    seed's coefficients on the modes [start, stop); the kernel asks once for
+    each seed and piece, a block of seeds at a time, and forms each delta's
+    factors once per block."""
     deltas = len(stages[0]._alphas)
+    exponents = {s for stage in stages for s in stage._exponents}
 
     def kernel(piece: slice) -> np.ndarray:
+        leaf = _leaf_tables(stages[0]._operator, lattice, piece, exponents)
         blocks = []
         for first in range(0, len(seeds), _SEED_BLOCK):
             block = [noise(seed, piece.start, piece.stop) for seed in seeds[first : first + _SEED_BLOCK]]
-            sums = [np.hstack([stage._block_sums(i, piece, block) for stage in stages]) for i in range(deltas)]
+            sums = [np.hstack([stage._block_sums(i, piece, block, leaf) for stage in stages]) for i in range(deltas)]
             blocks.append(np.stack(sums, axis=1))  # (seed, delta, sum)
         return np.concatenate(blocks).reshape(-1)
 
@@ -622,14 +645,15 @@ def _sweep_pass(sweep: SweepTables | None, certificate: DivergenceTables | None,
     drawn once, straight from its stream (``noise._draw_span``), so no draw
     exists lattice-wide, and the certificate's lower bound reads its band
     members the same way. In d >= 2 a span cannot be drawn on its own, so
-    each seed is drawn whole and runs in a pass of its own, and one draw is
-    alive at a time. The checks run on the finished sums, per seed the
-    sweep's and then the certificate's, in seed order."""
-    lattice = certificate._lattice if sweep is None else sweep.truth.lattice
+    each seed is drawn whole and runs in a pass of its own, which builds
+    the leaf tables again, and one draw is alive at a time. The checks run
+    on the finished sums, per seed the sweep's and then the certificate's,
+    in seed order."""
     for seed in seeds:
         if seed is not None or certificate is not None:
             _seed_index(seed)
     stages = [stage for stage in (sweep, certificate) if stage is not None]
+    lattice = stages[0]._lattice
     errors, rows = [], []
     for group in [seeds] if lattice.dimension == 1 else [[seed] for seed in seeds]:
         draw = None  # frees the last seed's draw before the next is made

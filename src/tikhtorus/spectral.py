@@ -21,7 +21,6 @@ import dataclasses
 import operator
 import os
 import threading
-from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
@@ -206,9 +205,12 @@ class MultiplierOperator:
     """Fourier multiplier l -> a(l), i.e. (A u)^(l) = a(l) * u^(l).
 
     ``order`` is the pseudodifferential order: an operator that smooths by t
-    derivatives has order -t. The symbol callable receives the lattice mode
-    table (count, d) and must return one value per mode, complex or real (a
-    real table is read as complex).
+    derivatives has order -t. The symbol callable may be called on any subset
+    of a lattice's modes, a (count, d) table of integer modes, and must return
+    one value per row, complex or real (a real table is read as complex). Its
+    values are checked on every call, with no warning: a table of the wrong
+    shape raises DimensionError, and one that is not finite or vanishes at
+    some mode raises ParameterError.
     """
 
     symbol: Callable[[np.ndarray], np.ndarray]
@@ -223,45 +225,48 @@ class MultiplierOperator:
         return -self.order
 
     def symbol_values(self, lattice: FrequencyLattice) -> np.ndarray:
-        """a(l) per mode, as a read-only array shared by every caller that asks
-        for the same operator and lattice. The symbol callable runs once per
-        lattice while its table is among the 8 most recently used; the cache
-        keeps those operators alive."""
-        return _symbol_table(self, lattice)
+        """a(l) per mode, in enumeration order, as a fresh array: the symbol
+        callable runs on the lattice's whole mode table at every call."""
+        return _symbol_at(self, lattice, lattice.modes())
 
     def squared_modulus(self, lattice: FrequencyLattice) -> np.ndarray:
-        """|a(l)|^2 = Re(a)^2 + Im(a)^2 per mode, read-only and cached like
-        :meth:`symbol_values`."""
-        return _squared_modulus(self, lattice)
+        """|a(l)|^2 = Re(a)^2 + Im(a)^2 per mode, as a fresh array from a
+        fresh :meth:`symbol_values`."""
+        values = self.symbol_values(lattice)
+        return values.real**2 + values.imag**2
 
 
-@lru_cache(maxsize=8)
-def _symbol_table(op: MultiplierOperator, lattice: FrequencyLattice) -> np.ndarray:
+def _symbol_at(op: MultiplierOperator, lattice: FrequencyLattice, modes: np.ndarray) -> np.ndarray:
+    """a(l) at ``modes``, rows of ``lattice.modes()``, checked as the
+    :class:`MultiplierOperator` docstring says: the whole table
+    (:meth:`~MultiplierOperator.symbol_values`) or one piece of it
+    (:func:`_piece_modes`), equal bit for bit where they overlap."""
     if op.dimension is not None and lattice.dimension != op.dimension:
         raise DimensionError(
             f"operator {op.name!r} is fixed to dimension {op.dimension}, "
             f"lattice has dimension {lattice.dimension}"
         )
-    # a copy, so that freezing it never freezes an array the callable keeps;
-    # an overflow or a nan is reported below, not warned about
+    # a copy, so that a caller never writes an array the callable keeps; an
+    # overflow or a nan is reported below, not warned about
     with np.errstate(over="ignore", invalid="ignore"):
-        values = np.array(op.symbol(lattice.modes()), dtype=np.complex128)
-    if values.shape != (lattice.mode_count,):
+        values = np.array(op.symbol(modes), dtype=np.complex128)
+    if values.shape != (len(modes),):
         raise DimensionError("symbol must return one value per lattice mode")
     if not np.isfinite(values).all():
         raise ParameterError(f"symbol of {op.name!r} is not finite on the lattice")
     if np.any(values == 0):
         raise ParameterError(f"symbol of {op.name!r} vanishes on the lattice")
-    values.setflags(write=False)
     return values
 
 
-@lru_cache(maxsize=8)
-def _squared_modulus(op: MultiplierOperator, lattice: FrequencyLattice) -> np.ndarray:
-    values = _symbol_table(op, lattice)
-    squared = values.real**2 + values.imag**2
-    squared.setflags(write=False)
-    return squared
+def _piece_modes(lattice: FrequencyLattice, piece: slice) -> np.ndarray:
+    """The rows ``piece`` of ``lattice.modes()``, built for those rows only:
+    a plain range in d = 1."""
+    M = lattice.bandlimit
+    if lattice.dimension == 1:
+        return np.arange(piece.start - M, piece.stop - M, dtype=np.int64)[:, None]
+    index = np.arange(piece.start, piece.stop, dtype=np.int64)
+    return np.stack(np.divmod(index, 2 * M + 1), axis=-1) - M
 
 
 def check_ellipticity(op: MultiplierOperator, lattice: FrequencyLattice) -> None:
@@ -283,8 +288,9 @@ def check_ellipticity(op: MultiplierOperator, lattice: FrequencyLattice) -> None
 
 # items per piece of a chunked kernel (the Sobolev weight tables, the noise
 # draws) and at most per leaf of a tree sum (every sum :func:`_kernel_sums`
-# takes): a piece keeps under 2 MiB of temporaries alive, which stays in a
-# core's cache and leaves little in the worker threads' malloc arenas; the
+# takes): a piece keeps a few MiB of temporaries alive (the sweep's leaf,
+# with its symbol and weight tables and a block of draws, about 6 MiB), which
+# leaves little in the worker threads' malloc arenas; the
 # shipped configs' lattices (up to 32,769 modes) stay below two pieces and so
 # on the calling thread
 _CHUNK = 32768
@@ -340,16 +346,12 @@ def _map_chunks(kernel: Callable[[int, int], object], size: int) -> None:
     _dispatch(lambda piece: kernel(piece * _CHUNK, min(size, (piece + 1) * _CHUNK)), chunks, size)
 
 
-class _Uncached(Exception):
-    """Carries a table out of an ``lru_cache``d builder, which keeps no result
-    of a call that raises."""
-
-
 def _weigh(squares: np.ndarray, s: float) -> np.ndarray:
     """Overwrite a table of |l|^2 with (1+|l|^2)^s, in mode chunks across the
-    CPUs (:func:`_map_chunks`), and return it: the one spelling of a weight
-    table. Each entry is computed on its own, so the bytes depend neither on
-    the split nor on which part of the lattice the table holds."""
+    CPUs (:func:`_map_chunks`), and return it: the spelling of a weight
+    table, which ``rates._leaf_tables`` repeats on one piece at a time. Each
+    entry is computed on its own, so the bytes depend neither on the split
+    nor on which part of the lattice the table holds."""
 
     def kernel(start: int, stop: int) -> None:
         squares[start:stop] = (1.0 + squares[start:stop]) ** s  # ** keeps numpy's fast paths
@@ -358,35 +360,18 @@ def _weigh(squares: np.ndarray, s: float) -> np.ndarray:
     return squares
 
 
-@lru_cache(maxsize=16)
-def _sobolev_weights(dimension: int, bandlimit: int, s: float) -> np.ndarray:
-    weights = _weigh(FrequencyLattice(dimension, bandlimit).squared_norms(), s)
-    weights.setflags(write=False)
-    if not np.isfinite(weights).all():
-        raise _Uncached(weights)
-    return weights
-
-
 def sobolev_weights(lattice: FrequencyLattice, s: float) -> np.ndarray:
-    """(1 + |l|^2)^s per mode, as a read-only array shared by every caller
-    that asks for the same lattice and s while its table is among the 16 most
-    recently used. The table is filled by :func:`_weigh`, as is the half
-    table of :func:`_half_sobolev_weights`.
-
-    A table that overflows is never cached: each call rebuilds it under the
-    caller's ``np.errstate``, so it warns, raises or returns inf as a first
-    call would."""
-    try:
-        return _sobolev_weights(lattice.dimension, lattice.bandlimit, float(s))
-    except _Uncached as uncached:
-        return uncached.args[0]
+    """(1 + |l|^2)^s per mode, as a fresh array filled by :func:`_weigh`, as
+    is the half table of :func:`_half_sobolev_weights`. A table that
+    overflows warns, raises or holds inf as the caller's ``np.errstate``
+    says; :func:`finite_sobolev_weights` is the checked form."""
+    return _weigh(lattice.squared_norms(), float(s))
 
 
 def _half_sobolev_weights(lattice: FrequencyLattice, s: float) -> np.ndarray:
     """(1+|l|^2)^s at the lattice positions zero_index, zero_index + 1, ...,
-    the half table of an even quantity that :func:`_mirrored` reads, as a
-    fresh array that is not cached: equal bit for bit to the same positions
-    of ``sobolev_weights(lattice, s)``."""
+    the half table of an even quantity that :func:`_mirrored` reads: equal
+    bit for bit to the same positions of ``sobolev_weights(lattice, s)``."""
     M = lattice.bandlimit
     squares = np.arange(M + 1, dtype=np.float64) ** 2
     if lattice.dimension == 2:  # rows l_1 = 0..M of l_2 = -M..M, from the zero mode (0, 0) on
@@ -632,13 +617,17 @@ def power_law_operator(
     """Elliptic multiplier with symbol (1 + |l|^2)^(-t/2), order -t.
 
     t > 0 smooths (the forward maps studied here), t < 0 roughens; t = -r
-    realizes (I - Laplacian)^(r/2), the Sobolev-norm multiplier.
+    realizes (I - Laplacian)^(r/2), the Sobolev-norm multiplier. A t of
+    -2048 or below raises ParameterError: the ellipticity bound 2^(-t/2)
+    leaves the double range.
     """
 
     def symbol(modes: np.ndarray) -> np.ndarray:
         sq = np.sum(modes.astype(np.float64) ** 2, axis=1)
         return (1.0 + sq) ** (-t / 2.0)
 
+    if t <= -2048.0:  # 2^(-t/2) below would raise an OverflowError
+        raise ParameterError(f"t = {t:g} is too negative: the bound 2^(-t/2) overflows")
     # for |l| >= 1:  |l|^(-t) and (2|l|^2)^(-t/2) bracket the symbol
     bounds = sorted((1.0, 2.0 ** (-t / 2.0)))
     return MultiplierOperator(

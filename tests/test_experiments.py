@@ -954,18 +954,20 @@ class TestCli:
         for seed in config.seeds:
             assert all(spans.count((seed, start, stop)) == 1 for start, stop in leaves)
 
-    def test_deblur_evaluates_the_reference_symbol_once(self, tmp_path, monkeypatch):
-        # check_ellipticity evaluates the symbol on the reference lattice, and
-        # the error sweep, the band calibration and the certificate read the
-        # operator's cached tables
+    def test_deblur_counts_its_reference_symbol_evaluations(self, tmp_path, monkeypatch):
+        # no symbol table is cached: the ellipticity check, the sweep's and
+        # the certificate's checks and the band calibration each evaluate the
+        # symbol on the whole reference lattice, the snapshot on its plot band,
+        # and the pass once per piece, so that the pieces cover each reference
+        # mode exactly once
         build = experiments._build_operator
-        mode_counts = []
+        tables = []
 
         def counted_operator(config):
             operator = build(config)
 
             def symbol(modes):
-                mode_counts.append(len(modes))
+                tables.append(modes.copy())
                 return operator.symbol(modes)
 
             return dataclasses.replace(operator, symbol=symbol)
@@ -974,9 +976,15 @@ class TestCli:
         path = CONFIG_DIR / "deblur.ini"
         code = main(["deblur", "--config", str(path), "--out", str(tmp_path / "out")])
         assert code == 0
-        reference_modes = 2 * load_config(path).reference_bandlimit + 1
-        assert mode_counts.count(reference_modes) == 1
-        assert len(mode_counts) == 2  # and once on the snapshot's plot band
+        config = load_config(path)
+        reference = FrequencyLattice(1, config.reference_bandlimit).modes()
+        plot_band = FrequencyLattice(1, experiments._plot_band(config)).modes()
+        whole = [modes for modes in tables if np.array_equal(modes, reference)]
+        snapshot = [modes for modes in tables if np.array_equal(modes, plot_band)]
+        pieces = [modes for modes in tables if len(modes) not in (len(reference), len(plot_band))]
+        assert (len(whole), len(snapshot)) == (4, 3)  # the snapshot's forward map and solve
+        assert len(pieces) > 1 and len(tables) == len(whole) + len(snapshot) + len(pieces)
+        assert np.array_equal(np.sort(np.concatenate(pieces), axis=0), reference)
 
     def test_shipped_configs_run_under_the_benchmark_tracer(self, tmp_path, capsys):
         # the benchmark's traced mode rebinds library names and reads argument

@@ -1,6 +1,7 @@
 """Exponent calculators, slope fitting, error sweeps, H^1 divergence."""
 
 import math
+import re
 import warnings
 
 import numpy as np
@@ -33,10 +34,22 @@ from tikhtorus import (
 )
 from tikhtorus import rates, spectral
 from tikhtorus.rates import DivergenceRow, DivergenceTables, SweepTables, calibrate_band
+from tikhtorus.spectral import Ellipticity
 
 from test_discrete import smooth_full_spectrum_field
+from test_experiments import run_fresh_process
 
 DEBLUR = dict(t=2.0, r=1.0, kappa=2.5, s=-0.6)
+
+
+def vanishing_operator():
+    """A symbol l / (1 + l^2), which vanishes at l = 0."""
+    return MultiplierOperator(
+        lambda modes: modes[:, 0] / (1.0 + modes[:, 0] ** 2.0),
+        order=-1.0,
+        ellipticity=Ellipticity(0.5, 1.0),
+        name="vanishing",
+    )
 
 
 def operator_of(kind):
@@ -304,6 +317,33 @@ class TestErrorSweep:
         with pytest.raises(DimensionError, match="fixed to dimension 1"):
             SweepTables(deblur_operator(), truth, SCHEDULE, [-1.5], [1e-2, 1e-3], [0])
 
+    def test_a_bad_symbol_is_reported_first(self):
+        truth = hat_coefficients(FrequencyLattice(1, 8))
+        for seeds in ([0], []):  # [] is refused next
+            with pytest.raises(ParameterError, match="'vanishing' vanishes on the lattice"):
+                SweepTables(vanishing_operator(), truth, SCHEDULE, [-1.5], [1e-2, 1e-3], seeds)
+
+    def test_no_table_outlives_the_sweep(self):
+        # the symbol, |a|^2 and weight tables are built per call: at 262,145
+        # modes they would hold over 10 MiB after the call. A sweep on a small
+        # lattice first loads the modules the call imports on first use
+        script = (
+            "import tracemalloc\n"
+            "from tikhtorus import FrequencyLattice, RegularizationSchedule, deblur_operator, error_sweep, hat_coefficients\n"
+            "schedule = RegularizationSchedule(1.0, 2.5, 1.0)\n"
+            "def sweep(bandlimit):\n"
+            "    truth = hat_coefficients(FrequencyLattice(1, bandlimit))\n"
+            "    tracemalloc.start()\n"
+            "    error_sweep(deblur_operator(), truth, schedule, [-3.0, -1.5, 1.0], [1e-2, 1e-3], [None, 0, 1])\n"
+            "    return tracemalloc.get_traced_memory()[0]\n"
+            "sweep(8)\n"
+            "tracemalloc.stop()\n"
+            "print(sweep(131072))\n"
+        )
+        done = run_fresh_process(script)
+        assert done.returncode == 0, done.stderr
+        assert int(done.stdout.split()[-1]) < 2**20
+
 
 DIVERGENCE_SCHEDULE = RegularizationSchedule(alpha0=1.0, kappa=2.0, r=1.0)
 
@@ -465,6 +505,56 @@ class TestH1Divergence:
             )
         with pytest.raises(ParameterError):
             h1_divergence(deblur_operator(), DIVERGENCE_SCHEDULE, [2.0, 1e-2], [0], lattice)
+
+    @pytest.mark.parametrize("delta", [-0.5, -1e308, -math.inf])
+    def test_negative_deltas_are_refused_before_they_are_squared(self, delta):
+        lattice = FrequencyLattice(1, 64)
+        with pytest.raises(ParameterError, match=f"^{re.escape(f'delta must be positive, got {delta}')}$"):
+            h1_divergence(deblur_operator(), DIVERGENCE_SCHEDULE, [1e-2, delta], [0], lattice)
+
+    def test_a_bad_symbol_is_reported_first(self):
+        lattice = FrequencyLattice(1, 8)
+        for schedule in (DIVERGENCE_SCHEDULE, RegularizationSchedule(1.0, 2.0, 0.0)):  # r = 0 is refused next
+            for deltas in ([1e-2], [-1e308]):
+                with pytest.raises(ParameterError, match="'vanishing' vanishes on the lattice"):
+                    DivergenceTables(vanishing_operator(), schedule, deltas, [0], lattice)
+
+
+class TestLeafTables:
+    # the pass builds a, |a|^2 and the weights per piece; they equal the
+    # whole tables bit for bit on every piece the pass can hand it
+
+    @pytest.mark.parametrize("chunk", [None, 7])
+    @pytest.mark.parametrize(
+        "operator,lattice",
+        [
+            (deblur_operator(), FrequencyLattice(1, 300)),
+            (power_law_operator(1.5), FrequencyLattice(1, 300)),
+            (power_law_operator(2.0), FrequencyLattice(2, 20)),
+            (power_law_operator(0.7), FrequencyLattice(2, 20)),
+        ],
+        ids=["deblur", "power-law", "power-law-2d", "power-law-2d-rough"],
+    )
+    def test_pieces_equal_the_whole_tables(self, monkeypatch, operator, lattice, chunk):
+        if chunk is not None:
+            monkeypatch.setattr(spectral, "_CHUNK", chunk)
+        exponents = [-3.0, -1.5, -0.6, -0.5, 1.0, 2.5]
+        symbol, symbol_sq = operator.symbol_values(lattice), operator.squared_modulus(lattice)
+        weights = {s: spectral.sobolev_weights(lattice, s) for s in exponents}
+        leaves = []
+        spectral._pairwise_tree(0, lattice.mode_count, leaves)
+        assert (len(leaves) == 1) == (chunk is None)
+        zero = lattice.zero_index
+        assert any(start <= zero < stop - 1 for start, stop in leaves)  # a leaf holds zero and more
+        ones = [(p, p + 1) for p in (0, zero - 1, zero, zero + 1, lattice.mode_count - 1)]
+        for start, stop in leaves + ones:
+            piece = slice(start, stop)
+            a, a_sq, w = rates._leaf_tables(operator, lattice, piece, exponents)
+            assert a.tobytes() == symbol[piece].tobytes()
+            assert a_sq.tobytes() == symbol_sq[piece].tobytes()
+            assert list(w) == exponents
+            for s in exponents:
+                assert w[s].tobytes() == weights[s][piece].tobytes()
 
 
 class TestChunkedKernels:

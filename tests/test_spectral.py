@@ -209,14 +209,6 @@ class TestSobolevNorm:
             )
 
 
-@pytest.fixture
-def fresh_weight_tables():
-    # the cache would hand back a table built before a patch
-    spectral._sobolev_weights.cache_clear()
-    yield
-    spectral._sobolev_weights.cache_clear()
-
-
 def assert_flag_is_the_symmetry(field):
     c = field.coefficients
     assert field.hermitian == np.array_equal(c[::-1].conj(), c)
@@ -304,21 +296,18 @@ class TestSobolevWeights:
     # the last lattice takes more than two chunks, so worker threads fill it
     @pytest.mark.parametrize("dimension,bandlimit", [(1, 64), (2, 6), (1, spectral._CHUNK + 1)])
     @pytest.mark.parametrize("s", [-3.0, -2.0, -0.6, 0.0, 0.5, 1.0, 2.0, 2.5, np.float64(1.0)])
-    def test_shared_weights_are_exact_and_read_only(self, dimension, bandlimit, s):
+    def test_weights_are_exact(self, dimension, bandlimit, s):
         lat = FrequencyLattice(dimension, bandlimit)
         weights = sobolev_weights(lat, s)
         assert np.array_equal(weights, (1 + lat.squared_norms()) ** s)
-        assert sobolev_weights(FrequencyLattice(dimension, bandlimit), float(s)) is weights
-        with pytest.raises(ValueError):
-            weights[0] = 0.0
 
-    # the shared table is filled in _CHUNK pieces across worker threads; its
-    # bytes equal those of one whole-array power at every split
+    # the table is filled in _CHUNK pieces across worker threads; its bytes
+    # equal those of one whole-array power at every split
     @pytest.mark.parametrize("cpus", [1, 8])
     @pytest.mark.parametrize("chunk", [1, 3, 7])
     @pytest.mark.parametrize("dimension,bandlimit", [(1, 50), (2, 6)])
     def test_small_chunks_equal_the_whole_array_power(
-        self, monkeypatch, fresh_weight_tables, dimension, bandlimit, chunk, cpus
+        self, monkeypatch, dimension, bandlimit, chunk, cpus
     ):
         monkeypatch.setattr(spectral, "_CHUNK", chunk)
         monkeypatch.setattr(spectral, "_cpu_count", lambda: cpus)
@@ -342,12 +331,10 @@ class TestSobolevWeights:
         for s in [-2.0, -0.6, 0.0, 0.5, 1.0, 2.0]:
             half = spectral._half_sobolev_weights(lat, s)
             assert np.array_equal(half, (1 + lat.squared_norms()[lat.zero_index :]) ** s)
-            assert half.flags.writeable  # a fresh table, not the cached one
+            assert half.flags.writeable  # a fresh table
 
     @pytest.mark.parametrize("chunk", [None, 7])
-    def test_overflow_warns_on_the_caller_and_not_when_checked(
-        self, monkeypatch, fresh_weight_tables, chunk
-    ):
+    def test_overflow_warns_on_the_caller_and_not_when_checked(self, monkeypatch, chunk):
         # filterwarnings = error turns the overflow into an exception, also
         # when a worker thread raises it
         if chunk is not None:
@@ -363,8 +350,8 @@ class TestSobolevWeights:
         assert caught == []
 
     @pytest.mark.parametrize("chunk", [None, 7])
-    def test_overflowed_table_is_never_cached(self, monkeypatch, fresh_weight_tables, chunk):
-        # a checked call first: every unchecked call after it rebuilds the
+    def test_overflowed_table_warns_on_every_call(self, monkeypatch, chunk):
+        # a checked call first: every unchecked call after it builds the
         # table under its own errstate, as a first call would
         if chunk is not None:
             monkeypatch.setattr(spectral, "_CHUNK", chunk)
@@ -381,9 +368,6 @@ class TestSobolevWeights:
                 weights = sobolev_weights(lat, 400)
                 assert np.array_equal(weights, (1 + lat.squared_norms()) ** 400)
             assert np.isinf(weights).sum() == 124
-        assert spectral._sobolev_weights.cache_info().currsize == 0
-        assert sobolev_weights(lat, 2.0) is sobolev_weights(lat, 2.0)  # finite tables are kept
-        assert spectral._sobolev_weights.cache_info().currsize == 1
 
 
 def spread_values(count, seed):
@@ -544,6 +528,13 @@ class TestMultiplier:
         with pytest.raises(ParameterError):
             apply_multiplier(op, zero_field(FrequencyLattice(1, 2)))
 
+    @pytest.mark.parametrize("t", [-1e308, -2048.0])
+    def test_power_law_bounds_that_overflow_name_t(self, t):
+        # 2^(-t/2) leaves the double range below t = -2046
+        with pytest.raises(ParameterError, match=r"^t = -\S+ is too negative: the bound 2\^\(-t/2\) overflows"):
+            power_law_operator(t)
+        assert power_law_operator(-2046.0).ellipticity.c_upper == 2.0**1023
+
     def test_ellipticity_scan(self):
         check_ellipticity(deblur_operator(), FrequencyLattice(1, 1024))
         bad = MultiplierOperator(
@@ -556,20 +547,14 @@ class TestMultiplier:
 
 
 class TestSymbolTables:
-    def test_tables_are_shared_and_read_only(self):
+    def test_tables_are_exact(self):
         op = deblur_operator()
         values = op.symbol_values(FrequencyLattice(1, 16))
         squared = op.squared_modulus(FrequencyLattice(1, 16))
-        # an equal lattice gets the same arrays back
-        assert op.symbol_values(FrequencyLattice(1, 16)) is values
-        assert op.squared_modulus(FrequencyLattice(1, 16)) is squared
         assert np.array_equal(values, op.symbol(FrequencyLattice(1, 16).modes()))
         assert np.array_equal(squared, values.real**2 + values.imag**2)
-        for table in (values, squared):
-            with pytest.raises(ValueError):
-                table[0] = 0.0
 
-    def test_symbol_runs_once_per_lattice(self):
+    def test_symbol_runs_on_every_call(self):
         lattices = []
 
         def symbol(modes):
@@ -580,7 +565,21 @@ class TestSymbolTables:
         for lat in (FrequencyLattice(1, 3), FrequencyLattice(2, 3)) * 2:
             op.symbol_values(lat)
             op.squared_modulus(lat)
-        assert lattices == [7, 49]
+        assert lattices == [7, 7, 49, 49] * 2
+
+    @pytest.mark.parametrize(
+        "values",
+        [lambda modes: np.ones(len(modes) - 1), lambda modes: np.ones((len(modes), 1)), lambda modes: 1.0],
+        ids=["short", "column", "scalar"],
+    )
+    def test_a_value_per_row_is_required(self, values):
+        op = MultiplierOperator(values, order=0.0, ellipticity=Ellipticity(1, 1))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            for call in (check_ellipticity, MultiplierOperator.symbol_values, MultiplierOperator.squared_modulus):
+                with pytest.raises(DimensionError, match="symbol must return one value per lattice mode"):
+                    call(op, FrequencyLattice(2, 3))
+        assert caught == []
 
     def test_callable_keeps_its_array_writable(self):
         kept = np.ones(5, dtype=np.complex128)
