@@ -3,8 +3,9 @@ dense normal-equation solver (library API and reference oracle; the only
 user of scipy, imported on first call) whose penalty is the H^r norm,
 L = diag((1+|l|^2)^(r/2)) with r = 0 the identity, plus the refinement
 sweep. That penalty keeps the normal matrix block-diagonal per mode, so the
-sweep solves once on the reference lattice and reads every (n, k) size as
-sums of per-mode tables over the size's observed ball.
+sweep forms the reference minimizer piece by piece in one pass over the
+reference lattice and reads every (n, k) size as sums of per-mode terms
+over the size's observed ball.
 
 Basis and projections (d = 1)
 -----------------------------
@@ -41,12 +42,13 @@ from .spectral import (
     SpectralField,
     _as_index,
     _kernel_sums,
+    _leaf_tables,
     ball,
     finite_sobolev_weights,
     is_hermitian,
     sobolev_weights,
 )
-from .tikhonov import RegularizationSchedule, forward, solve
+from .tikhonov import RegularizationSchedule, _gain, forward
 
 DENSE_SIZE_CAP = 4096  # largest n or k that assemble() builds as a dense matrix
 
@@ -262,16 +264,20 @@ def gamma_sweep(
     the reference minimizer on its observed ball |l| <= min(half_n, half_k)
     (half_n = (n - 1) // 2) and zero elsewhere. Every size is checked before
     any table is built; n and k must be odd integers, as :func:`assemble`
-    requires. The reference problem is solved once, and one call of
+    requires. Only the data m is a whole-lattice table: one call of
     ``spectral._kernel_sums`` (whose docstring states the summation rule)
-    takes every sum in one pass over the lattice: its kernel forms, per
-    piece, the objective's terms |a u|^2 and Re(m conj(a u)), the H^r norm's
-    and the ball radius's weighted squares and one pairing Re(u conj(phi))
-    per test function, and returns their sums as one vector, which the pass
-    adds up over every size's ball and the whole lattice. The continuum
-    objective is the same expression over the whole lattice. Data so large
-    that a sum, a c_k or a gap is not finite raise ParameterError naming
-    ``[grids] delta_grid``.
+    takes every sum in one pass over the lattice, and its kernel builds, per
+    piece, a, |a|^2 and (1+|l|^2)^{+-r} (``spectral._leaf_tables``) and the
+    minimizer u = (conj(a)/z) m (``tikhonov._gain``, the filter that
+    :func:`~tikhtorus.tikhonov.solve` applies, so u is solve's bit for bit).
+    From them it forms the objective's terms |a u|^2 and Re(m conj(a u)),
+    the H^r norm's and the ball radius's weighted squares and one pairing
+    Re(u conj(phi)) per test function, and returns their sums as one vector,
+    which the pass adds up over every size's ball and the whole lattice.
+    The continuum objective is the same expression over the whole lattice.
+    An alpha that underflows to 0 raises ParameterError, as solve does; data
+    so large that a sum, a c_k or a gap is not finite raise ParameterError
+    naming ``[grids] delta_grid``.
     """
     if schedule.r <= 0:
         raise ParameterError("gamma sweep needs a spectral penalty with r > 0")
@@ -296,31 +302,32 @@ def gamma_sweep(
         raise DimensionError("pairing needs a shared lattice")
 
     m_field = forward(A, truth, delta, noise).data
-    alpha = schedule.alpha(delta)
-    m, symbol = m_field.coefficients, A.symbol_values(lattice)
+    alpha, r, m = schedule.alpha(delta), float(schedule.r), m_field.coefficients
+    if not alpha > 0:  # alpha0 delta^kappa underflows to 0
+        raise ParameterError(f"alpha must be positive, got {alpha}")
     # the observed ball of each size, then the whole lattice (the continuum)
     radii = [min(n - 1, k - 1) // 2 for n, k in pairs] + [lattice.bandlimit]
 
-    # data near the top of the double range overflow the sums (or, through
-    # the solve, the minimizer): what comes out inf or nan is refused below,
-    # naming the key that sets the data's size
+    # data near the top of the double range overflow the sums (or the
+    # minimizer): what comes out inf or nan is refused below, naming the key
+    # that sets the data's size
     with np.errstate(over="ignore", invalid="ignore"):
-        u = solve(A, m_field, alpha, schedule.r).coefficients
         coords = field_to_coords(m_field)
         c_ks = [float(v @ v) for v in (ball(lattice, coords, (k - 1) // 2) for _, k in pairs)]
         del coords
-        weights, dual_weights = sobolev_weights(lattice, schedule.r), sobolev_weights(lattice, -schedule.r)
         phis = [phi.coefficients for _, phi in test_functions]
 
-        def kernel(piece) -> np.ndarray:
-            image = np.multiply(symbol[piece], u[piece])  # a u
-            adjoint_data = np.multiply(np.conjugate(symbol[piece]), m[piece])  # conj(a) m, of A* m
+        def kernel(piece: slice) -> np.ndarray:
+            symbol, symbol_sq, weights = _leaf_tables(A, lattice, piece, (r, -r))
+            u = np.multiply(_gain(symbol, symbol_sq, weights[r], alpha)[0], m[piece])  # solve's minimizer
+            image = np.multiply(symbol, u)  # a u
+            adjoint_data = np.multiply(np.conjugate(symbol), m[piece])  # conj(a) m, of A* m
             return np.array([
                 np.sum(image.real**2 + image.imag**2),  # the H^0 weights are 1
                 np.sum(np.multiply(m[piece], np.conjugate(image)).real),
-                np.sum(np.multiply(weights[piece], u[piece].real**2 + u[piece].imag**2)),
-                np.sum(np.multiply(dual_weights[piece], adjoint_data.real**2 + adjoint_data.imag**2)),
-                *(np.sum(np.multiply(u[piece], np.conjugate(phi[piece])).real) for phi in phis),
+                np.sum(np.multiply(weights[r], u.real**2 + u.imag**2)),
+                np.sum(np.multiply(weights[-r], adjoint_data.real**2 + adjoint_data.imag**2)),
+                *(np.sum(np.multiply(u, np.conjugate(phi[piece])).real) for phi in phis),
             ])
 
         # per ball, then the whole lattice: ||a u||^2, <m, a u>, ||u||_{H^r}^2,

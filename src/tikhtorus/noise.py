@@ -69,7 +69,7 @@ import numpy as np
 from .errors import ConfigError, ParameterError
 from .spectral import (
     FrequencyLattice, SpectralField, _as_index, _half_sobolev_weights, _kernel_sums, _map_chunks, _mirrored,
-    sobolev_weights,
+    finite_sobolev_weights,
 )
 
 __all__ = [
@@ -210,8 +210,9 @@ def expected_sobolev_energy(lattice: FrequencyLattice, s: float) -> float:
 
     Strictly increasing in the bandlimit; the limit M -> infinity is finite
     exactly when s < -d/2, which is what the regularity probe exploits.
+    Weights that overflow raise a ParameterError naming s.
     """
-    return float(np.sum(sobolev_weights(lattice, s)))
+    return float(np.sum(finite_sobolev_weights(lattice, s, f"the expected H^s energy at s = {s:g}")))
 
 
 class ProbeRow(NamedTuple):

@@ -5,7 +5,8 @@ divergence certificate for the filtered noise part.
 The sweep and the certificate each split into seed-independent tables
 (:class:`SweepTables`, :class:`DivergenceTables`), per-seed sums and a
 summary. Both tables are stages of one leaf kernel (``_pass_sums``): per
-piece of the lattice it builds the piece's a, |a|^2 and weight tables once,
+piece of the lattice it builds the piece's a, |a|^2 and weight tables once
+(``spectral._leaf_tables``, which the gamma sweep shares),
 forms each delta's factors once for a block of seeds, then each seed's sums
 in piece-sized buffers, and ``spectral._kernel_sums`` adds the pieces' sums
 up (its docstring states the summation rule, so the bytes depend neither on
@@ -40,8 +41,7 @@ from .spectral import (
     MultiplierOperator,
     SpectralField,
     _kernel_sums,
-    _piece_modes,
-    _symbol_at,
+    _leaf_tables,
     finite_sobolev_weights,
     sobolev_norm,
     sobolev_weights,
@@ -279,7 +279,7 @@ class SweepTables:
     def _block_sums(self, i: int, piece: slice, block: list, leaf: tuple) -> np.ndarray:
         """sums[j, k]: the sum of (1+|l|^2)^s1_k |T(m) - u|^2 on ``piece`` at
         delta i for the noise coefficients block[j] on that piece, from the
-        piece's ``_leaf_tables``."""
+        piece's ``spectral._leaf_tables``."""
         u = self.truth.coefficients[piece]
         delta = self.delta_grid[i]
         sums = np.empty((len(block), len(self.s1_list)))
@@ -400,18 +400,19 @@ def _band_members(
 
 
 def calibrate_band(
-    A: MultiplierOperator,
+    symbol_sq: np.ndarray,
     lattice: FrequencyLattice,
     delta_grid: Sequence[float],
 ) -> tuple:
     """Pick (c0, c1) so the pinch band is nonempty for every delta, and
-    return them with one :class:`ModeBand` per delta.
+    return them with one :class:`ModeBand` per delta. ``symbol_sq`` is the
+    operator's |a(l)|^2 on ``lattice``, as
+    :meth:`~tikhtorus.spectral.MultiplierOperator.squared_modulus` gives it.
 
     Starts from (0.5, 2.0) times the symbol's squared-to-weight ratio at the
     mode closest to balance at the largest delta, then widens geometrically,
     at most 40 times.
     """
-    symbol_sq = A.squared_modulus(lattice)
     weights1 = sobolev_weights(lattice, 1.0)
     delta_max = max(delta_grid)
     ratio = symbol_sq / (delta_max**2 * weights1)
@@ -460,8 +461,9 @@ class DivergenceTables:
     """The seed-independent half of :func:`h1_divergence`.
 
     The constructor checks the symbol, the schedule and the grid, and
-    calibrates the pinch band (:func:`calibrate_band`), on whole tables that
-    are freed on return; it holds no lattice-sized table. :meth:`report` is
+    calibrates the pinch band (:func:`calibrate_band`) on the |a|^2 table
+    whose evaluation ran the symbol's checks, on whole tables that are freed
+    on return; it holds no lattice-sized table. :meth:`report` is
     the summary of the rows that ``_sweep_pass`` gives.
 
     Per piece, the pass builds |a|^2 and the (1+|l|^2) weights once, shared
@@ -480,7 +482,7 @@ class DivergenceTables:
         seeds: Sequence[int],
         lattice: FrequencyLattice,
     ) -> None:
-        A.symbol_values(lattice)  # the symbol's checks come first
+        symbol_sq = A.squared_modulus(lattice)  # the symbol's checks come first
         if schedule.r != 1.0:
             raise ParameterError(f"divergence certificate needs r = 1, got r = {schedule.r}")
         if schedule.kappa < 2.0:
@@ -496,7 +498,7 @@ class DivergenceTables:
                 f"divergence certificate needs delta^2 to be a normal double, got "
                 f"delta = {min(delta_grid):g} ([grids] delta_grid)"
             )
-        self.c0, self.c1, self.bands = calibrate_band(A, lattice, delta_grid)
+        self.c0, self.c1, self.bands = calibrate_band(symbol_sq, lattice, delta_grid)
         self._operator, self._lattice, self._exponents = A, lattice, [1.0]
         self._alphas = [schedule.alpha(band.delta) for band in self.bands]
         self._bound_factor = 1.0 / ((1.0 + schedule.alpha0 / self.c0) * (self.c1 + schedule.alpha0))
@@ -504,7 +506,7 @@ class DivergenceTables:
     def _block_sums(self, i: int, piece: slice, block: list, leaf: tuple) -> np.ndarray:
         """sums[j, 0]: the sum of (1+|l|^2) |w_delta|^2 on ``piece`` at delta
         i for the noise coefficients block[j] on that piece, from the piece's
-        ``_leaf_tables``."""
+        ``spectral._leaf_tables``."""
         symbol_sq, weights1 = leaf[1], leaf[2][1.0]
         alpha, delta = self._alphas[i], self.bands[i].delta
         sums = np.empty((len(block), 1))
@@ -597,29 +599,15 @@ def h1_divergence(
 _SEED_BLOCK = 2
 
 
-def _leaf_tables(A: MultiplierOperator, lattice: FrequencyLattice, piece: slice, exponents) -> tuple:
-    """a, |a|^2 and {s: (1+|l|^2)^s for s in exponents} on the lattice
-    positions ``piece``: per mode, the arithmetic of ``A.symbol_values``,
-    ``A.squared_modulus`` and ``sobolev_weights``, so each table equals the
-    matching slice of the whole one bit for bit. A weight that overflows is
-    inf, without a warning (``SweepTables._errors`` names its s1)."""
-    modes = _piece_modes(lattice, piece)
-    symbol = _symbol_at(A, lattice, modes)
-    squares = np.sum(np.square(modes, dtype=np.float64), axis=1)
-    with np.errstate(over="ignore"):
-        weights = {s: (1.0 + squares) ** s for s in exponents}
-    return symbol, symbol.real**2 + symbol.imag**2, weights
-
-
 def _pass_sums(lattice: FrequencyLattice, noise: Callable, seeds: Sequence, stages: list) -> np.ndarray:
     """sums[j, i, :] of seeds[j] at delta i: the sums of each of ``stages``
     (a :class:`SweepTables` and/or a :class:`DivergenceTables` of one
     operator on ``lattice`` with the same delta grid), side by side, from
-    the one leaf kernel. Per piece, the kernel builds the ``_leaf_tables``
-    of every stage's exponents once. ``noise(seed, start, stop)`` gives the
-    seed's coefficients on the modes [start, stop); the kernel asks once for
-    each seed and piece, a block of seeds at a time, and forms each delta's
-    factors once per block."""
+    the one leaf kernel. Per piece, the kernel builds the tables of every
+    stage's exponents once (``spectral._leaf_tables``).
+    ``noise(seed, start, stop)`` gives the seed's coefficients on the modes
+    [start, stop); the kernel asks once for each seed and piece, a block of
+    seeds at a time, and forms each delta's factors once per block."""
     deltas = len(stages[0]._alphas)
     exponents = {s for stage in stages for s in stage._exponents}
 

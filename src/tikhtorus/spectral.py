@@ -240,7 +240,7 @@ def _symbol_at(op: MultiplierOperator, lattice: FrequencyLattice, modes: np.ndar
     """a(l) at ``modes``, rows of ``lattice.modes()``, checked as the
     :class:`MultiplierOperator` docstring says: the whole table
     (:meth:`~MultiplierOperator.symbol_values`) or one piece of it
-    (:func:`_piece_modes`), equal bit for bit where they overlap."""
+    (:func:`_leaf_tables`), equal bit for bit where they overlap."""
     if op.dimension is not None and lattice.dimension != op.dimension:
         raise DimensionError(
             f"operator {op.name!r} is fixed to dimension {op.dimension}, "
@@ -267,6 +267,23 @@ def _piece_modes(lattice: FrequencyLattice, piece: slice) -> np.ndarray:
         return np.arange(piece.start - M, piece.stop - M, dtype=np.int64)[:, None]
     index = np.arange(piece.start, piece.stop, dtype=np.int64)
     return np.stack(np.divmod(index, 2 * M + 1), axis=-1) - M
+
+
+def _leaf_tables(A: MultiplierOperator, lattice: FrequencyLattice, piece: slice, exponents) -> tuple:
+    """a, |a|^2 and {s: (1+|l|^2)^s for s in exponents} on the lattice
+    positions ``piece``: the package's one routine for per-piece tables, for
+    the sweep pass (``rates._pass_sums``) and the gamma sweep. Per mode it
+    does the arithmetic of :meth:`~MultiplierOperator.symbol_values`,
+    :meth:`~MultiplierOperator.squared_modulus` and :func:`sobolev_weights`,
+    so each table equals the matching slice of the whole one bit for bit. A
+    weight that overflows is inf, without a warning; the callers check the
+    whole table, or their sums, before or after."""
+    modes = _piece_modes(lattice, piece)
+    symbol = _symbol_at(A, lattice, modes)
+    squares = np.sum(np.square(modes, dtype=np.float64), axis=1)
+    with np.errstate(over="ignore"):
+        weights = {s: (1.0 + squares) ** s for s in exponents}
+    return symbol, symbol.real**2 + symbol.imag**2, weights
 
 
 def check_ellipticity(op: MultiplierOperator, lattice: FrequencyLattice) -> None:
@@ -349,7 +366,7 @@ def _map_chunks(kernel: Callable[[int, int], object], size: int) -> None:
 def _weigh(squares: np.ndarray, s: float) -> np.ndarray:
     """Overwrite a table of |l|^2 with (1+|l|^2)^s, in mode chunks across the
     CPUs (:func:`_map_chunks`), and return it: the spelling of a weight
-    table, which ``rates._leaf_tables`` repeats on one piece at a time. Each
+    table, which :func:`_leaf_tables` repeats on one piece at a time. Each
     entry is computed on its own, so the bytes depend neither on the split
     nor on which part of the lattice the table holds."""
 
@@ -396,13 +413,21 @@ def sobolev_norm(field: SpectralField, s: float) -> float:
     """Truncated H^s norm ( sum_l (1+|l|^2)^s |c(l)|^2 )^(1/2).
 
     Equals the L^2 norm at s = 0. Raises InvalidFieldError on non-finite
-    coefficients. The sum is taken by :func:`_kernel_sums`, in the lattice
-    enumeration order, so the result is reproducible bit for bit.
+    coefficients, then a ParameterError naming s when the weights overflow
+    (:func:`finite_sobolev_weights`). The sum is taken by
+    :func:`_kernel_sums`, in the lattice enumeration order, so the result is
+    reproducible bit for bit.
     """
+    return _sobolev_norm(field, s, f"the H^s norm at s = {s:g}")
+
+
+def _sobolev_norm(field: SpectralField, s: float, what: str) -> float:
+    """:func:`sobolev_norm`, with ``what`` naming the norm in the error its
+    weights raise when they overflow (``tikhonov.functional`` names r)."""
     coeffs = field.coefficients
     if not np.all(np.isfinite(coeffs.view(np.float64))):
         raise InvalidFieldError("field has non-finite coefficients")
-    weights = sobolev_weights(field.lattice, s)
+    weights = finite_sobolev_weights(field.lattice, s, what)
 
     def kernel(piece) -> float:
         return np.sum(np.multiply(weights[piece], coeffs[piece].real**2 + coeffs[piece].imag**2))
@@ -591,6 +616,8 @@ def field_from_grid(lattice: FrequencyLattice, values: np.ndarray) -> SpectralFi
     evaluate_on_grid for bandlimited data).
 
     The output is symmetrized exactly, so the Hermitian flag always holds.
+    Samples that are not finite, or so large that a coefficient overflows,
+    raise InvalidFieldError, with no warning.
     """
     values = np.asarray(values, dtype=np.float64)
     if values.ndim != lattice.dimension:
@@ -603,9 +630,12 @@ def field_from_grid(lattice: FrequencyLattice, values: np.ndarray) -> SpectralFi
             f"need at least {2 * lattice.bandlimit + 1} points per axis "
             f"for bandlimit {lattice.bandlimit}"
         )
-    spectrum = np.fft.fftn(values) / points**lattice.dimension
-    coeffs = spectrum[_fft_bins(lattice, points)]
-    coeffs = 0.5 * (coeffs + coeffs[::-1].conj())
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below
+        spectrum = np.fft.fftn(values) / points**lattice.dimension
+        coeffs = spectrum[_fft_bins(lattice, points)]
+        coeffs = 0.5 * (coeffs + coeffs[::-1].conj())
+    if not np.isfinite(coeffs).all():
+        raise InvalidFieldError("grid samples must be finite, and small enough that their coefficients are")
     zero = lattice.zero_index
     coeffs[zero] = coeffs[zero].real
     return SpectralField(lattice, coeffs, hermitian=True)

@@ -22,10 +22,11 @@ import numpy as np
 
 from .errors import DimensionError, ParameterError
 from .spectral import (
-    FrequencyLattice,
     MultiplierOperator,
     SpectralField,
+    _sobolev_norm,
     apply_multiplier,
+    finite_sobolev_weights,
     sobolev_norm,
     sobolev_weights,
 )
@@ -130,15 +131,6 @@ def forward(
     return Measurement(data=data, delta=delta, noise=noise, truth=truth)
 
 
-def _denominator(
-    A: MultiplierOperator, lattice: FrequencyLattice, alpha: float, r: float
-) -> np.ndarray:
-    # where alpha (1+|l|^2)^r overflows, z = inf makes the filter factors 0,
-    # which is their value in double precision
-    with np.errstate(over="ignore"):
-        return A.squared_modulus(lattice) + alpha * sobolev_weights(lattice, r)
-
-
 def solve(A: MultiplierOperator, m: SpectralField, alpha: float, r: float) -> SpectralField:
     """Closed-form regularized reconstruction from data m.
 
@@ -150,34 +142,46 @@ def solve(A: MultiplierOperator, m: SpectralField, alpha: float, r: float) -> Sp
         raise ParameterError(f"alpha must be positive, got {alpha}")
     if not r >= 0:
         raise ParameterError(f"penalty order r must be >= 0, got {r}")
-    filter_values = A.symbol_values(m.lattice).conj() / _denominator(A, m.lattice, alpha, r)
-    return SpectralField(m.lattice, filter_values * m.coefficients)
+    lattice = m.lattice
+    with np.errstate(over="ignore"):  # see _gain
+        gain, _ = _gain(A.symbol_values(lattice), A.squared_modulus(lattice), sobolev_weights(lattice, r), alpha)
+    return SpectralField(lattice, np.multiply(gain, m.coefficients))
+
+
+def _gain(symbol: np.ndarray, symbol_sq: np.ndarray, weights_r: np.ndarray, alpha: float) -> tuple:
+    """The filter gain conj(a)/z and z = |a|^2 + alpha (1+|l|^2)^r, from
+    matching slices of the per-mode tables a, |a|^2 and (1+|l|^2)^r: the one
+    spelling of the filter. :func:`solve` passes whole lattices and the gamma
+    sweep (``discrete.gamma_sweep``) one piece at a time, each forming the
+    minimizer ``np.multiply(gain, m)``, and :func:`_delta_parts` builds the
+    split on it, so every route gets the same bits.
+
+    Operand order: complex a * b and b * a round differently, and numpy
+    computes a * (temporary) of 256 KiB or more in place as (temporary) * a.
+    So every product here and in :func:`_delta_parts` is an explicit ufunc
+    call with its operands in the order of the formula. The caller sets
+    ``np.errstate``; where alpha (1+|l|^2)^r overflows, z = inf makes the
+    filter factors 0, their value in double precision.
+    """
+    z = np.multiply(alpha, weights_r)
+    np.add(symbol_sq, z, out=z)
+    gain = np.conjugate(symbol)
+    return np.divide(gain, z, out=gain), z
 
 
 def _delta_parts(
     symbol: np.ndarray, symbol_sq: np.ndarray, weights_r: np.ndarray, alpha: float, u: np.ndarray
 ) -> tuple:
-    """The per-delta half of the split: the filter gain conj(a)/z and the
-    bias part (|a|^2/z) u, z = |a|^2 + alpha (1+|l|^2)^r, from matching
-    slices of the per-mode tables a, |a|^2 and (1+|l|^2)^r and of the truth
-    coefficients u. :func:`_noise_part` is the per-seed half. :func:`solve_split`
-    passes whole lattices, the sweep kernel (``rates.SweepTables``) one piece
-    at a time, forming these once per delta for many seeds; this is the one
+    """The per-delta half of the split: the filter gain conj(a)/z of
+    :func:`_gain` and the bias part (|a|^2/z) u, from matching slices of the
+    per-mode tables a, |a|^2 and (1+|l|^2)^r and of the truth coefficients
+    u. :func:`_noise_part` is the per-seed half. :func:`solve_split` passes
+    whole lattices, the sweep kernel (``rates.SweepTables``) one piece at a
+    time, forming these once per delta for many seeds; this is the one
     spelling of the split, so both get the same bits.
-
-    Operand order: complex a * b and b * a round differently, and numpy
-    computes a * (temporary) of 256 KiB or more in place as (temporary) * a.
-    So every product here is an explicit ufunc call with its operands in
-    the order of the formula. The caller sets ``np.errstate``; where
-    alpha (1+|l|^2)^r overflows, z = inf makes both filter factors 0, their
-    value in double precision.
     """
-    z = np.multiply(alpha, weights_r)
-    np.add(symbol_sq, z, out=z)
-    gain = np.conjugate(symbol)
-    np.divide(gain, z, out=gain)
-    ratio = np.divide(symbol_sq, z, out=z)
-    return gain, np.multiply(ratio, u)
+    gain, z = _gain(symbol, symbol_sq, weights_r, alpha)
+    return gain, np.multiply(np.divide(symbol_sq, z, out=z), u)
 
 
 def _noise_part(gain: np.ndarray, scaled_noise: np.ndarray) -> np.ndarray:
@@ -243,8 +247,8 @@ def bias_bound_check(
     if zeta < -r - 2 * t or zeta > r:
         raise ParameterError(f"zeta must lie in [-r-2t, r] = [{-r - 2 * t}, {r}]")
     alpha = schedule.alpha(delta)
-    z = _denominator(A, truth.lattice, alpha, r)
     weights_r = sobolev_weights(truth.lattice, r)
+    z = A.squared_modulus(truth.lattice) + alpha * weights_r
     deviation = (alpha * weights_r / z) * truth.coefficients
     observed = float(
         np.sqrt(
@@ -269,10 +273,11 @@ def bias_bound_check(
 def functional(
     A: MultiplierOperator, m: SpectralField, alpha: float, r: float, u: SpectralField
 ) -> float:
-    """Penalized least-squares value ||A u - m||_{L^2}^2 + alpha ||u||_{H^r}^2."""
+    """Penalized least-squares value ||A u - m||_{L^2}^2 + alpha ||u||_{H^r}^2.
+    Penalty weights that overflow raise a ParameterError naming r."""
     residual = apply_multiplier(A, u).coefficients - m.coefficients
     fit = float(np.sum(residual.real**2 + residual.imag**2))
-    return fit + alpha * sobolev_norm(u, r) ** 2
+    return fit + alpha * _sobolev_norm(u, r, f"the penalty at r = {r:g}") ** 2
 
 
 def data_shifted_functional(
@@ -280,11 +285,12 @@ def data_shifted_functional(
 ) -> float:
     """||A u||^2 - 2 <m, A u> + alpha ||u||_{H^r}^2: the objective with the
     data-only constant removed, the form that stays finite when the data is
-    rougher than L^2."""
+    rougher than L^2. Penalty weights that overflow raise a ParameterError
+    naming r."""
     image = apply_multiplier(A, u).coefficients
     pairing = float(np.sum((m.coefficients * image.conj()).real))
     energy = float(np.sum(image.real**2 + image.imag**2))
-    return energy - 2.0 * pairing + alpha * sobolev_norm(u, r) ** 2
+    return energy - 2.0 * pairing + alpha * _sobolev_norm(u, r, f"the penalty at r = {r:g}") ** 2
 
 
 def stationarity_defect(
@@ -300,28 +306,25 @@ def stationarity_defect(
 
     Perturbing one mode only changes that mode's terms, so the difference is
     evaluated per mode without re-summing the whole functional. A true
-    minimizer returns a defect <= 0 up to roundoff.
+    minimizer returns a defect <= 0 up to roundoff. Penalty weights
+    (1+|l|^2)^r or alpha (1+|l|^2)^r that overflow, and a step that is not
+    finite, raise a ParameterError naming r, alpha or step, with no warning.
     """
     values = A.symbol_values(u.lattice)
-    weights = sobolev_weights(u.lattice, r)
+    with np.errstate(over="ignore"):  # refused below
+        penalty = alpha * finite_sobolev_weights(u.lattice, r, f"the penalty at r = {r:g}")
+    if not np.isfinite(penalty).all():
+        raise ParameterError(f"alpha (1+|l|^2)^r is not finite at alpha = {alpha:g}, r = {r:g}")
+    if not math.isfinite(step):
+        raise ParameterError(f"step must be finite, got {step}")
     base_residual = values * u.coefficients - m.coefficients
+
+    def change(before: np.ndarray, after: np.ndarray) -> np.ndarray:  # |after|^2 - |before|^2
+        return after.real**2 + after.imag**2 - before.real**2 - before.imag**2
 
     worst = -np.inf
     for direction in (step, -step, 1j * step, -1j * step):
-        shifted_residual = base_residual + values * direction
-        fit_change = (
-            shifted_residual.real**2
-            + shifted_residual.imag**2
-            - base_residual.real**2
-            - base_residual.imag**2
-        )
-        shifted_coeff = u.coefficients + direction
-        penalty_change = alpha * weights * (
-            shifted_coeff.real**2
-            + shifted_coeff.imag**2
-            - u.coefficients.real**2
-            - u.coefficients.imag**2
-        )
-        decrease = -(fit_change + penalty_change)
-        worst = max(worst, float(np.max(decrease)))
+        fit_change = change(base_residual, base_residual + values * direction)
+        penalty_change = penalty * change(u.coefficients, u.coefficients + direction)
+        worst = max(worst, float(np.max(-(fit_change + penalty_change))))
     return worst

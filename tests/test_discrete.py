@@ -40,6 +40,7 @@ from tikhtorus.discrete import (
     GammaSizeSummary,
 )
 
+from test_experiments import run_fresh_process
 from test_spectral import random_hermitian_field
 
 
@@ -365,6 +366,55 @@ class TestGammaSweep:
             gaps = [row.pairing_gap for row in result.rows[i * len(phis) : (i + 1) * len(phis)]]
             assert gaps == [total(probe, radius) - float(np.sum(probe)) for probe in probes]
         assert any(row.pairing_gap != 0.0 for row in result.rows if row.test_function_id == "smooth")
+
+    def test_tables_are_built_per_piece(self, monkeypatch):
+        # forward's data is the one whole-lattice symbol evaluation: the
+        # minimizer, the symbol and the weights are built piece by piece, and
+        # the pieces cover each ball's modes, the whole lattice's included,
+        # exactly once
+        lattice, truth, noise, phis = self.build(reference_bandlimit=300)
+        monkeypatch.setattr(spectral, "_CHUNK", 7)  # leaves of at most 128 modes
+        operator, tables = deblur_operator(), []
+
+        def symbol(modes):
+            tables.append(modes[:, 0].copy())
+            return operator.symbol(modes)
+
+        counted = dataclasses.replace(operator, symbol=symbol)
+        sizes = [(5, 5), (17, 33), (301, 301)]
+        gamma_sweep(counted, truth, noise, 1e-3, SCHEDULE, sizes, phis)
+        reference = lattice.modes()[:, 0]
+        whole = [modes for modes in tables if np.array_equal(modes, reference)]
+        pieces = [modes for modes in tables if len(modes) < len(reference)]
+        assert len(whole) == 1 and len(tables) == 1 + len(pieces)
+        balls = [spectral.ball(lattice, reference, radius) for radius in (2, 8, 150, 300)]
+        assert np.array_equal(np.sort(np.concatenate(pieces)), np.sort(np.concatenate(balls)))
+
+    def test_peak_stays_below_the_whole_tables(self):
+        # at 262,145 modes the sweep's tracemalloc peak above its inputs is
+        # forward's data, 49.0 B per mode; whole minimizer, symbol and weight
+        # tables peaked at 81.0. A sweep on a small lattice first loads the
+        # modules the call imports on first use
+        script = (
+            "import tracemalloc\n"
+            "from tikhtorus import FrequencyLattice, RegularizationSchedule, deblur_operator, gamma_sweep, "
+            "hat_coefficients, low_frequency_test_functions, sample_white_noise\n"
+            "def peak(bandlimit):\n"
+            "    lattice = FrequencyLattice(1, bandlimit)\n"
+            "    truth, noise = hat_coefficients(lattice), sample_white_noise(lattice, 3)\n"
+            "    phis = low_frequency_test_functions(lattice, 5)\n"
+            "    sizes = [(2 * bandlimit // 8 + 1,) * 2, (2 * bandlimit // 2 + 1,) * 2, (2 * bandlimit + 1,) * 2]\n"
+            "    tracemalloc.start()\n"
+            "    gamma_sweep(deblur_operator(), truth, noise, 1e-3, RegularizationSchedule(1.0, 2.5, 1.0), sizes, phis)\n"
+            "    peak = tracemalloc.get_traced_memory()[1]\n"
+            "    tracemalloc.stop()\n"
+            "    return peak / lattice.mode_count\n"
+            "peak(64)\n"
+            "print(peak(131072))\n"
+        )
+        done = run_fresh_process(script)
+        assert done.returncode == 0, done.stderr
+        assert float(done.stdout.split()[-1]) < 65.0
 
     def test_functional_descent_monotone(self):
         lattice, truth, noise, phis = self.build()

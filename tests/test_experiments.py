@@ -955,9 +955,10 @@ class TestCli:
             assert all(spans.count((seed, start, stop)) == 1 for start, stop in leaves)
 
     def test_deblur_counts_its_reference_symbol_evaluations(self, tmp_path, monkeypatch):
-        # no symbol table is cached: the ellipticity check, the sweep's and
-        # the certificate's checks and the band calibration each evaluate the
-        # symbol on the whole reference lattice, the snapshot on its plot band,
+        # no symbol table is cached: the ellipticity check and the sweep's and
+        # the certificate's checks each evaluate the symbol on the whole
+        # reference lattice (the band calibration reads the certificate's
+        # |a|^2 table), the snapshot on its plot band,
         # and the pass once per piece, so that the pieces cover each reference
         # mode exactly once
         build = experiments._build_operator
@@ -982,7 +983,7 @@ class TestCli:
         whole = [modes for modes in tables if np.array_equal(modes, reference)]
         snapshot = [modes for modes in tables if np.array_equal(modes, plot_band)]
         pieces = [modes for modes in tables if len(modes) not in (len(reference), len(plot_band))]
-        assert (len(whole), len(snapshot)) == (4, 3)  # the snapshot's forward map and solve
+        assert (len(whole), len(snapshot)) == (3, 3)  # the snapshot's forward map and solve
         assert len(pieces) > 1 and len(tables) == len(whole) + len(snapshot) + len(pieces)
         assert np.array_equal(np.sort(np.concatenate(pieces), axis=0), reference)
 

@@ -364,7 +364,7 @@ def composed_rows(A, lattice, seed, deltas):
     """The certificate's rows of ``seed`` from the per-mode formulas:
     h1_norm_sq = sum w1 |a|^2 delta^2 |eps|^2 / z^2 and lower_bound =
     bound_factor * sum_band |eps|^2."""
-    c0, c1, bands = calibrate_band(A, lattice, deltas)
+    c0, c1, bands = calibrate_band(A.squared_modulus(lattice), lattice, deltas)
     values = A.symbol_values(lattice)
     symbol_sq = values.real**2 + values.imag**2
     w1 = 1.0 + lattice.squared_norms()
@@ -386,7 +386,7 @@ class TestBandCalibration:
     def test_band_members_satisfy_inequality_and_track_center(self):
         lattice = FrequencyLattice(1, 4096)
         deltas = [1e-2, 1e-3, 1e-4, 1e-5]
-        c0, c1, bands = calibrate_band(deblur_operator(), lattice, deltas)
+        c0, c1, bands = calibrate_band(deblur_operator().squared_modulus(lattice), lattice, deltas)
         values = deblur_operator().symbol_values(lattice)
         symbol_sq = np.abs(values) ** 2
         weights = 1.0 + lattice.squared_norms()
@@ -405,7 +405,7 @@ class TestBandCalibration:
         # a tiny lattice cannot bridge six decades of delta
         lattice = FrequencyLattice(1, 2)
         with pytest.raises(CalibrationError):
-            calibrate_band(deblur_operator(), lattice, [1e-2, 1e-12])
+            calibrate_band(deblur_operator().squared_modulus(lattice), lattice, [1e-2, 1e-12])
 
     def test_underflowed_ratios_never_center_the_band(self):
         # |a(l)|^2 = (1+l^2)^-80 underflows to 0 beyond l ~ 100; the
@@ -413,7 +413,7 @@ class TestBandCalibration:
         lattice = FrequencyLattice(1, 256)
         A = power_law_operator(80.0)
         assert np.any(np.abs(A.symbol_values(lattice)) ** 2 == 0.0)
-        c0, c1, bands = calibrate_band(A, lattice, [1e-2, 1e-3])
+        c0, c1, bands = calibrate_band(A.squared_modulus(lattice), lattice, [1e-2, 1e-3])
         assert 0.0 < c0 < c1 < np.inf
         assert all(band.member_indices.size > 0 for band in bands)
 
@@ -425,7 +425,8 @@ class TestBandCalibration:
             dimension=1,
         )
         with pytest.raises(ParameterError, match=r"\[operator\] exponent"):
-            calibrate_band(tiny, FrequencyLattice(1, 8), [1e-2])
+            lattice = FrequencyLattice(1, 8)
+            calibrate_band(tiny.squared_modulus(lattice), lattice, [1e-2])
 
 
 class TestH1Divergence:
@@ -444,7 +445,7 @@ class TestH1Divergence:
         seeds, deltas = [0, 5], [1e-2, 1e-3, 1e-4]
         report = h1_divergence(A, DIVERGENCE_SCHEDULE, deltas, seeds, lattice)
         assert len(report.rows) == len(seeds) * len(deltas)
-        _, _, bands = calibrate_band(A, lattice, deltas)
+        _, _, bands = calibrate_band(A.squared_modulus(lattice), lattice, deltas)
         values = A.symbol_values(lattice)
         symbol_sq = values.real**2 + values.imag**2
         w1 = 1.0 + lattice.squared_norms()
@@ -549,7 +550,7 @@ class TestLeafTables:
         ones = [(p, p + 1) for p in (0, zero - 1, zero, zero + 1, lattice.mode_count - 1)]
         for start, stop in leaves + ones:
             piece = slice(start, stop)
-            a, a_sq, w = rates._leaf_tables(operator, lattice, piece, exponents)
+            a, a_sq, w = spectral._leaf_tables(operator, lattice, piece, exponents)
             assert a.tobytes() == symbol[piece].tobytes()
             assert a_sq.tobytes() == symbol_sq[piece].tobytes()
             assert list(w) == exponents

@@ -362,8 +362,8 @@ class TestSobolevWeights:
         for _ in range(2):
             with pytest.raises(RuntimeWarning, match="overflow"):
                 sobolev_weights(lat, 400)
-            with pytest.raises(RuntimeWarning, match="overflow"):
-                sobolev_norm(zero_field(lat), 400)
+            with pytest.raises(ParameterError, match="H.s norm at s = 400 is not finite"):
+                sobolev_norm(zero_field(lat), 400)  # the checked form
             with np.errstate(over="ignore"):
                 weights = sobolev_weights(lat, 400)
                 assert np.array_equal(weights, (1 + lat.squared_norms()) ** 400)

@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -10,12 +11,16 @@ from hypothesis import given, settings, strategies as st
 from tikhtorus import (
     DimensionError,
     FrequencyLattice,
+    InvalidFieldError,
     Measurement,
     ParameterError,
     RegularizationSchedule,
     SpectralField,
     bias_bound_check,
+    data_shifted_functional,
     deblur_operator,
+    expected_sobolev_energy,
+    field_from_grid,
     forward,
     functional,
     hat_coefficients,
@@ -362,3 +367,67 @@ class TestBiasBound:
         roughening = power_law_operator(-1.0)
         with pytest.raises(ParameterError):
             bias_bound_check(roughening, truth, DEBLUR_SCHEDULE, 1e-2, zeta=-1.0)
+
+
+def _problem():
+    """Data and minimizer of a small deblur problem, as the functionals take
+    them."""
+    lattice = FrequencyLattice(1, 8)
+    A, alpha = deblur_operator(), DEBLUR_SCHEDULE.alpha(1e-2)
+    m = forward(A, hat_coefficients(lattice), 1e-2, sample_white_noise(lattice, 1)).data
+    return lattice, A, m, alpha, solve(A, m, alpha, 1.0)
+
+
+def _defect(alpha=None, r=1.0, step=1e-6):
+    lattice, A, m, fitted, u = _problem()
+    return stationarity_defect(A, m, fitted if alpha is None else alpha, r, u, step)
+
+
+def _functional(kind):
+    lattice, A, m, alpha, u = _problem()
+    return kind(A, m, alpha, 1e308, u)
+
+
+# (call, error, message): bad numbers that warned from numpy and gave inf or
+# nan, or went on with them
+BAD_NUMBERS = {
+    "defect-huge-alpha": (lambda: _defect(alpha=1e308), ParameterError, r"alpha = 1e\+308"),
+    "defect-huge-r": (lambda: _defect(r=1e308), ParameterError, r"penalty at r = 1e\+308"),
+    "defect-inf-step": (lambda: _defect(step=math.inf), ParameterError, "step must be finite"),
+    "defect-minus-inf-step": (lambda: _defect(step=-math.inf), ParameterError, "step must be finite"),
+    "grid-inf": (
+        lambda: field_from_grid(FrequencyLattice(1, 8), np.where(np.arange(17) == 3, np.inf, 0.5)),
+        InvalidFieldError,
+        "grid samples must be finite",
+    ),
+    "grid-huge": (
+        lambda: field_from_grid(FrequencyLattice(1, 8), np.full(17, 1e308)),
+        InvalidFieldError,
+        "small enough",
+    ),
+    "sobolev-norm-huge-s": (
+        lambda: sobolev_norm(hat_coefficients(FrequencyLattice(1, 8)), 1e308),
+        ParameterError,
+        r"H\^s norm at s = 1e\+308 is not finite",
+    ),
+    "expected-energy-huge-s": (
+        lambda: expected_sobolev_energy(FrequencyLattice(1, 8), 1e308),
+        ParameterError,
+        r"energy at s = 1e\+308 is not finite",
+    ),
+    "functional-huge-r": (lambda: _functional(functional), ParameterError, r"penalty at r = 1e\+308"),
+    "shifted-functional-huge-r": (
+        lambda: _functional(data_shifted_functional),
+        ParameterError,
+        r"penalty at r = 1e\+308",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", BAD_NUMBERS.values(), ids=BAD_NUMBERS.keys())
+def test_bad_numbers_are_refused_without_a_warning(case):
+    call, error, message = case
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(error, match=message):
+            call()
