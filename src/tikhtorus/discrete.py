@@ -273,8 +273,10 @@ def gamma_sweep(
     From them it forms the objective's terms |a u|^2 and Re(m conj(a u)),
     the H^r norm's and the ball radius's weighted squares and one pairing
     Re(u conj(phi)) per test function, and returns their sums as one vector,
-    which the pass adds up over every size's ball and the whole lattice.
-    The continuum objective is the same expression over the whole lattice.
+    which the pass adds up over each distinct ball once: the sizes' observed
+    balls and the whole lattice, which a size that observes every mode
+    shares with the continuum. The continuum objective is the same
+    expression over the whole lattice.
     An alpha that underflows to 0 raises ParameterError, as solve does; data
     so large that a sum, a c_k or a gap is not finite raise ParameterError
     naming ``[grids] delta_grid``.
@@ -305,8 +307,10 @@ def gamma_sweep(
     alpha, r, m = schedule.alpha(delta), float(schedule.r), m_field.coefficients
     if not alpha > 0:  # alpha0 delta^kappa underflows to 0
         raise ParameterError(f"alpha must be positive, got {alpha}")
-    # the observed ball of each size, then the whole lattice (the continuum)
+    # the observed ball of each size, then the whole lattice (the continuum),
+    # each distinct ball walked once
     radii = [min(n - 1, k - 1) // 2 for n, k in pairs] + [lattice.bandlimit]
+    distinct = list(dict.fromkeys(radii))
 
     # data near the top of the double range overflow the sums (or the
     # minimizer): what comes out inf or nan is refused below, naming the key
@@ -332,7 +336,8 @@ def gamma_sweep(
 
         # per ball, then the whole lattice: ||a u||^2, <m, a u>, ||u||_{H^r}^2,
         # ||A* m||_{H^-r}^2 and <u, phi> per test function
-        sums = [total.tolist() for total in _kernel_sums(lattice, kernel, radii)]
+        by_radius = dict(zip(distinct, (total.tolist() for total in _kernel_sums(lattice, kernel, distinct))))
+        sums = [by_radius[radius] for radius in radii]
     values = [energy - 2.0 * pairing + alpha * math.sqrt(hr) ** 2 for energy, pairing, hr, *_ in sums]
     continuum_objective = values[-1]
     summaries = [

@@ -42,8 +42,9 @@ from .spectral import (
     SpectralField,
     _kernel_sums,
     _leaf_tables,
+    _sobolev_norm,
     finite_sobolev_weights,
-    sobolev_norm,
+    sobolev_norm,  # not called here; the benchmark's tracer and its tests read this binding
     sobolev_weights,
 )
 from .tikhonov import RegularizationSchedule, _delta_parts, _noise_part
@@ -219,10 +220,12 @@ class SweepResult:
 class SweepTables:
     """The seed-independent half of :func:`error_sweep`.
 
-    The constructor checks the symbol, the grids, the penalty, the truth's
-    H^r norm and alpha(delta), in that order, on whole tables that it frees
-    on return, and keeps alpha(delta) per delta and the exponents r and s1
-    of the pass's weight tables; it holds no lattice-sized table.
+    The constructor checks the symbol, the grids, the truth's H^r norm (its
+    coefficients, its penalty weights (1+|l|^2)^r and its sum, from one
+    whole weight table) and alpha(delta), in that order, on whole tables
+    that it frees on return, and keeps alpha(delta) per delta and the
+    exponents r and s1 of the pass's weight tables; it holds no
+    lattice-sized table.
     :meth:`result` is the summary of the errors that ``_sweep_pass`` gives.
 
     Per piece, the pass builds a, |a|^2, (1+|l|^2)^r and (1+|l|^2)^s1 per s1
@@ -262,9 +265,12 @@ class SweepTables:
         self.s1_list = [float(s1) for s1 in s1_list]
         self.delta_grid = [float(delta) for delta in delta_grid]
         self.labels = [-1 if seed is None else int(seed) for seed in seeds]
-        finite_sobolev_weights(lattice, schedule.r, f"the penalty at [schedule] r = {schedule.r:g}")
-        if not math.isfinite(sobolev_norm(truth, schedule.r)):
-            raise ParameterError("truth must have finite H^r norm")
+        norm = _sobolev_norm(truth, schedule.r, f"the penalty at [schedule] r = {schedule.r:g}")
+        if not math.isfinite(norm):
+            raise ParameterError(
+                f"truth must have finite H^r norm at [schedule] r = {schedule.r:g}: its weighted "
+                "squares overflow ([truth] path)"
+            )
         self._schedule = schedule
         self._alphas = [schedule.alpha(delta) for delta in self.delta_grid]
         if 0.0 in self._alphas and not symbol_sq.all():

@@ -18,6 +18,7 @@ reversal.
 from __future__ import annotations
 
 import dataclasses
+import math
 import operator
 import os
 import threading
@@ -272,8 +273,10 @@ def _piece_modes(lattice: FrequencyLattice, piece: slice) -> np.ndarray:
 def _leaf_tables(A: MultiplierOperator, lattice: FrequencyLattice, piece: slice, exponents) -> tuple:
     """a, |a|^2 and {s: (1+|l|^2)^s for s in exponents} on the lattice
     positions ``piece``: the package's one routine for per-piece tables, for
-    the sweep pass (``rates._pass_sums``) and the gamma sweep. Per mode it
-    does the arithmetic of :meth:`~MultiplierOperator.symbol_values`,
+    the sweep pass (``rates._pass_sums``) and the gamma sweep, and, with the
+    whole lattice as its piece, for ``tikhonov``'s solves and bias bound.
+    Per mode it does the arithmetic of
+    :meth:`~MultiplierOperator.symbol_values`,
     :meth:`~MultiplierOperator.squared_modulus` and :func:`sobolev_weights`,
     so each table equals the matching slice of the whole one bit for bit. A
     weight that overflows is inf, without a warning; the callers check the
@@ -303,13 +306,12 @@ def check_ellipticity(op: MultiplierOperator, lattice: FrequencyLattice) -> None
         )
 
 
-# items per piece of a chunked kernel (the Sobolev weight tables, the noise
-# draws) and at most per leaf of a tree sum (every sum :func:`_kernel_sums`
-# takes): a piece keeps a few MiB of temporaries alive (the sweep's leaf,
-# with its symbol and weight tables and a block of draws, about 6 MiB), which
-# leaves little in the worker threads' malloc arenas; the
-# shipped configs' lattices (up to 32,769 modes) stay below two pieces and so
-# on the calling thread
+# items per piece of a chunked kernel (the noise draws) and at most per leaf
+# of a tree sum (every sum :func:`_kernel_sums` takes): a piece keeps a few
+# MiB of temporaries alive (the sweep's leaf, with its symbol and weight
+# tables and a block of draws, about 6 MiB), which leaves little in the
+# worker threads' malloc arenas; the shipped configs' lattices (up to 32,769
+# modes) stay below two pieces and so on the calling thread
 _CHUNK = 32768
 
 
@@ -354,46 +356,36 @@ def _dispatch(task: Callable[[int], object], count: int, size: int) -> None:
 
 def _map_chunks(kernel: Callable[[int, int], object], size: int) -> None:
     """Call ``kernel(start, stop)`` on the consecutive pieces of [0, size),
-    ``_CHUNK`` items each (the last one shorter), through :func:`_dispatch`.
-    ``noise`` imports it from here, so ``_CHUNK`` and ``_cpu_count`` are read
-    from this module. Kernels write disjoint slices and sum nothing (a sum
-    goes through :func:`_kernel_sums`), so the result depends neither on the
-    split nor on ``_CHUNK``."""
+    ``_CHUNK`` items each (the last one shorter), through :func:`_dispatch`:
+    the fan-out of the noise draws, its one user, which ``noise`` imports
+    from here, so ``_CHUNK`` and ``_cpu_count`` are read from this module.
+    Kernels write disjoint slices and sum nothing (a sum goes through
+    :func:`_kernel_sums`), so the result depends neither on the split nor on
+    ``_CHUNK``."""
     chunks = -(-size // _CHUNK)
     _dispatch(lambda piece: kernel(piece * _CHUNK, min(size, (piece + 1) * _CHUNK)), chunks, size)
 
 
-def _weigh(squares: np.ndarray, s: float) -> np.ndarray:
-    """Overwrite a table of |l|^2 with (1+|l|^2)^s, in mode chunks across the
-    CPUs (:func:`_map_chunks`), and return it: the spelling of a weight
-    table, which :func:`_leaf_tables` repeats on one piece at a time. Each
-    entry is computed on its own, so the bytes depend neither on the split
-    nor on which part of the lattice the table holds."""
-
-    def kernel(start: int, stop: int) -> None:
-        squares[start:stop] = (1.0 + squares[start:stop]) ** s  # ** keeps numpy's fast paths
-
-    _map_chunks(kernel, squares.size)
-    return squares
-
-
 def sobolev_weights(lattice: FrequencyLattice, s: float) -> np.ndarray:
-    """(1 + |l|^2)^s per mode, as a fresh array filled by :func:`_weigh`, as
-    is the half table of :func:`_half_sobolev_weights`. A table that
-    overflows warns, raises or holds inf as the caller's ``np.errstate``
+    """(1 + |l|^2)^s per mode, as a fresh array, built on the calling thread
+    from the |l|^2 table with the arithmetic of :func:`_leaf_tables` (the
+    ``1.0 +`` in place, so one table besides the result is alive). A table
+    that overflows warns, raises or holds inf as the caller's ``np.errstate``
     says; :func:`finite_sobolev_weights` is the checked form."""
-    return _weigh(lattice.squared_norms(), float(s))
+    squares = lattice.squared_norms()
+    return np.add(squares, 1.0, out=squares) ** float(s)  # ** keeps numpy's fast paths, as _leaf_tables
 
 
 def _half_sobolev_weights(lattice: FrequencyLattice, s: float) -> np.ndarray:
     """(1+|l|^2)^s at the lattice positions zero_index, zero_index + 1, ...,
-    the half table of an even quantity that :func:`_mirrored` reads: equal
-    bit for bit to the same positions of ``sobolev_weights(lattice, s)``."""
+    the half table of an even quantity that :func:`_mirrored` reads, built
+    as :func:`sobolev_weights` builds a whole one: equal bit for bit to the
+    same positions of ``sobolev_weights(lattice, s)``."""
     M = lattice.bandlimit
     squares = np.arange(M + 1, dtype=np.float64) ** 2
     if lattice.dimension == 2:  # rows l_1 = 0..M of l_2 = -M..M, from the zero mode (0, 0) on
         squares = np.add.outer(squares, np.arange(-M, M + 1, dtype=np.float64) ** 2).ravel()[M:]
-    return _weigh(squares, float(s))
+    return np.add(squares, 1.0, out=squares) ** float(s)
 
 
 def finite_sobolev_weights(lattice: FrequencyLattice, s: float, what: str) -> np.ndarray:
@@ -414,16 +406,21 @@ def sobolev_norm(field: SpectralField, s: float) -> float:
 
     Equals the L^2 norm at s = 0. Raises InvalidFieldError on non-finite
     coefficients, then a ParameterError naming s when the weights overflow
-    (:func:`finite_sobolev_weights`). The sum is taken by
-    :func:`_kernel_sums`, in the lattice enumeration order, so the result is
-    reproducible bit for bit.
+    (:func:`finite_sobolev_weights`) or the sum does, with no warning. The
+    sum is taken by :func:`_kernel_sums`, in the lattice enumeration order,
+    so the result is reproducible bit for bit.
     """
-    return _sobolev_norm(field, s, f"the H^s norm at s = {s:g}")
+    norm = _sobolev_norm(field, s, f"the H^s norm at s = {s:g}")
+    if not math.isfinite(norm):
+        raise ParameterError(f"the H^s norm at s = {s:g} is not finite: the field's weighted squares overflow")
+    return norm
 
 
 def _sobolev_norm(field: SpectralField, s: float, what: str) -> float:
     """:func:`sobolev_norm`, with ``what`` naming the norm in the error its
-    weights raise when they overflow (``tikhonov.functional`` names r)."""
+    weights raise when they overflow (``tikhonov.functional`` names r), and
+    inf, without a warning, where that function refuses a sum that overflows:
+    each caller names its own keys."""
     coeffs = field.coefficients
     if not np.all(np.isfinite(coeffs.view(np.float64))):
         raise InvalidFieldError("field has non-finite coefficients")
@@ -432,7 +429,8 @@ def _sobolev_norm(field: SpectralField, s: float, what: str) -> float:
     def kernel(piece) -> float:
         return np.sum(np.multiply(weights[piece], coeffs[piece].real**2 + coeffs[piece].imag**2))
 
-    return float(np.sqrt(_kernel_sums(field.lattice, kernel)))
+    with np.errstate(over="ignore"):  # the workers run under it too
+        return float(np.sqrt(_kernel_sums(field.lattice, kernel)))
 
 
 def apply_multiplier(op: MultiplierOperator, field: SpectralField) -> SpectralField:
@@ -593,6 +591,8 @@ def evaluate_on_grid(field: SpectralField, points_per_axis: int) -> np.ndarray:
 
     Requires the Hermitian flag (the output is real) and an integer
     points_per_axis >= 2*bandlimit + 1 so that no two lattice modes alias.
+    Coefficients so large that a grid value overflows raise
+    InvalidFieldError, with no warning.
     """
     if not field.hermitian:
         raise NotRealValuedError("evaluate_on_grid requires a Hermitian field")
@@ -607,7 +607,10 @@ def evaluate_on_grid(field: SpectralField, points_per_axis: int) -> np.ndarray:
     shape = (points_per_axis,) * lattice.dimension
     spectrum = np.zeros(shape, dtype=np.complex128)
     spectrum[_fft_bins(lattice, points_per_axis)] = field.coefficients
-    values = np.fft.ifftn(spectrum) * points_per_axis**lattice.dimension
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below
+        values = np.fft.ifftn(spectrum) * points_per_axis**lattice.dimension
+    if not np.isfinite(values.real).all():
+        raise InvalidFieldError("field coefficients must be small enough that their grid values are finite")
     return np.ascontiguousarray(values.real)
 
 

@@ -20,15 +20,14 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DimensionError, ParameterError
+from .errors import DimensionError, InvalidFieldError, ParameterError
 from .spectral import (
     MultiplierOperator,
     SpectralField,
+    _leaf_tables,
     _sobolev_norm,
     apply_multiplier,
     finite_sobolev_weights,
-    sobolev_norm,
-    sobolev_weights,
 )
 
 __all__ = [
@@ -136,15 +135,18 @@ def solve(A: MultiplierOperator, m: SpectralField, alpha: float, r: float) -> Sp
 
     Per mode: conj(a) * m / (|a|^2 + alpha (1+|l|^2)^r). The denominator is
     strictly positive for alpha > 0, so the solve never degenerates even
-    where the symbol is tiny.
+    where the symbol is tiny. The tables a, |a|^2 and (1+|l|^2)^r come from
+    one ``spectral._leaf_tables`` call over the whole lattice, so the symbol
+    callable runs once.
     """
     if not alpha > 0:
         raise ParameterError(f"alpha must be positive, got {alpha}")
     if not r >= 0:
         raise ParameterError(f"penalty order r must be >= 0, got {r}")
-    lattice = m.lattice
+    lattice, r = m.lattice, float(r)
     with np.errstate(over="ignore"):  # see _gain
-        gain, _ = _gain(A.symbol_values(lattice), A.squared_modulus(lattice), sobolev_weights(lattice, r), alpha)
+        symbol, symbol_sq, weights = _leaf_tables(A, lattice, slice(0, lattice.mode_count), (r,))
+        gain, _ = _gain(symbol, symbol_sq, weights[r], alpha)
     return SpectralField(lattice, np.multiply(gain, m.coefficients))
 
 
@@ -200,14 +202,15 @@ def solve_split(
     truth and noise the measurement records.
 
     The parts sum to the reconstruction exactly because the sum is formed
-    per mode.
+    per mode. The tables a, |a|^2 and (1+|l|^2)^r come from one
+    ``spectral._leaf_tables`` call over the whole lattice, as in :func:`solve`.
     """
-    alpha = schedule.alpha(meas.delta)
+    alpha, r = schedule.alpha(meas.delta), float(schedule.r)
     lattice = meas.data.lattice
     scaled_noise = np.multiply(meas.delta, meas.noise.coefficients)
     with np.errstate(over="ignore"):
-        tables = A.symbol_values(lattice), A.squared_modulus(lattice), sobolev_weights(lattice, schedule.r)
-        gain, bias_part = _delta_parts(*tables, alpha, meas.truth.coefficients)
+        symbol, symbol_sq, weights = _leaf_tables(A, lattice, slice(0, lattice.mode_count), (r,))
+        gain, bias_part = _delta_parts(symbol, symbol_sq, weights[r], alpha, meas.truth.coefficients)
         parts = bias_part, _noise_part(gain, scaled_noise)
     bias, noise_part = (SpectralField(lattice, coeffs) for coeffs in parts)
     reconstruction = bias + noise_part
@@ -238,7 +241,10 @@ def bias_bound_check(
 
     where c_op = min_l |a(l)|^2 (1+|l|^2)^t is measured by a direct lattice
     scan, so the inequality holds mode by mode on the truncated lattice.
-    Valid for -r - 2t <= zeta <= r.
+    Valid for -r - 2t <= zeta <= r. The tables |a|^2 and (1+|l|^2)^s for
+    s = r, zeta, t come from one ``spectral._leaf_tables`` call; truth
+    coefficients that are not finite raise InvalidFieldError, and weights
+    that overflow a ParameterError naming r, zeta or t, with no warning.
     """
     t = A.smoothing
     r = schedule.r
@@ -247,37 +253,50 @@ def bias_bound_check(
     if zeta < -r - 2 * t or zeta > r:
         raise ParameterError(f"zeta must lie in [-r-2t, r] = [{-r - 2 * t}, {r}]")
     alpha = schedule.alpha(delta)
-    weights_r = sobolev_weights(truth.lattice, r)
-    z = A.squared_modulus(truth.lattice) + alpha * weights_r
-    deviation = (alpha * weights_r / z) * truth.coefficients
-    observed = float(
-        np.sqrt(
-            np.sum(sobolev_weights(truth.lattice, zeta) * np.abs(deviation) ** 2)
-        )
-    )
+    lattice, coeffs = truth.lattice, truth.coefficients
+    exponents = {"r": float(r), "zeta": float(zeta), "t": float(t)}
+    _, symbol_sq, weights = _leaf_tables(A, lattice, slice(0, lattice.mode_count), exponents.values())
+    if not np.isfinite(coeffs.view(np.float64)).all():
+        raise InvalidFieldError("field has non-finite coefficients")
+    for name, s in exponents.items():
+        if not np.isfinite(weights[s]).all():
+            raise ParameterError(
+                f"(1+|l|^2)^{name} is not finite at {name} = {s:g}: it overflows on bandlimit {lattice.bandlimit}"
+            )
+    weights_r = weights[exponents["r"]]
+    z = symbol_sq + alpha * weights_r
+    deviation = (alpha * weights_r / z) * coeffs
+    observed = float(np.sqrt(np.sum(weights[exponents["zeta"]] * np.abs(deviation) ** 2)))
 
     theta = -(r + zeta)
     gamma = (2 * r + theta) / (2 * (t + r))
     eta = (2 * t - theta) / (2 * (t + r))
-    c_op = float(np.min(A.squared_modulus(truth.lattice) * sobolev_weights(truth.lattice, t)))
+    c_op = float(np.min(symbol_sq * weights[exponents["t"]]))
     exponent = schedule.kappa * (r - zeta) / (2 * (t + r))
-    bound = (
-        c_op ** (-gamma)
-        * schedule.alpha0 ** (1.0 - eta)
-        * delta**exponent
-        * sobolev_norm(truth, r)
-    )
+    # sobolev_norm(truth, r): the whole-table sum that its pass adds up leaf by leaf
+    norm_r = float(np.sqrt(np.sum(np.multiply(weights_r, coeffs.real**2 + coeffs.imag**2))))
+    bound = c_op ** (-gamma) * schedule.alpha0 ** (1.0 - eta) * delta**exponent * norm_r
     return BiasBound(observed=observed, bound=bound)
+
+
+def _penalty_norm(u: SpectralField, r: float) -> float:
+    """||u||_{H^r} for the functionals, or a ParameterError naming r when its
+    weights or its sum overflow."""
+    norm = _sobolev_norm(u, r, f"the penalty at r = {r:g}")
+    if not math.isfinite(norm):
+        raise ParameterError(f"the penalty at r = {r:g} is not finite: ||u||_{{H^r}} overflows")
+    return norm
 
 
 def functional(
     A: MultiplierOperator, m: SpectralField, alpha: float, r: float, u: SpectralField
 ) -> float:
     """Penalized least-squares value ||A u - m||_{L^2}^2 + alpha ||u||_{H^r}^2.
-    Penalty weights that overflow raise a ParameterError naming r."""
+    Penalty weights or an H^r norm that overflow raise a ParameterError
+    naming r."""
     residual = apply_multiplier(A, u).coefficients - m.coefficients
     fit = float(np.sum(residual.real**2 + residual.imag**2))
-    return fit + alpha * _sobolev_norm(u, r, f"the penalty at r = {r:g}") ** 2
+    return fit + alpha * _penalty_norm(u, r) ** 2
 
 
 def data_shifted_functional(
@@ -285,12 +304,12 @@ def data_shifted_functional(
 ) -> float:
     """||A u||^2 - 2 <m, A u> + alpha ||u||_{H^r}^2: the objective with the
     data-only constant removed, the form that stays finite when the data is
-    rougher than L^2. Penalty weights that overflow raise a ParameterError
-    naming r."""
+    rougher than L^2. Penalty weights or an H^r norm that overflow raise a
+    ParameterError naming r."""
     image = apply_multiplier(A, u).coefficients
     pairing = float(np.sum((m.coefficients * image.conj()).real))
     energy = float(np.sum(image.real**2 + image.imag**2))
-    return energy - 2.0 * pairing + alpha * _sobolev_norm(u, r, f"the penalty at r = {r:g}") ** 2
+    return energy - 2.0 * pairing + alpha * _penalty_norm(u, r) ** 2
 
 
 def stationarity_defect(
@@ -307,8 +326,9 @@ def stationarity_defect(
     Perturbing one mode only changes that mode's terms, so the difference is
     evaluated per mode without re-summing the whole functional. A true
     minimizer returns a defect <= 0 up to roundoff. Penalty weights
-    (1+|l|^2)^r or alpha (1+|l|^2)^r that overflow, and a step that is not
-    finite, raise a ParameterError naming r, alpha or step, with no warning.
+    (1+|l|^2)^r or alpha (1+|l|^2)^r that overflow, a step that is not
+    finite, and a step so large that a per-mode change overflows, raise a
+    ParameterError naming r, alpha or step, with no warning.
     """
     values = A.symbol_values(u.lattice)
     with np.errstate(over="ignore"):  # refused below
@@ -324,7 +344,10 @@ def stationarity_defect(
 
     worst = -np.inf
     for direction in (step, -step, 1j * step, -1j * step):
-        fit_change = change(base_residual, base_residual + values * direction)
-        penalty_change = penalty * change(u.coefficients, u.coefficients + direction)
-        worst = max(worst, float(np.max(-(fit_change + penalty_change))))
+        with np.errstate(over="ignore", invalid="ignore"):  # refused below
+            fit_change = change(base_residual, base_residual + values * direction)
+            total = fit_change + penalty * change(u.coefficients, u.coefficients + direction)
+        if not np.isfinite(total).all():
+            raise ParameterError(f"step = {step:g} is too large: a per-mode change of the functional overflows")
+        worst = max(worst, float(np.max(-total)))
     return worst

@@ -32,7 +32,8 @@ from tikhtorus import (
     truncate,
     data_shifted_functional,
 )
-from tikhtorus import spectral
+from tikhtorus import discrete, experiments, spectral
+from tikhtorus.config import load_config
 from tikhtorus.discrete import (
     DENSE_SIZE_CAP,
     GammaResult,
@@ -40,7 +41,7 @@ from tikhtorus.discrete import (
     GammaSizeSummary,
 )
 
-from test_experiments import run_fresh_process
+from test_experiments import CONFIG_DIR, run_fresh_process
 from test_spectral import random_hermitian_field
 
 
@@ -389,6 +390,30 @@ class TestGammaSweep:
         assert len(whole) == 1 and len(tables) == 1 + len(pieces)
         balls = [spectral.ball(lattice, reference, radius) for radius in (2, 8, 150, 300)]
         assert np.array_equal(np.sort(np.concatenate(pieces)), np.sort(np.concatenate(balls)))
+
+    def test_each_ball_is_walked_once(self, monkeypatch):
+        # the CLI's sizes end with the full size, whose observed ball is the
+        # whole lattice, as the continuum's is: one walk serves both, so the
+        # pieces cover each mode once per distinct ball that holds it
+        config = load_config(CONFIG_DIR / "gamma.ini")
+        config = dataclasses.replace(config, bandlimit=32, reference_bandlimit=128)
+        sizes = experiments._gamma_sizes(config)
+        lattice, truth, noise, phis = self.build(reference_bandlimit=128)
+        monkeypatch.setattr(spectral, "_CHUNK", 7)  # leaves of at most 128 modes
+        pieces, leaf_tables = [], discrete._leaf_tables
+
+        def recorded(A, lattice, piece, exponents):
+            pieces.append(np.arange(lattice.mode_count)[piece])
+            return leaf_tables(A, lattice, piece, exponents)
+
+        monkeypatch.setattr(discrete, "_leaf_tables", recorded)
+        gamma_sweep(deblur_operator(), truth, noise, 1e-3, SCHEDULE, sizes, phis)
+        assert sizes[-1] == (257, 257)
+        radii = {min(n - 1, k - 1) // 2 for n, k in sizes} | {lattice.bandlimit}
+        shells = np.abs(lattice.modes()[:, 0])
+        expected = sum((shells <= radius).astype(int) for radius in radii)
+        coverage = np.bincount(np.concatenate(pieces), minlength=lattice.mode_count)
+        assert np.array_equal(coverage, expected) and coverage[0] == 1
 
     def test_peak_stays_below_the_whole_tables(self):
         # at 262,145 modes the sweep's tracemalloc peak above its inputs is

@@ -656,6 +656,22 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("ConfigError") and needle in err
 
+    def test_truth_whose_norm_overflows_names_its_keys(self, tmp_path, capsys):
+        # finite coefficients whose H^r norm overflows: no numpy warning, and
+        # the message names the keys that set it
+        signal = tmp_path / "signal.csv"
+        signal.write_text("1,1e200,0\n2,1e200,0\n")
+        text = small_config_text("deblur", str(tmp_path / "out")).replace(
+            "kind = hat", f"kind = coefficients\npath = {signal}"
+        )
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["deblur", "--config", str(write_config(tmp_path, text))])
+        err = capsys.readouterr().err
+        assert code == 4 and caught == [] and "Warning" not in err
+        assert err.startswith("ParameterError: ") and "[truth] path" in err and "[schedule] r = 1" in err
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize(
         "mutation,needle",
         [
@@ -983,7 +999,7 @@ class TestCli:
         whole = [modes for modes in tables if np.array_equal(modes, reference)]
         snapshot = [modes for modes in tables if np.array_equal(modes, plot_band)]
         pieces = [modes for modes in tables if len(modes) not in (len(reference), len(plot_band))]
-        assert (len(whole), len(snapshot)) == (3, 3)  # the snapshot's forward map and solve
+        assert (len(whole), len(snapshot)) == (3, 2)  # the snapshot's forward map and solve
         assert len(pieces) > 1 and len(tables) == len(whole) + len(snapshot) + len(pieces)
         assert np.array_equal(np.sort(np.concatenate(pieces), axis=0), reference)
 

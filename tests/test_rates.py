@@ -12,9 +12,11 @@ from tikhtorus import (
     DimensionError,
     DomainError,
     FrequencyLattice,
+    InvalidFieldError,
     MultiplierOperator,
     ParameterError,
     RegularizationSchedule,
+    SpectralField,
     apply_multiplier,
     deblur_operator,
     error_sweep,
@@ -322,6 +324,28 @@ class TestErrorSweep:
         for seeds in ([0], []):  # [] is refused next
             with pytest.raises(ParameterError, match="'vanishing' vanishes on the lattice"):
                 SweepTables(vanishing_operator(), truth, SCHEDULE, [-1.5], [1e-2, 1e-3], seeds)
+
+    def test_tables_build_one_penalty_table(self, monkeypatch):
+        # the penalty's check and the truth's H^r norm share one whole table
+        built = []
+        weigh = spectral.sobolev_weights
+
+        def counted(lattice, s):
+            built.append((lattice, s))
+            return weigh(lattice, s)
+
+        monkeypatch.setattr(spectral, "sobolev_weights", counted)
+        lattice = FrequencyLattice(1, 64)
+        SweepTables(deblur_operator(), hat_coefficients(lattice), SCHEDULE, [-1.5, 1.0], [1e-2, 1e-3], [0])
+        assert built == [(lattice, SCHEDULE.r)]
+
+    def test_a_non_finite_truth_is_reported_before_the_penalty(self):
+        # r = 400 overflows the penalty's weights on this lattice, but the
+        # truth's coefficients are checked first
+        lattice = FrequencyLattice(1, 64)
+        truth = SpectralField(lattice, np.full(lattice.mode_count, np.nan))
+        with pytest.raises(InvalidFieldError, match="non-finite coefficients"):
+            SweepTables(deblur_operator(), truth, RegularizationSchedule(1.0, 2.5, 400.0), [-1.5], [1e-2], [0])
 
     def test_no_table_outlives_the_sweep(self):
         # the symbol, |a|^2 and weight tables are built per call: at 262,145

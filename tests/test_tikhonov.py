@@ -1,6 +1,7 @@
 """Measurement model, closed-form solver, bias/noise split, bias bound."""
 
 import cmath
+import dataclasses
 import math
 import warnings
 
@@ -19,6 +20,7 @@ from tikhtorus import (
     bias_bound_check,
     data_shifted_functional,
     deblur_operator,
+    evaluate_on_grid,
     expected_sobolev_energy,
     field_from_grid,
     forward,
@@ -34,7 +36,7 @@ from tikhtorus import (
     stationarity_defect,
     zero_field,
 )
-from tikhtorus.spectral import Ellipticity, MultiplierOperator
+from tikhtorus.spectral import Ellipticity, MultiplierOperator, apply_multiplier
 
 from test_rates import operator_of
 from test_spectral import random_hermitian_field
@@ -299,6 +301,31 @@ class TestSplit:
         assert np.array_equal(split.noise_part.coefficients, filtered)
 
 
+@pytest.mark.parametrize("dimension", [1, 2])
+@pytest.mark.parametrize("route", ["solve", "solve_split"])
+def test_each_solve_evaluates_the_symbol_once(route, dimension):
+    # a, |a|^2 and the weights come from one table build over the lattice
+    A = power_law_operator(2.0)
+    calls = []
+
+    def symbol(modes):
+        calls.append(len(modes))
+        return A.symbol(modes)
+
+    counted = dataclasses.replace(A, symbol=symbol)
+    lat = FrequencyLattice(dimension, 12)
+    truth = hat_coefficients(lat) if dimension == 1 else zero_field(lat)
+    meas = forward(A, truth, 1e-2, sample_white_noise(lat, 5))
+    if route == "solve":
+        result = solve(counted, meas.data, 1e-3, 1.5).coefficients
+        expected = solve(A, meas.data, 1e-3, 1.5).coefficients
+    else:
+        result = solve_split(counted, meas, DEBLUR_SCHEDULE).reconstruction.coefficients
+        expected = solve_split(A, meas, DEBLUR_SCHEDULE).reconstruction.coefficients
+    assert calls == [lat.mode_count]
+    assert np.array_equal(result, expected)
+
+
 class TestTwoDimensions:
     def test_full_pipeline_on_t2(self):
         # the solver stack is dimension-agnostic; exercise it on the 2-torus
@@ -388,6 +415,17 @@ def _functional(kind):
     return kind(A, m, alpha, 1e308, u)
 
 
+def _exact_fit(kind):
+    # data m = A u: the fit term is 0 and only ||u||_{H^r}^2 overflows
+    u = SpectralField(FrequencyLattice(1, 8), np.full(17, 1e200), hermitian=True)
+    return kind(deblur_operator(), apply_multiplier(deblur_operator(), u), 1.0, 1.0, u)
+
+
+def _bias_bound(r):
+    truth = hat_coefficients(FrequencyLattice(1, 8))
+    return bias_bound_check(deblur_operator(), truth, RegularizationSchedule(1.0, 2.5, r), 1e-2, 0.0)
+
+
 # (call, error, message): bad numbers that warned from numpy and gave inf or
 # nan, or went on with them
 BAD_NUMBERS = {
@@ -421,6 +459,22 @@ BAD_NUMBERS = {
         ParameterError,
         r"penalty at r = 1e\+308",
     ),
+    # finite steps whose squares overflow
+    "defect-step-1e160": (lambda: _defect(step=1e160), ParameterError, r"step = 1e\+160"),
+    "defect-step-1e200": (lambda: _defect(step=1e200), ParameterError, r"step = 1e\+200"),
+    "synthesis-huge": (
+        lambda: evaluate_on_grid(SpectralField(FrequencyLattice(1, 8), np.full(17, 1e308), hermitian=True), 17),
+        InvalidFieldError,
+        "grid values are finite",
+    ),
+    "sobolev-norm-huge-field": (
+        lambda: sobolev_norm(SpectralField(FrequencyLattice(1, 8), np.full(17, 1e200), hermitian=True), 0.0),
+        ParameterError,
+        r"H\^s norm at s = 0 is not finite",
+    ),
+    "functional-huge-field": (lambda: _exact_fit(functional), ParameterError, r"penalty at r = 1 is not finite"),
+    "bias-bound-r-400": (lambda: _bias_bound(r=400.0), ParameterError, r"\^r is not finite at r = 400"),
+    "bias-bound-huge-r": (lambda: _bias_bound(r=1e308), ParameterError, r"\^r is not finite at r = 1e\+308"),
 }
 
 

@@ -34,3 +34,16 @@ def test_code_lines_skip_comments_blank_lines_and_docstrings():
     )
     # x = (1, / 2) / class C: / def f / s = """ and its second line / return s
     assert load_tool("code_lines").code_lines(source) == 7
+
+
+def test_gamma_outputs_match_the_manifest(tmp_path):
+    # the per-config routine of tools/check_outputs.py on one shipped config;
+    # the full check runs every config and is kept out of the test suite
+    tool = load_tool("check_outputs")
+    config = ROOT / "configs" / "gamma.ini"
+    actual = {}
+    for offset in tool.OFFSETS:
+        actual.update(tool.config_hashes(config, offset, tmp_path))
+    manifest = tool.read_manifest()
+    expected = {label: value for label, value in manifest.items() if label.startswith("configs/gamma.ini@")}
+    assert len(actual) == 6 and tool.differences(expected, actual) == []
