@@ -214,16 +214,21 @@ def run_deblur(config: ExperimentConfig) -> dict:
 
     The snapshot draws the first seed on its plot band only; nesting makes
     that draw the truncation of the reference one. The error sweep and the
-    certificate then take every seed in one pass of their shared leaf
+    certificate then take every seed in one pass of their shared group
     kernel (``rates._sweep_pass``, the pass of ``error_sweep`` and
-    ``h1_divergence`` too): each seed's span of each piece of the reference
-    lattice is drawn once, and no draw exists lattice-wide. Its sums follow
-    ``spectral._kernel_sums``' summation rule, and its checks run in seed
-    order after the snapshot's. The pass builds a, |a|^2 and the weights
-    once per piece, shared by the sweep and the certificate; the checks
-    ahead of it (ellipticity, the penalty, the truth's H^r norm, the band
-    calibration) read whole tables that are freed when each returns, so the
-    truth is the one lattice-sized table that lives through the pass.
+    ``h1_divergence`` too). It runs on mirror groups of the reference
+    lattice's leaves, a leaf above the zero mode with the leaves below it
+    that hold the conjugate modes: each seed's canonical modes of each group
+    are drawn once, and no draw exists lattice-wide. Every truth and symbol
+    a config can name is Hermitian, so the pass builds a, |a|^2, the weights and every
+    per-mode power once per mirror pair, shared by the sweep and the
+    certificate. Each leaf still sums its own modes in its own order, so the
+    sums keep ``spectral._kernel_sums``' summation rule and the bytes of a
+    per-mode computation; the checks run in seed order after the
+    snapshot's. The checks ahead of the pass (ellipticity, the penalty, the
+    truth's H^r norm, the band calibration) read whole tables that are freed
+    when each returns, so the truth is the one lattice-sized table that
+    lives through the pass.
     """
     operator, lattice, truth, schedule = _problem(config)
     signal_alpha = _positive_alpha(schedule, SIGNAL_DELTA)

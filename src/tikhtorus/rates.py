@@ -4,17 +4,25 @@ divergence certificate for the filtered noise part.
 
 The sweep and the certificate each split into seed-independent tables
 (:class:`SweepTables`, :class:`DivergenceTables`), per-seed sums and a
-summary. Both tables are stages of one leaf kernel (``_pass_sums``): per
-piece of the lattice it builds the piece's a, |a|^2 and weight tables once
-(``spectral._leaf_tables``, which the gamma sweep shares),
-forms each delta's factors once for a block of seeds, then each seed's sums
-in piece-sized buffers, and ``spectral._kernel_sums`` adds the pieces' sums
-up (its docstring states the summation rule, so the bytes depend neither on
-the CPU count nor on the piece size). No lattice-sized table outlives a
-call. :func:`error_sweep`, :func:`h1_divergence` and a deblur run all
-run it through one pass, ``_sweep_pass``: in d = 1 it draws each seed's span
-of each piece directly (``noise._draw_span``), every seed at once, so no
-draw exists lattice-wide.
+summary. Both tables are stages of one group kernel (``_pass_sums``),
+which runs on mirror groups of the lattice's leaves
+(``spectral._mirror_groups``): a leaf above the zero mode with the leaves
+below it that hold the conjugate modes, since position p holds the
+conjugate of position 2 zero - p. Per group it draws each seed's canonical
+modes once (``noise._draw_span`` in d = 1, so no draw exists
+lattice-wide); the lower leaves read that draw mirrored and conjugated.
+When the problem is Hermitian (the symbol and the truth for the sweep, an
+even |a|^2 for the certificate) each mirror pair shares every per-mode
+value, so the group builds its a, |a|^2 and weight tables
+(``spectral._leaf_tables``, which the gamma sweep shares), each delta's
+factors and each seed's powers once, on its canonical modes; otherwise each
+leaf builds its own. Each leaf then sums its own modes in its own order,
+and ``spectral._kernel_sums`` adds the leaves' sums up its tree: no mirror
+pair is folded into one term, so every sum keeps the summation rule of
+``_kernel_sums`` (its docstring), and the bytes depend neither on the
+pairing, nor on the CPU count, nor on the leaf size. No lattice-sized table
+outlives a call. :func:`error_sweep`, :func:`h1_divergence` and a deblur run
+all run it through one pass, ``_sweep_pass``.
 
 The sweep's kernel takes the bias and filtered-noise parts from
 ``tikhonov._delta_parts`` and ``tikhonov._noise_part``, the routines that
@@ -28,6 +36,7 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import itertools
 import math
 import sys
 from typing import Callable, NamedTuple, Sequence
@@ -42,8 +51,10 @@ from .spectral import (
     SpectralField,
     _kernel_sums,
     _leaf_tables,
+    _mirrored,
     _sobolev_norm,
     finite_sobolev_weights,
+    is_hermitian,
     sobolev_norm,  # not called here; the benchmark's tracer and its tests read this binding
     sobolev_weights,
 )
@@ -228,15 +239,20 @@ class SweepTables:
     lattice-sized table.
     :meth:`result` is the summary of the errors that ``_sweep_pass`` gives.
 
-    Per piece, the pass builds a, |a|^2, (1+|l|^2)^r and (1+|l|^2)^s1 per s1
-    once, shared with a :class:`DivergenceTables` of the same run. Per piece
-    and delta, the kernel forms the gain conj(a)/z and the bias part once
-    (``tikhonov._delta_parts``); per seed, the filtered noise part,
-    the deviation T(m) - u and |T(m) - u|^2 in piece-sized buffers, and one
-    sum of (1+|l|^2)^s1 |T(m) - u|^2 per s1. Each error is the square root
-    of a sum taken by ``spectral._kernel_sums``: the arithmetic and
-    summation order of :func:`~tikhtorus.spectral.sobolev_norm`, so each
-    error equals that function's value on the deviation bit for bit.
+    Per mirror group of leaves, the pass builds a, |a|^2, (1+|l|^2)^r and
+    (1+|l|^2)^s1 per s1, shared with a :class:`DivergenceTables` of the same
+    run. Per delta, the kernel forms the gain conj(a)/z and the bias part
+    once (``tikhonov._delta_parts``); per seed, the filtered noise part, the
+    deviation T(m) - u and |T(m) - u|^2 (:meth:`_powers`). When the symbol
+    and the truth are Hermitian (``_even``), T(m) - u is too, so
+    |T(m) - u|^2 is even bit for bit and all of this runs once per mirror
+    pair, on the group's canonical modes; otherwise once per mode. Each leaf
+    then sums (1+|l|^2)^s1 |T(m) - u|^2 per s1 over its own modes, read in
+    its own order, and ``spectral._kernel_sums`` adds the leaves up: the
+    arithmetic and summation order of
+    :func:`~tikhtorus.spectral.sobolev_norm`, which is why no pair is
+    folded, so each error equals that function's value on the deviation bit
+    for bit.
 
     An error that is not finite raises a ParameterError that names
     ``[grids] s1_list`` when that s1's weights overflow, and otherwise the s1
@@ -256,7 +272,11 @@ class SweepTables:
         seeds: Sequence[int | None],
     ) -> None:
         lattice = truth.lattice
-        symbol_sq = A.squared_modulus(lattice)
+        symbol = A.symbol_values(lattice)
+        # a Hermitian symbol and truth give every mirror pair one |T(m) - u|^2
+        self._even = truth.hermitian and is_hermitian(symbol)
+        symbol_sq = symbol.real**2 + symbol.imag**2  # as A.squared_modulus
+        del symbol  # before the penalty's weight table is built
         if len(delta_grid) < 1 or len(s1_list) < 1 or len(seeds) < 1:
             raise ParameterError("error_sweep needs nonempty s1_list, delta_grid, seeds")
         if any(d2 >= d1 for d1, d2 in zip(delta_grid, delta_grid[1:])):
@@ -281,29 +301,29 @@ class SweepTables:
                 f"kappa = {schedule.kappa:g})"
             )
         self._exponents = [float(schedule.r), *self.s1_list]  # r first
+        self._sum_exponents = self.s1_list
 
-    def _block_sums(self, i: int, piece: slice, block: list, leaf: tuple) -> np.ndarray:
-        """sums[j, k]: the sum of (1+|l|^2)^s1_k |T(m) - u|^2 on ``piece`` at
-        delta i for the noise coefficients block[j] on that piece, from the
-        piece's ``spectral._leaf_tables``."""
-        u = self.truth.coefficients[piece]
+    def _powers(self, i: int, part: slice, block: list, leaf: tuple) -> list:
+        """|T(m) - u|^2 on the positions ``part`` at delta i, one table per
+        noise coefficients block[j] on them, from the ``spectral._leaf_tables``
+        of ``part``; the pass weights each by (1+|l|^2)^s1 per s1 and sums
+        it."""
+        u = self.truth.coefficients[part]
         delta = self.delta_grid[i]
-        sums = np.empty((len(block), len(self.s1_list)))
-        power = np.empty(u.size)  # |T(m) - u|^2
-        weighted = np.empty(u.size)
+        scratch = np.empty(u.size)
+        powers = []
         # an inf z (alpha (1+|l|^2)^r overflows) makes the filter factors 0,
         # their value in double precision; an error that is not finite is
         # caught by _errors
         symbol, symbol_sq, weights = leaf
         with np.errstate(over="ignore", invalid="ignore"):
             gain, bias = _delta_parts(symbol, symbol_sq, weights[self._exponents[0]], self._alphas[i], u)
-            for row, eps in zip(sums, block):
+            for eps in block:
                 noisy = _noise_part(gain, np.multiply(delta, eps))
                 deviation = np.subtract(np.add(bias, noisy, out=noisy), u, out=noisy)
-                np.square(deviation.real, out=power)
-                np.add(power, np.square(deviation.imag, out=weighted), out=power)
-                row[:] = [np.sum(np.multiply(weights[s1], power, out=weighted)) for s1 in self.s1_list]
-        return sums
+                power = np.square(deviation.real)
+                powers.append(np.add(power, np.square(deviation.imag, out=scratch), out=power))
+        return powers
 
     def _errors(self, sums: np.ndarray) -> np.ndarray:
         """errors[k, i] = ||T(m_delta_i) - u||_{H^s1_k} of one seed from its
@@ -380,9 +400,11 @@ def error_sweep(
     (eps = 0, reported as seed -1). Errors are normalized per s1 curve so the
     seed-median starts at 1 at the largest delta; slopes are fitted on the
     seed-median raw errors, the robust choice under white-noise scatter.
-    The per-mode work runs in pieces across the CPUs, and the sums follow the
-    summation rule of ``spectral._kernel_sums``, so the errors do not depend
-    on the CPU count. Every seed is checked before any is drawn.
+    The per-mode work runs in mirror groups of leaves across the CPUs, once
+    per mirror pair when the symbol and the truth are Hermitian, and each
+    leaf's sum keeps the summation rule of ``spectral._kernel_sums``, so the
+    errors depend neither on the pairing nor on the CPU count. Every seed is
+    checked before any is drawn.
     """
     tables = SweepTables(A, truth, schedule, s1_list, delta_grid, seeds)
     return tables.result(_sweep_pass(tables, None, seeds)[0])
@@ -472,12 +494,17 @@ class DivergenceTables:
     on return; it holds no lattice-sized table. :meth:`report` is
     the summary of the rows that ``_sweep_pass`` gives.
 
-    Per piece, the pass builds |a|^2 and the (1+|l|^2) weights once, shared
-    with a :class:`SweepTables` of the same run. Per piece and delta, the
-    kernel forms |a|^2 delta^2 and z^2 once; per
-    seed, (1+|l|^2) |w_delta|^2 in piece-sized buffers and its sum, taken by
-    ``spectral._kernel_sums``. The lower bound squares the band's noise
-    coefficients after reading them.
+    Per mirror group of leaves, the pass builds |a|^2 and the (1+|l|^2)
+    weights, shared with a :class:`SweepTables` of the same run. Per delta,
+    the kernel forms |a|^2 delta^2 and z^2 once; per seed, |w_delta|^2
+    (:meth:`_powers`). When |a|^2 is even on the constructor's table
+    (``_even``), so is |w_delta|^2, and this runs once per mirror pair, on
+    the group's canonical modes; otherwise once per mode. Each leaf sums
+    (1+|l|^2) |w_delta|^2 over its own modes in its own order, and
+    ``spectral._kernel_sums`` adds the leaves up, so no pair is folded and
+    each sum is the ``np.sum`` of the whole table that its summation rule
+    names. The lower bound squares the band's noise coefficients after
+    reading them.
     """
 
     def __init__(
@@ -506,25 +533,24 @@ class DivergenceTables:
             )
         self.c0, self.c1, self.bands = calibrate_band(symbol_sq, lattice, delta_grid)
         self._operator, self._lattice, self._exponents = A, lattice, [1.0]
+        self._sum_exponents = self._exponents
         self._alphas = [schedule.alpha(band.delta) for band in self.bands]
         self._bound_factor = 1.0 / ((1.0 + schedule.alpha0 / self.c0) * (self.c1 + schedule.alpha0))
+        # an even |a|^2 gives every mirror pair one |w_delta|^2
+        self._even = bool(np.array_equal(symbol_sq[::-1], symbol_sq))
 
-    def _block_sums(self, i: int, piece: slice, block: list, leaf: tuple) -> np.ndarray:
-        """sums[j, 0]: the sum of (1+|l|^2) |w_delta|^2 on ``piece`` at delta
-        i for the noise coefficients block[j] on that piece, from the piece's
-        ``spectral._leaf_tables``."""
+    def _powers(self, i: int, part: slice, block: list, leaf: tuple) -> list:
+        """|w_delta|^2 on the positions ``part`` at delta i, one table per
+        noise coefficients block[j] on them, from the ``spectral._leaf_tables``
+        of ``part``; the pass weights each by (1+|l|^2) and sums it."""
         symbol_sq, weights1 = leaf[1], leaf[2][1.0]
         alpha, delta = self._alphas[i], self.bands[i].delta
-        sums = np.empty((len(block), 1))
         # z * z may leave the double range at some modes: their share of the
         # norm is then 0 (benign) or inf/nan, which _rows catches
         with np.errstate(all="ignore"):
             z = symbol_sq + alpha * weights1
             scaled_sq, z_sq = symbol_sq * (delta * delta), z * z
-            for row, eps in zip(sums, block):
-                w_power = scaled_sq * (eps.real**2 + eps.imag**2) / z_sq
-                row[0] = np.sum(np.multiply(weights1, w_power, out=w_power))
-        return sums
+            return [scaled_sq * (eps.real**2 + eps.imag**2) / z_sq for eps in block]
 
     def _rows(self, seed: int, h1_sums: np.ndarray, noise: Callable) -> list:
         """One :class:`DivergenceRow` per delta of one seed from its sums per
@@ -588,61 +614,110 @@ def h1_divergence(
     statistic is the per-seed min/max ratio of ||w_delta||_{H^1} across the
     grid: bounded away from zero means no decay.
 
-    The per-mode work runs in pieces across the CPUs, and the sums follow the
-    summation rule of ``spectral._kernel_sums``, so the rows do not depend
-    on the CPU count. Every seed is checked before any is drawn.
+    The per-mode work runs in mirror groups of leaves across the CPUs, once
+    per mirror pair when |a|^2 is even, and each leaf's sum keeps the
+    summation rule of ``spectral._kernel_sums``, so the rows depend neither
+    on the pairing nor on the CPU count. Every seed is checked before any is
+    drawn.
     """
     tables = DivergenceTables(A, schedule, delta_grid, seeds, lattice)
     return tables.report(_sweep_pass(None, tables, seeds)[1])
 
 
-# seeds whose draws a piece of the pass holds at once, so a worker's scratch
+# seeds whose draws a group of the pass holds at once, so a worker's scratch
 # grows with neither the seed count nor the delta grid. Each delta's factors
 # are formed once per block. A block of 2 is 1 MiB of draws per worker on a
-# 32,768-mode piece and keeps the scratch below the setup's transient peak at
-# 262,145 modes; 8 (4 MiB) ran 0.03-0.05 s faster on 524,289 modes and
-# 5 seeds, but made a 40-seed run peak 40 % above a 2-seed one
+# group's 32,768 canonical modes and keeps the scratch below the setup's
+# transient peak at 262,145 modes; 8 (4 MiB) ran 0.03-0.05 s faster on
+# 524,289 modes and 5 seeds, but made a 40-seed run peak 40 % above a
+# 2-seed one
 _SEED_BLOCK = 2
 
 
 def _pass_sums(lattice: FrequencyLattice, noise: Callable, seeds: Sequence, stages: list) -> np.ndarray:
     """sums[j, i, :] of seeds[j] at delta i: the sums of each of ``stages``
     (a :class:`SweepTables` and/or a :class:`DivergenceTables` of one
-    operator on ``lattice`` with the same delta grid), side by side, from
-    the one leaf kernel. Per piece, the kernel builds the tables of every
-    stage's exponents once (``spectral._leaf_tables``).
-    ``noise(seed, start, stop)`` gives the seed's coefficients on the modes
-    [start, stop); the kernel asks once for each seed and piece, a block of
-    seeds at a time, and forms each delta's factors once per block."""
+    operator on ``lattice`` with the same delta grid), side by side, one per
+    exponent of its ``_sum_exponents``, from the one group kernel.
+
+    The kernel runs on the mirror groups of ``spectral._kernel_sums``: a
+    leaf above the zero mode with the leaves below it whose mirrors it
+    holds. ``noise(seed, start, stop)`` gives the seed's coefficients on the
+    modes [start, stop); the kernel asks once for each seed and group, for
+    the group's span (its canonical modes, and the zero mode if the group
+    holds it), a block of seeds at a time. When every stage is even (a
+    Hermitian symbol and truth; an even |a|^2), each group builds its tables
+    (``spectral._leaf_tables``) and its per-mode powers once, on the span;
+    otherwise each leaf builds its own, from the draw mirrored and
+    conjugated below the zero mode. Each leaf then weights the powers it
+    reads in its own order (``spectral._mirrored``) into a buffer and sums
+    it, so that each leaf's sum is the ``np.sum`` that the summation rule of
+    ``_kernel_sums`` asks for, and no mirror pair is added up before it."""
     deltas = len(stages[0]._alphas)
     exponents = {s for stage in stages for s in stage._exponents}
+    columns = list(itertools.accumulate((len(stage._sum_exponents) for stage in stages), initial=0))
+    paired = all(stage._even for stage in stages)
+    zero = lattice.zero_index
 
-    def kernel(piece: slice) -> np.ndarray:
-        leaf = _leaf_tables(stages[0]._operator, lattice, piece, exponents)
-        blocks = []
-        for first in range(0, len(seeds), _SEED_BLOCK):
-            block = [noise(seed, piece.start, piece.stop) for seed in seeds[first : first + _SEED_BLOCK]]
-            sums = [np.hstack([stage._block_sums(i, piece, block, leaf) for stage in stages]) for i in range(deltas)]
-            blocks.append(np.stack(sums, axis=1))  # (seed, delta, sum)
-        return np.concatenate(blocks).reshape(-1)
+    def kernel(span: slice, pieces: list) -> list:
+        if paired:  # one part, the span, that every piece reads mirrored
+            parts = [(span, range(len(pieces)))]
+        else:  # one part per piece, on its own positions
+            parts = [(piece, [v]) for v, piece in enumerate(pieces)]
 
-    return _kernel_sums(lattice, kernel).reshape(len(seeds), deltas, -1)
+        def read(table: np.ndarray, v: int) -> np.ndarray:
+            """Piece v's entries of a table on its part, in the piece's order."""
+            return _mirrored(table, pieces[v], zero, span.start - zero) if paired else table
+
+        leaves = [_leaf_tables(stages[0]._operator, lattice, part, exponents) for part, _ in parts]
+        weights = [{s: read(w, v) for s, w in leaf[2].items()} for leaf, (_, vs) in zip(leaves, parts) for v in vs]
+        sums = np.empty((len(pieces), len(seeds), deltas, columns[-1]))
+        product = np.empty(max(piece.stop - piece.start for piece in pieces))
+        with np.errstate(over="ignore", invalid="ignore"):
+            for first in range(0, len(seeds), _SEED_BLOCK):
+                draws = [noise(seed, span.start, span.stop) for seed in seeds[first : first + _SEED_BLOCK]]
+                for (part, vs), leaf in zip(parts, leaves):
+                    eps = draws if paired else [_mirror_noise(draw, span, part, zero) for draw in draws]
+                    for i, (stage, column) in itertools.product(range(deltas), zip(stages, columns)):
+                        for j, power in enumerate(stage._powers(i, part, eps, leaf), start=first):
+                            for v in vs:
+                                values, out = read(power, v), product[: pieces[v].stop - pieces[v].start]
+                                sums[v, j, i, column : column + len(stage._sum_exponents)] = [
+                                    np.sum(np.multiply(weights[v][s], values, out=out))
+                                    for s in stage._sum_exponents
+                                ]
+        return list(sums.reshape(len(pieces), -1))
+
+    return _kernel_sums(lattice, kernel, mirror=True).reshape(len(seeds), deltas, -1)
+
+
+def _mirror_noise(draw: np.ndarray, span: slice, piece: slice, zero: int) -> np.ndarray:
+    """The noise coefficients on the positions ``piece`` of a mirror group,
+    from ``draw``, those on the group's span, as a fresh array: the draw is
+    Hermitian, so a position below the zero mode holds the conjugate of its
+    mirror's value."""
+    values = _mirrored(draw, piece, zero, span.start - zero)
+    below = max(0, min(piece.stop, zero) - piece.start)
+    return np.concatenate((values[:below].conj(), values[below:]))
 
 
 def _sweep_pass(sweep: SweepTables | None, certificate: DivergenceTables | None, seeds: Sequence) -> tuple:
     """The errors of ``sweep`` and the rows of ``certificate``, one per seed
-    (an empty list for a stage that is None), from the one leaf kernel.
-    Every seed is checked before any draw; a None seed, the noise-free
-    pipeline, has zero noise and no certificate.
+    (an empty list for a stage that is None), from the one group kernel
+    (``_pass_sums``). Every seed is checked before any draw; a None seed,
+    the noise-free pipeline, has zero noise and no certificate.
 
-    In d = 1 every seed runs in one pass: each seed's span of each piece is
-    drawn once, straight from its stream (``noise._draw_span``), so no draw
-    exists lattice-wide, and the certificate's lower bound reads its band
-    members the same way. In d >= 2 a span cannot be drawn on its own, so
-    each seed is drawn whole and runs in a pass of its own, which builds
-    the leaf tables again, and one draw is alive at a time. The checks run
-    on the finished sums, per seed the sweep's and then the certificate's,
-    in seed order."""
+    In d = 1 every seed runs in one pass: each seed's canonical modes of
+    each mirror group are drawn once, straight from its stream
+    (``noise._draw_span``), and the group's leaves below the zero mode read
+    them mirrored, so no draw exists lattice-wide; the certificate's lower
+    bound reads its band members the same way. In d >= 2 a span cannot be
+    drawn on its own, so each seed is drawn whole and runs in a pass of its
+    own, which builds the group tables again, and one draw is alive at a
+    time. Each leaf's sum is taken in the leaf's own order, so the values
+    are those of the per-mode formulas summed by ``spectral._kernel_sums``.
+    The checks run on the finished sums, per seed the sweep's and then the
+    certificate's, in seed order."""
     for seed in seeds:
         if seed is not None or certificate is not None:
             _seed_index(seed)

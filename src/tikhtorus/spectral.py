@@ -308,8 +308,8 @@ def check_ellipticity(op: MultiplierOperator, lattice: FrequencyLattice) -> None
 
 # items per piece of a chunked kernel (the noise draws) and at most per leaf
 # of a tree sum (every sum :func:`_kernel_sums` takes): a piece keeps a few
-# MiB of temporaries alive (the sweep's leaf, with its symbol and weight
-# tables and a block of draws, about 6 MiB), which leaves little in the
+# MiB of temporaries alive (the sweep's mirror group, with its symbol and
+# weight tables and a block of draws, about 6 MiB), which leaves little in the
 # worker threads' malloc arenas; the shipped configs' lattices (up to 32,769
 # modes) stay below two pieces and so on the calling thread
 _CHUNK = 32768
@@ -477,6 +477,37 @@ def _pairwise_tree(start: int, size: int, leaves: list):
     return (_pairwise_tree(start, half, leaves), _pairwise_tree(start + half, size - half, leaves))
 
 
+def _mirror_groups(count: int, leaves: list) -> list:
+    """The leaves of the tree over a whole lattice's ``count`` positions
+    (:func:`_pairwise_tree`) in mirror groups, as (span, members) pairs: the
+    members' indices in ``leaves`` and the positions ``span`` =
+    [zero + first, zero + end) that hold every mode of the members up to
+    its sign, at the offsets first..end-1 from the zero mode. Position p
+    holds the conjugate mode of count - 1 - p, so each member reads a table
+    built on the span through :func:`_mirrored`.
+
+    A leaf's offsets |p - zero| form one range. In offset order, a leaf
+    joins the group before it when more than half of the shorter of its
+    range and the group's span overlap: a leaf above the zero mode and the
+    leaves below it that mirror it. The two halves' trees split within a
+    few positions of each other's mirrors, so neighbouring groups share a
+    few dozen modes at most, and where one half splits a range that the
+    other keeps whole, the three leaves form one group."""
+    zero = (count - 1) // 2
+    ranges = sorted(
+        (max(start - zero, zero + 1 - stop, 0), max(stop - zero, zero + 1 - start), i)
+        for i, (start, stop) in enumerate(leaves)
+    )
+    groups: list = []
+    for first, end, i in ranges:
+        if groups and 2 * (min(groups[-1][1], end) - first) > min(end - first, groups[-1][1] - groups[-1][0]):
+            groups[-1][1] = max(groups[-1][1], end)
+            groups[-1][2].append(i)
+        else:
+            groups.append([first, end, [i]])
+    return [(slice(zero + first, zero + end), members) for first, end, members in groups]
+
+
 def _add_up(node, sums: list):
     """The sum of a tree's leaf sums, added in the tree's order."""
     if isinstance(node, int):
@@ -519,25 +550,25 @@ def _ball_piece(lattice: FrequencyLattice, m: int, start: int, stop: int):
     return (M - m + index // width) * (2 * M + 1) + (M - m + index % width)
 
 
-def _mirrored(half: np.ndarray, piece, zero: int) -> np.ndarray:
+def _mirrored(half: np.ndarray, piece, zero: int, first: int = 0) -> np.ndarray:
     """The entries of an even per-mode table, ``half`` its entries at the
-    positions zero, zero + 1, ..., at the lattice positions ``piece`` indexes
-    (a slice or an index array, as :func:`_kernel_sums` hands them), in piece
-    order. The conjugate of position p is 2 zero - p, so p reads
-    half[|p - zero|]: a slice above the zero mode is a view, one below it a
-    reversed view, the one slice that holds the zero mode a concatenation,
-    and an index array a gather."""
+    positions zero + first, zero + first + 1, ..., at the lattice positions
+    ``piece`` indexes (a slice or an index array, as :func:`_kernel_sums`
+    hands them), in piece order. The conjugate of position p is 2 zero - p,
+    so p reads half[|p - zero| - first]: a slice above the zero mode is a
+    view, one below it a reversed view, a slice that holds the zero mode
+    (first = 0) a concatenation, and an index array a gather."""
     if not isinstance(piece, slice):
-        return half[np.abs(piece - zero)]
+        return half[np.abs(piece - zero) - first]
     start, stop = piece.start - zero, piece.stop - zero
     if start >= 0:
-        return half[start:stop]
+        return half[start - first : stop - first]
     if stop <= 1:
-        return half[1 - stop : 1 - start][::-1]
+        return half[1 - stop - first : 1 - start - first][::-1]
     return np.concatenate((half[1 : 1 - start][::-1], half[:stop]))
 
 
-def _kernel_sums(lattice: FrequencyLattice, kernel: Callable, bandlimits=None):
+def _kernel_sums(lattice: FrequencyLattice, kernel: Callable, bandlimits=None, mirror: bool = False):
     """Sums of per-mode quantities that ``kernel`` gives piece by piece: the
     package's one way to sum a per-mode quantity. No lattice-sized table is
     formed.
@@ -551,6 +582,12 @@ def _kernel_sums(lattice: FrequencyLattice, kernel: Callable, bandlimits=None):
     order, or the whole-lattice sum when ``bandlimits`` is None; a sum is a
     float when the kernel returns scalars.
 
+    With ``mirror`` set (the whole lattice only), the pieces come in the
+    mirror groups of :func:`_mirror_groups`, so that a kernel can form what
+    a piece and its mirror share once: ``kernel(span, pieces)`` returns one
+    such sum per piece of the group, in order, each still an ``np.sum`` over
+    that piece's own positions in their order, so the rule below holds.
+
     Summation rule: every sum equals ``np.sum`` of the whole table over its
     ball (``np.sum(ball(lattice, table, m).reshape(-1))``) bit for bit, on
     any CPU count and ``_CHUNK``.
@@ -560,6 +597,20 @@ def _kernel_sums(lattice: FrequencyLattice, kernel: Callable, bandlimits=None):
     with at most max(``_CHUNK``, 128) items (:func:`_pairwise_tree`), and
     their sums are added up that tree.
     """
+    if mirror:
+        leaves: list = []
+        root = _pairwise_tree(0, lattice.mode_count, leaves)
+        groups = _mirror_groups(lattice.mode_count, leaves)
+        sums: list = [None] * len(leaves)
+
+        def task(g: int) -> None:
+            span, members = groups[g]
+            pieces = [slice(*leaves[i]) for i in members]
+            for i, total in zip(members, kernel(span, pieces), strict=True):
+                sums[i] = total
+
+        _dispatch(task, len(groups), lattice.mode_count)
+        return _add_up(root, sums)
     balls = [lattice.bandlimit] if bandlimits is None else [_ball_bandlimit(lattice, m) for m in bandlimits]
     totals = _pairwise_sums(
         [(2 * m + 1) ** lattice.dimension for m in balls],

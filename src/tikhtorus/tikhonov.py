@@ -243,8 +243,10 @@ def bias_bound_check(
     scan, so the inequality holds mode by mode on the truncated lattice.
     Valid for -r - 2t <= zeta <= r. The tables |a|^2 and (1+|l|^2)^s for
     s = r, zeta, t come from one ``spectral._leaf_tables`` call; truth
-    coefficients that are not finite raise InvalidFieldError, and weights
-    that overflow a ParameterError naming r, zeta or t, with no warning.
+    coefficients that are not finite raise InvalidFieldError, weights that
+    overflow a ParameterError naming r, zeta or t, alpha (1+|l|^2)^r that
+    overflows one naming alpha, and a deviation norm or H^r norm that
+    overflows one naming truth, with no warning.
     """
     t = A.smoothing
     r = schedule.r
@@ -264,39 +266,58 @@ def bias_bound_check(
                 f"(1+|l|^2)^{name} is not finite at {name} = {s:g}: it overflows on bandlimit {lattice.bandlimit}"
             )
     weights_r = weights[exponents["r"]]
-    z = symbol_sq + alpha * weights_r
-    deviation = (alpha * weights_r / z) * coeffs
-    observed = float(np.sqrt(np.sum(weights[exponents["zeta"]] * np.abs(deviation) ** 2)))
+    with np.errstate(over="ignore"):  # refused below
+        penalty = alpha * weights_r
+    if not np.isfinite(penalty).all():
+        raise ParameterError(f"alpha (1+|l|^2)^r is not finite at alpha = {alpha:g}, r = {r:g}")
+    deviation = (penalty / (symbol_sq + penalty)) * coeffs
+    with np.errstate(over="ignore"):  # refused below
+        observed = float(np.sqrt(np.sum(weights[exponents["zeta"]] * np.abs(deviation) ** 2)))
+        # sobolev_norm(truth, r): the whole-table sum that its pass adds up leaf by leaf
+        norm_r = float(np.sqrt(np.sum(np.multiply(weights_r, coeffs.real**2 + coeffs.imag**2))))
+    if not (math.isfinite(observed) and math.isfinite(norm_r)):
+        raise ParameterError(
+            f"the bias deviation's H^zeta norm or ||truth||_{{H^r}} is not finite at zeta = {zeta:g}, "
+            f"r = {r:g}: the weighted squares of truth overflow"
+        )
 
     theta = -(r + zeta)
     gamma = (2 * r + theta) / (2 * (t + r))
     eta = (2 * t - theta) / (2 * (t + r))
     c_op = float(np.min(symbol_sq * weights[exponents["t"]]))
     exponent = schedule.kappa * (r - zeta) / (2 * (t + r))
-    # sobolev_norm(truth, r): the whole-table sum that its pass adds up leaf by leaf
-    norm_r = float(np.sqrt(np.sum(np.multiply(weights_r, coeffs.real**2 + coeffs.imag**2))))
     bound = c_op ** (-gamma) * schedule.alpha0 ** (1.0 - eta) * delta**exponent * norm_r
     return BiasBound(observed=observed, bound=bound)
 
 
-def _penalty_norm(u: SpectralField, r: float) -> float:
-    """||u||_{H^r} for the functionals, or a ParameterError naming r when its
-    weights or its sum overflow."""
+def _penalized(fit: float, what: str, alpha: float, r: float, u: SpectralField) -> float:
+    """fit + alpha ||u||_{H^r}^2 for the functionals, or a ParameterError
+    naming m and u when the fit term ``what`` overflowed, one naming r when
+    the penalty weights or the H^r norm overflow, and one naming alpha when
+    the value does."""
+    if not math.isfinite(fit):
+        raise ParameterError(f"the fit term {what} is not finite: the coefficients of m or u are too large")
     norm = _sobolev_norm(u, r, f"the penalty at r = {r:g}")
     if not math.isfinite(norm):
         raise ParameterError(f"the penalty at r = {r:g} is not finite: ||u||_{{H^r}} overflows")
-    return norm
+    value = fit + alpha * norm**2
+    if not math.isfinite(value):
+        raise ParameterError(f"the functional is not finite at alpha = {alpha:g}: alpha ||u||_{{H^r}}^2 overflows")
+    return value
 
 
 def functional(
     A: MultiplierOperator, m: SpectralField, alpha: float, r: float, u: SpectralField
 ) -> float:
     """Penalized least-squares value ||A u - m||_{L^2}^2 + alpha ||u||_{H^r}^2.
-    Penalty weights or an H^r norm that overflow raise a ParameterError
-    naming r."""
-    residual = apply_multiplier(A, u).coefficients - m.coefficients
-    fit = float(np.sum(residual.real**2 + residual.imag**2))
-    return fit + alpha * _penalty_norm(u, r) ** 2
+    A fit term that overflows raises a ParameterError naming m and u,
+    penalty weights or an H^r norm that overflow one naming r, and a value
+    that overflows one naming alpha, with no warning."""
+    image = apply_multiplier(A, u).coefficients
+    with np.errstate(over="ignore", invalid="ignore"):  # refused by _penalized
+        residual = image - m.coefficients
+        fit = float(np.sum(residual.real**2 + residual.imag**2))
+    return _penalized(fit, "||A u - m||^2", alpha, r, u)
 
 
 def data_shifted_functional(
@@ -304,12 +325,14 @@ def data_shifted_functional(
 ) -> float:
     """||A u||^2 - 2 <m, A u> + alpha ||u||_{H^r}^2: the objective with the
     data-only constant removed, the form that stays finite when the data is
-    rougher than L^2. Penalty weights or an H^r norm that overflow raise a
-    ParameterError naming r."""
+    rougher than L^2. A fit term that overflows raises a ParameterError
+    naming m and u, penalty weights or an H^r norm that overflow one naming
+    r, and a value that overflows one naming alpha, with no warning."""
     image = apply_multiplier(A, u).coefficients
-    pairing = float(np.sum((m.coefficients * image.conj()).real))
-    energy = float(np.sum(image.real**2 + image.imag**2))
-    return energy - 2.0 * pairing + alpha * _penalty_norm(u, r) ** 2
+    with np.errstate(over="ignore", invalid="ignore"):  # refused by _penalized
+        pairing = float(np.sum((m.coefficients * image.conj()).real))
+        energy = float(np.sum(image.real**2 + image.imag**2))
+    return _penalized(energy - 2.0 * pairing, "||A u||^2 - 2 <m, A u>", alpha, r, u)
 
 
 def stationarity_defect(

@@ -937,7 +937,8 @@ class TestCli:
     def test_deblur_draws_each_seed_once(self, tmp_path, monkeypatch):
         # the snapshot draws the first seed on its plot band; the error sweep
         # and the H^1 certificate share one streamed pass that draws each
-        # seed's span of each leaf once
+        # seed's canonical modes of each mirror group of leaves once: the
+        # leaves below the zero mode read them mirrored
         originals = {"field": tikhtorus.noise.sample_white_noise, "span": tikhtorus.noise._draw_span}
         drawn = {"field": [], "span": []}
 
@@ -964,19 +965,25 @@ class TestCli:
         reference = FrequencyLattice(1, config.reference_bandlimit)
         leaves = []
         tikhtorus.spectral._pairwise_tree(0, reference.mode_count, leaves)
-        assert len(leaves) > 1
+        groups = tikhtorus.spectral._mirror_groups(reference.mode_count, leaves)
+        assert len(leaves) > len(groups)
+        canonical = [(span.start, span.stop) for span, _ in groups]
+        assert canonical[0][0] == reference.zero_index and canonical[-1][1] == reference.mode_count
         spans = [(seed, start, stop) for lattice, seed, start, stop in drawn["span"]]
         assert all(lattice == reference for lattice, *_ in drawn["span"])
         for seed in config.seeds:
-            assert all(spans.count((seed, start, stop)) == 1 for start, stop in leaves)
+            assert all(spans.count((seed, start, stop)) == 1 for start, stop in canonical)
+            # no leaf below the zero mode is drawn on its own
+            assert all((seed, start, stop) not in spans for start, stop in leaves if stop <= reference.zero_index)
 
     def test_deblur_counts_its_reference_symbol_evaluations(self, tmp_path, monkeypatch):
         # no symbol table is cached: the ellipticity check and the sweep's and
         # the certificate's checks each evaluate the symbol on the whole
         # reference lattice (the band calibration reads the certificate's
-        # |a|^2 table), the snapshot on its plot band,
-        # and the pass once per piece, so that the pieces cover each reference
-        # mode exactly once
+        # |a|^2 table), the snapshot on its plot band, and the pass once per
+        # mirror group of leaves, on its canonical modes: the symbol is
+        # Hermitian, so the pieces cover each +-l pair of the reference
+        # lattice exactly once
         build = experiments._build_operator
         tables = []
 
@@ -1000,8 +1007,9 @@ class TestCli:
         snapshot = [modes for modes in tables if np.array_equal(modes, plot_band)]
         pieces = [modes for modes in tables if len(modes) not in (len(reference), len(plot_band))]
         assert (len(whole), len(snapshot)) == (3, 2)  # the snapshot's forward map and solve
-        assert len(pieces) > 1 and len(tables) == len(whole) + len(snapshot) + len(pieces)
-        assert np.array_equal(np.sort(np.concatenate(pieces), axis=0), reference)
+        assert len(pieces) >= 1 and len(tables) == len(whole) + len(snapshot) + len(pieces)
+        pairs = np.arange(config.reference_bandlimit + 1)[:, None]  # |l| of each +-l pair
+        assert np.array_equal(np.sort(np.abs(np.concatenate(pieces)), axis=0), pairs)
 
     def test_shipped_configs_run_under_the_benchmark_tracer(self, tmp_path, capsys):
         # the benchmark's traced mode rebinds library names and reads argument

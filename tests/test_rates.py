@@ -694,3 +694,90 @@ class TestChunkedKernels:
         monkeypatch.setattr(spectral, "_CHUNK", chunk)
         monkeypatch.setattr(spectral, "_cpu_count", lambda: cpus)
         assert values() == whole
+
+
+def skewed_operator():
+    """(2 + i) / (1 + l^2), like ``twisted_operator`` of test_spectral: |a|^2
+    is even, but a(-l) != conj(a(l))."""
+    return MultiplierOperator(
+        lambda modes: (2.0 + 1j) / (1.0 + modes[:, 0].astype(np.float64) ** 2),
+        order=-2.0,
+        ellipticity=deblur_operator().ellipticity,
+        dimension=1,
+    )
+
+
+class TestMirrorPairedPass:
+    # in d = 1 the pass runs on mirror groups of leaves: a Hermitian problem
+    # forms every per-mode value once per +-l pair, on the group's canonical
+    # modes, and any other forms them per leaf from the group's one draw;
+    # either way each leaf sums its own modes in its own order, so the errors
+    # and rows equal the public composition bit for bit
+
+    @pytest.mark.parametrize("bandlimit", [0, 1, 2, 296, 300, 301])
+    @pytest.mark.parametrize("kind", ["deblur", "twisted", "skewed-symbol", "skewed-truth"])
+    def test_pass_equals_the_public_composition(self, monkeypatch, kind, bandlimit):
+        # 296 modes split the tree at the zero mode; 300 and 301 (M % 8 != 0)
+        # leave a leaf that holds the zero mode and modes on both sides of it
+        A = skewed_operator() if kind == "skewed-symbol" else operator_of(kind.split("-")[0])
+        lattice = FrequencyLattice(1, bandlimit)
+        truth = hat_coefficients(lattice)
+        if kind == "skewed-truth":
+            truth = SpectralField(lattice, truth.coefficients + 1e-3j)
+        assert truth.hermitian == (kind != "skewed-truth")
+        s1_list, deltas, seeds = [-1.5, 0.0, 1.0], [1e-2, 1e-3, 1e-4], [7, 0, 5]
+        sweep = SweepTables(A, truth, SCHEDULE, s1_list, deltas, seeds)
+        certificate = DivergenceTables(A, DIVERGENCE_SCHEDULE, deltas, seeds, lattice)
+        errors = [composed_errors(A, truth, seed, s1_list, deltas) for seed in seeds]
+        rows = [composed_rows(A, lattice, seed, deltas) for seed in seeds]
+        tables, parts = rates._leaf_tables, []
+
+        def recorded(A, lattice, part, exponents):
+            parts.append((part.start, part.stop))
+            return tables(A, lattice, part, exponents)
+
+        monkeypatch.setattr(rates, "_leaf_tables", recorded)
+        zero, count = lattice.zero_index, lattice.mode_count
+        for chunk, cpus in [(None, 2), (1, 1), (1, 8), (3, 1), (3, 8), (7, 1), (7, 8)]:
+            if chunk is not None:
+                monkeypatch.setattr(spectral, "_CHUNK", chunk)
+            monkeypatch.setattr(spectral, "_cpu_count", lambda: cpus)
+            leaves = []
+            spectral._pairwise_tree(0, count, leaves)
+            for stages, paired in [((sweep, certificate), kind in ("deblur", "twisted")), ((None, certificate), True)]:
+                parts.clear()
+                streamed_errors, streamed_rows = rates._sweep_pass(*stages, seeds)
+                if stages[0] is not None:
+                    assert all(np.array_equal(a, b) for a, b in zip(streamed_errors, errors, strict=True))
+                assert streamed_rows == rows
+                if paired:  # tables on the canonical modes of each group, from the zero mode up
+                    assert all(zero <= start < stop <= count for start, stop in parts)
+                    covered = np.zeros(count, dtype=int)
+                    for start, stop in parts:
+                        covered[start:stop] += 1
+                    assert covered[zero:].all() and not covered[:zero].any()
+                else:  # tables on each leaf's own modes
+                    assert sorted(parts) == leaves
+
+    def test_each_group_draws_its_canonical_modes_once_per_seed(self, monkeypatch):
+        # the leaves below the zero mode read the draw of their group's span
+        lattice = FrequencyLattice(1, 300)
+        monkeypatch.setattr(spectral, "_CHUNK", 7)
+        seeds, deltas = [7, 0, 5], [1e-2, 1e-3]
+        sweep = SweepTables(deblur_operator(), hat_coefficients(lattice), SCHEDULE, [0.0], deltas, seeds)
+        drawn = []
+        draw_span = rates._draw_span
+
+        def counted(lattice, seed, start, stop):
+            drawn.append((seed, start, stop))
+            return draw_span(lattice, seed, start, stop)
+
+        monkeypatch.setattr(rates, "_draw_span", counted)
+        rates._sweep_pass(sweep, None, seeds)
+        leaves = []
+        spectral._pairwise_tree(0, lattice.mode_count, leaves)
+        groups = spectral._mirror_groups(lattice.mode_count, leaves)
+        assert len(groups) < len(leaves)
+        spans = sorted((span.start, span.stop) for span, _ in groups)
+        assert sorted(drawn) == sorted((seed, *span) for seed in seeds for span in spans)
+        assert all(start >= lattice.zero_index for _, start, _ in drawn)

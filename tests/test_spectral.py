@@ -450,6 +450,49 @@ class TestKernelSums:
         whole = spectral._kernel_sums(lat, kernel)
         assert type(whole) is float and whole == np.sum(table)
 
+    @pytest.mark.parametrize("cpus", [1, 8])
+    @pytest.mark.parametrize("chunk", [None, 1, 3, 7])
+    @pytest.mark.parametrize(
+        "dimension,bandlimit",
+        [(1, 0), (1, 1), (1, 2), (1, 296), (1, 300), (1, 301), (1, 40_000), (2, 12)],
+    )
+    def test_mirror_groups_sum_each_leaf_like_the_whole_table(
+        self, monkeypatch, dimension, bandlimit, chunk, cpus
+    ):
+        # with mirror set, the kernel gets each leaf of the tree once, in a
+        # group whose span holds the leaf's modes or their mirrors; an even
+        # table built on the span reads, through _mirrored, as the whole
+        # table's entries of each leaf, in the leaf's order
+        if chunk is not None:
+            monkeypatch.setattr(spectral, "_CHUNK", chunk)
+        monkeypatch.setattr(spectral, "_cpu_count", lambda: cpus)
+        lat = FrequencyLattice(dimension, bandlimit)
+        count, zero = lat.mode_count, lat.zero_index
+        rng = np.random.default_rng(6)
+        table = rng.standard_normal(count) * 1e3
+        even = rng.standard_normal(zero + 1)[np.abs(np.arange(count) - zero)]
+        groups = []
+
+        def kernel(span, pieces):
+            groups.append((span, pieces))
+            for piece in pieces:
+                read = spectral._mirrored(even[span], piece, zero, span.start - zero)
+                assert read.tobytes() == even[piece].tobytes()
+            return [np.sum(table[piece]) for piece in pieces]
+
+        total = spectral._kernel_sums(lat, kernel, mirror=True)
+        assert type(total) is np.float64 and total == np.sum(table)
+        leaves = []
+        spectral._pairwise_tree(0, count, leaves)
+        pieces = sorted((piece.start, piece.stop) for _, members in groups for piece in members)
+        assert pieces == leaves
+        spans = sorted((span.start, span.stop) for span, _ in groups)
+        assert spans[0][0] == zero and spans[-1][1] == count
+        assert all(zero <= start < stop <= count for start, stop in spans)
+        assert 2 * len(groups) <= len(leaves) + 1  # a leaf and its mirror share a group
+        if chunk is None:  # neighbouring spans share at most a few dozen modes
+            assert all(0 <= b[1] - a[0] <= 64 for b, a in zip(spans, spans[1:]))
+
     @pytest.mark.parametrize(
         "m,error", [(-1, TruncationRangeError), (41, TruncationRangeError), (1.5, ParameterError)]
     )

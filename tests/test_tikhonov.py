@@ -421,6 +421,23 @@ def _exact_fit(kind):
     return kind(deblur_operator(), apply_multiplier(deblur_operator(), u), 1.0, 1.0, u)
 
 
+def _huge_field(value):
+    return SpectralField(FrequencyLattice(1, 8), np.full(17, value), hermitian=True)
+
+
+def _huge_data(kind):
+    # the minimizer of a small problem against data of 1e200 per mode: the
+    # residual's squares overflow
+    lattice, A, m, alpha, u = _problem()
+    return kind(A, _huge_field(1e200), alpha, 1.0, u)
+
+
+def _huge_alpha(kind):
+    # data m = A u of a field of 10s: ||u||_{H^r}^2 is about 1e5
+    u = _huge_field(10.0)
+    return kind(deblur_operator(), apply_multiplier(deblur_operator(), u), 1e308, 1.0, u)
+
+
 def _bias_bound(r):
     truth = hat_coefficients(FrequencyLattice(1, 8))
     return bias_bound_check(deblur_operator(), truth, RegularizationSchedule(1.0, 2.5, r), 1e-2, 0.0)
@@ -475,6 +492,37 @@ BAD_NUMBERS = {
     "functional-huge-field": (lambda: _exact_fit(functional), ParameterError, r"penalty at r = 1 is not finite"),
     "bias-bound-r-400": (lambda: _bias_bound(r=400.0), ParameterError, r"\^r is not finite at r = 400"),
     "bias-bound-huge-r": (lambda: _bias_bound(r=1e308), ParameterError, r"\^r is not finite at r = 1e\+308"),
+    # finite coefficients whose squares overflow in the fit term or the bias deviation
+    "functional-huge-data": (lambda: _huge_data(functional), ParameterError, r"fit term \|\|A u - m\|\|\^2"),
+    "shifted-functional-huge-field": (
+        lambda: _exact_fit(data_shifted_functional),
+        ParameterError,
+        r"fit term \|\|A u\|\|\^2 - 2 <m, A u> is not finite",
+    ),
+    # a finite alpha whose penalty term overflows: inf, with no warning
+    "functional-huge-alpha": (lambda: _huge_alpha(functional), ParameterError, r"not finite at alpha = 1e\+308"),
+    "shifted-functional-huge-alpha": (
+        lambda: _huge_alpha(data_shifted_functional),
+        ParameterError,
+        r"not finite at alpha = 1e\+308",
+    ),
+    "bias-bound-huge-truth": (
+        lambda: bias_bound_check(deblur_operator(), _huge_field(1e200), DEBLUR_SCHEDULE, 1e-2, 0.0),
+        ParameterError,
+        "weighted squares of truth overflow",
+    ),
+    "bias-bound-huge-alpha": (
+        lambda: bias_bound_check(
+            deblur_operator(), hat_coefficients(FrequencyLattice(1, 8)), RegularizationSchedule(1e300, 2.5, 5.0), 1.0, 0.0
+        ),
+        ParameterError,
+        r"alpha \(1\+\|l\|\^2\)\^r is not finite at alpha = 1e\+300",
+    ),
+    "bias-bound-truth-1e160": (
+        lambda: bias_bound_check(deblur_operator(), _huge_field(1e160), DEBLUR_SCHEDULE, 1e-2, -1.0),
+        ParameterError,
+        "weighted squares of truth overflow",
+    ),
 }
 
 
