@@ -225,10 +225,11 @@ def run_deblur(config: ExperimentConfig) -> dict:
     certificate. Each leaf still sums its own modes in its own order, so the
     sums keep ``spectral._kernel_sums``' summation rule and the bytes of a
     per-mode computation; the checks run in seed order after the
-    snapshot's. The checks ahead of the pass (ellipticity, the penalty, the
-    truth's H^r norm, the band calibration) read whole tables that are freed
-    when each returns, so the truth is the one lattice-sized table that
-    lives through the pass.
+    snapshot's. The set-up ahead of the pass forms no lattice-sized table
+    but the truth (and, while it is built, the array its field copies): the
+    truth is filled a chunk at a time, and the ellipticity check, the
+    tables' symbol checks, the truth's H^r norm and the band calibration run
+    piece by piece across the CPUs, in the errors' old order.
     """
     operator, lattice, truth, schedule = _problem(config)
     signal_alpha = _positive_alpha(schedule, SIGNAL_DELTA)

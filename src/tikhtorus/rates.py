@@ -52,11 +52,13 @@ from .spectral import (
     _kernel_sums,
     _leaf_tables,
     _mirrored,
+    _mode_weights,
     _sobolev_norm,
+    _symbol_pieces,
     finite_sobolev_weights,
     is_hermitian,
     sobolev_norm,  # not called here; the benchmark's tracer and its tests read this binding
-    sobolev_weights,
+    sobolev_weights,  # not called here; the benchmark's tests read this binding
 )
 from .tikhonov import RegularizationSchedule, _delta_parts, _noise_part
 
@@ -232,11 +234,15 @@ class SweepTables:
     """The seed-independent half of :func:`error_sweep`.
 
     The constructor checks the symbol, the grids, the truth's H^r norm (its
-    coefficients, its penalty weights (1+|l|^2)^r and its sum, from one
-    whole weight table) and alpha(delta), in that order, on whole tables
-    that it frees on return, and keeps alpha(delta) per delta and the
-    exponents r and s1 of the pass's weight tables; it holds no
-    lattice-sized table.
+    coefficients, its penalty weights (1+|l|^2)^r and its sum) and
+    alpha(delta), in that order, and keeps alpha(delta) per delta and the
+    exponents r and s1 of the pass's weight tables; it forms no
+    lattice-sized table. The symbol runs once per mode, on mirror pieces
+    across the CPUs (``spectral._symbol_pieces``: a piece below the zero
+    mode with its mirror), which give its checks, whether it is Hermitian
+    and whether |a|^2 has a zero; each leaf of the norm's sum
+    (``spectral._sobolev_norm``) builds its own weights, so the norm keeps
+    its summation tree and its bits.
     :meth:`result` is the summary of the errors that ``_sweep_pass`` gives.
 
     Per mirror group of leaves, the pass builds a, |a|^2, (1+|l|^2)^r and
@@ -272,11 +278,11 @@ class SweepTables:
         seeds: Sequence[int | None],
     ) -> None:
         lattice = truth.lattice
-        symbol = A.symbol_values(lattice)
+        pieces = _symbol_pieces(
+            A, lattice, lambda index, modes, values: (is_hermitian(values), _squared_modulus(values).all())
+        )
         # a Hermitian symbol and truth give every mirror pair one |T(m) - u|^2
-        self._even = truth.hermitian and is_hermitian(symbol)
-        symbol_sq = symbol.real**2 + symbol.imag**2  # as A.squared_modulus
-        del symbol  # before the penalty's weight table is built
+        self._even = truth.hermitian and all(hermitian for hermitian, _ in pieces)
         if len(delta_grid) < 1 or len(s1_list) < 1 or len(seeds) < 1:
             raise ParameterError("error_sweep needs nonempty s1_list, delta_grid, seeds")
         if any(d2 >= d1 for d1, d2 in zip(delta_grid, delta_grid[1:])):
@@ -293,7 +299,7 @@ class SweepTables:
             )
         self._schedule = schedule
         self._alphas = [schedule.alpha(delta) for delta in self.delta_grid]
-        if 0.0 in self._alphas and not symbol_sq.all():
+        if 0.0 in self._alphas and not all(nonzero for _, nonzero in pieces):
             raise ParameterError(
                 f"alpha = alpha0 * delta^kappa underflows to 0 at delta = "
                 f"{self.delta_grid[self._alphas.index(0.0)]:g} and so does |a(l)|^2 at some "
@@ -303,27 +309,26 @@ class SweepTables:
         self._exponents = [float(schedule.r), *self.s1_list]  # r first
         self._sum_exponents = self.s1_list
 
-    def _powers(self, i: int, part: slice, block: list, leaf: tuple) -> list:
+    def _powers(self, i: int, part: slice, block: list, leaf: tuple, scratch: tuple) -> list:
         """|T(m) - u|^2 on the positions ``part`` at delta i, one table per
         noise coefficients block[j] on them, from the ``spectral._leaf_tables``
-        of ``part``; the pass weights each by (1+|l|^2)^s1 per s1 and sums
-        it."""
+        of ``part``, formed in the pass's ``scratch`` (:func:`_scratch`); the
+        pass weights each by (1+|l|^2)^s1 per s1 and sums it."""
         u = self.truth.coefficients[part]
         delta = self.delta_grid[i]
-        scratch = np.empty(u.size)
-        powers = []
+        (gain, bias, scaled, noisy), (z, square, _, *powers) = (rows[:, : u.size] for rows in scratch)
         # an inf z (alpha (1+|l|^2)^r overflows) makes the filter factors 0,
         # their value in double precision; an error that is not finite is
         # caught by _errors
         symbol, symbol_sq, weights = leaf
         with np.errstate(over="ignore", invalid="ignore"):
-            gain, bias = _delta_parts(symbol, symbol_sq, weights[self._exponents[0]], self._alphas[i], u)
-            for eps in block:
-                noisy = _noise_part(gain, np.multiply(delta, eps))
+            _delta_parts(symbol, symbol_sq, weights[self._exponents[0]], self._alphas[i], u, out=(gain, z, bias))
+            for eps, power in zip(block, powers):
+                _noise_part(gain, np.multiply(delta, eps, out=scaled), out=noisy)
                 deviation = np.subtract(np.add(bias, noisy, out=noisy), u, out=noisy)
-                power = np.square(deviation.real)
-                powers.append(np.add(power, np.square(deviation.imag, out=scratch), out=power))
-        return powers
+                np.square(deviation.real, out=power)
+                np.add(power, np.square(deviation.imag, out=square), out=power)
+        return powers[: len(block)]
 
     def _errors(self, sums: np.ndarray) -> np.ndarray:
         """errors[k, i] = ||T(m_delta_i) - u||_{H^s1_k} of one seed from its
@@ -420,51 +425,69 @@ class ModeBand:
     member_indices: np.ndarray
 
 
-def _band_members(
-    symbol_sq: np.ndarray, weights1: np.ndarray, delta: float, c0: float, c1: float
-) -> np.ndarray:
-    scale = delta * delta * weights1
-    return np.flatnonzero((c0 * scale <= symbol_sq) & (symbol_sq <= c1 * scale))
+def _squared_modulus(values: np.ndarray) -> np.ndarray:
+    return values.real**2 + values.imag**2  # as MultiplierOperator.squared_modulus
+
+
+def _even_modulus(index, modes, values) -> bool:
+    """Whether |a|^2 is even on a piece of ``spectral._symbol_pieces``."""
+    symbol_sq = _squared_modulus(values)
+    return np.array_equal(symbol_sq[::-1], symbol_sq)
 
 
 def calibrate_band(
-    symbol_sq: np.ndarray,
+    A: MultiplierOperator,
     lattice: FrequencyLattice,
     delta_grid: Sequence[float],
 ) -> tuple:
     """Pick (c0, c1) so the pinch band is nonempty for every delta, and
-    return them with one :class:`ModeBand` per delta. ``symbol_sq`` is the
-    operator's |a(l)|^2 on ``lattice``, as
-    :meth:`~tikhtorus.spectral.MultiplierOperator.squared_modulus` gives it.
+    return them with one :class:`ModeBand` per delta, from the operator's
+    |a(l)|^2 on ``lattice``.
 
     Starts from (0.5, 2.0) times the symbol's squared-to-weight ratio at the
-    mode closest to balance at the largest delta, then widens geometrically,
-    at most 40 times.
+    mode closest to balance at the largest delta (the first such mode in
+    lattice order), then widens geometrically, at most 40 times. It is a
+    reduction over the mirror pieces of ``spectral._symbol_pieces``, which
+    forms no lattice-sized table: one walk finds that mode and the ratio's
+    range, the next gathers each delta's band members, and only a band that
+    comes out empty makes the widening walk the pieces again.
     """
-    weights1 = sobolev_weights(lattice, 1.0)
     delta_max = max(delta_grid)
-    ratio = symbol_sq / (delta_max**2 * weights1)
-    positive = ratio > 0
-    if not positive.any():
+    scale = delta_max**2
+
+    def centre(index, modes, values) -> tuple:
+        ratio = _squared_modulus(values) / (scale * _mode_weights(modes, 1.0))
+        positive = ratio > 0
+        # a ratio that underflowed to 0 is never the mode closest to balance
+        distance = np.abs(np.log(ratio, out=np.full_like(ratio, np.inf), where=positive))
+        j = int(np.argmin(distance))
+        return distance[j], index[j], float(ratio[j]), ratio.min(), ratio.max(), positive.any()
+
+    distances, positions, ratios, lows, highs, positive = zip(*_symbol_pieces(A, lattice, centre))
+    if not any(positive):
         raise ParameterError(
             "|a(l)|^2 underflows to 0 at every mode; no band to calibrate ([operator] exponent)"
         )
-    # a ratio that underflowed to 0 is never the mode closest to balance
-    log_ratio = np.log(ratio, out=np.full_like(ratio, np.inf), where=positive)
-    center = int(np.argmin(np.abs(log_ratio)))
-    c0 = 0.5 * float(ratio[center])
-    c1 = 2.0 * float(ratio[center])
+    closest = min(range(len(ratios)), key=lambda k: (distances[k], positions[k]))
+    c0, c1 = 0.5 * ratios[closest], 2.0 * ratios[closest]
+
+    def members(index, modes, values) -> list:
+        symbol_sq, weights1 = _squared_modulus(values), _mode_weights(modes, 1.0)
+        return [
+            index[(c0 * band_scale <= symbol_sq) & (symbol_sq <= c1 * band_scale)]
+            for band_scale in (float(d) * float(d) * weights1 for d in delta_grid)
+        ]
+
     for _ in range(40):
-        members = [_band_members(symbol_sq, weights1, float(d), c0, c1) for d in delta_grid]
-        if all(indices.size > 0 for indices in members):
-            bands = [ModeBand(float(d), indices) for d, indices in zip(delta_grid, members)]
+        found = zip(*_symbol_pieces(A, lattice, members))
+        bands = [ModeBand(float(d), np.sort(np.concatenate(parts))) for d, parts in zip(delta_grid, found)]
+        if all(band.member_indices.size > 0 for band in bands):
             return c0, c1, bands
         c0 *= 0.5
         c1 *= 2.0
     raise CalibrationError(
         "no (c0, c1) produced a nonempty band for every delta; "
-        f"symbol squared-to-weight ratios span [{ratio.min():.3e}, {ratio.max():.3e}] "
-        f"at delta = {delta_max:g}"
+        f"symbol squared-to-weight ratios span [{min(lows):.3e}, {max(highs):.3e}] at delta = {delta_max:g}"
     )
 
 
@@ -488,10 +511,13 @@ class DivergenceReport:
 class DivergenceTables:
     """The seed-independent half of :func:`h1_divergence`.
 
-    The constructor checks the symbol, the schedule and the grid, and
-    calibrates the pinch band (:func:`calibrate_band`) on the |a|^2 table
-    whose evaluation ran the symbol's checks, on whole tables that are freed
-    on return; it holds no lattice-sized table. :meth:`report` is
+    The constructor checks the symbol, the schedule and the grid, in that
+    order, and calibrates the pinch band (:func:`calibrate_band`); it forms
+    no lattice-sized table. The symbol's checks and whether |a|^2 is even
+    come from one walk over the mirror pieces of
+    ``spectral._symbol_pieces`` (a piece below the zero mode with its
+    mirror), across the CPUs, and the calibration is a reduction over the
+    same pieces. :meth:`report` is
     the summary of the rows that ``_sweep_pass`` gives.
 
     Per mirror group of leaves, the pass builds |a|^2 and the (1+|l|^2)
@@ -515,7 +541,8 @@ class DivergenceTables:
         seeds: Sequence[int],
         lattice: FrequencyLattice,
     ) -> None:
-        symbol_sq = A.squared_modulus(lattice)  # the symbol's checks come first
+        # the symbol's checks come first; an even |a|^2 gives every mirror pair one |w_delta|^2
+        even = all(_symbol_pieces(A, lattice, _even_modulus))
         if schedule.r != 1.0:
             raise ParameterError(f"divergence certificate needs r = 1, got r = {schedule.r}")
         if schedule.kappa < 2.0:
@@ -531,26 +558,31 @@ class DivergenceTables:
                 f"divergence certificate needs delta^2 to be a normal double, got "
                 f"delta = {min(delta_grid):g} ([grids] delta_grid)"
             )
-        self.c0, self.c1, self.bands = calibrate_band(symbol_sq, lattice, delta_grid)
+        self.c0, self.c1, self.bands = calibrate_band(A, lattice, delta_grid)
         self._operator, self._lattice, self._exponents = A, lattice, [1.0]
         self._sum_exponents = self._exponents
         self._alphas = [schedule.alpha(band.delta) for band in self.bands]
         self._bound_factor = 1.0 / ((1.0 + schedule.alpha0 / self.c0) * (self.c1 + schedule.alpha0))
-        # an even |a|^2 gives every mirror pair one |w_delta|^2
-        self._even = bool(np.array_equal(symbol_sq[::-1], symbol_sq))
+        self._even = even
 
-    def _powers(self, i: int, part: slice, block: list, leaf: tuple) -> list:
+    def _powers(self, i: int, part: slice, block: list, leaf: tuple, scratch: tuple) -> list:
         """|w_delta|^2 on the positions ``part`` at delta i, one table per
         noise coefficients block[j] on them, from the ``spectral._leaf_tables``
-        of ``part``; the pass weights each by (1+|l|^2) and sums it."""
+        of ``part``, formed in the pass's ``scratch`` (:func:`_scratch`); the
+        pass weights each by (1+|l|^2) and sums it."""
         symbol_sq, weights1 = leaf[1], leaf[2][1.0]
         alpha, delta = self._alphas[i], self.bands[i].delta
+        z_sq, square, scaled_sq, *powers = scratch[1][:, : symbol_sq.size]
         # z * z may leave the double range at some modes: their share of the
         # norm is then 0 (benign) or inf/nan, which _rows catches
         with np.errstate(all="ignore"):
-            z = symbol_sq + alpha * weights1
-            scaled_sq, z_sq = symbol_sq * (delta * delta), z * z
-            return [scaled_sq * (eps.real**2 + eps.imag**2) / z_sq for eps in block]
+            np.add(symbol_sq, np.multiply(alpha, weights1, out=z_sq), out=z_sq)  # z, then z^2 in place
+            np.multiply(z_sq, z_sq, out=z_sq)
+            np.multiply(symbol_sq, delta * delta, out=scaled_sq)
+            for eps, power in zip(block, powers):
+                np.add(np.square(eps.real, out=power), np.square(eps.imag, out=square), out=power)
+                np.divide(np.multiply(scaled_sq, power, out=power), z_sq, out=power)
+        return powers[: len(block)]
 
     def _rows(self, seed: int, h1_sums: np.ndarray, noise: Callable) -> list:
         """One :class:`DivergenceRow` per delta of one seed from its sums per
@@ -627,11 +659,20 @@ def h1_divergence(
 # seeds whose draws a group of the pass holds at once, so a worker's scratch
 # grows with neither the seed count nor the delta grid. Each delta's factors
 # are formed once per block. A block of 2 is 1 MiB of draws per worker on a
-# group's 32,768 canonical modes and keeps the scratch below the setup's
-# transient peak at 262,145 modes; 8 (4 MiB) ran 0.03-0.05 s faster on
+# group's 32,768 canonical modes; 8 (4 MiB) ran 0.03-0.05 s faster on
 # 524,289 modes and 5 seeds, but made a 40-seed run peak 40 % above a
 # 2-seed one
 _SEED_BLOCK = 2
+
+
+def _scratch(size: int) -> tuple:
+    """The buffers in which a block of the pass forms every stage's per-mode
+    tables on a part of up to ``size`` modes (``_powers``): 4 complex rows
+    and 3 + ``_SEED_BLOCK`` real ones, the last ``_SEED_BLOCK`` for the
+    powers. Each block allocates them once, after its draws, so a worker's
+    memory stays level from one delta and stage to the next, and the pass's
+    peak does not hang on how its workers' steps interleave."""
+    return np.empty((4, size), dtype=np.complex128), np.empty((3 + _SEED_BLOCK, size))
 
 
 def _pass_sums(lattice: FrequencyLattice, noise: Callable, seeds: Sequence, stages: list) -> np.ndarray:
@@ -673,19 +714,26 @@ def _pass_sums(lattice: FrequencyLattice, noise: Callable, seeds: Sequence, stag
         weights = [{s: read(w, v) for s, w in leaf[2].items()} for leaf, (_, vs) in zip(leaves, parts) for v in vs]
         sums = np.empty((len(pieces), len(seeds), deltas, columns[-1]))
         product = np.empty(max(piece.stop - piece.start for piece in pieces))
+
+        def block(first: int) -> None:
+            """The sums of the block of seeds from seeds[first] on; its draws
+            and scratch are freed on return, before the next block draws."""
+            draws = [noise(seed, span.start, span.stop) for seed in seeds[first : first + _SEED_BLOCK]]
+            scratch = _scratch(max(leaf[1].size for leaf in leaves))
+            for (part, vs), leaf in zip(parts, leaves):
+                eps = draws if paired else [_mirror_noise(draw, span, part, zero) for draw in draws]
+                for i, (stage, column) in itertools.product(range(deltas), zip(stages, columns)):
+                    for j, power in enumerate(stage._powers(i, part, eps, leaf, scratch), start=first):
+                        for v in vs:
+                            values, out = read(power, v), product[: pieces[v].stop - pieces[v].start]
+                            sums[v, j, i, column : column + len(stage._sum_exponents)] = [
+                                np.sum(np.multiply(weights[v][s], values, out=out))
+                                for s in stage._sum_exponents
+                            ]
+
         with np.errstate(over="ignore", invalid="ignore"):
             for first in range(0, len(seeds), _SEED_BLOCK):
-                draws = [noise(seed, span.start, span.stop) for seed in seeds[first : first + _SEED_BLOCK]]
-                for (part, vs), leaf in zip(parts, leaves):
-                    eps = draws if paired else [_mirror_noise(draw, span, part, zero) for draw in draws]
-                    for i, (stage, column) in itertools.product(range(deltas), zip(stages, columns)):
-                        for j, power in enumerate(stage._powers(i, part, eps, leaf), start=first):
-                            for v in vs:
-                                values, out = read(power, v), product[: pieces[v].stop - pieces[v].start]
-                                sums[v, j, i, column : column + len(stage._sum_exponents)] = [
-                                    np.sum(np.multiply(weights[v][s], values, out=out))
-                                    for s in stage._sum_exponents
-                                ]
+                block(first)
         return list(sums.reshape(len(pieces), -1))
 
     return _kernel_sums(lattice, kernel, mirror=True).reshape(len(seeds), deltas, -1)

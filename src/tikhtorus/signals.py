@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, DimensionError
-from .spectral import FrequencyLattice, SpectralField
+from .spectral import FrequencyLattice, SpectralField, _map_chunks
 
 __all__ = ["hat_values", "hat_coefficients", "load_coefficient_file"]
 
@@ -45,24 +45,28 @@ def hat_coefficients(lattice: FrequencyLattice) -> SpectralField:
     and c(0) = 0.3 (plateau 0.2 plus two ramp areas of 0.05). Computing the
     coefficients in closed form instead of sampling avoids aliasing from the
     kinks; negative modes are mirrored explicitly so Hermitian symmetry is
-    exact.
+    exact. The positive modes are filled a chunk at a time across the CPUs
+    (``spectral._map_chunks``), each with its mirror, so besides the
+    coefficients no lattice-sized table is formed.
     """
     if lattice.dimension != 1:
         raise DimensionError("the plateau signal is one-dimensional")
-    M = lattice.bandlimit
     coeffs = np.zeros(lattice.mode_count, dtype=np.complex128)
     center = lattice.zero_index
     coeffs[center] = 0.3
-    if M > 0:
-        l = np.arange(1, M + 1, dtype=np.float64)
+
+    def fill(start: int, stop: int) -> None:  # the modes l = start + 1 .. stop and -l
+        l = np.arange(start + 1, stop + 1, dtype=np.float64)
 
         def phase(a: float) -> np.ndarray:
             return np.exp(-2j * np.pi * l * a)
 
         jumps = phase(0.3) - phase(0.4) - phase(0.6) + phase(0.7)
         positive = -10.0 * jumps / (4.0 * np.pi**2 * l**2)
-        coeffs[center + 1 :] = positive
-        coeffs[:center] = positive[::-1].conj()
+        coeffs[center + 1 + start : center + 1 + stop] = positive
+        coeffs[center - stop : center - start] = positive[::-1].conj()
+
+    _map_chunks(fill, lattice.bandlimit)
     return SpectralField(lattice, coeffs, hermitian=True)
 
 

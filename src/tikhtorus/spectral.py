@@ -122,8 +122,17 @@ class FrequencyLattice:
 def is_hermitian(values: np.ndarray) -> bool:
     """True when v(-l) == conj(v(l)) exactly for a lattice-ordered table (a
     NaN entry makes it False): a field with such coefficients is real-valued,
-    and a symbol with such values maps real fields to real fields."""
-    return bool(np.array_equal(values[::-1].conj(), values))
+    and a symbol with such values maps real fields to real fields. Position
+    p holds the mode opposite to position count - 1 - p, so the check
+    compares the two halves, ``_CHUNK`` positions at a time, and copies no
+    more than one block of either."""
+    count = len(values)
+    half = (count + 1) // 2  # the middle entry, if any, is compared with itself
+    for start in range(0, half, _CHUNK):
+        stop = min(half, start + _CHUNK)
+        if not np.array_equal(values[count - stop : count - start][::-1].conj(), values[start:stop]):
+            return False
+    return True
 
 
 @dataclasses.dataclass(frozen=True, eq=False)
@@ -237,37 +246,110 @@ class MultiplierOperator:
         return values.real**2 + values.imag**2
 
 
-def _symbol_at(op: MultiplierOperator, lattice: FrequencyLattice, modes: np.ndarray) -> np.ndarray:
-    """a(l) at ``modes``, rows of ``lattice.modes()``, checked as the
-    :class:`MultiplierOperator` docstring says: the whole table
-    (:meth:`~MultiplierOperator.symbol_values`) or one piece of it
-    (:func:`_leaf_tables`), equal bit for bit where they overlap."""
+# the checks of a symbol table, in the order a whole table fails them
+_SYMBOL_FAULTS = (
+    (DimensionError, "symbol must return one value per lattice mode"),
+    (ParameterError, "symbol of {!r} is not finite on the lattice"),
+    (ParameterError, "symbol of {!r} vanishes on the lattice"),
+)
+
+
+def _symbol_table(op: MultiplierOperator, lattice: FrequencyLattice, modes: np.ndarray) -> tuple:
+    """a(l) at ``modes``, rows of ``lattice.modes()``, as a fresh complex
+    table, and the index in ``_SYMBOL_FAULTS`` of the first check it fails
+    (None when it passes them all), with no warning. An operator fixed to
+    another dimension raises DimensionError at once."""
     if op.dimension is not None and lattice.dimension != op.dimension:
         raise DimensionError(
             f"operator {op.name!r} is fixed to dimension {op.dimension}, "
             f"lattice has dimension {lattice.dimension}"
         )
     # a copy, so that a caller never writes an array the callable keeps; an
-    # overflow or a nan is reported below, not warned about
+    # overflow or a nan is reported by the checks, not warned about
     with np.errstate(over="ignore", invalid="ignore"):
         values = np.array(op.symbol(modes), dtype=np.complex128)
     if values.shape != (len(modes),):
-        raise DimensionError("symbol must return one value per lattice mode")
+        return values, 0
     if not np.isfinite(values).all():
-        raise ParameterError(f"symbol of {op.name!r} is not finite on the lattice")
-    if np.any(values == 0):
-        raise ParameterError(f"symbol of {op.name!r} vanishes on the lattice")
+        return values, 1
+    return values, (2 if np.any(values == 0) else None)
+
+
+def _symbol_error(op: MultiplierOperator, fault: int) -> Exception:
+    error, message = _SYMBOL_FAULTS[fault]
+    return error(message.format(op.name))
+
+
+def _symbol_at(op: MultiplierOperator, lattice: FrequencyLattice, modes: np.ndarray) -> np.ndarray:
+    """a(l) at ``modes``, rows of ``lattice.modes()``, checked as the
+    :class:`MultiplierOperator` docstring says: the whole table
+    (:meth:`~MultiplierOperator.symbol_values`) or one piece of it
+    (:func:`_leaf_tables`), equal bit for bit where they overlap."""
+    values, fault = _symbol_table(op, lattice, modes)
+    if fault is not None:
+        raise _symbol_error(op, fault)
     return values
 
 
-def _piece_modes(lattice: FrequencyLattice, piece: slice) -> np.ndarray:
-    """The rows ``piece`` of ``lattice.modes()``, built for those rows only:
-    a plain range in d = 1."""
+def _symbol_pieces(op: MultiplierOperator, lattice: FrequencyLattice, kernel: Callable) -> list:
+    """``kernel(index, modes, values)`` on each mirror piece of ``lattice``,
+    in piece order: the one walk over a symbol of the checks that precede
+    the sweep pass. No lattice-sized table is formed.
+
+    Piece i holds the modes at the offsets i w .. (i+1) w - 1 from the zero
+    mode, on both of its sides, w = ``_CHUNK`` // 2 (at least 1), so at most
+    ``_CHUNK`` modes (two when ``_CHUNK`` is 1): ``index`` their positions
+    in lattice order, ``modes`` their rows of ``lattice.modes()`` and
+    ``values`` the symbol there, so that entry j holds the mode opposite to
+    entry len - 1 - j, as in a whole table (:func:`is_hermitian` reads a
+    piece as it reads a lattice). The pieces run across the CPUs
+    (:func:`_dispatch`), under the caller's ``np.errstate``; the symbol runs
+    once per mode. A piece whose table fails a check of ``_SYMBOL_FAULTS``
+    is not handed to the kernel, and after the walk the error raised is the
+    one the whole table raises (a wrong shape, then not finite, then
+    vanishing), whichever pieces fail."""
+    zero, width = lattice.zero_index, max(1, _CHUNK // 2)
+    pieces = -(-(zero + 1) // width)
+    results: list = [None] * pieces
+    faults: list = [None] * pieces
+
+    def task(i: int) -> None:
+        first, end = i * width, min(zero + 1, (i + 1) * width)
+        index = np.r_[zero + 1 - end : zero + 1 - max(first, 1), zero + first : zero + end]
+        modes = _piece_modes(lattice, index)
+        values, faults[i] = _symbol_table(op, lattice, modes)
+        if faults[i] is None:
+            results[i] = kernel(index, modes, values)
+
+    _dispatch(task, pieces, lattice.mode_count)
+    worst = min((fault for fault in faults if fault is not None), default=None)
+    if worst is not None:
+        raise _symbol_error(op, worst)
+    return results
+
+
+def _piece_modes(lattice: FrequencyLattice, piece) -> np.ndarray:
+    """The rows of ``lattice.modes()`` at the positions ``piece`` (a slice
+    or an index array), built for those rows only."""
     M = lattice.bandlimit
+    index = np.arange(piece.start, piece.stop, dtype=np.int64) if isinstance(piece, slice) else piece
     if lattice.dimension == 1:
-        return np.arange(piece.start - M, piece.stop - M, dtype=np.int64)[:, None]
-    index = np.arange(piece.start, piece.stop, dtype=np.int64)
+        return (index - M)[:, None]
     return np.stack(np.divmod(index, 2 * M + 1), axis=-1) - M
+
+
+def _squares(modes: np.ndarray) -> np.ndarray:
+    """|l|^2 at ``modes``: integers below 2^53, so equal to the entries of
+    ``lattice.squared_norms()`` there."""
+    return np.sum(np.square(modes, dtype=np.float64), axis=1)
+
+
+def _mode_weights(modes: np.ndarray, s: float) -> np.ndarray:
+    """(1+|l|^2)^s at ``modes`` with the arithmetic of :func:`_leaf_tables`,
+    so equal bit for bit to the entries of ``sobolev_weights(lattice, s)``
+    there; a weight that overflows is inf, without a warning."""
+    with np.errstate(over="ignore"):
+        return (1.0 + _squares(modes)) ** float(s)
 
 
 def _leaf_tables(A: MultiplierOperator, lattice: FrequencyLattice, piece: slice, exponents) -> tuple:
@@ -283,35 +365,44 @@ def _leaf_tables(A: MultiplierOperator, lattice: FrequencyLattice, piece: slice,
     whole table, or their sums, before or after."""
     modes = _piece_modes(lattice, piece)
     symbol = _symbol_at(A, lattice, modes)
-    squares = np.sum(np.square(modes, dtype=np.float64), axis=1)
+    squares = _squares(modes)
     with np.errstate(over="ignore"):
         weights = {s: (1.0 + squares) ** s for s in exponents}
     return symbol, symbol.real**2 + symbol.imag**2, weights
 
 
 def check_ellipticity(op: MultiplierOperator, lattice: FrequencyLattice) -> None:
-    """Verify the stored ellipticity constants against a direct lattice scan."""
-    values = op.symbol_values(lattice)
-    norms = np.sqrt(lattice.squared_norms())
-    outside = norms > op.ellipticity.mode_floor
-    if not np.any(outside):
-        return
-    magnitude = np.abs(values[outside])
-    envelope = norms[outside] ** op.order
-    low = op.ellipticity.c_lower * envelope
-    high = op.ellipticity.c_upper * envelope
-    if np.any(magnitude < low * (1 - 1e-12)) or np.any(magnitude > high * (1 + 1e-12)):
+    """Verify the stored ellipticity constants against a direct lattice scan.
+
+    The symbol is evaluated and checked piece by piece across the CPUs
+    (:func:`_symbol_pieces`), and so are the bounds, so no lattice-sized
+    table is formed. The symbol's own errors (a wrong shape, then not
+    finite, then vanishing) come before a bound that fails, on any piece."""
+    bounds = op.ellipticity
+
+    def bounded(index, modes, values) -> bool:
+        norms = np.sqrt(_squares(modes))
+        outside = norms > bounds.mode_floor
+        magnitude = np.abs(values[outside])
+        envelope = norms[outside] ** op.order
+        low = bounds.c_lower * envelope
+        high = bounds.c_upper * envelope
+        return not (np.any(magnitude < low * (1 - 1e-12)) or np.any(magnitude > high * (1 + 1e-12)))
+
+    if not all(_symbol_pieces(op, lattice, bounded)):
         raise ParameterError(
             f"ellipticity constants of {op.name!r} do not bound |a(l)| on the lattice"
         )
 
 
-# items per piece of a chunked kernel (the noise draws) and at most per leaf
-# of a tree sum (every sum :func:`_kernel_sums` takes): a piece keeps a few
-# MiB of temporaries alive (the sweep's mirror group, with its symbol and
-# weight tables and a block of draws, about 6 MiB), which leaves little in the
-# worker threads' malloc arenas; the shipped configs' lattices (up to 32,769
-# modes) stay below two pieces and so on the calling thread
+# items per piece of a chunked kernel (the noise draws, the hat truth), at
+# most per leaf of a tree sum (every sum :func:`_kernel_sums` takes) and at
+# most per mirror piece of a symbol walk (:func:`_symbol_pieces`): a piece
+# keeps a few MiB of temporaries alive (the sweep's mirror group, with its
+# symbol and weight tables, a block of draws and its scratch, about 6 MiB),
+# which leaves little in the worker threads' malloc arenas; the shipped
+# configs' lattices (up to 32,769 modes) stay below two pieces and so on the
+# calling thread
 _CHUNK = 32768
 
 
@@ -357,11 +448,11 @@ def _dispatch(task: Callable[[int], object], count: int, size: int) -> None:
 def _map_chunks(kernel: Callable[[int, int], object], size: int) -> None:
     """Call ``kernel(start, stop)`` on the consecutive pieces of [0, size),
     ``_CHUNK`` items each (the last one shorter), through :func:`_dispatch`:
-    the fan-out of the noise draws, its one user, which ``noise`` imports
-    from here, so ``_CHUNK`` and ``_cpu_count`` are read from this module.
-    Kernels write disjoint slices and sum nothing (a sum goes through
-    :func:`_kernel_sums`), so the result depends neither on the split nor on
-    ``_CHUNK``."""
+    the fan-out of the noise draws and of ``signals.hat_coefficients``,
+    which import it from here, so ``_CHUNK`` and ``_cpu_count`` are read
+    from this module. Kernels write disjoint slices and sum nothing (a sum
+    goes through :func:`_kernel_sums`), so the result depends neither on the
+    split nor on ``_CHUNK``."""
     chunks = -(-size // _CHUNK)
     _dispatch(lambda piece: kernel(piece * _CHUNK, min(size, (piece + 1) * _CHUNK)), chunks, size)
 
@@ -395,10 +486,12 @@ def finite_sobolev_weights(lattice: FrequencyLattice, s: float, what: str) -> np
     with np.errstate(over="ignore"):
         weights = sobolev_weights(lattice, s)
     if not np.isfinite(weights).all():
-        raise ParameterError(
-            f"{what} is not finite: (1+|l|^2)^{s:g} overflows on bandlimit {lattice.bandlimit}"
-        )
+        raise _overflowing_weights(lattice, s, what)
     return weights
+
+
+def _overflowing_weights(lattice: FrequencyLattice, s: float, what: str) -> ParameterError:
+    return ParameterError(f"{what} is not finite: (1+|l|^2)^{s:g} overflows on bandlimit {lattice.bandlimit}")
 
 
 def sobolev_norm(field: SpectralField, s: float) -> float:
@@ -406,9 +499,9 @@ def sobolev_norm(field: SpectralField, s: float) -> float:
 
     Equals the L^2 norm at s = 0. Raises InvalidFieldError on non-finite
     coefficients, then a ParameterError naming s when the weights overflow
-    (:func:`finite_sobolev_weights`) or the sum does, with no warning. The
-    sum is taken by :func:`_kernel_sums`, in the lattice enumeration order,
-    so the result is reproducible bit for bit.
+    (as :func:`finite_sobolev_weights` does) or the sum does, with no
+    warning. The sum is taken by :func:`_kernel_sums`, in the lattice
+    enumeration order, so the result is reproducible bit for bit.
     """
     norm = _sobolev_norm(field, s, f"the H^s norm at s = {s:g}")
     if not math.isfinite(norm):
@@ -420,25 +513,46 @@ def _sobolev_norm(field: SpectralField, s: float, what: str) -> float:
     """:func:`sobolev_norm`, with ``what`` naming the norm in the error its
     weights raise when they overflow (``tikhonov.functional`` names r), and
     inf, without a warning, where that function refuses a sum that overflows:
-    each caller names its own keys."""
-    coeffs = field.coefficients
-    if not np.all(np.isfinite(coeffs.view(np.float64))):
-        raise InvalidFieldError("field has non-finite coefficients")
-    weights = finite_sobolev_weights(field.lattice, s, what)
+    each caller names its own keys. Each leaf of the sum builds its own
+    weights (:func:`_mode_weights`) and checks them and its coefficients,
+    so no lattice-sized table is formed; the errors are raised after the
+    sum, non-finite coefficients first."""
+    lattice, coeffs = field.lattice, field.coefficients
+    faults = [False, False]  # non-finite coefficients, weights that overflow; only ever set
 
     def kernel(piece) -> float:
-        return np.sum(np.multiply(weights[piece], coeffs[piece].real**2 + coeffs[piece].imag**2))
+        part = coeffs[piece]
+        weights = _mode_weights(_piece_modes(lattice, piece), s)
+        if not np.isfinite(part).all():
+            faults[0] = True
+        if not np.isfinite(weights).all():
+            faults[1] = True
+        return np.sum(np.multiply(weights, part.real**2 + part.imag**2))
 
-    with np.errstate(over="ignore"):  # the workers run under it too
-        return float(np.sqrt(_kernel_sums(field.lattice, kernel)))
+    with np.errstate(over="ignore", invalid="ignore"):  # the workers run under it too
+        total = _kernel_sums(lattice, kernel)
+    if faults[0]:
+        raise InvalidFieldError("field has non-finite coefficients")
+    if faults[1]:
+        raise _overflowing_weights(lattice, s, what)
+    return float(np.sqrt(total))
 
 
 def apply_multiplier(op: MultiplierOperator, field: SpectralField) -> SpectralField:
     """Per-mode product a(l) * c(l). The product's Hermitian flag is computed
     from its coefficients, like every field's; it holds whenever the field and
-    the symbol are both Hermitian-symmetric on the lattice."""
+    the symbol are both Hermitian-symmetric on the lattice. A product that is
+    not finite (a roughening symbol on large coefficients) raises a
+    ParameterError naming the operator, with no warning."""
     values = op.symbol_values(field.lattice)
-    return SpectralField(field.lattice, values * field.coefficients)
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below
+        product = values * field.coefficients
+    if not np.isfinite(product).all():
+        raise ParameterError(
+            f"the product of {op.name!r} and the field is not finite: the coefficients are not finite, "
+            "or too large for the symbol"
+        )
+    return SpectralField(field.lattice, product)
 
 
 def _ball_bandlimit(lattice: FrequencyLattice, m) -> int:

@@ -150,7 +150,9 @@ def solve(A: MultiplierOperator, m: SpectralField, alpha: float, r: float) -> Sp
     return SpectralField(lattice, np.multiply(gain, m.coefficients))
 
 
-def _gain(symbol: np.ndarray, symbol_sq: np.ndarray, weights_r: np.ndarray, alpha: float) -> tuple:
+def _gain(
+    symbol: np.ndarray, symbol_sq: np.ndarray, weights_r: np.ndarray, alpha: float, out: tuple = (None, None)
+) -> tuple:
     """The filter gain conj(a)/z and z = |a|^2 + alpha (1+|l|^2)^r, from
     matching slices of the per-mode tables a, |a|^2 and (1+|l|^2)^r: the one
     spelling of the filter. :func:`solve` passes whole lattices and the gamma
@@ -163,16 +165,24 @@ def _gain(symbol: np.ndarray, symbol_sq: np.ndarray, weights_r: np.ndarray, alph
     So every product here and in :func:`_delta_parts` is an explicit ufunc
     call with its operands in the order of the formula. The caller sets
     ``np.errstate``; where alpha (1+|l|^2)^r overflows, z = inf makes the
-    filter factors 0, their value in double precision.
+    filter factors 0, their value in double precision. ``out`` may hold a
+    buffer for the gain and one for z, which the sweep kernel reuses: a
+    product written into a buffer of its own rounds as one into a fresh
+    array (only an in-place one differs, see :func:`_noise_part`).
     """
-    z = np.multiply(alpha, weights_r)
+    z = np.multiply(alpha, weights_r, out=out[1])
     np.add(symbol_sq, z, out=z)
-    gain = np.conjugate(symbol)
+    gain = np.conjugate(symbol, out=out[0])
     return np.divide(gain, z, out=gain), z
 
 
 def _delta_parts(
-    symbol: np.ndarray, symbol_sq: np.ndarray, weights_r: np.ndarray, alpha: float, u: np.ndarray
+    symbol: np.ndarray,
+    symbol_sq: np.ndarray,
+    weights_r: np.ndarray,
+    alpha: float,
+    u: np.ndarray,
+    out: tuple = (None, None, None),
 ) -> tuple:
     """The per-delta half of the split: the filter gain conj(a)/z of
     :func:`_gain` and the bias part (|a|^2/z) u, from matching slices of the
@@ -180,18 +190,20 @@ def _delta_parts(
     u. :func:`_noise_part` is the per-seed half. :func:`solve_split` passes
     whole lattices, the sweep kernel (``rates.SweepTables``) one piece at a
     time, forming these once per delta for many seeds; this is the one
-    spelling of the split, so both get the same bits.
+    spelling of the split, so both get the same bits. ``out`` may hold
+    buffers for the gain, z and the bias part (:func:`_gain`).
     """
-    gain, z = _gain(symbol, symbol_sq, weights_r, alpha)
-    return gain, np.multiply(np.divide(symbol_sq, z, out=z), u)
+    gain, z = _gain(symbol, symbol_sq, weights_r, alpha, out[:2])
+    return gain, np.multiply(np.divide(symbol_sq, z, out=z), u, out=out[2])
 
 
-def _noise_part(gain: np.ndarray, scaled_noise: np.ndarray) -> np.ndarray:
+def _noise_part(gain: np.ndarray, scaled_noise: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """The filtered-noise part (conj(a)/z) (delta eps) from the gain of
-    :func:`_delta_parts` and ``scaled_noise`` = ``np.multiply(delta, eps)``.
-    Out of place: an in-place complex product over a one-element array
-    rounds differently from the vector loop, and a piece can hold one mode."""
-    return np.multiply(gain, scaled_noise)
+    :func:`_delta_parts` and ``scaled_noise`` = ``np.multiply(delta, eps)``,
+    in a fresh array or in the buffer ``out``. Never in place: an in-place
+    complex product over a one-element array rounds differently from the
+    vector loop, and a piece can hold one mode."""
+    return np.multiply(gain, scaled_noise, out=out)
 
 
 def solve_split(

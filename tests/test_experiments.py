@@ -977,38 +977,55 @@ class TestCli:
             assert all((seed, start, stop) not in spans for start, stop in leaves if stop <= reference.zero_index)
 
     def test_deblur_counts_its_reference_symbol_evaluations(self, tmp_path, monkeypatch):
-        # no symbol table is cached: the ellipticity check and the sweep's and
-        # the certificate's checks each evaluate the symbol on the whole
-        # reference lattice (the band calibration reads the certificate's
-        # |a|^2 table), the snapshot on its plot band, and the pass once per
-        # mirror group of leaves, on its canonical modes: the symbol is
-        # Hermitian, so the pieces cover each +-l pair of the reference
-        # lattice exactly once
+        # no symbol table is built on the whole reference lattice: each walk
+        # of a set-up stage evaluates it on mirror pieces that cover every
+        # reference mode once (the certificate walks three times: its |a|^2
+        # checks, the band's centre and the band's members), the snapshot
+        # evaluates its plot band twice (forward map and solve), and the pass
+        # once per mirror group of leaves, on its canonical modes: the symbol
+        # is Hermitian, so the pieces cover each +-l pair exactly once
         build = experiments._build_operator
+        stage = [None]
         tables = []
 
         def counted_operator(config):
             operator = build(config)
 
             def symbol(modes):
-                tables.append(modes.copy())
+                tables.append((stage[0], modes.copy()))
                 return operator.symbol(modes)
 
             return dataclasses.replace(operator, symbol=symbol)
 
+        def staged(name, function):
+            def run(*args, **kwargs):
+                stage[0] = name
+                return function(*args, **kwargs)
+
+            return run
+
         monkeypatch.setattr(experiments, "_build_operator", counted_operator)
+        stages = ("check_ellipticity", "SweepTables", "DivergenceTables", "_snapshot", "_sweep_pass")
+        for name in stages:
+            monkeypatch.setattr(experiments, name, staged(name, getattr(experiments, name)))
         path = CONFIG_DIR / "deblur.ini"
         code = main(["deblur", "--config", str(path), "--out", str(tmp_path / "out")])
         assert code == 0
         config = load_config(path)
         reference = FrequencyLattice(1, config.reference_bandlimit).modes()
         plot_band = FrequencyLattice(1, experiments._plot_band(config)).modes()
-        whole = [modes for modes in tables if np.array_equal(modes, reference)]
-        snapshot = [modes for modes in tables if np.array_equal(modes, plot_band)]
-        pieces = [modes for modes in tables if len(modes) not in (len(reference), len(plot_band))]
-        assert (len(whole), len(snapshot)) == (3, 2)  # the snapshot's forward map and solve
-        assert len(pieces) >= 1 and len(tables) == len(whole) + len(snapshot) + len(pieces)
+        by_stage = {name: [modes for where, modes in tables if where == name] for name in stages}
+        assert sum(map(len, by_stage.values())) == len(tables)
+        assert not any(np.array_equal(modes, reference) for _, modes in tables)
+        for name, walks in [("check_ellipticity", 1), ("SweepTables", 1), ("DivergenceTables", 3)]:
+            assert len(by_stage[name]) >= 2 * walks  # several pieces per walk
+            covered = np.sort(np.concatenate(by_stage[name]), axis=0)
+            assert np.array_equal(covered, np.repeat(reference, walks, axis=0)), name
+        assert len(by_stage["_snapshot"]) == 2
+        assert all(np.array_equal(modes, plot_band) for modes in by_stage["_snapshot"])
+        pieces = by_stage["_sweep_pass"]
         pairs = np.arange(config.reference_bandlimit + 1)[:, None]  # |l| of each +-l pair
+        assert len(pieces) >= 1
         assert np.array_equal(np.sort(np.abs(np.concatenate(pieces)), axis=0), pairs)
 
     def test_shipped_configs_run_under_the_benchmark_tracer(self, tmp_path, capsys):
@@ -1110,6 +1127,35 @@ class TestCli:
             assert done.returncode == 0, done.stderr
             peaks.append(int(done.stdout.split()[-1]))
         assert peaks[1] <= 1.05 * peaks[0], peaks
+
+    def test_deblur_set_up_peaks_below_the_pass(self, tmp_path):
+        # the set-up forms no lattice-sized table but the truth and its field
+        # copy: at 262,145 modes no stage ahead of the pass reaches the
+        # pass's tracemalloc peak (the whole-table checks peaked about 60 %
+        # above it)
+        config = write_config(tmp_path, small_config_text("deblur", str(tmp_path / "out"), reference="131072"))
+        script = (
+            "import json, tracemalloc, tikhtorus.cli, tikhtorus.experiments as experiments\n"
+            "peaks = {}\n"
+            "def staged(name, function):\n"
+            "    def run(*args, **kwargs):\n"
+            "        tracemalloc.reset_peak()\n"
+            "        try:\n"
+            "            return function(*args, **kwargs)\n"
+            "        finally:\n"
+            "            peaks[name] = tracemalloc.get_traced_memory()[1]\n"
+            "    return run\n"
+            "for name in ('_problem', 'SweepTables', 'DivergenceTables', '_sweep_pass'):\n"
+            "    setattr(experiments, name, staged(name, getattr(experiments, name)))\n"
+            "tracemalloc.start()\n"
+            f"assert tikhtorus.cli.main(['deblur', '--config', {str(config)!r}]) == 0\n"
+            "print(json.dumps(peaks))\n"
+        )
+        done = run_fresh_process(script)
+        assert done.returncode == 0, done.stderr
+        peaks = json.loads(done.stdout.splitlines()[-1])
+        assert len(peaks) == 4
+        assert max(peaks[name] for name in ("_problem", "SweepTables", "DivergenceTables")) <= peaks["_sweep_pass"], peaks
 
     def test_cli_run_does_not_load_scipy(self, tmp_path):
         # scipy backs only the dense solver; a fresh CLI process never imports it

@@ -325,8 +325,9 @@ class TestErrorSweep:
             with pytest.raises(ParameterError, match="'vanishing' vanishes on the lattice"):
                 SweepTables(vanishing_operator(), truth, SCHEDULE, [-1.5], [1e-2, 1e-3], seeds)
 
-    def test_tables_build_one_penalty_table(self, monkeypatch):
-        # the penalty's check and the truth's H^r norm share one whole table
+    def test_tables_build_no_whole_penalty_table(self, monkeypatch):
+        # each leaf of the truth's H^r norm builds and checks its own penalty
+        # weights: no whole weight table is built
         built = []
         weigh = spectral.sobolev_weights
 
@@ -337,7 +338,7 @@ class TestErrorSweep:
         monkeypatch.setattr(spectral, "sobolev_weights", counted)
         lattice = FrequencyLattice(1, 64)
         SweepTables(deblur_operator(), hat_coefficients(lattice), SCHEDULE, [-1.5, 1.0], [1e-2, 1e-3], [0])
-        assert built == [(lattice, SCHEDULE.r)]
+        assert built == []
 
     def test_a_non_finite_truth_is_reported_before_the_penalty(self):
         # r = 400 overflows the penalty's weights on this lattice, but the
@@ -388,7 +389,7 @@ def composed_rows(A, lattice, seed, deltas):
     """The certificate's rows of ``seed`` from the per-mode formulas:
     h1_norm_sq = sum w1 |a|^2 delta^2 |eps|^2 / z^2 and lower_bound =
     bound_factor * sum_band |eps|^2."""
-    c0, c1, bands = calibrate_band(A.squared_modulus(lattice), lattice, deltas)
+    c0, c1, bands = calibrate_band(A, lattice, deltas)
     values = A.symbol_values(lattice)
     symbol_sq = values.real**2 + values.imag**2
     w1 = 1.0 + lattice.squared_norms()
@@ -410,7 +411,7 @@ class TestBandCalibration:
     def test_band_members_satisfy_inequality_and_track_center(self):
         lattice = FrequencyLattice(1, 4096)
         deltas = [1e-2, 1e-3, 1e-4, 1e-5]
-        c0, c1, bands = calibrate_band(deblur_operator().squared_modulus(lattice), lattice, deltas)
+        c0, c1, bands = calibrate_band(deblur_operator(), lattice, deltas)
         values = deblur_operator().symbol_values(lattice)
         symbol_sq = np.abs(values) ** 2
         weights = 1.0 + lattice.squared_norms()
@@ -429,7 +430,7 @@ class TestBandCalibration:
         # a tiny lattice cannot bridge six decades of delta
         lattice = FrequencyLattice(1, 2)
         with pytest.raises(CalibrationError):
-            calibrate_band(deblur_operator().squared_modulus(lattice), lattice, [1e-2, 1e-12])
+            calibrate_band(deblur_operator(), lattice, [1e-2, 1e-12])
 
     def test_underflowed_ratios_never_center_the_band(self):
         # |a(l)|^2 = (1+l^2)^-80 underflows to 0 beyond l ~ 100; the
@@ -437,7 +438,7 @@ class TestBandCalibration:
         lattice = FrequencyLattice(1, 256)
         A = power_law_operator(80.0)
         assert np.any(np.abs(A.symbol_values(lattice)) ** 2 == 0.0)
-        c0, c1, bands = calibrate_band(A.squared_modulus(lattice), lattice, [1e-2, 1e-3])
+        c0, c1, bands = calibrate_band(A, lattice, [1e-2, 1e-3])
         assert 0.0 < c0 < c1 < np.inf
         assert all(band.member_indices.size > 0 for band in bands)
 
@@ -450,7 +451,7 @@ class TestBandCalibration:
         )
         with pytest.raises(ParameterError, match=r"\[operator\] exponent"):
             lattice = FrequencyLattice(1, 8)
-            calibrate_band(tiny.squared_modulus(lattice), lattice, [1e-2])
+            calibrate_band(tiny, lattice, [1e-2])
 
 
 class TestH1Divergence:
@@ -469,7 +470,7 @@ class TestH1Divergence:
         seeds, deltas = [0, 5], [1e-2, 1e-3, 1e-4]
         report = h1_divergence(A, DIVERGENCE_SCHEDULE, deltas, seeds, lattice)
         assert len(report.rows) == len(seeds) * len(deltas)
-        _, _, bands = calibrate_band(A.squared_modulus(lattice), lattice, deltas)
+        _, _, bands = calibrate_band(A, lattice, deltas)
         values = A.symbol_values(lattice)
         symbol_sq = values.real**2 + values.imag**2
         w1 = 1.0 + lattice.squared_norms()
@@ -580,6 +581,135 @@ class TestLeafTables:
             assert list(w) == exponents
             for s in exponents:
                 assert w[s].tobytes() == weights[s][piece].tobytes()
+
+
+def rough_operator(dimension):
+    """(1 + 0.01 l_1) / (1 + |l|^2), real: |a|^2 is not even."""
+    def symbol(modes):
+        l = modes.astype(np.float64)
+        return (1.0 + 0.01 * l[:, 0]) / (1.0 + np.sum(l**2, axis=1))
+
+    return MultiplierOperator(symbol, order=-2.0, ellipticity=Ellipticity(0.4, 1.2), dimension=dimension)
+
+
+def whole_set_up(A, truth, deltas):
+    """The set-up's values from whole lattice tables, spelled independently of
+    the streamed code: the ellipticity check's verdict, whether the symbol is
+    Hermitian and |a|^2 even, the truth's H^r norm at SCHEDULE.r, and the
+    band calibration (c0, c1, members) or the error it raises."""
+    lattice = truth.lattice
+    values = A.symbol_values(lattice)
+    symbol_sq = values.real**2 + values.imag**2
+    norms = np.sqrt(lattice.squared_norms())
+    outside = norms > A.ellipticity.mode_floor
+    envelope = norms[outside] ** A.order
+    magnitude = np.abs(values[outside])
+    bounded = not (
+        np.any(magnitude < A.ellipticity.c_lower * envelope * (1 - 1e-12))
+        or np.any(magnitude > A.ellipticity.c_upper * envelope * (1 + 1e-12))
+    )
+    c = truth.coefficients
+    norm = float(np.sqrt(np.sum(spectral.sobolev_weights(lattice, SCHEDULE.r) * (c.real**2 + c.imag**2))))
+    weights1 = spectral.sobolev_weights(lattice, 1.0)
+    ratio = symbol_sq / (max(deltas) ** 2 * weights1)
+    log_ratio = np.log(ratio, out=np.full_like(ratio, np.inf), where=ratio > 0)
+    centre = float(ratio[int(np.argmin(np.abs(log_ratio)))])
+    c0, c1 = 0.5 * centre, 2.0 * centre
+    for _ in range(40):
+        members = [
+            np.flatnonzero((c0 * (d * d * weights1) <= symbol_sq) & (symbol_sq <= c1 * (d * d * weights1)))
+            for d in deltas
+        ]
+        if all(m.size for m in members):
+            band = (c0, c1, [m.tolist() for m in members])
+            break
+        c0, c1 = 0.5 * c0, 2.0 * c1
+    else:
+        band = CalibrationError
+    hermitian = np.array_equal(values[::-1].conj(), values)
+    return bounded, hermitian, np.array_equal(symbol_sq[::-1], symbol_sq), norm, band
+
+
+class TestStreamedSetUp:
+    # the checks ahead of the pass walk the lattice in mirror pieces across
+    # the CPUs; every value they give equals that of the whole tables bit for
+    # bit, at any piece size and CPU count
+
+    @pytest.mark.parametrize("cpus", [1, 8])
+    @pytest.mark.parametrize("chunk", [1, 3, 7])
+    @pytest.mark.parametrize(
+        "kind, lattice",
+        [
+            ("deblur", FrequencyLattice(1, 50)),
+            ("power-law", FrequencyLattice(1, 50)),
+            ("twisted", FrequencyLattice(1, 50)),
+            ("skewed", FrequencyLattice(1, 50)),
+            ("rough", FrequencyLattice(1, 50)),
+            ("power-law", FrequencyLattice(2, 6)),
+            ("rough", FrequencyLattice(2, 6)),
+        ],
+        ids=["deblur", "power-law", "twisted", "skewed", "rough", "power-law-2d", "rough-2d"],
+    )
+    def test_pieces_keep_the_whole_tables_values(self, monkeypatch, kind, lattice, chunk, cpus):
+        A = {
+            "deblur": deblur_operator(),
+            "power-law": power_law_operator(1.5),
+            "twisted": operator_of("twisted"),
+            "skewed": skewed_operator(),
+            "rough": rough_operator(lattice.dimension),
+        }[kind]
+        if lattice.dimension == 1:
+            truth = hat_coefficients(lattice)
+        else:
+            truth = apply_multiplier(power_law_operator(2.0), sample_white_noise(lattice, 99))
+        deltas = [1e-2, 1e-3]
+        bounded, hermitian, even, norm, band = whole_set_up(A, truth, deltas)
+        monkeypatch.setattr(spectral, "_CHUNK", chunk)
+        monkeypatch.setattr(spectral, "_cpu_count", lambda: cpus)
+        if lattice.dimension == 1:  # filled a chunk at a time
+            assert hat_coefficients(lattice).coefficients.tobytes() == truth.coefficients.tobytes()
+        for field in (truth, SpectralField(lattice, truth.coefficients + 1e-3j)):
+            assert spectral.is_hermitian(field.coefficients) == (field is truth)
+            sweep = SweepTables(A, field, SCHEDULE, [-1.5, 1.0], deltas, [0])
+            assert sweep._even == (field is truth and hermitian)
+        assert spectral.is_hermitian(A.symbol_values(lattice)) == hermitian
+        assert spectral._sobolev_norm(truth, SCHEDULE.r, "the penalty") == norm
+        try:
+            spectral.check_ellipticity(A, lattice)
+        except ParameterError:
+            assert not bounded
+        else:
+            assert bounded
+        try:
+            c0, c1, bands = calibrate_band(A, lattice, deltas)
+        except CalibrationError:
+            assert band is CalibrationError
+        else:
+            assert (c0, c1, [b.member_indices.tolist() for b in bands]) == band
+            assert DivergenceTables(A, DIVERGENCE_SCHEDULE, deltas, [0], lattice)._even == even
+
+    @pytest.mark.parametrize("cpus", [1, 8])
+    def test_a_symbol_that_is_not_finite_is_reported_before_one_that_vanishes(self, monkeypatch, cpus):
+        # l / (1 + l^2) vanishes at l = 0, in the first piece, and is inf
+        # beyond |l| = 20, in later pieces: a whole table reports that it is
+        # not finite, so every stage must, however the pieces are split
+        def symbol(modes):
+            l = modes[:, 0].astype(np.float64)
+            return np.where(np.abs(l) > 20, np.inf, l / (1.0 + l**2))
+
+        A = MultiplierOperator(symbol, order=-1.0, ellipticity=Ellipticity(0.5, 1.0), name="bad")
+        lattice = FrequencyLattice(1, 40)
+        monkeypatch.setattr(spectral, "_CHUNK", 3)
+        monkeypatch.setattr(spectral, "_cpu_count", lambda: cpus)
+        calls = [
+            lambda: spectral.check_ellipticity(A, lattice),
+            lambda: SweepTables(A, hat_coefficients(lattice), SCHEDULE, [-1.5], [1e-2], [0]),
+            lambda: DivergenceTables(A, DIVERGENCE_SCHEDULE, [1e-2], [0], lattice),
+            lambda: calibrate_band(A, lattice, [1e-2]),
+        ]
+        for call in calls:
+            with pytest.raises(ParameterError, match="'bad' is not finite on the lattice"):
+                call()
 
 
 class TestChunkedKernels:

@@ -518,6 +518,12 @@ BAD_NUMBERS = {
         ParameterError,
         r"alpha \(1\+\|l\|\^2\)\^r is not finite at alpha = 1e\+300",
     ),
+    # a roughening symbol on large finite coefficients: the product overflows
+    "apply-multiplier-overflow": (
+        lambda: apply_multiplier(power_law_operator(-300.0), _huge_field(1e100)),
+        ParameterError,
+        r"product of 'power_law\(t=-300\)' and the field is not finite",
+    ),
     "bias-bound-truth-1e160": (
         lambda: bias_bound_check(deblur_operator(), _huge_field(1e160), DEBLUR_SCHEDULE, 1e-2, -1.0),
         ParameterError,
