@@ -32,6 +32,7 @@ import numpy as np
 
 from .errors import (
     DimensionError,
+    InvalidFieldError,
     NotRealValuedError,
     NumericalError,
     ParameterError,
@@ -182,6 +183,8 @@ def coords_to_field(lattice: FrequencyLattice, coords: np.ndarray) -> SpectralFi
     coords = np.asarray(coords, dtype=np.float64)
     if coords.shape != (lattice.mode_count,):
         raise DimensionError(f"expected {lattice.mode_count} coordinates, got {coords.shape}")
+    if not np.isfinite(coords).all():  # before any arithmetic, which would warn
+        raise InvalidFieldError("trigonometric coordinates must be finite")
     center = lattice.zero_index
     coeffs = np.zeros(lattice.mode_count, dtype=np.complex128)
     coeffs[center] = coords[center]
@@ -266,17 +269,18 @@ def gamma_sweep(
     any table is built; n and k must be odd integers, as :func:`assemble`
     requires. Only the data m is a whole-lattice table: one call of
     ``spectral._kernel_sums`` (whose docstring states the summation rule)
-    takes every sum in one pass over the lattice, and its kernel builds, per
-    piece, a, |a|^2 and (1+|l|^2)^{+-r} (``spectral._leaf_tables``) and the
-    minimizer u = (conj(a)/z) m (``tikhonov._gain``, the filter that
-    :func:`~tikhtorus.tikhonov.solve` applies, so u is solve's bit for bit).
-    From them it forms the objective's terms |a u|^2 and Re(m conj(a u)),
-    the H^r norm's and the ball radius's weighted squares and one pairing
-    Re(u conj(phi)) per test function, and returns their sums as one vector,
-    which the pass adds up over each distinct ball once: the sizes' observed
-    balls and the whole lattice, which a size that observes every mode
-    shares with the continuum. The continuum objective is the same
-    expression over the whole lattice.
+    takes every sum in one pass over the lattice, and its kernel builds, for
+    each piece of a mirror group in turn, a, |a|^2 and (1+|l|^2)^{+-r}
+    (``spectral._leaf_tables``) and the minimizer u = (conj(a)/z) m
+    (``tikhonov._gain``, the filter that :func:`~tikhtorus.tikhonov.solve`
+    applies, so u is solve's bit for bit). From them it forms the
+    objective's terms |a u|^2 and Re(m conj(a u)), the H^r norm's and the
+    ball radius's weighted squares and one pairing Re(u conj(phi)) per test
+    function, and returns their sums as one vector per piece, which the pass
+    adds up over each distinct ball once: the sizes' observed balls and the
+    whole lattice, which a size that observes every mode shares with the
+    continuum. The continuum objective is the same expression over the
+    whole lattice.
     An alpha that underflows to 0 raises ParameterError, as solve does; data
     so large that a sum, a c_k or a gap is not finite raise ParameterError
     naming ``[grids] delta_grid``.
@@ -321,7 +325,7 @@ def gamma_sweep(
         del coords
         phis = [phi.coefficients for _, phi in test_functions]
 
-        def kernel(piece: slice) -> np.ndarray:
+        def piece_sums(piece: slice) -> np.ndarray:
             symbol, symbol_sq, weights = _leaf_tables(A, lattice, piece, (r, -r))
             u = np.multiply(_gain(symbol, symbol_sq, weights[r], alpha)[0], m[piece])  # solve's minimizer
             image = np.multiply(symbol, u)  # a u
@@ -336,7 +340,8 @@ def gamma_sweep(
 
         # per ball, then the whole lattice: ||a u||^2, <m, a u>, ||u||_{H^r}^2,
         # ||A* m||_{H^-r}^2 and <u, phi> per test function
-        by_radius = dict(zip(distinct, (total.tolist() for total in _kernel_sums(lattice, kernel, distinct))))
+        totals = _kernel_sums(lattice, lambda span, pieces: [piece_sums(piece) for piece in pieces], distinct)
+        by_radius = dict(zip(distinct, (total.tolist() for total in totals)))
         sums = [by_radius[radius] for radius in radii]
     values = [energy - 2.0 * pairing + alpha * math.sqrt(hr) ** 2 for energy, pairing, hr, *_ in sums]
     continuum_objective = values[-1]

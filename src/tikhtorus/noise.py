@@ -54,9 +54,10 @@ keeps each table on half the lattice, at the offsets k = p - zero from the
 zero mode up; a draw writes |c|^2 once per conjugate pair, at offset k + 1
 for canonical mode k in d = 1 and through the layout in d = 2. Each
 truncation is summed as a slice of the lattice (``spectral._kernel_sums``,
-which the gamma sweep uses too), not a mask, and every leaf of a sum reads
-the half tables at its own positions, in its own order
-(``spectral._mirrored``), so the sums are those of the whole tables.
+which the gamma sweep uses too), not a mask. Its leaves come in mirror
+groups, and the probe sums each leaf of a group on its own, reading the
+half tables at the leaf's positions, in its order (``spectral._mirrored``),
+so the sums are those of the whole tables.
 """
 
 from __future__ import annotations
@@ -257,11 +258,11 @@ def regularity_probe(
     the seeds, which each seed's canonical draw of the top lattice fills
     once per conjugate pair, chunk by chunk across the CPUs, with no field
     built. Each truncation is summed by ``spectral._kernel_sums``, whose
-    docstring states the summation rule, with every leaf read from the half
-    tables through ``spectral._mirrored`` in the ball's own order, so the
-    energies equal those of ``sample_white_noise(top, seed)`` summed over
-    ``shells <= m`` bit for bit, and the "expected" row that of the whole
-    weight table.
+    docstring states the summation rule; its kernel loops over the leaves
+    of each mirror group, reading each from the half tables through
+    ``spectral._mirrored`` in the ball's own order, so the energies equal
+    those of ``sample_white_noise(top, seed)`` summed over ``shells <= m``
+    bit for bit, and the "expected" row that of the whole weight table.
     """
     if len(s_values) == 0 or len(bandlimits) == 0 or len(seeds) == 0:
         raise ConfigError("regularity_probe needs nonempty s_values, bandlimits, seeds")
@@ -282,11 +283,11 @@ def regularity_probe(
             """The (s, bandlimit) sums of (1+|l|^2)^s times |c(l)|^2 from a
             half ``power`` table, or times 1 (an exact copy) for None."""
 
-            def kernel(piece) -> np.ndarray:
+            def piece_sums(piece) -> np.ndarray:
                 factor = 1.0 if power is None else _mirrored(power, piece, zero)
                 return np.array([np.sum(np.multiply(_mirrored(w, piece, zero), factor)) for w in weights])
 
-            return np.transpose(_kernel_sums(top, kernel, bandlimits))
+            return np.transpose(_kernel_sums(top, lambda span, pieces: [piece_sums(p) for p in pieces], bandlimits))
 
         energies[:, 0] = energy_sums(None)
         power = np.empty(zero + 1)

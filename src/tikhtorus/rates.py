@@ -5,18 +5,18 @@ divergence certificate for the filtered noise part.
 The sweep and the certificate each split into seed-independent tables
 (:class:`SweepTables`, :class:`DivergenceTables`), per-seed sums and a
 summary. Both tables are stages of one group kernel (``_pass_sums``),
-which runs on mirror groups of the lattice's leaves
-(``spectral._mirror_groups``): a leaf above the zero mode with the leaves
-below it that hold the conjugate modes, since position p holds the
-conjugate of position 2 zero - p. Per group it draws each seed's canonical
-modes once (``noise._draw_span`` in d = 1, so no draw exists
-lattice-wide); the lower leaves read that draw mirrored and conjugated.
-When the problem is Hermitian (the symbol and the truth for the sweep, an
-even |a|^2 for the certificate) each mirror pair shares every per-mode
-value, so the group builds its a, |a|^2 and weight tables
-(``spectral._leaf_tables``, which the gamma sweep shares), each delta's
-factors and each seed's powers once, on its canonical modes; otherwise each
-leaf builds its own. Each leaf then sums its own modes in its own order,
+which ``spectral._kernel_sums`` runs, like every sum, on mirror groups of
+the lattice's leaves (``spectral._mirror_groups``): a leaf above the zero
+mode with the leaves below it that hold the conjugate modes, since
+position p holds the conjugate of position 2 zero - p. When the problem is
+Hermitian (the symbol and the truth for the sweep, an even |a|^2 for the
+certificate) each mirror pair shares every per-mode value, so the group
+draws each seed's canonical modes once, and builds its a, |a|^2 and weight
+tables (``spectral._leaf_tables``, which the gamma sweep shares), each
+delta's factors and each seed's powers once, on its canonical modes;
+otherwise each leaf draws and builds its own, on its own modes. A span is
+drawn on its own (``noise._draw_span`` in d = 1), so no draw exists
+lattice-wide. Each leaf then sums its own modes in its own order,
 and ``spectral._kernel_sums`` adds the leaves' sums up its tree: no mirror
 pair is folded into one term, so every sum keeps the summation rule of
 ``_kernel_sums`` (its docstring), and the bytes depend neither on the
@@ -54,6 +54,7 @@ from .spectral import (
     _mirrored,
     _mode_weights,
     _sobolev_norm,
+    _squared_modulus,
     _symbol_pieces,
     finite_sobolev_weights,
     is_hermitian,
@@ -425,10 +426,6 @@ class ModeBand:
     member_indices: np.ndarray
 
 
-def _squared_modulus(values: np.ndarray) -> np.ndarray:
-    return values.real**2 + values.imag**2  # as MultiplierOperator.squared_modulus
-
-
 def _even_modulus(index, modes, values) -> bool:
     """Whether |a|^2 is even on a piece of ``spectral._symbol_pieces``."""
     symbol_sq = _squared_modulus(values)
@@ -683,17 +680,18 @@ def _pass_sums(lattice: FrequencyLattice, noise: Callable, seeds: Sequence, stag
 
     The kernel runs on the mirror groups of ``spectral._kernel_sums``: a
     leaf above the zero mode with the leaves below it whose mirrors it
-    holds. ``noise(seed, start, stop)`` gives the seed's coefficients on the
-    modes [start, stop); the kernel asks once for each seed and group, for
-    the group's span (its canonical modes, and the zero mode if the group
-    holds it), a block of seeds at a time. When every stage is even (a
-    Hermitian symbol and truth; an even |a|^2), each group builds its tables
-    (``spectral._leaf_tables``) and its per-mode powers once, on the span;
-    otherwise each leaf builds its own, from the draw mirrored and
-    conjugated below the zero mode. Each leaf then weights the powers it
-    reads in its own order (``spectral._mirrored``) into a buffer and sums
-    it, so that each leaf's sum is the ``np.sum`` that the summation rule of
-    ``_kernel_sums`` asks for, and no mirror pair is added up before it."""
+    holds. It works on parts of a group: when every stage is even (a
+    Hermitian symbol and truth; an even |a|^2), one part, the group's span
+    (its canonical modes, and the zero mode if the group holds it), on
+    which it builds the tables (``spectral._leaf_tables``) and the per-mode
+    powers once; otherwise one part per leaf, its own positions.
+    ``noise(seed, start, stop)`` gives the seed's coefficients on the modes
+    [start, stop); the kernel asks once for each seed and part, a block of
+    seeds at a time, before the block's scratch is allocated. Each leaf then
+    weights the powers it reads in its own order (``spectral._mirrored``)
+    into a buffer and sums it, so that each leaf's sum is the ``np.sum``
+    that the summation rule of ``_kernel_sums`` asks for, and no mirror pair
+    is added up before it."""
     deltas = len(stages[0]._alphas)
     exponents = {s for stage in stages for s in stage._exponents}
     columns = list(itertools.accumulate((len(stage._sum_exponents) for stage in stages), initial=0))
@@ -718,10 +716,10 @@ def _pass_sums(lattice: FrequencyLattice, noise: Callable, seeds: Sequence, stag
         def block(first: int) -> None:
             """The sums of the block of seeds from seeds[first] on; its draws
             and scratch are freed on return, before the next block draws."""
-            draws = [noise(seed, span.start, span.stop) for seed in seeds[first : first + _SEED_BLOCK]]
+            block_seeds = seeds[first : first + _SEED_BLOCK]
+            draws = [[noise(seed, part.start, part.stop) for seed in block_seeds] for part, _ in parts]
             scratch = _scratch(max(leaf[1].size for leaf in leaves))
-            for (part, vs), leaf in zip(parts, leaves):
-                eps = draws if paired else [_mirror_noise(draw, span, part, zero) for draw in draws]
+            for (part, vs), leaf, eps in zip(parts, leaves, draws):
                 for i, (stage, column) in itertools.product(range(deltas), zip(stages, columns)):
                     for j, power in enumerate(stage._powers(i, part, eps, leaf, scratch), start=first):
                         for v in vs:
@@ -736,17 +734,7 @@ def _pass_sums(lattice: FrequencyLattice, noise: Callable, seeds: Sequence, stag
                 block(first)
         return list(sums.reshape(len(pieces), -1))
 
-    return _kernel_sums(lattice, kernel, mirror=True).reshape(len(seeds), deltas, -1)
-
-
-def _mirror_noise(draw: np.ndarray, span: slice, piece: slice, zero: int) -> np.ndarray:
-    """The noise coefficients on the positions ``piece`` of a mirror group,
-    from ``draw``, those on the group's span, as a fresh array: the draw is
-    Hermitian, so a position below the zero mode holds the conjugate of its
-    mirror's value."""
-    values = _mirrored(draw, piece, zero, span.start - zero)
-    below = max(0, min(piece.stop, zero) - piece.start)
-    return np.concatenate((values[:below].conj(), values[below:]))
+    return _kernel_sums(lattice, kernel).reshape(len(seeds), deltas, -1)
 
 
 def _sweep_pass(sweep: SweepTables | None, certificate: DivergenceTables | None, seeds: Sequence) -> tuple:
@@ -755,15 +743,15 @@ def _sweep_pass(sweep: SweepTables | None, certificate: DivergenceTables | None,
     (``_pass_sums``). Every seed is checked before any draw; a None seed,
     the noise-free pipeline, has zero noise and no certificate.
 
-    In d = 1 every seed runs in one pass: each seed's canonical modes of
-    each mirror group are drawn once, straight from its stream
-    (``noise._draw_span``), and the group's leaves below the zero mode read
-    them mirrored, so no draw exists lattice-wide; the certificate's lower
-    bound reads its band members the same way. In d >= 2 a span cannot be
-    drawn on its own, so each seed is drawn whole and runs in a pass of its
-    own, which builds the group tables again, and one draw is alive at a
-    time. Each leaf's sum is taken in the leaf's own order, so the values
-    are those of the per-mode formulas summed by ``spectral._kernel_sums``.
+    In d = 1 every seed runs in one pass: each part of ``_pass_sums`` is
+    drawn straight from the seed's stream (``noise._draw_span``; for a
+    Hermitian problem, the group's canonical modes once), so no draw exists
+    lattice-wide; the certificate's lower bound reads its band members the
+    same way. In d >= 2 a span cannot be drawn on its own, so each seed is
+    drawn whole and runs in a pass of its own, which builds the group tables
+    again, and one draw is alive at a time. Each leaf's sum is taken in the
+    leaf's own order, so the values are those of the per-mode formulas
+    summed by ``spectral._kernel_sums``.
     The checks run on the finished sums, per seed the sweep's and then the
     certificate's, in seed order."""
     for seed in seeds:

@@ -22,7 +22,7 @@ import math
 import operator
 import os
 import threading
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -242,8 +242,14 @@ class MultiplierOperator:
     def squared_modulus(self, lattice: FrequencyLattice) -> np.ndarray:
         """|a(l)|^2 = Re(a)^2 + Im(a)^2 per mode, as a fresh array from a
         fresh :meth:`symbol_values`."""
-        values = self.symbol_values(lattice)
-        return values.real**2 + values.imag**2
+        return _squared_modulus(self.symbol_values(lattice))
+
+
+def _squared_modulus(values: np.ndarray) -> np.ndarray:
+    """|v|^2 = Re(v)^2 + Im(v)^2 per entry, as a fresh array: the package's
+    one spelling of |a|^2, so that a whole table, a piece's
+    (:func:`_leaf_tables`) and ``rates``' band members agree bit for bit."""
+    return values.real**2 + values.imag**2
 
 
 # the checks of a symbol table, in the order a whole table fails them
@@ -368,7 +374,7 @@ def _leaf_tables(A: MultiplierOperator, lattice: FrequencyLattice, piece: slice,
     squares = _squares(modes)
     with np.errstate(over="ignore"):
         weights = {s: (1.0 + squares) ** s for s in exponents}
-    return symbol, symbol.real**2 + symbol.imag**2, weights
+    return symbol, _squared_modulus(symbol), weights
 
 
 def check_ellipticity(op: MultiplierOperator, lattice: FrequencyLattice) -> None:
@@ -376,17 +382,24 @@ def check_ellipticity(op: MultiplierOperator, lattice: FrequencyLattice) -> None
 
     The symbol is evaluated and checked piece by piece across the CPUs
     (:func:`_symbol_pieces`), and so are the bounds, so no lattice-sized
-    table is formed. The symbol's own errors (a wrong shape, then not
-    finite, then vanishing) come before a bound that fails, on any piece."""
+    table is formed. A NaN order or constant, which bounds nothing, is
+    refused first, naming it; then the symbol's own errors (a wrong shape,
+    then not finite, then vanishing) come before a bound that fails, on any
+    piece. An envelope |l|^order that overflows, or is 0 times inf, gives its
+    verdict without a warning."""
     bounds = op.ellipticity
+    for name, value in (("order", op.order), *dataclasses.asdict(bounds).items()):
+        if math.isnan(value):
+            raise ParameterError(f"{name} of {op.name!r} is NaN, so it bounds nothing")
 
     def bounded(index, modes, values) -> bool:
         norms = np.sqrt(_squares(modes))
         outside = norms > bounds.mode_floor
         magnitude = np.abs(values[outside])
-        envelope = norms[outside] ** op.order
-        low = bounds.c_lower * envelope
-        high = bounds.c_upper * envelope
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            envelope = norms[outside] ** op.order
+            low = bounds.c_lower * envelope
+            high = bounds.c_upper * envelope
         return not (np.any(magnitude < low * (1 - 1e-12)) or np.any(magnitude > high * (1 + 1e-12)))
 
     if not all(_symbol_pieces(op, lattice, bounded)):
@@ -396,13 +409,13 @@ def check_ellipticity(op: MultiplierOperator, lattice: FrequencyLattice) -> None
 
 
 # items per piece of a chunked kernel (the noise draws, the hat truth), at
-# most per leaf of a tree sum (every sum :func:`_kernel_sums` takes) and at
-# most per mirror piece of a symbol walk (:func:`_symbol_pieces`): a piece
-# keeps a few MiB of temporaries alive (the sweep's mirror group, with its
-# symbol and weight tables, a block of draws and its scratch, about 6 MiB),
-# which leaves little in the worker threads' malloc arenas; the shipped
-# configs' lattices (up to 32,769 modes) stay below two pieces and so on the
-# calling thread
+# most per leaf of a tree sum (every sum :func:`_kernel_sums` takes, its
+# leaves handed over in mirror groups of about two) and at most per mirror
+# piece of a symbol walk (:func:`_symbol_pieces`): a group keeps a few MiB
+# of temporaries alive (the sweep's, with its symbol and weight tables, a
+# block of draws and its scratch, about 6 MiB), which leaves little in the
+# worker threads' malloc arenas; the shipped configs' lattices (up to 32,769
+# modes) stay below two pieces and so on the calling thread
 _CHUNK = 32768
 
 
@@ -520,7 +533,7 @@ def _sobolev_norm(field: SpectralField, s: float, what: str) -> float:
     lattice, coeffs = field.lattice, field.coefficients
     faults = [False, False]  # non-finite coefficients, weights that overflow; only ever set
 
-    def kernel(piece) -> float:
+    def piece_sum(piece) -> float:
         part = coeffs[piece]
         weights = _mode_weights(_piece_modes(lattice, piece), s)
         if not np.isfinite(part).all():
@@ -530,7 +543,7 @@ def _sobolev_norm(field: SpectralField, s: float, what: str) -> float:
         return np.sum(np.multiply(weights, part.real**2 + part.imag**2))
 
     with np.errstate(over="ignore", invalid="ignore"):  # the workers run under it too
-        total = _kernel_sums(lattice, kernel)
+        total = _kernel_sums(lattice, lambda span, pieces: [piece_sum(piece) for piece in pieces])
     if faults[0]:
         raise InvalidFieldError("field has non-finite coefficients")
     if faults[1]:
@@ -592,13 +605,14 @@ def _pairwise_tree(start: int, size: int, leaves: list):
 
 
 def _mirror_groups(count: int, leaves: list) -> list:
-    """The leaves of the tree over a whole lattice's ``count`` positions
-    (:func:`_pairwise_tree`) in mirror groups, as (span, members) pairs: the
-    members' indices in ``leaves`` and the positions ``span`` =
-    [zero + first, zero + end) that hold every mode of the members up to
-    its sign, at the offsets first..end-1 from the zero mode. Position p
-    holds the conjugate mode of count - 1 - p, so each member reads a table
-    built on the span through :func:`_mirrored`.
+    """The leaves of the tree over the ``count`` positions of a ball in its
+    own enumeration order (:func:`_pairwise_tree`; the whole lattice is its
+    largest ball) in mirror groups, as (span, members) pairs: the members'
+    indices in ``leaves`` and the positions ``span`` = [zero + first,
+    zero + end) that hold every mode of the members up to its sign, at the
+    offsets first..end-1 from the zero mode. Position p holds the conjugate
+    mode of count - 1 - p, so each member reads a table built on the span
+    through :func:`_mirrored`.
 
     A leaf's offsets |p - zero| form one range. In offset order, a leaf
     joins the group before it when more than half of the shorter of its
@@ -629,26 +643,6 @@ def _add_up(node, sums: list):
     return _add_up(node[0], sums) + _add_up(node[1], sums)
 
 
-def _pairwise_sums(sizes: Sequence[int], leaf_sums: Callable) -> list:
-    """One sum per item count in ``sizes``, from ``leaf_sums(j, start, stop)``,
-    the sums of the items [start, stop) of the j-th array (a float64 scalar
-    or vector): the leaves of every array run in one :func:`_dispatch`, and
-    each array's leaf sums are added up its :func:`_pairwise_tree`."""
-    leaves: list = []
-    owners: list = []
-    roots = []
-    for j, size in enumerate(sizes):
-        roots.append(_pairwise_tree(0, size, leaves))
-        owners += [j] * (len(leaves) - len(owners))
-    sums: list = [None] * len(leaves)
-
-    def task(i: int) -> None:
-        sums[i] = leaf_sums(owners[i], *leaves[i])
-
-    _dispatch(task, len(leaves), sum(sizes))
-    return [_add_up(root, sums) for root in roots]
-
-
 def _ball_piece(lattice: FrequencyLattice, m: int, start: int, stop: int):
     """The lattice positions of the items [start, stop) of the ball of
     bandlimit m in its own enumeration order (:func:`ball`): a slice when
@@ -666,12 +660,14 @@ def _ball_piece(lattice: FrequencyLattice, m: int, start: int, stop: int):
 
 def _mirrored(half: np.ndarray, piece, zero: int, first: int = 0) -> np.ndarray:
     """The entries of an even per-mode table, ``half`` its entries at the
-    positions zero + first, zero + first + 1, ..., at the lattice positions
-    ``piece`` indexes (a slice or an index array, as :func:`_kernel_sums`
-    hands them), in piece order. The conjugate of position p is 2 zero - p,
-    so p reads half[|p - zero| - first]: a slice above the zero mode is a
-    view, one below it a reversed view, a slice that holds the zero mode
-    (first = 0) a concatenation, and an index array a gather."""
+    positions zero + first, zero + first + 1, ... (a group's span of
+    :func:`_kernel_sums`, or with first = 0 the half lattice), at the lattice
+    positions ``piece`` indexes (a slice or an index array, as
+    :func:`_kernel_sums` hands its pieces), in piece order. The conjugate of
+    position p is 2 zero - p, so p reads half[|p - zero| - first]: a slice
+    above the zero mode is a view, one below it a reversed view, a slice
+    that holds the zero mode (first = 0) a concatenation, and an index array
+    a gather."""
     if not isinstance(piece, slice):
         return half[np.abs(piece - zero) - first]
     start, stop = piece.start - zero, piece.stop - zero
@@ -682,25 +678,25 @@ def _mirrored(half: np.ndarray, piece, zero: int, first: int = 0) -> np.ndarray:
     return np.concatenate((half[1 : 1 - start][::-1], half[:stop]))
 
 
-def _kernel_sums(lattice: FrequencyLattice, kernel: Callable, bandlimits=None, mirror: bool = False):
+def _kernel_sums(lattice: FrequencyLattice, kernel: Callable, bandlimits=None):
     """Sums of per-mode quantities that ``kernel`` gives piece by piece: the
     package's one way to sum a per-mode quantity. No lattice-sized table is
     formed.
 
-    ``kernel(piece)`` returns the sums over the modes ``piece`` indexes in
-    lattice-ordered tables (a slice, or for a ball of a 2-d lattice an index
-    array): a float64 scalar, or a vector in which each entry is one
-    ``np.sum`` of an array the kernel formed for that piece. It runs on the
-    pieces across the CPUs (:func:`_dispatch`), under the caller's
+    The pieces come in the mirror groups of :func:`_mirror_groups`, so that
+    a kernel can form what a piece and its mirror share once:
+    ``kernel(span, pieces)`` returns one sum per piece, in order, each a
+    float64 scalar, or a vector in which each entry is one ``np.sum`` of an
+    array the kernel formed over that piece's own positions in their order.
+    ``span`` and each piece index lattice-ordered tables (a slice, or for a
+    ball of a 2-d lattice an index array, :func:`_ball_piece`); ``span``
+    holds every mode of the group's pieces up to its sign, from the zero
+    mode's side up, so that a table built on it reads through
+    :func:`_mirrored` as each piece's own entries. The groups of every ball
+    run across the CPUs in one :func:`_dispatch`, under the caller's
     ``np.errstate``. The result is one sum per ball of ``bandlimits``, in
     order, or the whole-lattice sum when ``bandlimits`` is None; a sum is a
     float when the kernel returns scalars.
-
-    With ``mirror`` set (the whole lattice only), the pieces come in the
-    mirror groups of :func:`_mirror_groups`, so that a kernel can form what
-    a piece and its mirror share once: ``kernel(span, pieces)`` returns one
-    such sum per piece of the group, in order, each still an ``np.sum`` over
-    that piece's own positions in their order, so the rule below holds.
 
     Summation rule: every sum equals ``np.sum`` of the whole table over its
     ball (``np.sum(ball(lattice, table, m).reshape(-1))``) bit for bit, on
@@ -711,25 +707,22 @@ def _kernel_sums(lattice: FrequencyLattice, kernel: Callable, bandlimits=None, m
     with at most max(``_CHUNK``, 128) items (:func:`_pairwise_tree`), and
     their sums are added up that tree.
     """
-    if mirror:
-        leaves: list = []
-        root = _pairwise_tree(0, lattice.mode_count, leaves)
-        groups = _mirror_groups(lattice.mode_count, leaves)
-        sums: list = [None] * len(leaves)
-
-        def task(g: int) -> None:
-            span, members = groups[g]
-            pieces = [slice(*leaves[i]) for i in members]
-            for i, total in zip(members, kernel(span, pieces), strict=True):
-                sums[i] = total
-
-        _dispatch(task, len(groups), lattice.mode_count)
-        return _add_up(root, sums)
     balls = [lattice.bandlimit] if bandlimits is None else [_ball_bandlimit(lattice, m) for m in bandlimits]
-    totals = _pairwise_sums(
-        [(2 * m + 1) ** lattice.dimension for m in balls],
-        lambda j, start, stop: kernel(_ball_piece(lattice, balls[j], start, stop)),
-    )
+    roots, sums, groups = [], [], []
+    for m in balls:
+        leaves: list = []
+        roots.append(_pairwise_tree(0, (2 * m + 1) ** lattice.dimension, leaves))
+        sums.append([None] * len(leaves))
+        groups += [(m, leaves, sums[-1], *group) for group in _mirror_groups(leaves[-1][1], leaves)]
+
+    def task(g: int) -> None:
+        m, leaves, ball_sums, span, members = groups[g]
+        pieces = [_ball_piece(lattice, m, *leaves[i]) for i in members]
+        for i, total in zip(members, kernel(_ball_piece(lattice, m, span.start, span.stop), pieces), strict=True):
+            ball_sums[i] = total
+
+    _dispatch(task, len(groups), sum((2 * m + 1) ** lattice.dimension for m in balls))
+    totals = [_add_up(root, ball_sums) for root, ball_sums in zip(roots, sums)]
     totals = [total if np.ndim(total) else float(total) for total in totals]
     return totals[0] if bandlimits is None else totals
 

@@ -395,9 +395,9 @@ class TestPairwiseTree:
         boundaries += [8 * 2**k + d for k in range(19) for d in (-1, 1)]
         drawn = np.random.default_rng(23).integers(1, values.size + 1, 40).tolist()
         for count in boundaries + drawn:
-            (total,) = spectral._pairwise_sums(
-                [count], lambda j, start, stop: np.sum(values[start:stop])
-            )
+            leaves = []
+            root = spectral._pairwise_tree(0, count, leaves)
+            total = spectral._add_up(root, [np.sum(values[start:stop]) for start, stop in leaves])
             assert np.array_equal(total, np.sum(values[:count])), count
 
     @pytest.mark.parametrize(
@@ -407,7 +407,7 @@ class TestPairwiseTree:
     def test_ball_sums_equal_np_sum_over_each_ball(self, dimension, bandlimit, balls):
         lat = FrequencyLattice(dimension, bandlimit)
         table = spread_values(lat.mode_count, 24)
-        sums = spectral._kernel_sums(lat, lambda piece: np.sum(table[piece]), balls)
+        sums = spectral._kernel_sums(lat, lambda span, pieces: [np.sum(table[piece]) for piece in pieces], balls)
         assert np.array_equal(sums, ball_sums(lat, table, balls))
 
 
@@ -429,9 +429,9 @@ class TestKernelSums:
         positions = np.arange(lat.mode_count)
         pieces = []
 
-        def kernel(piece):
-            pieces.append(tuple(positions[piece]))
-            return np.sum(table[piece])
+        def kernel(span, group):
+            pieces.extend(tuple(positions[piece]) for piece in group)
+            return [np.sum(table[piece]) for piece in group]
 
         sums = spectral._kernel_sums(lat, kernel, balls)
         assert np.array_equal(sums, ball_sums(lat, table, balls))
@@ -453,16 +453,17 @@ class TestKernelSums:
     @pytest.mark.parametrize("cpus", [1, 8])
     @pytest.mark.parametrize("chunk", [None, 1, 3, 7])
     @pytest.mark.parametrize(
-        "dimension,bandlimit",
-        [(1, 0), (1, 1), (1, 2), (1, 296), (1, 300), (1, 301), (1, 40_000), (2, 12)],
+        "dimension,bandlimit,m",
+        [(1, 0, None), (1, 1, None), (1, 2, None), (1, 296, None), (1, 300, None), (1, 301, None),
+         (1, 40_000, None), (2, 12, None), (1, 40_000, 20_001), (2, 12, 7)],
     )
     def test_mirror_groups_sum_each_leaf_like_the_whole_table(
-        self, monkeypatch, dimension, bandlimit, chunk, cpus
+        self, monkeypatch, dimension, bandlimit, m, chunk, cpus
     ):
-        # with mirror set, the kernel gets each leaf of the tree once, in a
-        # group whose span holds the leaf's modes or their mirrors; an even
-        # table built on the span reads, through _mirrored, as the whole
-        # table's entries of each leaf, in the leaf's order
+        # the kernel gets each leaf of the ball's tree once (the whole lattice
+        # for m = None), in a group whose span holds the leaf's modes or their
+        # mirrors; an even table built on a slice span reads, through
+        # _mirrored, as the whole table's entries of each leaf, in its order
         if chunk is not None:
             monkeypatch.setattr(spectral, "_CHUNK", chunk)
         monkeypatch.setattr(spectral, "_cpu_count", lambda: cpus)
@@ -471,33 +472,43 @@ class TestKernelSums:
         rng = np.random.default_rng(6)
         table = rng.standard_normal(count) * 1e3
         even = rng.standard_normal(zero + 1)[np.abs(np.arange(count) - zero)]
+        positions = np.arange(count)
         groups = []
 
         def kernel(span, pieces):
             groups.append((span, pieces))
-            for piece in pieces:
-                read = spectral._mirrored(even[span], piece, zero, span.start - zero)
-                assert read.tobytes() == even[piece].tobytes()
+            if isinstance(span, slice):  # a 2-d ball's span is an index array
+                for piece in pieces:
+                    read = spectral._mirrored(even[span], piece, zero, span.start - zero)
+                    assert read.tobytes() == even[piece].tobytes()
             return [np.sum(table[piece]) for piece in pieces]
 
-        total = spectral._kernel_sums(lat, kernel, mirror=True)
-        assert type(total) is np.float64 and total == np.sum(table)
+        if m is None:
+            total = spectral._kernel_sums(lat, kernel)
+            assert type(total) is float and total == np.sum(table)
+            m = bandlimit
+        else:
+            assert spectral._kernel_sums(lat, kernel, [m]) == ball_sums(lat, table, [m])
+        members = spectral.ball(lat, positions, m).reshape(-1)
+        local = np.full(count, -1)
+        local[members] = np.arange(members.size)
         leaves = []
-        spectral._pairwise_tree(0, count, leaves)
-        pieces = sorted((piece.start, piece.stop) for _, members in groups for piece in members)
-        assert pieces == leaves
-        spans = sorted((span.start, span.stop) for span, _ in groups)
-        assert spans[0][0] == zero and spans[-1][1] == count
-        assert all(zero <= start < stop <= count for start, stop in spans)
+        spectral._pairwise_tree(0, members.size, leaves)
+        pieces = sorted(tuple(positions[piece]) for _, group in groups for piece in group)
+        assert pieces == sorted(tuple(members[a:b]) for a, b in leaves)
+        # each span is a run of the ball's own positions, from its zero mode up
+        spans = sorted(local[positions[span]].tolist() for span, _ in groups)
+        assert all(run == list(range(run[0], run[-1] + 1)) for run in spans)
+        assert spans[0][0] == (members.size - 1) // 2 and spans[-1][-1] == members.size - 1
         assert 2 * len(groups) <= len(leaves) + 1  # a leaf and its mirror share a group
         if chunk is None:  # neighbouring spans share at most a few dozen modes
-            assert all(0 <= b[1] - a[0] <= 64 for b, a in zip(spans, spans[1:]))
+            assert all(0 <= b[-1] + 1 - a[0] <= 64 for b, a in zip(spans, spans[1:]))
 
     @pytest.mark.parametrize(
         "m,error", [(-1, TruncationRangeError), (41, TruncationRangeError), (1.5, ParameterError)]
     )
     def test_a_ball_outside_the_lattice_is_refused(self, m, error):
-        def kernel(piece):
+        def kernel(span, pieces):
             raise AssertionError("summed")
 
         with pytest.raises(error):
@@ -587,6 +598,15 @@ class TestMultiplier:
         )
         with pytest.raises(ParameterError):
             check_ellipticity(bad, FrequencyLattice(1, 64))
+
+    @pytest.mark.parametrize("order,floor", [(1e308, 0.0), (-2.0, -1.0)])
+    def test_a_zero_lower_bound_on_an_inf_envelope_passes_without_a_warning(self, order, floor):
+        # |l|^order is inf at some mode, and the lower bound there 0 * inf:
+        # no bound, so the verdict rests on the upper one
+        op = MultiplierOperator(deblur_operator().symbol, order, Ellipticity(0.0, 1.0, floor))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert check_ellipticity(op, FrequencyLattice(1, 8)) is None
 
 
 class TestSymbolTables:

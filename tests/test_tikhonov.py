@@ -36,7 +36,8 @@ from tikhtorus import (
     stationarity_defect,
     zero_field,
 )
-from tikhtorus.spectral import Ellipticity, MultiplierOperator, apply_multiplier
+from tikhtorus.discrete import coords_to_field
+from tikhtorus.spectral import Ellipticity, MultiplierOperator, apply_multiplier, check_ellipticity
 
 from test_rates import operator_of
 from test_spectral import random_hermitian_field
@@ -443,6 +444,11 @@ def _bias_bound(r):
     return bias_bound_check(deblur_operator(), truth, RegularizationSchedule(1.0, 2.5, r), 1e-2, 0.0)
 
 
+def _ellipticity(order=-2.0, c_lower=0.5, c_upper=1.0, mode_floor=0.0):
+    A = MultiplierOperator(deblur_operator().symbol, order, Ellipticity(c_lower, c_upper, mode_floor))
+    return check_ellipticity(A, FrequencyLattice(1, 8))
+
+
 # (call, error, message): bad numbers that warned from numpy and gave inf or
 # nan, or went on with them
 BAD_NUMBERS = {
@@ -523,6 +529,19 @@ BAD_NUMBERS = {
         lambda: apply_multiplier(power_law_operator(-300.0), _huge_field(1e100)),
         ParameterError,
         r"product of 'power_law\(t=-300\)' and the field is not finite",
+    ),
+    # a NaN order or ellipticity constant compared False and passed the scan
+    "ellipticity-nan-order": (lambda: _ellipticity(order=math.nan), ParameterError, "^order of 'multiplier' is NaN"),
+    "ellipticity-nan-c-lower": (lambda: _ellipticity(c_lower=math.nan), ParameterError, "^c_lower of 'mul"),
+    "ellipticity-nan-c-upper": (lambda: _ellipticity(c_upper=math.nan), ParameterError, "^c_upper of 'mul"),
+    "ellipticity-nan-floor": (lambda: _ellipticity(mode_floor=math.nan), ParameterError, "^mode_floor of 'mul"),
+    # an envelope |l|^order that overflows, or divides by zero at l = 0
+    "ellipticity-huge-order": (lambda: _ellipticity(order=1e308), ParameterError, "do not bound"),
+    "ellipticity-negative-floor": (lambda: _ellipticity(mode_floor=-1.0), ParameterError, "do not bound"),
+    "coords-inf": (
+        lambda: coords_to_field(FrequencyLattice(1, 8), np.full(17, np.inf)),
+        InvalidFieldError,
+        "coordinates must be finite",
     ),
     "bias-bound-truth-1e160": (
         lambda: bias_bound_check(deblur_operator(), _huge_field(1e160), DEBLUR_SCHEDULE, 1e-2, -1.0),

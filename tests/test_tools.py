@@ -37,13 +37,15 @@ def test_code_lines_skip_comments_blank_lines_and_docstrings():
 
 
 def test_gamma_outputs_match_the_manifest(tmp_path):
-    # the per-config routine of tools/check_outputs.py on two shipped
-    # configs; the full check runs every config and is kept out of the test
-    # suite. Deblur's set-up walks its reference lattice of 32,769 modes in a
-    # piece of 32,767 modes and one of 2: its bytes must not see the split
+    # the per-config routine of tools/check_outputs.py on the shipped
+    # configs; the full check, which adds the benchmark's configs, is kept
+    # out of the test suite. Deblur's set-up walks its reference lattice of
+    # 32,769 modes in a piece of 32,767 modes and one of 2: its bytes must
+    # not see the split. The probe's ball sums and the rates run's truth norm
+    # go through the mirror groups of every sum
     tool = load_tool("check_outputs")
     manifest = tool.read_manifest()
-    for name, files in [("gamma", 6), ("deblur", 12)]:
+    for name, files in [("gamma", 6), ("deblur", 12), ("noise_probe", 6), ("rates", 8)]:
         actual = {}
         for offset in tool.OFFSETS:
             actual.update(tool.config_hashes(ROOT / "configs" / f"{name}.ini", offset, tmp_path))
