@@ -50,18 +50,24 @@ one, refining the bandlimit extends a realization instead of resampling it:
 
 The regularity probe reads the same draw without building a field: it only
 needs |c(l)|^2, which is even in l, as are its weights (1+|l|^2)^s. So it
-keeps each table on half the lattice, at the offsets k = p - zero from the
-zero mode up; a draw writes |c|^2 once per conjugate pair, at offset k + 1
-for canonical mode k in d = 1 and through the layout in d = 2. Each
-truncation is summed as a slice of the lattice (``spectral._kernel_sums``,
-which the gamma sweep uses too), not a mask. Its leaves come in mirror
-groups, and the probe sums each leaf of a group on its own, reading the
-half tables at the leaf's positions, in its order (``spectral._mirrored``),
-so the sums are those of the whole tables.
+forms each table at the offsets k = p - zero from the zero mode up, |c|^2
+once per conjugate pair: canonical mode k sits at offset k + 1 in d = 1 and
+through the layout in d = 2. Each truncation is summed as a slice of the
+lattice (``spectral._kernel_sums``, which the gamma sweep uses too), not a
+mask. Its leaves come in mirror groups, and the probe sums each leaf of a
+group on its own, reading the tables at the leaf's positions, in its order
+(``spectral._mirrored``), so the sums are those of the whole tables. In
+d = 1 the tables hold only a window of offsets per worker thread, which
+follows the groups of every ball in offset order and draws each offset
+once (``_offset_tables``); so no table spans the lattice, and every
+trajectory is summed in one pass. In d = 2 a ball's leaves are scattered
+through the draw layout, and the tables hold half the lattice.
 """
 
 from __future__ import annotations
 
+import math
+import threading
 from functools import lru_cache
 from typing import Callable, NamedTuple, Sequence
 
@@ -70,7 +76,7 @@ import numpy as np
 from .errors import ConfigError, ParameterError
 from .spectral import (
     FrequencyLattice, SpectralField, _as_index, _half_sobolev_weights, _kernel_sums, _map_chunks, _mirrored,
-    finite_sobolev_weights,
+    _mode_weights, finite_sobolev_weights,
 )
 
 __all__ = [
@@ -234,6 +240,40 @@ def _classify(energies: Sequence[float], threshold: float) -> tuple:
     return ratios, label
 
 
+def _offset_tables(window, s_values: Sequence[float], indices: Sequence[int], first: int, end: int) -> tuple:
+    """The (1+|l|^2)^s weights of each s, then the |c|^2 of each seed's draw
+    (its index), of a d = 1 lattice at the offsets first..end-1 from the zero
+    mode, as the rows of one table, and the offset of its first column.
+
+    The table is ``window``'s (a ``threading.local``, so each thread has its
+    own), which keeps the offsets of the last call: a call inside them forms
+    nothing, one that starts inside them moves the held offsets from
+    ``first`` on to the front of the buffer and fills only the rest, and
+    any other fills all of its offsets. So a thread that asks in order of
+    ``first`` forms each offset's values once; the buffer grows to the
+    widest span asked for, and is reused. Per offset the values are those of the half tables: the
+    weights with the arithmetic of ``spectral._half_sobolev_weights``
+    (``_mode_weights``), |c|^2 drawn by :func:`_pair_values` and squared as
+    :func:`_half_power` squares it."""
+    tables = getattr(window, "tables", np.empty((len(s_values) + len(indices), 0)))
+    start, stop = getattr(window, "span", (0, 0))
+    if start <= first and end <= stop:
+        return tables, start
+    kept = max(0, stop - first) if start <= first else 0  # the offsets first..stop-1 are held
+    fresh = tables if end - first <= tables.shape[1] else np.empty((len(tables), end - first))
+    fresh[:, :kept] = tables[:, first - start : first - start + kept]
+    new = first + kept
+    for row, s in zip(fresh, s_values):
+        row[kept : end - first] = _mode_weights(np.arange(new, end)[:, None], s)
+    for row, index in zip(fresh[len(s_values) :], indices):
+        values, z0 = _pair_values(index, max(new - 1, 0), end - 1)  # canonical mode k at offset k + 1
+        row[max(new, 1) - first : end - first] = np.abs(values) ** 2
+        if new == 0:
+            row[0] = z0 * z0
+    window.tables, window.span = fresh, (first, end)
+    return fresh, first
+
+
 def regularity_probe(
     s_values: Sequence[float],
     bandlimits: Sequence[int],
@@ -248,51 +288,73 @@ def regularity_probe(
     (relative increase over the last bandlimit step) falls below
     ``growth_threshold``; with doubling bandlimits the default 0.02 means
     "under 2% per doubling". The thresholded verdict is a finite-sample
-    proxy, so the rows keep the raw ratios for inspection. A partial energy
-    that overflows raises ParameterError naming s and the bandlimit.
+    proxy, so the rows keep the raw ratios for inspection. A threshold that
+    is not finite, which would label every row alike, and a partial energy
+    that overflows raise ParameterError, the latter naming s and the
+    bandlimit.
 
-    Every table the probe sums is even in l, so it keeps each one on half
-    the lattice, at the positions from the zero mode up: the
-    ``(1+|l|^2)^s`` weights (``spectral._half_sobolev_weights``, filled like
-    the ``sobolev_weights`` tables) and one |c|^2 table reused across
-    the seeds, which each seed's canonical draw of the top lattice fills
-    once per conjugate pair, chunk by chunk across the CPUs, with no field
-    built. Each truncation is summed by ``spectral._kernel_sums``, whose
-    docstring states the summation rule; its kernel loops over the leaves
-    of each mirror group, reading each from the half tables through
-    ``spectral._mirrored`` in the ball's own order, so the energies equal
-    those of ``sample_white_noise(top, seed)`` summed over ``shells <= m``
-    bit for bit, and the "expected" row that of the whole weight table.
+    Every table the probe sums is even in l: the ``(1+|l|^2)^s`` weights and
+    each seed's |c|^2, drawn from the top lattice's canonical modes with no
+    field built. Each truncation is summed by ``spectral._kernel_sums``,
+    whose docstring states the summation rule; its kernel loops over the
+    leaves of each mirror group, reading each from tables that hold the
+    group's offsets from the zero mode through ``spectral._mirrored``, in
+    the ball's own order. In d = 1 the tables are a window per worker
+    (:func:`_offset_tables`): ``_kernel_sums`` hands each worker its groups,
+    of every ball, in offset order, so the window forms each offset's weights
+    and draws once and every trajectory is summed in the one pass. In d = 2
+    they are half tables, the weights and one |c|^2 table reused across the
+    seeds, a pass per trajectory. Either way the energies equal those of
+    ``sample_white_noise(top, seed)`` summed over ``shells <= m`` bit for
+    bit, and the "expected" row that of the whole weight table.
     """
     if len(s_values) == 0 or len(bandlimits) == 0 or len(seeds) == 0:
         raise ConfigError("regularity_probe needs nonempty s_values, bandlimits, seeds")
     if any(b2 <= b1 for b1, b2 in zip(bandlimits, bandlimits[1:])):
         raise ConfigError("bandlimits must be strictly increasing")
+    if not math.isfinite(growth_threshold):
+        raise ParameterError(f"growth_threshold must be finite, got {growth_threshold!r}")
+    indices = [_seed_index(seed) for seed in seeds]
 
     top = FrequencyLattice(dimension, max(bandlimits))
     zero = top.zero_index
     if dimension == 2:  # the layout's temporaries come and go before the tables exist
         _draw_layout(top.bandlimit)
 
-    # (s, trajectory, bandlimit)
-    energies = np.empty((len(s_values), 1 + len(seeds), len(bandlimits)))
+    def piece_sums(piece, first: int, weights, powers) -> np.ndarray:
+        """np.sum of (1+|l|^2)^s times |c(l)|^2 over ``piece``, per weight
+        table and, within it, per |c|^2 table or, for None, times 1 (an
+        exact copy): the tables hold the offsets first, first + 1, ..."""
+        factors = [1.0 if power is None else _mirrored(power, piece, zero, first) for power in powers]
+        sums = []
+        for w in weights:
+            w = _mirrored(w, piece, zero, first)
+            sums += [np.sum(np.multiply(w, factor)) for factor in factors]
+        return np.array(sums)
+
+    def energy_sums(kernel) -> np.ndarray:
+        """The (s, trajectory, bandlimit) sums of the kernel's piece sums."""
+        return np.transpose(_kernel_sums(top, kernel, bandlimits)).reshape(len(s_values), -1, len(bandlimits))
+
     with np.errstate(over="ignore"):
-        weights = [_half_sobolev_weights(top, s) for s in s_values]
+        if dimension == 1:
+            window = threading.local()
 
-        def energy_sums(power: np.ndarray | None) -> np.ndarray:
-            """The (s, bandlimit) sums of (1+|l|^2)^s times |c(l)|^2 from a
-            half ``power`` table, or times 1 (an exact copy) for None."""
+            def kernel(span: slice, pieces: list) -> list:
+                tables, first = _offset_tables(window, s_values, indices, span.start - zero, span.stop - zero)
+                weights, powers = tables[: len(s_values)], [None, *tables[len(s_values) :]]
+                return [piece_sums(piece, first, weights, powers) for piece in pieces]
 
-            def piece_sums(piece) -> np.ndarray:
-                factor = 1.0 if power is None else _mirrored(power, piece, zero)
-                return np.array([np.sum(np.multiply(_mirrored(w, piece, zero), factor)) for w in weights])
-
-            return np.transpose(_kernel_sums(top, lambda span, pieces: [piece_sums(p) for p in pieces], bandlimits))
-
-        energies[:, 0] = energy_sums(None)
-        power = np.empty(zero + 1)
-        for j, seed in enumerate(seeds, start=1):
-            energies[:, j] = energy_sums(_half_power(top, seed, out=power))
+            energies = energy_sums(kernel)
+        else:
+            weights = [_half_sobolev_weights(top, s) for s in s_values]
+            power = np.empty(zero + 1)
+            energies = np.empty((len(s_values), 1 + len(seeds), len(bandlimits)))
+            for j, seed in enumerate([None, *seeds]):
+                powers = [None if seed is None else _half_power(top, seed, out=power)]
+                energies[:, j : j + 1] = energy_sums(
+                    lambda span, pieces: [piece_sums(piece, 0, weights, powers) for piece in pieces]
+                )
     if not np.isfinite(energies).all():
         i, _, k = np.argwhere(~np.isfinite(energies))[0]
         raise ParameterError(

@@ -431,21 +431,39 @@ def _dispatch(task: Callable[[int], object], count: int, size: int) -> None:
     ``_CHUNK``s of items it is a plain loop on the calling thread; otherwise
     the pieces are split into one contiguous range per CPU of the process's
     affinity, the calling thread walks the first range and one thread each
-    the others. Workers run under the caller's ``np.errstate`` (which numpy
-    keeps per thread). A range stops at its first exception, which re-raises
-    here once every range has stopped (the earliest range's, if several
-    fail)."""
+    the others. A worker that has walked its range takes the back half of
+    the range with the most pieces left, when that half holds two pieces or
+    more, and walks it next: pieces that cost unevenly keep every CPU busy,
+    and a worker still walks each range in order, so a kernel may keep what
+    one piece formed for the next. Workers run under the caller's
+    ``np.errstate`` (which numpy keeps per thread). A range, taken or not,
+    stops at its first exception, and no one takes its pieces left; the
+    exception of the earliest piece re-raises here once every worker has
+    stopped."""
     workers = min(count, _cpu_count()) if size >= 2 * _CHUNK else 1
     errstate = np.geterr()
-    failures: list = [None] * workers
+    ranges = [[worker * count // workers, (worker + 1) * count // workers] for worker in range(workers)]
+    failures: dict = {}  # piece -> its exception
+    lock = threading.Lock()
 
     def run(worker: int) -> None:
-        try:
-            with np.errstate(**errstate):
-                for i in range(worker * count // workers, (worker + 1) * count // workers):
+        own = ranges[worker]  # [next piece, end]
+        with np.errstate(**errstate):
+            while True:
+                with lock:
+                    if own[0] == own[1]:
+                        largest = max(ranges, key=lambda pieces: pieces[1] - pieces[0])
+                        if largest[1] - largest[0] < 4:
+                            return
+                        middle = (largest[0] + largest[1] + 1) // 2
+                        own[:], largest[1] = [middle, largest[1]], middle
+                    i, own[0] = own[0], own[0] + 1
+                try:
                     task(i)
-        except BaseException as exc:  # re-raised on the calling thread
-            failures[worker] = exc
+                except BaseException as exc:  # re-raised on the calling thread
+                    with lock:
+                        failures[i], own[1] = exc, own[0]
+                    return
 
     threads = [threading.Thread(target=run, args=(worker,)) for worker in range(1, workers)]
     for thread in threads:
@@ -453,9 +471,8 @@ def _dispatch(task: Callable[[int], object], count: int, size: int) -> None:
     run(0)
     for thread in threads:
         thread.join()
-    for exc in failures:
-        if exc is not None:
-            raise exc
+    if failures:
+        raise failures[min(failures)]
 
 
 def _map_chunks(kernel: Callable[[int, int], object], size: int) -> None:
@@ -694,7 +711,11 @@ def _kernel_sums(lattice: FrequencyLattice, kernel: Callable, bandlimits=None):
     mode's side up, so that a table built on it reads through
     :func:`_mirrored` as each piece's own entries. The groups of every ball
     run across the CPUs in one :func:`_dispatch`, under the caller's
-    ``np.errstate``. The result is one sum per ball of ``bandlimits``, in
+    ``np.errstate``, in order of their span's first offset from the zero
+    mode (a ball's own, ties in ball order): a worker walks runs of them in
+    that order, so a kernel may keep per thread what one group formed on
+    its span for the next (``noise.regularity_probe`` does); the order
+    changes no sum. The result is one sum per ball of ``bandlimits``, in
     order, or the whole-lattice sum when ``bandlimits`` is None; a sum is a
     float when the kernel returns scalars.
 
@@ -711,12 +732,17 @@ def _kernel_sums(lattice: FrequencyLattice, kernel: Callable, bandlimits=None):
     roots, sums, groups = [], [], []
     for m in balls:
         leaves: list = []
-        roots.append(_pairwise_tree(0, (2 * m + 1) ** lattice.dimension, leaves))
+        count = (2 * m + 1) ** lattice.dimension
+        roots.append(_pairwise_tree(0, count, leaves))
         sums.append([None] * len(leaves))
-        groups += [(m, leaves, sums[-1], *group) for group in _mirror_groups(leaves[-1][1], leaves)]
+        groups += [
+            (span.start - count // 2, m, leaves, sums[-1], span, members)
+            for span, members in _mirror_groups(count, leaves)
+        ]
+    groups.sort(key=lambda group: group[0])
 
     def task(g: int) -> None:
-        m, leaves, ball_sums, span, members = groups[g]
+        _, m, leaves, ball_sums, span, members = groups[g]
         pieces = [_ball_piece(lattice, m, *leaves[i]) for i in members]
         for i, total in zip(members, kernel(_ball_piece(lattice, m, span.start, span.stop), pieces), strict=True):
             ball_sums[i] = total

@@ -1128,6 +1128,24 @@ class TestCli:
             peaks.append(int(done.stdout.split()[-1]))
         assert peaks[1] <= 1.05 * peaks[0], peaks
 
+    def test_probe_peak_does_not_grow_with_the_lattice(self):
+        # in d = 1 the probe forms its tables in a window of offsets per
+        # worker, so a top lattice of 2^19 peaks within 5 % of one of 2^17
+        # (two workers in both runs; whole half tables grew fourfold)
+        peaks = []
+        for top in (2**17, 2**19):
+            script = (
+                "import tracemalloc, tikhtorus.spectral as spectral, tikhtorus.noise as noise; "
+                "spectral._cpu_count = lambda: 2; "
+                "tracemalloc.start(); "
+                f"noise.regularity_probe([-2.0, -0.6, -0.4, 0.0], [{top // 4}, {top // 2}, {top}], range(6)); "
+                "print(tracemalloc.get_traced_memory()[1])"
+            )
+            done = run_fresh_process(script)
+            assert done.returncode == 0, done.stderr
+            peaks.append(int(done.stdout.split()[-1]))
+        assert peaks[1] <= 1.05 * peaks[0], peaks
+
     def test_deblur_set_up_peaks_below_the_pass(self, tmp_path):
         # the set-up forms no lattice-sized table but the truth and its field
         # copy: at 262,145 modes no stage ahead of the pass reaches the
@@ -1201,10 +1219,12 @@ class TestCli:
         assert peak / (2 * top_bandlimit + 1) <= _BYTES_PER_MODE[experiment]
 
     def test_probe_keeps_its_even_tables_on_half_the_lattice(self, tmp_path):
-        # the 4 weight tables and the |c|^2 table sit on the 131,073
-        # positions from the zero mode up, 20 B per top-lattice mode: this
-        # run's traced peak measured 36.6 B per mode, and 60.6 B while the
-        # tables held the whole lattice
+        # the even tables hold at most the 131,073 positions from the zero
+        # mode up (4 weight tables and a |c|^2 table take 20 B per
+        # top-lattice mode there): this run's traced peak measured 60.6 B
+        # per mode while the tables held the whole lattice, 36.6 B while they
+        # held half of it, and 42.2 B on 2 CPUs with a window of offsets per
+        # worker, whose size does not hang on the lattice's
         text = small_config_text(
             "noise_probe",
             str(tmp_path / "out"),

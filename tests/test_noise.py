@@ -270,6 +270,45 @@ class TestChunkedDraw:
             spectral._map_chunks(kernel, 9 * spectral._CHUNK)
         assert sorted(finished) == [0, 3, 6, 7, 8]
 
+    def test_a_worker_takes_over_the_back_half_of_a_slow_range(self, monkeypatch):
+        # ranges of pieces 0-4 and 5-9: piece 0 waits until the second worker
+        # has walked its range and taken over pieces 3 and 4, the back half
+        # of the pieces 1-4 left; the first worker then walks 1 and 2
+        monkeypatch.setattr(spectral, "_cpu_count", lambda: 2)
+        threads, taken = {}, threading.Event()
+
+        def kernel(start, stop):
+            piece = start // spectral._CHUNK
+            threads[piece] = threading.get_ident()
+            if piece == 4:
+                taken.set()
+            if piece == 0:
+                assert taken.wait(timeout=10)
+
+        spectral._map_chunks(kernel, 10 * spectral._CHUNK)
+        caller = threading.get_ident()
+        assert [threads[piece] == caller for piece in range(10)] == [True] * 3 + [False] * 7
+
+    def test_every_piece_runs_once_under_preemption(self, monkeypatch, many_cpus):
+        # uneven pieces over more workers than cores, with a thread switch
+        # every microsecond: the workers that take over back halves of
+        # ranges still run each piece exactly once
+        monkeypatch.setattr(spectral, "_CHUNK", 1)
+        ran = []
+
+        def kernel(start, stop):
+            if start % 5 == 0:
+                np.sum(np.arange(2000.0))
+            ran.append(start)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            spectral._map_chunks(kernel, 3000)
+        finally:
+            sys.setswitchinterval(interval)
+        assert sorted(ran) == list(range(3000))
+
 
 class TestSpanDraw:
     # in d = 1 a span of lattice positions is drawn straight from the stream,
@@ -441,12 +480,12 @@ class TestRegularityProbe:
         kinds = set()
         mirrored = spectral._mirrored
 
-        def recording(half, piece, zero):
+        def recording(half, piece, zero, *args):
             if not isinstance(piece, slice):
                 kinds.add("index array")
             else:
                 kinds.add("above" if piece.start >= zero else "below" if piece.stop <= zero + 1 else "holds zero")
-            return mirrored(half, piece, zero)
+            return mirrored(half, piece, zero, *args)
 
         monkeypatch.setattr(noise, "_mirrored", recording)
         self.test_rows_equal_the_masked_sum_composition(dimension, [-2.0, -0.6, 0.3], bandlimits)
@@ -485,3 +524,65 @@ class TestRegularityProbe:
             regularity_probe([-1.0], [16, 8], [0])
         with pytest.raises(ConfigError):
             regularity_probe([-1.0], [8, 16], [])
+
+
+class TestStreamedProbe:
+    # in d = 1 the probe forms its weights and each seed's |c|^2 in a window
+    # of offsets per worker, over every ball's mirror groups in offset order
+
+    # leaves of 128 items: balls 0, 1 and 60 (121 modes) are one leaf each,
+    # ball 70 (141 modes) splits at 64 and 300 (601) and 301 (603) split
+    # where 70 does not; in d = 2 ball 5 (121 modes) is one leaf and 6 (169)
+    # two, and 14 and 15 split further
+    @pytest.mark.parametrize("cpus", [1, 8])
+    @pytest.mark.parametrize("chunk", [1, 3, 7])
+    @pytest.mark.parametrize(
+        "dimension,bandlimits", [(1, [0, 1, 60, 70, 300, 301]), (2, [0, 1, 5, 6, 14, 15])]
+    )
+    def test_rows_do_not_depend_on_the_split(self, monkeypatch, dimension, bandlimits, chunk, cpus):
+        monkeypatch.setattr(spectral, "_CHUNK", chunk)
+        monkeypatch.setattr(spectral, "_cpu_count", lambda: cpus)
+        TestRegularityProbe().test_rows_equal_the_masked_sum_composition(dimension, [-2.0, -0.6, 0.3], bandlimits)
+
+    @pytest.mark.parametrize("cpus", [1, 2, 8])
+    def test_each_worker_draws_each_canonical_mode_once(self, monkeypatch, cpus):
+        # the perfbench probe's balls and leaves at 1/256 of their sizes:
+        # drawing each ball on its own would draw (1 + 2 + 4 + 8 + 16) / 16
+        # = 1.94 times the top lattice's canonical modes. A worker draws each
+        # once; a range it starts, its own or one it takes over, may draw
+        # the modes of one group again
+        monkeypatch.setattr(spectral, "_CHUNK", 128)
+        monkeypatch.setattr(spectral, "_cpu_count", lambda: cpus)
+        bandlimits, seeds = [256, 512, 1024, 2048, 4096], [0, 7, 2]
+        canonical = FrequencyLattice(1, bandlimits[-1]).zero_index
+        drawn, starts = [], []
+        pair_values, dispatch = noise._pair_values, spectral._dispatch
+
+        def recording_draw(index, start, stop):
+            drawn.append((index, start, stop))
+            return pair_values(index, start, stop)
+
+        def recording_dispatch(task, count, size):
+            last = {}  # thread -> its last piece: a piece that does not follow it starts a range
+
+            def recorded(i):
+                thread = threading.get_ident()
+                if last.get(thread) != i - 1:
+                    starts.append(i)
+                last[thread] = i
+                task(i)
+
+            dispatch(recorded, count, size)
+
+        monkeypatch.setattr(noise, "_pair_values", recording_draw)
+        monkeypatch.setattr(spectral, "_dispatch", recording_dispatch)
+        regularity_probe([-2.0, 0.0], bandlimits, seeds)
+        widest = 129  # every group's span: its leaves' 128 offsets and a neighbour's
+        for seed in seeds:
+            counts = np.zeros(canonical, dtype=int)
+            for _, start, stop in filter(lambda draw: draw[0] == seed, drawn):
+                counts[start:stop] += 1
+            assert counts.min() == 1
+            assert counts.sum() <= canonical + (len(starts) - 1) * widest
+        if cpus == 1:  # one range: every canonical mode exactly once per seed
+            assert len(starts) == 1

@@ -27,6 +27,7 @@ from tikhtorus import (
     functional,
     hat_coefficients,
     power_law_operator,
+    regularity_probe,
     sample_white_noise,
     single_mode_field,
     sobolev_norm,
@@ -547,6 +548,17 @@ BAD_NUMBERS = {
         lambda: bias_bound_check(deblur_operator(), _huge_field(1e160), DEBLUR_SCHEDULE, 1e-2, -1.0),
         ParameterError,
         "weighted squares of truth overflow",
+    ),
+    # a threshold that is not finite labelled every row alike: NaN "divergent", inf "convergent"
+    "probe-nan-threshold": (
+        lambda: regularity_probe([-1.0], [4, 8], [0], growth_threshold=math.nan),
+        ParameterError,
+        "^growth_threshold must be finite, got nan",
+    ),
+    "probe-inf-threshold": (
+        lambda: regularity_probe([-1.0], [4, 8], [0], growth_threshold=math.inf),
+        ParameterError,
+        "^growth_threshold must be finite, got inf",
     ),
 }
 
