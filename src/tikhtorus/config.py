@@ -45,11 +45,12 @@ def _one_of(what: str, *options: str) -> tuple:
 # modes = 67.4 B (deblur_sweep, whose streamed pass builds its symbol and
 # weight tables per piece and holds no lattice-wide draw or sum table, so the
 # whole tables of the band calibration and the ellipticity check set the
-# peak), 10.7 MiB / 2,097,153 modes = 5.4 B (noise_probe on 2 CPUs, whose
-# even tables hold a window of offsets per worker, so its peak does not grow
-# with the lattice) and 1.9 MiB / 4,095 modes = 476.8 B (gamma_dense: fixed
-# costs, its five test functions, the data and the sweep's per-piece tables,
-# all on the reference lattice only; configs/gamma.ini at
+# peak), 7.2 MiB / 2,097,153 modes = 3.6 B (noise_probe on 2 CPUs, whose
+# even tables hold a window of offsets per worker and whose workers draw into
+# buffers of their own, so its peak does not grow with the lattice) and
+# 1.9 MiB / 4,095 modes = 476.8 B (gamma_dense: fixed costs, its five test
+# functions, the data and the sweep's per-piece tables, all on the reference
+# lattice only; configs/gamma.ini at
 # reference_bandlimit 131,072, 262,145 modes, peaks at 164.6 B, 80 B of it
 # the five test functions). rates runs the deblur error sweep without noise
 # draws, snapshot or certificate, so it takes the deblur figure (a rates run

@@ -22,6 +22,14 @@ evaluated as ``log1p(-u[2j])``).
 Bit-identical output for a given (seed, lattice) is part of the public
 contract and is pinned by tests.
 
+The transform runs in place: each z[i] is written over u[i], with the
+operations of the formulas in their order (``_box_muller``), and a draw's
+complex values are the normals themselves, scaled in place and viewed as
+complex, in a buffer of the caller's or in the array of uniforms
+(``_pair_values``). The scale is a multiplication by ``1.0 / np.sqrt(2.0)``,
+because that is what numpy's complex-by-real division ``/ np.sqrt(2.0)``
+does; dividing the parts by sqrt(2) would change bits.
+
 A draw is computed in chunks of canonical modes, spread over one thread per
 CPU of the process's affinity by ``spectral._map_chunks``. Each chunk builds
 its own ``PCG64(seed)`` and moves it to its first uniform with
@@ -60,8 +68,11 @@ group on its own, reading the tables at the leaf's positions, in its order
 d = 1 the tables hold only a window of offsets per worker thread, which
 follows the groups of every ball in offset order and draws each offset
 once (``_offset_tables``); so no table spans the lattice, and every
-trajectory is summed in one pass. In d = 2 a ball's leaves are scattered
-through the draw layout, and the tables hold half the lattice.
+trajectory is summed in one pass. The window and its draw buffer, which
+also takes the piece sums' products, are the worker's own, sized once per
+call from the widest group span (``_Window``), so a window's fill
+allocates no table. In d = 2 a ball's leaves are scattered through the draw
+layout, and the tables hold half the lattice.
 """
 
 from __future__ import annotations
@@ -75,8 +86,8 @@ import numpy as np
 
 from .errors import ConfigError, ParameterError
 from .spectral import (
-    FrequencyLattice, SpectralField, _as_index, _half_sobolev_weights, _kernel_sums, _map_chunks, _mirrored,
-    _mode_weights, finite_sobolev_weights,
+    FrequencyLattice, SpectralField, _as_index, _ball_tree, _half_sobolev_weights, _kernel_sums, _map_chunks,
+    _mirrored, finite_sobolev_weights,
 )
 
 __all__ = [
@@ -85,6 +96,10 @@ __all__ = [
     "regularity_probe",
     "ProbeRow",
 ]
+
+# pairs per block of _box_muller's cos(angle) buffer: 32 KiB, which malloc
+# serves from its heap, where a table-sized buffer would be mapped afresh
+_PAIR_BLOCK = 4096
 
 
 @lru_cache(maxsize=64)
@@ -100,12 +115,23 @@ def _draw_layout(bandlimit: int) -> np.ndarray:
 
 
 def _box_muller(uniforms: np.ndarray) -> tuple:
-    """The cos and sin halves of the Box-Muller normals: z[2j] and z[2j+1]."""
-    u1 = uniforms[0::2]
-    u2 = uniforms[1::2]
-    radius = np.sqrt(-2.0 * np.log1p(-u1))
-    angle = 2.0 * np.pi * u2
-    return radius * np.cos(angle), radius * np.sin(angle)
+    """The Box-Muller normals of the uniform pairs, written over them: z[2j]
+    over u[2j] and z[2j+1] over u[2j+1]; returns the cos and sin halves,
+    z[0::2] and z[1::2], as views of ``uniforms``. The radius and the angle
+    are formed in place over u[0::2] and u[1::2] with the operations of the
+    formulas, in their order, so the normals equal a whole-array spelling
+    bit for bit; the cos(angle) of ``_PAIR_BLOCK`` pairs at a time waits in
+    a small buffer while sin(angle) replaces the angle."""
+    radius, angle = uniforms[0::2], uniforms[1::2]
+    np.sqrt(np.multiply(-2.0, np.log1p(np.negative(radius, out=radius), out=radius), out=radius), out=radius)
+    np.multiply(2.0 * np.pi, angle, out=angle)
+    cos = np.empty(min(angle.size, _PAIR_BLOCK))
+    for i in range(0, angle.size, cos.size):
+        r, a, c = radius[i : i + cos.size], angle[i : i + cos.size], cos[: angle.size - i]
+        np.cos(a, out=c)
+        np.multiply(r, np.sin(a, out=a), out=a)
+        np.multiply(r, c, out=r)
+    return radius, angle
 
 
 def _seed_index(seed) -> int:
@@ -117,18 +143,30 @@ def _seed_index(seed) -> int:
     return index
 
 
-def _pair_values(index: int, start: int, stop: int) -> tuple:
+def _pair_values(index: int, start: int, stop: int, out: np.ndarray | None = None) -> tuple:
     """The values of the canonical modes [start, stop) in draw order, and
     z[2 start]: 1 + 2n variates in n + 1 Box-Muller pairs, z[0] the zero mode,
     then (z[2k+1], z[2k+2]) = (sin half k, cos half k+1) for canonical mode
     k. The modes [start, stop) read pairs start..stop, the uniforms
     [2 start, 2 stop + 2) of the stream, which their own PCG64 reaches with
-    ``advance(2 start)``: ``random()`` takes one 64-bit output per double."""
+    ``advance(2 start)``: ``random()`` takes one 64-bit output per double.
+
+    The uniforms go into the first 2n + 2 doubles of ``out`` when given (a
+    caller's buffer, reused across draws), else into a new array; the normals
+    replace them (:func:`_box_muller`), and the values are z[1:2n+1] times
+    1/sqrt(2), in place, viewed as complex: a view of that array. The parts
+    are multiplied by the reciprocal because that is what the whole-array
+    spelling ``(sin + 1j*cos) / np.sqrt(2.0)`` does (numpy divides a complex
+    by a real as by a complex with zero imaginary part, which scales both
+    parts by the reciprocal); dividing the parts by sqrt(2) would change
+    bits."""
     bit_generator = np.random.PCG64(index)
     bit_generator.advance(2 * int(start))  # PCG64.advance refuses numpy integers
-    uniforms = np.random.Generator(bit_generator).random(2 * (stop - start + 1))
-    cos_half, sin_half = _box_muller(uniforms)
-    return (sin_half[:-1] + 1j * cos_half[1:]) / np.sqrt(2.0), cos_half[0]
+    count = 2 * (stop - start + 1)
+    uniforms = np.random.Generator(bit_generator).random(out=np.empty(count) if out is None else out[:count])
+    z0 = _box_muller(uniforms)[0][0]
+    values = np.multiply(uniforms[1 : count - 1], 1.0 / np.sqrt(2.0), out=uniforms[1 : count - 1])
+    return values.view(np.complex128), z0
 
 
 def _draw_chunks(lattice: FrequencyLattice, seed: int, store: Callable) -> float:
@@ -163,8 +201,11 @@ def _draw_span(lattice: FrequencyLattice, seed: int, start: int, stop: int) -> n
         first, end = start - zero - 1, stop - zero - 1
     else:
         first, end = 0, max(zero - start, stop - zero - 1)
-    values, z0 = _pair_values(index, first, end)
+    # the span before the draw: the draw's array, freed on return, then
+    # leaves its room to the next draw (the other order left a deblur run's
+    # worker heaps about 1 MiB larger)
     span = np.empty(stop - start, dtype=np.complex128)
+    values, z0 = _pair_values(index, first, end)
     below = max(0, min(stop, zero) - start)  # positions start .. start + below - 1
     if below:
         span[:below] = values[zero - start - below - first : zero - start - first][::-1].conj()
@@ -240,38 +281,55 @@ def _classify(energies: Sequence[float], threshold: float) -> tuple:
     return ratios, label
 
 
-def _offset_tables(window, s_values: Sequence[float], indices: Sequence[int], first: int, end: int) -> tuple:
+class _Window(threading.local):
+    """A probe worker's buffers, one set per thread (``threading.local``
+    runs ``__init__`` in each thread that reads it), sized once per call from
+    the widest group span, so that no draw or sum allocates a table: the
+    rows of :func:`_offset_tables` and the offsets ``span`` they hold, and
+    the draw buffer of :func:`_pair_values`, which is free once the rows are
+    filled and then takes the piece sums' products (a leaf holds each of its
+    offsets at most twice, so it fits)."""
+
+    def __init__(self, rows: int, width: int) -> None:
+        self.tables, self.span, self.draws = np.empty((rows, width)), (0, 0), np.empty(2 * width + 2)
+
+
+def _offset_tables(window: _Window, s_values: Sequence[float], indices: Sequence[int], first: int, end: int) -> tuple:
     """The (1+|l|^2)^s weights of each s, then the |c|^2 of each seed's draw
     (its index), of a d = 1 lattice at the offsets first..end-1 from the zero
     mode, as the rows of one table, and the offset of its first column.
 
-    The table is ``window``'s (a ``threading.local``, so each thread has its
-    own), which keeps the offsets of the last call: a call inside them forms
-    nothing, one that starts inside them moves the held offsets from
-    ``first`` on to the front of the buffer and fills only the rest, and
-    any other fills all of its offsets. So a thread that asks in order of
-    ``first`` forms each offset's values once; the buffer grows to the
-    widest span asked for, and is reused. Per offset the values are those of the half tables: the
-    weights with the arithmetic of ``spectral._half_sobolev_weights``
-    (``_mode_weights``), |c|^2 drawn by :func:`_pair_values` and squared as
-    :func:`_half_power` squares it."""
-    tables = getattr(window, "tables", np.empty((len(s_values) + len(indices), 0)))
-    start, stop = getattr(window, "span", (0, 0))
+    The table is ``window``'s, which keeps the offsets of the last call: a
+    call inside them forms nothing, one that starts inside them moves the
+    held offsets from ``first`` on to the front of the rows and fills only
+    the rest, and any other fills all of its offsets. So a thread that asks
+    in order of ``first`` forms each offset's values once. Every value is
+    written in place into the rows: the weights with the arithmetic of
+    ``spectral._half_sobolev_weights`` (the offsets as float64, squared, plus
+    1.0, then ``**= s``, which keeps the fast paths of ``**``), and |c|^2 as
+    :func:`_half_power` forms it (``np.abs``, then squared) from the values
+    that :func:`_pair_values` draws into the window's draw buffer."""
+    tables, (start, stop) = window.tables, window.span
     if start <= first and end <= stop:
         return tables, start
     kept = max(0, stop - first) if start <= first else 0  # the offsets first..stop-1 are held
-    fresh = tables if end - first <= tables.shape[1] else np.empty((len(tables), end - first))
-    fresh[:, :kept] = tables[:, first - start : first - start + kept]
+    tables[:, :kept] = tables[:, first - start : first - start + kept]
     new = first + kept
-    for row, s in zip(fresh, s_values):
-        row[kept : end - first] = _mode_weights(np.arange(new, end)[:, None], s)
-    for row, index in zip(fresh[len(s_values) :], indices):
-        values, z0 = _pair_values(index, max(new - 1, 0), end - 1)  # canonical mode k at offset k + 1
-        row[max(new, 1) - first : end - first] = np.abs(values) ** 2
+    offsets = window.draws[: end - new]  # free until the draws below
+    offsets.fill(1.0)
+    np.add(np.cumsum(offsets, out=offsets), new - 1, out=offsets)  # new, new + 1, ..., end - 1
+    for row, s in zip(tables[:, kept : end - first], s_values):
+        np.square(offsets, out=row)
+        row += 1.0
+        row **= float(s)
+    for row, index in zip(tables[len(s_values) :], indices):
+        values, z0 = _pair_values(index, max(new - 1, 0), end - 1, window.draws)  # canonical mode k at offset k + 1
+        power = row[max(new, 1) - first : end - first]
+        np.square(np.abs(values, out=power), out=power)
         if new == 0:
             row[0] = z0 * z0
-    window.tables, window.span = fresh, (first, end)
-    return fresh, first
+    window.span = (first, end)
+    return tables, first
 
 
 def regularity_probe(
@@ -321,15 +379,17 @@ def regularity_probe(
     if dimension == 2:  # the layout's temporaries come and go before the tables exist
         _draw_layout(top.bandlimit)
 
-    def piece_sums(piece, first: int, weights, powers) -> np.ndarray:
+    def piece_sums(piece, first: int, weights, powers, product=None) -> np.ndarray:
         """np.sum of (1+|l|^2)^s times |c(l)|^2 over ``piece``, per weight
         table and, within it, per |c|^2 table or, for None, times 1 (an
-        exact copy): the tables hold the offsets first, first + 1, ..."""
+        exact copy): the tables hold the offsets first, first + 1, ... Each
+        product is written into ``product`` when given."""
         factors = [1.0 if power is None else _mirrored(power, piece, zero, first) for power in powers]
         sums = []
         for w in weights:
             w = _mirrored(w, piece, zero, first)
-            sums += [np.sum(np.multiply(w, factor)) for factor in factors]
+            out = None if product is None else product[: w.size]
+            sums += [np.sum(np.multiply(w, factor, out=out)) for factor in factors]
         return np.array(sums)
 
     def energy_sums(kernel) -> np.ndarray:
@@ -338,12 +398,13 @@ def regularity_probe(
 
     with np.errstate(over="ignore"):
         if dimension == 1:
-            window = threading.local()
+            widest = max(span.stop - span.start for m in bandlimits for span, _ in _ball_tree(2 * m + 1)[2])
+            window = _Window(len(s_values) + len(indices), widest)
 
             def kernel(span: slice, pieces: list) -> list:
                 tables, first = _offset_tables(window, s_values, indices, span.start - zero, span.stop - zero)
                 weights, powers = tables[: len(s_values)], [None, *tables[len(s_values) :]]
-                return [piece_sums(piece, first, weights, powers) for piece in pieces]
+                return [piece_sums(piece, first, weights, powers, window.draws) for piece in pieces]
 
             energies = energy_sums(kernel)
         else:

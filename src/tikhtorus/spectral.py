@@ -521,7 +521,8 @@ def finite_sobolev_weights(lattice: FrequencyLattice, s: float, what: str) -> np
 
 
 def _overflowing_weights(lattice: FrequencyLattice, s: float, what: str) -> ParameterError:
-    return ParameterError(f"{what} is not finite: (1+|l|^2)^{s:g} overflows on bandlimit {lattice.bandlimit}")
+    fault = "s is not a number" if math.isnan(s) else f"(1+|l|^2)^{s:g} overflows on bandlimit {lattice.bandlimit}"
+    return ParameterError(f"{what} is not finite: {fault}")
 
 
 def sobolev_norm(field: SpectralField, s: float) -> float:
@@ -653,6 +654,15 @@ def _mirror_groups(count: int, leaves: list) -> list:
     return [(slice(zero + first, zero + end), members) for first, end, members in groups]
 
 
+def _ball_tree(count: int) -> tuple:
+    """The root and the leaves of the tree over the ``count`` positions of a
+    ball in its own enumeration order (:func:`_pairwise_tree`), and the
+    leaves' mirror groups (:func:`_mirror_groups`)."""
+    leaves: list = []
+    root = _pairwise_tree(0, count, leaves)
+    return root, leaves, _mirror_groups(count, leaves)
+
+
 def _add_up(node, sums: list):
     """The sum of a tree's leaf sums, added in the tree's order."""
     if isinstance(node, int):
@@ -731,14 +741,11 @@ def _kernel_sums(lattice: FrequencyLattice, kernel: Callable, bandlimits=None):
     balls = [lattice.bandlimit] if bandlimits is None else [_ball_bandlimit(lattice, m) for m in bandlimits]
     roots, sums, groups = [], [], []
     for m in balls:
-        leaves: list = []
         count = (2 * m + 1) ** lattice.dimension
-        roots.append(_pairwise_tree(0, count, leaves))
+        root, leaves, ball_groups = _ball_tree(count)
+        roots.append(root)
         sums.append([None] * len(leaves))
-        groups += [
-            (span.start - count // 2, m, leaves, sums[-1], span, members)
-            for span, members in _mirror_groups(count, leaves)
-        ]
+        groups += [(span.start - count // 2, m, leaves, sums[-1], span, members) for span, members in ball_groups]
     groups.sort(key=lambda group: group[0])
 
     def task(g: int) -> None:

@@ -3,6 +3,7 @@
 import itertools
 import sys
 import threading
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -353,6 +354,59 @@ class TestSpanDraw:
             sample_white_noise(FrequencyLattice(1, 4), seed)
 
 
+def whole_array_pair_values(seed, start, stop):
+    """The values of the canonical modes [start, stop) and z[2 start], spelled
+    on whole arrays from the stream's first double: Box-Muller out of place,
+    then ``(sin + 1j*cos) / sqrt(2)``."""
+    uniforms = np.random.Generator(np.random.PCG64(seed)).random(2 * (stop + 1))[2 * start :]
+    radius = np.sqrt(-2.0 * np.log1p(-uniforms[0::2]))
+    angle = 2.0 * np.pi * uniforms[1::2]
+    cos_half, sin_half = radius * np.cos(angle), radius * np.sin(angle)
+    return (sin_half[:-1] + 1j * cos_half[1:]) / np.sqrt(2.0), cos_half[0]
+
+
+class TestInPlaceDraw:
+    # a draw writes its normals over its uniforms, in a caller's buffer when
+    # given, and scales the values' parts by 1/sqrt(2) in place
+
+    @pytest.mark.parametrize("seed", [0, 7, 2**63 - 1])
+    def test_pair_values_equal_the_whole_array_spelling(self, seed):
+        # bit for bit, signed zeros included: long, short and long spans
+        # drawn into one reused buffer, whose stale doubles must not leak
+        spans = [(0, 32768), (0, 0), (0, 1), (1000, 33000), (5, 6), (123457, 123460), (0, 32768)]
+        buffer = np.full(2 * 32769, np.nan)
+        for start, stop in spans:
+            expected, expected_z0 = whole_array_pair_values(seed, start, stop)
+            for out in (None, buffer):
+                values, z0 = noise._pair_values(seed, start, stop, out)
+                assert values.dtype == np.complex128 and values.shape == (stop - start,)
+                assert np.array_equal(values.view(np.uint64), expected.view(np.uint64))
+                assert np.float64(z0).view(np.uint64) == np.float64(expected_z0).view(np.uint64)
+            assert stop == start or np.shares_memory(values, buffer)
+
+    def test_a_window_fill_allocates_no_table(self, monkeypatch):
+        # once a worker has filled its first window, a fill draws and forms
+        # its weights in the window's own buffers: each allocates less than
+        # 64 KiB (whole-array draws allocated about 3 MiB per 32,768 modes)
+        monkeypatch.setattr(spectral, "_cpu_count", lambda: 1)
+        offset_tables, grown = noise._offset_tables, []
+
+        def measured(window, *args):
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            tables = offset_tables(window, *args)
+            grown.append(tracemalloc.get_traced_memory()[1] - before)
+            return tables
+
+        monkeypatch.setattr(noise, "_offset_tables", measured)
+        tracemalloc.start()
+        try:
+            regularity_probe([-2.0, -0.6, -0.4, 0.0], [32768, 65536, 131072], range(6))
+        finally:
+            tracemalloc.stop()
+        assert len(grown) > 2 and max(grown[1:]) < 64 * 1024, grown
+
+
 class TestExpectedEnergy:
     def test_s_zero_counts_modes(self):
         for M in (0, 10, 100):
@@ -558,9 +612,9 @@ class TestStreamedProbe:
         drawn, starts = [], []
         pair_values, dispatch = noise._pair_values, spectral._dispatch
 
-        def recording_draw(index, start, stop):
+        def recording_draw(index, start, stop, *args):
             drawn.append((index, start, stop))
-            return pair_values(index, start, stop)
+            return pair_values(index, start, stop, *args)
 
         def recording_dispatch(task, count, size):
             last = {}  # thread -> its last piece: a piece that does not follow it starts a range

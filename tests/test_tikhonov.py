@@ -38,7 +38,9 @@ from tikhtorus import (
     zero_field,
 )
 from tikhtorus.discrete import coords_to_field
-from tikhtorus.spectral import Ellipticity, MultiplierOperator, apply_multiplier, check_ellipticity
+from tikhtorus.spectral import (
+    Ellipticity, MultiplierOperator, apply_multiplier, check_ellipticity, finite_sobolev_weights,
+)
 
 from test_rates import operator_of
 from test_spectral import random_hermitian_field
@@ -476,6 +478,21 @@ BAD_NUMBERS = {
         lambda: expected_sobolev_energy(FrequencyLattice(1, 8), 1e308),
         ParameterError,
         r"energy at s = 1e\+308 is not finite",
+    ),
+    "sobolev-norm-nan-s": (
+        lambda: sobolev_norm(hat_coefficients(FrequencyLattice(1, 3)), math.nan),
+        ParameterError,
+        r"^the H\^s norm at s = nan is not finite: s is not a number$",
+    ),
+    "expected-energy-nan-s": (
+        lambda: expected_sobolev_energy(FrequencyLattice(1, 3), math.nan),
+        ParameterError,
+        r"^the expected H\^s energy at s = nan is not finite: s is not a number$",
+    ),
+    "finite-weights-nan-s": (
+        lambda: finite_sobolev_weights(FrequencyLattice(1, 3), math.nan, "the weights at s = nan"),
+        ParameterError,
+        r"^the weights at s = nan is not finite: s is not a number$",
     ),
     "functional-huge-r": (lambda: _functional(functional), ParameterError, r"penalty at r = 1e\+308"),
     "shifted-functional-huge-r": (
