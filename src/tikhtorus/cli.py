@@ -3,12 +3,26 @@
 Exit codes: 0 success, 2 configuration problems, 3 filesystem problems,
 4 numerical/library errors and running out of memory. Failures print the
 error class name so batch drivers can triage without parsing messages.
+
+The CLI pins OpenBLAS to one thread: a process that has not loaded numpy
+when it imports this module gets ``OPENBLAS_NUM_THREADS=1``, whatever the
+caller's environment says. No run needs BLAS threads (the solves are per-mode
+closed forms, fanned out by the package's own workers), and OpenBLAS's idle
+pool costs about 0.1 s of CPU per process. It also keeps the output bytes
+independent of the machine: OpenBLAS splits a dot product of more than
+10,000 elements across its threads, which would change gamma's ``c_k`` with
+the thread count. A process that loaded numpy first, such as a library
+caller's session, keeps its environment and its BLAS threads.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
+
+if "numpy" not in sys.modules:  # before the imports below load numpy
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
 
 from .config import load_config
 from .errors import ConfigError, TikhtorusError

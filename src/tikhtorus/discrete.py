@@ -284,6 +284,12 @@ def gamma_sweep(
     An alpha that underflows to 0 raises ParameterError, as solve does; data
     so large that a sum, a c_k or a gap is not finite raise ParameterError
     naming ``[grids] delta_grid``.
+    Each c_k is a BLAS dot product over the size's k coordinates. OpenBLAS
+    splits one of more than 10,000 elements across its threads, so above
+    that c_k's last bits depend on the process's BLAS thread count. The CLI
+    pins OpenBLAS to one thread (see :mod:`tikhtorus.cli`); a library caller
+    who needs the CLI's bytes sets ``OPENBLAS_NUM_THREADS=1`` before numpy
+    loads.
     """
     if schedule.r <= 0:
         raise ParameterError("gamma sweep needs a spectral penalty with r > 0")

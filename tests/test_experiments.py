@@ -99,11 +99,12 @@ def write_config(tmp_path, text, name="exp.ini"):
     return path
 
 
-def run_fresh_process(script):
+def run_fresh_process(script, **env):
     """Run ``script`` with ``python -c`` in a new interpreter that imports
-    the package from this checkout; the finished process."""
+    the package from this checkout, with ``env`` added to its environment;
+    the finished process."""
     path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
-    env = dict(os.environ, PYTHONPATH=path)
+    env = dict(os.environ, PYTHONPATH=path, **env)
     return subprocess.run(
         [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
     )
@@ -1199,6 +1200,53 @@ class TestCli:
         done = run_fresh_process(script)
         assert done.returncode == 0, done.stderr
 
+    def test_package_import_does_not_load_numpy(self):
+        done = run_fresh_process("import sys, tikhtorus; assert 'numpy' not in sys.modules")
+        assert done.returncode == 0, done.stderr
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs /proc")
+    def test_cli_import_pins_openblas_to_one_thread(self):
+        # a caller's setting does not reach a CLI process: OpenBLAS starts no
+        # worker thread
+        script = (
+            "import os, tikhtorus.cli; "
+            "threads = len(os.listdir('/proc/self/task')); "
+            "assert os.environ['OPENBLAS_NUM_THREADS'] == '1', os.environ['OPENBLAS_NUM_THREADS']; "
+            "assert threads == 1, threads"
+        )
+        done = run_fresh_process(script, OPENBLAS_NUM_THREADS="4")
+        assert done.returncode == 0, done.stderr
+
+    def test_cli_import_after_numpy_leaves_the_environment_alone(self):
+        script = (
+            "import os, numpy, tikhtorus; "
+            "before = dict(os.environ); "
+            "import tikhtorus.cli; "
+            "assert dict(os.environ) == before; "
+            "assert os.environ['OPENBLAS_NUM_THREADS'] == '4'"
+        )
+        done = run_fresh_process(script, OPENBLAS_NUM_THREADS="4")
+        assert done.returncode == 0, done.stderr
+
+    @pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2, reason="needs 2 CPUs for 2 BLAS threads")
+    def test_gamma_bytes_do_not_depend_on_the_callers_blas_threads(self, tmp_path):
+        # OpenBLAS splits a dot product of more than 10,000 elements across
+        # its threads; c_k at reference_bandlimit 12000 is one of 24,001
+        text = (CONFIG_DIR / "gamma.ini").read_text()
+        assert "reference_bandlimit = 512" in text
+        config = write_config(tmp_path, text.replace("reference_bandlimit = 512", "reference_bandlimit = 12000"))
+        written = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"out{threads}"
+            script = (
+                "import sys, tikhtorus.cli; "
+                f"sys.exit(tikhtorus.cli.main(['gamma', '--config', {str(config)!r}, '--out', {str(out)!r}]))"
+            )
+            done = run_fresh_process(script, OPENBLAS_NUM_THREADS=threads)
+            assert done.returncode == 0, done.stderr
+            written.append((out / "gamma.csv").read_bytes())
+        assert written[0] == written[1]
+
     @pytest.mark.parametrize(
         "experiment,overrides,top_bandlimit",
         [
@@ -1248,3 +1296,57 @@ class TestCli:
         assert code == 3
         err = capsys.readouterr().err
         assert "Error" in err
+
+
+# every name the package bound when its __init__ imported each submodule
+EAGER_NAMES = """
+    BiasBound CalibrationError ConfigError DimensionError DiscreteProblem DivergenceReport
+    DomainError Ellipticity ExperimentConfig FrequencyLattice InvalidFieldError Measurement
+    MultiplierOperator NotRealValuedError NumericalError ParameterError QuadraticScheduleRate
+    RateExponents RegularizationSchedule SlopeFit SpectralField SweepResult TikhonovSplit
+    TikhtorusError TruncationRangeError apply_multiplier assemble bias_bound_check
+    check_ellipticity config coords_to_field data_shifted_functional deblur_operator discrete
+    error_sweep errors evaluate_on_grid expected_sobolev_energy experiments field_from_grid
+    field_to_coords fit_loglog_slope forward functional gamma_sweep h1_divergence
+    hat_coefficients hat_values load_coefficient_file load_config low_frequency_test_functions
+    noise power_law_operator predicted_exponent quadratic_schedule_exponent rates
+    regularity_probe run_deblur run_experiment run_gamma run_noise_probe run_rates
+    sample_white_noise signals single_mode_field sobolev_norm sobolev_weights solve
+    solve_discrete solve_split spectral stationarity_defect svgplot tikhonov truncate zero_field
+""".split()
+
+
+class TestPackageNamespace:
+    @pytest.mark.parametrize("name", EAGER_NAMES)
+    def test_every_eager_name_is_its_submodules_object(self, name):
+        value = getattr(tikhtorus, name)
+        if isinstance(value, type(tikhtorus)):
+            assert value is sys.modules[f"tikhtorus.{name}"]
+        else:
+            assert value.__module__.startswith("tikhtorus.")
+            assert value is getattr(sys.modules[value.__module__], name)
+        assert name in dir(tikhtorus)
+
+    def test_from_import_serves_every_eager_name_in_a_fresh_process(self):
+        script = (
+            "import sys, tikhtorus\n"
+            f"for name in {EAGER_NAMES!r}:\n"
+            "    scope = {}\n"
+            "    exec(f'from tikhtorus import {name} as value', scope)\n"
+            "    assert scope['value'] is getattr(tikhtorus, name), name\n"
+            "assert isinstance(tikhtorus.noise, type(sys)), tikhtorus.noise\n"
+        )
+        done = run_fresh_process(script)
+        assert done.returncode == 0, done.stderr
+
+    def test_unknown_name_raises_attribute_error_naming_it(self):
+        with pytest.raises(AttributeError, match="no_such_name"):
+            tikhtorus.no_such_name
+        with pytest.raises(ImportError, match="no_such_name"):
+            exec("from tikhtorus import no_such_name", {})
+
+    def test_lookups_do_not_bind_into_the_package(self):
+        before = dict(vars(tikhtorus))
+        assert tikhtorus.solve is tikhtorus.tikhonov.solve
+        assert tikhtorus.FrequencyLattice is tikhtorus.spectral.FrequencyLattice
+        assert vars(tikhtorus) == before

@@ -6,7 +6,9 @@ with SHA-256 and compares the hashes with ``tools/outputs.sha256``. Each file
 is labelled by its config's path from the repository root, the offset and
 its name, e.g. ``configs/gamma.ini@3/gamma.csv``: two configs may share a
 basename. ``metadata.json`` records the output directory, which differs from
-run to run, so it is hashed with ``parameters.output.dir`` removed. Usage::
+run to run, so it is hashed with ``parameters.output.dir`` removed. Every
+run has ``OPENBLAS_NUM_THREADS=2`` in its environment, so a match also shows
+that the CLI's bytes do not follow a caller's BLAS setting. Usage::
 
     python tools/check_outputs.py          # compare; exit 1 on any difference
     python tools/check_outputs.py --write  # regenerate the manifest
@@ -54,7 +56,7 @@ def config_hashes(config: Path, offset: int, work: Path) -> dict:
     name = config.relative_to(ROOT).as_posix()
     out = work / f"{name.replace('/', '_')}@{offset}"
     paths = [str(ROOT / "src"), os.environ.get("PYTHONPATH")]
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths)), "OPENBLAS_NUM_THREADS": "2"}
     argv = [sys.executable, "-m", "tikhtorus.cli", command, "--config", str(config), "--out", str(out)]
     run = subprocess.run([*argv, "--seed-offset", str(offset)], env=env, capture_output=True, text=True)
     if run.returncode != 0:
