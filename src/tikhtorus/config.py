@@ -41,20 +41,21 @@ def _one_of(what: str, *options: str) -> tuple:
 
 # Peak bytes a 1-d run allocates per lattice mode: an upper bound on the
 # tracemalloc peak of the perfbench/configs/*.ini runs over their mode count
-# (the top bandlimit's for noise_probe). Those runs peak at 33.7 MiB / 524,289
-# modes = 67.4 B (deblur_sweep, whose streamed pass builds its symbol and
-# weight tables per piece and holds no lattice-wide draw or sum table, so the
-# whole tables of the band calibration and the ellipticity check set the
-# peak), 7.2 MiB / 2,097,153 modes = 3.6 B (noise_probe on 2 CPUs, whose
-# even tables hold a window of offsets per worker and whose workers draw into
-# buffers of their own, so its peak does not grow with the lattice) and
+# (the top bandlimit's for noise_probe). Those runs peak at 14.9 MiB / 524,289
+# modes = 29.8 B (deblur_sweep on 2 CPUs, which holds no lattice-sized table:
+# its set-up walks the symbol and forms the hat truth a piece at a time, and
+# its streamed pass builds every table per piece, so its peak does not grow
+# with the lattice), 7.2 MiB / 2,097,153 modes = 3.6 B (noise_probe on 2
+# CPUs, whose even tables hold a window of offsets per worker and whose
+# workers draw into buffers of their own, so its peak does not grow with the
+# lattice) and
 # 1.9 MiB / 4,095 modes = 476.8 B (gamma_dense: fixed costs, its five test
 # functions, the data and the sweep's per-piece tables, all on the reference
 # lattice only; configs/gamma.ini at
 # reference_bandlimit 131,072, 262,145 modes, peaks at 164.6 B, 80 B of it
 # the five test functions). rates runs the deblur error sweep without noise
 # draws, snapshot or certificate, so it takes the deblur figure (a rates run
-# on deblur_sweep's lattice peaks at 66.4 B).
+# on deblur_sweep's lattice peaks at 39.9 B: it holds its hat truth whole).
 # A test runs each experiment against these bounds. The bounds stay as set:
 # they are upper bounds, and lowering one would move the exit-2 boundary.
 _BYTES_PER_MODE = {"deblur": 200, "rates": 200, "noise_probe": 128, "gamma": 616}

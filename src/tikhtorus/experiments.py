@@ -29,15 +29,16 @@ from .rates import (
     SweepRow,
     SweepTables,
     _sweep_pass,
+    _symbol_facts,
     error_sweep,
     predicted_exponent,
 )
-from .signals import hat_coefficients, hat_values, load_coefficient_file
+from .signals import _Hat, hat_coefficients, hat_values, load_coefficient_file
 from .spectral import (
     FrequencyLattice,
     MultiplierOperator,
     SpectralField,
-    check_ellipticity,
+    _elliptic_pieces,
     deblur_operator,
     evaluate_on_grid,
     power_law_operator,
@@ -98,25 +99,32 @@ def _build_operator(config: ExperimentConfig) -> MultiplierOperator:
     return power_law_operator(-config.operator_exponent, name=config.operator_kind)
 
 
-def _problem(config: ExperimentConfig) -> tuple:
+def _problem(config: ExperimentConfig, streamed: bool = False) -> tuple:
     """The configured operator, the reference lattice it is checked on, the
-    truth on that lattice and the regularization schedule."""
+    truth on that lattice and the regularization schedule.
+
+    The operator is checked in one walk of its symbol, which also gathers
+    what a deblur run's sweep and certificate read of it
+    (``rates._symbol_facts``). A streamed set-up, a deblur run's, returns
+    those facts in the operator's place, with the band calibration's centre
+    when the run is certified, and its hat truth is ``signals._Hat``, which
+    forms the coefficients a span at a time, with no table."""
     operator = _build_operator(config)
     lattice = FrequencyLattice(1, config.reference_bandlimit)
     try:
-        check_ellipticity(operator, lattice)
+        certified = streamed and config.r == 1.0 and max(config.delta_grid) <= 1.0  # the H^1 certificate runs
+        facts = _symbol_facts(operator, lattice, max(config.delta_grid) ** 2 if certified else None, _elliptic_pieces)
     except ParameterError as exc:
         raise ParameterError(
             f"{exc} ([operator] exponent = {config.operator_exponent:g}, "
             f"[resolution] reference_bandlimit = {config.reference_bandlimit})"
         ) from exc
-    truth = (
-        hat_coefficients(lattice)
-        if config.truth_kind == "hat"
-        else load_coefficient_file(config.truth_path, lattice)
-    )
+    if config.truth_kind == "hat":
+        truth = _Hat(lattice) if streamed else hat_coefficients(lattice)
+    else:
+        truth = load_coefficient_file(config.truth_path, lattice)
     schedule = RegularizationSchedule(alpha0=config.alpha0, kappa=config.kappa, r=config.r)
-    return operator, lattice, truth, schedule
+    return facts if streamed else operator, lattice, truth, schedule
 
 
 def _positive_alpha(schedule: RegularizationSchedule, delta: float) -> float:
@@ -167,7 +175,7 @@ def _plot_band(config: ExperimentConfig) -> int:
 def _snapshot(
     config: ExperimentConfig,
     operator: MultiplierOperator,
-    truth: SpectralField,
+    truth,
     noise: SpectralField,
     alpha: float,
     r: float,
@@ -176,23 +184,20 @@ def _snapshot(
     float64 row (x, truth, data, reconstruction) per plot point, its plot,
     and the bandlimit it is plotted at (:func:`_plot_band`).
 
-    The truth and the draw (on any lattice that holds that band) are
-    truncated to that bandlimit first, and the measurement and
-    reconstruction are made on its small lattice: both are per-mode
-    operations, so they equal the truncations of the full-lattice ones bit
-    for bit."""
+    The hat is formed on that bandlimit, and a truth field (any other, or
+    the hat's field) and the draw (on any lattice that holds that band) are
+    truncated to it, and the measurement and reconstruction are made on its
+    small lattice: all are per-mode operations, so they equal the
+    truncations of the full-lattice ones bit for bit."""
     plot_band = _plot_band(config)
-    truth = truncate(truth, plot_band)
+    hat = config.truth_kind == "hat"
+    truth = hat_coefficients(FrequencyLattice(1, plot_band)) if hat else truncate(truth, plot_band)
     measurement = forward(operator, truth, SIGNAL_DELTA, truncate(noise, plot_band))
     reconstruction = solve(operator, measurement.data, alpha, r)
     x_grid = np.arange(config.plot_points) / config.plot_points
     blurred_values = evaluate_on_grid(measurement.data, config.plot_points)
     reconstruction_values = evaluate_on_grid(reconstruction, config.plot_points)
-    truth_values = (
-        hat_values(x_grid)
-        if config.truth_kind == "hat"
-        else evaluate_on_grid(truth, config.plot_points)
-    )
+    truth_values = hat_values(x_grid) if hat else evaluate_on_grid(truth, config.plot_points)
     signal_table = np.column_stack((x_grid, truth_values, blurred_values, reconstruction_values))
     signal_plot = line_plot(
         [
@@ -212,6 +217,15 @@ def run_deblur(config: ExperimentConfig) -> dict:
     a signal/reconstruction snapshot at a fixed small delta, the H^1
     certificate, and plots.
 
+    The set-up walks the reference symbol once (``_problem``'s walk,
+    ``rates._symbol_facts``): that walk checks the ellipticity constants and
+    gathers what the sweep and the certificate read of the symbol, the
+    band calibration's centre included, so the certificate walks it once
+    more only for the band's members. The truth is no table: the hat is
+    formed a span at a time (``signals._Hat``), by the truth's H^r check
+    once per +-l pair of each mirror group and by the pass once per part,
+    and the snapshot forms it on its plot band.
+
     The snapshot draws the first seed on its plot band only; nesting makes
     that draw the truncation of the reference one. The error sweep and the
     certificate then take every seed in one pass of their shared group
@@ -220,28 +234,27 @@ def run_deblur(config: ExperimentConfig) -> dict:
     lattice's leaves, a leaf above the zero mode with the leaves below it
     that hold the conjugate modes: each seed's canonical modes of each group
     are drawn once, and no draw exists lattice-wide. Every truth and symbol
-    a config can name is Hermitian, so the pass builds a, |a|^2, the weights and every
-    per-mode power once per mirror pair, shared by the sweep and the
-    certificate. Each leaf still sums its own modes in its own order, so the
-    sums keep ``spectral._kernel_sums``' summation rule and the bytes of a
-    per-mode computation; the checks run in seed order after the
-    snapshot's. The set-up ahead of the pass forms no lattice-sized table
-    but the truth (and, while it is built, the array its field copies): the
-    truth is filled a chunk at a time, and the ellipticity check, the
-    tables' symbol checks, the truth's H^r norm and the band calibration run
-    piece by piece across the CPUs, in the errors' old order.
+    a config can name is Hermitian, so the pass builds a, |a|^2, the
+    weights, the truth and every per-mode power once per mirror pair,
+    shared by the sweep and the certificate. Each leaf still sums its own
+    modes in its own order, so the sums keep ``spectral._kernel_sums``'
+    summation rule and the bytes of a per-mode computation; the checks run
+    in seed order after the snapshot's. No stage forms a lattice-sized
+    table, so the run's memory does not grow with the reference lattice
+    (a coefficient-file truth is the one table it holds), and the set-up's
+    checks run piece by piece across the CPUs, in the errors' old order.
     """
-    operator, lattice, truth, schedule = _problem(config)
+    facts, lattice, truth, schedule = _problem(config, streamed=True)
     signal_alpha = _positive_alpha(schedule, SIGNAL_DELTA)
-    sweep = SweepTables(operator, truth, schedule, config.s1_list, config.delta_grid, config.seeds)
+    sweep = SweepTables(facts, truth, schedule, config.s1_list, config.delta_grid, config.seeds)
     # H^1 certificate for the filtered noise part: the pinch-band lower bound
     # needs the quadratic schedule, so it runs with kappa = 2 at the
     # configured alpha0 (only meaningful for the first-derivative penalty)
     certificate = None
-    if config.r == 1.0 and max(config.delta_grid) <= 1.0:
+    if facts.centres is not None:  # r = 1 and deltas <= 1, so _problem found the band's centre
         try:
             certificate = DivergenceTables(
-                operator,
+                facts,
                 RegularizationSchedule(alpha0=config.alpha0, kappa=2.0, r=1.0),
                 config.delta_grid,
                 config.seeds,
@@ -254,7 +267,7 @@ def run_deblur(config: ExperimentConfig) -> dict:
 
     # illustrative reconstruction at the fixed noise amplitude
     noise = sample_white_noise(FrequencyLattice(1, _plot_band(config)), config.seeds[0])
-    signal_table, signal_plot, plot_band = _snapshot(config, operator, truth, noise, signal_alpha, schedule.r)
+    signal_table, signal_plot, plot_band = _snapshot(config, facts.operator, truth, noise, signal_alpha, schedule.r)
     errors, divergence = _sweep_pass(sweep, certificate, config.seeds)
     result = sweep.result(errors)
 
@@ -279,7 +292,7 @@ def run_deblur(config: ExperimentConfig) -> dict:
         "signal_delta": SIGNAL_DELTA,
         "signal_seed": config.seeds[0],
         "plot_truncation_bandlimit": plot_band,
-        "s1_window": _s1_window(config, operator.smoothing),
+        "s1_window": _s1_window(config, facts.operator.smoothing),
         "divergence": divergence_meta,
     }
     outputs = {

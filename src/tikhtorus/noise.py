@@ -22,6 +22,14 @@ evaluated as ``log1p(-u[2j])``).
 Bit-identical output for a given (seed, lattice) is part of the public
 contract and is pinned by tests.
 
+The pinned bytes are those of numpy's AVX-512 float64 ``log1p`` kernel,
+which numpy 2.4 runs on a CPU that has AVX-512. Without it (such a CPU, or
+``NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL AVX512_SPR"``) ``np.log1p``
+gives libm's bits, which differ in about 7 % of uniform arguments, and 17
+of the 56 files that ``tools/check_outputs.py`` checks differ; ``cos``,
+``sin`` and ``sqrt`` give libm's bits either way. So the bytes follow from
+(seed, lattice) for one CPU dispatch and one libm.
+
 The transform runs in place: each z[i] is written over u[i], with the
 operations of the formulas in their order (``_box_muller``), and a draw's
 complex values are the normals themselves, scaled in place and viewed as
@@ -86,8 +94,8 @@ import numpy as np
 
 from .errors import ConfigError, ParameterError
 from .spectral import (
-    FrequencyLattice, SpectralField, _as_index, _ball_tree, _half_sobolev_weights, _kernel_sums, _map_chunks,
-    _mirrored, finite_sobolev_weights,
+    FrequencyLattice, SpectralField, _as_index, _ball_tree, _conjugated, _half_sobolev_weights, _kernel_sums,
+    _map_chunks, _mirrored, finite_sobolev_weights,
 )
 
 __all__ = [
@@ -189,31 +197,19 @@ def _draw_chunks(lattice: FrequencyLattice, seed: int, store: Callable) -> float
 
 def _draw_span(lattice: FrequencyLattice, seed: int, start: int, stop: int) -> np.ndarray:
     """``sample_white_noise(lattice, seed).coefficients[start:stop]`` of a
-    d = 1 lattice, drawn directly, with no layout and no field: above the
-    zero mode, position p holds canonical mode p - zero - 1; below it, the
-    canonical modes are mirrored and conjugated. One run of canonical modes
-    covers both sides."""
-    index = _seed_index(seed)
-    zero = lattice.zero_index
-    if stop <= zero:  # the canonical modes the span reads
-        first, end = zero - stop, zero - start
-    elif start > zero:
-        first, end = start - zero - 1, stop - zero - 1
-    else:
-        first, end = 0, max(zero - start, stop - zero - 1)
+    d = 1 lattice, drawn directly, with no layout and no field, as a new
+    array: one run of canonical modes holds the offsets from the zero mode
+    that the span covers, canonical mode k at offset k + 1 and the zero
+    mode's variate at offset 0, and the positions below the zero mode read
+    them mirrored and conjugated (``spectral._conjugated``)."""
+    index, zero = _seed_index(seed), lattice.zero_index
+    first, end = max(start - zero, zero + 1 - stop, 0), max(stop - zero, zero + 1 - start)
     # the span before the draw: the draw's array, freed on return, then
     # leaves its room to the next draw (the other order left a deblur run's
     # worker heaps about 1 MiB larger)
     span = np.empty(stop - start, dtype=np.complex128)
-    values, z0 = _pair_values(index, first, end)
-    below = max(0, min(stop, zero) - start)  # positions start .. start + below - 1
-    if below:
-        span[:below] = values[zero - start - below - first : zero - start - first][::-1].conj()
-    above = max(0, stop - max(start, zero + 1))  # positions stop - above .. stop - 1
-    if above:
-        span[stop - start - above :] = values[stop - zero - 1 - above - first : stop - zero - 1 - first]
-    if start <= zero < stop:
-        span[zero - start] = z0
+    values, z0 = _pair_values(index, max(first - 1, 0), end - 1)
+    span[...] = _conjugated(np.concatenate(([z0], values)) if first == 0 else values, slice(start, stop), zero, first)
     return span
 
 

@@ -4,19 +4,25 @@ divergence certificate for the filtered noise part.
 
 The sweep and the certificate each split into seed-independent tables
 (:class:`SweepTables`, :class:`DivergenceTables`), per-seed sums and a
-summary. Both tables are stages of one group kernel (``_pass_sums``),
+summary. The tables' checks read the symbol in one walk over the lattice's
+mirror pieces (:func:`_symbol_facts`), which a deblur run makes once, with
+its ellipticity check, for both tables and the band calibration. Both
+tables are stages of one group kernel (``_pass_sums``),
 which ``spectral._kernel_sums`` runs, like every sum, on mirror groups of
 the lattice's leaves (``spectral._mirror_groups``): a leaf above the zero
 mode with the leaves below it that hold the conjugate modes, since
-position p holds the conjugate of position 2 zero - p. When the problem is
-Hermitian (the symbol and the truth for the sweep, an even |a|^2 for the
-certificate) each mirror pair shares every per-mode value, so the group
-draws each seed's canonical modes once, and builds its a, |a|^2 and weight
-tables (``spectral._leaf_tables``, which the gamma sweep shares), each
-delta's factors and each seed's powers once, on its canonical modes;
-otherwise each leaf draws and builds its own, on its own modes. A span is
-drawn on its own (``noise._draw_span`` in d = 1), so no draw exists
-lattice-wide. Each leaf then sums its own modes in its own order,
+position p holds the conjugate of position 2 zero - p. The group draws each
+seed's canonical modes once (``noise._draw_span`` in d = 1), so no draw
+exists lattice-wide. When the problem is Hermitian (the symbol and the
+truth for the sweep, an even |a|^2 for the certificate) each mirror pair
+shares every per-mode value, so the group builds its a, |a|^2 and weight
+tables (``spectral._leaf_tables``, which the gamma sweep shares), the
+truth, each delta's factors and each seed's powers once, on its canonical
+modes; otherwise each leaf builds its own, on its own modes, and reads its
+modes of the group's draw mirrored and conjugated below the zero mode. A
+truth may be a source of its coefficients by span (``signals._Hat``, a
+deblur run's), so no truth table exists either. Each leaf then sums its own
+modes in its own order,
 and ``spectral._kernel_sums`` adds the leaves' sums up its tree: no mirror
 pair is folded into one term, so every sum keeps the summation rule of
 ``_kernel_sums`` (its docstring), and the bytes depend neither on the
@@ -49,15 +55,16 @@ from .spectral import (
     FrequencyLattice,
     MultiplierOperator,
     SpectralField,
+    _conjugated,
     _kernel_sums,
     _leaf_tables,
     _mirrored,
-    _mode_weights,
     _sobolev_norm,
+    _span_reader,
     _squared_modulus,
+    _squares,
     _symbol_pieces,
     finite_sobolev_weights,
-    is_hermitian,
     sobolev_norm,  # not called here; the benchmark's tracer and its tests read this binding
     sobolev_weights,  # not called here; the benchmark's tests read this binding
 )
@@ -238,22 +245,27 @@ class SweepTables:
     coefficients, its penalty weights (1+|l|^2)^r and its sum) and
     alpha(delta), in that order, and keeps alpha(delta) per delta and the
     exponents r and s1 of the pass's weight tables; it forms no
-    lattice-sized table. The symbol runs once per mode, on mirror pieces
-    across the CPUs (``spectral._symbol_pieces``: a piece below the zero
-    mode with its mirror), which give its checks, whether it is Hermitian
-    and whether |a|^2 has a zero; each leaf of the norm's sum
-    (``spectral._sobolev_norm``) builds its own weights, so the norm keeps
-    its summation tree and its bits.
+    lattice-sized table. The symbol's checks, whether it is Hermitian and
+    whether |a|^2 has a zero come from one walk over its mirror pieces
+    across the CPUs (:func:`_symbol_facts`); ``A`` may also be the facts of
+    a walk made on the truth's lattice (a deblur run's, which also checks
+    its ellipticity). The truth is a field, or a source of its coefficients
+    by span with a ``lattice`` and a ``hermitian`` flag (``signals._Hat``,
+    a deblur run's hat, of which no table exists). The norm's sum
+    (``spectral._sobolev_norm``) keeps its summation tree and its bits: for
+    a Hermitian truth each mirror group forms |u|^2 and the weights once per
+    +-l pair, and each leaf reads them mirrored.
     :meth:`result` is the summary of the errors that ``_sweep_pass`` gives.
 
     Per mirror group of leaves, the pass builds a, |a|^2, (1+|l|^2)^r and
     (1+|l|^2)^s1 per s1, shared with a :class:`DivergenceTables` of the same
-    run. Per delta, the kernel forms the gain conj(a)/z and the bias part
-    once (``tikhonov._delta_parts``); per seed, the filtered noise part, the
-    deviation T(m) - u and |T(m) - u|^2 (:meth:`_powers`). When the symbol
-    and the truth are Hermitian (``_even``), T(m) - u is too, so
-    |T(m) - u|^2 is even bit for bit and all of this runs once per mirror
-    pair, on the group's canonical modes; otherwise once per mode. Each leaf
+    run, and the truth u. Per delta, the kernel forms the gain conj(a)/z
+    and the bias part once (``tikhonov._delta_parts``); per seed, the
+    filtered noise part, the deviation T(m) - u and |T(m) - u|^2
+    (:meth:`_powers`). When the symbol and the truth are Hermitian
+    (``_even``), T(m) - u is too, so |T(m) - u|^2 is even bit for bit and
+    all of this runs once per mirror pair, on the group's canonical modes;
+    otherwise once per mode. Each leaf
     then sums (1+|l|^2)^s1 |T(m) - u|^2 per s1 over its own modes, read in
     its own order, and ``spectral._kernel_sums`` adds the leaves up: the
     arithmetic and summation order of
@@ -279,16 +291,14 @@ class SweepTables:
         seeds: Sequence[int | None],
     ) -> None:
         lattice = truth.lattice
-        pieces = _symbol_pieces(
-            A, lattice, lambda index, modes, values: (is_hermitian(values), _squared_modulus(values).all())
-        )
+        facts = A if isinstance(A, _SymbolFacts) else _symbol_facts(A, lattice)
         # a Hermitian symbol and truth give every mirror pair one |T(m) - u|^2
-        self._even = truth.hermitian and all(hermitian for hermitian, _ in pieces)
+        self._even = truth.hermitian and facts.hermitian
         if len(delta_grid) < 1 or len(s1_list) < 1 or len(seeds) < 1:
             raise ParameterError("error_sweep needs nonempty s1_list, delta_grid, seeds")
         if any(d2 >= d1 for d1, d2 in zip(delta_grid, delta_grid[1:])):
             raise ParameterError("delta_grid must be strictly decreasing")
-        self.truth, self._operator, self._lattice = truth, A, lattice
+        self.truth, self._truth, self._operator, self._lattice = truth, _span_reader(truth), facts.operator, lattice
         self.s1_list = [float(s1) for s1 in s1_list]
         self.delta_grid = [float(delta) for delta in delta_grid]
         self.labels = [-1 if seed is None else int(seed) for seed in seeds]
@@ -300,7 +310,7 @@ class SweepTables:
             )
         self._schedule = schedule
         self._alphas = [schedule.alpha(delta) for delta in self.delta_grid]
-        if 0.0 in self._alphas and not all(nonzero for _, nonzero in pieces):
+        if 0.0 in self._alphas and not facts.nonzero:
             raise ParameterError(
                 f"alpha = alpha0 * delta^kappa underflows to 0 at delta = "
                 f"{self.delta_grid[self._alphas.index(0.0)]:g} and so does |a(l)|^2 at some "
@@ -310,18 +320,18 @@ class SweepTables:
         self._exponents = [float(schedule.r), *self.s1_list]  # r first
         self._sum_exponents = self.s1_list
 
-    def _powers(self, i: int, part: slice, block: list, leaf: tuple, scratch: tuple) -> list:
-        """|T(m) - u|^2 on the positions ``part`` at delta i, one table per
-        noise coefficients block[j] on them, from the ``spectral._leaf_tables``
-        of ``part``, formed in the pass's ``scratch`` (:func:`_scratch`); the
-        pass weights each by (1+|l|^2)^s1 per s1 and sums it."""
-        u = self.truth.coefficients[part]
+    def _powers(self, i: int, block: list, leaf: tuple, scratch: tuple) -> list:
+        """|T(m) - u|^2 on a part of the pass at delta i, one table per noise
+        coefficients block[j] on it, from the part's ``leaf``: its
+        ``spectral._leaf_tables`` and its truth u. They are formed in the
+        pass's ``scratch`` (:func:`_scratch`); the pass weights each by
+        (1+|l|^2)^s1 per s1 and sums it."""
+        symbol, symbol_sq, weights, u = leaf
         delta = self.delta_grid[i]
         (gain, bias, scaled, noisy), (z, square, _, *powers) = (rows[:, : u.size] for rows in scratch)
         # an inf z (alpha (1+|l|^2)^r overflows) makes the filter factors 0,
         # their value in double precision; an error that is not finite is
         # caught by _errors
-        symbol, symbol_sq, weights = leaf
         with np.errstate(over="ignore", invalid="ignore"):
             _delta_parts(symbol, symbol_sq, weights[self._exponents[0]], self._alphas[i], u, out=(gain, z, bias))
             for eps, power in zip(block, powers):
@@ -340,9 +350,7 @@ class SweepTables:
                 error = float(np.sqrt(sums[i, k]))
                 if not math.isfinite(error):
                     where = f"s1 = {s1:g}, delta = {delta:g}"
-                    finite_sobolev_weights(
-                        self.truth.lattice, s1, f"the error at {where} ([grids] s1_list)"
-                    )
+                    finite_sobolev_weights(self._lattice, s1, f"the error at {where} ([grids] s1_list)")
                     raise ParameterError(
                         f"error at {where} is {error}, not finite ([grids] delta_grid)"
                     )
@@ -426,10 +434,48 @@ class ModeBand:
     member_indices: np.ndarray
 
 
-def _even_modulus(index, modes, values) -> bool:
-    """Whether |a|^2 is even on a piece of ``spectral._symbol_pieces``."""
-    symbol_sq = _squared_modulus(values)
-    return np.array_equal(symbol_sq[::-1], symbol_sq)
+class _SymbolFacts(NamedTuple):
+    """What the set-up ahead of the sweep pass reads of a symbol on a
+    lattice, from one walk over its mirror pieces (:func:`_symbol_facts`)."""
+
+    operator: MultiplierOperator
+    hermitian: bool  # a(-l) == conj(a(l)) at every mode
+    nonzero: bool  # |a|^2 has no zero
+    even: bool  # |a|^2 is even
+    centres: tuple | None  # calibrate_band's candidates per piece, at the walk's scale
+
+
+def _symbol_facts(A: MultiplierOperator, lattice: FrequencyLattice, scale=None, walk=_symbol_pieces) -> _SymbolFacts:
+    """The facts of ``A`` on ``lattice`` from one walk over the mirror pieces
+    of ``spectral._symbol_pieces``, across the CPUs, or of ``walk``, which
+    hands the same pieces (a deblur run's is
+    ``spectral._elliptic_pieces``, which checks the ellipticity constants
+    too): the symbol's checks, whether it is Hermitian, whether |a|^2 has no
+    zero and whether it is even, and, for a ``scale`` delta_max^2, the
+    centre candidates of :func:`calibrate_band` per piece. Every per-piece
+    temporary is written into the walk worker's buffers. A walk raises
+    only the symbol's errors (and ``walk``'s), so each reader raises its own
+    in its order."""
+
+    def facts(index, modes, values, buffers) -> tuple:
+        symbol_sq, other, ratio, distance = buffers.rows[:, : values.size]
+        np.add(np.square(values.real, out=symbol_sq), np.square(values.imag, out=other), out=symbol_sq)
+        np.negative(values.imag[::-1], out=other)  # a piece holds its mirror: Hermitian if reversed a is conj(a)
+        hermitian = np.array_equal(values.real[::-1], values.real) and np.array_equal(other, values.imag)
+        centre = None
+        if scale is not None:  # |a|^2 / (delta_max^2 (1+|l|^2)), and the mode closest to balance
+            with np.errstate(divide="ignore", over="ignore", invalid="ignore"):  # a scale its reader refuses
+                np.add(_squares(modes, out=ratio), 1.0, out=ratio)
+                np.divide(symbol_sq, np.multiply(scale, ratio, out=ratio), out=ratio)
+            positive = ratio > 0  # a ratio that underflowed to 0 is never the mode closest to balance
+            distance.fill(np.inf)
+            np.abs(np.log(ratio, out=distance, where=positive), out=distance)
+            j = int(np.argmin(distance))
+            centre = distance[j], index[j], float(ratio[j]), ratio.min(), ratio.max(), positive.any()
+        return hermitian, symbol_sq.all(), np.array_equal(symbol_sq[::-1], symbol_sq), centre
+
+    hermitian, nonzero, even, centres = zip(*walk(A, lattice, facts))
+    return _SymbolFacts(A, all(hermitian), all(nonzero), all(even), None if scale is None else centres)
 
 
 def calibrate_band(
@@ -446,21 +492,14 @@ def calibrate_band(
     lattice order), then widens geometrically, at most 40 times. It is a
     reduction over the mirror pieces of ``spectral._symbol_pieces``, which
     forms no lattice-sized table: one walk finds that mode and the ratio's
-    range, the next gathers each delta's band members, and only a band that
-    comes out empty makes the widening walk the pieces again.
+    range (:func:`_symbol_facts`, or ``A`` is the facts of a walk that did,
+    at max(delta_grid)^2), the next gathers each delta's band members, and
+    only a band that comes out empty makes the widening walk the pieces
+    again.
     """
     delta_max = max(delta_grid)
-    scale = delta_max**2
-
-    def centre(index, modes, values) -> tuple:
-        ratio = _squared_modulus(values) / (scale * _mode_weights(modes, 1.0))
-        positive = ratio > 0
-        # a ratio that underflowed to 0 is never the mode closest to balance
-        distance = np.abs(np.log(ratio, out=np.full_like(ratio, np.inf), where=positive))
-        j = int(np.argmin(distance))
-        return distance[j], index[j], float(ratio[j]), ratio.min(), ratio.max(), positive.any()
-
-    distances, positions, ratios, lows, highs, positive = zip(*_symbol_pieces(A, lattice, centre))
+    facts = A if isinstance(A, _SymbolFacts) else _symbol_facts(A, lattice, delta_max**2)
+    distances, positions, ratios, lows, highs, positive = zip(*facts.centres)
     if not any(positive):
         raise ParameterError(
             "|a(l)|^2 underflows to 0 at every mode; no band to calibrate ([operator] exponent)"
@@ -468,15 +507,15 @@ def calibrate_band(
     closest = min(range(len(ratios)), key=lambda k: (distances[k], positions[k]))
     c0, c1 = 0.5 * ratios[closest], 2.0 * ratios[closest]
 
-    def members(index, modes, values) -> list:
-        symbol_sq, weights1 = _squared_modulus(values), _mode_weights(modes, 1.0)
+    def members(index, modes, values, buffers) -> list:
+        symbol_sq, weights1 = _squared_modulus(values), 1.0 + _squares(modes)
         return [
             index[(c0 * band_scale <= symbol_sq) & (symbol_sq <= c1 * band_scale)]
             for band_scale in (float(d) * float(d) * weights1 for d in delta_grid)
         ]
 
     for _ in range(40):
-        found = zip(*_symbol_pieces(A, lattice, members))
+        found = zip(*_symbol_pieces(facts.operator, lattice, members))
         bands = [ModeBand(float(d), np.sort(np.concatenate(parts))) for d, parts in zip(delta_grid, found)]
         if all(band.member_indices.size > 0 for band in bands):
             return c0, c1, bands
@@ -511,10 +550,12 @@ class DivergenceTables:
     The constructor checks the symbol, the schedule and the grid, in that
     order, and calibrates the pinch band (:func:`calibrate_band`); it forms
     no lattice-sized table. The symbol's checks and whether |a|^2 is even
-    come from one walk over the mirror pieces of
-    ``spectral._symbol_pieces`` (a piece below the zero mode with its
-    mirror), across the CPUs, and the calibration is a reduction over the
-    same pieces. :meth:`report` is
+    come from one walk over its mirror pieces across the CPUs
+    (:func:`_symbol_facts`), and the calibration is a reduction over the
+    same pieces. ``A`` may also be the facts of a walk made on ``lattice``;
+    when that walk found the band's centre too (a deblur run's, at the
+    largest delta), the calibration walks the pieces only for the band's
+    members. :meth:`report` is
     the summary of the rows that ``_sweep_pass`` gives.
 
     Per mirror group of leaves, the pass builds |a|^2 and the (1+|l|^2)
@@ -539,7 +580,7 @@ class DivergenceTables:
         lattice: FrequencyLattice,
     ) -> None:
         # the symbol's checks come first; an even |a|^2 gives every mirror pair one |w_delta|^2
-        even = all(_symbol_pieces(A, lattice, _even_modulus))
+        facts = A if isinstance(A, _SymbolFacts) else _symbol_facts(A, lattice)
         if schedule.r != 1.0:
             raise ParameterError(f"divergence certificate needs r = 1, got r = {schedule.r}")
         if schedule.kappa < 2.0:
@@ -555,18 +596,18 @@ class DivergenceTables:
                 f"divergence certificate needs delta^2 to be a normal double, got "
                 f"delta = {min(delta_grid):g} ([grids] delta_grid)"
             )
-        self.c0, self.c1, self.bands = calibrate_band(A, lattice, delta_grid)
-        self._operator, self._lattice, self._exponents = A, lattice, [1.0]
+        self.c0, self.c1, self.bands = calibrate_band(facts if facts.centres else facts.operator, lattice, delta_grid)
+        self._operator, self._lattice, self._exponents = facts.operator, lattice, [1.0]
         self._sum_exponents = self._exponents
         self._alphas = [schedule.alpha(band.delta) for band in self.bands]
         self._bound_factor = 1.0 / ((1.0 + schedule.alpha0 / self.c0) * (self.c1 + schedule.alpha0))
-        self._even = even
+        self._even = facts.even
 
-    def _powers(self, i: int, part: slice, block: list, leaf: tuple, scratch: tuple) -> list:
-        """|w_delta|^2 on the positions ``part`` at delta i, one table per
-        noise coefficients block[j] on them, from the ``spectral._leaf_tables``
-        of ``part``, formed in the pass's ``scratch`` (:func:`_scratch`); the
-        pass weights each by (1+|l|^2) and sums it."""
+    def _powers(self, i: int, block: list, leaf: tuple, scratch: tuple) -> list:
+        """|w_delta|^2 on a part of the pass at delta i, one table per noise
+        coefficients block[j] on it, from the part's ``leaf`` (its
+        ``spectral._leaf_tables``), formed in the pass's ``scratch``
+        (:func:`_scratch`); the pass weights each by (1+|l|^2) and sums it."""
         symbol_sq, weights1 = leaf[1], leaf[2][1.0]
         alpha, delta = self._alphas[i], self.bands[i].delta
         z_sq, square, scaled_sq, *powers = scratch[1][:, : symbol_sq.size]
@@ -666,13 +707,17 @@ def _scratch(size: int) -> tuple:
     """The buffers in which a block of the pass forms every stage's per-mode
     tables on a part of up to ``size`` modes (``_powers``): 4 complex rows
     and 3 + ``_SEED_BLOCK`` real ones, the last ``_SEED_BLOCK`` for the
-    powers. Each block allocates them once, after its draws, so a worker's
-    memory stays level from one delta and stage to the next, and the pass's
-    peak does not hang on how its workers' steps interleave."""
-    return np.empty((4, size), dtype=np.complex128), np.empty((3 + _SEED_BLOCK, size))
+    powers. Each block allocates them once, after its draws, in one piece,
+    so a worker's memory stays level from one delta and stage to the next,
+    the pass's peak does not hang on how its workers' steps interleave, and
+    glibc's malloc, which raises its mapping threshold to the size of a
+    mapped piece that is freed, serves more of the pass's other
+    temporaries from its heap instead of fresh page-faulted mappings."""
+    block = np.empty((11 + _SEED_BLOCK) * size)
+    return block[: 8 * size].view(np.complex128).reshape(4, size), block[8 * size :].reshape(3 + _SEED_BLOCK, size)
 
 
-def _pass_sums(lattice: FrequencyLattice, noise: Callable, seeds: Sequence, stages: list) -> np.ndarray:
+def _pass_sums(lattice: FrequencyLattice, noise: Callable, seeds: Sequence, stages: list, truth=None) -> np.ndarray:
     """sums[j, i, :] of seeds[j] at delta i: the sums of each of ``stages``
     (a :class:`SweepTables` and/or a :class:`DivergenceTables` of one
     operator on ``lattice`` with the same delta grid), side by side, one per
@@ -683,11 +728,15 @@ def _pass_sums(lattice: FrequencyLattice, noise: Callable, seeds: Sequence, stag
     holds. It works on parts of a group: when every stage is even (a
     Hermitian symbol and truth; an even |a|^2), one part, the group's span
     (its canonical modes, and the zero mode if the group holds it), on
-    which it builds the tables (``spectral._leaf_tables``) and the per-mode
-    powers once; otherwise one part per leaf, its own positions.
-    ``noise(seed, start, stop)`` gives the seed's coefficients on the modes
-    [start, stop); the kernel asks once for each seed and part, a block of
-    seeds at a time, before the block's scratch is allocated. Each leaf then
+    which it builds the tables (``spectral._leaf_tables``), the sweep's
+    truth u (``truth(start, stop)``, its coefficients on the modes [start,
+    stop)) and the per-mode powers once; otherwise one part per leaf, its
+    own positions. ``noise(seed, start, stop)`` gives the seed's
+    coefficients likewise; the kernel asks once for each seed and group
+    span, a block of seeds at a time, before the block's scratch is
+    allocated, and a leaf that is a part of its own reads its modes of that
+    draw, mirrored and conjugated below the zero mode
+    (``spectral._conjugated``): the draw is Hermitian. Each leaf then
     weights the powers it reads in its own order (``spectral._mirrored``)
     into a buffer and sums it, so that each leaf's sum is the ``np.sum``
     that the summation rule of ``_kernel_sums`` asks for, and no mirror pair
@@ -709,6 +758,7 @@ def _pass_sums(lattice: FrequencyLattice, noise: Callable, seeds: Sequence, stag
             return _mirrored(table, pieces[v], zero, span.start - zero) if paired else table
 
         leaves = [_leaf_tables(stages[0]._operator, lattice, part, exponents) for part, _ in parts]
+        leaves = [(*leaf, truth and truth(part.start, part.stop)) for leaf, (part, _) in zip(leaves, parts)]
         weights = [{s: read(w, v) for s, w in leaf[2].items()} for leaf, (_, vs) in zip(leaves, parts) for v in vs]
         sums = np.empty((len(pieces), len(seeds), deltas, columns[-1]))
         product = np.empty(max(piece.stop - piece.start for piece in pieces))
@@ -717,11 +767,13 @@ def _pass_sums(lattice: FrequencyLattice, noise: Callable, seeds: Sequence, stag
             """The sums of the block of seeds from seeds[first] on; its draws
             and scratch are freed on return, before the next block draws."""
             block_seeds = seeds[first : first + _SEED_BLOCK]
-            draws = [[noise(seed, part.start, part.stop) for seed in block_seeds] for part, _ in parts]
+            draws = [[noise(seed, span.start, span.stop) for seed in block_seeds]]
+            if not paired:
+                draws = [[_conjugated(eps, piece, zero, span.start - zero) for eps in draws[0]] for piece in pieces]
             scratch = _scratch(max(leaf[1].size for leaf in leaves))
-            for (part, vs), leaf, eps in zip(parts, leaves, draws):
+            for (_, vs), leaf, eps in zip(parts, leaves, draws):
                 for i, (stage, column) in itertools.product(range(deltas), zip(stages, columns)):
-                    for j, power in enumerate(stage._powers(i, part, eps, leaf, scratch), start=first):
+                    for j, power in enumerate(stage._powers(i, eps, leaf, scratch), start=first):
                         for v in vs:
                             values, out = read(power, v), product[: pieces[v].stop - pieces[v].start]
                             sums[v, j, i, column : column + len(stage._sum_exponents)] = [
@@ -743,13 +795,13 @@ def _sweep_pass(sweep: SweepTables | None, certificate: DivergenceTables | None,
     (``_pass_sums``). Every seed is checked before any draw; a None seed,
     the noise-free pipeline, has zero noise and no certificate.
 
-    In d = 1 every seed runs in one pass: each part of ``_pass_sums`` is
-    drawn straight from the seed's stream (``noise._draw_span``; for a
-    Hermitian problem, the group's canonical modes once), so no draw exists
-    lattice-wide; the certificate's lower bound reads its band members the
-    same way. In d >= 2 a span cannot be drawn on its own, so each seed is
-    drawn whole and runs in a pass of its own, which builds the group tables
-    again, and one draw is alive at a time. Each leaf's sum is taken in the
+    In d = 1 every seed runs in one pass: each group span of ``_pass_sums``
+    is drawn straight from the seed's stream (``noise._draw_span``), its
+    canonical modes once, so no draw exists lattice-wide; the certificate's
+    lower bound reads its band members the same way. In d >= 2 a span
+    cannot be drawn on its own, so each seed is drawn whole and runs in a
+    pass of its own, which builds the group tables again, and one draw is
+    alive at a time. Each leaf's sum is taken in the
     leaf's own order, so the values are those of the per-mode formulas
     summed by ``spectral._kernel_sums``.
     The checks run on the finished sums, per seed the sweep's and then the
@@ -770,7 +822,7 @@ def _sweep_pass(sweep: SweepTables | None, certificate: DivergenceTables | None,
                 return np.zeros(stop - start, dtype=np.complex128)
             return _draw_span(lattice, seed, start, stop) if draw is None else draw[start:stop]
 
-        for seed, sums in zip(group, _pass_sums(lattice, noise, group, stages)):
+        for seed, sums in zip(group, _pass_sums(lattice, noise, group, stages, sweep and sweep._truth)):
             if sweep is not None:
                 errors.append(sweep._errors(sums[:, : len(sweep.s1_list)]))
             if certificate is not None:

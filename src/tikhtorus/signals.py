@@ -6,11 +6,12 @@ from __future__ import annotations
 
 import csv
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import ConfigError, DimensionError
-from .spectral import FrequencyLattice, SpectralField, _map_chunks
+from .spectral import FrequencyLattice, SpectralField, _conjugated
 
 __all__ = ["hat_values", "hat_coefficients", "load_coefficient_file"]
 
@@ -33,6 +34,26 @@ def hat_values(x: np.ndarray) -> np.ndarray:
     return out
 
 
+# offsets per block of _hat_offsets: 64 KiB of complex temporaries, which
+# malloc serves from its heap, where a table-sized one is mapped afresh
+_HAT_BLOCK = 4096
+
+
+def _hat_offsets(first: int, end: int, out: np.ndarray) -> np.ndarray:
+    """The plateau signal's coefficients c(l) at l = first .. end - 1, first
+    >= 0, written into ``out`` ``_HAT_BLOCK`` offsets at a time and
+    returned: the one spelling of the closed form of
+    :func:`hat_coefficients`. It is elementwise, so any run of offsets gets
+    the bits of the whole table there."""
+    if first == 0:
+        out[0] = 0.3
+    for start in range(max(first, 1), end, _HAT_BLOCK):
+        l = np.arange(start, min(end, start + _HAT_BLOCK), dtype=np.float64)
+        e = [np.exp(-2j * np.pi * l * a) for a in (0.3, 0.4, 0.6, 0.7)]  # E(a) at the four breakpoints
+        np.divide(-10.0 * (e[0] - e[1] - e[2] + e[3]), 4.0 * np.pi**2 * l**2, out=out[start - first :][: l.size])
+    return out
+
+
 def hat_coefficients(lattice: FrequencyLattice) -> SpectralField:
     """Closed-form Fourier coefficients of the plateau signal.
 
@@ -45,29 +66,33 @@ def hat_coefficients(lattice: FrequencyLattice) -> SpectralField:
     and c(0) = 0.3 (plateau 0.2 plus two ramp areas of 0.05). Computing the
     coefficients in closed form instead of sampling avoids aliasing from the
     kinks; negative modes are mirrored explicitly so Hermitian symmetry is
-    exact. The positive modes are filled a chunk at a time across the CPUs
-    (``spectral._map_chunks``), each with its mirror, so besides the
-    coefficients no lattice-sized table is formed.
+    exact. The table is the span of :class:`_Hat` over the whole lattice:
+    each l >= 0 is formed once (:func:`_hat_offsets`), and its mirror is its
+    conjugate.
     """
     if lattice.dimension != 1:
         raise DimensionError("the plateau signal is one-dimensional")
-    coeffs = np.zeros(lattice.mode_count, dtype=np.complex128)
-    center = lattice.zero_index
-    coeffs[center] = 0.3
+    return SpectralField(lattice, _Hat(lattice).span(0, lattice.mode_count), hermitian=True)
 
-    def fill(start: int, stop: int) -> None:  # the modes l = start + 1 .. stop and -l
-        l = np.arange(start + 1, stop + 1, dtype=np.float64)
 
-        def phase(a: float) -> np.ndarray:
-            return np.exp(-2j * np.pi * l * a)
+class _Hat(NamedTuple):
+    """The plateau signal on a 1-d ``lattice`` as a source of its
+    coefficients, with no table: :meth:`span` forms them on a run of
+    positions with the bits of :func:`hat_coefficients` there. It stands for
+    that field where a reader takes a span at a time: a deblur run's truth
+    (``rates.SweepTables``, ``spectral._sobolev_norm``)."""
 
-        jumps = phase(0.3) - phase(0.4) - phase(0.6) + phase(0.7)
-        positive = -10.0 * jumps / (4.0 * np.pi**2 * l**2)
-        coeffs[center + 1 + start : center + 1 + stop] = positive
-        coeffs[center - stop : center - start] = positive[::-1].conj()
+    lattice: FrequencyLattice
+    hermitian: bool = True
 
-    _map_chunks(fill, lattice.bandlimit)
-    return SpectralField(lattice, coeffs, hermitian=True)
+    def span(self, start: int, stop: int) -> np.ndarray:
+        """The coefficients at the positions [start, stop), as a fresh array:
+        the offsets from the zero mode they cover, mirrored and conjugated
+        below it (``spectral._conjugated``)."""
+        zero = self.lattice.zero_index
+        first, end = max(start - zero, zero + 1 - stop, 0), max(stop - zero, zero + 1 - start)
+        half = _hat_offsets(first, end, np.empty(end - first, dtype=np.complex128))
+        return _conjugated(half, slice(start, stop), zero, first)
 
 
 def load_coefficient_file(path: str | Path, lattice: FrequencyLattice) -> SpectralField:

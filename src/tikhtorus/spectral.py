@@ -260,11 +260,11 @@ _SYMBOL_FAULTS = (
 )
 
 
-def _symbol_table(op: MultiplierOperator, lattice: FrequencyLattice, modes: np.ndarray) -> tuple:
-    """a(l) at ``modes``, rows of ``lattice.modes()``, as a fresh complex
-    table, and the index in ``_SYMBOL_FAULTS`` of the first check it fails
-    (None when it passes them all), with no warning. An operator fixed to
-    another dimension raises DimensionError at once."""
+def _symbol_table(op: MultiplierOperator, lattice: FrequencyLattice, modes: np.ndarray, out: np.ndarray) -> tuple:
+    """a(l) at ``modes``, rows of ``lattice.modes()``, written into the
+    complex buffer ``out``, and the index in ``_SYMBOL_FAULTS`` of the first
+    check it fails (None when it passes them all), with no warning. An
+    operator fixed to another dimension raises DimensionError at once."""
     if op.dimension is not None and lattice.dimension != op.dimension:
         raise DimensionError(
             f"operator {op.name!r} is fixed to dimension {op.dimension}, "
@@ -273,12 +273,11 @@ def _symbol_table(op: MultiplierOperator, lattice: FrequencyLattice, modes: np.n
     # a copy, so that a caller never writes an array the callable keeps; an
     # overflow or a nan is reported by the checks, not warned about
     with np.errstate(over="ignore", invalid="ignore"):
-        values = np.array(op.symbol(modes), dtype=np.complex128)
-    if values.shape != (len(modes),):
-        return values, 0
-    if not np.isfinite(values).all():
-        return values, 1
-    return values, (2 if np.any(values == 0) else None)
+        values = np.asarray(op.symbol(modes))
+        if values.shape != (len(modes),):
+            return values, 0
+        out[...] = values
+    return out, (1 if not np.isfinite(out).all() else 2 if np.any(out == 0) else None)
 
 
 def _symbol_error(op: MultiplierOperator, fault: int) -> Exception:
@@ -291,16 +290,31 @@ def _symbol_at(op: MultiplierOperator, lattice: FrequencyLattice, modes: np.ndar
     :class:`MultiplierOperator` docstring says: the whole table
     (:meth:`~MultiplierOperator.symbol_values`) or one piece of it
     (:func:`_leaf_tables`), equal bit for bit where they overlap."""
-    values, fault = _symbol_table(op, lattice, modes)
+    values, fault = _symbol_table(op, lattice, modes, np.empty(len(modes), dtype=np.complex128))
     if fault is not None:
         raise _symbol_error(op, fault)
     return values
 
 
+class _WalkBuffers(threading.local):
+    """A symbol walk's buffers for one piece, one set per worker thread
+    (``threading.local`` runs ``__init__`` in each thread that reads it),
+    sized once per walk: the positions, modes (in d = 1) and symbol values
+    of :func:`_symbol_pieces`, and four float rows in which its kernels form
+    their temporaries. A piece then allocates only what the symbol callable
+    does and masks of a byte a mode, which malloc serves from its heap; a
+    fresh table of more than 128 KiB is mapped and page-faulted afresh."""
+
+    def __init__(self, width: int) -> None:
+        self.ramp, self.index = np.arange(width, dtype=np.int64), np.empty(width, dtype=np.int64)
+        self.modes, self.values = np.empty((width, 1), dtype=np.int64), np.empty(width, dtype=np.complex128)
+        self.rows = np.empty((4, width))
+
+
 def _symbol_pieces(op: MultiplierOperator, lattice: FrequencyLattice, kernel: Callable) -> list:
-    """``kernel(index, modes, values)`` on each mirror piece of ``lattice``,
-    in piece order: the one walk over a symbol of the checks that precede
-    the sweep pass. No lattice-sized table is formed.
+    """``kernel(index, modes, values, buffers)`` on each mirror piece of
+    ``lattice``, in piece order: the one walk over a symbol of the checks
+    that precede the sweep pass. No lattice-sized table is formed.
 
     Piece i holds the modes at the offsets i w .. (i+1) w - 1 from the zero
     mode, on both of its sides, w = ``_CHUNK`` // 2 (at least 1), so at most
@@ -308,7 +322,9 @@ def _symbol_pieces(op: MultiplierOperator, lattice: FrequencyLattice, kernel: Ca
     in lattice order, ``modes`` their rows of ``lattice.modes()`` and
     ``values`` the symbol there, so that entry j holds the mode opposite to
     entry len - 1 - j, as in a whole table (:func:`is_hermitian` reads a
-    piece as it reads a lattice). The pieces run across the CPUs
+    piece as it reads a lattice). ``index``, ``values`` and, in d = 1,
+    ``modes`` live in the worker's :class:`_WalkBuffers` ``buffers``, whose
+    ``rows`` the kernel may write, so a kernel keeps none of them. The pieces run across the CPUs
     (:func:`_dispatch`), under the caller's ``np.errstate``; the symbol runs
     once per mode. A piece whose table fails a check of ``_SYMBOL_FAULTS``
     is not handed to the kernel, and after the walk the error raised is the
@@ -318,14 +334,17 @@ def _symbol_pieces(op: MultiplierOperator, lattice: FrequencyLattice, kernel: Ca
     pieces = -(-(zero + 1) // width)
     results: list = [None] * pieces
     faults: list = [None] * pieces
+    buffers = _WalkBuffers(min(2 * width, lattice.mode_count))
 
     def task(i: int) -> None:
         first, end = i * width, min(zero + 1, (i + 1) * width)
-        index = np.r_[zero + 1 - end : zero + 1 - max(first, 1), zero + first : zero + end]
-        modes = _piece_modes(lattice, index)
-        values, faults[i] = _symbol_table(op, lattice, modes)
+        size = 2 * end - max(first, 1) - first
+        index = np.add(buffers.ramp[:size], zero + 1 - end, out=buffers.index[:size])
+        index[end - max(first, 1) :] += max(2 * first - 1, 0)  # past the gap the piece leaves about the zero mode
+        modes = _piece_modes(lattice, index, buffers.modes[:size])
+        values, faults[i] = _symbol_table(op, lattice, modes, buffers.values[:size])
         if faults[i] is None:
-            results[i] = kernel(index, modes, values)
+            results[i] = kernel(index, modes, values, buffers)
 
     _dispatch(task, pieces, lattice.mode_count)
     worst = min((fault for fault in faults if fault is not None), default=None)
@@ -334,28 +353,23 @@ def _symbol_pieces(op: MultiplierOperator, lattice: FrequencyLattice, kernel: Ca
     return results
 
 
-def _piece_modes(lattice: FrequencyLattice, piece) -> np.ndarray:
+def _piece_modes(lattice: FrequencyLattice, piece, out=None) -> np.ndarray:
     """The rows of ``lattice.modes()`` at the positions ``piece`` (a slice
-    or an index array), built for those rows only."""
+    or an index array), built for those rows only; in d = 1 into the
+    column of the (count, 1) buffer ``out`` when given."""
     M = lattice.bandlimit
     index = np.arange(piece.start, piece.stop, dtype=np.int64) if isinstance(piece, slice) else piece
     if lattice.dimension == 1:
-        return (index - M)[:, None]
+        return np.subtract(index, M, out=None if out is None else out[:, 0])[:, None]
     return np.stack(np.divmod(index, 2 * M + 1), axis=-1) - M
 
 
-def _squares(modes: np.ndarray) -> np.ndarray:
-    """|l|^2 at ``modes``: integers below 2^53, so equal to the entries of
-    ``lattice.squared_norms()`` there."""
-    return np.sum(np.square(modes, dtype=np.float64), axis=1)
-
-
-def _mode_weights(modes: np.ndarray, s: float) -> np.ndarray:
-    """(1+|l|^2)^s at ``modes`` with the arithmetic of :func:`_leaf_tables`,
-    so equal bit for bit to the entries of ``sobolev_weights(lattice, s)``
-    there; a weight that overflows is inf, without a warning."""
-    with np.errstate(over="ignore"):
-        return (1.0 + _squares(modes)) ** float(s)
+def _squares(modes: np.ndarray, out=None) -> np.ndarray:
+    """|l|^2 at ``modes``, into ``out`` when given: integers below 2^53, so
+    equal to the entries of ``lattice.squared_norms()`` there."""
+    if modes.shape[1] == 1:
+        return np.square(modes[:, 0], dtype=np.float64, out=out)
+    return np.sum(np.square(modes, dtype=np.float64), axis=1, out=out)
 
 
 def _leaf_tables(A: MultiplierOperator, lattice: FrequencyLattice, piece: slice, exponents) -> tuple:
@@ -387,28 +401,41 @@ def check_ellipticity(op: MultiplierOperator, lattice: FrequencyLattice) -> None
     then not finite, then vanishing) come before a bound that fails, on any
     piece. An envelope |l|^order that overflows, or is 0 times inf, gives its
     verdict without a warning."""
+    _elliptic_pieces(op, lattice, lambda *piece: None)
+
+
+def _elliptic_pieces(op: MultiplierOperator, lattice: FrequencyLattice, kernel: Callable) -> list:
+    """``kernel``'s results on the pieces of :func:`_symbol_pieces`, from the
+    walk that checks the ellipticity constants, with the errors and order of
+    :func:`check_ellipticity`: a deblur run checks its operator in the walk
+    that gathers the rest of its set-up's facts (``rates._symbol_facts``).
+    Each piece's bounds are compared in its walk buffers, ahead of the
+    kernel, which may then reuse them."""
     bounds = op.ellipticity
     for name, value in (("order", op.order), *dataclasses.asdict(bounds).items()):
         if math.isnan(value):
             raise ParameterError(f"{name} of {op.name!r} is NaN, so it bounds nothing")
 
-    def bounded(index, modes, values) -> bool:
-        norms = np.sqrt(_squares(modes))
-        outside = norms > bounds.mode_floor
-        magnitude = np.abs(values[outside])
+    def bounded(index, modes, values, buffers) -> tuple:
+        norms, magnitude, envelope, bound = buffers.rows[:, : values.size]
+        outside = np.sqrt(_squares(modes, out=norms), out=norms) > bounds.mode_floor
+        np.abs(values, out=magnitude)
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-            envelope = norms[outside] ** op.order
-            low = bounds.c_lower * envelope
-            high = bounds.c_upper * envelope
-        return not (np.any(magnitude < low * (1 - 1e-12)) or np.any(magnitude > high * (1 + 1e-12)))
+            np.copyto(envelope, norms)
+            envelope **= op.order  # in place, ** keeps numpy's fast paths
+            fails = magnitude < np.multiply(np.multiply(bounds.c_lower, envelope, out=bound), 1 - 1e-12, out=bound)
+            fails |= magnitude > np.multiply(np.multiply(bounds.c_upper, envelope, out=bound), 1 + 1e-12, out=bound)
+        return not (fails & outside).any(), kernel(index, modes, values, buffers)
 
-    if not all(_symbol_pieces(op, lattice, bounded)):
+    results = _symbol_pieces(op, lattice, bounded)
+    if not all(verdict for verdict, _ in results):
         raise ParameterError(
             f"ellipticity constants of {op.name!r} do not bound |a(l)| on the lattice"
         )
+    return [result for _, result in results]
 
 
-# items per piece of a chunked kernel (the noise draws, the hat truth), at
+# items per piece of a chunked kernel (the noise draws), at
 # most per leaf of a tree sum (every sum :func:`_kernel_sums` takes, its
 # leaves handed over in mirror groups of about two) and at most per mirror
 # piece of a symbol walk (:func:`_symbol_pieces`): a group keeps a few MiB
@@ -478,11 +505,11 @@ def _dispatch(task: Callable[[int], object], count: int, size: int) -> None:
 def _map_chunks(kernel: Callable[[int, int], object], size: int) -> None:
     """Call ``kernel(start, stop)`` on the consecutive pieces of [0, size),
     ``_CHUNK`` items each (the last one shorter), through :func:`_dispatch`:
-    the fan-out of the noise draws and of ``signals.hat_coefficients``,
-    which import it from here, so ``_CHUNK`` and ``_cpu_count`` are read
-    from this module. Kernels write disjoint slices and sum nothing (a sum
-    goes through :func:`_kernel_sums`), so the result depends neither on the
-    split nor on ``_CHUNK``."""
+    the fan-out of the noise draws, which import it from here, so
+    ``_CHUNK`` and ``_cpu_count`` are read from this module. Kernels write
+    disjoint slices and sum nothing (a sum goes through
+    :func:`_kernel_sums`), so the result depends neither on the split nor
+    on ``_CHUNK``."""
     chunks = -(-size // _CHUNK)
     _dispatch(lambda piece: kernel(piece * _CHUNK, min(size, (piece + 1) * _CHUNK)), chunks, size)
 
@@ -540,28 +567,47 @@ def sobolev_norm(field: SpectralField, s: float) -> float:
     return norm
 
 
+def _span_reader(field) -> Callable:
+    """``read(start, stop)``, the coefficients of ``field`` at the lattice
+    positions [start, stop): a slice of a field's table, or what a source of
+    coefficients with no table forms there (its ``span``, as
+    ``signals._Hat``, a deblur run's truth)."""
+    return getattr(field, "span", None) or (lambda start, stop: field.coefficients[start:stop])
+
+
 def _sobolev_norm(field: SpectralField, s: float, what: str) -> float:
     """:func:`sobolev_norm`, with ``what`` naming the norm in the error its
     weights raise when they overflow (``tikhonov.functional`` names r), and
     inf, without a warning, where that function refuses a sum that overflows:
-    each caller names its own keys. Each leaf of the sum builds its own
-    weights (:func:`_mode_weights`) and checks them and its coefficients,
-    so no lattice-sized table is formed; the errors are raised after the
-    sum, non-finite coefficients first."""
-    lattice, coeffs = field.lattice, field.coefficients
+    each caller names its own keys. ``field`` may also be a source of
+    coefficients by span (:func:`_span_reader`). Each leaf of the sum builds
+    its own weights, with the arithmetic of :func:`_leaf_tables`, and checks
+    them and its coefficients, so no lattice-sized table is formed. For a
+    Hermitian field |c|^2 is even, as are the weights, so each mirror group
+    forms both once per +-l pair, on its span, and each leaf reads them
+    mirrored (:func:`_mirrored`), as the noise probe does: the same per-mode
+    values, so the same sums. The errors are raised after the sum,
+    non-finite coefficients first."""
+    lattice, read = field.lattice, _span_reader(field)
     faults = [False, False]  # non-finite coefficients, weights that overflow; only ever set
 
-    def piece_sum(piece) -> float:
-        part = coeffs[piece]
-        weights = _mode_weights(_piece_modes(lattice, piece), s)
-        if not np.isfinite(part).all():
+    def tables(part: slice) -> tuple:
+        values = read(part.start, part.stop)
+        weights = (1.0 + _squares(_piece_modes(lattice, part))) ** float(s)
+        if not np.isfinite(values).all():
             faults[0] = True
         if not np.isfinite(weights).all():
             faults[1] = True
-        return np.sum(np.multiply(weights, part.real**2 + part.imag**2))
+        return weights, values.real**2 + values.imag**2
+
+    def group_sums(span: slice, pieces: list) -> list:
+        if not field.hermitian:
+            return [np.sum(np.multiply(*tables(piece))) for piece in pieces]
+        pair, zero = tables(span), lattice.zero_index
+        return [np.sum(np.multiply(*(_mirrored(t, p, zero, span.start - zero) for t in pair))) for p in pieces]
 
     with np.errstate(over="ignore", invalid="ignore"):  # the workers run under it too
-        total = _kernel_sums(lattice, lambda span, pieces: [piece_sum(piece) for piece in pieces])
+        total = _kernel_sums(lattice, group_sums)
     if faults[0]:
         raise InvalidFieldError("field has non-finite coefficients")
     if faults[1]:
@@ -703,6 +749,19 @@ def _mirrored(half: np.ndarray, piece, zero: int, first: int = 0) -> np.ndarray:
     if stop <= 1:
         return half[1 - stop - first : 1 - start - first][::-1]
     return np.concatenate((half[1 : 1 - start][::-1], half[:stop]))
+
+
+def _conjugated(half: np.ndarray, piece: slice, zero: int, first: int = 0) -> np.ndarray:
+    """The entries of a Hermitian per-mode table, c(-l) = conj(c(l)), at the
+    lattice positions of the slice ``piece``: those of :func:`_mirrored`
+    from ``half``, its entries at the positions zero + first, zero + first +
+    1, ..., conjugated below the zero mode, in a fresh array, or a view of
+    ``half`` when no entry lies below it. The two sides are read apart, so
+    no mirrored copy is formed before the conjugate."""
+    below = max(0, min(piece.stop, zero) - piece.start)
+    mirror = _mirrored(half, slice(piece.start, piece.start + below), zero, first).conj()
+    values = _mirrored(half, slice(piece.start + below, piece.stop), zero, first)
+    return np.concatenate((mirror, values)) if below else values
 
 
 def _kernel_sums(lattice: FrequencyLattice, kernel: Callable, bandlimits=None):

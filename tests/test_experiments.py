@@ -980,8 +980,10 @@ class TestCli:
     def test_deblur_counts_its_reference_symbol_evaluations(self, tmp_path, monkeypatch):
         # no symbol table is built on the whole reference lattice: each walk
         # of a set-up stage evaluates it on mirror pieces that cover every
-        # reference mode once (the certificate walks three times: its |a|^2
-        # checks, the band's centre and the band's members), the snapshot
+        # reference mode once. The set-up walks twice: one walk checks the
+        # operator and gathers every fact the sweep and the certificate read
+        # (its ellipticity, symmetry, zeros and the band's centre), and the
+        # certificate walks once more for the band's members. The snapshot
         # evaluates its plot band twice (forward map and solve), and the pass
         # once per mirror group of leaves, on its canonical modes: the symbol
         # is Hermitian, so the pieces cover each +-l pair exactly once
@@ -1006,7 +1008,7 @@ class TestCli:
             return run
 
         monkeypatch.setattr(experiments, "_build_operator", counted_operator)
-        stages = ("check_ellipticity", "SweepTables", "DivergenceTables", "_snapshot", "_sweep_pass")
+        stages = ("_problem", "SweepTables", "DivergenceTables", "_snapshot", "_sweep_pass")
         for name in stages:
             monkeypatch.setattr(experiments, name, staged(name, getattr(experiments, name)))
         path = CONFIG_DIR / "deblur.ini"
@@ -1018,7 +1020,8 @@ class TestCli:
         by_stage = {name: [modes for where, modes in tables if where == name] for name in stages}
         assert sum(map(len, by_stage.values())) == len(tables)
         assert not any(np.array_equal(modes, reference) for _, modes in tables)
-        for name, walks in [("check_ellipticity", 1), ("SweepTables", 1), ("DivergenceTables", 3)]:
+        assert by_stage["SweepTables"] == []
+        for name, walks in [("_problem", 1), ("DivergenceTables", 1)]:
             assert len(by_stage[name]) >= 2 * walks  # several pieces per walk
             covered = np.sort(np.concatenate(by_stage[name]), axis=0)
             assert np.array_equal(covered, np.repeat(reference, walks, axis=0)), name
@@ -1147,11 +1150,32 @@ class TestCli:
             peaks.append(int(done.stdout.split()[-1]))
         assert peaks[1] <= 1.05 * peaks[0], peaks
 
+    def test_deblur_peak_does_not_grow_with_the_lattice(self, tmp_path):
+        # a deblur run holds no lattice-sized table: its truth is formed a
+        # span at a time, and its pass a mirror group at a time, so a
+        # reference lattice of 2^19 peaks within 5 % of one of 2^17 (two
+        # workers in both runs; a whole truth table grew fourfold)
+        peaks = []
+        for reference in (2**17, 2**19):
+            text = small_config_text("deblur", str(tmp_path / "out"), reference=str(reference))
+            config = write_config(tmp_path, text)
+            script = (
+                "import tracemalloc, tikhtorus.cli, tikhtorus.spectral as spectral; "
+                "spectral._cpu_count = lambda: 2; "
+                "tracemalloc.start(); "
+                f"code = tikhtorus.cli.main(['deblur', '--config', {str(config)!r}]); "
+                "assert code == 0, code; "
+                "print(tracemalloc.get_traced_memory()[1])"
+            )
+            done = run_fresh_process(script)
+            assert done.returncode == 0, done.stderr
+            peaks.append(int(done.stdout.split()[-1]))
+        assert peaks[1] <= 1.05 * peaks[0], peaks
+
     def test_deblur_set_up_peaks_below_the_pass(self, tmp_path):
-        # the set-up forms no lattice-sized table but the truth and its field
-        # copy: at 262,145 modes no stage ahead of the pass reaches the
-        # pass's tracemalloc peak (the whole-table checks peaked about 60 %
-        # above it)
+        # the set-up forms no lattice-sized table, the truth included: at
+        # 262,145 modes no stage ahead of the pass reaches the pass's
+        # tracemalloc peak (the whole-table checks peaked about 60 % above it)
         config = write_config(tmp_path, small_config_text("deblur", str(tmp_path / "out"), reference="131072"))
         script = (
             "import json, tracemalloc, tikhtorus.cli, tikhtorus.experiments as experiments\n"

@@ -1,5 +1,6 @@
 """Exponent calculators, slope fitting, error sweeps, H^1 divergence."""
 
+import dataclasses
 import math
 import re
 import warnings
@@ -34,7 +35,7 @@ from tikhtorus import (
     solve_split,
     zero_field,
 )
-from tikhtorus import rates, spectral
+from tikhtorus import noise, rates, spectral
 from tikhtorus.rates import DivergenceRow, DivergenceTables, SweepTables, calibrate_band
 from tikhtorus.spectral import Ellipticity
 
@@ -888,6 +889,39 @@ class TestMirrorPairedPass:
                     assert covered[zero:].all() and not covered[:zero].any()
                 else:  # tables on each leaf's own modes
                     assert sorted(parts) == leaves
+
+    @pytest.mark.parametrize("bandlimit, chunk", [(300, 7), (40000, None)])
+    def test_an_unpaired_pass_draws_each_canonical_mode_once_per_seed(self, monkeypatch, bandlimit, chunk):
+        # a symbol that is not Hermitian runs the sweep's kernel per leaf, but
+        # each seed's span of each mirror group is still drawn once, and the
+        # leaves below the zero mode read it mirrored and conjugated
+        if chunk is not None:
+            monkeypatch.setattr(spectral, "_CHUNK", chunk)
+        lattice = FrequencyLattice(1, bandlimit)
+        deblur = deblur_operator()
+        skewed = dataclasses.replace(deblur, symbol=lambda modes: deblur.symbol(modes) * (1 + 0.5j))
+        seeds = [7, 0, 5]
+        pair_values, counts = noise._pair_values, {}
+
+        def counted(index, start, stop, out=None):
+            drawn[index] = drawn.get(index, 0) + stop - start
+            return pair_values(index, start, stop, out)
+
+        monkeypatch.setattr(noise, "_pair_values", counted)
+        for A in (deblur, skewed):
+            drawn = {}
+            sweep = SweepTables(A, hat_coefficients(lattice), SCHEDULE, [0.0], [1e-2], seeds)
+            assert sweep._even == (A is deblur)
+            rates._sweep_pass(sweep, None, seeds)
+            counts[A is deblur] = drawn
+        leaves = []
+        spectral._pairwise_tree(0, lattice.mode_count, leaves)
+        groups = spectral._mirror_groups(lattice.mode_count, leaves)
+        assert len(groups) < len(leaves)
+        # the zero mode's group draws the modes of its span but the zero mode
+        canonical = sum(span.stop - span.start for span, _ in groups) - 1
+        assert counts[False] == counts[True] == dict.fromkeys(seeds, canonical)
+        assert bandlimit <= canonical < 1.5 * bandlimit  # a draw per leaf would take about twice M
 
     def test_each_group_draws_its_canonical_modes_once_per_seed(self, monkeypatch):
         # the leaves below the zero mode read the draw of their group's span

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from tikhtorus import signals, spectral
 from tikhtorus import (
     ConfigError,
     DimensionError,
@@ -12,6 +13,7 @@ from tikhtorus import (
     hat_values,
     load_coefficient_file,
     sobolev_norm,
+    truncate,
 )
 
 
@@ -95,3 +97,43 @@ class TestCoefficientFile:
         path.write_text(content)
         with pytest.raises(ConfigError):
             load_coefficient_file(path, FrequencyLattice(1, 4))
+
+
+def hat_parts(lattice):
+    """Parts of the lattice positions: one mode long (at both ends and
+    around the zero mode), below the zero mode, above it, straddling it, and
+    the whole lattice."""
+    zero, count = lattice.zero_index, lattice.mode_count
+    ones = [(p, p + 1) for p in (0, zero - 1, zero, zero + 1, count - 1)]
+    below = [(0, zero), (zero // 3, zero)]
+    above = [(zero + 1, count), (zero + 1, count - zero // 3)]
+    straddling = [(zero // 2, count - zero // 3), (0, count)]
+    return sorted({(start, stop) for start, stop in ones + below + above + straddling if 0 <= start < stop <= count})
+
+
+@pytest.mark.parametrize("bandlimit", [1, 2, 5, 300, 40000, 262144])
+def test_spans_equal_the_whole_table(bandlimit):
+    # a deblur run reads its hat truth a span at a time, with no table; each
+    # span, and the snapshot's hat on its plot band, has the table's bits
+    lattice = FrequencyLattice(1, bandlimit)
+    whole = hat_coefficients(lattice).coefficients
+    for start, stop in hat_parts(lattice):
+        assert signals._Hat(lattice).span(start, stop).tobytes() == whole[start:stop].tobytes(), (start, stop)
+    band = bandlimit // 3
+    assert hat_coefficients(FrequencyLattice(1, band)).coefficients.tobytes() == truncate(
+        hat_coefficients(lattice), band
+    ).coefficients.tobytes()
+
+
+@pytest.mark.parametrize("chunk", [1, 3, 7])
+@pytest.mark.parametrize("bandlimit", [5, 300])
+def test_small_chunks_and_blocks_keep_the_bits(monkeypatch, bandlimit, chunk):
+    # the table is filled a chunk at a time and each span a block at a time:
+    # neither split moves a bit
+    lattice = FrequencyLattice(1, bandlimit)
+    whole = hat_coefficients(lattice).coefficients
+    monkeypatch.setattr(spectral, "_CHUNK", chunk)
+    monkeypatch.setattr(signals, "_HAT_BLOCK", chunk)
+    assert hat_coefficients(lattice).coefficients.tobytes() == whole.tobytes()
+    for start, stop in hat_parts(lattice):
+        assert signals._Hat(lattice).span(start, stop).tobytes() == whole[start:stop].tobytes(), (start, stop)

@@ -1,6 +1,10 @@
 """The repository's own tools, outside the package."""
 
 import importlib.util
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -51,3 +55,22 @@ def test_gamma_outputs_match_the_manifest(tmp_path):
             actual.update(tool.config_hashes(ROOT / "configs" / f"{name}.ini", offset, tmp_path))
         expected = {label: value for label, value in manifest.items() if label.startswith(f"configs/{name}.ini@")}
         assert len(actual) == files and tool.differences(expected, actual) == []
+
+
+def test_stage_costs_prints_each_deblur_stage(tmp_path):
+    # one JSON line per stage call of a fresh CLI run, the whole run last
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, str(ROOT / "tools" / "stage_costs.py"), str(ROOT / "configs" / "deblur.ini"),
+         "--out", str(tmp_path / "out")],
+        env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    records = [json.loads(line) for line in done.stdout.splitlines()]
+    stages = [record["stage"] for record in records]
+    set_up = ["_problem", "SweepTables", "DivergenceTables"]
+    assert stages == [*set_up, "_snapshot", "_sweep_pass", "run_deblur", "total"]
+    for record in records:
+        assert record.keys() == {"stage", "wall_s", "cpu_s", "minflt", "maxrss_kib"}
+        assert record["wall_s"] > 0 and record["cpu_s"] >= 0 and record["minflt"] >= 0 and record["maxrss_kib"] > 0
+    assert (tmp_path / "out" / "errors.csv").exists()
